@@ -16,7 +16,14 @@ from . import verify as verify_mod
 from .conditions import Status, Verdict
 from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import Graph, bipartite_from_graph, from_edges, is_connected, two_coloring
+from .graphs import (
+    Graph,
+    bipartite_from_graph,
+    from_edges,
+    is_connected,
+    transpose,
+    two_coloring,
+)
 from .oracle import MAX_DP_N, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_CMP_TOL, DEFAULT_TOL, q_radius, rho
 
@@ -164,15 +171,16 @@ def _applicable_verdicts(g: Graph, tol: float, cmp_tol: float) -> list[dict]:
         if left is not None:
             b = bipartite_from_graph(g, left)
             if b.p < b.q:  # checkers expect the larger side first
-                from .conditions import _transpose
-
-                b = _transpose(b)
+                b = transpose(b)
             objects.append((b, "bip_balanced" if b.p == b.q else "bip_unbalanced"))
     for obj, kind in objects:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.kind != kind:
                 continue
-            verdict = spec.checker(obj)
+            if spec.spectral:
+                verdict = spec.checker(obj, tol=tol, cmp_tol=cmp_tol)
+            else:
+                verdict = spec.checker(obj)
             if verdict.status is not Status.NOT_APPLICABLE:
                 verdicts.append(_verdict_dict(tid, verdict))
     return verdicts

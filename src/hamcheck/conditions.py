@@ -32,12 +32,14 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     quasi_complement,
+    transpose,
 )
 from .iso import is_isomorphic
 from .spectral import (
     DEFAULT_CMP_TOL,
     DEFAULT_TOL,
     Relation,
+    SpectralEstimate,
     compare_threshold,
     q_radius,
     rho,
@@ -226,8 +228,13 @@ def spectral_bipartite(
     target: str,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
+    estimate: Optional[SpectralEstimate] = None,
 ) -> Verdict:
-    """Adjacency spectral radius against the sqrt edge-bound thresholds."""
+    """Adjacency spectral radius against the sqrt edge-bound thresholds.
+
+    ``estimate``, when given, is rho(b) already computed; the checkers
+    below take theirs the same way, for the matrix they would build.
+    """
     if target == "hamiltonian_balanced":
         prop = HAMILTONIAN
         if b.p != b.q:
@@ -253,7 +260,7 @@ def spectral_bipartite(
     elif target == "traceable_unbalanced":
         prop = TRACEABLE
         if b.q == b.p + 1:  # normalize: side X is the larger one
-            b = _transpose(b)
+            b = transpose(b)
         if b.p != b.q + 1:
             return _na(prop, "needs sides (n+1, n)", ("p", b.p), ("q", b.q))
         n = b.q
@@ -270,7 +277,7 @@ def spectral_bipartite(
         ]
     else:
         raise ValueError(f"unknown target {target!r}")
-    est = rho(b, tol)
+    est = estimate if estimate is not None else rho(b, tol)
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("rho", est.value), ("threshold", threshold), ("margin", outcome.margin))
     if outcome.relation is Relation.BELOW:
@@ -284,18 +291,11 @@ def spectral_bipartite(
     return Verdict(Status.GUARANTEED, prop, cert)
 
 
-def _transpose(b: BipartiteGraph) -> BipartiteGraph:
-    rows = [0] * b.q
-    for x, row in enumerate(b.rows):
-        for y in bits(row):
-            rows[y] |= 1 << x
-    return BipartiteGraph(b.q, b.p, tuple(rows))
-
-
 def quasi_complement_hamiltonian(
     b: BipartiteGraph,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
+    estimate: Optional[SpectralEstimate] = None,
 ) -> Verdict:
     """Small quasi-complement spectral radius forces a Hamiltonian cycle."""
     if b.p != b.q:
@@ -303,7 +303,7 @@ def quasi_complement_hamiltonian(
     n = b.p
     if n < 2:
         return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
-    est = rho(quasi_complement(b), tol)
+    est = estimate if estimate is not None else rho(quasi_complement(b), tol)
     threshold = math.sqrt((n - 2) / 2)
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("rho_star", est.value), ("threshold", threshold), ("margin", outcome.margin))
@@ -398,6 +398,7 @@ def q_spectral_general(
     target: str,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
+    estimate: Optional[SpectralEstimate] = None,
 ) -> Verdict:
     """Signless Laplacian spectral radius against the 2n-ish thresholds.
 
@@ -408,7 +409,7 @@ def q_spectral_general(
     if profile is None:
         return failure
     prop, threshold, strict, exceptions = profile
-    est = q_radius(g, tol)
+    est = estimate if estimate is not None else q_radius(g, tol)
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("q", est.value), ("threshold", threshold), ("margin", outcome.margin))
     if outcome.relation is Relation.BELOW:
@@ -431,6 +432,7 @@ def zhou_complement(
     target: str,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
+    estimate: Optional[SpectralEstimate] = None,
 ) -> Verdict:
     """Zhou's complement condition with the structured EC/EP exceptions."""
     n = g.n
@@ -440,11 +442,13 @@ def zhou_complement(
         threshold = float(n - 1)
         family = "EC"
     elif target == TRACEABLE:
+        if n < 1:
+            return _na(TRACEABLE, "needs n >= 1", ("n", n))
         threshold = float(n)
         family = "EP"
     else:
         raise ValueError(f"unknown target {target!r}")
-    est = q_radius(complement(g), tol)
+    est = estimate if estimate is not None else q_radius(complement(g), tol)
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("q_complement", est.value), ("threshold", threshold), ("margin", outcome.margin))
     if outcome.relation is Relation.ABOVE:

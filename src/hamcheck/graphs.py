@@ -40,7 +40,8 @@ class Graph(NamedTuple):
         return tuple(sorted(self.degrees()))
 
     def min_degree(self) -> int:
-        return min(self.degrees())
+        """Smallest vertex degree; 0 for the graph on no vertices."""
+        return min(self.degrees(), default=0)
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -175,6 +176,15 @@ def quasi_complement(b: BipartiteGraph) -> BipartiteGraph:
     """Flip exactly the cross edges, keeping the bipartition."""
     full = (1 << b.q) - 1
     return BipartiteGraph(b.p, b.q, tuple(row ^ full for row in b.rows))
+
+
+def transpose(b: BipartiteGraph) -> BipartiteGraph:
+    """The same bipartite graph with sides X and Y swapped."""
+    rows = [0] * b.q
+    for x, row in enumerate(b.rows):
+        for y in bits(row):
+            rows[y] |= 1 << x
+    return BipartiteGraph(b.q, b.p, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

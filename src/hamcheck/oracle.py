@@ -2,16 +2,32 @@
 
 Subset DP over endpoint bitmasks, plus a plain backtracking solver that
 shares no logic with the DP and serves as a cross-check.
+
+Two forms of the DP decide the same question. ``is_hamiltonian`` and
+``is_traceable`` take one graph and push endpoints forward in Python
+ints; ``analyze``, ``oracle`` and ``tightness_search`` use them, since
+they see one graph at a time and a batch of one only adds numpy call
+overhead. ``is_hamiltonian_batch`` and ``is_traceable_batch`` take a
+list of graphs and pull endpoints from each subset's predecessors with
+numpy, one popcount layer at a time, for every graph of a size at once;
+soundness scans use them on their buffered hypothesis hits. Both forms
+reconstruct and check a witness for every positive answer.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .graphs import Graph, bits, connected_components
 
 MAX_DP_N = 24
 MAX_BACKTRACK_N = 12
+# bounds on the batched DP's temporaries, in table entries: rows per
+# endpoint table, and the gather of one layer piece across those rows
+BATCH_TABLE_CELLS = 1 << 20
+BATCH_GATHER_CELLS = 1 << 20
 
 CYCLE = "cycle"
 PATH = "path"
@@ -98,6 +114,111 @@ def _reconstruct(adj, dp, full, last: int) -> tuple[int, ...]:
         order.append(v)
     order.reverse()
     return tuple(order)
+
+
+def is_hamiltonian_batch(graphs: Sequence[Graph]) -> list[Optional[HamWitness]]:
+    """``is_hamiltonian`` for each graph (any mix of sizes, n <= 24)."""
+    return _batch(graphs, CYCLE)
+
+
+def is_traceable_batch(graphs: Sequence[Graph]) -> list[Optional[HamWitness]]:
+    """``is_traceable`` for each graph (any mix of sizes, n <= 24)."""
+    return _batch(graphs, PATH)
+
+
+def _batch(graphs: Sequence[Graph], kind: str) -> list[Optional[HamWitness]]:
+    out: list[Optional[HamWitness]] = [None] * len(graphs)
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        if g.n > MAX_DP_N:
+            raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
+        by_n.setdefault(g.n, []).append(i)
+    for n, members in by_n.items():
+        if kind == PATH and n == 1:
+            for i in members:
+                out[i] = HamWitness(PATH, (0,))
+            continue
+        if n < (3 if kind == CYCLE else 2):
+            continue
+        # the scalar preconditions: connected, and for cycles min degree 2
+        adj = np.array([graphs[i].adj for i in members], dtype=np.uint32)
+        eligible = _connected(adj)
+        if kind == CYCLE:
+            eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
+        members = [i for i, ok in zip(members, eligible) if ok]
+        adj = adj[eligible]
+        step = max(1, BATCH_TABLE_CELLS >> n)
+        for lo in range(0, len(members), step):
+            chunk = adj[lo:lo + step]
+            dp = _endpoint_tables(chunk, kind == CYCLE)
+            ends = dp[:, -1] & chunk[:, 0] if kind == CYCLE else dp[:, -1]
+            found = np.flatnonzero(ends)
+            orders = _walk_back(dp[found], chunk[found], _lowest_bit(ends[found]))
+            for r, order in zip(found.tolist(), orders.tolist()):
+                witness = HamWitness(kind, tuple(order))
+                _check_witness(graphs[members[lo + r]], witness)
+                out[members[lo + r]] = witness
+    return out
+
+
+def _lowest_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each (nonzero) entry."""
+    return np.bitwise_count((x & -x) - 1).astype(np.int64)
+
+
+def _walk_back(dp: np.ndarray, adj: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per table row, the order ``_reconstruct`` gives for a path ending at
+    ``last``: each step back takes the lowest endpoint adjacent to v."""
+    count, n = adj.shape
+    rows = np.arange(count)
+    order = np.empty((count, n), dtype=np.int64)
+    mask = np.full(count, dp.shape[1] - 1, dtype=np.int64)
+    v = last
+    order[:, -1] = v
+    for pos in range(n - 2, -1, -1):
+        mask ^= 1 << v
+        v = _lowest_bit(dp[rows, mask] & adj[rows, v])
+        order[:, pos] = v
+    return order
+
+
+def _connected(adj: np.ndarray) -> np.ndarray:
+    """Per row of an (rows, n) adjacency bitset array: is the graph connected?"""
+    n = adj.shape[1]
+    shifts = np.arange(n, dtype=np.uint32)
+    seen = np.ones(len(adj), dtype=np.uint32)
+    for _ in range(n - 1):
+        inside = ((seen[:, None] >> shifts) & 1) == 1
+        seen = seen | np.bitwise_or.reduce(np.where(inside, adj, 0), axis=1)
+    return seen == (1 << n) - 1
+
+
+def _endpoint_tables(adj: np.ndarray, cycle: bool) -> np.ndarray:
+    """dp[r, S]: endpoints v of the paths of graph r that span S, for cycles
+    only paths that start at vertex 0.
+
+    Pull form: bit u of dp[S] is set iff dp[S - u] & adj[u] != 0. Subsets
+    go by popcount; when u is not in S, S ^ {u} lies in a later layer and
+    is still zero, so one gather per layer serves every u.
+    """
+    count, n = adj.shape
+    single = 1 << np.arange(n)
+    dp = np.zeros((count, 1 << n), dtype=np.uint32)
+    if cycle:
+        dp[:, 1] = 1
+    else:
+        dp[:, single] = single.astype(np.uint32)
+    subsets = np.arange(1 << n)
+    popcount = np.bitwise_count(subsets)
+    weights = single.astype(np.uint32)
+    piece = max(1, BATCH_GATHER_CELLS // (count * n))
+    for k in range(2, n + 1):
+        layer = subsets[(popcount == k) & (((subsets & 1) == 1) | (not cycle))]
+        for lo in range(0, len(layer), piece):
+            masks = layer[lo:lo + piece]
+            pred = dp[:, masks[:, None] ^ single]
+            dp[:, masks] = ((pred & adj[:, None, :]) != 0) @ weights
+    return dp
 
 
 def backtrack_oracle(g: Graph, kind: str) -> bool:

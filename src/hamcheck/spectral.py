@@ -2,12 +2,20 @@
 
 Two independent routes: deterministic power iteration (the production
 path) and a dense symmetric eigendecomposition used only as an oracle.
+
+Power iteration comes in two forms that run the same steps: ``rho`` and
+``q_radius`` on one graph, and ``rho_stack`` and ``q_radius_stack`` on a
+list of graphs of one size, stacked into a (B, n, n) array. The stacked
+form pays numpy's per-call overhead once per step for the whole stack, so
+soundness scans use it; for a single graph it is slower, so everything
+else keeps the scalar form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +62,8 @@ def _power_iteration(matrix: np.ndarray, tol: float, shift: float) -> SpectralEs
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = matrix.shape[0]
+    if n == 0:
+        return SpectralEstimate(0.0, 0.0, 0)
     work = matrix + shift * np.eye(n)
     x = 1.0 + np.arange(n) * 1e-6
     x /= np.linalg.norm(x)
@@ -71,6 +81,76 @@ def _power_iteration(matrix: np.ndarray, tol: float, shift: float) -> SpectralEs
     raise ConvergenceError(
         f"power iteration did not reach residual {tol} in {MAX_ITERATIONS} steps"
     )
+
+
+def _power_iteration_stack(
+    matrices: np.ndarray, tol: float, shift: float
+) -> list[SpectralEstimate]:
+    """``_power_iteration`` on every matrix of a (B, n, n) stack.
+
+    Each row keeps its own start vector, stopping test, zero-norm exit and
+    iteration count; a row leaves the stack at the step it stops on.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    count, n = matrices.shape[:2]
+    if count == 0 or n == 0:
+        return [SpectralEstimate(0.0, 0.0, 0)] * count
+    # per row: value, residual, iteration count, filled in when it stops
+    value_of = np.zeros(count)
+    residual_of = np.zeros(count)
+    steps_of = np.zeros(count, dtype=np.int64)
+    work = matrices + shift * np.eye(n)
+    start = 1.0 + np.arange(n) * 1e-6
+    x = np.tile(start / np.linalg.norm(start), (count, 1))
+    live = np.arange(count)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        y = np.einsum("bij,bj->bi", work, x)
+        lam = np.einsum("bi,bi->b", x, y)
+        residual = np.abs(y - lam[:, None] * x).max(axis=1)
+        value = lam - shift
+        converged = residual <= tol * np.maximum(1.0, np.abs(value))
+        norm = np.sqrt(np.einsum("bi,bi->b", y, y))
+        stopped = converged | (norm == 0.0)
+        if stopped.any():
+            # a row that vanished without converging reports (0, 0)
+            rows = live[stopped]
+            value_of[rows] = np.where(converged, np.maximum(value, 0.0), 0.0)[stopped]
+            residual_of[rows] = np.where(converged, residual, 0.0)[stopped]
+            steps_of[rows] = iteration
+            if stopped.all():
+                return [SpectralEstimate(*row) for row in
+                        zip(value_of.tolist(), residual_of.tolist(), steps_of.tolist())]
+            going = ~stopped
+            live, work, y, norm = live[going], work[going], y[going], norm[going]
+        x = y / norm[:, None]
+    raise ConvergenceError(
+        f"power iteration did not reach residual {tol} in {MAX_ITERATIONS} steps"
+    )
+
+
+def _adjacency_stack(graphs: Sequence[Graph | BipartiteGraph]) -> np.ndarray:
+    """The adjacency matrices of same-size graphs as a (B, n, n) float stack."""
+    graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
+    n = graphs[0].n if graphs else 0
+    adj = np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n)
+    return ((adj[:, :, None] >> np.arange(n)) & 1).astype(float)
+
+
+def rho_stack(
+    graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
+) -> list[SpectralEstimate]:
+    """``rho`` of each graph; all graphs have the same number of vertices."""
+    return _power_iteration_stack(_adjacency_stack(graphs), tol, shift=1.0)
+
+
+def q_radius_stack(
+    graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
+) -> list[SpectralEstimate]:
+    """``q_radius`` of each graph; all graphs have the same number of vertices."""
+    a = _adjacency_stack(graphs)
+    q = a + a.sum(axis=2)[:, :, None] * np.eye(a.shape[1])
+    return _power_iteration_stack(q, tol, shift=0.0)
 
 
 def rho(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:

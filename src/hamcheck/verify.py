@@ -5,6 +5,17 @@ Every labeled graph in range is scanned; cheap necessary conditions
 guard well above the comparison tolerance) cut the candidate set before
 the full checker and the Hamiltonicity oracle run. Labeled enumeration
 over-counts isomorphic copies, which is harmless for soundness claims.
+
+The scan works on slices of at most SLICE masks, so its temporaries stay
+bounded, and each slice goes through one pipeline whatever the graph
+kind: the m/delta filter, the eigvalsh screen, one stacked power
+iteration on the surviving graphs (each spectral checker's own matrix;
+the screen's eigenvalues are never reused as the checker's number), the
+checker itself, and a buffer of hypothesis hits. Every ORACLE_BATCH hits,
+and at the end of the part, the buffer is decided by one batched exact
+oracle call and tallied in scan order. ``analyze``, ``oracle`` and
+``tightness_search`` look at one graph at a time and keep the scalar
+power iteration and oracle, which are faster for a single graph.
 """
 
 from __future__ import annotations
@@ -29,12 +40,14 @@ from .families import (
     np_member,
 )
 from .graph6 import write_graph6
-from .graphs import BipartiteGraph, Graph
-from .oracle import is_hamiltonian, is_traceable
-from .spectral import eigen_oracle, q_radius
+from .graphs import BipartiteGraph, Graph, complement, quasi_complement
+from .oracle import is_hamiltonian, is_hamiltonian_batch, is_traceable, is_traceable_batch
+from .spectral import eigen_oracle, q_radius, q_radius_stack, rho_stack
 
 SCREEN_GUARD = 1e-6
-CHUNK = 1 << 16
+CHUNK = 1 << 16          # fewest masks per worker task under --jobs
+SLICE = 1 << 11          # masks per scan slice; bounds the screen's matrix stack
+ORACLE_BATCH = 1 << 11   # buffered hypothesis hits per batched oracle call
 MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25
 DEFAULT_MAX_N = 6
@@ -48,6 +61,7 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _graph_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph:
+    """One mask's graph; scans build theirs in bulk with ``_Layout.build``."""
     adj = [0] * n
     k = 0
     while mask:
@@ -60,40 +74,70 @@ def _graph_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _bip_from_mask(p: int, q: int, mask: int) -> BipartiteGraph:
-    full = (1 << q) - 1
-    rows = tuple((mask >> (x * q)) & full for x in range(p))
-    return BipartiteGraph(p, q, rows)
+@dataclass(frozen=True)
+class _Layout:
+    """How the bits of a mask encode one labeled graph of a kind and size."""
+    nverts: int
+    slots: list[tuple[int, int]]   # the vertex pair of each mask bit
+    min_degree: list[int]          # per vertex
+    row_bits: np.ndarray           # [mask bit, row]: what the bit adds to that adjacency row
+    make: Callable[[tuple[int, ...]], Graph | BipartiteGraph]
+
+    def build(self, bits: np.ndarray) -> list:
+        """The graphs whose masks' bits are the rows of ``bits``."""
+        return [self.make(tuple(rows)) for rows in (bits @ self.row_bits).tolist()]
 
 
-def _mask_table(nbits: int, lo: int, hi: int):
-    """Yield (masks, bits) chunks covering [lo, hi)."""
+def _general_layout(n: int, delta_min: int) -> _Layout:
+    pairs = _pairs(n)
+    row_bits = np.zeros((len(pairs), n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        row_bits[k, i], row_bits[k, j] = 1 << j, 1 << i
+    return _Layout(n, pairs, [delta_min] * n, row_bits, partial(Graph, n))
+
+
+def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
+    cells = [(x, y) for x in range(p) for y in range(q)]
+    row_bits = np.zeros((p * q, p), dtype=np.int64)
+    for k, (x, y) in enumerate(cells):
+        row_bits[k, x] = 1 << y
+    return _Layout(p + q, [(x, p + y) for x, y in cells], [dx_min] * p + [dy_min] * q,
+                   row_bits, partial(BipartiteGraph, p, q))
+
+
+def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
+    """Yield (scanned, bits) per slice of masks [lo, hi): the bit rows of
+    the masks with at least m_min edges and every vertex at its minimum
+    degree."""
+    nbits = len(layout.slots)
+    inc = np.zeros((nbits, layout.nverts), dtype=np.int16)
+    for k, (i, j) in enumerate(layout.slots):
+        inc[k, i] = inc[k, j] = 1
+    need = np.array(layout.min_degree)
     shifts = np.arange(nbits, dtype=np.int64)
-    for start in range(lo, hi, CHUNK):
-        stop = min(start + CHUNK, hi)
-        masks = np.arange(start, stop, dtype=np.int64)
+    for start in range(lo, hi, SLICE):
+        masks = np.arange(start, min(start + SLICE, hi), dtype=np.int64)
         bits = ((masks[:, None] >> shifts) & 1).astype(np.int16)
-        yield masks, bits
+        keep = bits.sum(axis=1) >= m_min
+        if need.any():
+            keep &= (bits @ inc >= need).all(axis=1)
+        yield len(masks), bits[keep]
+
+
+def _visit_all(layout: _Layout, visit: Callable) -> int:
+    count = 0
+    for _, bits in _slices(layout, 0, 1 << len(layout.slots)):
+        count += len(bits)
+        for obj in layout.build(bits):
+            visit(obj)
+    return count
 
 
 def enumerate_graphs(n: int, delta_min: int, visit: Callable[[Graph], None]) -> int:
     """Visit every labeled simple graph on n vertices with min degree >= delta_min."""
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
-    pairs = _pairs(n)
-    nbits = len(pairs)
-    inc = np.zeros((nbits, n), dtype=np.int16)
-    for k, (i, j) in enumerate(pairs):
-        inc[k, i] = inc[k, j] = 1
-    count = 0
-    for masks, bits in _mask_table(max(nbits, 1), 0, 1 << nbits):
-        if delta_min > 0:
-            keep = (bits @ inc).min(axis=1) >= delta_min
-            masks = masks[keep]
-        count += len(masks)
-        for mask in masks:
-            visit(_graph_from_mask(n, pairs, int(mask)))
-    return count
+    return _visit_all(_general_layout(n, delta_min), visit)
 
 
 def enumerate_bipartite(
@@ -102,18 +146,7 @@ def enumerate_bipartite(
     """Visit every labeled biadjacency matrix with all degrees >= delta_min."""
     if p * q > MAX_BIP_CELLS:
         raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
-    nbits = p * q
-    count = 0
-    for masks, bits in _mask_table(nbits, 0, 1 << nbits):
-        if delta_min > 0:
-            deg_x = bits.reshape(-1, p, q).sum(axis=2).min(axis=1)
-            deg_y = bits.reshape(-1, p, q).sum(axis=1).min(axis=1)
-            keep = (deg_x >= delta_min) & (deg_y >= delta_min)
-            masks = masks[keep]
-        count += len(masks)
-        for mask in masks:
-            visit(_bip_from_mask(p, q, int(mask)))
-    return count
+    return _visit_all(_bipartite_layout(p, q, delta_min, delta_min), visit)
 
 
 # ------------------------------------------------------------- reports
@@ -186,6 +219,21 @@ class TheoremSpec:
     hyp: Optional[tuple[str, Callable[[int], float], str]] = None
     m_min: Optional[Callable[[int], int]] = None
     exceptions_for: Callable[[int], list[FamilyId]] = lambda n: []
+
+    @property
+    def spectral(self) -> bool:
+        """The hypothesis is a spectral radius, so the checker takes an estimate."""
+        return self.hyp is not None and self.hyp[0] != "m"
+
+
+# the graph whose spectral radius each spectral hypothesis kind bounds, and
+# the stacked power iteration that computes it, as in the checkers
+_ESTIMATORS: dict[str, tuple[Callable, Callable]] = {
+    "q": (lambda g: g, q_radius_stack),
+    "q_complement": (complement, q_radius_stack),
+    "rho": (lambda b: b, rho_stack),
+    "rho_star": (quasi_complement, rho_stack),
+}
 
 
 def _ceil_eps(x: float) -> int:
@@ -361,9 +409,16 @@ def sizes_for(spec: TheoremSpec, max_n: int, bip_cells: int = DEFAULT_BIP_CELLS)
 
 # --------------------------------------------------------------- scanning
 
-def _edge_matrices(n: int, pairs: list[tuple[int, int]], kind: str) -> np.ndarray:
-    basis = np.zeros((len(pairs), n, n))
-    for k, (i, j) in enumerate(pairs):
+def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
+    if spec.kind == "general":
+        return _general_layout(n, spec.delta_min[0])
+    return _bipartite_layout(n if spec.kind == "bip_balanced" else n + 1, n, *spec.delta_min)
+
+
+def _edge_matrices(layout: _Layout, kind: str) -> np.ndarray:
+    """Per mask bit, the matrix (adjacency, or Q for kind "q") of its edge."""
+    basis = np.zeros((len(layout.slots), layout.nverts, layout.nverts))
+    for k, (i, j) in enumerate(layout.slots):
         basis[k, i, j] = basis[k, j, i] = 1.0
         if kind == "q":
             basis[k, i, i] += 1.0
@@ -377,12 +432,10 @@ def _has_property(g: Graph, prop: str) -> bool:
     return is_traceable(g) is not None
 
 
-def _classify(report: SoundnessReport, spec: TheoremSpec, obj, verdict: Verdict) -> None:
-    if verdict.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
-        return
-    g = obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
+def _classify(report: SoundnessReport, spec: TheoremSpec, g: Graph, verdict: Verdict,
+              holds: bool) -> None:
+    """Tally one hypothesis hit against the oracle's answer for g."""
     report.hypothesis_hits += 1
-    holds = _has_property(g, spec.prop)
     if verdict.status is Status.GUARANTEED:
         if holds:
             report.guaranteed_confirmed += 1
@@ -407,94 +460,57 @@ def _classify(report: SoundnessReport, spec: TheoremSpec, obj, verdict: Verdict)
             report.violations.append(write_graph6(g))
 
 
-def _scan_general_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    spec = THEOREMS[theorem_id]
-    report = SoundnessReport(theorem_id, [n])
-    pairs = _pairs(n)
-    nbits = len(pairs)
-    inc = np.zeros((nbits, n), dtype=np.int16)
-    for k, (i, j) in enumerate(pairs):
-        inc[k, i] = inc[k, j] = 1
-    m_min = spec.m_min(n) if spec.m_min else 0
-    delta_min = spec.delta_min[0]
-    screen = spec.hyp if spec.hyp and spec.hyp[0] != "m" and nbits > 0 else None
-    basis = None
-    if screen is not None:
-        basis = _edge_matrices(n, pairs, "q" if screen[0].startswith("q") else "adj")
-    for masks, bits in _mask_table(max(nbits, 1), lo, hi):
-        report.graphs_scanned += len(masks)
-        keep = bits.sum(axis=1) >= m_min
-        if delta_min > 0:
-            keep &= (bits @ inc).min(axis=1) >= delta_min
-        masks = masks[keep]
-        bits = bits[keep]
-        if screen is not None and len(masks):
-            kind, threshold_fn, direction = screen
-            threshold = threshold_fn(n)
-            weights = bits.astype(float)
-            if kind == "q_complement":
-                weights = 1.0 - weights
-            mats = np.tensordot(weights, basis, axes=(1, 0))
-            top = np.linalg.eigvalsh(mats)[:, -1]
-            if direction == "le":
-                masks = masks[top <= threshold + SCREEN_GUARD]
-            else:
-                masks = masks[top >= threshold - SCREEN_GUARD]
-        for mask in masks:
-            g = _graph_from_mask(n, pairs, int(mask))
-            _classify(report, spec, g, spec.checker(g))
-    return report
+def _verdicts(spec: TheoremSpec, objs: list) -> list[Verdict]:
+    """The checker's verdict on each object; spectral checkers get their
+    estimate from one stacked power iteration over their own matrices."""
+    if not spec.spectral:
+        return [spec.checker(obj) for obj in objs]
+    operand, estimator = _ESTIMATORS[spec.hyp[0]]
+    estimates = estimator([operand(obj) for obj in objs])
+    return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
 
 
-def _scan_bipartite_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    spec = THEOREMS[theorem_id]
-    report = SoundnessReport(theorem_id, [n])
-    if spec.kind == "bip_balanced":
-        p = q = n
-    else:
-        p, q = n + 1, n
-    nbits = p * q
-    m_min = spec.m_min(n) if spec.m_min else 0
-    dx_min, dy_min = spec.delta_min
-    screen = spec.hyp if spec.hyp and spec.hyp[0] in ("rho", "rho_star") else None
-    basis = None
-    if screen is not None:
-        cells = [(x, y) for x in range(p) for y in range(q)]
-        basis = np.zeros((nbits, p + q, p + q))
-        for k, (x, y) in enumerate(cells):
-            basis[k, x, p + y] = basis[k, p + y, x] = 1.0
-    for masks, bits in _mask_table(nbits, lo, hi):
-        report.graphs_scanned += len(masks)
-        keep = bits.sum(axis=1) >= m_min
-        if dx_min > 0 or dy_min > 0:
-            grid = bits.reshape(-1, p, q)
-            keep &= grid.sum(axis=2).min(axis=1) >= dx_min
-            keep &= grid.sum(axis=1).min(axis=1) >= dy_min
-        masks = masks[keep]
-        bits = bits[keep]
-        if screen is not None and len(masks):
-            kind, threshold_fn, direction = screen
-            threshold = threshold_fn(n)
-            weights = bits.astype(float)
-            if kind == "rho_star":
-                weights = 1.0 - weights
-            mats = np.tensordot(weights, basis, axes=(1, 0))
-            top = np.linalg.eigvalsh(mats)[:, -1]
-            if direction == "le":
-                masks = masks[top <= threshold + SCREEN_GUARD]
-            else:
-                masks = masks[top >= threshold - SCREEN_GUARD]
-        for mask in masks:
-            b = _bip_from_mask(p, q, int(mask))
-            _classify(report, spec, b, spec.checker(b))
-    return report
+def _flush(report: SoundnessReport, spec: TheoremSpec, pending: list) -> None:
+    """Decide the buffered hits with one batched oracle call, in scan order."""
+    graphs = [obj.to_graph() if isinstance(obj, BipartiteGraph) else obj for obj, _ in pending]
+    oracle = is_hamiltonian_batch if spec.prop == HAMILTONIAN else is_traceable_batch
+    for (_, verdict), g, witness in zip(pending, graphs, oracle(graphs)):
+        _classify(report, spec, g, verdict, witness is not None)
+    pending.clear()
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
+    """Masks [lo, hi) of one size, slice by slice: m/delta filter, eigvalsh
+    screen, checker, then the buffered hits through the batched oracle."""
     spec = THEOREMS[theorem_id]
-    if spec.kind == "general":
-        return _scan_general_part(theorem_id, n, lo, hi)
-    return _scan_bipartite_part(theorem_id, n, lo, hi)
+    report = SoundnessReport(theorem_id, [n])
+    layout = _spec_layout(spec, n)
+    m_min = spec.m_min(n) if spec.m_min else 0
+    basis = None
+    if spec.spectral and layout.slots:
+        kind, threshold_fn, direction = spec.hyp
+        threshold = threshold_fn(n)
+        basis = _edge_matrices(layout, "q" if kind.startswith("q") else "adj")
+    pending: list[tuple[object, Verdict]] = []
+    for scanned, bits in _slices(layout, lo, hi, m_min):
+        report.graphs_scanned += scanned
+        if basis is not None and len(bits):
+            weights = bits.astype(float)
+            if kind in ("q_complement", "rho_star"):
+                weights = 1.0 - weights
+            top = np.linalg.eigvalsh(np.tensordot(weights, basis, axes=(1, 0)))[:, -1]
+            if direction == "le":
+                bits = bits[top <= threshold + SCREEN_GUARD]
+            else:
+                bits = bits[top >= threshold - SCREEN_GUARD]
+        objs = layout.build(bits)
+        for obj, verdict in zip(objs, _verdicts(spec, objs)):
+            if verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
+                pending.append((obj, verdict))
+        if len(pending) >= ORACLE_BATCH:
+            _flush(report, spec, pending)
+    _flush(report, spec, pending)
+    return report
 
 
 def soundness(
@@ -518,13 +534,7 @@ def soundness(
     report = SoundnessReport(theorem_id, [])
     tasks = []
     for n in sizes:
-        if spec.kind == "general":
-            nbits = n * (n - 1) // 2
-        elif spec.kind == "bip_balanced":
-            nbits = n * n
-        else:
-            nbits = n * (n + 1)
-        total = 1 << nbits
+        total = 1 << len(_spec_layout(spec, n).slots)
         parts = max(1, min(jobs, total // CHUNK)) if jobs > 1 else 1
         step = -(-total // parts)
         for lo in range(0, total, step):
@@ -596,14 +606,10 @@ def _hyp_value(spec: TheoremSpec, obj) -> tuple[float, float]:
     if kind == "q":
         return eigen_oracle(g, "signless_laplacian")[-1], threshold
     if kind == "q_complement":
-        from .graphs import complement
-
         return eigen_oracle(complement(g), "signless_laplacian")[-1], threshold
     if kind == "rho":
         return eigen_oracle(g, "adjacency")[-1], threshold
     if kind == "rho_star":
-        from .graphs import quasi_complement
-
         return eigen_oracle(quasi_complement(obj), "adjacency")[-1], threshold
     raise ValueError(kind)
 

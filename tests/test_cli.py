@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hamcheck.cli import main
-from hamcheck.graph6 import write_graph6
+from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import complete_bipartite, cycle
+from hamcheck.spectral import q_radius
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -52,6 +56,32 @@ def test_analyze_empty_input(capsys, monkeypatch):
     assert code == 0 and out == ""
 
 
+def test_analyze_empty_graph(capsys, monkeypatch):
+    code, out, err = run(capsys, ["analyze", "--format", "json"], stdin="?\n",
+                         monkeypatch=monkeypatch)
+    assert code == 0, err
+    (line,) = out.splitlines()
+    rec = json.loads(line)
+    assert (rec["n"], rec["m"], rec["min_degree"], rec["rho"]) == (0, 0, 0, None)
+    assert rec["verdicts"] == []
+
+
+def test_analyze_honours_tolerances(capsys, monkeypatch):
+    # q(D^o) = 5.7785 lies 0.028 above tight-q-hamiltonian's 2n-5+3/(n-1) = 5.75
+    def tight_q(*flags):
+        code, out, _ = run(capsys, ["analyze", "--format", "json", *flags], stdin="D^o\n",
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        by = {v["checker"]: v for v in json.loads(out)["verdicts"]}
+        return by["tight-q-hamiltonian"]
+
+    assert tight_q()["status"] == "guaranteed"
+    assert tight_q("--cmp-tol", "0.05")["status"] == "boundary"
+    loose = dict(tight_q("--tol", "1e-3")["certificate"])["q"]
+    assert loose == q_radius(parse_graph6("D^o"), tol=1e-3).value
+    assert loose != dict(tight_q()["certificate"])["q"]
+
+
 def test_analyze_parse_error(capsys, monkeypatch):
     code, out, err = run(capsys, ["analyze"], stdin="\x7f\x7f\n", monkeypatch=monkeypatch)
     assert code == 2
@@ -84,6 +114,15 @@ def test_verify_cli(capsys):
     reports = json.loads(out.strip())
     assert reports[0]["violations"] == []
     assert "elapsed_s" not in reports[0]
+
+
+def test_verify_all_n6_matches_fixture(capsys):
+    # the fixture is this command's output before the scan was batched;
+    # any change to the scan must leave it byte-identical
+    code, out, _ = run(capsys, ["verify", "--theorem", "all", "--max-n", "6",
+                                "--deterministic", "--format", "json"])
+    assert code == 0
+    assert out == (FIXTURES / "verify_all_n6.json").read_text()
 
 
 def test_verify_unknown_theorem(capsys):

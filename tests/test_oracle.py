@@ -14,7 +14,13 @@ from hamcheck.graphs import (
     relabel,
     star,
 )
-from hamcheck.oracle import backtrack_oracle, is_hamiltonian, is_traceable
+from hamcheck.oracle import (
+    backtrack_oracle,
+    is_hamiltonian,
+    is_hamiltonian_batch,
+    is_traceable,
+    is_traceable_batch,
+)
 
 
 def random_graph(n, seed, p=0.5):
@@ -112,3 +118,30 @@ def test_traceable_iff_join_k1_hamiltonian():
 def test_size_cap():
     with pytest.raises(ValueError):
         is_hamiltonian(from_edges(25, []))
+
+
+def test_batched_oracle_matches_scalar_and_backtracking():
+    rng = random.Random(2024)
+    graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.choice((0.2, 0.4, 0.6, 0.8)))
+              for n in range(1, 11) for _ in range(25)]
+    graphs += [
+        from_edges(1, []), from_edges(2, []), complete(2),     # n = 1 and 2
+        disjoint_union(cycle(3), cycle(4)),                    # disconnected
+        star(6), path(7),                                      # delta < 2
+        complete_bipartite(2, 3).to_graph(), from_edges(0, []),
+    ]
+    rng.shuffle(graphs)  # mixed sizes in one call
+    for scalar, batched, kind in ((is_hamiltonian, is_hamiltonian_batch, "cycle"),
+                                  (is_traceable, is_traceable_batch, "path")):
+        got = batched(graphs)
+        assert got == [scalar(g) for g in graphs]  # same witnesses, not just answers
+        for g, witness in zip(graphs, got):
+            if g.n:
+                assert (witness is not None) == backtrack_oracle(g, kind)
+        assert batched([]) == []
+    assert any(is_hamiltonian_batch(graphs)) and not all(is_traceable_batch(graphs))
+
+
+def test_batched_oracle_size_cap():
+    with pytest.raises(ValueError):
+        is_traceable_batch([complete(3), from_edges(25, [])])

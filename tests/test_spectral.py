@@ -18,8 +18,10 @@ from hamcheck.spectral import (
     compare_threshold,
     eigen_oracle,
     q_radius,
+    q_radius_stack,
     q_upper_bound,
     rho,
+    rho_stack,
 )
 
 
@@ -103,6 +105,36 @@ def test_empty_and_tiny_graphs():
     assert rho(from_edges(1, [])).value == 0.0
     assert rho(from_edges(3, [])).value == 0.0
     assert q_radius(from_edges(2, [(0, 1)])).value == pytest.approx(2.0, abs=1e-10)
+
+
+def test_zero_vertex_graph():
+    for estimate in (rho(from_edges(0, [])), q_radius(from_edges(0, []))):
+        assert (estimate.value, estimate.iterations) == (0.0, 0)
+
+
+def test_stacked_power_iteration_matches_scalar():
+    # the stack runs the scalar steps with numpy sums in another order, so
+    # values may differ in the last bits but never by 1e-12, nor in steps
+    from hamcheck.graphs import bipartite_from_edges
+
+    rng = random.Random(99)
+    compared = 0
+    for n in range(0, 10):
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(40)]
+        graphs.append(from_edges(n, []))  # zero adjacency, and for n > 0 zero Q
+        for scalar, stacked in ((rho, rho_stack), (q_radius, q_radius_stack)):
+            for want, got in zip([scalar(g) for g in graphs], stacked(graphs), strict=True):
+                assert got.iterations == want.iterations
+                assert abs(got.value - want.value) <= 1e-12
+                assert abs(got.residual - want.residual) <= 1e-12
+                compared += 1
+    sides = [bipartite_from_edges(3, 4, [(x, y) for x in range(3) for y in range(4)
+                                         if rng.random() < 0.6]) for _ in range(20)]
+    for want, got in zip([rho(b) for b in sides], rho_stack(sides), strict=True):
+        assert got.iterations == want.iterations
+        assert abs(got.value - want.value) <= 1e-12
+    assert compared == 10 * 41 * 2
+    assert rho_stack([]) == q_radius_stack([]) == []
 
 
 def test_table1_spot_values():

@@ -1,7 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+from hamcheck import verify
+from hamcheck.conditions import HAMILTONIAN, Status, Verdict
+from hamcheck.oracle import is_hamiltonian, is_traceable
+from hamcheck.spectral import q_radius
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
@@ -124,3 +129,48 @@ def test_tightness_real_exceptions_satisfy_bound():
 def test_tightness_requires_numeric_hypothesis():
     with pytest.raises(ValueError):
         tightness_search("chvatal")
+
+
+def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
+    """soundness() the slow way: every labeled graph with enough edges, one
+    at a time, through the scalar checker and the scalar oracle."""
+    spec = THEOREMS[theorem_id]
+    oracle = is_hamiltonian if spec.prop == HAMILTONIAN else is_traceable
+    report = SoundnessReport(theorem_id, [])
+    for n in sizes_for(spec, max_n):
+        objs = []
+        if spec.kind == "general":
+            scanned = enumerate_graphs(n, 0, objs.append)
+        else:
+            p = n if spec.kind == "bip_balanced" else n + 1
+            scanned = enumerate_bipartite(p, n, 0, objs.append)
+        report.sizes.append(n)
+        report.graphs_scanned += scanned
+        m_min = spec.m_min(n) if spec.m_min else 0
+        for obj in objs:
+            if obj.edge_count() < m_min:
+                continue
+            v = spec.checker(obj)
+            if v.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
+                continue
+            g = obj.to_graph() if spec.kind != "general" else obj
+            verify._classify(report, spec, g, v, oracle(g) is not None)
+    return report
+
+
+def _loose_q(g, estimate=None):
+    """An unsound checker: guaranteed as soon as q(G) >= 2n - 5.5."""
+    est = estimate if estimate is not None else q_radius(g)
+    status = Status.GUARANTEED if est.value >= 2 * g.n - 5.5 else Status.INCONCLUSIVE
+    return Verdict(status, HAMILTONIAN, (("q", est.value),))
+
+
+@pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
+def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
+    monkeypatch.setitem(THEOREMS, "unsound-q", dataclasses.replace(
+        THEOREMS["tight-q-hamiltonian"], theorem_id="unsound-q", checker=_loose_q, delta_min=(0, 0),
+        hyp=("q", lambda n: 2 * n - 5.5, "ge"), m_min=None, exceptions_for=lambda n: []))
+    fast = soundness(theorem_id, max_n=5).to_dict()
+    assert fast == _reference_soundness(theorem_id, 5).to_dict()
+    if theorem_id == "unsound-q":
+        assert len(fast["violations"]) > 10  # in scan order, compared above
