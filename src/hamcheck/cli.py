@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from functools import partial
 from typing import Iterator, Optional, TextIO
 
 from . import verify as verify_mod
@@ -25,7 +27,14 @@ from .graphs import (
     two_coloring,
 )
 from .oracle import MAX_DP_N, is_hamiltonian, is_traceable
-from .spectral import DEFAULT_CMP_TOL, DEFAULT_TOL, q_radius, rho
+from .spectral import (
+    ADJACENCY,
+    DEFAULT_CMP_TOL,
+    DEFAULT_TOL,
+    SpectralEstimate,
+    q_radius,
+    rho,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for tolerances: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -52,9 +72,9 @@ def _build_parser() -> _Parser:
 
     def common_flags(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="spectral convergence tolerance")
-        p.add_argument("--cmp-tol", type=float, default=DEFAULT_CMP_TOL,
+        p.add_argument("--cmp-tol", type=_tolerance, default=DEFAULT_CMP_TOL,
                        help="threshold comparison tolerance")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timing fields for byte-identical reruns")
@@ -65,7 +85,7 @@ def _build_parser() -> _Parser:
 
     p_table1 = sub.add_parser("table1", help="recompute the 18 published q values")
     common_flags(p_table1)
-    p_table1.add_argument("--tolerance", type=float, default=5e-5,
+    p_table1.add_argument("--tolerance", type=_tolerance, default=5e-5,
                           help="max allowed |computed - published|")
 
     p_verify = sub.add_parser("verify", help="exhaustive soundness scan of a theorem")
@@ -163,22 +183,39 @@ def _emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- analyze
 
-def _applicable_verdicts(g: Graph, tol: float, cmp_tol: float) -> list[dict]:
+def _estimate_once(estimates: dict, hyp: str, obj, tol: float) -> SpectralEstimate:
+    """obj's spectral estimate for hypothesis kind hyp, computed on first use."""
+    if hyp not in estimates:
+        radius = verify_mod.RADII[hyp]
+        power = rho if radius.matrix == ADJACENCY else q_radius
+        estimates[hyp] = power(radius.operand(obj), tol=tol)
+    return estimates[hyp]
+
+
+def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], tol: float,
+                         cmp_tol: float) -> list[dict]:
+    """Every applicable checker's verdict on g, as a general graph and, when
+    it is connected and bipartite, as a bipartite graph. Each object's
+    spectral estimates are shared by its checkers, and computed only when a
+    checker's preconditions hold; q, the record's own q(g), seeds g's."""
     verdicts = []
-    objects: list[tuple[object, str]] = [(g, "general")]
+    objects: list[tuple[object, str, dict]] = [(g, "general", {} if q is None else {"q": q})]
     if g.n >= 2 and is_connected(g):
         left = two_coloring(g)
         if left is not None:
             b = bipartite_from_graph(g, left)
             if b.p < b.q:  # checkers expect the larger side first
                 b = transpose(b)
-            objects.append((b, "bip_balanced" if b.p == b.q else "bip_unbalanced"))
-    for obj, kind in objects:
+            # rho(b) stays apart from the record's rho(g): b orders the
+            # vertices by side, so its float bits may differ
+            objects.append((b, "bip_balanced" if b.p == b.q else "bip_unbalanced", {}))
+    for obj, kind, estimates in objects:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.kind != kind:
                 continue
             if spec.spectral:
-                verdict = spec.checker(obj, tol=tol, cmp_tol=cmp_tol)
+                estimate = partial(_estimate_once, estimates, spec.hyp[0], obj, tol)
+                verdict = spec.checker(obj, cmp_tol=cmp_tol, estimate=estimate)
             else:
                 verdict = spec.checker(obj)
             if verdict.status is not Status.NOT_APPLICABLE:
@@ -204,14 +241,18 @@ def cmd_analyze(args) -> int:
             "rho": None,
             "q": None,
         }
+        q = None
         if g.n > 0:
             record["rho"] = rho(g, tol=args.tol).value
-            record["q"] = q_radius(g, tol=args.tol).value
-        record["verdicts"] = _applicable_verdicts(g, args.tol, args.cmp_tol)
+            q = q_radius(g, tol=args.tol)
+            record["q"] = q.value
+        record["verdicts"] = _applicable_verdicts(g, q, args.tol, args.cmp_tol)
         if 0 < g.n <= MAX_DP_N:
+            # a Hamiltonian cycle less one edge is a Hamiltonian path
+            hamiltonian = is_hamiltonian(g) is not None
             record["oracle"] = {
-                "hamiltonian": is_hamiltonian(g) is not None,
-                "traceable": is_traceable(g) is not None,
+                "hamiltonian": hamiltonian,
+                "traceable": hamiltonian or is_traceable(g) is not None,
             }
         _emit(record, args.format)
     return status
@@ -254,6 +295,10 @@ def cmd_verify(args) -> int:
     else:
         print(f"hamcheck verify: unknown theorem {args.theorem!r} "
               f"(try --theorem list)", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_n > verify_mod.MAX_ENUM_N:
+        print(f"hamcheck verify: --max-n is capped at {verify_mod.MAX_ENUM_N} "
+              f"(a scan enumerates 2^(n(n-1)/2) labeled graphs)", file=sys.stderr)
         return EXIT_USAGE
     all_pass = True
     reports = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .families import (
     FamilyId,
@@ -67,6 +67,17 @@ class Verdict:
     certificate: Certificate = ()
     family: Optional[FamilyId] = None
     note: str = ""
+
+
+# a spectral checker's ``estimate``: the radius already computed, or a
+# function that computes it, called only once the preconditions hold
+EstimateArg = Optional[Union[SpectralEstimate, Callable[[], SpectralEstimate]]]
+
+
+def _estimate(given: EstimateArg, compute: Callable[[], SpectralEstimate]) -> SpectralEstimate:
+    if given is None:
+        return compute()
+    return given() if callable(given) else given
 
 
 class JoinWitness(NamedTuple):
@@ -228,12 +239,13 @@ def spectral_bipartite(
     target: str,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: Optional[SpectralEstimate] = None,
+    estimate: EstimateArg = None,
 ) -> Verdict:
     """Adjacency spectral radius against the sqrt edge-bound thresholds.
 
-    ``estimate``, when given, is rho(b) already computed; the checkers
-    below take theirs the same way, for the matrix they would build.
+    ``estimate``, when given, is rho(b) or a function returning it; the
+    checkers below take theirs the same way, for the matrix they would
+    build.
     """
     if target == "hamiltonian_balanced":
         prop = HAMILTONIAN
@@ -277,7 +289,7 @@ def spectral_bipartite(
         ]
     else:
         raise ValueError(f"unknown target {target!r}")
-    est = estimate if estimate is not None else rho(b, tol)
+    est = _estimate(estimate, lambda: rho(b, tol))
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("rho", est.value), ("threshold", threshold), ("margin", outcome.margin))
     if outcome.relation is Relation.BELOW:
@@ -295,7 +307,7 @@ def quasi_complement_hamiltonian(
     b: BipartiteGraph,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: Optional[SpectralEstimate] = None,
+    estimate: EstimateArg = None,
 ) -> Verdict:
     """Small quasi-complement spectral radius forces a Hamiltonian cycle."""
     if b.p != b.q:
@@ -303,7 +315,7 @@ def quasi_complement_hamiltonian(
     n = b.p
     if n < 2:
         return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
-    est = estimate if estimate is not None else rho(quasi_complement(b), tol)
+    est = _estimate(estimate, lambda: rho(quasi_complement(b), tol))
     threshold = math.sqrt((n - 2) / 2)
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("rho_star", est.value), ("threshold", threshold), ("margin", outcome.margin))
@@ -398,7 +410,7 @@ def q_spectral_general(
     target: str,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: Optional[SpectralEstimate] = None,
+    estimate: EstimateArg = None,
 ) -> Verdict:
     """Signless Laplacian spectral radius against the 2n-ish thresholds.
 
@@ -409,7 +421,7 @@ def q_spectral_general(
     if profile is None:
         return failure
     prop, threshold, strict, exceptions = profile
-    est = estimate if estimate is not None else q_radius(g, tol)
+    est = _estimate(estimate, lambda: q_radius(g, tol))
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("q", est.value), ("threshold", threshold), ("margin", outcome.margin))
     if outcome.relation is Relation.BELOW:
@@ -432,7 +444,7 @@ def zhou_complement(
     target: str,
     tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: Optional[SpectralEstimate] = None,
+    estimate: EstimateArg = None,
 ) -> Verdict:
     """Zhou's complement condition with the structured EC/EP exceptions."""
     n = g.n
@@ -448,7 +460,7 @@ def zhou_complement(
         family = "EP"
     else:
         raise ValueError(f"unknown target {target!r}")
-    est = estimate if estimate is not None else q_radius(complement(g), tol)
+    est = _estimate(estimate, lambda: q_radius(complement(g), tol))
     outcome = compare_threshold(est, threshold, cmp_tol)
     cert = (("q_complement", est.value), ("threshold", threshold), ("margin", outcome.margin))
     if outcome.relation is Relation.ABOVE:

@@ -7,11 +7,22 @@ Two forms of the DP decide the same question. ``is_hamiltonian`` and
 ``is_traceable`` take one graph and push endpoints forward in Python
 ints; ``analyze``, ``oracle`` and ``tightness_search`` use them, since
 they see one graph at a time and a batch of one only adds numpy call
-overhead. ``is_hamiltonian_batch`` and ``is_traceable_batch`` take a
-list of graphs and pull endpoints from each subset's predecessors with
-numpy, one popcount layer at a time, for every graph of a size at once;
-soundness scans use them on their buffered hypothesis hits. Both forms
-reconstruct and check a witness for every positive answer.
+overhead. ``analyze`` runs the path DP only on graphs the cycle DP found
+non-Hamiltonian, since a Hamiltonian cycle less one edge is a Hamiltonian
+path; ``oracle`` prints a path witness, so it runs both.
+``is_hamiltonian_batch`` and ``is_traceable_batch`` take a list of graphs
+and pull endpoints from each subset's predecessors with numpy, one
+popcount layer at a time, for every graph of a size at once; soundness
+scans use them on their buffered hypothesis hits. Both forms reconstruct
+and check a witness for every positive answer.
+
+MAX_DP_N keeps one scalar call within a budget of about 10 s on one core.
+The DP table has 2^n entries and the cost grows about 2.2x per vertex.
+Measured on one core of a 2-vCPU Xeon VM with Python 3.11, in seconds for
+``is_hamiltonian`` / ``is_traceable``: G(n, 1/2) at n=16 0.3-0.4 / 0.8-1.1,
+n=18 2.0 / 4.6-5.1, n=19 5.2 / 11.2, n=20 13.3 / 30.9; the complete graph,
+the costliest table, at n=18 4.2 / 10.8. So n=18 is the cap: at n=19 the
+path DP alone passes the budget on a random graph.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 
 from .graphs import Graph, bits, connected_components
 
-MAX_DP_N = 24
+MAX_DP_N = 18
 MAX_BACKTRACK_N = 12
 # bounds on the batched DP's temporaries, in table entries: rows per
 # endpoint table, and the gather of one layer piece across those rows
@@ -48,7 +59,7 @@ def _check_witness(g: Graph, witness: HamWitness) -> None:
 
 
 def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
-    """A Hamiltonian cycle if one exists, else None (n <= 24)."""
+    """A Hamiltonian cycle if one exists, else None (n <= MAX_DP_N)."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     if g.n < 3 or g.min_degree() < 2 or len(connected_components(g)) > 1:
@@ -75,7 +86,7 @@ def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
 
 
 def is_traceable(g: Graph) -> Optional[HamWitness]:
-    """A Hamiltonian path if one exists, else None (n <= 24)."""
+    """A Hamiltonian path if one exists, else None (n <= MAX_DP_N)."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     if g.n == 1:
@@ -117,12 +128,12 @@ def _reconstruct(adj, dp, full, last: int) -> tuple[int, ...]:
 
 
 def is_hamiltonian_batch(graphs: Sequence[Graph]) -> list[Optional[HamWitness]]:
-    """``is_hamiltonian`` for each graph (any mix of sizes, n <= 24)."""
+    """``is_hamiltonian`` for each graph (any mix of sizes, n <= MAX_DP_N)."""
     return _batch(graphs, CYCLE)
 
 
 def is_traceable_batch(graphs: Sequence[Graph]) -> list[Optional[HamWitness]]:
-    """``is_traceable`` for each graph (any mix of sizes, n <= 24)."""
+    """``is_traceable`` for each graph (any mix of sizes, n <= MAX_DP_N)."""
     return _batch(graphs, PATH)
 
 

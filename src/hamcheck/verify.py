@@ -16,6 +16,10 @@ and at the end of the part, the buffer is decided by one batched exact
 oracle call and tallied in scan order. ``analyze``, ``oracle`` and
 ``tightness_search`` look at one graph at a time and keep the scalar
 power iteration and oracle, which are faster for a single graph.
+``analyze`` computes each spectral radius at most once per graph: RADII
+maps each hypothesis kind to the graph and matrix it bounds, for the scan
+and ``analyze`` alike, and the checkers that share a kind share the
+estimate.
 """
 
 from __future__ import annotations
@@ -42,7 +46,14 @@ from .families import (
 from .graph6 import write_graph6
 from .graphs import BipartiteGraph, Graph, complement, quasi_complement
 from .oracle import is_hamiltonian, is_hamiltonian_batch, is_traceable, is_traceable_batch
-from .spectral import eigen_oracle, q_radius, q_radius_stack, rho_stack
+from .spectral import (
+    ADJACENCY,
+    SIGNLESS_LAPLACIAN,
+    eigen_oracle,
+    q_radius,
+    q_radius_stack,
+    rho_stack,
+)
 
 SCREEN_GUARD = 1e-6
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
@@ -226,14 +237,27 @@ class TheoremSpec:
         return self.hyp is not None and self.hyp[0] != "m"
 
 
-# the graph whose spectral radius each spectral hypothesis kind bounds, and
-# the stacked power iteration that computes it, as in the checkers
-_ESTIMATORS: dict[str, tuple[Callable, Callable]] = {
-    "q": (lambda g: g, q_radius_stack),
-    "q_complement": (complement, q_radius_stack),
-    "rho": (lambda b: b, rho_stack),
-    "rho_star": (quasi_complement, rho_stack),
+@dataclass(frozen=True)
+class HypothesisRadius:
+    """What a spectral hypothesis kind bounds: the spectral radius of
+    ``operand(obj)`` for the checked object, of its ``matrix`` (ADJACENCY,
+    computed by ``rho``, or SIGNLESS_LAPLACIAN, by ``q_radius``), as in the
+    checkers."""
+    operand: Callable
+    matrix: str
+
+
+def _itself(obj):
+    return obj
+
+
+RADII: dict[str, HypothesisRadius] = {
+    "q": HypothesisRadius(_itself, SIGNLESS_LAPLACIAN),
+    "q_complement": HypothesisRadius(complement, SIGNLESS_LAPLACIAN),
+    "rho": HypothesisRadius(_itself, ADJACENCY),
+    "rho_star": HypothesisRadius(quasi_complement, ADJACENCY),
 }
+_STACKED = {ADJACENCY: rho_stack, SIGNLESS_LAPLACIAN: q_radius_stack}
 
 
 def _ceil_eps(x: float) -> int:
@@ -415,12 +439,12 @@ def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
     return _bipartite_layout(n if spec.kind == "bip_balanced" else n + 1, n, *spec.delta_min)
 
 
-def _edge_matrices(layout: _Layout, kind: str) -> np.ndarray:
-    """Per mask bit, the matrix (adjacency, or Q for kind "q") of its edge."""
+def _edge_matrices(layout: _Layout, matrix: str) -> np.ndarray:
+    """Per mask bit, the matrix (ADJACENCY or SIGNLESS_LAPLACIAN) of its edge."""
     basis = np.zeros((len(layout.slots), layout.nverts, layout.nverts))
     for k, (i, j) in enumerate(layout.slots):
         basis[k, i, j] = basis[k, j, i] = 1.0
-        if kind == "q":
+        if matrix == SIGNLESS_LAPLACIAN:
             basis[k, i, i] += 1.0
             basis[k, j, j] += 1.0
     return basis
@@ -465,8 +489,8 @@ def _verdicts(spec: TheoremSpec, objs: list) -> list[Verdict]:
     estimate from one stacked power iteration over their own matrices."""
     if not spec.spectral:
         return [spec.checker(obj) for obj in objs]
-    operand, estimator = _ESTIMATORS[spec.hyp[0]]
-    estimates = estimator([operand(obj) for obj in objs])
+    radius = RADII[spec.hyp[0]]
+    estimates = _STACKED[radius.matrix]([radius.operand(obj) for obj in objs])
     return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
 
 
@@ -490,7 +514,7 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     if spec.spectral and layout.slots:
         kind, threshold_fn, direction = spec.hyp
         threshold = threshold_fn(n)
-        basis = _edge_matrices(layout, "q" if kind.startswith("q") else "adj")
+        basis = _edge_matrices(layout, RADII[kind].matrix)
     pending: list[tuple[object, Verdict]] = []
     for scanned, bits in _slices(layout, lo, hi, m_min):
         report.graphs_scanned += scanned
@@ -531,6 +555,11 @@ def soundness(
     spec = THEOREMS[theorem_id]
     if sizes is None:
         sizes = sizes_for(spec, max_n, bip_cells)
+    for n in sizes:  # a scan costs 2^(mask bits), so refuse before any work
+        if spec.kind == "general" and n > MAX_ENUM_N:
+            raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
+        if spec.kind != "general" and n * (n + (spec.kind == "bip_unbalanced")) > MAX_BIP_CELLS:
+            raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
     report = SoundnessReport(theorem_id, [])
     tasks = []
     for n in sizes:

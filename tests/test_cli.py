@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from hamcheck import cli, conditions
 from hamcheck.cli import main
 from hamcheck.graph6 import parse_graph6, write_graph6
-from hamcheck.graphs import complete_bipartite, cycle
+from hamcheck.graphs import BipartiteGraph, complete_bipartite, cycle, from_edges
+from hamcheck.oracle import MAX_DP_N, is_hamiltonian, is_traceable
 from hamcheck.spectral import q_radius
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -82,6 +84,84 @@ def test_analyze_honours_tolerances(capsys, monkeypatch):
     assert loose != dict(tight_q()["certificate"])["q"]
 
 
+def test_analyze_matches_fixture(capsys, monkeypatch):
+    # analyze_mix.g6 holds n=0, n=1, K2, P3, C4, C5, D^o, K1,3, K2,3,
+    # K2 v (K2 + 2K1), K2 v 3K1, K2 v 4K1, K1,4, 2K2, K3 + K3, the Petersen
+    # graph, K3,3, K4,3, the bipartite exceptions Knn1PlusEdge(4),
+    # Kpn2Plus4e(4, 4) and Knn1Plus2e(3), K5, and C26 (above the oracle
+    # cap); the json is analyze's output from before it shared spectral
+    # estimates between checkers, and must stay byte-identical
+    code, out, _ = run(capsys, ["analyze", "--format", "json"],
+                       stdin=(FIXTURES / "analyze_mix.g6").read_text(), monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == (FIXTURES / "analyze_mix.json").read_text()
+
+
+@pytest.mark.parametrize("name, graph, radii", [
+    ("C5", cycle(5), 3),                    # rho(G), q(G), q of the complement
+    ("C6", cycle(6), 5),                    # ... and rho(B), rho of B's quasi-complement
+    ("K4,3 interleaved", from_edges(7, [(x, y) for x in (0, 2, 4, 6) for y in (1, 3, 5)]), 4),
+    ("Petersen", from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]), 3),
+])
+def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii):
+    """One power iteration per distinct matrix of a record, none inside the
+    checkers, and the path DP only for a graph with no Hamiltonian cycle."""
+    iterated = []
+
+    def counting(matrix, power):
+        def counted(g, tol):
+            iterated.append((matrix, (g.to_graph() if isinstance(g, BipartiteGraph) else g).adj))
+            return power(g, tol=tol)
+        return counted
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("a checker computed its own estimate")
+
+    traced = []
+    monkeypatch.setattr(cli, "rho", counting("A", cli.rho))
+    monkeypatch.setattr(cli, "q_radius", counting("Q", cli.q_radius))
+    monkeypatch.setattr(conditions, "rho", fallback)
+    monkeypatch.setattr(conditions, "q_radius", fallback)
+    monkeypatch.setattr(cli, "is_traceable", lambda g: traced.append(g) or is_traceable(g))
+    code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=write_graph6(graph) + "\n",
+                       monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert len(iterated) == len(set(iterated)) == radii
+    assert traced == ([] if is_hamiltonian(graph) else [graph])
+
+
+def test_analyze_skips_the_oracle_above_its_cap(capsys, monkeypatch):
+    paths = "".join(write_graph6(from_edges(n, [(i, i + 1) for i in range(n - 1)])) + "\n"
+                    for n in (MAX_DP_N, MAX_DP_N + 1))
+    code, out, _ = run(capsys, ["analyze", "--format", "json"], stdin=paths,
+                       monkeypatch=monkeypatch)
+    assert code == 0
+    at_cap, above = (json.loads(line) for line in out.splitlines())
+    assert at_cap["oracle"] == {"hamiltonian": False, "traceable": True}
+    assert "oracle" not in above
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--tol", "0"],
+    ["analyze", "--tol", "-1"],
+    ["analyze", "--tol", "nan"],
+    ["analyze", "--tol", "inf"],
+    ["analyze", "--cmp-tol", "0"],
+    ["analyze", "--cmp-tol=-inf"],
+    ["oracle", "--tol", "0"],
+    ["oracle", "--cmp-tol", "nan"],
+    ["table1", "--tolerance", "0"],
+    ["table1", "--tolerance", "nan"],
+    ["table1", "--tolerance", "tiny"],
+])
+def test_bad_tolerance_is_a_usage_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, argv, stdin="Dhc\n", monkeypatch=monkeypatch)
+    assert code == 64 and out == ""
+    assert "finite number > 0" in err and "Traceback" not in err
+
+
 def test_analyze_parse_error(capsys, monkeypatch):
     code, out, err = run(capsys, ["analyze"], stdin="\x7f\x7f\n", monkeypatch=monkeypatch)
     assert code == 2
@@ -123,6 +203,16 @@ def test_verify_all_n6_matches_fixture(capsys):
                                 "--deterministic", "--format", "json"])
     assert code == 0
     assert out == (FIXTURES / "verify_all_n6.json").read_text()
+
+
+def test_verify_max_n_above_cap_is_a_usage_error(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cli.verify_mod, "soundness", scan)
+    code, out, err = run(capsys, ["verify", "--theorem", "chvatal", "--max-n", "9"])
+    assert code == 64 and out == ""
+    assert "capped at 8" in err
 
 
 def test_verify_unknown_theorem(capsys):

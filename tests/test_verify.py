@@ -43,6 +43,23 @@ def test_enumeration_caps():
         enumerate_bipartite(6, 5, 0, lambda b: None)
 
 
+def test_soundness_refuses_sizes_above_the_caps(monkeypatch):
+    # the check must come before any work: each of these scans is 2^30 or
+    # more masks, so a scan part that starts fails the test at once
+    def scan_part(*task):
+        raise AssertionError(f"scan part started: {task}")
+
+    monkeypatch.setattr(verify, "_scan_part", scan_part)
+    for theorem_id, kwargs in (
+        ("chvatal", {"max_n": 9}),
+        ("lemma-3.4", {"sizes": [4, 9]}),
+        ("lemma-2.5", {"sizes": [6]}),                                # 36 cells
+        ("spectral-bipartite-traceable-unbalanced", {"sizes": [5]}),  # 30 cells
+    ):
+        with pytest.raises(ValueError, match="capped"):
+            soundness(theorem_id, **kwargs)
+
+
 def test_registry_complete():
     ids = theorem_ids()
     assert len(ids) == 19
