@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
+import numpy as np
+
 from .families import (
     FamilyId,
     FamilyTag,
@@ -91,6 +93,55 @@ def _na(prop: str, reason: str, *cert: tuple[str, float]) -> Verdict:
 
 
 # ---------------------------------------------------------------- degree
+#
+# Each degree inequality is written once, over a stack of graphs: row i of
+# ``degrees`` is graph i's degree table (for bipartite graphs side X first,
+# then side Y) and, for Moon-Moser, ``adjacent[i]`` is its 0/1 biadjacency
+# matrix. The checkers run it on a one-row stack; soundness scans run it on
+# a whole slice of masks, so that only the graphs whose hypothesis holds are
+# built and checked. The arithmetic is exact integer arithmetic.
+
+def _first_k(blocked: np.ndarray) -> np.ndarray:
+    """Per row, 1 + the index of the first True column, or 0 if none is."""
+    return np.where(blocked.any(axis=1), blocked.argmax(axis=1) + 1, 0)
+
+
+def chvatal_blocking(degrees: np.ndarray) -> np.ndarray:
+    """The smallest k < n/2 with d_k <= k and d_{n-k} <= n-k-1, where
+    d_1 <= ... <= d_n are a row's sorted degrees, or 0 where there is none
+    (then the graph is Hamiltonian). Needs n >= 3."""
+    d = np.sort(degrees, axis=1)
+    n = d.shape[1]
+    k = np.arange(1, (n + 1) // 2)
+    return _first_k((d[:, k - 1] <= k) & (d[:, n - k - 1] <= n - k - 1))
+
+
+def bipartite_degree_blocking(degrees: np.ndarray) -> np.ndarray:
+    """For balanced bipartite graphs with side n: the smallest k <= n/2 with
+    d_k <= k and d_n <= n-k, where d_1 <= ... <= d_2n are a row's sorted
+    degrees, or 0 where there is none. Needs n >= 2."""
+    d = np.sort(degrees, axis=1)
+    n = d.shape[1] // 2
+    k = np.arange(1, n // 2 + 1)
+    return _first_k((d[:, k - 1] <= k) & (d[:, [n - 1]] <= n - k))
+
+
+def moon_moser_blocking(
+    degrees: np.ndarray, adjacent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For balanced bipartite graphs with side n: per row, the smallest
+    degree sum d(x) + d(y) over the non-adjacent cross pairs (n + 1 if every
+    pair is adjacent), and, if it is below n + 1, the first pair reaching it
+    in x-major order as x*n + y, else -1. Needs n >= 1."""
+    count, n = adjacent.shape[:2]
+    above = 2 * n + 1  # more than any degree sum
+    sums = degrees[:, :n, None] + degrees[:, None, n:]
+    sums = np.where(adjacent > 0, above, sums).reshape(count, n * n)
+    cell = sums.argmin(axis=1)
+    worst = sums[np.arange(count), cell]
+    worst = np.where(worst == above, n + 1, worst)
+    return worst, np.where(worst < n + 1, cell, -1)
+
 
 def chvatal_hamiltonian(g: Graph) -> Verdict:
     """d_k <= k and d_{n-k} <= n-k-1 for no integer k < n/2 forces a cycle."""
@@ -98,13 +149,13 @@ def chvatal_hamiltonian(g: Graph) -> Verdict:
     if n < 3:
         return _na(HAMILTONIAN, "needs n >= 3", ("n", n))
     d = sorted(g.degrees())
-    for k in range(1, (n + 1) // 2):
-        if d[k - 1] <= k and d[n - k - 1] <= n - k - 1:
-            return Verdict(
-                Status.INCONCLUSIVE,
-                HAMILTONIAN,
-                (("k", k), ("d_k", d[k - 1]), ("d_n_minus_k", d[n - k - 1])),
-            )
+    k = int(chvatal_blocking(np.array([d]))[0])
+    if k:
+        return Verdict(
+            Status.INCONCLUSIVE,
+            HAMILTONIAN,
+            (("k", k), ("d_k", d[k - 1]), ("d_n_minus_k", d[n - k - 1])),
+        )
     return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", 0.0),))
 
 
@@ -116,13 +167,13 @@ def bipartite_degree_hamiltonian(b: BipartiteGraph) -> Verdict:
     if n < 2:
         return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
     d = sorted(b.degree_sequence())
-    for k in range(1, n // 2 + 1):
-        if d[k - 1] <= k and d[n - 1] <= n - k:
-            return Verdict(
-                Status.INCONCLUSIVE,
-                HAMILTONIAN,
-                (("k", k), ("d_k", d[k - 1]), ("d_n", d[n - 1])),
-            )
+    k = int(bipartite_degree_blocking(np.array([d]))[0])
+    if k:
+        return Verdict(
+            Status.INCONCLUSIVE,
+            HAMILTONIAN,
+            (("k", k), ("d_k", d[k - 1]), ("d_n", d[n - 1])),
+        )
     return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", 0.0),))
 
 
@@ -133,23 +184,16 @@ def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
     n = b.p
     if n < 2:
         return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
-    dx = b.degrees_x()
-    dy = b.degrees_y()
-    full = (1 << b.q) - 1
-    worst = None
-    for x in range(b.p):
-        for y in bits(b.rows[x] ^ full):
-            s = dx[x] + dy[y]
-            if worst is None or s < worst[2]:
-                worst = (x, y, s)
-    if worst is not None and worst[2] < n + 1:
+    adjacent = np.array([[[row >> y & 1 for y in range(n)] for row in b.rows]])
+    worst, cell = moon_moser_blocking(np.array([b.degrees_x() + b.degrees_y()]), adjacent)
+    worst, cell = int(worst[0]), int(cell[0])
+    if cell >= 0:
         return Verdict(
             Status.INCONCLUSIVE,
             HAMILTONIAN,
-            (("x", worst[0]), ("y", worst[1]), ("degree_sum", worst[2]), ("required", n + 1)),
+            (("x", cell // n), ("y", cell % n), ("degree_sum", worst), ("required", n + 1)),
         )
-    margin = 0.0 if worst is None else float(worst[2] - (n + 1))
-    return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", margin),))
+    return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", float(worst - (n + 1))),))
 
 
 # ------------------------------------------------------------ edge bounds

@@ -83,15 +83,18 @@ class BipartiteGraph(NamedTuple):
     def degrees_y(self) -> list[int]:
         cols = [0] * self.q
         for row in self.rows:
-            for y in bits(row):
-                cols[y] += 1
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] += 1
+                row ^= low
         return cols
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees_x() + self.degrees_y()))
 
     def min_degree(self) -> int:
-        return min(self.degrees_x() + self.degrees_y())
+        """Smallest vertex degree; 0 for the graph on no vertices."""
+        return min(self.degrees_x() + self.degrees_y(), default=0)
 
     def to_graph(self) -> "Graph":
         """View as a Graph on p+q vertices, side X first."""

@@ -13,6 +13,7 @@ else keeps the scalar form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -53,14 +54,18 @@ class ThresholdOutcome:
     margin: float
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite number > 0")
+
+
 def _power_iteration(matrix: np.ndarray, tol: float, shift: float) -> SpectralEstimate:
     """Power iteration on matrix + shift*I; the shift is subtracted again.
 
     Start vector 1 + i*1e-6 keeps the run deterministic without being
     orthogonal to the Perron vector.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     n = matrix.shape[0]
     if n == 0:
         return SpectralEstimate(0.0, 0.0, 0)
@@ -91,8 +96,7 @@ def _power_iteration_stack(
     Each row keeps its own start vector, stopping test, zero-norm exit and
     iteration count; a row leaves the stack at the step it stops on.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     count, n = matrices.shape[:2]
     if count == 0 or n == 0:
         return [SpectralEstimate(0.0, 0.0, 0)] * count
@@ -189,8 +193,7 @@ def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[floa
 def compare_threshold(
     est: SpectralEstimate | float, threshold: float, tol: float = DEFAULT_CMP_TOL
 ) -> ThresholdOutcome:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     value = est.value if isinstance(est, SpectralEstimate) else float(est)
     margin = value - threshold
     if abs(margin) <= tol:

@@ -8,12 +8,17 @@ over-counts isomorphic copies, which is harmless for soundness claims.
 
 The scan works on slices of at most SLICE masks, so its temporaries stay
 bounded, and each slice goes through one pipeline whatever the graph
-kind: the m/delta filter, the eigvalsh screen, one stacked power
+kind: the m/delta filter, which also yields each graph's degree table;
+for the degree theorems (Chvatal, bipartite degree, Moon-Moser) a degree
+screen that evaluates the checker's own inequality on the whole slice in
+exact integer arithmetic, so only graphs whose hypothesis holds are built;
+for the spectral ones the eigvalsh screen and one stacked power
 iteration on the surviving graphs (each spectral checker's own matrix;
-the screen's eigenvalues are never reused as the checker's number), the
-checker itself, and a buffer of hypothesis hits. Every ORACLE_BATCH hits,
-and at the end of the part, the buffer is decided by one batched exact
-oracle call and tallied in scan order. ``analyze``, ``oracle`` and
+the screen's eigenvalues are never reused as the checker's number); the
+checker itself, which still decides every verdict; and a buffer of
+hypothesis hits. Every ORACLE_BATCH hits, and at the end of the part,
+the buffer is decided by one batched exact oracle call and tallied in
+scan order. ``analyze``, ``oracle`` and
 ``tightness_search`` look at one graph at a time and keep the scalar
 power iteration and oracle, which are faster for a single graph.
 ``analyze`` computes each spectral radius at most once per graph: RADII
@@ -117,27 +122,26 @@ def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
 
 
 def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
-    """Yield (scanned, bits) per slice of masks [lo, hi): the bit rows of
-    the masks with at least m_min edges and every vertex at its minimum
-    degree."""
-    nbits = len(layout.slots)
-    inc = np.zeros((nbits, layout.nverts), dtype=np.int16)
+    """Yield (scanned, bits, degrees) per slice of masks [lo, hi): for the
+    masks with at least m_min edges and every vertex at its minimum degree,
+    their bit rows and their per-vertex degree tables."""
+    touches = np.zeros(layout.nverts, dtype=np.int64)  # per vertex, its slots' mask bits
     for k, (i, j) in enumerate(layout.slots):
-        inc[k, i] = inc[k, j] = 1
+        touches[i] |= 1 << k
+        touches[j] |= 1 << k
     need = np.array(layout.min_degree)
-    shifts = np.arange(nbits, dtype=np.int64)
+    shifts = np.arange(len(layout.slots), dtype=np.int64)
     for start in range(lo, hi, SLICE):
         masks = np.arange(start, min(start + SLICE, hi), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.int16)
-        keep = bits.sum(axis=1) >= m_min
-        if need.any():
-            keep &= (bits @ inc >= need).all(axis=1)
-        yield len(masks), bits[keep]
+        degrees = np.bitwise_count(masks[:, None] & touches).astype(np.int16)
+        keep = (np.bitwise_count(masks) >= m_min) & (degrees >= need).all(axis=1)
+        masks = masks[keep]
+        yield len(keep), ((masks[:, None] >> shifts) & 1).astype(np.int16), degrees[keep]
 
 
 def _visit_all(layout: _Layout, visit: Callable) -> int:
     count = 0
-    for _, bits in _slices(layout, 0, 1 << len(layout.slots)):
+    for _, bits, _ in _slices(layout, 0, 1 << len(layout.slots)):
         count += len(bits)
         for obj in layout.build(bits):
             visit(obj)
@@ -230,6 +234,9 @@ class TheoremSpec:
     hyp: Optional[tuple[str, Callable[[int], float], str]] = None
     m_min: Optional[Callable[[int], int]] = None
     exceptions_for: Callable[[int], list[FamilyId]] = lambda n: []
+    # degree screen: (degrees, bits) of a scan slice -> per row, whether the
+    # hypothesis holds, decided exactly by the checker's own inequality
+    screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @property
     def spectral(self) -> bool:
@@ -271,17 +278,25 @@ def _register(spec: TheoremSpec) -> None:
     THEOREMS[spec.theorem_id] = spec
 
 
+def _moon_moser_screen(degrees: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    side = degrees.shape[1] // 2
+    return cond.moon_moser_blocking(degrees, bits.reshape(len(bits), side, side))[1] < 0
+
+
 _register(TheoremSpec(
     "chvatal", "general", HAMILTONIAN, 3, (0, 0),
     cond.chvatal_hamiltonian,
+    screen=lambda degrees, bits: cond.chvatal_blocking(degrees) == 0,
 ))
 _register(TheoremSpec(
     "bipartite-degree", "bip_balanced", HAMILTONIAN, 2, (0, 0),
     cond.bipartite_degree_hamiltonian,
+    screen=lambda degrees, bits: cond.bipartite_degree_blocking(degrees) == 0,
 ))
 _register(TheoremSpec(
     "moon-moser", "bip_balanced", HAMILTONIAN, 2, (0, 0),
     cond.moon_moser_hamiltonian,
+    screen=_moon_moser_screen,
 ))
 _register(TheoremSpec(
     "lemma-2.5", "bip_balanced", HAMILTONIAN, 2, (1, 1),
@@ -504,8 +519,9 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, pending: list) -> None:
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    """Masks [lo, hi) of one size, slice by slice: m/delta filter, eigvalsh
-    screen, checker, then the buffered hits through the batched oracle."""
+    """Masks [lo, hi) of one size, slice by slice: m/delta filter, degree or
+    eigvalsh screen, checker, then the buffered hits through the batched
+    oracle."""
     spec = THEOREMS[theorem_id]
     report = SoundnessReport(theorem_id, [n])
     layout = _spec_layout(spec, n)
@@ -516,8 +532,10 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
         threshold = threshold_fn(n)
         basis = _edge_matrices(layout, RADII[kind].matrix)
     pending: list[tuple[object, Verdict]] = []
-    for scanned, bits in _slices(layout, lo, hi, m_min):
+    for scanned, bits, degrees in _slices(layout, lo, hi, m_min):
         report.graphs_scanned += scanned
+        if spec.screen is not None:
+            bits = bits[spec.screen(degrees, bits)]
         if basis is not None and len(bits):
             weights = bits.astype(float)
             if kind in ("q_complement", "rho_star"):

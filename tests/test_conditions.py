@@ -94,6 +94,65 @@ def test_moon_moser_examples():
     assert moon_moser_hamiltonian(minus_one).status is Status.GUARANTEED
 
 
+# -------------------------------------------- degree conditions as loops
+
+def _chvatal_loop(g):
+    n, d = g.n, sorted(g.degrees())
+    for k in range(1, (n + 1) // 2):
+        if d[k - 1] <= k and d[n - k - 1] <= n - k - 1:
+            return Status.INCONCLUSIVE, (("k", k), ("d_k", d[k - 1]), ("d_n_minus_k", d[n - k - 1]))
+    return Status.GUARANTEED, (("margin", 0.0),)
+
+
+def _bipartite_degree_loop(b):
+    n, d = b.p, sorted(b.degree_sequence())
+    for k in range(1, n // 2 + 1):
+        if d[k - 1] <= k and d[n - 1] <= n - k:
+            return Status.INCONCLUSIVE, (("k", k), ("d_k", d[k - 1]), ("d_n", d[n - 1]))
+    return Status.GUARANTEED, (("margin", 0.0),)
+
+
+def _moon_moser_loop(b):
+    n, dx, dy = b.p, b.degrees_x(), b.degrees_y()
+    worst = None
+    for x in range(n):
+        for y in range(n):
+            if not b.has_edge(x, y) and (worst is None or dx[x] + dy[y] < worst[2]):
+                worst = (x, y, dx[x] + dy[y])
+    if worst is not None and worst[2] < n + 1:
+        return Status.INCONCLUSIVE, (("x", worst[0]), ("y", worst[1]),
+                                     ("degree_sum", worst[2]), ("required", n + 1))
+    return Status.GUARANTEED, (("margin", 0.0 if worst is None else float(worst[2] - n - 1)),)
+
+
+def test_degree_checkers_match_their_loop_form():
+    # the checkers evaluate their inequality on numpy stacks; the verdicts
+    # and certificates must equal these loops', with Python numbers only
+    from hamcheck.verify import enumerate_bipartite, enumerate_graphs
+
+    rng = random.Random(4)
+    graphs, sides = [], []
+    for n in range(3, 6):
+        enumerate_graphs(n, 0, graphs.append)
+    for n in range(2, 4):
+        enumerate_bipartite(n, n, 0, sides.append)
+    for _ in range(300):
+        n, p = rng.randrange(3, 40), rng.random()
+        graphs.append(from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+        n, p = rng.randrange(2, 35), rng.random()
+        sides.append(bipartite_from_edges(
+            n, n, [(x, y) for x in range(n) for y in range(n) if rng.random() < p]))
+    for checker, loop, objs in (
+        (chvatal_hamiltonian, _chvatal_loop, graphs),
+        (bipartite_degree_hamiltonian, _bipartite_degree_loop, sides),
+        (moon_moser_hamiltonian, _moon_moser_loop, sides),
+    ):
+        for obj in objs:
+            v = checker(obj)
+            assert (v.status, v.certificate) == loop(obj)
+            assert all(type(value) in (int, float) for _, value in v.certificate)
+
+
 # ------------------------------------------------------------ edge bounds
 
 def test_edge_bound_bipartite_examples():

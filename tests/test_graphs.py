@@ -134,3 +134,14 @@ def test_is_complete_bipartite_plus_isolated():
 def test_degree_sum_is_twice_edges(n, seed):
     g = random_graph(n, seed)
     assert sum(g.degrees()) == 2 * g.edge_count()
+
+
+def test_bipartite_min_degree_without_vertices():
+    assert BipartiteGraph(0, 0, ()).min_degree() == 0
+
+
+@given(st.integers(0, 70), st.integers(0, 70), st.data())
+def test_degrees_y_matches_full_graph(p, q, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << q) - 1), min_size=p, max_size=p))
+    b = BipartiteGraph(p, q, tuple(rows))
+    assert b.degrees_y() == b.to_graph().degrees()[p:]

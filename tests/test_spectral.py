@@ -152,6 +152,20 @@ def test_compare_threshold():
     assert compare_threshold(4.9, 5.0).margin == pytest.approx(-0.1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a nan tol used to run 10^6 steps and raise ConvergenceError, an inf
+    # tol stopped after one step, and a nan cmp tol made a tie BELOW
+    with pytest.raises(ValueError, match="finite"):
+        rho(complete(1), tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        rho(complete(4), tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        rho_stack([complete(4)], tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        compare_threshold(3.0, 3.0, tol)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 10), st.integers(0, 10 ** 6))
 def test_bipartite_rho_matches_full_graph(n, seed):

@@ -191,3 +191,32 @@ def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
     assert fast == _reference_soundness(theorem_id, 5).to_dict()
     if theorem_id == "unsound-q":
         assert len(fast["violations"]) > 10  # in scan order, compared above
+
+
+DEGREE_SCREENED = {"chvatal": 5945, "bipartite-degree": 3676, "moon-moser": 1228}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(DEGREE_SCREENED))
+def test_degree_screen_keeps_exactly_the_hits(theorem_id):
+    # exhaustive at every size verify --max-n 6 scans: the screen drops only
+    # graphs the checker calls Inconclusive or NotApplicable, and no others
+    spec = THEOREMS[theorem_id]
+    sizes = sizes_for(spec, 6)
+    assert sizes == ([3, 4, 5, 6] if spec.kind == "general" else [2, 3, 4])
+    kept_total = 0
+    for n in sizes:
+        layout = verify._spec_layout(spec, n)
+        for _, bits, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+            kept = spec.screen(degrees, bits).tolist()
+            hits = [spec.checker(obj).status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
+                    for obj in layout.build(bits)]
+            assert kept == hits
+            kept_total += sum(kept)
+    assert kept_total == DEGREE_SCREENED[theorem_id]
+
+
+@pytest.mark.parametrize("theorem_id", sorted(DEGREE_SCREENED))
+def test_degree_screened_scan_parallel_matches_serial(theorem_id):
+    serial = soundness(theorem_id, max_n=6)
+    assert serial.hypothesis_hits == DEGREE_SCREENED[theorem_id]
+    assert soundness(theorem_id, max_n=6, jobs=2).to_dict() == serial.to_dict()
