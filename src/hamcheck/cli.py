@@ -15,7 +15,7 @@ from functools import partial
 from typing import Iterator, Optional, TextIO
 
 from . import verify as verify_mod
-from .conditions import Status, Verdict
+from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, RADII, Status, Verdict
 from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
@@ -93,7 +93,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--theorem", required=True,
                           help="theorem id or 'all' (see 'verify --theorem list')")
     p_verify.add_argument("--max-n", type=int, default=verify_mod.DEFAULT_MAX_N)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="worker processes, at most one per task and per CPU")
     p_verify.add_argument("--tightness", action="store_true",
                           help="also report near-miss witnesses and exception hypotheses")
 
@@ -186,7 +187,7 @@ def _emit(record: dict, fmt: str) -> None:
 def _estimate_once(estimates: dict, hyp: str, obj, tol: float) -> SpectralEstimate:
     """obj's spectral estimate for hypothesis kind hyp, computed on first use."""
     if hyp not in estimates:
-        radius = verify_mod.RADII[hyp]
+        radius = RADII[hyp]
         power = rho if radius.matrix == ADJACENCY else q_radius
         estimates[hyp] = power(radius.operand(obj), tol=tol)
     return estimates[hyp]
@@ -199,7 +200,7 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], tol: float,
     spectral estimates are shared by its checkers, and computed only when a
     checker's preconditions hold; q, the record's own q(g), seeds g's."""
     verdicts = []
-    objects: list[tuple[object, str, dict]] = [(g, "general", {} if q is None else {"q": q})]
+    objects: list[tuple[object, str, dict]] = [(g, GENERAL, {} if q is None else {"q": q})]
     if g.n >= 2 and is_connected(g):
         left = two_coloring(g)
         if left is not None:
@@ -208,7 +209,7 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], tol: float,
                 b = transpose(b)
             # rho(b) stays apart from the record's rho(g): b orders the
             # vertices by side, so its float bits may differ
-            objects.append((b, "bip_balanced" if b.p == b.q else "bip_unbalanced", {}))
+            objects.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED, {}))
     for obj, kind, estimates in objects:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.kind != kind:
@@ -299,6 +300,9 @@ def cmd_verify(args) -> int:
     if args.max_n > verify_mod.MAX_ENUM_N:
         print(f"hamcheck verify: --max-n is capped at {verify_mod.MAX_ENUM_N} "
               f"(a scan enumerates 2^(n(n-1)/2) labeled graphs)", file=sys.stderr)
+        return EXIT_USAGE
+    if args.jobs < 1:
+        print("hamcheck verify: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     all_pass = True
     reports = []

@@ -1,10 +1,18 @@
-"""One checker per sufficient condition, each returning a Verdict.
+"""The theorem table, and one checker per sufficient condition.
 
-A checker re-validates its own preconditions (minimum degree, size,
-balance) and answers NotApplicable rather than assuming callers
-filtered. Exceptional-family recognizers only run once the numeric
-hypothesis holds; below the threshold the verdict is Inconclusive even
-for exceptional inputs.
+Every condition has one row in CONDITIONS, keyed by theorem id: the
+property, the graph kind, the preconditions (size, per-side minimum
+degree, connectivity, the (n+1, n) orientation), the hypothesis quantity
+with its threshold in n, direction and strictness, and the exceptional
+graphs at each n. The checkers read these rows and write nothing of them
+again: ``decide`` applies the one verdict ladder to any numeric row, the
+public checkers look up their target's row, and ``verify`` derives its
+scan filters and ``tightness_search`` from the same rows.
+
+A checker re-validates its own preconditions and answers NotApplicable
+rather than assuming callers filtered. Exceptional-family recognizers
+only run once the numeric hypothesis holds; below the threshold the
+verdict is Inconclusive even for exceptional inputs.
 """
 
 from __future__ import annotations
@@ -32,14 +40,15 @@ from .graphs import (
     complement,
     connected_components,
     induced_subgraph,
-    is_connected,
     quasi_complement,
     transpose,
 )
 from .iso import is_isomorphic
 from .spectral import (
+    ADJACENCY,
     DEFAULT_CMP_TOL,
     DEFAULT_TOL,
+    SIGNLESS_LAPLACIAN,
     Relation,
     SpectralEstimate,
     compare_threshold,
@@ -49,6 +58,12 @@ from .spectral import (
 
 HAMILTONIAN = "hamiltonian"
 TRACEABLE = "traceable"
+
+# graph kinds: a general graph of n vertices, or a bipartite graph with
+# sides (n, n) or (n+1, n), side X the larger one
+GENERAL = "general"
+BIP_BALANCED = "bip_balanced"
+BIP_UNBALANCED = "bip_unbalanced"
 
 
 class Status(str, Enum):
@@ -90,6 +105,216 @@ class JoinWitness(NamedTuple):
 
 def _na(prop: str, reason: str, *cert: tuple[str, float]) -> Verdict:
     return Verdict(Status.NOT_APPLICABLE, prop, tuple(cert), note=reason)
+
+
+# ------------------------------------------------------------ the table
+
+@dataclass(frozen=True)
+class HypothesisRadius:
+    """What a spectral hypothesis quantity bounds: the spectral radius of
+    ``operand(obj)`` for the checked object, of its ``matrix`` (ADJACENCY,
+    computed by ``rho``, or SIGNLESS_LAPLACIAN, by ``q_radius``). When
+    ``complemented``, the operand's edges are the object's non-edges."""
+    operand: Callable
+    matrix: str
+    complemented: bool = False
+
+
+def _itself(obj):
+    return obj
+
+
+RADII: dict[str, HypothesisRadius] = {
+    "q": HypothesisRadius(_itself, SIGNLESS_LAPLACIAN),
+    "q_complement": HypothesisRadius(complement, SIGNLESS_LAPLACIAN, complemented=True),
+    "rho": HypothesisRadius(_itself, ADJACENCY),
+    "rho_star": HypothesisRadius(quasi_complement, ADJACENCY, complemented=True),
+}
+
+
+def _at(table: dict[int, tuple[FamilyId, ...]]) -> Callable[[int], tuple[FamilyId, ...]]:
+    """Exceptions listed by size: table[n], or none."""
+    return lambda n: table.get(n, ())
+
+
+def _by_size(members: list[Graph], fid: Callable[[int], FamilyId]) -> dict:
+    """The members' family ids, grouped by vertex count."""
+    table: dict[int, tuple[FamilyId, ...]] = {}
+    for index, g in enumerate(members):
+        table[g.n] = table.get(g.n, ()) + (fid(index),)
+    return table
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One theorem: prop holds for every graph of ``kind`` at size n >=
+    ``min_n`` that meets the preconditions and the hypothesis ``quantity``
+    ``direction`` ``threshold(n)``, unless it is one of ``exceptions(n)``
+    or, for Zhou's conditions, in the EC/EP class ``join_class``. The size
+    n is the vertex count of a general graph and the (smaller) side of a
+    bipartite one. A row without a quantity is a degree theorem, whose
+    checker is its own."""
+    prop: str
+    kind: str
+    min_n: int
+    min_degree: tuple[int, int] = (0, 0)   # (side X, side Y); equal for general
+    connected: bool = False
+    quantity: Optional[str] = None          # m, or a key of RADII
+    threshold: Optional[Callable[[int], float]] = None
+    direction: str = "ge"                   # ge | gt | le; gt is strict
+    exceptions: Callable[[int], tuple[FamilyId, ...]] = lambda n: ()
+    join_class: str = ""
+
+    @property
+    def strict(self) -> bool:
+        return self.direction == "gt"
+
+
+CONDITIONS: dict[str, Condition] = {
+    "chvatal": Condition(HAMILTONIAN, GENERAL, 3),
+    "bipartite-degree": Condition(HAMILTONIAN, BIP_BALANCED, 2),
+    "moon-moser": Condition(HAMILTONIAN, BIP_BALANCED, 2),
+    "lemma-2.5": Condition(
+        HAMILTONIAN, BIP_BALANCED, 2, (1, 1), quantity="m",
+        threshold=lambda n: n * n - n + 1,
+        exceptions=lambda n: (FamilyId(FamilyTag.KNN1_PLUS_EDGE, (n,)),),
+    ),
+    "lemma-2.6": Condition(
+        HAMILTONIAN, BIP_BALANCED, 4, (2, 2), quantity="m",
+        threshold=lambda n: n * n - 2 * n + 4,
+        exceptions=lambda n: (FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n)),),
+    ),
+    "lemma-2.8": Condition(
+        TRACEABLE, BIP_BALANCED, 3, (1, 1), quantity="m",
+        threshold=lambda n: n * n - 2 * n + 3,
+    ),
+    "spectral-bipartite-hamiltonian": Condition(
+        HAMILTONIAN, BIP_BALANCED, 4, (2, 2), quantity="rho",
+        threshold=lambda n: math.sqrt(n * n - 2 * n + 4),
+        exceptions=lambda n: (FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n)),),
+    ),
+    "spectral-bipartite-traceable": Condition(
+        TRACEABLE, BIP_BALANCED, 3, (1, 1), quantity="rho",
+        threshold=lambda n: math.sqrt(n * n - 2 * n + 3),
+    ),
+    "spectral-bipartite-traceable-unbalanced": Condition(
+        TRACEABLE, BIP_UNBALANCED, 3, (1, 2), quantity="rho",
+        threshold=lambda n: math.sqrt(n * n - n + 2),
+        exceptions=lambda n: (
+            FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n + 1)),
+            FamilyId(FamilyTag.KNN1_PLUS_2E, (n,)),
+        ),
+    ),
+    "quasi-complement": Condition(
+        HAMILTONIAN, BIP_BALANCED, 2, quantity="rho_star",
+        threshold=lambda n: math.sqrt((n - 2) / 2), direction="le",
+    ),
+    "lemma-3.4": Condition(
+        HAMILTONIAN, GENERAL, 3, (2, 2), quantity="m",
+        threshold=lambda n: (n * n - 4 * n + 6) / 2, direction="gt",
+        exceptions=_at(_by_size(NC_GRAPHS, nc_member)),
+    ),
+    "lemma-3.6": Condition(
+        TRACEABLE, GENERAL, 2, (1, 1), quantity="m",
+        threshold=lambda n: (n * n - 4 * n + 3) / 2, direction="gt",
+        exceptions=_at(_by_size(NP_GRAPHS, np_member)),
+    ),
+    "tight-q-hamiltonian": Condition(
+        HAMILTONIAN, GENERAL, 4, (2, 2), quantity="q",
+        threshold=lambda n: 2 * n - 5 + 3 / (n - 1),
+        # the published statement omits K2 v (K2 + 2K1) at n = 6, but its
+        # own table has q = 7.7588 >= 7.6 = 2n-5+3/(n-1), and the graph is
+        # non-Hamiltonian; without this exception the condition is unsound
+        # at n = 6 (exhaustively verified)
+        exceptions=_at({
+            5: (nc_member(8),),   # K2 v 3K1
+            6: (nc_member(5),),   # K2 v (K2 + 2K1)
+            7: (nc_member(2),),   # K3 v 4K1
+        }),
+    ),
+    "tight-q-traceable": Condition(
+        TRACEABLE, GENERAL, 4, (1, 1), quantity="q",
+        threshold=lambda n: float(2 * n - 5),
+        exceptions=_at({
+            4: (np_member(7),),   # K1,3
+            5: (np_member(5), FamilyId(FamilyTag.STAR, (5,))),  # K1 v (K2 + 2K1), K1,4
+            6: (np_member(2),),   # K2 v 4K1
+        }),
+    ),
+    "yu-fan-hamiltonian": Condition(
+        HAMILTONIAN, GENERAL, 3, quantity="q",
+        threshold=lambda n: float(2 * n - 4), direction="gt",
+        exceptions=lambda n: (FamilyId(FamilyTag.KN1_PLUS_EDGE, (n,)),)
+        + ((nc_member(8),) if n == 5 else ()),   # K2 v 3K1
+    ),
+    "yu-fan-traceable": Condition(
+        TRACEABLE, GENERAL, 3, quantity="q",
+        threshold=lambda n: float(2 * n - 4),
+        exceptions=lambda n: (FamilyId(FamilyTag.KN1_PLUS_VERTEX, (n,)),)
+        + ((FamilyId(FamilyTag.STAR, (4,)),) if n == 4 else ()),   # K1,3
+    ),
+    "yu-connected-traceable": Condition(
+        TRACEABLE, GENERAL, 4, connected=True, quantity="q",
+        threshold=lambda n: (2 * (n - 2) ** 2 + 4) / (n - 1),
+        # the statement is usually quoted without exceptions, but three
+        # connected nontraceable graphs meet the bound: K_{1,3} at n=4
+        # (q = 4 = threshold), K2 v 4K1 at n=6 (q = 7.4641 >= 7.2) and
+        # K3 v 5K1 at n=8 (q = 10.8990 >= 76/7); verified exhaustively
+        # for n <= 7 and by edge-count analysis at n = 8
+        exceptions=_at({
+            4: (FamilyId(FamilyTag.STAR, (4,)),),
+            6: (np_member(2),),
+            8: (np_member(0),),
+        }),
+    ),
+    "zhou-complement-hamiltonian": Condition(
+        HAMILTONIAN, GENERAL, 3, quantity="q_complement",
+        threshold=lambda n: float(n - 1), direction="le", join_class="EC",
+    ),
+    "zhou-complement-traceable": Condition(
+        TRACEABLE, GENERAL, 1, quantity="q_complement",
+        threshold=lambda n: float(n), direction="le", join_class="EP",
+    ),
+}
+
+
+def _applies(row: Condition, obj) -> tuple[object, int, Optional[Verdict]]:
+    """obj oriented as the row reads it, its size n, and the NotApplicable
+    verdict of the first precondition that fails (None if all hold)."""
+    prop, need = row.prop, row.min_n
+    if row.kind == GENERAL:
+        n = obj.n
+        if n < need:
+            return obj, n, _na(prop, f"needs n >= {need}", ("n", n))
+    elif row.kind == BIP_BALANCED:
+        if obj.p != obj.q:
+            return obj, 0, _na(prop, "needs a balanced bipartition", ("p", obj.p), ("q", obj.q))
+        n = obj.p
+        if n < need:
+            return obj, n, _na(prop, f"needs side size n >= {need}", ("n", n))
+    else:
+        if obj.q == obj.p + 1:
+            obj = transpose(obj)
+        if obj.p != obj.q + 1:
+            return obj, 0, _na(prop, "needs sides (n+1, n)", ("p", obj.p), ("q", obj.q))
+        n = obj.q
+        if n < need:
+            return obj, n, _na(prop, f"needs smaller side n >= {need}", ("n", n))
+    dx, dy = row.min_degree
+    if row.kind == BIP_UNBALANCED:
+        has_x, has_y = min(obj.degrees_x()), min(obj.degrees_y())
+        if has_x < dx or has_y < dy:
+            return obj, n, _na(prop, f"needs delta_X >= {dx} and delta_Y >= {dy}",
+                               ("delta_X", has_x), ("delta_Y", has_y))
+    elif dx:
+        delta = obj.min_degree()
+        if delta < dx:
+            return obj, n, _na(prop, f"needs min degree >= {dx}", ("min_degree", delta))
+    if row.connected:
+        components = len(connected_components(obj))
+        if components > 1:
+            return obj, n, _na(prop, "needs a connected graph", ("components", components))
+    return obj, n, None
 
 
 # ---------------------------------------------------------------- degree
@@ -145,9 +370,9 @@ def moon_moser_blocking(
 
 def chvatal_hamiltonian(g: Graph) -> Verdict:
     """d_k <= k and d_{n-k} <= n-k-1 for no integer k < n/2 forces a cycle."""
-    n = g.n
-    if n < 3:
-        return _na(HAMILTONIAN, "needs n >= 3", ("n", n))
+    _, n, failure = _applies(CONDITIONS["chvatal"], g)
+    if failure is not None:
+        return failure
     d = sorted(g.degrees())
     k = int(chvatal_blocking(np.array([d]))[0])
     if k:
@@ -161,11 +386,9 @@ def chvatal_hamiltonian(g: Graph) -> Verdict:
 
 def bipartite_degree_hamiltonian(b: BipartiteGraph) -> Verdict:
     """Balanced bipartite version: no k <= n/2 with d_k <= k and d_n <= n-k."""
-    if b.p != b.q:
-        return _na(HAMILTONIAN, "needs a balanced bipartition", ("p", b.p), ("q", b.q))
-    n = b.p
-    if n < 2:
-        return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
+    _, n, failure = _applies(CONDITIONS["bipartite-degree"], b)
+    if failure is not None:
+        return failure
     d = sorted(b.degree_sequence())
     k = int(bipartite_degree_blocking(np.array([d]))[0])
     if k:
@@ -179,11 +402,9 @@ def bipartite_degree_hamiltonian(b: BipartiteGraph) -> Verdict:
 
 def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
     """Nonadjacent cross pairs with degree sum >= n+1 force a cycle."""
-    if b.p != b.q:
-        return _na(HAMILTONIAN, "needs a balanced bipartition", ("p", b.p), ("q", b.q))
-    n = b.p
-    if n < 2:
-        return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
+    _, n, failure = _applies(CONDITIONS["moon-moser"], b)
+    if failure is not None:
+        return failure
     adjacent = np.array([[[row >> y & 1 for y in range(n)] for row in b.rows]])
     worst, cell = moon_moser_blocking(np.array([b.degrees_x() + b.degrees_y()]), adjacent)
     worst, cell = int(worst[0]), int(cell[0])
@@ -196,86 +417,102 @@ def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
     return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", float(worst - (n + 1))),))
 
 
-# ------------------------------------------------------------ edge bounds
+# ------------------------------------------------------- the verdict ladder
 
-EDGE_BIPARTITE_TARGETS = ("hamiltonian_min_deg1", "hamiltonian_min_deg2", "traceable")
+def decide(
+    row: Condition,
+    obj: Graph | BipartiteGraph,
+    tol: float = DEFAULT_TOL,
+    cmp_tol: float = DEFAULT_CMP_TOL,
+    estimate: EstimateArg = None,
+) -> Verdict:
+    """obj's verdict under a numeric row: NotApplicable if a precondition
+    fails, Inconclusive if the hypothesis fails, Boundary at the line of a
+    strict threshold, Exception for a listed graph, Boundary at the line of
+    a non-strict one, else Guaranteed.
+
+    Edge counts are compared exactly. A spectral radius is compared within
+    ``cmp_tol``; ``estimate``, when given, is the radius (or a function
+    returning it) of the matrix the row names in RADII, for obj as given.
+    """
+    obj, n, failure = _applies(row, obj)
+    if failure is not None:
+        return failure
+    threshold = row.threshold(n)
+    if row.quantity == "m":
+        m = obj.edge_count()
+        holds = m > threshold if row.strict else m >= threshold
+        relation = Relation.ABOVE if holds else Relation.BELOW
+        cert = (("m", m), ("bound", threshold), ("margin", m - threshold))
+    else:
+        radius = RADII[row.quantity]
+        power = rho if radius.matrix == ADJACENCY else q_radius
+        est = _estimate(estimate, lambda: power(radius.operand(obj), tol))
+        outcome = compare_threshold(est, threshold, cmp_tol)
+        relation = outcome.relation
+        cert = ((row.quantity, est.value), ("threshold", threshold), ("margin", outcome.margin))
+    if relation is (Relation.ABOVE if row.direction == "le" else Relation.BELOW):
+        return Verdict(Status.INCONCLUSIVE, row.prop, cert)
+    boundary = relation is Relation.BOUNDARY
+    if boundary and row.strict:  # a strict threshold cannot be certified at the line
+        return Verdict(Status.BOUNDARY, row.prop, cert)
+    fid = _first_match(obj, row.exceptions(n))
+    if fid is not None:
+        return Verdict(Status.EXCEPTION, row.prop, cert, family=fid)
+    if row.join_class:
+        witness = ec_ep_membership(obj, row.join_class)
+        if witness is not None:
+            return Verdict(
+                Status.EXCEPTION,
+                row.prop,
+                cert,
+                family=FamilyId(FamilyTag.JOIN_EXPR),
+                note=f"{witness.kind}: sides {witness.side_a} | {witness.side_b}",
+            )
+    return Verdict(Status.BOUNDARY if boundary else Status.GUARANTEED, row.prop, cert)
+
+
+# ------------------------------------------------------ public checkers
+
+def _targets(**theorem_ids: str) -> dict[str, Condition]:
+    """A public checker's target strings and the rows they name."""
+    return {target: CONDITIONS[tid] for target, tid in theorem_ids.items()}
+
+
+def _row(targets: dict[str, Condition], target: str) -> Condition:
+    row = targets.get(target)
+    if row is None:
+        raise ValueError(f"unknown target {target!r}")
+    return row
+
+
+_EDGE_BIPARTITE = _targets(
+    hamiltonian_min_deg1="lemma-2.5", hamiltonian_min_deg2="lemma-2.6", traceable="lemma-2.8"
+)
+_EDGE_GENERAL = _targets(hamiltonian="lemma-3.4", traceable="lemma-3.6")
+_SPECTRAL_BIPARTITE = _targets(
+    hamiltonian_balanced="spectral-bipartite-hamiltonian",
+    traceable_balanced="spectral-bipartite-traceable",
+    traceable_unbalanced="spectral-bipartite-traceable-unbalanced",
+)
+_Q_GENERAL = _targets(
+    hamiltonian_tight="tight-q-hamiltonian",
+    traceable_tight="tight-q-traceable",
+    yu_fan_hamiltonian="yu-fan-hamiltonian",
+    yu_fan_traceable="yu-fan-traceable",
+    yu_connected_traceable="yu-connected-traceable",
+)
+_ZHOU = _targets(hamiltonian="zhou-complement-hamiltonian", traceable="zhou-complement-traceable")
 
 
 def edge_bound_bipartite(b: BipartiteGraph, target: str) -> Verdict:
-    if target == "hamiltonian_min_deg1":
-        prop, min_n, min_delta = HAMILTONIAN, 2, 1
-        bound = lambda n: n * n - n + 1
-        exception = lambda n: FamilyId(FamilyTag.KNN1_PLUS_EDGE, (n,))
-    elif target == "hamiltonian_min_deg2":
-        prop, min_n, min_delta = HAMILTONIAN, 4, 2
-        bound = lambda n: n * n - 2 * n + 4
-        exception = lambda n: FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n))
-    elif target == "traceable":
-        prop, min_n, min_delta = TRACEABLE, 3, 1
-        bound = lambda n: n * n - 2 * n + 3
-        exception = None
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    if b.p != b.q:
-        return _na(prop, "needs a balanced bipartition", ("p", b.p), ("q", b.q))
-    n = b.p
-    if n < min_n:
-        return _na(prop, f"needs side size n >= {min_n}", ("n", n))
-    delta = b.min_degree()
-    if delta < min_delta:
-        return _na(prop, f"needs min degree >= {min_delta}", ("min_degree", delta))
-    m = b.edge_count()
-    cert = (("m", m), ("bound", bound(n)), ("margin", m - bound(n)))
-    if m < bound(n):
-        return Verdict(Status.INCONCLUSIVE, prop, cert)
-    if exception is not None:
-        fid = exception(n)
-        if recognize_family(b, fid):
-            return Verdict(Status.EXCEPTION, prop, cert, family=fid)
-    return Verdict(Status.GUARANTEED, prop, cert)
-
-
-EDGE_GENERAL_TARGETS = (HAMILTONIAN, TRACEABLE)
+    """Balanced bipartite edge bounds (Lemmas 2.5, 2.6 and 2.8)."""
+    return decide(_row(_EDGE_BIPARTITE, target), b)
 
 
 def edge_bound_general(g: Graph, target: str) -> Verdict:
     """Strict edge bound with the NC (cycle) / NP (path) exception lists."""
-    n = g.n
-    if target == HAMILTONIAN:
-        min_n, min_delta = 3, 2
-        threshold2m = n * n - 4 * n + 6  # hypothesis: 2m > this
-    elif target == TRACEABLE:
-        min_n, min_delta = 2, 1
-        threshold2m = n * n - 4 * n + 3
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    if n < min_n:
-        return _na(target, f"needs n >= {min_n}", ("n", n))
-    delta = g.min_degree()
-    if delta < min_delta:
-        return _na(target, f"needs min degree >= {min_delta}", ("min_degree", delta))
-    m = g.edge_count()
-    cert = (("m", m), ("bound", threshold2m / 2), ("margin", m - threshold2m / 2))
-    if 2 * m <= threshold2m:
-        return Verdict(Status.INCONCLUSIVE, target, cert)
-    if target == HAMILTONIAN:
-        index = _match_member(g, NC_GRAPHS)
-        fid = nc_member(index) if index is not None else None
-    else:
-        index = _match_member(g, NP_GRAPHS)
-        fid = np_member(index) if index is not None else None
-    if fid is not None:
-        return Verdict(Status.EXCEPTION, target, cert, family=fid)
-    return Verdict(Status.GUARANTEED, target, cert)
-
-
-# -------------------------------------------------------------- spectral
-
-SPECTRAL_BIPARTITE_TARGETS = (
-    "hamiltonian_balanced",
-    "traceable_balanced",
-    "traceable_unbalanced",
-)
+    return decide(_row(_EDGE_GENERAL, target), g)
 
 
 def spectral_bipartite(
@@ -291,60 +528,7 @@ def spectral_bipartite(
     checkers below take theirs the same way, for the matrix they would
     build.
     """
-    if target == "hamiltonian_balanced":
-        prop = HAMILTONIAN
-        if b.p != b.q:
-            return _na(prop, "needs a balanced bipartition", ("p", b.p), ("q", b.q))
-        n = b.p
-        if n < 4:
-            return _na(prop, "needs side size n >= 4", ("n", n))
-        if b.min_degree() < 2:
-            return _na(prop, "needs min degree >= 2", ("min_degree", b.min_degree()))
-        threshold = math.sqrt(n * n - 2 * n + 4)
-        exceptions = [FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n))]
-    elif target == "traceable_balanced":
-        prop = TRACEABLE
-        if b.p != b.q:
-            return _na(prop, "needs a balanced bipartition", ("p", b.p), ("q", b.q))
-        n = b.p
-        if n < 3:
-            return _na(prop, "needs side size n >= 3", ("n", n))
-        if b.min_degree() < 1:
-            return _na(prop, "needs min degree >= 1", ("min_degree", 0))
-        threshold = math.sqrt(n * n - 2 * n + 3)
-        exceptions = []
-    elif target == "traceable_unbalanced":
-        prop = TRACEABLE
-        if b.q == b.p + 1:  # normalize: side X is the larger one
-            b = transpose(b)
-        if b.p != b.q + 1:
-            return _na(prop, "needs sides (n+1, n)", ("p", b.p), ("q", b.q))
-        n = b.q
-        if n < 3:
-            return _na(prop, "needs smaller side n >= 3", ("n", n))
-        dx, dy = min(b.degrees_x()), min(b.degrees_y())
-        if dx < 1 or dy < 2:
-            return _na(prop, "needs delta_X >= 1 and delta_Y >= 2",
-                       ("delta_X", dx), ("delta_Y", dy))
-        threshold = math.sqrt(n * n - n + 2)
-        exceptions = [
-            FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n + 1)),
-            FamilyId(FamilyTag.KNN1_PLUS_2E, (n,)),
-        ]
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    est = _estimate(estimate, lambda: rho(b, tol))
-    outcome = compare_threshold(est, threshold, cmp_tol)
-    cert = (("rho", est.value), ("threshold", threshold), ("margin", outcome.margin))
-    if outcome.relation is Relation.BELOW:
-        return Verdict(Status.INCONCLUSIVE, prop, cert)
-    # threshold is non-strict, so a matching exception stands even at the line
-    for fid in exceptions:
-        if recognize_family(b, fid):
-            return Verdict(Status.EXCEPTION, prop, cert, family=fid)
-    if outcome.relation is Relation.BOUNDARY:
-        return Verdict(Status.BOUNDARY, prop, cert)
-    return Verdict(Status.GUARANTEED, prop, cert)
+    return decide(_row(_SPECTRAL_BIPARTITE, target), b, tol, cmp_tol, estimate)
 
 
 def quasi_complement_hamiltonian(
@@ -354,99 +538,7 @@ def quasi_complement_hamiltonian(
     estimate: EstimateArg = None,
 ) -> Verdict:
     """Small quasi-complement spectral radius forces a Hamiltonian cycle."""
-    if b.p != b.q:
-        return _na(HAMILTONIAN, "needs a balanced bipartition", ("p", b.p), ("q", b.q))
-    n = b.p
-    if n < 2:
-        return _na(HAMILTONIAN, "needs side size n >= 2", ("n", n))
-    est = _estimate(estimate, lambda: rho(quasi_complement(b), tol))
-    threshold = math.sqrt((n - 2) / 2)
-    outcome = compare_threshold(est, threshold, cmp_tol)
-    cert = (("rho_star", est.value), ("threshold", threshold), ("margin", outcome.margin))
-    if outcome.relation is Relation.BELOW:
-        return Verdict(Status.GUARANTEED, HAMILTONIAN, cert)
-    if outcome.relation is Relation.BOUNDARY:
-        return Verdict(Status.BOUNDARY, HAMILTONIAN, cert)
-    return Verdict(Status.INCONCLUSIVE, HAMILTONIAN, cert)
-
-
-Q_GENERAL_TARGETS = (
-    "hamiltonian_tight",
-    "traceable_tight",
-    "yu_fan_hamiltonian",
-    "yu_fan_traceable",
-    "yu_connected_traceable",
-)
-
-
-def _q_target_profile(g: Graph, target: str):
-    """(prop, threshold, strict, exception family ids, precondition failure)."""
-    n = g.n
-    if target == "hamiltonian_tight":
-        if n < 4:
-            return None, _na(HAMILTONIAN, "needs n >= 4", ("n", n))
-        if g.min_degree() < 2:
-            return None, _na(HAMILTONIAN, "needs min degree >= 2",
-                             ("min_degree", g.min_degree()))
-        exceptions = []
-        if n == 7:
-            exceptions.append(nc_member(2))   # K3 v 4K1
-        if n == 6:
-            # the published statement omits this graph, but its own table
-            # has q(K2 v (K2 + 2K1)) = 7.7588 >= 7.6 = 2n-5+3/(n-1), and it
-            # is non-Hamiltonian; without this exception the condition is
-            # unsound at n = 6 (exhaustively verified)
-            exceptions.append(nc_member(5))   # K2 v (K2 + 2K1)
-        if n == 5:
-            exceptions.append(nc_member(8))   # K2 v 3K1
-        return (HAMILTONIAN, 2 * n - 5 + 3 / (n - 1), False, exceptions), None
-    if target == "traceable_tight":
-        if n < 4:
-            return None, _na(TRACEABLE, "needs n >= 4", ("n", n))
-        if g.min_degree() < 1:
-            return None, _na(TRACEABLE, "needs min degree >= 1", ("min_degree", 0))
-        exceptions = []
-        if n == 6:
-            exceptions.append(np_member(2))   # K2 v 4K1
-        if n == 5:
-            exceptions.append(np_member(5))   # K1 v (K2 + 2K1)
-            exceptions.append(FamilyId(FamilyTag.STAR, (5,)))  # K_{1,4}
-        if n == 4:
-            exceptions.append(np_member(7))   # K1,3
-        return (TRACEABLE, float(2 * n - 5), False, exceptions), None
-    if target == "yu_fan_hamiltonian":
-        if n < 3:
-            return None, _na(HAMILTONIAN, "needs n >= 3", ("n", n))
-        exceptions = [FamilyId(FamilyTag.KN1_PLUS_EDGE, (n,))]
-        if n == 5:
-            exceptions.append(nc_member(8))   # K2 v 3K1
-        return (HAMILTONIAN, float(2 * n - 4), True, exceptions), None
-    if target == "yu_fan_traceable":
-        if n < 3:
-            return None, _na(TRACEABLE, "needs n >= 3", ("n", n))
-        exceptions = [FamilyId(FamilyTag.KN1_PLUS_VERTEX, (n,))]
-        if n == 4:
-            exceptions.append(FamilyId(FamilyTag.STAR, (4,)))  # K1,3
-        return (TRACEABLE, float(2 * n - 4), False, exceptions), None
-    if target == "yu_connected_traceable":
-        if n < 4:
-            return None, _na(TRACEABLE, "needs n >= 4", ("n", n))
-        if not is_connected(g):
-            return None, _na(TRACEABLE, "needs a connected graph", ("components", 2))
-        # the statement is usually quoted without exceptions, but three
-        # connected nontraceable graphs meet the bound: K_{1,3} at n=4
-        # (q = 4 = threshold), K2 v 4K1 at n=6 (q = 7.4641 >= 7.2) and
-        # K3 v 5K1 at n=8 (q = 10.8990 >= 76/7); verified exhaustively
-        # for n <= 7 and by edge-count analysis at n = 8
-        exceptions = []
-        if n == 4:
-            exceptions.append(FamilyId(FamilyTag.STAR, (4,)))  # K1,3
-        if n == 6:
-            exceptions.append(np_member(2))   # K2 v 4K1
-        if n == 8:
-            exceptions.append(np_member(0))   # K3 v 5K1
-        return (TRACEABLE, (2 * (n - 2) ** 2 + 4) / (n - 1), False, exceptions), None
-    raise ValueError(f"unknown target {target!r}")
+    return decide(CONDITIONS["quasi-complement"], b, tol, cmp_tol, estimate)
 
 
 def q_spectral_general(
@@ -461,26 +553,7 @@ def q_spectral_general(
     Strict (>) thresholds cannot be certified at the line, so those report
     Boundary there; non-strict (>=) ones still honor exception matches.
     """
-    profile, failure = _q_target_profile(g, target)
-    if profile is None:
-        return failure
-    prop, threshold, strict, exceptions = profile
-    est = _estimate(estimate, lambda: q_radius(g, tol))
-    outcome = compare_threshold(est, threshold, cmp_tol)
-    cert = (("q", est.value), ("threshold", threshold), ("margin", outcome.margin))
-    if outcome.relation is Relation.BELOW:
-        return Verdict(Status.INCONCLUSIVE, prop, cert)
-    if outcome.relation is Relation.BOUNDARY and strict:
-        return Verdict(Status.BOUNDARY, prop, cert)
-    for fid in exceptions:
-        if recognize_family(g, fid):
-            return Verdict(Status.EXCEPTION, prop, cert, family=fid)
-    if outcome.relation is Relation.BOUNDARY:
-        return Verdict(Status.BOUNDARY, prop, cert)
-    return Verdict(Status.GUARANTEED, prop, cert)
-
-
-ZHOU_TARGETS = (HAMILTONIAN, TRACEABLE)
+    return decide(_row(_Q_GENERAL, target), g, tol, cmp_tol, estimate)
 
 
 def zhou_complement(
@@ -491,36 +564,7 @@ def zhou_complement(
     estimate: EstimateArg = None,
 ) -> Verdict:
     """Zhou's complement condition with the structured EC/EP exceptions."""
-    n = g.n
-    if target == HAMILTONIAN:
-        if n < 3:
-            return _na(HAMILTONIAN, "needs n >= 3", ("n", n))
-        threshold = float(n - 1)
-        family = "EC"
-    elif target == TRACEABLE:
-        if n < 1:
-            return _na(TRACEABLE, "needs n >= 1", ("n", n))
-        threshold = float(n)
-        family = "EP"
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    est = _estimate(estimate, lambda: q_radius(complement(g), tol))
-    outcome = compare_threshold(est, threshold, cmp_tol)
-    cert = (("q_complement", est.value), ("threshold", threshold), ("margin", outcome.margin))
-    if outcome.relation is Relation.ABOVE:
-        return Verdict(Status.INCONCLUSIVE, target, cert)
-    witness = ec_ep_membership(g, family)
-    if witness is not None:
-        return Verdict(
-            Status.EXCEPTION,
-            target,
-            cert,
-            family=FamilyId(FamilyTag.JOIN_EXPR),
-            note=f"{witness.kind}: sides {witness.side_a} | {witness.side_b}",
-        )
-    if outcome.relation is Relation.BOUNDARY:
-        return Verdict(Status.BOUNDARY, target, cert)
-    return Verdict(Status.GUARANTEED, target, cert)
+    return decide(_row(_ZHOU, target), g, tol, cmp_tol, estimate)
 
 
 # ------------------------------------------------------------ recognizers
@@ -594,35 +638,33 @@ def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
     raise ValueError(f"unknown exception class {family!r}")
 
 
-def _match_member(g: Graph, members: list[Graph]) -> Optional[int]:
-    seq = g.degree_sequence()
-    for index, member in enumerate(members):
-        if member.n == g.n and member.degree_sequence() == seq and is_isomorphic(g, member):
-            return index
-    return None
-
-
 def nc_np_membership(g: Graph) -> Optional[FamilyId]:
-    """The NC/NP member isomorphic to g, if any (degree filter + backtracking)."""
-    index = _match_member(g, NC_GRAPHS)
-    if index is not None:
-        return nc_member(index)
-    index = _match_member(g, NP_GRAPHS)
-    if index is not None:
-        return np_member(index)
-    return None
+    """The NC/NP member isomorphic to g, if any: NC and NP are the exception
+    lists of Lemmas 3.4 and 3.6."""
+    return _first_match(g, CONDITIONS["lemma-3.4"].exceptions(g.n)
+                        + CONDITIONS["lemma-3.6"].exceptions(g.n))
 
 
 def recognize_family(g: Graph | BipartiteGraph, fid: FamilyId) -> bool:
     """True iff g is isomorphic (as a graph) to make_family(fid)."""
-    try:
-        target = make_family(fid)
-    except ValueError:
-        return False
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
-    if isinstance(target, BipartiteGraph):
-        target = target.to_graph()
-    if g.n != target.n or g.degree_sequence() != target.degree_sequence():
-        return False
-    return is_isomorphic(g, target)
+    return _first_match(g, (fid,)) is not None
+
+
+def _first_match(g: Graph | BipartiteGraph, fids: tuple[FamilyId, ...]) -> Optional[FamilyId]:
+    """The first of fids whose canonical graph is isomorphic to g as a graph,
+    if any; g's degree sequence is computed once, for all of them."""
+    seq = None
+    for fid in fids:
+        try:
+            target = make_family(fid)
+        except ValueError:
+            continue
+        if isinstance(target, BipartiteGraph):
+            target = target.to_graph()
+        if seq is None:
+            if isinstance(g, BipartiteGraph):
+                g = g.to_graph()
+            seq = g.degree_sequence()
+        if g.n == target.n and seq == target.degree_sequence() and is_isomorphic(g, target):
+            return fid
+    return None

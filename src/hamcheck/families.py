@@ -145,31 +145,26 @@ NC_GRAPHS: list[Graph] = [build() for _, build in _NC_BUILDERS]
 NP_GRAPHS: list[Graph] = [build() for _, build in _NP_BUILDERS]
 
 
+_BUILDERS = {
+    FamilyTag.COMPLETE: complete,
+    FamilyTag.COMPLETE_BIPARTITE: complete_bipartite,
+    FamilyTag.CYCLE: cycle,
+    FamilyTag.STAR: star,
+    FamilyTag.KN1_PLUS_EDGE: kn1_plus_edge,
+    FamilyTag.KN1_PLUS_VERTEX: kn1_plus_vertex,
+    FamilyTag.KNN1_PLUS_EDGE: knn1_plus_edge,
+    FamilyTag.KPN2_PLUS_4E: kpn2_plus_4e,
+    FamilyTag.KNN1_PLUS_2E: knn1_plus_2e,
+    FamilyTag.NC_MEMBER: NC_GRAPHS.__getitem__,
+    FamilyTag.NP_MEMBER: NP_GRAPHS.__getitem__,
+}
+
+
 def make_family(fid: FamilyId) -> Graph | BipartiteGraph:
-    tag, params = fid.tag, fid.params
-    if tag is FamilyTag.COMPLETE:
-        return complete(*params)
-    if tag is FamilyTag.COMPLETE_BIPARTITE:
-        return complete_bipartite(*params)
-    if tag is FamilyTag.CYCLE:
-        return cycle(*params)
-    if tag is FamilyTag.STAR:
-        return star(*params)
-    if tag is FamilyTag.KN1_PLUS_EDGE:
-        return kn1_plus_edge(*params)
-    if tag is FamilyTag.KN1_PLUS_VERTEX:
-        return kn1_plus_vertex(*params)
-    if tag is FamilyTag.KNN1_PLUS_EDGE:
-        return knn1_plus_edge(*params)
-    if tag is FamilyTag.KPN2_PLUS_4E:
-        return kpn2_plus_4e(*params)
-    if tag is FamilyTag.KNN1_PLUS_2E:
-        return knn1_plus_2e(*params)
-    if tag is FamilyTag.NC_MEMBER:
-        return NC_GRAPHS[params[0]]
-    if tag is FamilyTag.NP_MEMBER:
-        return NP_GRAPHS[params[0]]
-    raise ValueError(f"no canonical representative for family tag {tag.value}")
+    build = _BUILDERS.get(fid.tag)
+    if build is None:
+        raise ValueError(f"no canonical representative for family tag {fid.tag.value}")
+    return build(*fid.params)
 
 
 def nc_member(index: int) -> FamilyId:

@@ -6,6 +6,15 @@ guard well above the comparison tolerance) cut the candidate set before
 the full checker and the Hamiltonicity oracle run. Labeled enumeration
 over-counts isomorphic copies, which is harmless for soundness claims.
 
+No theorem is written here. THEOREMS builds each TheoremSpec from the
+theorem's one row in ``conditions.CONDITIONS``: its checker (the row's
+verdict ladder, ``conditions.decide``, or a degree theorem's own checker),
+its hypothesis, its m/delta filter (the row's per-side minimum degrees
+and a necessary edge count derived from its threshold by one rule per
+quantity), and the exceptions ``tightness_search`` probes. ``_sides``
+alone decides a kind's side sizes at n, for the scanned sizes, the size
+caps, the scan layout and ``tightness_search``.
+
 The scan works on slices of at most SLICE masks, so its temporaries stay
 bounded, and each slice goes through one pipeline whatever the graph
 kind: the m/delta filter, which also yields each graph's degree table;
@@ -21,15 +30,16 @@ the buffer is decided by one batched exact oracle call and tallied in
 scan order. ``analyze``, ``oracle`` and
 ``tightness_search`` look at one graph at a time and keep the scalar
 power iteration and oracle, which are faster for a single graph.
-``analyze`` computes each spectral radius at most once per graph: RADII
-maps each hypothesis kind to the graph and matrix it bounds, for the scan
-and ``analyze`` alike, and the checkers that share a kind share the
-estimate.
+``analyze`` computes each spectral radius at most once per graph:
+``conditions.RADII`` maps each hypothesis kind to the graph and matrix it
+bounds, for the checkers, the scan, ``analyze`` and ``tightness_search``
+alike, and the checkers that share a kind share the estimate.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,18 +48,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import conditions as cond
-from .conditions import HAMILTONIAN, TRACEABLE, Status, Verdict
-from .families import (
-    FamilyId,
-    FamilyTag,
-    NC_NAMES,
-    NP_NAMES,
-    make_family,
-    nc_member,
-    np_member,
+from .conditions import (
+    BIP_UNBALANCED,
+    GENERAL,
+    HAMILTONIAN,
+    RADII,
+    Status,
+    Verdict,
 )
+from .families import FamilyId, FamilyTag, make_family, nc_member, np_member
 from .graph6 import write_graph6
-from .graphs import BipartiteGraph, Graph, complement, quasi_complement
+from .graphs import BipartiteGraph, Graph
 from .oracle import is_hamiltonian, is_hamiltonian_batch, is_traceable, is_traceable_batch
 from .spectral import (
     ADJACENCY,
@@ -222,6 +231,8 @@ class SoundnessReport:
 
 @dataclass(frozen=True)
 class TheoremSpec:
+    """A theorem as the scan reads it, built from its row in
+    ``conditions.CONDITIONS``."""
     theorem_id: str
     kind: str                # general | bip_balanced | bip_unbalanced
     prop: str
@@ -233,7 +244,7 @@ class TheoremSpec:
     # m | q | rho | rho_star | q_complement, direction in ge | gt | le
     hyp: Optional[tuple[str, Callable[[int], float], str]] = None
     m_min: Optional[Callable[[int], int]] = None
-    exceptions_for: Callable[[int], list[FamilyId]] = lambda n: []
+    exceptions_for: Callable[[int], tuple[FamilyId, ...]] = lambda n: ()
     # degree screen: (degrees, bits) of a scan slice -> per row, whether the
     # hypothesis holds, decided exactly by the checker's own inequality
     screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -244,26 +255,6 @@ class TheoremSpec:
         return self.hyp is not None and self.hyp[0] != "m"
 
 
-@dataclass(frozen=True)
-class HypothesisRadius:
-    """What a spectral hypothesis kind bounds: the spectral radius of
-    ``operand(obj)`` for the checked object, of its ``matrix`` (ADJACENCY,
-    computed by ``rho``, or SIGNLESS_LAPLACIAN, by ``q_radius``), as in the
-    checkers."""
-    operand: Callable
-    matrix: str
-
-
-def _itself(obj):
-    return obj
-
-
-RADII: dict[str, HypothesisRadius] = {
-    "q": HypothesisRadius(_itself, SIGNLESS_LAPLACIAN),
-    "q_complement": HypothesisRadius(complement, SIGNLESS_LAPLACIAN),
-    "rho": HypothesisRadius(_itself, ADJACENCY),
-    "rho_star": HypothesisRadius(quasi_complement, ADJACENCY),
-}
 _STACKED = {ADJACENCY: rho_stack, SIGNLESS_LAPLACIAN: q_radius_stack}
 
 
@@ -271,11 +262,20 @@ def _ceil_eps(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
-THEOREMS: dict[str, TheoremSpec] = {}
-
-
-def _register(spec: TheoremSpec) -> None:
-    THEOREMS[spec.theorem_id] = spec
+# Per hypothesis quantity, the fewest edges a graph of size n can have and
+# still meet threshold t: a necessary count, so the scan's m/delta filter
+# drops only graphs whose hypothesis fails.
+_NEEDED_EDGES: dict[str, Callable[[int, float, bool], int]] = {
+    "m": lambda n, t, strict: math.floor(t) + 1 if strict else math.ceil(t),
+    # q(G) <= 2m/(n-1) + n - 2
+    "q": lambda n, t, strict: _ceil_eps((t - n + 2) * (n - 1) / 2),
+    # rho(B) <= sqrt(m) for a bipartite B
+    "rho": lambda n, t, strict: _ceil_eps(t * t),
+    # rho(B*)^2 >= max degree >= m*/n, where B* has m* = n^2 - m edges
+    "rho_star": lambda n, t, strict: _ceil_eps(n * n - n * t * t),
+    # q of the complement >= 4 m'/n, where the complement has m' = n(n-1)/2 - m
+    "q_complement": lambda n, t, strict: max(_ceil_eps(n * (n - 1) / 2 - n * t / 4), 0),
+}
 
 
 def _moon_moser_screen(degrees: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -283,175 +283,72 @@ def _moon_moser_screen(degrees: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return cond.moon_moser_blocking(degrees, bits.reshape(len(bits), side, side))[1] < 0
 
 
-_register(TheoremSpec(
-    "chvatal", "general", HAMILTONIAN, 3, (0, 0),
-    cond.chvatal_hamiltonian,
-    screen=lambda degrees, bits: cond.chvatal_blocking(degrees) == 0,
-))
-_register(TheoremSpec(
-    "bipartite-degree", "bip_balanced", HAMILTONIAN, 2, (0, 0),
-    cond.bipartite_degree_hamiltonian,
-    screen=lambda degrees, bits: cond.bipartite_degree_blocking(degrees) == 0,
-))
-_register(TheoremSpec(
-    "moon-moser", "bip_balanced", HAMILTONIAN, 2, (0, 0),
-    cond.moon_moser_hamiltonian,
-    screen=_moon_moser_screen,
-))
-_register(TheoremSpec(
-    "lemma-2.5", "bip_balanced", HAMILTONIAN, 2, (1, 1),
-    partial(cond.edge_bound_bipartite, target="hamiltonian_min_deg1"),
-    hyp=("m", lambda n: n * n - n + 1, "ge"),
-    m_min=lambda n: n * n - n + 1,
-    exceptions_for=lambda n: [FamilyId(FamilyTag.KNN1_PLUS_EDGE, (n,))],
-))
-_register(TheoremSpec(
-    "lemma-2.6", "bip_balanced", HAMILTONIAN, 4, (2, 2),
-    partial(cond.edge_bound_bipartite, target="hamiltonian_min_deg2"),
-    hyp=("m", lambda n: n * n - 2 * n + 4, "ge"),
-    m_min=lambda n: n * n - 2 * n + 4,
-    exceptions_for=lambda n: [FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n))],
-))
-_register(TheoremSpec(
-    "lemma-2.8", "bip_balanced", TRACEABLE, 3, (1, 1),
-    partial(cond.edge_bound_bipartite, target="traceable"),
-    hyp=("m", lambda n: n * n - 2 * n + 3, "ge"),
-    m_min=lambda n: n * n - 2 * n + 3,
-))
-_register(TheoremSpec(
-    "spectral-bipartite-hamiltonian", "bip_balanced", HAMILTONIAN, 4, (2, 2),
-    partial(cond.spectral_bipartite, target="hamiltonian_balanced"),
-    hyp=("rho", lambda n: math.sqrt(n * n - 2 * n + 4), "ge"),
-    m_min=lambda n: n * n - 2 * n + 4,
-    exceptions_for=lambda n: [FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n))],
-))
-_register(TheoremSpec(
-    "spectral-bipartite-traceable", "bip_balanced", TRACEABLE, 3, (1, 1),
-    partial(cond.spectral_bipartite, target="traceable_balanced"),
-    hyp=("rho", lambda n: math.sqrt(n * n - 2 * n + 3), "ge"),
-    m_min=lambda n: n * n - 2 * n + 3,
-))
-_register(TheoremSpec(
-    "spectral-bipartite-traceable-unbalanced", "bip_unbalanced", TRACEABLE, 3, (1, 2),
-    partial(cond.spectral_bipartite, target="traceable_unbalanced"),
-    hyp=("rho", lambda n: math.sqrt(n * n - n + 2), "ge"),
-    m_min=lambda n: n * n - n + 2,
-    exceptions_for=lambda n: [
-        FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n + 1)),
-        FamilyId(FamilyTag.KNN1_PLUS_2E, (n,)),
-    ],
-))
-_register(TheoremSpec(
-    "quasi-complement", "bip_balanced", HAMILTONIAN, 2, (0, 0),
-    cond.quasi_complement_hamiltonian,
-    hyp=("rho_star", lambda n: math.sqrt((n - 2) / 2), "le"),
-    m_min=lambda n: _ceil_eps(n * n - n * (n - 2) / 2),
-))
-_register(TheoremSpec(
-    "lemma-3.4", "general", HAMILTONIAN, 3, (2, 2),
-    partial(cond.edge_bound_general, target=HAMILTONIAN),
-    hyp=("m", lambda n: (n * n - 4 * n + 6) / 2, "gt"),
-    m_min=lambda n: (n * n - 4 * n + 6) // 2 + 1,
-    exceptions_for=lambda n: [nc_member(i) for i in _members_of_size(NC_NAMES, n)],
-))
-_register(TheoremSpec(
-    "lemma-3.6", "general", TRACEABLE, 2, (1, 1),
-    partial(cond.edge_bound_general, target=TRACEABLE),
-    hyp=("m", lambda n: (n * n - 4 * n + 3) / 2, "gt"),
-    m_min=lambda n: (n * n - 4 * n + 3) // 2 + 1,
-    exceptions_for=lambda n: [np_member(i) for i in _members_of_size(NP_NAMES, n)],
-))
-_register(TheoremSpec(
-    "tight-q-hamiltonian", "general", HAMILTONIAN, 4, (2, 2),
-    partial(cond.q_spectral_general, target="hamiltonian_tight"),
-    hyp=("q", lambda n: 2 * n - 5 + 3 / (n - 1), "ge"),
-    m_min=lambda n: _ceil_eps(((n - 3) * (n - 1) + 3) / 2),
-    exceptions_for=lambda n: {
-        5: [nc_member(8)],
-        6: [nc_member(5)],
-        7: [nc_member(2)],
-    }.get(n, []),
-))
-_register(TheoremSpec(
-    "tight-q-traceable", "general", TRACEABLE, 4, (1, 1),
-    partial(cond.q_spectral_general, target="traceable_tight"),
-    hyp=("q", lambda n: float(2 * n - 5), "ge"),
-    m_min=lambda n: _ceil_eps((n - 3) * (n - 1) / 2),
-    exceptions_for=lambda n: {
-        4: [np_member(7)],
-        5: [np_member(5), FamilyId(FamilyTag.STAR, (5,))],
-        6: [np_member(2)],
-    }.get(n, []),
-))
-_register(TheoremSpec(
-    "yu-fan-hamiltonian", "general", HAMILTONIAN, 3, (0, 0),
-    partial(cond.q_spectral_general, target="yu_fan_hamiltonian"),
-    strict=True,
-    hyp=("q", lambda n: float(2 * n - 4), "gt"),
-    m_min=lambda n: _ceil_eps((n - 2) * (n - 1) / 2),
-    exceptions_for=lambda n: [FamilyId(FamilyTag.KN1_PLUS_EDGE, (n,))]
-    + ([nc_member(8)] if n == 5 else []),
-))
-_register(TheoremSpec(
-    "yu-fan-traceable", "general", TRACEABLE, 3, (0, 0),
-    partial(cond.q_spectral_general, target="yu_fan_traceable"),
-    hyp=("q", lambda n: float(2 * n - 4), "ge"),
-    m_min=lambda n: _ceil_eps((n - 2) * (n - 1) / 2),
-    exceptions_for=lambda n: [FamilyId(FamilyTag.KN1_PLUS_VERTEX, (n,))]
-    + ([FamilyId(FamilyTag.STAR, (4,))] if n == 4 else []),
-))
-_register(TheoremSpec(
-    "yu-connected-traceable", "general", TRACEABLE, 4, (0, 0),
-    partial(cond.q_spectral_general, target="yu_connected_traceable"),
-    hyp=("q", lambda n: (2 * (n - 2) ** 2 + 4) / (n - 1), "ge"),
-    m_min=lambda n: _ceil_eps(((n - 2) * (n - 3) + 4) / 2),
-    exceptions_for=lambda n: {
-        4: [FamilyId(FamilyTag.STAR, (4,))],
-        6: [np_member(2)],
-        8: [np_member(0)],
-    }.get(n, []),
-))
-_register(TheoremSpec(
-    "zhou-complement-hamiltonian", "general", HAMILTONIAN, 3, (0, 0),
-    partial(cond.zhou_complement, target=HAMILTONIAN),
-    hyp=("q_complement", lambda n: float(n - 1), "le"),
-    m_min=lambda n: _ceil_eps(n * (n - 1) / 4),
-))
-_register(TheoremSpec(
-    "zhou-complement-traceable", "general", TRACEABLE, 1, (0, 0),
-    partial(cond.zhou_complement, target=TRACEABLE),
-    hyp=("q_complement", lambda n: float(n), "le"),
-    m_min=lambda n: max(_ceil_eps(n * (n - 2) / 4), 0),
-))
+# the theorems without a numeric hypothesis: their own checker, and their
+# inequality evaluated on a whole scan slice as its screen
+_DEGREE_THEOREMS = {
+    "chvatal": (cond.chvatal_hamiltonian,
+                lambda degrees, bits: cond.chvatal_blocking(degrees) == 0),
+    "bipartite-degree": (cond.bipartite_degree_hamiltonian,
+                         lambda degrees, bits: cond.bipartite_degree_blocking(degrees) == 0),
+    "moon-moser": (cond.moon_moser_hamiltonian, _moon_moser_screen),
+}
 
 
-def _members_of_size(names: list[str], n: int) -> list[int]:
-    from .families import NC_GRAPHS, NP_GRAPHS
+def _spec(theorem_id: str, row: cond.Condition) -> TheoremSpec:
+    if row.quantity is None:
+        checker, screen = _DEGREE_THEOREMS[theorem_id]
+        return TheoremSpec(theorem_id, row.kind, row.prop, row.min_n, row.min_degree, checker,
+                           screen=screen)
+    needed = _NEEDED_EDGES[row.quantity]
+    return TheoremSpec(
+        theorem_id, row.kind, row.prop, row.min_n, row.min_degree, partial(cond.decide, row),
+        strict=row.strict,
+        hyp=(row.quantity, row.threshold, row.direction),
+        m_min=lambda n: needed(n, row.threshold(n), row.strict),
+        exceptions_for=row.exceptions,
+    )
 
-    members = NC_GRAPHS if names is NC_NAMES else NP_GRAPHS
-    return [i for i, g in enumerate(members) if g.n == n]
+
+THEOREMS: dict[str, TheoremSpec] = {
+    tid: _spec(tid, row) for tid, row in cond.CONDITIONS.items()
+}
 
 
 def theorem_ids() -> list[str]:
     return list(THEOREMS)
 
 
+def _sides(kind: str, n: int) -> tuple[int, int]:
+    """The side sizes (X, Y) of a kind's graphs at size n; a general graph
+    is one side of n vertices."""
+    if kind == GENERAL:
+        return n, 0
+    return n + (kind == BIP_UNBALANCED), n
+
+
 def sizes_for(spec: TheoremSpec, max_n: int, bip_cells: int = DEFAULT_BIP_CELLS) -> list[int]:
     """Side sizes (general n, or bipartite n) scanned for a theorem."""
-    bip_cells = min(bip_cells, MAX_BIP_CELLS)
-    if spec.kind == "general":
-        return [n for n in range(spec.min_n, max_n + 1)]
-    if spec.kind == "bip_balanced":
-        return [n for n in range(spec.min_n, max_n + 1) if n * n <= bip_cells]
-    return [n for n in range(spec.min_n, max_n + 1) if n * (n + 1) <= bip_cells]
+    cells = min(bip_cells, MAX_BIP_CELLS)
+    return [n for n in range(spec.min_n, max_n + 1)
+            if spec.kind == GENERAL or math.prod(_sides(spec.kind, n)) <= cells]
+
+
+def _check_caps(spec: TheoremSpec, sizes: list[int]) -> None:
+    """A scan costs 2^(mask bits), so refuse sizes above the caps before any work."""
+    for n in sizes:
+        if spec.kind == GENERAL and n > MAX_ENUM_N:
+            raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
+        if spec.kind != GENERAL and math.prod(_sides(spec.kind, n)) > MAX_BIP_CELLS:
+            raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
 
 
 # --------------------------------------------------------------- scanning
 
 def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
-    if spec.kind == "general":
-        return _general_layout(n, spec.delta_min[0])
-    return _bipartite_layout(n if spec.kind == "bip_balanced" else n + 1, n, *spec.delta_min)
+    p, q = _sides(spec.kind, n)
+    if spec.kind == GENERAL:
+        return _general_layout(p, spec.delta_min[0])
+    return _bipartite_layout(p, q, *spec.delta_min)
 
 
 def _edge_matrices(layout: _Layout, matrix: str) -> np.ndarray:
@@ -530,7 +427,8 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     if spec.spectral and layout.slots:
         kind, threshold_fn, direction = spec.hyp
         threshold = threshold_fn(n)
-        basis = _edge_matrices(layout, RADII[kind].matrix)
+        radius = RADII[kind]
+        basis = _edge_matrices(layout, radius.matrix)
     pending: list[tuple[object, Verdict]] = []
     for scanned, bits, degrees in _slices(layout, lo, hi, m_min):
         report.graphs_scanned += scanned
@@ -538,7 +436,7 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
             bits = bits[spec.screen(degrees, bits)]
         if basis is not None and len(bits):
             weights = bits.astype(float)
-            if kind in ("q_complement", "rho_star"):
+            if radius.complemented:
                 weights = 1.0 - weights
             top = np.linalg.eigvalsh(np.tensordot(weights, basis, axes=(1, 0)))[:, -1]
             if direction == "le":
@@ -573,11 +471,7 @@ def soundness(
     spec = THEOREMS[theorem_id]
     if sizes is None:
         sizes = sizes_for(spec, max_n, bip_cells)
-    for n in sizes:  # a scan costs 2^(mask bits), so refuse before any work
-        if spec.kind == "general" and n > MAX_ENUM_N:
-            raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
-        if spec.kind != "general" and n * (n + (spec.kind == "bip_unbalanced")) > MAX_BIP_CELLS:
-            raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
+    _check_caps(spec, sizes)
     report = SoundnessReport(theorem_id, [])
     tasks = []
     for n in sizes:
@@ -586,8 +480,11 @@ def soundness(
         step = -(-total // parts)
         for lo in range(0, total, step):
             tasks.append((theorem_id, n, lo, min(lo + step, total)))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are tasks or CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_scan_part_star, tasks):
                 report.merge(part)
     else:
@@ -627,8 +524,8 @@ TABLE1_ROWS: list[tuple[str, FamilyId, float]] = [
 
 def table1_report(tolerance: float = 5e-5) -> list[tuple[str, float, float, float]]:
     """All 18 published q values recomputed: (name, computed, published, |diff|)."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be a finite number > 0")
     rows = []
     for name, fid, published in TABLE1_ROWS:
         computed = q_radius(make_family(fid)).value
@@ -637,29 +534,6 @@ def table1_report(tolerance: float = 5e-5) -> list[tuple[str, float, float, floa
 
 
 # --------------------------------------------------------------- tightness
-
-def _hyp_value(spec: TheoremSpec, obj) -> tuple[float, float]:
-    """The hypothesis quantity and its threshold, via the dense eigen oracle."""
-    kind, threshold_fn, _ = spec.hyp
-    if isinstance(obj, BipartiteGraph):
-        n = obj.q if spec.kind == "bip_unbalanced" else obj.p
-        g = obj.to_graph()
-    else:
-        n = obj.n
-        g = obj
-    threshold = threshold_fn(n)
-    if kind == "m":
-        return float(g.edge_count()), threshold
-    if kind == "q":
-        return eigen_oracle(g, "signless_laplacian")[-1], threshold
-    if kind == "q_complement":
-        return eigen_oracle(complement(g), "signless_laplacian")[-1], threshold
-    if kind == "rho":
-        return eigen_oracle(g, "adjacency")[-1], threshold
-    if kind == "rho_star":
-        return eigen_oracle(quasi_complement(obj), "adjacency")[-1], threshold
-    raise ValueError(kind)
-
 
 def tightness_search(
     theorem_id: str,
@@ -671,28 +545,38 @@ def tightness_search(
     Near misses are graphs without the property whose hypothesis quantity
     fails by the smallest margin; the exception report states whether each
     stated exceptional graph satisfies its theorem's hypothesis at all.
+    Quantities come from the dense eigen oracle.
     """
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     spec = THEOREMS[theorem_id]
     if spec.hyp is None:
         raise ValueError(f"{theorem_id} has no numeric hypothesis to probe")
-    direction = spec.hyp[2]
+    kind, threshold_fn, direction = spec.hyp
+    sizes = sizes_for(spec, max_n, bip_cells)
+    _check_caps(spec, sizes)
+
+    def value(obj) -> float:
+        if kind == "m":
+            return float(obj.edge_count())
+        radius = RADII[kind]
+        return eigen_oracle(radius.operand(obj), radius.matrix)[-1]
+
     exceptions = []
-    for n in sizes_for(spec, max_n, bip_cells):
+    for n in sizes:
+        threshold = threshold_fn(n)
         for fid in spec.exceptions_for(n):
-            member = make_family(fid)
-            value, threshold = _hyp_value(spec, member)
+            got = value(make_family(fid))
             if direction == "le":
-                satisfied = value <= threshold + 1e-8
+                satisfied = got <= threshold + 1e-8
             elif direction == "gt":
-                satisfied = value > threshold + 1e-8
+                satisfied = got > threshold + 1e-8
             else:
-                satisfied = value >= threshold - 1e-8
+                satisfied = got >= threshold - 1e-8
             exceptions.append({
                 "family": str(fid),
                 "n": n,
-                "value": value,
+                "value": got,
                 "threshold": threshold,
                 "hypothesis_satisfied": satisfied,
             })
@@ -700,36 +584,24 @@ def tightness_search(
 
     def consider(obj) -> None:
         nonlocal best
-        if isinstance(obj, BipartiteGraph):
-            dx_min, dy_min = spec.delta_min
-            if min(obj.degrees_x(), default=0) < dx_min:
-                return
-            if min(obj.degrees_y(), default=0) < dy_min:
-                return
-            g = obj.to_graph()
-        else:
-            g = obj
+        g = obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
         if _has_property(g, spec.prop):
             return
-        value, threshold = _hyp_value(spec, obj)
-        deficit = threshold - value if direction != "le" else value - threshold
+        got = value(obj)
+        deficit = threshold - got if direction != "le" else got - threshold
         if deficit <= 1e-8:
             return  # hypothesis satisfied: that is the exception report's job
         if best is None or deficit < best["deficit"]:
             best = {
                 "graph6": write_graph6(g),
-                "value": value,
+                "value": got,
                 "threshold": threshold,
                 "deficit": deficit,
             }
 
-    for n in sizes_for(spec, max_n, bip_cells):
-        if spec.kind == "general":
-            enumerate_graphs(n, spec.delta_min[0], consider)
-        elif spec.kind == "bip_balanced":
-            enumerate_bipartite(n, n, spec.delta_min[0], consider)
-        else:
-            enumerate_bipartite(n + 1, n, min(spec.delta_min), consider)
+    for n in sizes:
+        threshold = threshold_fn(n)
+        _visit_all(_spec_layout(spec, n), consider)
     return {
         "theorem_id": theorem_id,
         "exceptions": exceptions,

@@ -1,0 +1,194 @@
+"""The theorem table: checker and tightness outputs pinned byte for byte,
+the derived edge counts, the component count of a disconnected graph,
+table1 tolerances and the bounds on verify --jobs."""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from hamcheck import (
+    bipartite_degree_hamiltonian,
+    chvatal_hamiltonian,
+    complete,
+    disjoint_union,
+    edge_bound_bipartite,
+    edge_bound_general,
+    moon_moser_hamiltonian,
+    parse_graph6,
+    q_spectral_general,
+    quasi_complement_hamiltonian,
+    spectral_bipartite,
+    zhou_complement,
+)
+from hamcheck import verify
+from hamcheck.cli import main
+from hamcheck.graphs import bipartite_from_graph, is_connected, transpose, two_coloring
+from hamcheck.verify import THEOREMS, soundness, table1_report, theorem_ids, tightness_search
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+GENERAL_CHECKS = [
+    ("chvatal_hamiltonian", chvatal_hamiltonian, None),
+    ("edge_bound_general", edge_bound_general, "hamiltonian"),
+    ("edge_bound_general", edge_bound_general, "traceable"),
+    ("q_spectral_general", q_spectral_general, "hamiltonian_tight"),
+    ("q_spectral_general", q_spectral_general, "traceable_tight"),
+    ("q_spectral_general", q_spectral_general, "yu_fan_hamiltonian"),
+    ("q_spectral_general", q_spectral_general, "yu_fan_traceable"),
+    ("q_spectral_general", q_spectral_general, "yu_connected_traceable"),
+    ("zhou_complement", zhou_complement, "hamiltonian"),
+    ("zhou_complement", zhou_complement, "traceable"),
+]
+BIPARTITE_CHECKS = [
+    ("bipartite_degree_hamiltonian", bipartite_degree_hamiltonian, None),
+    ("moon_moser_hamiltonian", moon_moser_hamiltonian, None),
+    ("edge_bound_bipartite", edge_bound_bipartite, "hamiltonian_min_deg1"),
+    ("edge_bound_bipartite", edge_bound_bipartite, "hamiltonian_min_deg2"),
+    ("edge_bound_bipartite", edge_bound_bipartite, "traceable"),
+    ("spectral_bipartite", spectral_bipartite, "hamiltonian_balanced"),
+    ("spectral_bipartite", spectral_bipartite, "traceable_balanced"),
+    ("spectral_bipartite", spectral_bipartite, "traceable_unbalanced"),
+    ("quasi_complement_hamiltonian", quasi_complement_hamiltonian, None),
+]
+
+
+def _verdict_lines(obj, checks) -> list:
+    lines = []
+    for name, checker, target in checks:
+        v = checker(obj) if target is None else checker(obj, target)
+        lines.append([name, target, v.status.value, v.prop, [list(c) for c in v.certificate],
+                      None if v.family is None else str(v.family), v.note])
+    return lines
+
+
+def verdicts_mix() -> str:
+    """Every public checker and target on each analyze_mix.g6 record: as a
+    general graph and, when connected and bipartite, as its bipartite graph
+    in both orientations. One JSON line per (record, object)."""
+    out = []
+    for line in (FIXTURES / "analyze_mix.g6").read_text().split():
+        g = parse_graph6(line)
+        objects = [("general", g, GENERAL_CHECKS)]
+        left = two_coloring(g) if g.n and is_connected(g) else None
+        if left is not None:
+            b = bipartite_from_graph(g, left)
+            objects += [("bipartite", b, BIPARTITE_CHECKS),
+                        ("transposed", transpose(b), BIPARTITE_CHECKS)]
+        for label, obj, checks in objects:
+            out.append(json.dumps({"graph6": line, "as": label,
+                                   "verdicts": _verdict_lines(obj, checks)}))
+    return "\n".join(out) + "\n"
+
+
+def tightness_n5() -> str:
+    """tightness_search at max_n=5 and 9 bipartite cells for every theorem
+    with a numeric hypothesis, one JSON line each."""
+    return "".join(json.dumps(tightness_search(tid, max_n=5, bip_cells=9)) + "\n"
+                   for tid in theorem_ids() if THEOREMS[tid].hyp is not None)
+
+
+def test_verdicts_match_fixture():
+    # generated before the checkers were rerouted through the theorem table;
+    # analyze drops NotApplicable verdicts, so this pins their notes too
+    assert verdicts_mix() == (FIXTURES / "verdicts_mix.json").read_text()
+
+
+def test_tightness_matches_fixture():
+    text = tightness_n5()
+    assert text == (FIXTURES / "tightness_n5.json").read_text()
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert len(rows) == 16
+    assert sum(bool(row["exceptions"]) for row in rows) == 8
+    assert sum(row["best_near_miss"] is not None for row in rows) == 12
+
+
+# the hand-written necessary edge counts the table's rules replaced
+OLD_M_MIN = {
+    "lemma-2.5": lambda n: n * n - n + 1,
+    "lemma-2.6": lambda n: n * n - 2 * n + 4,
+    "lemma-2.8": lambda n: n * n - 2 * n + 3,
+    "spectral-bipartite-hamiltonian": lambda n: n * n - 2 * n + 4,
+    "spectral-bipartite-traceable": lambda n: n * n - 2 * n + 3,
+    "spectral-bipartite-traceable-unbalanced": lambda n: n * n - n + 2,
+    "quasi-complement": lambda n: math.ceil(n * n - n * (n - 2) / 2 - 1e-9),
+    "lemma-3.4": lambda n: (n * n - 4 * n + 6) // 2 + 1,
+    "lemma-3.6": lambda n: (n * n - 4 * n + 3) // 2 + 1,
+    "tight-q-hamiltonian": lambda n: math.ceil(((n - 3) * (n - 1) + 3) / 2 - 1e-9),
+    "tight-q-traceable": lambda n: math.ceil((n - 3) * (n - 1) / 2 - 1e-9),
+    "yu-fan-hamiltonian": lambda n: math.ceil((n - 2) * (n - 1) / 2 - 1e-9),
+    "yu-fan-traceable": lambda n: math.ceil((n - 2) * (n - 1) / 2 - 1e-9),
+    "yu-connected-traceable": lambda n: math.ceil(((n - 2) * (n - 3) + 4) / 2 - 1e-9),
+    "zhou-complement-hamiltonian": lambda n: math.ceil(n * (n - 1) / 4 - 1e-9),
+    "zhou-complement-traceable": lambda n: max(math.ceil(n * (n - 2) / 4 - 1e-9), 0),
+}
+
+
+def test_derived_edge_counts_match_the_old_ones():
+    assert {tid for tid, spec in THEOREMS.items() if spec.m_min} == set(OLD_M_MIN)
+    for tid, old in OLD_M_MIN.items():
+        spec = THEOREMS[tid]
+        for n in range(spec.min_n, 40):
+            assert spec.m_min(n) == old(n), (tid, n)
+
+
+def test_disconnected_graph_reports_its_component_count():
+    three_k3 = disjoint_union(disjoint_union(complete(3), complete(3)), complete(3))
+    v = q_spectral_general(three_k3, "yu_connected_traceable")
+    assert v.status.value == "not_applicable"
+    assert dict(v.certificate) == {"components": 3}
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+def test_table1_rejects_non_finite_tolerances(tolerance):
+    with pytest.raises(ValueError):
+        table1_report(tolerance)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-64"])
+def test_verify_jobs_below_one_is_a_usage_error(jobs, capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(verify, "soundness", scan)
+    try:
+        code = main(["verify", "--theorem", "chvatal", "--max-n", "4", "--jobs", jobs])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 64
+    assert "--jobs" in capsys.readouterr().err
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("jobs, cpus, pool", [
+    (10 ** 6, 8, 4),   # four tasks, one per size
+    (10 ** 6, 2, 2),
+    (3, 8, 3),
+    (10 ** 6, None, None),  # cpu_count unknown: one worker, no pool
+    (1, 8, None),
+])
+def test_verify_pool_is_sized_by_tasks_and_cpus(jobs, cpus, pool, monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    report = soundness("lemma-3.4", sizes=[3, 4, 5, 6], jobs=jobs)
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    monkeypatch.undo()
+    assert report.to_dict() == soundness("lemma-3.4", sizes=[3, 4, 5, 6]).to_dict()
