@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -650,21 +651,27 @@ def recognize_family(g: Graph | BipartiteGraph, fid: FamilyId) -> bool:
     return _first_match(g, (fid,)) is not None
 
 
+@cache
+def _family_graph(fid: FamilyId) -> Optional[tuple[Graph, tuple[int, ...]]]:
+    """fid's canonical graph as a Graph and its degree sequence, built once;
+    None when fid has no canonical graph."""
+    try:
+        target = make_family(fid)
+    except ValueError:
+        return None
+    target = target.to_graph() if isinstance(target, BipartiteGraph) else target
+    return target, target.degree_sequence()
+
+
 def _first_match(g: Graph | BipartiteGraph, fids: tuple[FamilyId, ...]) -> Optional[FamilyId]:
     """The first of fids whose canonical graph is isomorphic to g as a graph,
     if any; g's degree sequence is computed once, for all of them."""
-    seq = None
-    for fid in fids:
-        try:
-            target = make_family(fid)
-        except ValueError:
-            continue
-        if isinstance(target, BipartiteGraph):
-            target = target.to_graph()
-        if seq is None:
-            if isinstance(g, BipartiteGraph):
-                g = g.to_graph()
-            seq = g.degree_sequence()
-        if g.n == target.n and seq == target.degree_sequence() and is_isomorphic(g, target):
+    families = [(fid, family) for fid in fids if (family := _family_graph(fid)) is not None]
+    if not families:
+        return None
+    g = g.to_graph() if isinstance(g, BipartiteGraph) else g
+    seq = g.degree_sequence()
+    for fid, (target, target_seq) in families:
+        if g.n == target.n and seq == target_seq and is_isomorphic(g, target):
             return fid
     return None

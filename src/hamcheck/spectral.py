@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -137,8 +138,11 @@ def _adjacency_stack(graphs: Sequence[Graph | BipartiteGraph]) -> np.ndarray:
     """The adjacency matrices of same-size graphs as a (B, n, n) float stack."""
     graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
     n = graphs[0].n if graphs else 0
-    adj = np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n)
-    return ((adj[:, :, None] >> np.arange(n)) & 1).astype(float)
+    width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
+    rows = chain.from_iterable(g.adj for g in graphs)
+    raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(float)
 
 
 def rho_stack(

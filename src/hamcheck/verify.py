@@ -27,9 +27,10 @@ the screen's eigenvalues are never reused as the checker's number); the
 checker itself, which still decides every verdict; and a buffer of
 hypothesis hits. Every ORACLE_BATCH hits, and at the end of the part,
 the buffer is decided by one batched exact oracle call and tallied in
-scan order. ``analyze``, ``oracle`` and
-``tightness_search`` look at one graph at a time and keep the scalar
-power iteration and oracle, which are faster for a single graph.
+scan order. ``tightness_search`` runs on the same slices and oracle.
+``analyze`` and ``oracle`` look at one graph at a time and keep the
+scalar power iteration and oracle, though the scalar oracle is faster
+than a batch of one only up to n = 8 (see ``oracle.py``).
 ``analyze`` computes each spectral radius at most once per graph:
 ``conditions.RADII`` maps each hypothesis kind to the graph and matrix it
 bounds, for the checkers, the scan, ``analyze`` and ``tightness_search``
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -59,6 +60,7 @@ from .conditions import (
 from .families import FamilyId, FamilyTag, make_family, nc_member, np_member
 from .graph6 import write_graph6
 from .graphs import BipartiteGraph, Graph
+# the scalar is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
 from .oracle import is_hamiltonian, is_hamiltonian_batch, is_traceable, is_traceable_batch
 from .spectral import (
     ADJACENCY,
@@ -83,20 +85,6 @@ DEFAULT_BIP_CELLS = 16
 
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _graph_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph:
-    """One mask's graph; scans build theirs in bulk with ``_Layout.build``."""
-    adj = [0] * n
-    k = 0
-    while mask:
-        if mask & 1:
-            i, j = pairs[k]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        mask >>= 1
-        k += 1
-    return Graph(n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -205,18 +193,7 @@ class SoundnessReport:
                 self.sizes.append(size)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "sizes": self.sizes,
-            "graphs_scanned": self.graphs_scanned,
-            "hypothesis_hits": self.hypothesis_hits,
-            "guaranteed_confirmed": self.guaranteed_confirmed,
-            "exceptions_matched": self.exceptions_matched,
-            "boundary_cases": self.boundary_cases,
-            "violations": list(self.violations),
-            "exceptions_by_family": dict(self.exceptions_by_family),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def summary_line(self) -> str:
         return (
@@ -351,21 +328,27 @@ def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
     return _bipartite_layout(p, q, *spec.delta_min)
 
 
-def _edge_matrices(layout: _Layout, matrix: str) -> np.ndarray:
-    """Per mask bit, the matrix (ADJACENCY or SIGNLESS_LAPLACIAN) of its edge."""
+def _hypothesis_values(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
+    """Per bit row of a slice, its graph's hypothesis quantity: the edge
+    count, or the top eigvalsh eigenvalue of the radius's matrix, summed
+    from the matrices of the row's edges (of its non-edges if complemented)."""
+    kind = spec.hyp[0]
+    if kind == "m":
+        return lambda bits: bits.sum(axis=1).astype(float)
+    radius = RADII[kind]
     basis = np.zeros((len(layout.slots), layout.nverts, layout.nverts))
     for k, (i, j) in enumerate(layout.slots):
         basis[k, i, j] = basis[k, j, i] = 1.0
-        if matrix == SIGNLESS_LAPLACIAN:
+        if radius.matrix == SIGNLESS_LAPLACIAN:
             basis[k, i, i] += 1.0
             basis[k, j, j] += 1.0
-    return basis
 
-
-def _has_property(g: Graph, prop: str) -> bool:
-    if prop == HAMILTONIAN:
-        return is_hamiltonian(g) is not None
-    return is_traceable(g) is not None
+    def top(bits: np.ndarray) -> np.ndarray:
+        weights = bits.astype(float)
+        if radius.complemented:
+            weights = 1.0 - weights
+        return np.linalg.eigvalsh(np.tensordot(weights, basis, axes=(1, 0)))[:, -1]
+    return top
 
 
 def _classify(report: SoundnessReport, spec: TheoremSpec, g: Graph, verdict: Verdict,
@@ -406,11 +389,18 @@ def _verdicts(spec: TheoremSpec, objs: list) -> list[Verdict]:
     return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
 
 
+def _oracle_batch(spec: TheoremSpec, objs: list) -> tuple[list[Graph], list]:
+    """The objects as graphs, and one batched oracle call's witness for the
+    theorem's property on each (None where the graph lacks it)."""
+    graphs = [obj.to_graph() if isinstance(obj, BipartiteGraph) else obj for obj in objs]
+    oracle = is_hamiltonian_batch if spec.prop == HAMILTONIAN else is_traceable_batch
+    return graphs, oracle(graphs)
+
+
 def _flush(report: SoundnessReport, spec: TheoremSpec, pending: list) -> None:
     """Decide the buffered hits with one batched oracle call, in scan order."""
-    graphs = [obj.to_graph() if isinstance(obj, BipartiteGraph) else obj for obj, _ in pending]
-    oracle = is_hamiltonian_batch if spec.prop == HAMILTONIAN else is_traceable_batch
-    for (_, verdict), g, witness in zip(pending, graphs, oracle(graphs)):
+    graphs, witnesses = _oracle_batch(spec, [obj for obj, _ in pending])
+    for (_, verdict), g, witness in zip(pending, graphs, witnesses):
         _classify(report, spec, g, verdict, witness is not None)
     pending.clear()
 
@@ -423,22 +413,18 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     report = SoundnessReport(theorem_id, [n])
     layout = _spec_layout(spec, n)
     m_min = spec.m_min(n) if spec.m_min else 0
-    basis = None
+    values = None
     if spec.spectral and layout.slots:
-        kind, threshold_fn, direction = spec.hyp
+        _, threshold_fn, direction = spec.hyp
         threshold = threshold_fn(n)
-        radius = RADII[kind]
-        basis = _edge_matrices(layout, radius.matrix)
+        values = _hypothesis_values(spec, layout)
     pending: list[tuple[object, Verdict]] = []
     for scanned, bits, degrees in _slices(layout, lo, hi, m_min):
         report.graphs_scanned += scanned
         if spec.screen is not None:
             bits = bits[spec.screen(degrees, bits)]
-        if basis is not None and len(bits):
-            weights = bits.astype(float)
-            if radius.complemented:
-                weights = 1.0 - weights
-            top = np.linalg.eigvalsh(np.tensordot(weights, basis, axes=(1, 0)))[:, -1]
+        if values is not None and len(bits):
+            top = values(bits)
             if direction == "le":
                 bits = bits[top <= threshold + SCREEN_GUARD]
             else:
@@ -545,7 +531,7 @@ def tightness_search(
     Near misses are graphs without the property whose hypothesis quantity
     fails by the smallest margin; the exception report states whether each
     stated exceptional graph satisfies its theorem's hypothesis at all.
-    Quantities come from the dense eigen oracle.
+    The exceptional graphs' quantities come from the dense eigen oracle.
     """
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
@@ -555,18 +541,15 @@ def tightness_search(
     kind, threshold_fn, direction = spec.hyp
     sizes = sizes_for(spec, max_n, bip_cells)
     _check_caps(spec, sizes)
-
-    def value(obj) -> float:
-        if kind == "m":
-            return float(obj.edge_count())
-        radius = RADII[kind]
-        return eigen_oracle(radius.operand(obj), radius.matrix)[-1]
-
+    radius = RADII.get(kind)
     exceptions = []
+    best: dict | None = None
     for n in sizes:
         threshold = threshold_fn(n)
         for fid in spec.exceptions_for(n):
-            got = value(make_family(fid))
+            obj = make_family(fid)
+            got = (float(obj.edge_count()) if radius is None
+                   else eigen_oracle(radius.operand(obj), radius.matrix)[-1])
             if direction == "le":
                 satisfied = got <= threshold + 1e-8
             elif direction == "gt":
@@ -580,28 +563,26 @@ def tightness_search(
                 "threshold": threshold,
                 "hypothesis_satisfied": satisfied,
             })
-    best: dict | None = None
-
-    def consider(obj) -> None:
-        nonlocal best
-        g = obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
-        if _has_property(g, spec.prop):
-            return
-        got = value(obj)
-        deficit = threshold - got if direction != "le" else got - threshold
-        if deficit <= 1e-8:
-            return  # hypothesis satisfied: that is the exception report's job
-        if best is None or deficit < best["deficit"]:
-            best = {
-                "graph6": write_graph6(g),
-                "value": got,
-                "threshold": threshold,
-                "deficit": deficit,
-            }
-
-    for n in sizes:
-        threshold = threshold_fn(n)
-        _visit_all(_spec_layout(spec, n), consider)
+        layout = _spec_layout(spec, n)
+        values = _hypothesis_values(spec, layout)
+        for _, bits, _ in _slices(layout, 0, 1 << len(layout.slots)):
+            graphs, witnesses = _oracle_batch(spec, layout.build(bits))
+            lacking = np.flatnonzero([witness is None for witness in witnesses])
+            if not len(lacking):
+                continue
+            got = values(bits[lacking])
+            deficits = got - threshold if direction == "le" else threshold - got
+            # a satisfied hypothesis is the exception report's job
+            deficits[deficits <= 1e-8] = np.inf
+            # argmin takes the first of equal deficits, so scan order breaks ties
+            i = int(np.argmin(deficits))
+            if deficits[i] < (np.inf if best is None else best["deficit"]):
+                best = {
+                    "graph6": write_graph6(graphs[lacking[i]]),
+                    "value": float(got[i]),
+                    "threshold": threshold,
+                    "deficit": float(deficits[i]),
+                }
     return {
         "theorem_id": theorem_id,
         "exceptions": exceptions,

@@ -286,6 +286,31 @@ def test_nc_np_membership():
     assert nc_np_membership(cycle(5)) is None
 
 
+def test_exceptional_graphs_are_built_once(monkeypatch):
+    from hamcheck import conditions
+
+    built = []
+
+    def counting_make_family(fid):
+        built.append(fid)
+        return make_family(fid)
+
+    monkeypatch.setattr(conditions, "make_family", counting_make_family)
+    conditions._family_graph.cache_clear()
+    row = conditions.CONDITIONS["lemma-3.6"]
+    listed = row.exceptions(6)
+    assert len(listed) == 4
+    for _ in range(3):
+        assert conditions.decide(row, complete(6)).status is Status.GUARANTEED
+        assert conditions.decide(row, make_family(listed[-1])).family == listed[-1]
+    assert sorted(built, key=str) == sorted(listed, key=str)
+    # a family without a canonical graph is remembered as such
+    no_graph = FamilyId(FamilyTag.JOIN_EXPR)
+    for _ in range(3):
+        assert not recognize_family(complete(6), no_graph)
+    assert built.count(no_graph) == 1
+
+
 def test_recognize_family_label_invariance():
     rng = random.Random(3)
     for fid in (nc_member(4), np_member(5), FamilyId(FamilyTag.KN1_PLUS_EDGE, (5,))):

@@ -82,10 +82,10 @@ def verdicts_mix() -> str:
     return "\n".join(out) + "\n"
 
 
-def tightness_n5() -> str:
-    """tightness_search at max_n=5 and 9 bipartite cells for every theorem
-    with a numeric hypothesis, one JSON line each."""
-    return "".join(json.dumps(tightness_search(tid, max_n=5, bip_cells=9)) + "\n"
+def tightness_lines(**kwargs) -> str:
+    """tightness_search(tid, **kwargs) for every theorem with a numeric
+    hypothesis, one JSON line each."""
+    return "".join(json.dumps(tightness_search(tid, **kwargs)) + "\n"
                    for tid in theorem_ids() if THEOREMS[tid].hyp is not None)
 
 
@@ -96,12 +96,18 @@ def test_verdicts_match_fixture():
 
 
 def test_tightness_matches_fixture():
-    text = tightness_n5()
+    text = tightness_lines(max_n=5, bip_cells=9)
     assert text == (FIXTURES / "tightness_n5.json").read_text()
     rows = [json.loads(line) for line in text.splitlines()]
     assert len(rows) == 16
     assert sum(bool(row["exceptions"]) for row in rows) == 8
     assert sum(row["best_near_miss"] is not None for row in rows) == 12
+
+
+def test_tightness_at_defaults_matches_fixture():
+    # max_n=6 and 16 bipartite cells: n=6 general graphs and side-4 bipartite ones
+    text = tightness_lines()
+    assert text == (FIXTURES / "tightness_n6.json").read_text()
 
 
 # the hand-written necessary edge counts the table's rules replaced
