@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 MAX_VERTICES = 512
 
 
@@ -46,24 +44,10 @@ class Graph(NamedTuple):
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v in bits(self.adj[u]):
-                a[u, v] = 1.0
-        return a
-
-    def signless_laplacian(self) -> np.ndarray:
-        a = self.adjacency_matrix()
-        return a + np.diag(a.sum(axis=1))
 
 
 class BipartiteGraph(NamedTuple):
@@ -154,14 +138,19 @@ def star(n: int) -> Graph:
     return from_edges(n, [(v, n - 1) for v in range(n - 1)])
 
 
+def _check_sides(p: int, q: int) -> None:
+    for count in (p, q, p + q):
+        _check_n(count)
+
+
 def complete_bipartite(p: int, q: int) -> BipartiteGraph:
-    _check_n(p + q)
+    _check_sides(p, q)
     full = (1 << q) - 1
     return BipartiteGraph(p, q, (full,) * p)
 
 
 def bipartite_from_edges(p: int, q: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-    _check_n(p + q)
+    _check_sides(p, q)
     rows = [0] * p
     for x, y in edges:
         if not (0 <= x < p and 0 <= y < q):

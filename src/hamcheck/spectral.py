@@ -3,12 +3,14 @@
 Two independent routes: deterministic power iteration (the production
 path) and a dense symmetric eigendecomposition used only as an oracle.
 
-Power iteration comes in two forms that run the same steps: ``rho`` and
-``q_radius`` on one graph, and ``rho_stack`` and ``q_radius_stack`` on a
-list of graphs of one size, stacked into a (B, n, n) array. The stacked
-form pays numpy's per-call overhead once per step for the whole stack, so
-soundness scans use it; for a single graph it is slower, so everything
-else keeps the scalar form.
+``matrix_stack`` is the one place that turns bitset rows into a matrix:
+every route, the verify scan's eigvalsh screen included, gets A or Q from
+it. Power iteration comes in two forms that run the same steps on those
+matrices: ``rho`` and ``q_radius`` on one graph, and ``rho_stack`` and
+``q_radius_stack`` on a list of graphs of one size, stacked into a
+(B, n, n) array. The stacked form pays numpy's per-call overhead once per
+step for the whole stack, so soundness scans use it; for a single graph
+it is slower, so everything else keeps the scalar form.
 """
 
 from __future__ import annotations
@@ -134,31 +136,36 @@ def _power_iteration_stack(
     )
 
 
-def _adjacency_stack(graphs: Sequence[Graph | BipartiteGraph]) -> np.ndarray:
-    """The adjacency matrices of same-size graphs as a (B, n, n) float stack."""
+def matrix_stack(graphs: Sequence[Graph | BipartiteGraph], which: str) -> np.ndarray:
+    """A, or Q = A + D, of each same-size graph as a (B, n, n) float stack."""
+    if which not in (ADJACENCY, SIGNLESS_LAPLACIAN):
+        raise ValueError(f"unknown matrix kind {which!r}")
     graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
     n = graphs[0].n if graphs else 0
     width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
     rows = chain.from_iterable(g.adj for g in graphs)
     raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
-    return np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(float)
+    matrices = np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(float)
+    if which == SIGNLESS_LAPLACIAN:
+        # A has a zero diagonal, so writing the degrees there adds D
+        diagonal = np.arange(n)
+        matrices[:, diagonal, diagonal] = matrices.sum(axis=2)
+    return matrices
 
 
 def rho_stack(
     graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
 ) -> list[SpectralEstimate]:
     """``rho`` of each graph; all graphs have the same number of vertices."""
-    return _power_iteration_stack(_adjacency_stack(graphs), tol, shift=1.0)
+    return _power_iteration_stack(matrix_stack(graphs, ADJACENCY), tol, shift=1.0)
 
 
 def q_radius_stack(
     graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
 ) -> list[SpectralEstimate]:
     """``q_radius`` of each graph; all graphs have the same number of vertices."""
-    a = _adjacency_stack(graphs)
-    q = a + a.sum(axis=2)[:, :, None] * np.eye(a.shape[1])
-    return _power_iteration_stack(q, tol, shift=0.0)
+    return _power_iteration_stack(matrix_stack(graphs, SIGNLESS_LAPLACIAN), tol, shift=0.0)
 
 
 def rho(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
@@ -167,30 +174,19 @@ def rho(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate
     Runs on A + I so that the +/-rho oscillation of bipartite spectra
     cannot stall convergence.
     """
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
-    return _power_iteration(g.adjacency_matrix(), tol, shift=1.0)
+    return _power_iteration(matrix_stack([g], ADJACENCY)[0], tol, shift=1.0)
 
 
 def q_radius(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
     """Signless Laplacian spectral radius; Q is PSD so no shift is needed."""
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
-    return _power_iteration(g.signless_laplacian(), tol, shift=0.0)
+    return _power_iteration(matrix_stack([g], SIGNLESS_LAPLACIAN)[0], tol, shift=0.0)
 
 
 def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[float]:
     """All eigenvalues of the chosen matrix, ascending (dense route, n <= 64)."""
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
-    if g.n > DENSE_CAP:
+    matrix = matrix_stack([g], which)[0]
+    if len(matrix) > DENSE_CAP:
         raise ValueError(f"dense oracle capped at n <= {DENSE_CAP}")
-    if which == ADJACENCY:
-        matrix = g.adjacency_matrix()
-    elif which == SIGNLESS_LAPLACIAN:
-        matrix = g.signless_laplacian()
-    else:
-        raise ValueError(f"unknown matrix kind {which!r}")
     return [float(v) for v in np.linalg.eigvalsh(matrix)]
 
 

@@ -66,6 +66,7 @@ from .spectral import (
     ADJACENCY,
     SIGNLESS_LAPLACIAN,
     eigen_oracle,
+    matrix_stack,
     q_radius,
     q_radius_stack,
     rho_stack,
@@ -330,18 +331,16 @@ def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
 
 def _hypothesis_values(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
     """Per bit row of a slice, its graph's hypothesis quantity: the edge
-    count, or the top eigvalsh eigenvalue of the radius's matrix, summed
-    from the matrices of the row's edges (of its non-edges if complemented)."""
+    count, or the top eigvalsh eigenvalue of the radius's matrix. A and Q
+    are linear in the edges, so that matrix is the sum, over the row's
+    edges (its non-edges if complemented), of ``matrix_stack``'s matrix of
+    the layout's graph with that one edge."""
     kind = spec.hyp[0]
     if kind == "m":
         return lambda bits: bits.sum(axis=1).astype(float)
     radius = RADII[kind]
-    basis = np.zeros((len(layout.slots), layout.nverts, layout.nverts))
-    for k, (i, j) in enumerate(layout.slots):
-        basis[k, i, j] = basis[k, j, i] = 1.0
-        if radius.matrix == SIGNLESS_LAPLACIAN:
-            basis[k, i, i] += 1.0
-            basis[k, j, j] += 1.0
+    single_edges = layout.build(np.eye(len(layout.slots), dtype=np.int64))
+    basis = matrix_stack(single_edges, radius.matrix)
 
     def top(bits: np.ndarray) -> np.ndarray:
         weights = bits.astype(float)

@@ -243,6 +243,14 @@ def test_family_bad_params(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("p, n", [(-2, 5), (3, -1)])
+def test_family_negative_side_is_usage_error(capsys, p, n):
+    code, out, err = run(capsys, ["family", "completebipartite", "--p", str(p), "--n", str(n),
+                                  "--format", "edges"])
+    assert code == 64 and out == ""
+    assert f"vertex count {min(p, n)} outside" in err
+
+
 def test_oracle_cli(capsys, monkeypatch):
     g6 = write_graph6(cycle(5))
     code, out, _ = run(capsys, ["oracle", "--format", "json"], stdin=g6 + "\n",

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hamcheck.graphs import (
     BipartiteGraph,
     Graph,
+    bipartite_from_edges,
     bipartite_from_graph,
     complement,
     complete,
@@ -134,6 +135,14 @@ def test_is_complete_bipartite_plus_isolated():
 def test_degree_sum_is_twice_edges(n, seed):
     g = random_graph(n, seed)
     assert sum(g.degrees()) == 2 * g.edge_count()
+
+
+@pytest.mark.parametrize("p, q", [(-1, 2), (2, -1), (-3, 3)])
+def test_negative_side_sizes_rejected(p, q):
+    with pytest.raises(ValueError, match="vertex count"):
+        complete_bipartite(p, q)
+    with pytest.raises(ValueError, match="vertex count"):
+        bipartite_from_edges(p, q, [])
 
 
 def test_bipartite_min_degree_without_vertices():

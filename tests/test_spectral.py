@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +15,12 @@ from hamcheck.graphs import (
     star,
 )
 from hamcheck.spectral import (
+    ADJACENCY,
+    SIGNLESS_LAPLACIAN,
     Relation,
     compare_threshold,
     eigen_oracle,
+    matrix_stack,
     q_radius,
     q_radius_stack,
     q_upper_bound,
@@ -135,6 +139,42 @@ def test_stacked_power_iteration_matches_scalar():
         assert abs(got.value - want.value) <= 1e-12
     assert compared == 12 * 41 * 2
     assert rho_stack([]) == q_radius_stack([]) == []
+
+
+def _matrices_from_edges(n, edges):
+    """A and A + diag(degrees), written entry by entry from an edge list."""
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    return a, a + np.diag(a.sum(axis=1))
+
+
+def test_matrix_stack_matches_edge_list_construction():
+    # power iteration and the dense oracle both read matrix_stack, so pin it
+    # against matrices built here from each graph's edges
+    from hamcheck.graphs import bipartite_from_edges
+
+    rng = random.Random(5)
+    for n in [*range(0, 11), 64, 65]:
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(5)]
+        want = [_matrices_from_edges(n, g.edges()) for g in graphs]
+        for k, which in enumerate((ADJACENCY, SIGNLESS_LAPLACIAN)):
+            got = matrix_stack(graphs, which)
+            assert got.shape == (len(graphs), n, n)
+            assert np.array_equal(got, np.array([pair[k] for pair in want]))
+    for p, q in [(1, 1), (2, 3), (4, 2), (3, 5), (0, 3)]:
+        cross = [(x, y) for x in range(p) for y in range(q) if rng.random() < 0.6]
+        b = bipartite_from_edges(p, q, cross)
+        a, signless = _matrices_from_edges(p + q, [(x, p + y) for x, y in cross])
+        assert np.array_equal(matrix_stack([b], ADJACENCY)[0], a)
+        assert np.array_equal(matrix_stack([b], SIGNLESS_LAPLACIAN)[0], signless)
+
+
+def test_matrix_stack_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        matrix_stack([complete(3)], "laplacian")
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        eigen_oracle(complete(3), "laplacian")
 
 
 def test_table1_spot_values():
