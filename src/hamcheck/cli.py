@@ -1,7 +1,8 @@
 """Command-line surface: analyze graphs, reproduce Table 1, run soundness scans.
 
-Exit codes: 0 clean, 2 parse/processing errors, 64 usage errors (unknown
-subcommand, theorem, family, or bad parameters).
+Exit codes: 0 clean, 2 parse/processing errors (a record that is not
+ASCII among them), 64 usage errors (unknown subcommand, theorem, family,
+bad parameters, or an input file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import sys
 import time
 from functools import partial
-from typing import Iterator, Optional, TextIO
+from typing import BinaryIO, Iterator, Optional, TextIO
 
 from . import verify as verify_mod
 from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, RADII, Status, Verdict
@@ -115,11 +116,28 @@ def _build_parser() -> _Parser:
 
 # ------------------------------------------------------------------ input
 
-def _read_graphs(args) -> Iterator[tuple[str, Optional[Graph], Optional[str]]]:
+Records = Iterator[tuple[str, Optional[Graph], Optional[str]]]
+
+
+def _open_input(args) -> Optional[Records]:
+    """The input's records, or None, after a message naming the file, when
+    the file cannot be opened. The input is read as bytes (stdin's byte
+    buffer, where it has one), so no byte fails to decode: a record that is
+    not ASCII is that record's parse error."""
+    if not args.file:
+        return _read_graphs(args, getattr(sys.stdin, "buffer", sys.stdin))
+    try:
+        stream = open(args.file, "rb")
+    except OSError as exc:
+        print(f"hamcheck {args.command}: cannot read {args.file}: {exc.strerror}",
+              file=sys.stderr)
+        return None
+    return _read_graphs(args, stream)
+
+
+def _read_graphs(args, stream: BinaryIO | TextIO) -> Records:
     """Yield (record id, graph, error message); exactly one of graph/error set."""
-    stream: TextIO
     name = args.file or "<stdin>"
-    stream = open(args.file) if args.file else sys.stdin
     try:
         if args.edgelist:
             yield (name, *_parse_edgelist(stream))
@@ -138,7 +156,7 @@ def _read_graphs(args) -> Iterator[tuple[str, Optional[Graph], Optional[str]]]:
             stream.close()
 
 
-def _parse_edgelist(stream: TextIO) -> tuple[Optional[Graph], Optional[str]]:
+def _parse_edgelist(stream: BinaryIO | TextIO) -> tuple[Optional[Graph], Optional[str]]:
     tokens = stream.read().split()
     try:
         if len(tokens) < 2:
@@ -225,8 +243,11 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], tol: float,
 
 
 def cmd_analyze(args) -> int:
+    records = _open_input(args)
+    if records is None:
+        return EXIT_USAGE
     status = EXIT_OK
-    for rec_id, g, err in _read_graphs(args):
+    for rec_id, g, err in records:
         if err is not None:
             print(f"error: {rec_id}: {err}", file=sys.stderr)
             status = EXIT_PARSE
@@ -388,8 +409,11 @@ def cmd_family(args) -> int:
 # ----------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
+    records = _open_input(args)
+    if records is None:
+        return EXIT_USAGE
     status = EXIT_OK
-    for rec_id, g, err in _read_graphs(args):
+    for rec_id, g, err in records:
         if err is not None:
             print(f"error: {rec_id}: {err}", file=sys.stderr)
             status = EXIT_PARSE

@@ -582,9 +582,11 @@ def _regular_join_witness(g: Graph, target_deg: int, r_max: int, kind: str):
 
     Every H-vertex then has full degree target_deg in g, so candidate B
     sides are exactly unions of complement components covering all
-    vertices of other degrees.
+    vertices of other degrees. So at least n - r_max vertices have it.
     """
     degrees = g.degrees()
+    if degrees.count(target_deg) < g.n - r_max:
+        return None
     odd_mask = 0
     for v in range(g.n):
         if degrees[v] != target_deg:
@@ -612,15 +614,16 @@ def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
     n = g.n
     degrees = g.degrees()
     if family == "EC":
-        # (a) trivial graph joined with two complete components
-        for u in range(n):
-            if degrees[u] == n - 1 and n >= 3:
-                rest = [v for v in range(n) if v != u]
-                sub = induced_subgraph(g, rest)
-                comps = connected_components(sub)
-                if len(comps) == 2 and all(_is_complete_mask(sub, c) for c in comps):
-                    sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
-                    return JoinWitness("trivial-join-two-cliques", (u,), sides[0] + sides[1])
+        # (a) trivial graph joined with two complete components: the one
+        # vertex of degree n - 1 (a second one would join the two)
+        if n >= 3 and degrees.count(n - 1) == 1:
+            u = degrees.index(n - 1)
+            rest = [v for v in range(n) if v != u]
+            sub = induced_subgraph(g, rest)
+            comps = connected_components(sub)
+            if len(comps) == 2 and all(_is_complete_mask(sub, c) for c in comps):
+                sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
+                return JoinWitness("trivial-join-two-cliques", (u,), sides[0] + sides[1])
         # (b) regular of degree (n-1)/2 - r joined with r vertices
         if n >= 3 and (n - 1) % 2 == 0:
             return _regular_join_witness(g, (n - 1) // 2, (n - 1) // 2, "regular-join")
@@ -628,11 +631,14 @@ def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
     if family == "EP":
         if n % 2 == 0 and all(d == n // 2 - 1 for d in degrees):
             return JoinWitness("regular", tuple(range(n)), ())
-        comps = connected_components(g)
-        if len(comps) == 2 and all(_is_complete_mask(g, c) for c in comps):
-            return JoinWitness(
-                "two-complete-components", tuple(bits(comps[0])), tuple(bits(comps[1]))
-            )
+        # two complete components: the smaller has at most n // 2 vertices,
+        # each of degree below n // 2
+        if min(degrees, default=0) < n // 2:
+            comps = connected_components(g)
+            if len(comps) == 2 and all(_is_complete_mask(g, c) for c in comps):
+                return JoinWitness(
+                    "two-complete-components", tuple(bits(comps[0])), tuple(bits(comps[1]))
+                )
         if n % 2 == 0 and n >= 4:
             return _regular_join_witness(g, n // 2 - 1, n // 2 - 1, "regular-join")
         return None

@@ -38,7 +38,11 @@ def _parse_size(data: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(text: str | bytes) -> Graph:
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    try:
+        data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as exc:
+        char = exc.object[exc.start]
+        raise Graph6Error(f"non-ASCII character {char!r} in graph6 record") from None
     if data.startswith(HEADER.encode("ascii")):
         data = data[len(HEADER):]
     data = data.strip()

@@ -12,12 +12,14 @@ G(n, 1/2), scalar vs ``*_batch([g])``, cycle / path: n=8 0.17 vs 0.59 /
 4.0). ``analyze`` runs the path DP only on graphs the cycle DP found
 non-Hamiltonian, since a Hamiltonian cycle less one edge is a Hamiltonian
 path; ``oracle`` prints a path witness, so it runs both.
-``is_hamiltonian_batch`` and ``is_traceable_batch`` take a list of graphs
-and pull endpoints from each subset's predecessors with numpy, one
-popcount layer at a time, for every graph of a size at once; soundness
-scans use them on their buffered hypothesis hits, ``tightness_search`` on
-each scan slice. Both forms reconstruct and check a witness for every
-positive answer.
+``witness_rows`` is the array core of the other form: it takes a (B, n)
+uint32 array of adjacency bitsets and pulls endpoints from each subset's
+predecessors with numpy, one popcount layer at a time, for every row at
+once. Soundness scans and ``tightness_search`` hand it the rows of their
+scan slices; ``is_hamiltonian_batch`` and ``is_traceable_batch`` wrap it
+for a list of graphs. Both forms reconstruct and check a witness for
+every positive answer, with one check: ``check_witnesses`` tests every
+witness of a batch at once, and ``_check_witness`` is its one-row case.
 
 MAX_DP_N keeps one scalar call within a budget of about 10 s on one core.
 The DP table has 2^n entries and the cost grows about 2.2x per vertex.
@@ -52,13 +54,26 @@ class HamWitness(NamedTuple):
     order: tuple[int, ...]
 
 
+def check_witnesses(adj: np.ndarray, orders: np.ndarray, kind: str) -> None:
+    """Raise AssertionError unless each row of ``orders`` is a Hamiltonian
+    path of the graph in the same row of ``adj``, a (B, n) array of
+    adjacency bitsets, and for kind CYCLE one whose ends are adjacent."""
+    count, n = adj.shape
+    if not count:
+        return
+    if orders.shape != (count, n) or not (np.sort(orders, axis=1) == np.arange(n)).all():
+        raise AssertionError("witness is not a permutation")
+    rows = np.arange(count)
+    steps = (adj[rows[:, None], orders[:, :-1]] >> orders[:, 1:]) & 1
+    if not steps.all():
+        r, k = np.argwhere(steps == 0)[0]
+        raise AssertionError(f"witness edge ({orders[r, k]},{orders[r, k + 1]}) missing")
+    if kind == CYCLE and not ((adj[rows, orders[:, -1]] >> orders[:, 0]) & 1).all():
+        raise AssertionError("witness cycle does not close")
+
+
 def _check_witness(g: Graph, witness: HamWitness) -> None:
-    order = witness.order
-    assert sorted(order) == list(range(g.n)), "witness is not a permutation"
-    for a, b in zip(order, order[1:]):
-        assert g.has_edge(a, b), f"witness edge ({a},{b}) missing"
-    if witness.kind == CYCLE:
-        assert g.has_edge(order[-1], order[0]), "witness cycle does not close"
+    check_witnesses(np.array([g.adj], dtype=np.uint32), np.array([witness.order]), witness.kind)
 
 
 def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
@@ -147,32 +162,48 @@ def _batch(graphs: Sequence[Graph], kind: str) -> list[Optional[HamWitness]]:
         if g.n > MAX_DP_N:
             raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
         by_n.setdefault(g.n, []).append(i)
-    for n, members in by_n.items():
-        if kind == PATH and n == 1:
-            for i in members:
-                out[i] = HamWitness(PATH, (0,))
-            continue
-        if n < (3 if kind == CYCLE else 2):
-            continue
-        # the scalar preconditions: connected, and for cycles min degree 2
+    for members in by_n.values():
         adj = np.array([graphs[i].adj for i in members], dtype=np.uint32)
-        eligible = _connected(adj)
-        if kind == CYCLE:
-            eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
-        members = [i for i, ok in zip(members, eligible) if ok]
-        adj = adj[eligible]
-        step = max(1, BATCH_TABLE_CELLS >> n)
-        for lo in range(0, len(members), step):
-            chunk = adj[lo:lo + step]
-            dp = _endpoint_tables(chunk, kind == CYCLE)
-            ends = dp[:, -1] & chunk[:, 0] if kind == CYCLE else dp[:, -1]
-            found = np.flatnonzero(ends)
-            orders = _walk_back(dp[found], chunk[found], _lowest_bit(ends[found]))
-            for r, order in zip(found.tolist(), orders.tolist()):
-                witness = HamWitness(kind, tuple(order))
-                _check_witness(graphs[members[lo + r]], witness)
-                out[members[lo + r]] = witness
+        found, orders = witness_rows(adj, kind)
+        for i, order in zip(np.array(members)[found].tolist(), orders.tolist()):
+            out[i] = HamWitness(kind, tuple(order))
     return out
+
+
+def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The batched DP on a (B, n) uint32 array of adjacency bitsets, one
+    graph of size n <= MAX_DP_N per row: per row, whether the graph has a
+    Hamiltonian cycle (kind CYCLE) or path (PATH), and the witness orders
+    of the rows that do, in row order, as one checked (found rows, n) array.
+    """
+    count, n = adj.shape
+    if n > MAX_DP_N:
+        raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
+    cycle = kind == CYCLE
+    found = np.zeros(count, dtype=bool)
+    orders = np.zeros((count, n), dtype=np.int64)
+    if not cycle and n == 1:
+        found[:] = True
+        return found, orders
+    if n < (3 if cycle else 2):
+        return found, orders[:0]
+    # the scalar preconditions: connected, and for cycles min degree 2
+    eligible = _connected(adj)
+    if cycle:
+        eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
+    members = np.flatnonzero(eligible)
+    step = max(1, BATCH_TABLE_CELLS >> n)
+    for lo in range(0, len(members), step):
+        rows = members[lo:lo + step]
+        chunk = adj[rows]
+        dp = _endpoint_tables(chunk, cycle)
+        ends = dp[:, -1] & chunk[:, 0] if cycle else dp[:, -1]
+        hit = np.flatnonzero(ends)
+        orders[rows[hit]] = _walk_back(dp[hit], chunk[hit], _lowest_bit(ends[hit]))
+        found[rows[hit]] = True
+    orders = orders[found]
+    check_witnesses(adj[found], orders, kind)
+    return found, orders
 
 
 def _lowest_bit(x: np.ndarray) -> np.ndarray:

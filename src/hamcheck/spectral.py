@@ -6,11 +6,16 @@ path) and a dense symmetric eigendecomposition used only as an oracle.
 ``matrix_stack`` is the one place that turns bitset rows into a matrix:
 every route, the verify scan's eigvalsh screen included, gets A or Q from
 it. Power iteration comes in two forms that run the same steps on those
-matrices: ``rho`` and ``q_radius`` on one graph, and ``rho_stack`` and
-``q_radius_stack`` on a list of graphs of one size, stacked into a
-(B, n, n) array. The stacked form pays numpy's per-call overhead once per
-step for the whole stack, so soundness scans use it; for a single graph
-it is slower, so everything else keeps the scalar form.
+matrices: ``rho`` and ``q_radius`` on one graph, and ``radius_stack`` on a
+(B, n, n) stack of matrices of one kind. ``_SHIFT`` alone says which
+shift each kind runs with. ``rho_stack`` and ``q_radius_stack`` are
+``matrix_stack`` plus ``radius_stack`` for a list of graphs of one size;
+the verify scan instead hands ``radius_stack`` the matrices its screen
+built, kept for the graphs that pass it. The stacked form pays numpy's
+per-call overhead once per step for the whole stack, so soundness scans
+use it; for a single graph it is slower, so everything else keeps the
+scalar form. Each matrix of a stack gets the same estimate, bit for bit,
+whatever else is in the stack.
 """
 
 from __future__ import annotations
@@ -154,32 +159,46 @@ def matrix_stack(graphs: Sequence[Graph | BipartiteGraph], which: str) -> np.nda
     return matrices
 
 
+# the shift each matrix kind's power iteration runs with: A + I, so that the
+# +/-rho oscillation of bipartite spectra cannot stall convergence; Q is PSD,
+# so it needs none
+_SHIFT = {ADJACENCY: 1.0, SIGNLESS_LAPLACIAN: 0.0}
+
+
+def radius_stack(
+    matrices: np.ndarray, which: str, tol: float = DEFAULT_TOL
+) -> list[SpectralEstimate]:
+    """The spectral radius of each matrix of a (B, n, n) stack of ``which``
+    matrices (ADJACENCY or SIGNLESS_LAPLACIAN), as ``matrix_stack`` builds
+    them; ``rho`` or ``q_radius`` of each graph the stack came from."""
+    if which not in _SHIFT:
+        raise ValueError(f"unknown matrix kind {which!r}")
+    return _power_iteration_stack(matrices, tol, _SHIFT[which])
+
+
 def rho_stack(
     graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
 ) -> list[SpectralEstimate]:
     """``rho`` of each graph; all graphs have the same number of vertices."""
-    return _power_iteration_stack(matrix_stack(graphs, ADJACENCY), tol, shift=1.0)
+    return radius_stack(matrix_stack(graphs, ADJACENCY), ADJACENCY, tol)
 
 
 def q_radius_stack(
     graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
 ) -> list[SpectralEstimate]:
     """``q_radius`` of each graph; all graphs have the same number of vertices."""
-    return _power_iteration_stack(matrix_stack(graphs, SIGNLESS_LAPLACIAN), tol, shift=0.0)
+    return radius_stack(matrix_stack(graphs, SIGNLESS_LAPLACIAN), SIGNLESS_LAPLACIAN, tol)
 
 
 def rho(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
-    """Spectral radius of the adjacency matrix.
-
-    Runs on A + I so that the +/-rho oscillation of bipartite spectra
-    cannot stall convergence.
-    """
-    return _power_iteration(matrix_stack([g], ADJACENCY)[0], tol, shift=1.0)
+    """Spectral radius of the adjacency matrix."""
+    return _power_iteration(matrix_stack([g], ADJACENCY)[0], tol, _SHIFT[ADJACENCY])
 
 
 def q_radius(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
-    """Signless Laplacian spectral radius; Q is PSD so no shift is needed."""
-    return _power_iteration(matrix_stack([g], SIGNLESS_LAPLACIAN)[0], tol, shift=0.0)
+    """Signless Laplacian spectral radius."""
+    return _power_iteration(matrix_stack([g], SIGNLESS_LAPLACIAN)[0], tol,
+                            _SHIFT[SIGNLESS_LAPLACIAN])
 
 
 def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[float]:

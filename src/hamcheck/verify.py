@@ -17,17 +17,24 @@ caps, the scan layout and ``tightness_search``.
 
 The scan works on slices of at most SLICE masks, so its temporaries stay
 bounded, and each slice goes through one pipeline whatever the graph
-kind: the m/delta filter, which also yields each graph's degree table;
-for the degree theorems (Chvatal, bipartite degree, Moon-Moser) a degree
-screen that evaluates the checker's own inequality on the whole slice in
-exact integer arithmetic, so only graphs whose hypothesis holds are built;
-for the spectral ones the eigvalsh screen and one stacked power
-iteration on the surviving graphs (each spectral checker's own matrix;
-the screen's eigenvalues are never reused as the checker's number); the
-checker itself, which still decides every verdict; and a buffer of
-hypothesis hits. Every ORACLE_BATCH hits, and at the end of the part,
-the buffer is decided by one batched exact oracle call and tallied in
-scan order. ``tightness_search`` runs on the same slices and oracle.
+kind. A graph is a row of the slice's arrays throughout: its mask bits,
+its degree table, its hypothesis matrix and its adjacency bitsets
+(``_Layout.adjacency``, side X first as ``to_graph``). The pipeline: the
+m/delta filter, which also yields the degree tables; for the degree
+theorems (Chvatal, bipartite degree, Moon-Moser) a degree screen that
+evaluates the checker's own inequality on the whole slice in exact
+integer arithmetic; for the spectral ones the eigvalsh screen on the
+slice's hypothesis matrices, then ``spectral.radius_stack`` on the
+matrices of the graphs that pass it (the checker's own matrix, built
+once; the screen's eigenvalues are never reused as the checker's
+number); the checker itself, called once per graph that reaches it, on
+the one graph object the scan builds, which still decides every verdict;
+and a buffer of the hits' verdicts and adjacency rows. Every
+ORACLE_BATCH hits, and at the end of the part, the buffered rows are
+decided by one call of the oracle's array core, ``oracle.witness_rows``,
+and tallied in scan order. ``tightness_search`` hands each slice's rows to
+the same core and builds no graph object at all. A Graph is built from a
+row only for the graph6 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time and keep the
 scalar power iteration and oracle, though the scalar oracle is faster
 than a batch of one only up to n = 8 (see ``oracle.py``).
@@ -44,6 +51,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,16 +69,8 @@ from .families import FamilyId, FamilyTag, make_family, nc_member, np_member
 from .graph6 import write_graph6
 from .graphs import BipartiteGraph, Graph
 # the scalar is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
-from .oracle import is_hamiltonian, is_hamiltonian_batch, is_traceable, is_traceable_batch
-from .spectral import (
-    ADJACENCY,
-    SIGNLESS_LAPLACIAN,
-    eigen_oracle,
-    matrix_stack,
-    q_radius,
-    q_radius_stack,
-    rho_stack,
-)
+from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
+from .spectral import eigen_oracle, matrix_stack, q_radius, radius_stack
 
 SCREEN_GUARD = 1e-6
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
@@ -94,20 +94,31 @@ class _Layout:
     nverts: int
     slots: list[tuple[int, int]]   # the vertex pair of each mask bit
     min_degree: list[int]          # per vertex
-    row_bits: np.ndarray           # [mask bit, row]: what the bit adds to that adjacency row
+    row_bits: np.ndarray           # [mask bit, row]: what the bit adds to that row of make's
     make: Callable[[tuple[int, ...]], Graph | BipartiteGraph]
+    graph_bits: np.ndarray         # [mask bit, vertex]: the same for the graph's adjacency
 
     def build(self, bits: np.ndarray) -> list:
         """The graphs whose masks' bits are the rows of ``bits``."""
         return [self.make(tuple(rows)) for rows in (bits @ self.row_bits).tolist()]
 
+    def adjacency(self, bits: np.ndarray) -> np.ndarray:
+        """Per row of ``bits``, its graph's adjacency bitsets as one uint32
+        row; a bipartite graph's vertices go side X first, as ``to_graph``."""
+        return (bits @ self.graph_bits).astype(np.uint32)
+
+
+def _graph_bits(nverts: int, slots: list[tuple[int, int]]) -> np.ndarray:
+    out = np.zeros((len(slots), nverts), dtype=np.int64)
+    for k, (i, j) in enumerate(slots):
+        out[k, i], out[k, j] = 1 << j, 1 << i
+    return out
+
 
 def _general_layout(n: int, delta_min: int) -> _Layout:
     pairs = _pairs(n)
-    row_bits = np.zeros((len(pairs), n), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        row_bits[k, i], row_bits[k, j] = 1 << j, 1 << i
-    return _Layout(n, pairs, [delta_min] * n, row_bits, partial(Graph, n))
+    graph_bits = _graph_bits(n, pairs)
+    return _Layout(n, pairs, [delta_min] * n, graph_bits, partial(Graph, n), graph_bits)
 
 
 def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
@@ -115,8 +126,9 @@ def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
     row_bits = np.zeros((p * q, p), dtype=np.int64)
     for k, (x, y) in enumerate(cells):
         row_bits[k, x] = 1 << y
-    return _Layout(p + q, [(x, p + y) for x, y in cells], [dx_min] * p + [dy_min] * q,
-                   row_bits, partial(BipartiteGraph, p, q))
+    slots = [(x, p + y) for x, y in cells]
+    return _Layout(p + q, slots, [dx_min] * p + [dy_min] * q, row_bits,
+                   partial(BipartiteGraph, p, q), _graph_bits(p + q, slots))
 
 
 def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
@@ -233,9 +245,6 @@ class TheoremSpec:
         return self.hyp is not None and self.hyp[0] != "m"
 
 
-_STACKED = {ADJACENCY: rho_stack, SIGNLESS_LAPLACIAN: q_radius_stack}
-
-
 def _ceil_eps(x: float) -> int:
     return math.ceil(x - 1e-9)
 
@@ -329,79 +338,99 @@ def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
     return _bipartite_layout(p, q, *spec.delta_min)
 
 
-def _hypothesis_values(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
-    """Per bit row of a slice, its graph's hypothesis quantity: the edge
-    count, or the top eigvalsh eigenvalue of the radius's matrix. A and Q
-    are linear in the edges, so that matrix is the sum, over the row's
-    edges (its non-edges if complemented), of ``matrix_stack``'s matrix of
-    the layout's graph with that one edge."""
-    kind = spec.hyp[0]
-    if kind == "m":
-        return lambda bits: bits.sum(axis=1).astype(float)
-    radius = RADII[kind]
+def _hypothesis_matrices(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
+    """Per bit row of a slice, the matrix of its graph's hypothesis radius,
+    as a (rows, n, n) stack. A and Q are linear in the edges, so that matrix
+    is the sum, over the row's edges (its non-edges if complemented), of
+    ``matrix_stack``'s matrix of the layout's graph with that one edge."""
+    radius = RADII[spec.hyp[0]]
     single_edges = layout.build(np.eye(len(layout.slots), dtype=np.int64))
-    basis = matrix_stack(single_edges, radius.matrix)
+    # reshaped, so a layout without mask bits still gives (rows, n, n)
+    basis = matrix_stack(single_edges, radius.matrix).reshape(
+        len(layout.slots), layout.nverts, layout.nverts)
 
-    def top(bits: np.ndarray) -> np.ndarray:
+    def matrices(bits: np.ndarray) -> np.ndarray:
         weights = bits.astype(float)
         if radius.complemented:
             weights = 1.0 - weights
-        return np.linalg.eigvalsh(np.tensordot(weights, basis, axes=(1, 0)))[:, -1]
-    return top
+        return np.tensordot(weights, basis, axes=(1, 0))
+    return matrices
 
 
-def _classify(report: SoundnessReport, spec: TheoremSpec, g: Graph, verdict: Verdict,
-              holds: bool) -> None:
-    """Tally one hypothesis hit against the oracle's answer for g."""
+def _hypothesis_values(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
+    """Per bit row of a slice, its graph's hypothesis quantity: the edge
+    count, or the top eigvalsh eigenvalue of the radius's matrix."""
+    if spec.hyp[0] == "m":
+        return lambda bits: bits.sum(axis=1).astype(float)
+    matrices = _hypothesis_matrices(spec, layout)
+    return lambda bits: np.linalg.eigvalsh(matrices(bits))[:, -1]
+
+
+def _tally(report: SoundnessReport, spec: TheoremSpec, verdict: Verdict, holds: bool) -> bool:
+    """Count one hypothesis hit against the oracle's answer; True if the
+    hit is a violation, whose graph6 the caller adds to the report."""
     report.hypothesis_hits += 1
     if verdict.status is Status.GUARANTEED:
-        if holds:
-            report.guaranteed_confirmed += 1
-        else:
-            report.violations.append(write_graph6(g))
+        if not holds:
+            return True
+        report.guaranteed_confirmed += 1
     elif verdict.status is Status.EXCEPTION:
         # named exceptional graphs must lack the property; the structural
         # EC/EP classes merely fall outside the theorem and may have it
         structural = verdict.family is not None and verdict.family.tag is FamilyTag.JOIN_EXPR
         if holds and not structural:
-            report.violations.append(write_graph6(g))
-        else:
-            report.exceptions_matched += 1
-            key = str(verdict.family)
-            report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
+            return True
+        report.exceptions_matched += 1
+        key = str(verdict.family)
+        report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
     elif verdict.status is Status.BOUNDARY:
         # a strict hypothesis is simply unresolved at the line; a non-strict
         # one holds there, so a missing property would be a real violation
-        if spec.strict or holds:
-            report.boundary_cases += 1
-        else:
-            report.violations.append(write_graph6(g))
+        if not (spec.strict or holds):
+            return True
+        report.boundary_cases += 1
+    return False
 
 
-def _verdicts(spec: TheoremSpec, objs: list) -> list[Verdict]:
-    """The checker's verdict on each object; spectral checkers get their
-    estimate from one stacked power iteration over their own matrices."""
+def _classify(report: SoundnessReport, spec: TheoremSpec, g: Graph, verdict: Verdict,
+              holds: bool) -> None:
+    """Tally one hypothesis hit against the oracle's answer for g."""
+    if _tally(report, spec, verdict, holds):
+        report.violations.append(write_graph6(g))
+
+
+def _graph6(adjacency: np.ndarray) -> str:
+    """The graph6 of the graph with one row of ``_Layout.adjacency``."""
+    return write_graph6(Graph(len(adjacency), tuple(adjacency.tolist())))
+
+
+def _witness_kind(spec: TheoremSpec) -> str:
+    return CYCLE if spec.prop == HAMILTONIAN else PATH
+
+
+def _verdicts(spec: TheoremSpec, objs: list, matrices: Optional[np.ndarray]) -> list[Verdict]:
+    """The checker's verdict on each object; a spectral checker gets its
+    estimate from one stacked power iteration over ``matrices``, the
+    objects' hypothesis matrices."""
     if not spec.spectral:
         return [spec.checker(obj) for obj in objs]
-    radius = RADII[spec.hyp[0]]
-    estimates = _STACKED[radius.matrix]([radius.operand(obj) for obj in objs])
+    estimates = radius_stack(matrices, RADII[spec.hyp[0]].matrix)
     return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
 
 
-def _oracle_batch(spec: TheoremSpec, objs: list) -> tuple[list[Graph], list]:
-    """The objects as graphs, and one batched oracle call's witness for the
-    theorem's property on each (None where the graph lacks it)."""
-    graphs = [obj.to_graph() if isinstance(obj, BipartiteGraph) else obj for obj in objs]
-    oracle = is_hamiltonian_batch if spec.prop == HAMILTONIAN else is_traceable_batch
-    return graphs, oracle(graphs)
-
-
-def _flush(report: SoundnessReport, spec: TheoremSpec, pending: list) -> None:
-    """Decide the buffered hits with one batched oracle call, in scan order."""
-    graphs, witnesses = _oracle_batch(spec, [obj for obj, _ in pending])
-    for (_, verdict), g, witness in zip(pending, graphs, witnesses):
-        _classify(report, spec, g, verdict, witness is not None)
-    pending.clear()
+def _flush(report: SoundnessReport, spec: TheoremSpec, verdicts: list[Verdict],
+           rows: list[np.ndarray]) -> None:
+    """Decide the buffered hits, whose adjacency rows are ``rows`` stacked,
+    with one batched oracle call, and tally them in scan order."""
+    if not rows:
+        return
+    adjacency = np.concatenate(rows)
+    found, _ = witness_rows(adjacency, _witness_kind(spec))
+    for i, (verdict, holds) in enumerate(zip(verdicts, found.tolist())):
+        if _tally(report, spec, verdict, holds):
+            report.violations.append(_graph6(adjacency[i]))
+    verdicts.clear()
+    rows.clear()
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
@@ -412,29 +441,34 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     report = SoundnessReport(theorem_id, [n])
     layout = _spec_layout(spec, n)
     m_min = spec.m_min(n) if spec.m_min else 0
-    values = None
-    if spec.spectral and layout.slots:
+    if spec.spectral:
         _, threshold_fn, direction = spec.hyp
         threshold = threshold_fn(n)
-        values = _hypothesis_values(spec, layout)
-    pending: list[tuple[object, Verdict]] = []
+        hypothesis_matrices = _hypothesis_matrices(spec, layout)
+    verdicts: list[Verdict] = []      # the buffered hits' verdicts, in scan order
+    rows: list[np.ndarray] = []       # per slice, its hits' adjacency rows
     for scanned, bits, degrees in _slices(layout, lo, hi, m_min):
         report.graphs_scanned += scanned
         if spec.screen is not None:
             bits = bits[spec.screen(degrees, bits)]
-        if values is not None and len(bits):
-            top = values(bits)
-            if direction == "le":
-                bits = bits[top <= threshold + SCREEN_GUARD]
-            else:
-                bits = bits[top >= threshold - SCREEN_GUARD]
-        objs = layout.build(bits)
-        for obj, verdict in zip(objs, _verdicts(spec, objs)):
-            if verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
-                pending.append((obj, verdict))
-        if len(pending) >= ORACLE_BATCH:
-            _flush(report, spec, pending)
-    _flush(report, spec, pending)
+        matrices = None
+        if spec.spectral:
+            matrices = hypothesis_matrices(bits)
+            if layout.slots and len(bits):
+                top = np.linalg.eigvalsh(matrices)[:, -1]
+                if direction == "le":
+                    keep = top <= threshold + SCREEN_GUARD
+                else:
+                    keep = top >= threshold - SCREEN_GUARD
+                bits, matrices = bits[keep], matrices[keep]
+        checked = _verdicts(spec, layout.build(bits), matrices)
+        hit = [verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
+               for verdict in checked]
+        verdicts += compress(checked, hit)
+        rows.append(layout.adjacency(bits[np.array(hit, dtype=bool)]))
+        if len(verdicts) >= ORACLE_BATCH:
+            _flush(report, spec, verdicts, rows)
+    _flush(report, spec, verdicts, rows)
     return report
 
 
@@ -565,8 +599,9 @@ def tightness_search(
         layout = _spec_layout(spec, n)
         values = _hypothesis_values(spec, layout)
         for _, bits, _ in _slices(layout, 0, 1 << len(layout.slots)):
-            graphs, witnesses = _oracle_batch(spec, layout.build(bits))
-            lacking = np.flatnonzero([witness is None for witness in witnesses])
+            adjacency = layout.adjacency(bits)
+            found, _ = witness_rows(adjacency, _witness_kind(spec))
+            lacking = np.flatnonzero(~found)
             if not len(lacking):
                 continue
             got = values(bits[lacking])
@@ -577,7 +612,7 @@ def tightness_search(
             i = int(np.argmin(deficits))
             if deficits[i] < (np.inf if best is None else best["deficit"]):
                 best = {
-                    "graph6": write_graph6(graphs[lacking[i]]),
+                    "graph6": _graph6(adjacency[lacking[i]]),
                     "value": float(got[i]),
                     "threshold": threshold,
                     "deficit": float(deficits[i]),

@@ -272,3 +272,32 @@ def test_deterministic_outputs_identical(capsys, monkeypatch):
     b = run(capsys, ["analyze", "--format", "json", "--deterministic"],
             stdin=g6 + "\n", monkeypatch=monkeypatch)
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+@pytest.mark.parametrize("edgelist", [False, True])
+@pytest.mark.parametrize("content", ["é\n".encode(), b"\xff\n", b"D^o\n\xff\n"])
+def test_non_ascii_input_is_a_parse_error(capsys, tmp_path, command, edgelist, content):
+    source = tmp_path / "input.txt"
+    source.write_bytes(content)
+    argv = [command, "--format", "json", str(source)] + (["--edgelist"] if edgelist else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert f"error: {source}" in err and "Traceback" not in err
+    if not edgelist and content.startswith(b"D^o"):
+        assert json.loads(out)["n"] == 5  # the good record before it still runs
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_non_ascii_stdin_is_a_parse_error(capsys, monkeypatch, command):
+    code, out, err = run(capsys, [command], stdin="é\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and "error: <stdin>:1: non-ASCII" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+@pytest.mark.parametrize("edgelist", [False, True])
+def test_missing_input_file_is_a_usage_error(capsys, tmp_path, command, edgelist):
+    missing = tmp_path / "nonexistent.g6"
+    code, out, err = run(capsys, [command, str(missing)] + (["--edgelist"] if edgelist else []))
+    assert code == 64 and out == ""
+    assert str(missing) in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from hamcheck.conditions import (
     HAMILTONIAN,
     TRACEABLE,
+    JoinWitness,
     Status,
     bipartite_degree_hamiltonian,
     chvatal_hamiltonian,
@@ -35,16 +36,21 @@ from hamcheck.families import (
 )
 from hamcheck.graphs import (
     bipartite_from_edges,
+    bits,
+    complement,
     complete,
     complete_bipartite,
+    connected_components,
     cycle,
     disjoint_union,
     empty_graph,
     from_edges,
+    induced_subgraph,
     join,
     relabel,
     star,
 )
+from hamcheck.verify import enumerate_graphs
 
 
 def cert(v):
@@ -354,3 +360,70 @@ def test_verdict_invariants():
         assert v.status is Status.EXCEPTION
         assert v.family is not None
         assert recognize_family(g, v.family)
+
+
+# ec_ep_membership before it returned early on degrees; the early returns
+# must not change a single answer
+def _reference_regular_join_witness(g, target_deg, r_max, kind):
+    degrees = g.degrees()
+    odd_mask = 0
+    for v in range(g.n):
+        if degrees[v] != target_deg:
+            odd_mask |= 1 << v
+    comps = connected_components(complement(g))
+    b_mask = 0
+    for comp in comps:
+        if comp & odd_mask:
+            b_mask |= comp
+    if b_mask == 0:
+        if len(comps) < 2:
+            return None
+        b_mask = min(comps, key=lambda c: c.bit_count())
+    if not 1 <= b_mask.bit_count() <= r_max:
+        return None
+    a_mask = ((1 << g.n) - 1) ^ b_mask
+    if a_mask == 0:
+        return None
+    return JoinWitness(kind, tuple(bits(a_mask)), tuple(bits(b_mask)))
+
+
+def _reference_is_complete_mask(g, mask):
+    return all(g.adj[v] & mask == mask ^ (1 << v) for v in bits(mask))
+
+
+def _reference_ec_ep_membership(g, family):
+    n = g.n
+    degrees = g.degrees()
+    if family == "EC":
+        for u in range(n):
+            if degrees[u] == n - 1 and n >= 3:
+                rest = [v for v in range(n) if v != u]
+                sub = induced_subgraph(g, rest)
+                comps = connected_components(sub)
+                if len(comps) == 2 and all(_reference_is_complete_mask(sub, c) for c in comps):
+                    sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
+                    return JoinWitness("trivial-join-two-cliques", (u,), sides[0] + sides[1])
+        if n >= 3 and (n - 1) % 2 == 0:
+            return _reference_regular_join_witness(g, (n - 1) // 2, (n - 1) // 2, "regular-join")
+        return None
+    if n % 2 == 0 and all(d == n // 2 - 1 for d in degrees):
+        return JoinWitness("regular", tuple(range(n)), ())
+    comps = connected_components(g)
+    if len(comps) == 2 and all(_reference_is_complete_mask(g, c) for c in comps):
+        return JoinWitness("two-complete-components", tuple(bits(comps[0])), tuple(bits(comps[1])))
+    if n % 2 == 0 and n >= 4:
+        return _reference_regular_join_witness(g, n // 2 - 1, n // 2 - 1, "regular-join")
+    return None
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_ec_ep_membership_matches_reference_on_every_small_graph(n):
+    graphs = []
+    enumerate_graphs(n, 0, graphs.append)
+    found = 0
+    for g in graphs:
+        for family in ("EC", "EP"):
+            got = ec_ep_membership(g, family)
+            assert got == _reference_ec_ep_membership(g, family), (g, family)
+            found += got is not None
+    assert found or n < 2

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hamcheck.families import NC_GRAPHS, NP_GRAPHS, kn1_plus_vertex
@@ -15,11 +16,15 @@ from hamcheck.graphs import (
     star,
 )
 from hamcheck.oracle import (
+    HamWitness,
+    _check_witness,
     backtrack_oracle,
+    check_witnesses,
     is_hamiltonian,
     is_hamiltonian_batch,
     is_traceable,
     is_traceable_batch,
+    witness_rows,
 )
 
 
@@ -145,3 +150,41 @@ def test_batched_oracle_matches_scalar_and_backtracking():
 def test_batched_oracle_size_cap():
     with pytest.raises(ValueError):
         is_traceable_batch([complete(3), from_edges(25, [])])
+
+
+@pytest.mark.parametrize("order, kind, message", [
+    ((0, 1, 1, 3, 4), "path", "not a permutation"),
+    ((0, 1, 2, 3), "path", "not a permutation"),       # a vertex left out
+    ((0, 2, 1, 3, 4), "path", r"edge \(0,2\) missing"),
+    ((0, 1, 2, 3, 4), "cycle", "does not close"),       # a path of P5, not a cycle
+])
+def test_witness_check_raises_on_a_bad_witness(order, kind, message):
+    g = path(5)
+    good = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]])
+    adj = np.array([g.adj] * 3, dtype=np.uint32)
+    check_witnesses(adj[:2], good, "path")
+    if len(order) == g.n:
+        # one bad row among good ones fails the whole batch
+        with pytest.raises(AssertionError, match=message):
+            check_witnesses(adj, np.vstack([good, [order]]), kind)
+    with pytest.raises(AssertionError, match=message):
+        _check_witness(g, HamWitness(kind, order))
+
+
+def test_witness_check_accepts_every_oracle_witness():
+    check_witnesses(np.array([cycle(5).adj], dtype=np.uint32), np.array([[0, 1, 2, 3, 4]]),
+                    "cycle")
+    check_witnesses(np.zeros((0, 4), dtype=np.uint32), np.zeros((0, 4), dtype=np.int64), "cycle")
+    _check_witness(complete(1), HamWitness("path", (0,)))
+
+
+def test_witness_rows_match_the_batched_wrappers():
+    rng = random.Random(7)
+    for n in range(0, 9):
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(30)]
+        adj = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+        for kind, batched in (("cycle", is_hamiltonian_batch), ("path", is_traceable_batch)):
+            found, orders = witness_rows(adj, kind)
+            want = batched(graphs)
+            assert found.tolist() == [w is not None for w in want]
+            assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]

@@ -24,6 +24,7 @@ from hamcheck.spectral import (
     q_radius,
     q_radius_stack,
     q_upper_bound,
+    radius_stack,
     rho,
     rho_stack,
 )
@@ -216,3 +217,23 @@ def test_bipartite_rho_matches_full_graph(n, seed):
     edges = [(x, y) for x in range(p) for y in range(q) if rng.random() < 0.5]
     b = bipartite_from_edges(p, q, edges)
     assert abs(rho(b).value - rho(b.to_graph()).value) < 1e-9
+
+
+def test_radius_stack_estimates_do_not_depend_on_the_rest_of_the_stack():
+    # the scan hands radius_stack its screen's survivors, so a graph's
+    # estimate must be the same bits alone, in any stack, in any order
+    rng = random.Random(17)
+    for n in (1, 4, 7, 10):
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(30)]
+        for which in (ADJACENCY, SIGNLESS_LAPLACIAN):
+            matrices = matrix_stack(graphs, which)
+            together = radius_stack(matrices, which)
+            alone = [radius_stack(matrices[i:i + 1], which)[0] for i in range(len(graphs))]
+            assert together == alone
+            assert radius_stack(matrices[::-1].copy(), which) == together[::-1]
+    assert radius_stack(np.zeros((0, 3, 3)), ADJACENCY) == []
+
+
+def test_radius_stack_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        radius_stack(matrix_stack([complete(3)], ADJACENCY), "laplacian")

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from hamcheck import verify
-from hamcheck.conditions import HAMILTONIAN, Status, Verdict
+from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.oracle import is_hamiltonian, is_traceable
-from hamcheck.spectral import q_radius
+from hamcheck.spectral import ADJACENCY, q_radius, q_radius_stack, rho_stack
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
@@ -220,3 +220,33 @@ def test_degree_screened_scan_parallel_matches_serial(theorem_id):
     serial = soundness(theorem_id, max_n=6)
     assert serial.hypothesis_hits == DEGREE_SCREENED[theorem_id]
     assert soundness(theorem_id, max_n=6, jobs=2).to_dict() == serial.to_dict()
+
+
+SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].spectral]
+
+
+@pytest.mark.parametrize("theorem_id", SPECTRAL)
+def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monkeypatch):
+    # the scan runs power iteration on its screen's matrices; each estimate
+    # must be, bit for bit and in steps, that of the checker's own operand
+    spec = THEOREMS[theorem_id]
+    seen = []
+
+    def checker(obj, estimate):
+        seen.append((obj, estimate))
+        return spec.checker(obj, estimate=estimate)
+
+    monkeypatch.setitem(THEOREMS, theorem_id, dataclasses.replace(spec, checker=checker))
+    soundness(theorem_id, max_n=5)
+    radius = RADII[spec.hyp[0]]
+    stacked = rho_stack if radius.matrix == ADJACENCY else q_radius_stack
+    by_size = {}
+    for obj, estimate in seen:
+        size = obj.n if spec.kind == "general" else obj.p + obj.q
+        by_size.setdefault(size, []).append((obj, estimate))
+    # every scanned size reaches the checker: zhou-complement-traceable's n = 1 too,
+    # whose layout has no mask bits and so no screen
+    assert sorted(by_size) == [sum(verify._sides(spec.kind, n)) for n in sizes_for(spec, 5)]
+    for pairs in by_size.values():
+        want = stacked([radius.operand(obj) for obj, _ in pairs])
+        assert [estimate for _, estimate in pairs] == want
