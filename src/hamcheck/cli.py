@@ -157,15 +157,17 @@ def _read_graphs(args, stream: BinaryIO | TextIO) -> Records:
 
 
 def _parse_edgelist(stream: BinaryIO | TextIO) -> tuple[Optional[Graph], Optional[str]]:
-    tokens = stream.read().split()
+    data = stream.read()  # decoded, so an error names a bad token as text, not bytes
+    tokens = (data.decode("ascii", "backslashreplace") if isinstance(data, bytes) else data).split()
     try:
         if len(tokens) < 2:
             raise ValueError("edge list needs a leading 'n m' header")
-        n, m = int(tokens[0]), int(tokens[1])
-        if len(tokens) != 2 + 2 * m:
-            raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
-        edges = [(int(tokens[2 + 2 * k]), int(tokens[3 + 2 * k])) for k in range(m)]
-        return from_edges(n, edges), None
+        n, m, *numbers = map(int, tokens)
+        if n < 0 or m < 0:
+            raise ValueError(f"edge list header 'n m' must not be negative, got {n} {m}")
+        if len(numbers) != 2 * m:
+            raise ValueError(f"expected {m} edges, found {len(numbers) // 2}")
+        return from_edges(n, zip(numbers[::2], numbers[1::2])), None
     except ValueError as exc:
         return None, str(exc)
 
@@ -318,9 +320,10 @@ def cmd_verify(args) -> int:
         print(f"hamcheck verify: unknown theorem {args.theorem!r} "
               f"(try --theorem list)", file=sys.stderr)
         return EXIT_USAGE
-    if args.max_n > verify_mod.MAX_ENUM_N:
-        print(f"hamcheck verify: --max-n is capped at {verify_mod.MAX_ENUM_N} "
-              f"(a scan enumerates 2^(n(n-1)/2) labeled graphs)", file=sys.stderr)
+    if not 1 <= args.max_n <= verify_mod.MAX_ENUM_N:
+        print(f"hamcheck verify: --max-n must be at least 1 and is capped at "
+              f"{verify_mod.MAX_ENUM_N} (a scan enumerates 2^(n(n-1)/2) labeled graphs)",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.jobs < 1:
         print("hamcheck verify: --jobs must be at least 1", file=sys.stderr)

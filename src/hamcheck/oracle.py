@@ -1,33 +1,42 @@
 """Exact Hamiltonian cycle/path decision with witness extraction.
 
-Subset DP over endpoint bitmasks, plus a plain backtracking solver that
-shares no logic with the DP and serves as a cross-check.
+Held-Karp subset DP over endpoint bitmasks, plus a plain backtracking
+solver that shares no logic with the DP and serves as a cross-check.
+
+One recurrence decides both questions: per subset S holding vertex 0,
+the endpoints of the paths from 0 spanning S. G has a Hamiltonian path
+iff G joined to an apex vertex has a Hamiltonian cycle, so a path is
+decided as a cycle with the apex at 0 and G's vertices shifted up by
+one, and the apex dropped from the witness. Only subsets holding 0 are
+used: 2^(n-1) per graph for a cycle and 2^n for a path.
 
 Two forms of the DP decide the same question. ``is_hamiltonian`` and
 ``is_traceable`` take one graph and push endpoints forward in Python
-ints; ``analyze`` and ``oracle`` use them, since they see one graph at a
-time, though they beat a batch of one only at n <= 8 (mean ms per call on
+ints, in a list indexed by S itself (its even entries unused);
+``analyze`` and ``oracle`` use them, since they see one graph at a time,
+though they beat a batch of one only at n <= 8 (mean ms per call on
 G(n, 1/2), scalar vs ``*_batch([g])``, cycle / path: n=8 0.17 vs 0.59 /
 0.39 vs 0.55, n=10 0.67 vs 0.39 / 2.2 vs 0.45, n=14 72 vs 3.0 / 172 vs
 4.0). ``analyze`` runs the path DP only on graphs the cycle DP found
-non-Hamiltonian, since a Hamiltonian cycle less one edge is a Hamiltonian
-path; ``oracle`` prints a path witness, so it runs both.
+non-Hamiltonian, since a Hamiltonian cycle less one edge is a
+Hamiltonian path; ``oracle`` prints a path witness, so it runs both.
 ``witness_rows`` is the array core of the other form: it takes a (B, n)
 uint32 array of adjacency bitsets and pulls endpoints from each subset's
 predecessors with numpy, one popcount layer at a time, for every row at
-once. Soundness scans and ``tightness_search`` hand it the rows of their
-scan slices; ``is_hamiltonian_batch`` and ``is_traceable_batch`` wrap it
-for a list of graphs. Both forms reconstruct and check a witness for
-every positive answer, with one check: ``check_witnesses`` tests every
-witness of a batch at once, and ``_check_witness`` is its one-row case.
+once, in tables keyed by S >> 1. Soundness scans and
+``tightness_search`` hand it the rows of their scan slices;
+``is_hamiltonian_batch`` and ``is_traceable_batch`` wrap it for a list
+of graphs. Both forms walk back from the lowest closing vertex through
+the lowest adjacent endpoint, and check every witness: ``check_witnesses``
+tests a batch at once, and ``_check_witness`` is its one-row case.
 
-MAX_DP_N keeps one scalar call within a budget of about 10 s on one core.
-The DP table has 2^n entries and the cost grows about 2.2x per vertex.
-Measured on one core of a 2-vCPU Xeon VM with Python 3.11, in seconds for
-``is_hamiltonian`` / ``is_traceable``: G(n, 1/2) at n=16 0.3-0.4 / 0.8-1.1,
-n=18 2.0 / 4.6-5.1, n=19 5.2 / 11.2, n=20 13.3 / 30.9; the complete graph,
-the costliest table, at n=18 4.2 / 10.8. So n=18 is the cap: at n=19 the
-path DP alone passes the budget on a random graph.
+MAX_DP_N keeps one scalar call within a budget of about 10 s on one core;
+the cost grows about 2.2x per vertex. Measured on one core of a 2-vCPU
+Xeon VM with Python 3.11, in seconds for ``is_hamiltonian`` /
+``is_traceable``: G(n, 1/2) at n=16 0.3-0.4 / 0.3-0.9, n=18 2.0 /
+2.7-4.6, n=19 5.2 / 9.4, n=20 13.3 / 30.9; the complete graph, the
+costliest table, at n=18 4.2 / 6.6-8.8. So n=18 is the cap: the path DP
+alone nears the budget on a random graph at n=19 and passes it at n=20.
 """
 
 from __future__ import annotations
@@ -82,11 +91,37 @@ def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     if g.n < 3 or g.min_degree() < 2 or len(connected_components(g)) > 1:
         return None
-    full = (1 << g.n) - 1
+    return _checked(g, CYCLE, _cycle_order(g.adj))
+
+
+def is_traceable(g: Graph) -> Optional[HamWitness]:
+    """A Hamiltonian path if one exists, else None (n <= MAX_DP_N)."""
+    if g.n > MAX_DP_N:
+        raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
+    if len(connected_components(g)) > 1:
+        return None
+    # a Hamiltonian path of g is a Hamiltonian cycle, less its apex, of g
+    # joined to an apex vertex 0, with g's vertices shifted up by one
+    order = _cycle_order(((1 << (g.n + 1)) - 2,) + tuple(row << 1 | 1 for row in g.adj))
+    return _checked(g, PATH, order and tuple(v - 1 for v in order[1:]))
+
+
+def _checked(g: Graph, kind: str, order: Optional[tuple[int, ...]]) -> Optional[HamWitness]:
+    if order is None:
+        return None
+    witness = HamWitness(kind, order)
+    _check_witness(g, witness)
+    return witness
+
+
+def _cycle_order(adj: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The vertex order of a Hamiltonian cycle from vertex 0 of the graph
+    with adjacency bitsets ``adj``, or None; the walk back from the lowest
+    closing vertex takes the lowest adjacent endpoint at each step."""
+    full = (1 << len(adj)) - 1
     # dp[mask] = endpoints v of paths 0..v spanning mask (0 in mask)
     dp = [0] * (full + 1)
     dp[1] = 1
-    adj = g.adj
     for mask in range(1, full + 1, 2):
         ends = dp[mask]
         if not ends:
@@ -97,49 +132,13 @@ def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
     closers = dp[full] & adj[0]
     if not closers:
         return None
-    order = _reconstruct(adj, dp, full, (closers & -closers).bit_length() - 1)
-    witness = HamWitness(CYCLE, order)
-    _check_witness(g, witness)
-    return witness
-
-
-def is_traceable(g: Graph) -> Optional[HamWitness]:
-    """A Hamiltonian path if one exists, else None (n <= MAX_DP_N)."""
-    if g.n > MAX_DP_N:
-        raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    if g.n == 1:
-        return HamWitness(PATH, (0,))
-    if len(connected_components(g)) > 1:
-        return None
-    full = (1 << g.n) - 1
-    dp = [0] * (full + 1)
-    for v in range(g.n):
-        dp[1 << v] = 1 << v
-    adj = g.adj
-    for mask in range(1, full + 1):
-        ends = dp[mask]
-        if not ends:
-            continue
-        for v in bits(ends):
-            for u in bits(adj[v] & ~mask):
-                dp[mask | (1 << u)] |= 1 << u
-    if not dp[full]:
-        return None
-    order = _reconstruct(adj, dp, full, (dp[full] & -dp[full]).bit_length() - 1)
-    witness = HamWitness(PATH, order)
-    _check_witness(g, witness)
-    return witness
-
-
-def _reconstruct(adj, dp, full, last: int) -> tuple[int, ...]:
-    order = [last]
+    v = (closers & -closers).bit_length() - 1
+    order = [v]
     mask = full
-    v = last
-    while mask != (1 << v):
-        prev_mask = mask ^ (1 << v)
-        prevs = dp[prev_mask] & adj[v]
+    while mask != 1:
+        mask ^= 1 << v
+        prevs = dp[mask] & adj[v]
         v = (prevs & -prevs).bit_length() - 1
-        mask = prev_mask
         order.append(v)
     order.reverse()
     return tuple(order)
@@ -179,29 +178,29 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     count, n = adj.shape
     if n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    cycle = kind == CYCLE
-    found = np.zeros(count, dtype=bool)
-    orders = np.zeros((count, n), dtype=np.int64)
-    if not cycle and n == 1:
-        found[:] = True
-        return found, orders
-    if n < (3 if cycle else 2):
-        return found, orders[:0]
     # the scalar preconditions: connected, and for cycles min degree 2
     eligible = _connected(adj)
-    if cycle:
+    if kind == CYCLE:
         eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
+        cycle_adj = adj
+    else:
+        # paths as cycles through an apex vertex 0, as in is_traceable
+        apex = np.full((count, 1), (1 << (n + 1)) - 2, dtype=np.uint32)
+        cycle_adj = np.concatenate([apex, adj << 1 | 1], axis=1)
+    found = np.zeros(count, dtype=bool)
+    orders = np.zeros(cycle_adj.shape, dtype=np.int64)
     members = np.flatnonzero(eligible)
-    step = max(1, BATCH_TABLE_CELLS >> n)
+    # rows per chunk: each row's table has 2^(columns - 1) entries
+    step = max(1, (2 * BATCH_TABLE_CELLS) >> cycle_adj.shape[1])
     for lo in range(0, len(members), step):
         rows = members[lo:lo + step]
-        chunk = adj[rows]
-        dp = _endpoint_tables(chunk, cycle)
-        ends = dp[:, -1] & chunk[:, 0] if cycle else dp[:, -1]
+        chunk = cycle_adj[rows]
+        dp = _endpoint_tables(chunk)
+        ends = dp[:, -1] & chunk[:, 0]
         hit = np.flatnonzero(ends)
         orders[rows[hit]] = _walk_back(dp[hit], chunk[hit], _lowest_bit(ends[hit]))
         found[rows[hit]] = True
-    orders = orders[found]
+    orders = orders[found] if kind == CYCLE else orders[found, 1:] - 1
     check_witnesses(adj[found], orders, kind)
     return found, orders
 
@@ -212,8 +211,8 @@ def _lowest_bit(x: np.ndarray) -> np.ndarray:
 
 
 def _walk_back(dp: np.ndarray, adj: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per table row, the order ``_reconstruct`` gives for a path ending at
-    ``last``: each step back takes the lowest endpoint adjacent to v."""
+    """Per table row, the order ``_cycle_order`` gives for a cycle closing
+    at ``last``: each step back takes the lowest endpoint adjacent to v."""
     count, n = adj.shape
     rows = np.arange(count)
     order = np.empty((count, n), dtype=np.int64)
@@ -221,7 +220,7 @@ def _walk_back(dp: np.ndarray, adj: np.ndarray, last: np.ndarray) -> np.ndarray:
     v = last
     order[:, -1] = v
     for pos in range(n - 2, -1, -1):
-        mask ^= 1 << v
+        mask ^= 1 << (v - 1)
         v = _lowest_bit(dp[rows, mask] & adj[rows, v])
         order[:, pos] = v
     return order
@@ -238,31 +237,28 @@ def _connected(adj: np.ndarray) -> np.ndarray:
     return seen == (1 << n) - 1
 
 
-def _endpoint_tables(adj: np.ndarray, cycle: bool) -> np.ndarray:
-    """dp[r, S]: endpoints v of the paths of graph r that span S, for cycles
-    only paths that start at vertex 0.
+def _endpoint_tables(adj: np.ndarray) -> np.ndarray:
+    """dp[r, S >> 1], for each subset S that holds vertex 0: the endpoints
+    v of the paths of graph r from vertex 0 that span S.
 
     Pull form: bit u of dp[S] is set iff dp[S - u] & adj[u] != 0. Subsets
     go by popcount; when u is not in S, S ^ {u} lies in a later layer and
-    is still zero, so one gather per layer serves every u.
+    is still zero, so one gather per layer serves every u other than 0.
     """
     count, n = adj.shape
-    single = 1 << np.arange(n)
-    dp = np.zeros((count, 1 << n), dtype=np.uint32)
-    if cycle:
-        dp[:, 1] = 1
-    else:
-        dp[:, single] = single.astype(np.uint32)
-    subsets = np.arange(1 << n)
+    single = 1 << np.arange(n - 1)   # vertices 1..n-1, as bits of S >> 1
+    dp = np.zeros((count, 1 << (n - 1)), dtype=np.uint32)
+    dp[:, 0] = 1
+    subsets = np.arange(1 << (n - 1))
     popcount = np.bitwise_count(subsets)
-    weights = single.astype(np.uint32)
+    weights = (single << 1).astype(np.uint32)
     piece = max(1, BATCH_GATHER_CELLS // (count * n))
-    for k in range(2, n + 1):
-        layer = subsets[(popcount == k) & (((subsets & 1) == 1) | (not cycle))]
+    for k in range(1, n):
+        layer = subsets[popcount == k]
         for lo in range(0, len(layer), piece):
             masks = layer[lo:lo + piece]
             pred = dp[:, masks[:, None] ^ single]
-            dp[:, masks] = ((pred & adj[:, None, :]) != 0) @ weights
+            dp[:, masks] = ((pred & adj[:, None, 1:]) != 0) @ weights
     return dp
 
 

@@ -357,6 +357,12 @@ def _hypothesis_matrices(spec: TheoremSpec, layout: _Layout) -> Callable[[np.nda
     return matrices
 
 
+def _shortfall(direction: str, value: float | np.ndarray, threshold: float) -> float | np.ndarray:
+    """How far ``value`` falls short of meeting the hypothesis bound
+    ``threshold`` in ``direction`` (ge | gt | le); negative once past it."""
+    return value - threshold if direction == "le" else threshold - value
+
+
 def _hypothesis_values(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
     """Per bit row of a slice, its graph's hypothesis quantity: the edge
     count, or the top eigvalsh eigenvalue of the radius's matrix."""
@@ -456,10 +462,7 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
             matrices = hypothesis_matrices(bits)
             if layout.slots and len(bits):
                 top = np.linalg.eigvalsh(matrices)[:, -1]
-                if direction == "le":
-                    keep = top <= threshold + SCREEN_GUARD
-                else:
-                    keep = top >= threshold - SCREEN_GUARD
+                keep = _shortfall(direction, top, threshold) <= SCREEN_GUARD
                 bits, matrices = bits[keep], matrices[keep]
         checked = _verdicts(spec, layout.build(bits), matrices)
         hit = [verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
@@ -583,12 +586,8 @@ def tightness_search(
             obj = make_family(fid)
             got = (float(obj.edge_count()) if radius is None
                    else eigen_oracle(radius.operand(obj), radius.matrix)[-1])
-            if direction == "le":
-                satisfied = got <= threshold + 1e-8
-            elif direction == "gt":
-                satisfied = got > threshold + 1e-8
-            else:
-                satisfied = got >= threshold - 1e-8
+            shortfall = _shortfall(direction, got, threshold)
+            satisfied = shortfall < -1e-8 if spec.strict else shortfall <= 1e-8
             exceptions.append({
                 "family": str(fid),
                 "n": n,
@@ -605,7 +604,7 @@ def tightness_search(
             if not len(lacking):
                 continue
             got = values(bits[lacking])
-            deficits = got - threshold if direction == "le" else threshold - got
+            deficits = _shortfall(direction, got, threshold)
             # a satisfied hypothesis is the exception report's job
             deficits[deficits <= 1e-8] = np.inf
             # argmin takes the first of equal deficits, so scan order breaks ties

@@ -301,3 +301,42 @@ def test_missing_input_file_is_a_usage_error(capsys, tmp_path, command, edgelist
     code, out, err = run(capsys, [command, str(missing)] + (["--edgelist"] if edgelist else []))
     assert code == 64 and out == ""
     assert str(missing) in err and "Traceback" not in err
+
+
+def test_oracle_matches_fixture(capsys, monkeypatch):
+    # analyze_mix.g6 (whose C26 is above the oracle cap, so the exit is 2)
+    # then oracle_mix.g6: a dozen seeded graphs at n = 11-14, Hamiltonian,
+    # traceable only and not traceable; the json is oracle's output from
+    # before paths were decided as cycles through an apex vertex
+    stdin = (FIXTURES / "analyze_mix.g6").read_text() + (FIXTURES / "oracle_mix.g6").read_text()
+    code, out, err = run(capsys, ["oracle", "--format", "json"], stdin=stdin,
+                         monkeypatch=monkeypatch)
+    assert code == 2 and err == f"error: <stdin>:23: oracle capped at n <= {MAX_DP_N}\n"
+    assert out == (FIXTURES / "oracle_mix.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+@pytest.mark.parametrize("content, message", [
+    (b"3 1\n0 x\n", "invalid literal for int() with base 10: 'x'"),
+    (b"x 0\n", "invalid literal for int() with base 10: 'x'"),
+    ("3 1\n0 é\n".encode(), "invalid literal for int() with base 10: '\\\\xc3\\\\xa9'"),
+    (b"3 -1\n", "edge list header 'n m' must not be negative, got 3 -1"),
+    (b"-2 0\n", "edge list header 'n m' must not be negative, got -2 0"),
+])
+def test_bad_edgelist_names_the_fault_as_text(capsys, tmp_path, command, content, message):
+    source = tmp_path / "input.txt"
+    source.write_bytes(content)
+    code, out, err = run(capsys, [command, "--edgelist", str(source)])
+    assert code == 2 and out == ""
+    assert err == f"error: {source}: {message}\n"
+
+
+@pytest.mark.parametrize("max_n", ["-3", "0"])
+def test_verify_max_n_below_one_is_a_usage_error(capsys, monkeypatch, max_n):
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(cli.verify_mod, "soundness", scan)
+    code, out, err = run(capsys, ["verify", "--theorem", "all", "--max-n", max_n])
+    assert code == 64 and out == ""
+    assert "--max-n must be at least 1" in err and "Traceback" not in err

@@ -18,6 +18,7 @@ from hamcheck.graphs import (
 from hamcheck.oracle import (
     HamWitness,
     _check_witness,
+    _endpoint_tables,
     backtrack_oracle,
     check_witnesses,
     is_hamiltonian,
@@ -188,3 +189,50 @@ def test_witness_rows_match_the_batched_wrappers():
             want = batched(graphs)
             assert found.tolist() == [w is not None for w in want]
             assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
+
+
+def _path_dp_order(g):
+    """A direct path DP over g (any start vertex), walked back from the
+    lowest final endpoint through the lowest adjacent endpoint: the
+    witness is_traceable must give through the apex reduction."""
+    full = (1 << g.n) - 1
+    dp = [0] * (full + 1)
+    for v in range(g.n):
+        dp[1 << v] = 1 << v
+    for mask in range(1, full + 1):
+        for v in range(g.n):
+            if dp[mask] >> v & 1:
+                for u in range(g.n):
+                    if g.adj[v] >> u & 1 and not mask >> u & 1:
+                        dp[mask | 1 << u] |= 1 << u
+    if g.n == 0 or not dp[full]:
+        return None
+    v = (dp[full] & -dp[full]).bit_length() - 1
+    order, mask = [v], full
+    while mask != 1 << v:
+        mask ^= 1 << v
+        prevs = dp[mask] & g.adj[v]
+        v = (prevs & -prevs).bit_length() - 1
+        order.append(v)
+    return tuple(reversed(order))
+
+
+def test_paths_through_the_apex_are_the_direct_path_dp_witnesses():
+    rng = random.Random(11)
+    graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.choice((0.2, 0.4, 0.6)))
+              for n in range(0, 10) for _ in range(30)]
+    want = [_path_dp_order(g) for g in graphs]
+    assert [w and w.order for w in map(is_traceable, graphs)] == want
+    assert [w and w.order for w in is_traceable_batch(graphs)] == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_endpoint_tables_hold_the_subsets_with_vertex_0(n):
+    adj = np.array([complete(n).adj] * 3, dtype=np.uint32)
+    dp = _endpoint_tables(adj)
+    assert dp.shape == (3, 1 << (n - 1))
+    # every subset holding 0 of a complete graph ends at each of its other vertices
+    for key in range(1 << (n - 1)):
+        subset = key << 1 | 1
+        assert dp[0, key] == (subset ^ 1 if subset != 1 else 1)

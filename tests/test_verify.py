@@ -5,6 +5,7 @@ import pytest
 
 from hamcheck import verify
 from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
+from hamcheck.families import make_family
 from hamcheck.oracle import is_hamiltonian, is_traceable
 from hamcheck.spectral import ADJACENCY, q_radius, q_radius_stack, rho_stack
 from hamcheck.verify import (
@@ -141,6 +142,20 @@ def test_tightness_real_exceptions_satisfy_bound():
     assert excs["NC[5] K2 v (K2 + 2K1)"]["hypothesis_satisfied"]
     miss = out["best_near_miss"]
     assert miss is None or miss["deficit"] > 0
+
+
+@pytest.mark.parametrize("direction, satisfied", [("ge", True), ("gt", False), ("le", True)])
+def test_tightness_exception_at_the_threshold(monkeypatch, direction, satisfied):
+    # an exception whose quantity equals the threshold meets a hypothesis
+    # only when it is not strict
+    spec = verify.THEOREMS["lemma-3.4"]
+    fid = spec.exceptions_for(5)[0]
+    edges = float(make_family(fid).edge_count())
+    monkeypatch.setitem(verify.THEOREMS, "lemma-3.4", dataclasses.replace(
+        spec, strict=direction == "gt", hyp=("m", lambda n: edges, direction)))
+    excs = {e["family"]: e for e in tightness_search("lemma-3.4", max_n=5)["exceptions"]}
+    assert excs[str(fid)]["value"] == excs[str(fid)]["threshold"] == edges
+    assert excs[str(fid)]["hypothesis_satisfied"] is satisfied
 
 
 def test_tightness_requires_numeric_hypothesis():
