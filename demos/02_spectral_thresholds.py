@@ -5,8 +5,9 @@ How close to the threshold do the exceptional graphs sit?
 Each eigenvalue condition needs its exception list: there are
 non-Hamiltonian (or nontraceable) graphs whose spectral radius clears
 the bound, some of them exactly on it.  This script recomputes those
-values two independent ways -- power iteration and a dense symmetric
-eigensolver -- and shows the margins.
+values two ways -- ``rho`` (a dense eigendecomposition that also gives
+the residual of its eigenvector) and the full spectrum from
+``eigen_oracle`` -- and shows the margins.
 """
 
 import math
@@ -21,11 +22,11 @@ from hamcheck.families import knn1_plus_edge, make_family, nc_member
 for n in range(4, 9):
     b = knn1_plus_edge(n)
     threshold = math.sqrt(n * n - 2 * n + 4)
-    power = rho(b).value
+    radius = rho(b).value
     dense = eigen_oracle(b)[-1]
-    assert abs(power - dense) <= 1e-8  # the two routes must agree
-    print(f"K_{{{n},{n - 1}}}+e : rho = {power:.10f}  threshold = {threshold:.10f}"
-          f"  gap = {power - threshold:+.2e}")
+    assert abs(radius - dense) <= 1e-8  # the two routes must agree
+    print(f"K_{{{n},{n - 1}}}+e : rho = {radius:.10f}  threshold = {threshold:.10f}"
+          f"  gap = {radius - threshold:+.2e}")
     assert is_hamiltonian(b.to_graph()) is None
 
 print()

@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean, 2 parse/processing errors (a record that is not
 ASCII among them), 64 usage errors (unknown subcommand, theorem, family,
-bad parameters, or an input file that cannot be opened).
+a flag the subcommand does not take, bad parameters, or an input file
+that cannot be opened).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .oracle import MAX_DP_N, is_hamiltonian, is_traceable
 from .spectral import (
     ADJACENCY,
     DEFAULT_CMP_TOL,
-    DEFAULT_TOL,
     SpectralEstimate,
     q_radius,
     rho,
@@ -43,6 +43,10 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: table1 --tol would otherwise be read as --tolerance
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # argparse defaults to exit 2; we reserve that
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -73,16 +77,14 @@ def _build_parser() -> _Parser:
 
     def common_flags(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="spectral convergence tolerance")
-        p.add_argument("--cmp-tol", type=_tolerance, default=DEFAULT_CMP_TOL,
-                       help="threshold comparison tolerance")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timing fields for byte-identical reruns")
 
     p_analyze = sub.add_parser("analyze", help="run every applicable checker on input graphs")
     common_io(p_analyze)
     common_flags(p_analyze)
+    p_analyze.add_argument("--cmp-tol", type=_tolerance, default=DEFAULT_CMP_TOL,
+                           help="a spectral radius this close to its threshold is Boundary")
 
     p_table1 = sub.add_parser("table1", help="recompute the 18 published q values")
     common_flags(p_table1)
@@ -157,8 +159,13 @@ def _read_graphs(args, stream: BinaryIO | TextIO) -> Records:
 
 
 def _parse_edgelist(stream: BinaryIO | TextIO) -> tuple[Optional[Graph], Optional[str]]:
-    data = stream.read()  # decoded, so an error names a bad token as text, not bytes
-    tokens = (data.decode("ascii", "backslashreplace") if isinstance(data, bytes) else data).split()
+    data = stream.read()
+    if isinstance(data, str):
+        data = data.encode()
+    try:  # decoded, so an error names a bad token as text, not bytes
+        tokens = data.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        return None, f"non-ASCII byte {data[exc.start]:#04x} at offset {exc.start} in edge list"
     try:
         if len(tokens) < 2:
             raise ValueError("edge list needs a leading 'n m' header")
@@ -204,17 +211,16 @@ def _emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- analyze
 
-def _estimate_once(estimates: dict, hyp: str, obj, tol: float) -> SpectralEstimate:
+def _estimate_once(estimates: dict, hyp: str, obj) -> SpectralEstimate:
     """obj's spectral estimate for hypothesis kind hyp, computed on first use."""
     if hyp not in estimates:
         radius = RADII[hyp]
-        power = rho if radius.matrix == ADJACENCY else q_radius
-        estimates[hyp] = power(radius.operand(obj), tol=tol)
+        radius_of = rho if radius.matrix == ADJACENCY else q_radius
+        estimates[hyp] = radius_of(radius.operand(obj))
     return estimates[hyp]
 
 
-def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], tol: float,
-                         cmp_tol: float) -> list[dict]:
+def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], cmp_tol: float) -> list[dict]:
     """Every applicable checker's verdict on g, as a general graph and, when
     it is connected and bipartite, as a bipartite graph. Each object's
     spectral estimates are shared by its checkers, and computed only when a
@@ -235,7 +241,7 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], tol: float,
             if spec.kind != kind:
                 continue
             if spec.spectral:
-                estimate = partial(_estimate_once, estimates, spec.hyp[0], obj, tol)
+                estimate = partial(_estimate_once, estimates, spec.hyp[0], obj)
                 verdict = spec.checker(obj, cmp_tol=cmp_tol, estimate=estimate)
             else:
                 verdict = spec.checker(obj)
@@ -267,10 +273,10 @@ def cmd_analyze(args) -> int:
         }
         q = None
         if g.n > 0:
-            record["rho"] = rho(g, tol=args.tol).value
-            q = q_radius(g, tol=args.tol)
+            record["rho"] = rho(g).value
+            q = q_radius(g)
             record["q"] = q.value
-        record["verdicts"] = _applicable_verdicts(g, q, args.tol, args.cmp_tol)
+        record["verdicts"] = _applicable_verdicts(g, q, args.cmp_tol)
         if 0 < g.n <= MAX_DP_N:
             # a Hamiltonian cycle less one edge is a Hamiltonian path
             hamiltonian = is_hamiltonian(g) is not None

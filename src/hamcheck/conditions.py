@@ -48,7 +48,6 @@ from .iso import is_isomorphic
 from .spectral import (
     ADJACENCY,
     DEFAULT_CMP_TOL,
-    DEFAULT_TOL,
     SIGNLESS_LAPLACIAN,
     Relation,
     SpectralEstimate,
@@ -423,7 +422,6 @@ def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
 def decide(
     row: Condition,
     obj: Graph | BipartiteGraph,
-    tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
@@ -447,8 +445,8 @@ def decide(
         cert = (("m", m), ("bound", threshold), ("margin", m - threshold))
     else:
         radius = RADII[row.quantity]
-        power = rho if radius.matrix == ADJACENCY else q_radius
-        est = _estimate(estimate, lambda: power(radius.operand(obj), tol))
+        radius_of = rho if radius.matrix == ADJACENCY else q_radius
+        est = _estimate(estimate, lambda: radius_of(radius.operand(obj)))
         outcome = compare_threshold(est, threshold, cmp_tol)
         relation = outcome.relation
         cert = ((row.quantity, est.value), ("threshold", threshold), ("margin", outcome.margin))
@@ -519,7 +517,6 @@ def edge_bound_general(g: Graph, target: str) -> Verdict:
 def spectral_bipartite(
     b: BipartiteGraph,
     target: str,
-    tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
@@ -529,23 +526,21 @@ def spectral_bipartite(
     checkers below take theirs the same way, for the matrix they would
     build.
     """
-    return decide(_row(_SPECTRAL_BIPARTITE, target), b, tol, cmp_tol, estimate)
+    return decide(_row(_SPECTRAL_BIPARTITE, target), b, cmp_tol, estimate)
 
 
 def quasi_complement_hamiltonian(
     b: BipartiteGraph,
-    tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
     """Small quasi-complement spectral radius forces a Hamiltonian cycle."""
-    return decide(CONDITIONS["quasi-complement"], b, tol, cmp_tol, estimate)
+    return decide(CONDITIONS["quasi-complement"], b, cmp_tol, estimate)
 
 
 def q_spectral_general(
     g: Graph,
     target: str,
-    tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
@@ -554,18 +549,17 @@ def q_spectral_general(
     Strict (>) thresholds cannot be certified at the line, so those report
     Boundary there; non-strict (>=) ones still honor exception matches.
     """
-    return decide(_row(_Q_GENERAL, target), g, tol, cmp_tol, estimate)
+    return decide(_row(_Q_GENERAL, target), g, cmp_tol, estimate)
 
 
 def zhou_complement(
     g: Graph,
     target: str,
-    tol: float = DEFAULT_TOL,
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
     """Zhou's complement condition with the structured EC/EP exceptions."""
-    return decide(_row(_ZHOU, target), g, tol, cmp_tol, estimate)
+    return decide(_row(_ZHOU, target), g, cmp_tol, estimate)
 
 
 # ------------------------------------------------------------ recognizers

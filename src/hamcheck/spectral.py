@@ -1,21 +1,16 @@
 """Largest-eigenvalue computation for A(G) and Q(G) = D(G) + A(G).
 
-Two independent routes: deterministic power iteration (the production
-path) and a dense symmetric eigendecomposition used only as an oracle.
-
 ``matrix_stack`` is the one place that turns bitset rows into a matrix:
 every route, the verify scan's eigvalsh screen included, gets A or Q from
-it. Power iteration comes in two forms that run the same steps on those
-matrices: ``rho`` and ``q_radius`` on one graph, and ``radius_stack`` on a
-(B, n, n) stack of matrices of one kind. ``_SHIFT`` alone says which
-shift each kind runs with. ``rho_stack`` and ``q_radius_stack`` are
-``matrix_stack`` plus ``radius_stack`` for a list of graphs of one size;
-the verify scan instead hands ``radius_stack`` the matrices its screen
-built, kept for the graphs that pass it. The stacked form pays numpy's
-per-call overhead once per step for the whole stack, so soundness scans
-use it; for a single graph it is slower, so everything else keeps the
-scalar form. Each matrix of a stack gets the same estimate, bit for bit,
-whatever else is in the stack.
+it. ``radius_stack`` is the one place that computes a spectral radius: a
+dense symmetric eigendecomposition (``np.linalg.eigh``) of each matrix of a
+(B, n, n) stack, which returns the top eigenvalue with the residual of its
+eigenvector. ``rho`` and ``q_radius`` are a stack of one; the verify scan
+hands ``radius_stack`` the matrices its screen built, kept for the graphs
+that pass it. LAPACK decomposes each matrix of a stack on its own, so
+every matrix gets the same estimate, bit for bit, whatever else is in the
+stack, and the scan checks exactly the numbers ``analyze`` prints.
+``eigen_oracle`` gives all eigenvalues of one graph's matrix.
 """
 
 from __future__ import annotations
@@ -30,24 +25,18 @@ import numpy as np
 
 from .graphs import BipartiteGraph, Graph
 
-DEFAULT_TOL = 1e-10
 DEFAULT_CMP_TOL = 1e-8
-MAX_ITERATIONS = 1_000_000
 DENSE_CAP = 64
 
 ADJACENCY = "adjacency"
 SIGNLESS_LAPLACIAN = "signless_laplacian"
 
 
-class ConvergenceError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class SpectralEstimate:
     value: float
     residual: float
-    iterations: int
+    iterations: int   # always 0 since no route iterates; perfbench's tracing reads it
 
 
 class Relation(str, Enum):
@@ -60,85 +49,6 @@ class Relation(str, Enum):
 class ThresholdOutcome:
     relation: Relation
     margin: float
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite number > 0")
-
-
-def _power_iteration(matrix: np.ndarray, tol: float, shift: float) -> SpectralEstimate:
-    """Power iteration on matrix + shift*I; the shift is subtracted again.
-
-    Start vector 1 + i*1e-6 keeps the run deterministic without being
-    orthogonal to the Perron vector.
-    """
-    _check_tol(tol)
-    n = matrix.shape[0]
-    if n == 0:
-        return SpectralEstimate(0.0, 0.0, 0)
-    work = matrix + shift * np.eye(n)
-    x = 1.0 + np.arange(n) * 1e-6
-    x /= np.linalg.norm(x)
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        y = work @ x
-        lam = float(x @ y)
-        residual = float(np.max(np.abs(y - lam * x)))
-        value = lam - shift
-        if residual <= tol * max(1.0, abs(value)):
-            return SpectralEstimate(max(value, 0.0), residual, iteration)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return SpectralEstimate(0.0, 0.0, iteration)
-        x = y / norm
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol} in {MAX_ITERATIONS} steps"
-    )
-
-
-def _power_iteration_stack(
-    matrices: np.ndarray, tol: float, shift: float
-) -> list[SpectralEstimate]:
-    """``_power_iteration`` on every matrix of a (B, n, n) stack.
-
-    Each row keeps its own start vector, stopping test, zero-norm exit and
-    iteration count; a row leaves the stack at the step it stops on.
-    """
-    _check_tol(tol)
-    count, n = matrices.shape[:2]
-    if count == 0 or n == 0:
-        return [SpectralEstimate(0.0, 0.0, 0)] * count
-    # per row: value, residual, iteration count, filled in when it stops
-    value_of = np.zeros(count)
-    residual_of = np.zeros(count)
-    steps_of = np.zeros(count, dtype=np.int64)
-    work = matrices + shift * np.eye(n)
-    start = 1.0 + np.arange(n) * 1e-6
-    x = np.tile(start / np.linalg.norm(start), (count, 1))
-    live = np.arange(count)
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        y = np.einsum("bij,bj->bi", work, x)
-        lam = np.einsum("bi,bi->b", x, y)
-        residual = np.abs(y - lam[:, None] * x).max(axis=1)
-        value = lam - shift
-        converged = residual <= tol * np.maximum(1.0, np.abs(value))
-        norm = np.sqrt(np.einsum("bi,bi->b", y, y))
-        stopped = converged | (norm == 0.0)
-        if stopped.any():
-            # a row that vanished without converging reports (0, 0)
-            rows = live[stopped]
-            value_of[rows] = np.where(converged, np.maximum(value, 0.0), 0.0)[stopped]
-            residual_of[rows] = np.where(converged, residual, 0.0)[stopped]
-            steps_of[rows] = iteration
-            if stopped.all():
-                return [SpectralEstimate(*row) for row in
-                        zip(value_of.tolist(), residual_of.tolist(), steps_of.tolist())]
-            going = ~stopped
-            live, work, y, norm = live[going], work[going], y[going], norm[going]
-        x = y / norm[:, None]
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol} in {MAX_ITERATIONS} steps"
-    )
 
 
 def matrix_stack(graphs: Sequence[Graph | BipartiteGraph], which: str) -> np.ndarray:
@@ -159,46 +69,28 @@ def matrix_stack(graphs: Sequence[Graph | BipartiteGraph], which: str) -> np.nda
     return matrices
 
 
-# the shift each matrix kind's power iteration runs with: A + I, so that the
-# +/-rho oscillation of bipartite spectra cannot stall convergence; Q is PSD,
-# so it needs none
-_SHIFT = {ADJACENCY: 1.0, SIGNLESS_LAPLACIAN: 0.0}
+def radius_stack(matrices: np.ndarray) -> list[SpectralEstimate]:
+    """The spectral radius of each matrix of a (B, n, n) stack of A or Q
+    matrices, as ``matrix_stack`` builds them: its top eigenvalue, with the
+    residual max|Mx - lambda x| of its unit eigenvector x."""
+    count, n = matrices.shape[:2]
+    if n == 0:
+        return [SpectralEstimate(0.0, 0.0, 0)] * count
+    values, vectors = np.linalg.eigh(matrices)
+    top, x = values[:, -1], vectors[:, :, -1]
+    residual = np.abs(np.einsum("bij,bj->bi", matrices, x) - top[:, None] * x).max(axis=1)
+    return [SpectralEstimate(value, res, 0)
+            for value, res in zip(top.tolist(), residual.tolist())]
 
 
-def radius_stack(
-    matrices: np.ndarray, which: str, tol: float = DEFAULT_TOL
-) -> list[SpectralEstimate]:
-    """The spectral radius of each matrix of a (B, n, n) stack of ``which``
-    matrices (ADJACENCY or SIGNLESS_LAPLACIAN), as ``matrix_stack`` builds
-    them; ``rho`` or ``q_radius`` of each graph the stack came from."""
-    if which not in _SHIFT:
-        raise ValueError(f"unknown matrix kind {which!r}")
-    return _power_iteration_stack(matrices, tol, _SHIFT[which])
-
-
-def rho_stack(
-    graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
-) -> list[SpectralEstimate]:
-    """``rho`` of each graph; all graphs have the same number of vertices."""
-    return radius_stack(matrix_stack(graphs, ADJACENCY), ADJACENCY, tol)
-
-
-def q_radius_stack(
-    graphs: Sequence[Graph | BipartiteGraph], tol: float = DEFAULT_TOL
-) -> list[SpectralEstimate]:
-    """``q_radius`` of each graph; all graphs have the same number of vertices."""
-    return radius_stack(matrix_stack(graphs, SIGNLESS_LAPLACIAN), SIGNLESS_LAPLACIAN, tol)
-
-
-def rho(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
+def rho(g: Graph | BipartiteGraph) -> SpectralEstimate:
     """Spectral radius of the adjacency matrix."""
-    return _power_iteration(matrix_stack([g], ADJACENCY)[0], tol, _SHIFT[ADJACENCY])
+    return radius_stack(matrix_stack([g], ADJACENCY))[0]
 
 
-def q_radius(g: Graph | BipartiteGraph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
+def q_radius(g: Graph | BipartiteGraph) -> SpectralEstimate:
     """Signless Laplacian spectral radius."""
-    return _power_iteration(matrix_stack([g], SIGNLESS_LAPLACIAN)[0], tol,
-                            _SHIFT[SIGNLESS_LAPLACIAN])
+    return radius_stack(matrix_stack([g], SIGNLESS_LAPLACIAN))[0]
 
 
 def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[float]:
@@ -210,12 +102,13 @@ def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[floa
 
 
 def compare_threshold(
-    est: SpectralEstimate | float, threshold: float, tol: float = DEFAULT_CMP_TOL
+    est: SpectralEstimate | float, threshold: float, cmp_tol: float = DEFAULT_CMP_TOL
 ) -> ThresholdOutcome:
-    _check_tol(tol)
+    if not (math.isfinite(cmp_tol) and cmp_tol > 0):
+        raise ValueError("cmp_tol must be a finite number > 0")
     value = est.value if isinstance(est, SpectralEstimate) else float(est)
     margin = value - threshold
-    if abs(margin) <= tol:
+    if abs(margin) <= cmp_tol:
         return ThresholdOutcome(Relation.BOUNDARY, margin)
     return ThresholdOutcome(Relation.ABOVE if margin > 0 else Relation.BELOW, margin)
 

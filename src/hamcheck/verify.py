@@ -27,17 +27,19 @@ integer arithmetic; for the spectral ones the eigvalsh screen on the
 slice's hypothesis matrices, then ``spectral.radius_stack`` on the
 matrices of the graphs that pass it (the checker's own matrix, built
 once; the screen's eigenvalues are never reused as the checker's
-number); the checker itself, called once per graph that reaches it, on
-the one graph object the scan builds, which still decides every verdict;
-and a buffer of the hits' verdicts and adjacency rows. Every
+number, which is the estimate ``rho`` or ``q_radius`` gives the same
+matrix, bit for bit); the checker itself, called once per graph that
+reaches it, on the one graph object the scan builds, which still decides
+every verdict; and a buffer of the hits' verdicts and adjacency rows. Every
 ORACLE_BATCH hits, and at the end of the part, the buffered rows are
 decided by one call of the oracle's array core, ``oracle.witness_rows``,
 and tallied in scan order. ``tightness_search`` hands each slice's rows to
 the same core and builds no graph object at all. A Graph is built from a
 row only for the graph6 of a violation or a near miss.
-``analyze`` and ``oracle`` look at one graph at a time and keep the
-scalar power iteration and oracle, though the scalar oracle is faster
-than a batch of one only up to n = 8 (see ``oracle.py``).
+``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
+spectral radii are a stack of one, and both keep the scalar oracle,
+though it is faster than a batch of one only up to n = 8 (see
+``oracle.py``).
 ``analyze`` computes each spectral radius at most once per graph:
 ``conditions.RADII`` maps each hypothesis kind to the graph and matrix it
 bounds, for the checkers, the scan, ``analyze`` and ``tightness_search``
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import compress
@@ -398,13 +399,6 @@ def _tally(report: SoundnessReport, spec: TheoremSpec, verdict: Verdict, holds: 
     return False
 
 
-def _classify(report: SoundnessReport, spec: TheoremSpec, g: Graph, verdict: Verdict,
-              holds: bool) -> None:
-    """Tally one hypothesis hit against the oracle's answer for g."""
-    if _tally(report, spec, verdict, holds):
-        report.violations.append(write_graph6(g))
-
-
 def _graph6(adjacency: np.ndarray) -> str:
     """The graph6 of the graph with one row of ``_Layout.adjacency``."""
     return write_graph6(Graph(len(adjacency), tuple(adjacency.tolist())))
@@ -416,11 +410,11 @@ def _witness_kind(spec: TheoremSpec) -> str:
 
 def _verdicts(spec: TheoremSpec, objs: list, matrices: Optional[np.ndarray]) -> list[Verdict]:
     """The checker's verdict on each object; a spectral checker gets its
-    estimate from one stacked power iteration over ``matrices``, the
-    objects' hypothesis matrices."""
+    estimate from one ``radius_stack`` call over ``matrices``, the objects'
+    hypothesis matrices."""
     if not spec.spectral:
         return [spec.checker(obj) for obj in objs]
-    estimates = radius_stack(matrices, RADII[spec.hyp[0]].matrix)
+    estimates = radius_stack(matrices)
     return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
 
 
@@ -506,6 +500,10 @@ def soundness(
     # more than there are tasks or CPUs
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: only a parallel scan uses it, and the import alone
+        # adds memory and start-up time to every other command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_scan_part_star, tasks):
                 report.merge(part)

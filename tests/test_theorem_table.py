@@ -2,8 +2,11 @@
 the derived edge counts, the component count of a disconnected graph,
 table1 tolerances and the bounds on verify --jobs."""
 
+import concurrent.futures
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,8 +93,10 @@ def tightness_lines(**kwargs) -> str:
 
 
 def test_verdicts_match_fixture():
-    # generated before the checkers were rerouted through the theorem table;
-    # analyze drops NotApplicable verdicts, so this pins their notes too
+    # generated before the checkers were rerouted through the theorem table,
+    # and regenerated only through fixture_diff.py when the radii moved to
+    # eigh (numbers within 1e-14 relative, nothing else); analyze drops
+    # NotApplicable verdicts, so this pins their notes too
     assert verdicts_mix() == (FIXTURES / "verdicts_mix.json").read_text()
 
 
@@ -108,6 +113,22 @@ def test_tightness_at_defaults_matches_fixture():
     # max_n=6 and 16 bipartite cells: n=6 general graphs and side-4 bipartite ones
     text = tightness_lines()
     assert text == (FIXTURES / "tightness_n6.json").read_text()
+
+
+@pytest.mark.parametrize("new, code", [
+    ('{"q": 5.000000000000001, "margin": -1e-15, "status": "boundary"}', 0),
+    ('{"q": 5.000000001, "margin": 0.0, "status": "boundary"}', 1),       # 2e-10 relative
+    ('{"q": 5.0, "margin": 0.0, "status": "guaranteed"}', 1),
+    ('{"q": 5.0, "margin": -0.0, "status": "boundary"}', 1),              # same value, new text
+    ('{"margin": 0.0, "q": 5.0, "status": "boundary"}', 1),               # key order
+    ('{"q": 5.0, "margin": 0.0, "status": "boundary"}\n{}', 1),          # line count
+])
+def test_fixture_diff_allows_only_last_bit_changes(tmp_path, new, code):
+    from fixture_diff import main as fixture_diff
+
+    (tmp_path / "old").write_text('{"q": 5.0, "margin": 0.0, "status": "boundary"}\n')
+    (tmp_path / "new").write_text(new + "\n")
+    assert fixture_diff([str(tmp_path / "old"), str(tmp_path / "new")]) == code
 
 
 # the hand-written necessary edge counts the table's rules replaced
@@ -192,9 +213,21 @@ class _InlinePool:
 ])
 def test_verify_pool_is_sized_by_tasks_and_cpus(jobs, cpus, pool, monkeypatch):
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = soundness("lemma-3.4", sizes=[3, 4, 5, 6], jobs=jobs)
     assert _InlinePool.sizes == ([] if pool is None else [pool])
     monkeypatch.undo()
     assert report.to_dict() == soundness("lemma-3.4", sizes=[3, 4, 5, 6]).to_dict()
+
+
+def test_only_a_parallel_scan_imports_the_process_pool():
+    # a fresh interpreter, as the command line starts: a serial scan and an
+    # analyze run leave the process pool's module unloaded
+    code = ("import sys; from hamcheck.cli import main; "
+            "main(['verify', '--theorem', 'lemma-3.4', '--max-n', '4']); "
+            "main(['table1']); main(['analyze']); "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], input="D^o\n", capture_output=True,
+                          text=True, timeout=60, cwd=Path(__file__).resolve().parent.parent / "src")
+    assert done.returncode == 0, done.stderr

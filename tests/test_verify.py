@@ -6,8 +6,9 @@ import pytest
 from hamcheck import verify
 from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.families import make_family
+from hamcheck.graph6 import write_graph6
 from hamcheck.oracle import is_hamiltonian, is_traceable
-from hamcheck.spectral import ADJACENCY, q_radius, q_radius_stack, rho_stack
+from hamcheck.spectral import ADJACENCY, q_radius, rho
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
@@ -186,7 +187,8 @@ def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
             if v.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
                 continue
             g = obj.to_graph() if spec.kind != "general" else obj
-            verify._classify(report, spec, g, v, oracle(g) is not None)
+            if verify._tally(report, spec, v, oracle(g) is not None):
+                report.violations.append(write_graph6(g))
     return report
 
 
@@ -242,8 +244,8 @@ SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].spectral]
 
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
 def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monkeypatch):
-    # the scan runs power iteration on its screen's matrices; each estimate
-    # must be, bit for bit and in steps, that of the checker's own operand
+    # the scan runs radius_stack on its screen's matrices; each estimate
+    # must be, bit for bit, what rho or q_radius gives the checker's own operand
     spec = THEOREMS[theorem_id]
     seen = []
 
@@ -254,14 +256,9 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
     monkeypatch.setitem(THEOREMS, theorem_id, dataclasses.replace(spec, checker=checker))
     soundness(theorem_id, max_n=5)
     radius = RADII[spec.hyp[0]]
-    stacked = rho_stack if radius.matrix == ADJACENCY else q_radius_stack
-    by_size = {}
-    for obj, estimate in seen:
-        size = obj.n if spec.kind == "general" else obj.p + obj.q
-        by_size.setdefault(size, []).append((obj, estimate))
+    scalar = rho if radius.matrix == ADJACENCY else q_radius
+    sizes = {obj.n if spec.kind == "general" else obj.p + obj.q for obj, _ in seen}
     # every scanned size reaches the checker: zhou-complement-traceable's n = 1 too,
     # whose layout has no mask bits and so no screen
-    assert sorted(by_size) == [sum(verify._sides(spec.kind, n)) for n in sizes_for(spec, 5)]
-    for pairs in by_size.values():
-        want = stacked([radius.operand(obj) for obj, _ in pairs])
-        assert [estimate for _, estimate in pairs] == want
+    assert sorted(sizes) == [sum(verify._sides(spec.kind, n)) for n in sizes_for(spec, 5)]
+    assert [estimate for _, estimate in seen] == [scalar(radius.operand(obj)) for obj, _ in seen]
