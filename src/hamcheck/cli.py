@@ -1,9 +1,11 @@
 """Command-line surface: analyze graphs, reproduce Table 1, run soundness scans.
 
-Exit codes: 0 clean, 2 parse/processing errors (a record that is not
-ASCII among them), 64 usage errors (unknown subcommand, theorem, family,
-a flag the subcommand does not take, bad parameters, or an input file
-that cannot be opened).
+Exit codes: 0 clean, 1 a finding (a soundness scan with a violation, or
+a ``table1`` value off its published one by more than ``--tolerance``),
+2 parse/processing errors (a record that is not ASCII among them, or an
+output closed before it was all written), 64 usage errors (unknown
+subcommand, theorem, family, a flag the subcommand does not take, bad
+parameters, or an input file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from functools import partial
@@ -77,8 +80,6 @@ def _build_parser() -> _Parser:
 
     def common_flags(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--deterministic", action="store_true",
-                       help="suppress timing fields for byte-identical reruns")
 
     p_analyze = sub.add_parser("analyze", help="run every applicable checker on input graphs")
     common_io(p_analyze)
@@ -93,6 +94,8 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="exhaustive soundness scan of a theorem")
     common_flags(p_verify)
+    p_verify.add_argument("--deterministic", action="store_true",
+                          help="suppress timing fields for byte-identical reruns")
     p_verify.add_argument("--theorem", required=True,
                           help="theorem id or 'all' (see 'verify --theorem list')")
     p_verify.add_argument("--max-n", type=int, default=verify_mod.DEFAULT_MAX_N)
@@ -107,7 +110,6 @@ def _build_parser() -> _Parser:
     p_family.add_argument("--p", type=int)
     p_family.add_argument("--index", type=int)
     p_family.add_argument("--format", choices=("graph6", "edges"), default="graph6")
-    p_family.add_argument("--deterministic", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="exact Hamiltonicity/traceability with witnesses")
     common_io(p_oracle)
@@ -211,13 +213,13 @@ def _emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- analyze
 
-def _estimate_once(estimates: dict, hyp: str, obj) -> SpectralEstimate:
-    """obj's spectral estimate for hypothesis kind hyp, computed on first use."""
-    if hyp not in estimates:
-        radius = RADII[hyp]
+def _estimate_once(estimates: dict, quantity: str, obj) -> SpectralEstimate:
+    """obj's spectral estimate for a hypothesis quantity, computed on first use."""
+    if quantity not in estimates:
+        radius = RADII[quantity]
         radius_of = rho if radius.matrix == ADJACENCY else q_radius
-        estimates[hyp] = radius_of(radius.operand(obj))
-    return estimates[hyp]
+        estimates[quantity] = radius_of(radius.operand(obj))
+    return estimates[quantity]
 
 
 def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], cmp_tol: float) -> list[dict]:
@@ -238,10 +240,10 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], cmp_tol: float
             objects.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED, {}))
     for obj, kind, estimates in objects:
         for tid, spec in verify_mod.THEOREMS.items():
-            if spec.kind != kind:
+            if spec.row.kind != kind:
                 continue
-            if spec.spectral:
-                estimate = partial(_estimate_once, estimates, spec.hyp[0], obj)
+            if spec.row.spectral:
+                estimate = partial(_estimate_once, estimates, spec.row.quantity, obj)
                 verdict = spec.checker(obj, cmp_tol=cmp_tol, estimate=estimate)
             else:
                 verdict = spec.checker(obj)
@@ -291,7 +293,7 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------- table1
 
 def cmd_table1(args) -> int:
-    rows = verify_mod.table1_report(args.tolerance)
+    rows = verify_mod.table1_report()
     all_ok = True
     out = []
     for name, computed, published, diff in rows:
@@ -342,7 +344,7 @@ def cmd_verify(args) -> int:
         payload = report.to_dict()
         if not args.deterministic:
             payload["elapsed_s"] = round(time.monotonic() - start, 3)
-        if args.tightness and verify_mod.THEOREMS[tid].hyp is not None:
+        if args.tightness and verify_mod.THEOREMS[tid].row.quantity is not None:
             payload["tightness"] = verify_mod.tightness_search(tid, max_n=args.max_n)
         reports.append(payload)
         all_pass &= report.passed
@@ -462,7 +464,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         "family": cmd_family,
         "oracle": cmd_oracle,
     }[args.command]
-    return handler(args)
+    try:
+        status = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull, so the flush
+        # at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PARSE
+    return status
 
 
 if __name__ == "__main__":

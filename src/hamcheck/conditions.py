@@ -169,6 +169,16 @@ class Condition:
     def strict(self) -> bool:
         return self.direction == "gt"
 
+    @property
+    def spectral(self) -> bool:
+        """The quantity is a spectral radius, so the checker takes an estimate."""
+        return self.quantity not in (None, "m")
+
+    def shortfall(self, value, threshold):
+        """How far ``value`` (a number or an array) falls short of meeting
+        the hypothesis bound ``threshold``; negative once past it."""
+        return value - threshold if self.direction == "le" else threshold - value
+
 
 CONDITIONS: dict[str, Condition] = {
     "chvatal": Condition(HAMILTONIAN, GENERAL, 3),

@@ -12,6 +12,7 @@ from enum import Enum
 from .graphs import (
     BipartiteGraph,
     Graph,
+    check_sides,
     complete,
     complete_bipartite,
     cycle,
@@ -71,6 +72,7 @@ def knn1_plus_edge(n: int) -> BipartiteGraph:
     """K_{n,n-1} with a pendant edge on a side-X vertex; sides (n, n)."""
     if n < 2:
         raise ValueError("knn1-plus-e needs n >= 2")
+    check_sides(n, n)
     old = (1 << (n - 1)) - 1
     rows = [old] * n
     rows[0] |= 1 << (n - 1)
@@ -87,6 +89,7 @@ def kpn2_plus_4e(n: int, p: int) -> BipartiteGraph:
         raise ValueError("kpn2-plus-4e needs n >= 3")
     if p < n - 1:
         raise ValueError(f"kpn2-plus-4e needs p >= n-1 (got p={p}, n={n})")
+    check_sides(p, n)
     old = (1 << (n - 2)) - 1
     new = (1 << (n - 2)) | (1 << (n - 1))
     rows = [old | new, old | new] + [old] * (p - 2)
@@ -101,6 +104,7 @@ def knn1_plus_2e(n: int) -> BipartiteGraph:
     """
     if n < 2:
         raise ValueError("knn1-plus-2e needs n >= 2")
+    check_sides(n + 1, n)
     full = (1 << n) - 1
     rows = [full] * (n - 1) + [1, 1]
     return BipartiteGraph(n + 1, n, tuple(rows))

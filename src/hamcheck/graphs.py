@@ -138,19 +138,21 @@ def star(n: int) -> Graph:
     return from_edges(n, [(v, n - 1) for v in range(n - 1)])
 
 
-def _check_sides(p: int, q: int) -> None:
+def check_sides(p: int, q: int) -> None:
+    """Raise ValueError unless sides of p and q vertices make a graph within
+    the vertex cap; constructors call it before building any row."""
     for count in (p, q, p + q):
         _check_n(count)
 
 
 def complete_bipartite(p: int, q: int) -> BipartiteGraph:
-    _check_sides(p, q)
+    check_sides(p, q)
     full = (1 << q) - 1
     return BipartiteGraph(p, q, (full,) * p)
 
 
 def bipartite_from_edges(p: int, q: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-    _check_sides(p, q)
+    check_sides(p, q)
     rows = [0] * p
     for x, y in edges:
         if not (0 <= x < p and 0 <= y < q):

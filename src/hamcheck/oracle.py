@@ -15,20 +15,20 @@ Two forms of the DP decide the same question. ``is_hamiltonian`` and
 ints, in a list indexed by S itself (its even entries unused);
 ``analyze`` and ``oracle`` use them, since they see one graph at a time,
 though they beat a batch of one only at n <= 8 (mean ms per call on
-G(n, 1/2), scalar vs ``*_batch([g])``, cycle / path: n=8 0.17 vs 0.59 /
-0.39 vs 0.55, n=10 0.67 vs 0.39 / 2.2 vs 0.45, n=14 72 vs 3.0 / 172 vs
-4.0). ``analyze`` runs the path DP only on graphs the cycle DP found
-non-Hamiltonian, since a Hamiltonian cycle less one edge is a
+G(n, 1/2), scalar vs the batched DP on a batch of one, cycle / path:
+n=8 0.17 vs 0.59 / 0.39 vs 0.55, n=10 0.67 vs 0.39 / 2.2 vs 0.45, n=14 72
+vs 3.0 / 172 vs 4.0). ``analyze`` runs the path DP only on graphs the cycle DP
+found non-Hamiltonian, since a Hamiltonian cycle less one edge is a
 Hamiltonian path; ``oracle`` prints a path witness, so it runs both.
-``witness_rows`` is the array core of the other form: it takes a (B, n)
-uint32 array of adjacency bitsets and pulls endpoints from each subset's
+``witness_rows`` is the other form and the oracle's one array entry: it
+takes a (B, n) uint32 array of adjacency bitsets, the form a soundness
+scan keeps each graph in, and pulls endpoints from each subset's
 predecessors with numpy, one popcount layer at a time, for every row at
 once, in tables keyed by S >> 1. Soundness scans and
-``tightness_search`` hand it the rows of their scan slices;
-``is_hamiltonian_batch`` and ``is_traceable_batch`` wrap it for a list
-of graphs. Both forms walk back from the lowest closing vertex through
-the lowest adjacent endpoint, and check every witness: ``check_witnesses``
-tests a batch at once, and ``_check_witness`` is its one-row case.
+``tightness_search`` hand it the rows of their scan slices. Both forms
+walk back from the lowest closing vertex through the lowest adjacent
+endpoint, and check every witness: ``check_witnesses`` tests a batch at
+once, and ``_check_witness`` is its one-row case.
 
 MAX_DP_N keeps one scalar call within a budget of about 10 s on one core;
 the cost grows about 2.2x per vertex. Measured on one core of a 2-vCPU
@@ -142,31 +142,6 @@ def _cycle_order(adj: Sequence[int]) -> Optional[tuple[int, ...]]:
         order.append(v)
     order.reverse()
     return tuple(order)
-
-
-def is_hamiltonian_batch(graphs: Sequence[Graph]) -> list[Optional[HamWitness]]:
-    """``is_hamiltonian`` for each graph (any mix of sizes, n <= MAX_DP_N)."""
-    return _batch(graphs, CYCLE)
-
-
-def is_traceable_batch(graphs: Sequence[Graph]) -> list[Optional[HamWitness]]:
-    """``is_traceable`` for each graph (any mix of sizes, n <= MAX_DP_N)."""
-    return _batch(graphs, PATH)
-
-
-def _batch(graphs: Sequence[Graph], kind: str) -> list[Optional[HamWitness]]:
-    out: list[Optional[HamWitness]] = [None] * len(graphs)
-    by_n: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        if g.n > MAX_DP_N:
-            raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-        by_n.setdefault(g.n, []).append(i)
-    for members in by_n.values():
-        adj = np.array([graphs[i].adj for i in members], dtype=np.uint32)
-        found, orders = witness_rows(adj, kind)
-        for i, order in zip(np.array(members)[found].tolist(), orders.tolist()):
-            out[i] = HamWitness(kind, tuple(order))
-    return out
 
 
 def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:

@@ -2,14 +2,17 @@
 
 ``matrix_stack`` is the one place that turns bitset rows into a matrix:
 every route, the verify scan's eigvalsh screen included, gets A or Q from
-it. ``radius_stack`` is the one place that computes a spectral radius: a
-dense symmetric eigendecomposition (``np.linalg.eigh``) of each matrix of a
-(B, n, n) stack, which returns the top eigenvalue with the residual of its
-eigenvector. ``rho`` and ``q_radius`` are a stack of one; the verify scan
-hands ``radius_stack`` the matrices its screen built, kept for the graphs
-that pass it. LAPACK decomposes each matrix of a stack on its own, so
-every matrix gets the same estimate, bit for bit, whatever else is in the
-stack, and the scan checks exactly the numbers ``analyze`` prints.
+it, whether its graphs are objects or, as in a scan slice, a (B, n)
+uint32 array of adjacency rows; both are unpacked by the same
+``np.unpackbits`` step. ``radius_stack`` is the one place that computes a
+spectral radius: a dense symmetric eigendecomposition (``np.linalg.eigh``)
+of each matrix of a (B, n, n) stack, which returns the top eigenvalue with
+the residual of its eigenvector. ``rho`` and ``q_radius`` are a stack of
+one; the verify scan hands ``radius_stack`` the matrices its screen
+built, kept for the graphs that pass it. LAPACK decomposes each matrix of
+a stack on its own, so every matrix gets the same estimate, bit for bit,
+whatever else is in the stack, and the scan checks exactly the numbers
+``analyze`` prints.
 ``eigen_oracle`` gives all eigenvalues of one graph's matrix.
 """
 
@@ -51,21 +54,25 @@ class ThresholdOutcome:
     margin: float
 
 
-def matrix_stack(graphs: Sequence[Graph | BipartiteGraph], which: str) -> np.ndarray:
-    """A, or Q = A + D, of each same-size graph as a (B, n, n) float stack."""
+def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: str) -> np.ndarray:
+    """A, or Q = A + D, of each same-size graph as a (B, n, n) float stack.
+    The graphs are objects, or a (B, n) uint32 array of adjacency rows."""
     if which not in (ADJACENCY, SIGNLESS_LAPLACIAN):
         raise ValueError(f"unknown matrix kind {which!r}")
-    graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
-    n = graphs[0].n if graphs else 0
-    width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
-    rows = chain.from_iterable(g.adj for g in graphs)
-    raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
+    if isinstance(graphs, np.ndarray):
+        count, n = graphs.shape
+        packed = np.ascontiguousarray(graphs, dtype="<u4").view(np.uint8).reshape(count, n, 4)
+    else:
+        graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
+        n = graphs[0].n if graphs else 0
+        width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
+        rows = chain.from_iterable(g.adj for g in graphs)
+        raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
     matrices = np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(float)
     if which == SIGNLESS_LAPLACIAN:
         # A has a zero diagonal, so writing the degrees there adds D
-        diagonal = np.arange(n)
-        matrices[:, diagonal, diagonal] = matrices.sum(axis=2)
+        matrices.reshape(len(matrices), n * n)[:, ::n + 1] = np.einsum("bij->bi", matrices)
     return matrices
 
 

@@ -6,44 +6,49 @@ guard well above the comparison tolerance) cut the candidate set before
 the full checker and the Hamiltonicity oracle run. Labeled enumeration
 over-counts isomorphic copies, which is harmless for soundness claims.
 
-No theorem is written here. THEOREMS builds each TheoremSpec from the
-theorem's one row in ``conditions.CONDITIONS``: its checker (the row's
-verdict ladder, ``conditions.decide``, or a degree theorem's own checker),
-its hypothesis, its m/delta filter (the row's per-side minimum degrees
-and a necessary edge count derived from its threshold by one rule per
-quantity), and the exceptions ``tightness_search`` probes. ``_sides``
-alone decides a kind's side sizes at n, for the scanned sizes, the size
-caps, the scan layout and ``tightness_search``.
+No theorem is written here. A TheoremSpec is the theorem's one row in
+``conditions.CONDITIONS``, its checker (the row's verdict ladder,
+``conditions.decide``, or a degree theorem's own checker) and, for a
+degree theorem, its screen. Everything else is read from the row: its
+hypothesis and strictness, its m/delta filter (the row's per-side minimum
+degrees, and ``_m_min``, a necessary edge count derived from its
+threshold by one rule per quantity), and the exceptions
+``tightness_search`` probes. ``_sides`` alone decides a kind's side sizes
+at n, for the scanned sizes, the size caps, the scan layout and
+``tightness_search``.
 
 The scan works on slices of at most SLICE masks, so its temporaries stay
 bounded, and each slice goes through one pipeline whatever the graph
-kind. A graph is a row of the slice's arrays throughout: its mask bits,
-its degree table, its hypothesis matrix and its adjacency bitsets
-(``_Layout.adjacency``, side X first as ``to_graph``). The pipeline: the
-m/delta filter, which also yields the degree tables; for the degree
-theorems (Chvatal, bipartite degree, Moon-Moser) a degree screen that
-evaluates the checker's own inequality on the whole slice in exact
-integer arithmetic; for the spectral ones the eigvalsh screen on the
-slice's hypothesis matrices, then ``spectral.radius_stack`` on the
-matrices of the graphs that pass it (the checker's own matrix, built
-once; the screen's eigenvalues are never reused as the checker's
-number, which is the estimate ``rho`` or ``q_radius`` gives the same
-matrix, bit for bit); the checker itself, called once per graph that
-reaches it, on the one graph object the scan builds, which still decides
-every verdict; and a buffer of the hits' verdicts and adjacency rows. Every
-ORACLE_BATCH hits, and at the end of the part, the buffered rows are
-decided by one call of the oracle's array core, ``oracle.witness_rows``,
-and tallied in scan order. ``tightness_search`` hands each slice's rows to
-the same core and builds no graph object at all. A Graph is built from a
-row only for the graph6 of a violation or a near miss.
+kind. A graph is one uint32 adjacency row of the slice throughout, side X
+first for a bipartite graph, as ``to_graph``; only its degree table rides
+along. The pipeline: the m/delta filter, which yields the kept masks'
+adjacency rows and degree tables; for the degree theorems (Chvatal,
+bipartite degree, Moon-Moser) a degree screen that evaluates the
+checker's own inequality on the whole slice in exact integer arithmetic;
+for the spectral ones the eigvalsh screen on the hypothesis matrices,
+which ``spectral.matrix_stack`` builds from the rows (or from
+``_Layout.complement`` of them, for the radius of a complement), then
+``spectral.radius_stack`` on the matrices of the graphs that pass it (the
+checker's own matrix, built once; the screen's eigenvalues are never
+reused as the checker's number, which is the estimate ``rho`` or
+``q_radius`` gives the same matrix, bit for bit); the checker itself,
+called once per graph that reaches it, on the graph object
+``_Layout.build`` makes of its row, which still decides every verdict;
+and a buffer of the hits' verdicts and rows. Every ORACLE_BATCH hits, and
+at the end of the part, the buffered rows are decided by one call of the
+oracle's array entry, ``oracle.witness_rows``, and tallied in scan order.
+``tightness_search`` hands each slice's rows to the same entry and builds
+no graph object at all. A Graph is built from a row only for the graph6
+of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
 spectral radii are a stack of one, and both keep the scalar oracle,
 though it is faster than a batch of one only up to n = 8 (see
 ``oracle.py``).
 ``analyze`` computes each spectral radius at most once per graph:
-``conditions.RADII`` maps each hypothesis kind to the graph and matrix it
-bounds, for the checkers, the scan, ``analyze`` and ``tightness_search``
-alike, and the checkers that share a kind share the estimate.
+``conditions.RADII`` maps each hypothesis quantity to the graph and
+matrix it bounds, for the checkers, the scan, ``analyze`` and
+``tightness_search`` alike, and the checkers that share a quantity share
+the estimate.
 """
 
 from __future__ import annotations
@@ -85,94 +90,88 @@ DEFAULT_BIP_CELLS = 16
 
 # ------------------------------------------------------------ enumeration
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 @dataclass(frozen=True)
 class _Layout:
-    """How the bits of a mask encode one labeled graph of a kind and size."""
+    """How the bits of a mask encode one labeled graph of a kind and size.
+    A graph is its adjacency row: per vertex, a uint32 bitset of its
+    neighbours, a bipartite graph's side X first, as ``to_graph``."""
     nverts: int
     slots: list[tuple[int, int]]   # the vertex pair of each mask bit
     min_degree: list[int]          # per vertex
-    row_bits: np.ndarray           # [mask bit, row]: what the bit adds to that row of make's
-    make: Callable[[tuple[int, ...]], Graph | BipartiteGraph]
-    graph_bits: np.ndarray         # [mask bit, vertex]: the same for the graph's adjacency
+    sides: Optional[tuple[int, int]] = None   # (p, q) of a bipartite graph
 
-    def build(self, bits: np.ndarray) -> list:
-        """The graphs whose masks' bits are the rows of ``bits``."""
-        return [self.make(tuple(rows)) for rows in (bits @ self.row_bits).tolist()]
+    def slot_rows(self) -> np.ndarray:
+        """[mask bit, vertex]: what the bit adds to that vertex's adjacency.
+        Float, so a product with it runs in BLAS; its sums are integers
+        below 2^32, so they are exact."""
+        out = np.zeros((len(self.slots), self.nverts))
+        for k, (i, j) in enumerate(self.slots):
+            out[k, i], out[k, j] = 1 << j, 1 << i
+        return out
 
-    def adjacency(self, bits: np.ndarray) -> np.ndarray:
-        """Per row of ``bits``, its graph's adjacency bitsets as one uint32
-        row; a bipartite graph's vertices go side X first, as ``to_graph``."""
-        return (bits @ self.graph_bits).astype(np.uint32)
+    def complement(self, adjacency: np.ndarray) -> np.ndarray:
+        """The rows with every slot flipped: the complement of a general
+        graph, the quasi-complement of a bipartite one."""
+        return adjacency ^ self.slot_rows().sum(axis=0).astype(np.uint32)
+
+    def build(self, adjacency: np.ndarray) -> list:
+        """The graph objects of the adjacency rows."""
+        if self.sides is None:
+            return [Graph(self.nverts, tuple(row)) for row in adjacency.tolist()]
+        p, q = self.sides
+        return [BipartiteGraph(p, q, tuple(row)) for row in (adjacency[:, :p] >> p).tolist()]
 
 
-def _graph_bits(nverts: int, slots: list[tuple[int, int]]) -> np.ndarray:
-    out = np.zeros((len(slots), nverts), dtype=np.int64)
-    for k, (i, j) in enumerate(slots):
-        out[k, i], out[k, j] = 1 << j, 1 << i
-    return out
-
-
-def _general_layout(n: int, delta_min: int) -> _Layout:
-    pairs = _pairs(n)
-    graph_bits = _graph_bits(n, pairs)
-    return _Layout(n, pairs, [delta_min] * n, graph_bits, partial(Graph, n), graph_bits)
+def _general_layout(n: int, min_degree: int) -> _Layout:
+    return _Layout(n, [(i, j) for j in range(1, n) for i in range(j)], [min_degree] * n)
 
 
 def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
-    cells = [(x, y) for x in range(p) for y in range(q)]
-    row_bits = np.zeros((p * q, p), dtype=np.int64)
-    for k, (x, y) in enumerate(cells):
-        row_bits[k, x] = 1 << y
-    slots = [(x, p + y) for x, y in cells]
-    return _Layout(p + q, slots, [dx_min] * p + [dy_min] * q, row_bits,
-                   partial(BipartiteGraph, p, q), _graph_bits(p + q, slots))
+    slots = [(x, p + y) for x in range(p) for y in range(q)]
+    return _Layout(p + q, slots, [dx_min] * p + [dy_min] * q, (p, q))
 
 
 def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
-    """Yield (scanned, bits, degrees) per slice of masks [lo, hi): for the
-    masks with at least m_min edges and every vertex at its minimum degree,
-    their bit rows and their per-vertex degree tables."""
-    touches = np.zeros(layout.nverts, dtype=np.int64)  # per vertex, its slots' mask bits
-    for k, (i, j) in enumerate(layout.slots):
-        touches[i] |= 1 << k
-        touches[j] |= 1 << k
+    """Yield (scanned, adjacency, degrees) per slice of masks [lo, hi): for
+    the masks with at least m_min edges and every vertex at its minimum
+    degree, their adjacency rows and their per-vertex degree tables."""
     need = np.array(layout.min_degree)
     shifts = np.arange(len(layout.slots), dtype=np.int64)
+    slot_rows = layout.slot_rows()
+    # per vertex, the mask bits of its slots
+    touches = (slot_rows > 0).T.astype(np.int64) @ (1 << shifts)
     for start in range(lo, hi, SLICE):
         masks = np.arange(start, min(start + SLICE, hi), dtype=np.int64)
         degrees = np.bitwise_count(masks[:, None] & touches).astype(np.int16)
         keep = (np.bitwise_count(masks) >= m_min) & (degrees >= need).all(axis=1)
         masks = masks[keep]
-        yield len(keep), ((masks[:, None] >> shifts) & 1).astype(np.int16), degrees[keep]
+        adjacency = (((masks[:, None] >> shifts) & 1).astype(float) @ slot_rows).astype(np.uint32)
+        yield len(keep), adjacency, degrees[keep]
 
 
 def _visit_all(layout: _Layout, visit: Callable) -> int:
     count = 0
-    for _, bits, _ in _slices(layout, 0, 1 << len(layout.slots)):
-        count += len(bits)
-        for obj in layout.build(bits):
+    for _, adjacency, _ in _slices(layout, 0, 1 << len(layout.slots)):
+        count += len(adjacency)
+        for obj in layout.build(adjacency):
             visit(obj)
     return count
 
 
-def enumerate_graphs(n: int, delta_min: int, visit: Callable[[Graph], None]) -> int:
-    """Visit every labeled simple graph on n vertices with min degree >= delta_min."""
+def enumerate_graphs(n: int, min_degree: int, visit: Callable[[Graph], None]) -> int:
+    """Visit every labeled simple graph on n vertices with min degree >= min_degree."""
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
-    return _visit_all(_general_layout(n, delta_min), visit)
+    return _visit_all(_general_layout(n, min_degree), visit)
 
 
 def enumerate_bipartite(
-    p: int, q: int, delta_min: int, visit: Callable[[BipartiteGraph], None]
+    p: int, q: int, min_degree: int, visit: Callable[[BipartiteGraph], None]
 ) -> int:
-    """Visit every labeled biadjacency matrix with all degrees >= delta_min."""
+    """Visit every labeled biadjacency matrix with all degrees >= min_degree."""
     if p * q > MAX_BIP_CELLS:
         raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
-    return _visit_all(_bipartite_layout(p, q, delta_min, delta_min), visit)
+    return _visit_all(_bipartite_layout(p, q, min_degree, min_degree), visit)
 
 
 # ------------------------------------------------------------- reports
@@ -222,28 +221,13 @@ class SoundnessReport:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """A theorem as the scan reads it, built from its row in
-    ``conditions.CONDITIONS``."""
-    theorem_id: str
-    kind: str                # general | bip_balanced | bip_unbalanced
-    prop: str
-    min_n: int
-    delta_min: tuple[int, int]   # (side X, side Y); equal entries for general
+    """A theorem as the scan reads it: its row in ``conditions.CONDITIONS``,
+    its checker, and for a degree theorem its screen, which maps a scan
+    slice's (degrees, adjacency) to whether the hypothesis holds for each of
+    its graphs, decided exactly by the checker's own inequality."""
+    row: cond.Condition
     checker: Callable
-    strict: bool = False
-    # hypothesis quantity: (kind, threshold(n), direction); kind in
-    # m | q | rho | rho_star | q_complement, direction in ge | gt | le
-    hyp: Optional[tuple[str, Callable[[int], float], str]] = None
-    m_min: Optional[Callable[[int], int]] = None
-    exceptions_for: Callable[[int], tuple[FamilyId, ...]] = lambda n: ()
-    # degree screen: (degrees, bits) of a scan slice -> per row, whether the
-    # hypothesis holds, decided exactly by the checker's own inequality
     screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    @property
-    def spectral(self) -> bool:
-        """The hypothesis is a spectral radius, so the checker takes an estimate."""
-        return self.hyp is not None and self.hyp[0] != "m"
 
 
 def _ceil_eps(x: float) -> int:
@@ -266,35 +250,35 @@ _NEEDED_EDGES: dict[str, Callable[[int, float, bool], int]] = {
 }
 
 
-def _moon_moser_screen(degrees: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _m_min(row: cond.Condition, n: int) -> int:
+    """The fewest edges a graph of size n needs to meet row's hypothesis."""
+    if row.quantity is None:
+        return 0
+    return _NEEDED_EDGES[row.quantity](n, row.threshold(n), row.strict)
+
+
+def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     side = degrees.shape[1] // 2
-    return cond.moon_moser_blocking(degrees, bits.reshape(len(bits), side, side))[1] < 0
+    # side X's rows hold side Y's vertices at bits side .. 2 side - 1
+    adjacent = (adjacency[:, :side, None] >> np.arange(side, 2 * side)) & 1
+    return cond.moon_moser_blocking(degrees, adjacent)[1] < 0
 
 
 # the theorems without a numeric hypothesis: their own checker, and their
 # inequality evaluated on a whole scan slice as its screen
 _DEGREE_THEOREMS = {
     "chvatal": (cond.chvatal_hamiltonian,
-                lambda degrees, bits: cond.chvatal_blocking(degrees) == 0),
+                lambda degrees, adjacency: cond.chvatal_blocking(degrees) == 0),
     "bipartite-degree": (cond.bipartite_degree_hamiltonian,
-                         lambda degrees, bits: cond.bipartite_degree_blocking(degrees) == 0),
+                         lambda degrees, adjacency: cond.bipartite_degree_blocking(degrees) == 0),
     "moon-moser": (cond.moon_moser_hamiltonian, _moon_moser_screen),
 }
 
 
 def _spec(theorem_id: str, row: cond.Condition) -> TheoremSpec:
     if row.quantity is None:
-        checker, screen = _DEGREE_THEOREMS[theorem_id]
-        return TheoremSpec(theorem_id, row.kind, row.prop, row.min_n, row.min_degree, checker,
-                           screen=screen)
-    needed = _NEEDED_EDGES[row.quantity]
-    return TheoremSpec(
-        theorem_id, row.kind, row.prop, row.min_n, row.min_degree, partial(cond.decide, row),
-        strict=row.strict,
-        hyp=(row.quantity, row.threshold, row.direction),
-        m_min=lambda n: needed(n, row.threshold(n), row.strict),
-        exceptions_for=row.exceptions,
-    )
+        return TheoremSpec(row, *_DEGREE_THEOREMS[theorem_id])
+    return TheoremSpec(row, partial(cond.decide, row))
 
 
 THEOREMS: dict[str, TheoremSpec] = {
@@ -317,60 +301,37 @@ def _sides(kind: str, n: int) -> tuple[int, int]:
 def sizes_for(spec: TheoremSpec, max_n: int, bip_cells: int = DEFAULT_BIP_CELLS) -> list[int]:
     """Side sizes (general n, or bipartite n) scanned for a theorem."""
     cells = min(bip_cells, MAX_BIP_CELLS)
-    return [n for n in range(spec.min_n, max_n + 1)
-            if spec.kind == GENERAL or math.prod(_sides(spec.kind, n)) <= cells]
+    kind = spec.row.kind
+    return [n for n in range(spec.row.min_n, max_n + 1)
+            if kind == GENERAL or math.prod(_sides(kind, n)) <= cells]
 
 
 def _check_caps(spec: TheoremSpec, sizes: list[int]) -> None:
     """A scan costs 2^(mask bits), so refuse sizes above the caps before any work."""
+    kind = spec.row.kind
     for n in sizes:
-        if spec.kind == GENERAL and n > MAX_ENUM_N:
+        if kind == GENERAL and n > MAX_ENUM_N:
             raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
-        if spec.kind != GENERAL and math.prod(_sides(spec.kind, n)) > MAX_BIP_CELLS:
+        if kind != GENERAL and math.prod(_sides(kind, n)) > MAX_BIP_CELLS:
             raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
 
 
 # --------------------------------------------------------------- scanning
 
 def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
-    p, q = _sides(spec.kind, n)
-    if spec.kind == GENERAL:
-        return _general_layout(p, spec.delta_min[0])
-    return _bipartite_layout(p, q, *spec.delta_min)
+    row = spec.row
+    p, q = _sides(row.kind, n)
+    if row.kind == GENERAL:
+        return _general_layout(p, row.min_degree[0])
+    return _bipartite_layout(p, q, *row.min_degree)
 
 
-def _hypothesis_matrices(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
-    """Per bit row of a slice, the matrix of its graph's hypothesis radius,
-    as a (rows, n, n) stack. A and Q are linear in the edges, so that matrix
-    is the sum, over the row's edges (its non-edges if complemented), of
-    ``matrix_stack``'s matrix of the layout's graph with that one edge."""
-    radius = RADII[spec.hyp[0]]
-    single_edges = layout.build(np.eye(len(layout.slots), dtype=np.int64))
-    # reshaped, so a layout without mask bits still gives (rows, n, n)
-    basis = matrix_stack(single_edges, radius.matrix).reshape(
-        len(layout.slots), layout.nverts, layout.nverts)
-
-    def matrices(bits: np.ndarray) -> np.ndarray:
-        weights = bits.astype(float)
-        if radius.complemented:
-            weights = 1.0 - weights
-        return np.tensordot(weights, basis, axes=(1, 0))
-    return matrices
-
-
-def _shortfall(direction: str, value: float | np.ndarray, threshold: float) -> float | np.ndarray:
-    """How far ``value`` falls short of meeting the hypothesis bound
-    ``threshold`` in ``direction`` (ge | gt | le); negative once past it."""
-    return value - threshold if direction == "le" else threshold - value
-
-
-def _hypothesis_values(spec: TheoremSpec, layout: _Layout) -> Callable[[np.ndarray], np.ndarray]:
-    """Per bit row of a slice, its graph's hypothesis quantity: the edge
-    count, or the top eigvalsh eigenvalue of the radius's matrix."""
-    if spec.hyp[0] == "m":
-        return lambda bits: bits.sum(axis=1).astype(float)
-    matrices = _hypothesis_matrices(spec, layout)
-    return lambda bits: np.linalg.eigvalsh(matrices(bits))[:, -1]
+def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.ndarray) -> np.ndarray:
+    """Per adjacency row, the matrix of its graph's hypothesis radius, as a
+    (rows, n, n) stack."""
+    radius = RADII[row.quantity]
+    operand = layout.complement(adjacency) if radius.complemented else adjacency
+    return matrix_stack(operand, radius.matrix)
 
 
 def _tally(report: SoundnessReport, spec: TheoremSpec, verdict: Verdict, holds: bool) -> bool:
@@ -393,26 +354,26 @@ def _tally(report: SoundnessReport, spec: TheoremSpec, verdict: Verdict, holds: 
     elif verdict.status is Status.BOUNDARY:
         # a strict hypothesis is simply unresolved at the line; a non-strict
         # one holds there, so a missing property would be a real violation
-        if not (spec.strict or holds):
+        if not (spec.row.strict or holds):
             return True
         report.boundary_cases += 1
     return False
 
 
 def _graph6(adjacency: np.ndarray) -> str:
-    """The graph6 of the graph with one row of ``_Layout.adjacency``."""
+    """The graph6 of the graph with one adjacency row of a scan slice."""
     return write_graph6(Graph(len(adjacency), tuple(adjacency.tolist())))
 
 
 def _witness_kind(spec: TheoremSpec) -> str:
-    return CYCLE if spec.prop == HAMILTONIAN else PATH
+    return CYCLE if spec.row.prop == HAMILTONIAN else PATH
 
 
 def _verdicts(spec: TheoremSpec, objs: list, matrices: Optional[np.ndarray]) -> list[Verdict]:
     """The checker's verdict on each object; a spectral checker gets its
     estimate from one ``radius_stack`` call over ``matrices``, the objects'
     hypothesis matrices."""
-    if not spec.spectral:
+    if not spec.row.spectral:
         return [spec.checker(obj) for obj in objs]
     estimates = radius_stack(matrices)
     return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
@@ -438,34 +399,31 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     eigvalsh screen, checker, then the buffered hits through the batched
     oracle."""
     spec = THEOREMS[theorem_id]
+    row = spec.row
     report = SoundnessReport(theorem_id, [n])
     layout = _spec_layout(spec, n)
-    m_min = spec.m_min(n) if spec.m_min else 0
-    if spec.spectral:
-        _, threshold_fn, direction = spec.hyp
-        threshold = threshold_fn(n)
-        hypothesis_matrices = _hypothesis_matrices(spec, layout)
+    threshold = row.threshold(n) if row.spectral else None
     verdicts: list[Verdict] = []      # the buffered hits' verdicts, in scan order
-    rows: list[np.ndarray] = []       # per slice, its hits' adjacency rows
-    for scanned, bits, degrees in _slices(layout, lo, hi, m_min):
+    hit_rows: list[np.ndarray] = []   # per slice, its hits' adjacency rows
+    for scanned, adjacency, degrees in _slices(layout, lo, hi, _m_min(row, n)):
         report.graphs_scanned += scanned
         if spec.screen is not None:
-            bits = bits[spec.screen(degrees, bits)]
+            adjacency = adjacency[spec.screen(degrees, adjacency)]
         matrices = None
-        if spec.spectral:
-            matrices = hypothesis_matrices(bits)
-            if layout.slots and len(bits):
+        if row.spectral:
+            matrices = _hypothesis_matrices(row, layout, adjacency)
+            if layout.slots and len(adjacency):
                 top = np.linalg.eigvalsh(matrices)[:, -1]
-                keep = _shortfall(direction, top, threshold) <= SCREEN_GUARD
-                bits, matrices = bits[keep], matrices[keep]
-        checked = _verdicts(spec, layout.build(bits), matrices)
+                keep = row.shortfall(top, threshold) <= SCREEN_GUARD
+                adjacency, matrices = adjacency[keep], matrices[keep]
+        checked = _verdicts(spec, layout.build(adjacency), matrices)
         hit = [verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
                for verdict in checked]
         verdicts += compress(checked, hit)
-        rows.append(layout.adjacency(bits[np.array(hit, dtype=bool)]))
+        hit_rows.append(adjacency[np.array(hit, dtype=bool)])
         if len(verdicts) >= ORACLE_BATCH:
-            _flush(report, spec, verdicts, rows)
-    _flush(report, spec, verdicts, rows)
+            _flush(report, spec, verdicts, hit_rows)
+    _flush(report, spec, verdicts, hit_rows)
     return report
 
 
@@ -542,10 +500,8 @@ TABLE1_ROWS: list[tuple[str, FamilyId, float]] = [
 ]
 
 
-def table1_report(tolerance: float = 5e-5) -> list[tuple[str, float, float, float]]:
+def table1_report() -> list[tuple[str, float, float, float]]:
     """All 18 published q values recomputed: (name, computed, published, |diff|)."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be a finite number > 0")
     rows = []
     for name, fid, published in TABLE1_ROWS:
         computed = q_radius(make_family(fid)).value
@@ -570,22 +526,22 @@ def tightness_search(
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     spec = THEOREMS[theorem_id]
-    if spec.hyp is None:
+    row = spec.row
+    if row.quantity is None:
         raise ValueError(f"{theorem_id} has no numeric hypothesis to probe")
-    kind, threshold_fn, direction = spec.hyp
     sizes = sizes_for(spec, max_n, bip_cells)
     _check_caps(spec, sizes)
-    radius = RADII.get(kind)
+    radius = RADII.get(row.quantity)
     exceptions = []
     best: dict | None = None
     for n in sizes:
-        threshold = threshold_fn(n)
-        for fid in spec.exceptions_for(n):
+        threshold = row.threshold(n)
+        for fid in row.exceptions(n):
             obj = make_family(fid)
             got = (float(obj.edge_count()) if radius is None
                    else eigen_oracle(radius.operand(obj), radius.matrix)[-1])
-            shortfall = _shortfall(direction, got, threshold)
-            satisfied = shortfall < -1e-8 if spec.strict else shortfall <= 1e-8
+            shortfall = row.shortfall(got, threshold)
+            satisfied = shortfall < -1e-8 if row.strict else shortfall <= 1e-8
             exceptions.append({
                 "family": str(fid),
                 "n": n,
@@ -594,15 +550,18 @@ def tightness_search(
                 "hypothesis_satisfied": satisfied,
             })
         layout = _spec_layout(spec, n)
-        values = _hypothesis_values(spec, layout)
-        for _, bits, _ in _slices(layout, 0, 1 << len(layout.slots)):
-            adjacency = layout.adjacency(bits)
+        for _, adjacency, _ in _slices(layout, 0, 1 << len(layout.slots)):
             found, _ = witness_rows(adjacency, _witness_kind(spec))
             lacking = np.flatnonzero(~found)
             if not len(lacking):
                 continue
-            got = values(bits[lacking])
-            deficits = _shortfall(direction, got, threshold)
+            # the hypothesis quantity: the edge count, or the top eigenvalue
+            rows = adjacency[lacking]
+            if row.quantity == "m":
+                got = np.bitwise_count(rows).sum(axis=1) / 2
+            else:
+                got = np.linalg.eigvalsh(_hypothesis_matrices(row, layout, rows))[:, -1]
+            deficits = row.shortfall(got, threshold)
             # a satisfied hypothesis is the exception report's job
             deficits[deficits <= 1e-8] = np.inf
             # argmin takes the first of equal deficits, so scan order breaks ties

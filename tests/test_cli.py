@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hamcheck import cli, conditions
 from hamcheck.cli import main
+from hamcheck.families import knn1_plus_2e, knn1_plus_edge, kpn2_plus_4e
 from hamcheck.graph6 import write_graph6
 from hamcheck.graphs import BipartiteGraph, complete_bipartite, cycle, from_edges
 from hamcheck.oracle import MAX_DP_N, is_hamiltonian, is_traceable
@@ -168,6 +172,10 @@ def test_bad_tolerance_is_a_usage_error(capsys, monkeypatch, argv):
     ["verify", "--theorem", "lemma-3.4", "--cmp-tol", "0.5"],
     ["table1", "--cmp-tol", "0.5"],
     ["table1", "--tol", "1e-3"],   # not read as --tolerance
+    ["analyze", "--deterministic"],   # only verify prints timings
+    ["table1", "--deterministic"],
+    ["oracle", "--deterministic"],
+    ["family", "Knn1PlusEdge", "--n", "4", "--deterministic"],
 ])
 def test_flags_a_command_does_not_use_are_usage_errors(capsys, monkeypatch, argv):
     code, out, err = run(capsys, argv, stdin="Dhc\n", monkeypatch=monkeypatch)
@@ -280,10 +288,8 @@ def test_usage_error_exit_code(capsys):
 
 def test_deterministic_outputs_identical(capsys, monkeypatch):
     g6 = write_graph6(cycle(6))
-    a = run(capsys, ["analyze", "--format", "json", "--deterministic"],
-            stdin=g6 + "\n", monkeypatch=monkeypatch)
-    b = run(capsys, ["analyze", "--format", "json", "--deterministic"],
-            stdin=g6 + "\n", monkeypatch=monkeypatch)
+    a = run(capsys, ["analyze", "--format", "json"], stdin=g6 + "\n", monkeypatch=monkeypatch)
+    b = run(capsys, ["analyze", "--format", "json"], stdin=g6 + "\n", monkeypatch=monkeypatch)
     assert a == b
 
 
@@ -365,3 +371,43 @@ def test_verify_max_n_below_one_is_a_usage_error(capsys, monkeypatch, max_n):
     code, out, err = run(capsys, ["verify", "--theorem", "all", "--max-n", max_n])
     assert code == 64 and out == ""
     assert "--max-n must be at least 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["knn1plusedge", "--n", "600"], 600),     # sides (600, 600)
+    (["kpn2plus4e", "--n", "3", "--p", "700"], 700),
+    (["knn1plus2e", "--n", "400"], 801),       # sides (401, 400)
+])
+def test_bipartite_family_above_the_vertex_cap_is_a_usage_error(capsys, argv, count):
+    code, out, err = run(capsys, ["family", *argv])
+    assert code == 64 and out == ""
+    assert f"vertex count {count} outside" in err and "Traceback" not in err
+
+
+def test_bipartite_family_constructors_check_their_sides():
+    for build, args in ((knn1_plus_edge, (600,)), (kpn2_plus_4e, (3, 700)),
+                        (knn1_plus_2e, (400,))):
+        with pytest.raises(ValueError, match="vertex count"):
+            build(*args)
+
+
+@pytest.mark.parametrize("argv, stdin, keep", [
+    # far more output than a pipe holds: the reader closes it after 200 bytes
+    (["analyze", "--format", "json"], b"D^o\n" * 500, 200),
+    # output that fits in stdout's buffer, so only the last flush meets the closed pipe
+    (["family", "knn1plusedge", "--n", "5"], b"", 0),
+], ids=["above-the-pipe", "within-the-buffer"])
+def test_closed_output_is_a_processing_error_without_a_traceback(argv, stdin, keep):
+    # stdout block-buffered, as a command-line run has it by default
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    code = f"import sys; from hamcheck.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            cwd=Path(__file__).resolve().parent.parent / "src")
+    proc.stdin.write(stdin)
+    proc.stdin.close()
+    assert len(proc.stdout.read(keep)) == keep
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "BrokenPipeError" not in err

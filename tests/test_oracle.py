@@ -22,9 +22,7 @@ from hamcheck.oracle import (
     backtrack_oracle,
     check_witnesses,
     is_hamiltonian,
-    is_hamiltonian_batch,
     is_traceable,
-    is_traceable_batch,
     witness_rows,
 )
 
@@ -33,6 +31,19 @@ def random_graph(n, seed, p=0.5):
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return from_edges(n, edges)
+
+
+def batched(graphs, kind):
+    """witness_rows on the graphs of each size, as one witness or None per
+    graph, in the order of ``graphs``."""
+    out = [None] * len(graphs)
+    for n in {g.n for g in graphs}:
+        members = [i for i, g in enumerate(graphs) if g.n == n]
+        adj = np.array([graphs[i].adj for i in members], dtype=np.uint32).reshape(len(members), n)
+        found, orders = witness_rows(adj, kind)
+        for i, order in zip(np.array(members)[found].tolist(), orders.tolist()):
+            out[i] = HamWitness(kind, tuple(order))
+    return out
 
 
 def check_cycle_witness(g, w):
@@ -137,20 +148,20 @@ def test_batched_oracle_matches_scalar_and_backtracking():
         complete_bipartite(2, 3).to_graph(), from_edges(0, []),
     ]
     rng.shuffle(graphs)  # mixed sizes in one call
-    for scalar, batched, kind in ((is_hamiltonian, is_hamiltonian_batch, "cycle"),
-                                  (is_traceable, is_traceable_batch, "path")):
-        got = batched(graphs)
+    for scalar, kind in ((is_hamiltonian, "cycle"), (is_traceable, "path")):
+        got = batched(graphs, kind)
         assert got == [scalar(g) for g in graphs]  # same witnesses, not just answers
         for g, witness in zip(graphs, got):
             if g.n:
                 assert (witness is not None) == backtrack_oracle(g, kind)
-        assert batched([]) == []
-    assert any(is_hamiltonian_batch(graphs)) and not all(is_traceable_batch(graphs))
+        found, orders = witness_rows(np.zeros((0, 5), dtype=np.uint32), kind)
+        assert found.shape == (0,) and orders.shape == (0, 5)
+    assert any(batched(graphs, "cycle")) and not all(batched(graphs, "path"))
 
 
 def test_batched_oracle_size_cap():
     with pytest.raises(ValueError):
-        is_traceable_batch([complete(3), from_edges(25, [])])
+        witness_rows(np.array([from_edges(25, []).adj], dtype=np.uint32), "path")
 
 
 @pytest.mark.parametrize("order, kind, message", [
@@ -179,14 +190,14 @@ def test_witness_check_accepts_every_oracle_witness():
     _check_witness(complete(1), HamWitness("path", (0,)))
 
 
-def test_witness_rows_match_the_batched_wrappers():
+def test_witness_rows_match_the_scalar_oracle():
     rng = random.Random(7)
     for n in range(0, 9):
         graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(30)]
         adj = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
-        for kind, batched in (("cycle", is_hamiltonian_batch), ("path", is_traceable_batch)):
+        for kind, scalar in (("cycle", is_hamiltonian), ("path", is_traceable)):
             found, orders = witness_rows(adj, kind)
-            want = batched(graphs)
+            want = [scalar(g) for g in graphs]
             assert found.tolist() == [w is not None for w in want]
             assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
 
@@ -223,7 +234,7 @@ def test_paths_through_the_apex_are_the_direct_path_dp_witnesses():
               for n in range(0, 10) for _ in range(30)]
     want = [_path_dp_order(g) for g in graphs]
     assert [w and w.order for w in map(is_traceable, graphs)] == want
-    assert [w and w.order for w in is_traceable_batch(graphs)] == want
+    assert [w and w.order for w in batched(graphs, "path")] == want
     assert any(want) and not all(want)
 
 

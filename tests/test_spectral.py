@@ -163,6 +163,17 @@ def test_matrix_stack_matches_edge_list_construction():
         assert np.array_equal(matrix_stack([b], SIGNLESS_LAPLACIAN)[0], signless)
 
 
+def test_matrix_stack_of_adjacency_rows_matches_the_graphs():
+    # a scan slice hands matrix_stack a (B, n) uint32 array; n = 32 uses
+    # every bit of a row
+    rng = random.Random(6)
+    for n in [*range(0, 11), 31, 32]:
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(5)]
+        rows = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+        for which in (ADJACENCY, SIGNLESS_LAPLACIAN):
+            assert np.array_equal(matrix_stack(rows, which), matrix_stack(graphs, which))
+
+
 def test_matrix_stack_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown matrix kind"):
         matrix_stack([complete(3)], "laplacian")

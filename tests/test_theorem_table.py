@@ -1,6 +1,6 @@
 """The theorem table: checker and tightness outputs pinned byte for byte,
 the derived edge counts, the component count of a disconnected graph,
-table1 tolerances and the bounds on verify --jobs."""
+the bounds on verify --jobs and the modules a command loads."""
 
 import concurrent.futures
 import json
@@ -28,7 +28,7 @@ from hamcheck import (
 from hamcheck import verify
 from hamcheck.cli import main
 from hamcheck.graphs import bipartite_from_graph, is_connected, transpose, two_coloring
-from hamcheck.verify import THEOREMS, soundness, table1_report, theorem_ids, tightness_search
+from hamcheck.verify import THEOREMS, soundness, theorem_ids, tightness_search
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -89,7 +89,7 @@ def tightness_lines(**kwargs) -> str:
     """tightness_search(tid, **kwargs) for every theorem with a numeric
     hypothesis, one JSON line each."""
     return "".join(json.dumps(tightness_search(tid, **kwargs)) + "\n"
-                   for tid in theorem_ids() if THEOREMS[tid].hyp is not None)
+                   for tid in theorem_ids() if THEOREMS[tid].row.quantity is not None)
 
 
 def test_verdicts_match_fixture():
@@ -153,11 +153,11 @@ OLD_M_MIN = {
 
 
 def test_derived_edge_counts_match_the_old_ones():
-    assert {tid for tid, spec in THEOREMS.items() if spec.m_min} == set(OLD_M_MIN)
+    assert {tid for tid, spec in THEOREMS.items() if spec.row.quantity} == set(OLD_M_MIN)
     for tid, old in OLD_M_MIN.items():
-        spec = THEOREMS[tid]
-        for n in range(spec.min_n, 40):
-            assert spec.m_min(n) == old(n), (tid, n)
+        row = THEOREMS[tid].row
+        for n in range(row.min_n, 40):
+            assert verify._m_min(row, n) == old(n), (tid, n)
 
 
 def test_disconnected_graph_reports_its_component_count():
@@ -165,12 +165,6 @@ def test_disconnected_graph_reports_its_component_count():
     v = q_spectral_general(three_k3, "yu_connected_traceable")
     assert v.status.value == "not_applicable"
     assert dict(v.certificate) == {"components": 3}
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
-def test_table1_rejects_non_finite_tolerances(tolerance):
-    with pytest.raises(ValueError):
-        table1_report(tolerance)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "-64"])
@@ -222,12 +216,17 @@ def test_verify_pool_is_sized_by_tasks_and_cpus(jobs, cpus, pool, monkeypatch):
 
 
 def test_only_a_parallel_scan_imports_the_process_pool():
-    # a fresh interpreter, as the command line starts: a serial scan and an
-    # analyze run leave the process pool's module unloaded
+    # a fresh interpreter, as the command line starts: a serial scan and every
+    # other command leave the process pool's module unloaded, and the runtime
+    # loads nothing but numpy, though scipy, networkx and hypothesis are
+    # installed with the test extra
     code = ("import sys; from hamcheck.cli import main; "
             "main(['verify', '--theorem', 'lemma-3.4', '--max-n', '4']); "
             "main(['table1']); main(['analyze']); "
-            "sys.exit('concurrent.futures.process' in sys.modules)")
+            f"main(['oracle', {str(FIXTURES / 'oracle_mix.g6')!r}]); "
+            "main(['family', 'knn1plusedge', '--n', '5']); "
+            "loaded = {'concurrent.futures.process', 'scipy', 'networkx', 'hypothesis'}; "
+            "sys.exit(sorted(loaded & set(sys.modules)) or None)")
     done = subprocess.run([sys.executable, "-c", code], input="D^o\n", capture_output=True,
                           text=True, timeout=60, cwd=Path(__file__).resolve().parent.parent / "src")
     assert done.returncode == 0, done.stderr

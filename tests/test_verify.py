@@ -67,7 +67,7 @@ def test_registry_complete():
     assert len(ids) == 19
     assert "lemma-3.4" in ids and "zhou-complement-traceable" in ids
     for spec in THEOREMS.values():
-        assert spec.kind in ("general", "bip_balanced", "bip_unbalanced")
+        assert spec.row.kind in ("general", "bip_balanced", "bip_unbalanced")
 
 
 def test_sizes_respect_caps():
@@ -123,8 +123,6 @@ def test_table1_rows():
     names = [row[0] for row in rows]
     assert names[0] == "K4 v 5K1" and names[-1] == "K1,3"
     assert all(diff <= 5e-5 for _, _, _, diff in rows)
-    with pytest.raises(ValueError):
-        table1_report(0.0)
 
 
 def test_tightness_vacuous_exception():
@@ -150,10 +148,10 @@ def test_tightness_exception_at_the_threshold(monkeypatch, direction, satisfied)
     # an exception whose quantity equals the threshold meets a hypothesis
     # only when it is not strict
     spec = verify.THEOREMS["lemma-3.4"]
-    fid = spec.exceptions_for(5)[0]
+    fid = spec.row.exceptions(5)[0]
     edges = float(make_family(fid).edge_count())
-    monkeypatch.setitem(verify.THEOREMS, "lemma-3.4", dataclasses.replace(
-        spec, strict=direction == "gt", hyp=("m", lambda n: edges, direction)))
+    row = dataclasses.replace(spec.row, threshold=lambda n: edges, direction=direction)
+    monkeypatch.setitem(verify.THEOREMS, "lemma-3.4", dataclasses.replace(spec, row=row))
     excs = {e["family"]: e for e in tightness_search("lemma-3.4", max_n=5)["exceptions"]}
     assert excs[str(fid)]["value"] == excs[str(fid)]["threshold"] == edges
     assert excs[str(fid)]["hypothesis_satisfied"] is satisfied
@@ -168,25 +166,25 @@ def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
     """soundness() the slow way: every labeled graph with enough edges, one
     at a time, through the scalar checker and the scalar oracle."""
     spec = THEOREMS[theorem_id]
-    oracle = is_hamiltonian if spec.prop == HAMILTONIAN else is_traceable
+    oracle = is_hamiltonian if spec.row.prop == HAMILTONIAN else is_traceable
     report = SoundnessReport(theorem_id, [])
     for n in sizes_for(spec, max_n):
         objs = []
-        if spec.kind == "general":
+        if spec.row.kind == "general":
             scanned = enumerate_graphs(n, 0, objs.append)
         else:
-            p = n if spec.kind == "bip_balanced" else n + 1
+            p = n if spec.row.kind == "bip_balanced" else n + 1
             scanned = enumerate_bipartite(p, n, 0, objs.append)
         report.sizes.append(n)
         report.graphs_scanned += scanned
-        m_min = spec.m_min(n) if spec.m_min else 0
+        m_min = verify._m_min(spec.row, n)
         for obj in objs:
             if obj.edge_count() < m_min:
                 continue
             v = spec.checker(obj)
             if v.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
                 continue
-            g = obj.to_graph() if spec.kind != "general" else obj
+            g = obj.to_graph() if spec.row.kind != "general" else obj
             if verify._tally(report, spec, v, oracle(g) is not None):
                 report.violations.append(write_graph6(g))
     return report
@@ -201,9 +199,9 @@ def _loose_q(g, estimate=None):
 
 @pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
 def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
-    monkeypatch.setitem(THEOREMS, "unsound-q", dataclasses.replace(
-        THEOREMS["tight-q-hamiltonian"], theorem_id="unsound-q", checker=_loose_q, delta_min=(0, 0),
-        hyp=("q", lambda n: 2 * n - 5.5, "ge"), m_min=None, exceptions_for=lambda n: []))
+    row = dataclasses.replace(THEOREMS["tight-q-hamiltonian"].row, min_degree=(0, 0),
+                              threshold=lambda n: 2 * n - 5.5, exceptions=lambda n: ())
+    monkeypatch.setitem(THEOREMS, "unsound-q", verify.TheoremSpec(row, _loose_q))
     fast = soundness(theorem_id, max_n=5).to_dict()
     assert fast == _reference_soundness(theorem_id, 5).to_dict()
     if theorem_id == "unsound-q":
@@ -219,14 +217,14 @@ def test_degree_screen_keeps_exactly_the_hits(theorem_id):
     # graphs the checker calls Inconclusive or NotApplicable, and no others
     spec = THEOREMS[theorem_id]
     sizes = sizes_for(spec, 6)
-    assert sizes == ([3, 4, 5, 6] if spec.kind == "general" else [2, 3, 4])
+    assert sizes == ([3, 4, 5, 6] if spec.row.kind == "general" else [2, 3, 4])
     kept_total = 0
     for n in sizes:
         layout = verify._spec_layout(spec, n)
-        for _, bits, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
-            kept = spec.screen(degrees, bits).tolist()
+        for _, adjacency, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+            kept = spec.screen(degrees, adjacency).tolist()
             hits = [spec.checker(obj).status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
-                    for obj in layout.build(bits)]
+                    for obj in layout.build(adjacency)]
             assert kept == hits
             kept_total += sum(kept)
     assert kept_total == DEGREE_SCREENED[theorem_id]
@@ -239,7 +237,7 @@ def test_degree_screened_scan_parallel_matches_serial(theorem_id):
     assert soundness(theorem_id, max_n=6, jobs=2).to_dict() == serial.to_dict()
 
 
-SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].spectral]
+SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].row.spectral]
 
 
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
@@ -255,10 +253,10 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
 
     monkeypatch.setitem(THEOREMS, theorem_id, dataclasses.replace(spec, checker=checker))
     soundness(theorem_id, max_n=5)
-    radius = RADII[spec.hyp[0]]
+    radius = RADII[spec.row.quantity]
     scalar = rho if radius.matrix == ADJACENCY else q_radius
-    sizes = {obj.n if spec.kind == "general" else obj.p + obj.q for obj, _ in seen}
+    sizes = {obj.n if spec.row.kind == "general" else obj.p + obj.q for obj, _ in seen}
     # every scanned size reaches the checker: zhou-complement-traceable's n = 1 too,
     # whose layout has no mask bits and so no screen
-    assert sorted(sizes) == [sum(verify._sides(spec.kind, n)) for n in sizes_for(spec, 5)]
+    assert sorted(sizes) == [sum(verify._sides(spec.row.kind, n)) for n in sizes_for(spec, 5)]
     assert [estimate for _, estimate in seen] == [scalar(radius.operand(obj)) for obj, _ in seen]
