@@ -20,7 +20,7 @@ from functools import partial
 from typing import BinaryIO, Iterator, Optional, TextIO
 
 from . import verify as verify_mod
-from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, RADII, Status, Verdict
+from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, Status, Verdict, hypothesis_radius
 from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
@@ -33,7 +33,6 @@ from .graphs import (
 )
 from .oracle import MAX_DP_N, is_hamiltonian, is_traceable
 from .spectral import (
-    ADJACENCY,
     DEFAULT_CMP_TOL,
     SpectralEstimate,
     q_radius,
@@ -216,9 +215,7 @@ def _emit(record: dict, fmt: str) -> None:
 def _estimate_once(estimates: dict, quantity: str, obj) -> SpectralEstimate:
     """obj's spectral estimate for a hypothesis quantity, computed on first use."""
     if quantity not in estimates:
-        radius = RADII[quantity]
-        radius_of = rho if radius.matrix == ADJACENCY else q_radius
-        estimates[quantity] = radius_of(radius.operand(obj))
+        estimates[quantity] = hypothesis_radius(quantity, obj)
     return estimates[quantity]
 
 

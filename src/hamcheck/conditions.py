@@ -132,6 +132,14 @@ RADII: dict[str, HypothesisRadius] = {
 }
 
 
+def hypothesis_radius(quantity: str, obj) -> SpectralEstimate:
+    """The spectral radius RADII[quantity] names for obj: of its operand's
+    adjacency matrix by ``rho``, or signless Laplacian by ``q_radius``."""
+    radius = RADII[quantity]
+    radius_of = rho if radius.matrix == ADJACENCY else q_radius
+    return radius_of(radius.operand(obj))
+
+
 def _at(table: dict[int, tuple[FamilyId, ...]]) -> Callable[[int], tuple[FamilyId, ...]]:
     """Exceptions listed by size: table[n], or none."""
     return lambda n: table.get(n, ())
@@ -454,9 +462,7 @@ def decide(
         relation = Relation.ABOVE if holds else Relation.BELOW
         cert = (("m", m), ("bound", threshold), ("margin", m - threshold))
     else:
-        radius = RADII[row.quantity]
-        radius_of = rho if radius.matrix == ADJACENCY else q_radius
-        est = _estimate(estimate, lambda: radius_of(radius.operand(obj)))
+        est = _estimate(estimate, lambda: hypothesis_radius(row.quantity, obj))
         outcome = compare_threshold(est, threshold, cmp_tol)
         relation = outcome.relation
         cert = ((row.quantity, est.value), ("threshold", threshold), ("margin", outcome.margin))

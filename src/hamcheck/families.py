@@ -56,9 +56,10 @@ def kn1_plus_edge(n: int) -> Graph:
     """K_{n-1} with a pendant edge; the pendant is vertex n-1."""
     if n < 3:
         raise ValueError("kn1-plus-e needs n >= 3")
-    g = complete(n - 1)
-    adj = list(g.adj) + [1]
+    # K_{n-1} plus an isolated vertex checks n against the vertex cap
+    adj = list(kn1_plus_vertex(n).adj)
     adj[0] |= 1 << (n - 1)
+    adj[n - 1] = 1
     return Graph(n, tuple(adj))
 
 

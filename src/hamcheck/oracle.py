@@ -13,18 +13,23 @@ used: 2^(n-1) per graph for a cycle and 2^n for a path.
 Two forms of the DP decide the same question. ``is_hamiltonian`` and
 ``is_traceable`` take one graph and push endpoints forward in Python
 ints, in a list indexed by S itself (its even entries unused);
-``analyze`` and ``oracle`` use them, since they see one graph at a time,
-though they beat a batch of one only at n <= 8 (mean ms per call on
-G(n, 1/2), scalar vs the batched DP on a batch of one, cycle / path:
-n=8 0.17 vs 0.59 / 0.39 vs 0.55, n=10 0.67 vs 0.39 / 2.2 vs 0.45, n=14 72
-vs 3.0 / 172 vs 4.0). ``analyze`` runs the path DP only on graphs the cycle DP
+``analyze`` and ``oracle`` use them, since they see one graph at a time.
+On a batch of one they are the faster form at n = 8 and, for a cycle,
+n = 10 (mean ms per call on G(n, 1/2), scalar vs the batched DP on a
+batch of one, cycle / path, best of 20 passes on one core: n=8 0.09 vs
+0.55 / 0.39 vs 0.95, n=10 0.58 vs 1.3 / 2.7 vs 1.9, n=14 43 vs 4.1 / 135
+vs 5.6).
+``analyze`` runs the path DP only on graphs the cycle DP
 found non-Hamiltonian, since a Hamiltonian cycle less one edge is a
 Hamiltonian path; ``oracle`` prints a path witness, so it runs both.
 ``witness_rows`` is the other form and the oracle's one array entry: it
 takes a (B, n) uint32 array of adjacency bitsets, the form a soundness
 scan keeps each graph in, and pulls endpoints from each subset's
 predecessors with numpy, one popcount layer at a time, for every row at
-once, in tables keyed by S >> 1. Soundness scans and
+once. Its tables are keyed by S >> 1 and stored subset-major,
+(2^(n-1), B) for a cycle and (2^n, B) for a path, so each predecessor
+lookup copies one contiguous row of B entries; the per-vertex numpy
+calls this takes are what a batch of one pays for. Soundness scans and
 ``tightness_search`` hand it the rows of their scan slices. Both forms
 walk back from the lowest closing vertex through the lowest adjacent
 endpoint, and check every witness: ``check_witnesses`` tests a batch at
@@ -173,7 +178,7 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
         dp = _endpoint_tables(chunk)
         ends = dp[:, -1] & chunk[:, 0]
         hit = np.flatnonzero(ends)
-        orders[rows[hit]] = _walk_back(dp[hit], chunk[hit], _lowest_bit(ends[hit]))
+        orders[rows[hit]] = _walk_back(dp, chunk, hit, _lowest_bit(ends[hit]))
         found[rows[hit]] = True
     orders = orders[found] if kind == CYCLE else orders[found, 1:] - 1
     check_witnesses(adj[found], orders, kind)
@@ -185,13 +190,14 @@ def _lowest_bit(x: np.ndarray) -> np.ndarray:
     return np.bitwise_count((x & -x) - 1).astype(np.int64)
 
 
-def _walk_back(dp: np.ndarray, adj: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per table row, the order ``_cycle_order`` gives for a cycle closing
-    at ``last``: each step back takes the lowest endpoint adjacent to v."""
-    count, n = adj.shape
-    rows = np.arange(count)
-    order = np.empty((count, n), dtype=np.int64)
-    mask = np.full(count, dp.shape[1] - 1, dtype=np.int64)
+def _walk_back(dp: np.ndarray, adj: np.ndarray, rows: np.ndarray,
+               last: np.ndarray) -> np.ndarray:
+    """Per table row in ``rows``, the order ``_cycle_order`` gives for a
+    cycle closing at ``last``: each step back takes the lowest endpoint
+    adjacent to v."""
+    n = adj.shape[1]
+    order = np.empty((len(rows), n), dtype=np.int64)
+    mask = np.full(len(rows), dp.shape[1] - 1, dtype=np.int64)
     v = last
     order[:, -1] = v
     for pos in range(n - 2, -1, -1):
@@ -216,25 +222,31 @@ def _endpoint_tables(adj: np.ndarray) -> np.ndarray:
     """dp[r, S >> 1], for each subset S that holds vertex 0: the endpoints
     v of the paths of graph r from vertex 0 that span S.
 
-    Pull form: bit u of dp[S] is set iff dp[S - u] & adj[u] != 0. Subsets
-    go by popcount; when u is not in S, S ^ {u} lies in a later layer and
-    is still zero, so one gather per layer serves every u other than 0.
+    The table is stored subset-major, one row of B entries per subset, and
+    returned as its transposed view. Pull form: bit u of dp[S] is set iff
+    dp[S - u] & adj[u] != 0, for each u in S other than 0. Subsets go by
+    popcount, so every predecessor lies in the layer before, and each of
+    its lookups copies one contiguous row.
     """
     count, n = adj.shape
-    single = 1 << np.arange(n - 1)   # vertices 1..n-1, as bits of S >> 1
-    dp = np.zeros((count, 1 << (n - 1)), dtype=np.uint32)
-    dp[:, 0] = 1
+    dp = np.zeros((1 << (n - 1), count), dtype=np.uint32)
+    dp[0] = 1
     subsets = np.arange(1 << (n - 1))
     popcount = np.bitwise_count(subsets)
-    weights = (single << 1).astype(np.uint32)
+    columns = adj.T
     piece = max(1, BATCH_GATHER_CELLS // (count * n))
     for k in range(1, n):
         layer = subsets[popcount == k]
         for lo in range(0, len(layer), piece):
             masks = layer[lo:lo + piece]
-            pred = dp[:, masks[:, None] ^ single]
-            dp[:, masks] = ((pred & adj[:, None, 1:]) != 0) @ weights
-    return dp
+            ends = np.zeros((len(masks), count), dtype=np.uint32)
+            for u in range(1, n):
+                bit = 1 << (u - 1)   # vertex u, as a bit of S >> 1
+                at = np.flatnonzero(masks & bit)
+                pulled = dp[masks[at] ^ bit] & columns[u]
+                ends[at] |= np.minimum(pulled, 1) << u
+            dp[masks] = ends
+    return dp.T
 
 
 def backtrack_oracle(g: Graph, kind: str) -> bool:

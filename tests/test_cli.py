@@ -9,7 +9,7 @@ import pytest
 from hamcheck import cli, conditions
 from hamcheck.cli import main
 from hamcheck.families import knn1_plus_2e, knn1_plus_edge, kpn2_plus_4e
-from hamcheck.graph6 import write_graph6
+from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import BipartiteGraph, complete_bipartite, cycle, from_edges
 from hamcheck.oracle import MAX_DP_N, is_hamiltonian, is_traceable
 
@@ -118,14 +118,17 @@ def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii
             return radius_of(g)
         return counted
 
-    def fallback(*args, **kwargs):
-        raise AssertionError("a checker computed its own estimate")
+    def given_only(given, compute, estimate=conditions._estimate):
+        assert given is not None, "a checker computed its own estimate"
+        return estimate(given, compute)
 
     traced = []
-    monkeypatch.setattr(cli, "rho", counting("A", cli.rho))
-    monkeypatch.setattr(cli, "q_radius", counting("Q", cli.q_radius))
-    monkeypatch.setattr(conditions, "rho", fallback)
-    monkeypatch.setattr(conditions, "q_radius", fallback)
+    # the record's rho(g) and q(g) come from cli, the checkers' estimates
+    # from conditions.hypothesis_radius
+    for owner in (cli, conditions):
+        monkeypatch.setattr(owner, "rho", counting("A", owner.rho))
+        monkeypatch.setattr(owner, "q_radius", counting("Q", owner.q_radius))
+    monkeypatch.setattr(conditions, "_estimate", given_only)
     monkeypatch.setattr(cli, "is_traceable", lambda g: traced.append(g) or is_traceable(g))
     code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=write_graph6(graph) + "\n",
                        monkeypatch=monkeypatch)
@@ -389,6 +392,16 @@ def test_bipartite_family_constructors_check_their_sides():
                         (knn1_plus_2e, (400,))):
         with pytest.raises(ValueError, match="vertex count"):
             build(*args)
+
+
+def test_kn1_plus_edge_checks_the_vertex_cap(capsys):
+    code, out, err = run(capsys, ["family", "kn1plusedge", "--n", "513"])
+    assert code == 64 and out == ""
+    assert "vertex count 513 outside [0, 512]" in err and "Traceback" not in err
+    code, out, _ = run(capsys, ["family", "kn1plusedge", "--n", "512"])
+    assert code == 0
+    g = parse_graph6(out.strip())
+    assert g.n == 512 and g.edge_count() == 511 * 510 // 2 + 1
 
 
 @pytest.mark.parametrize("argv, stdin, keep", [

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hamcheck import oracle
 from hamcheck.families import NC_GRAPHS, NP_GRAPHS, kn1_plus_vertex
 from hamcheck.graphs import (
     complete,
@@ -247,3 +248,35 @@ def test_endpoint_tables_hold_the_subsets_with_vertex_0(n):
     for key in range(1 << (n - 1)):
         subset = key << 1 | 1
         assert dp[0, key] == (subset ^ 1 if subset != 1 else 1)
+
+
+@pytest.mark.parametrize("cells", [1, 64])
+def test_chunking_does_not_change_the_answer(monkeypatch, cells):
+    rng = random.Random(13)
+    batches = {n: np.array([random_graph(n, rng.randrange(10 ** 6), p=rng.random()).adj
+                            for _ in range(12)], dtype=np.uint32).reshape(12, n)
+               for n in range(1, 10)}
+    want = {(n, kind): witness_rows(adj, kind)
+            for n, adj in batches.items() for kind in ("cycle", "path")}
+    # 1: one row per table chunk and one subset per layer piece; 64: a few
+    # of each, with ragged last chunks and pieces
+    monkeypatch.setattr(oracle, "BATCH_TABLE_CELLS", cells)
+    monkeypatch.setattr(oracle, "BATCH_GATHER_CELLS", cells)
+    for (n, kind), (found, orders) in want.items():
+        got_found, got_orders = witness_rows(batches[n], kind)
+        assert got_found.tolist() == found.tolist()
+        assert got_orders.tolist() == orders.tolist()
+    assert any(found.any() and not found.all() for found, _ in want.values())
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_witness_rows_match_the_scalar_oracle_on_every_labeled_graph(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graphs = [from_edges(n, [e for k, e in enumerate(pairs) if code >> k & 1])
+              for code in range(1 << len(pairs))]
+    adj = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+    for kind, scalar in (("cycle", is_hamiltonian), ("path", is_traceable)):
+        found, orders = witness_rows(adj, kind)
+        want = [scalar(g) for g in graphs]
+        assert found.tolist() == [w is not None for w in want]
+        assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
