@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -296,77 +296,82 @@ CONDITIONS: dict[str, Condition] = {
 }
 
 
-def _applies(row: Condition, obj) -> tuple[object, int, Optional[Verdict]]:
-    """obj oriented as the row reads it, its size n, and the NotApplicable
-    verdict of the first precondition that fails (None if all hold)."""
+def _applies(row: Condition, obj) -> tuple[object, int, list[int], Optional[Verdict]]:
+    """obj oriented as the row reads it, its size n, its degrees (a bipartite
+    graph's side X first, then side Y; empty if the size does not fit the
+    row), and the NotApplicable verdict of the first precondition that fails
+    (None if all hold). The degrees are computed once here, for the
+    preconditions and everything the checker reads of them after."""
     prop, need = row.prop, row.min_n
     if row.kind == GENERAL:
         n = obj.n
         if n < need:
-            return obj, n, _na(prop, f"needs n >= {need}", ("n", n))
+            return obj, n, [], _na(prop, f"needs n >= {need}", ("n", n))
     elif row.kind == BIP_BALANCED:
         if obj.p != obj.q:
-            return obj, 0, _na(prop, "needs a balanced bipartition", ("p", obj.p), ("q", obj.q))
+            return obj, 0, [], _na(prop, "needs a balanced bipartition", ("p", obj.p), ("q", obj.q))
         n = obj.p
         if n < need:
-            return obj, n, _na(prop, f"needs side size n >= {need}", ("n", n))
+            return obj, n, [], _na(prop, f"needs side size n >= {need}", ("n", n))
     else:
         if obj.q == obj.p + 1:
             obj = transpose(obj)
         if obj.p != obj.q + 1:
-            return obj, 0, _na(prop, "needs sides (n+1, n)", ("p", obj.p), ("q", obj.q))
+            return obj, 0, [], _na(prop, "needs sides (n+1, n)", ("p", obj.p), ("q", obj.q))
         n = obj.q
         if n < need:
-            return obj, n, _na(prop, f"needs smaller side n >= {need}", ("n", n))
+            return obj, n, [], _na(prop, f"needs smaller side n >= {need}", ("n", n))
+    degrees = obj.degrees() if row.kind == GENERAL else obj.degrees_x() + obj.degrees_y()
     dx, dy = row.min_degree
     if row.kind == BIP_UNBALANCED:
-        has_x, has_y = min(obj.degrees_x()), min(obj.degrees_y())
+        has_x, has_y = min(degrees[:obj.p]), min(degrees[obj.p:])
         if has_x < dx or has_y < dy:
-            return obj, n, _na(prop, f"needs delta_X >= {dx} and delta_Y >= {dy}",
-                               ("delta_X", has_x), ("delta_Y", has_y))
+            return obj, n, degrees, _na(prop, f"needs delta_X >= {dx} and delta_Y >= {dy}",
+                                        ("delta_X", has_x), ("delta_Y", has_y))
     elif dx:
-        delta = obj.min_degree()
+        delta = min(degrees, default=0)
         if delta < dx:
-            return obj, n, _na(prop, f"needs min degree >= {dx}", ("min_degree", delta))
+            return obj, n, degrees, _na(prop, f"needs min degree >= {dx}", ("min_degree", delta))
     if row.connected:
         components = len(connected_components(obj))
         if components > 1:
-            return obj, n, _na(prop, "needs a connected graph", ("components", components))
-    return obj, n, None
+            return obj, n, degrees, _na(prop, "needs a connected graph", ("components", components))
+    return obj, n, degrees, None
 
 
 # ---------------------------------------------------------------- degree
 #
-# Each degree inequality is written once, over a stack of graphs: row i of
-# ``degrees`` is graph i's degree table (for bipartite graphs side X first,
-# then side Y) and, for Moon-Moser, ``adjacent[i]`` is its 0/1 biadjacency
-# matrix. The checkers run it on a one-row stack; soundness scans run it on
-# a whole slice of masks, so that only the graphs whose hypothesis holds are
-# built and checked. The arithmetic is exact integer arithmetic.
+# Chvatal's and the bipartite degree inequality are each written once, as a
+# Python function of a sorted degree sequence (for bipartite graphs, both
+# sides' degrees together) that returns the blocking k, or 0 when there is
+# none. The checkers call it on their graph's sequence; soundness scans call
+# it once per distinct sorted degree row of a slice, so that only the graphs
+# whose hypothesis holds are built and checked. Moon-Moser reads adjacency
+# too, so it is written over a stack of graphs: row i of ``degrees`` is graph
+# i's degree table, side X first, and ``adjacent[i]`` its 0/1 biadjacency
+# matrix; the checker runs it on a one-row stack, the scan on a whole slice.
+# The arithmetic is exact integer arithmetic.
 
-def _first_k(blocked: np.ndarray) -> np.ndarray:
-    """Per row, 1 + the index of the first True column, or 0 if none is."""
-    return np.where(blocked.any(axis=1), blocked.argmax(axis=1) + 1, 0)
-
-
-def chvatal_blocking(degrees: np.ndarray) -> np.ndarray:
+def chvatal_blocking(d: Sequence[int]) -> int:
     """The smallest k < n/2 with d_k <= k and d_{n-k} <= n-k-1, where
-    d_1 <= ... <= d_n are a row's sorted degrees, or 0 where there is none
+    d_1 <= ... <= d_n is the sorted degree sequence d, or 0 if there is none
     (then the graph is Hamiltonian). Needs n >= 3."""
-    d = np.sort(degrees, axis=1)
-    n = d.shape[1]
-    k = np.arange(1, (n + 1) // 2)
-    return _first_k((d[:, k - 1] <= k) & (d[:, n - k - 1] <= n - k - 1))
+    n = len(d)
+    for k in range(1, (n + 1) // 2):
+        if d[k - 1] <= k and d[n - k - 1] <= n - k - 1:
+            return k
+    return 0
 
 
-def bipartite_degree_blocking(degrees: np.ndarray) -> np.ndarray:
+def bipartite_degree_blocking(d: Sequence[int]) -> int:
     """For balanced bipartite graphs with side n: the smallest k <= n/2 with
-    d_k <= k and d_n <= n-k, where d_1 <= ... <= d_2n are a row's sorted
-    degrees, or 0 where there is none. Needs n >= 2."""
-    d = np.sort(degrees, axis=1)
-    n = d.shape[1] // 2
-    k = np.arange(1, n // 2 + 1)
-    return _first_k((d[:, k - 1] <= k) & (d[:, [n - 1]] <= n - k))
+    d_k <= k and d_n <= n-k, where d_1 <= ... <= d_2n is the sorted degree
+    sequence d, or 0 if there is none. Needs n >= 2."""
+    n = len(d) // 2
+    for k in range(1, n // 2 + 1):
+        if d[k - 1] <= k and d[n - 1] <= n - k:
+            return k
+    return 0
 
 
 def moon_moser_blocking(
@@ -388,11 +393,11 @@ def moon_moser_blocking(
 
 def chvatal_hamiltonian(g: Graph) -> Verdict:
     """d_k <= k and d_{n-k} <= n-k-1 for no integer k < n/2 forces a cycle."""
-    _, n, failure = _applies(CONDITIONS["chvatal"], g)
+    _, n, degrees, failure = _applies(CONDITIONS["chvatal"], g)
     if failure is not None:
         return failure
-    d = sorted(g.degrees())
-    k = int(chvatal_blocking(np.array([d]))[0])
+    d = sorted(degrees)
+    k = chvatal_blocking(d)
     if k:
         return Verdict(
             Status.INCONCLUSIVE,
@@ -404,11 +409,11 @@ def chvatal_hamiltonian(g: Graph) -> Verdict:
 
 def bipartite_degree_hamiltonian(b: BipartiteGraph) -> Verdict:
     """Balanced bipartite version: no k <= n/2 with d_k <= k and d_n <= n-k."""
-    _, n, failure = _applies(CONDITIONS["bipartite-degree"], b)
+    _, n, degrees, failure = _applies(CONDITIONS["bipartite-degree"], b)
     if failure is not None:
         return failure
-    d = sorted(b.degree_sequence())
-    k = int(bipartite_degree_blocking(np.array([d]))[0])
+    d = sorted(degrees)
+    k = bipartite_degree_blocking(d)
     if k:
         return Verdict(
             Status.INCONCLUSIVE,
@@ -420,11 +425,11 @@ def bipartite_degree_hamiltonian(b: BipartiteGraph) -> Verdict:
 
 def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
     """Nonadjacent cross pairs with degree sum >= n+1 force a cycle."""
-    _, n, failure = _applies(CONDITIONS["moon-moser"], b)
+    _, n, degrees, failure = _applies(CONDITIONS["moon-moser"], b)
     if failure is not None:
         return failure
     adjacent = np.array([[[row >> y & 1 for y in range(n)] for row in b.rows]])
-    worst, cell = moon_moser_blocking(np.array([b.degrees_x() + b.degrees_y()]), adjacent)
+    worst, cell = moon_moser_blocking(np.array([degrees]), adjacent)
     worst, cell = int(worst[0]), int(cell[0])
     if cell >= 0:
         return Verdict(
@@ -452,12 +457,12 @@ def decide(
     ``cmp_tol``; ``estimate``, when given, is the radius (or a function
     returning it) of the matrix the row names in RADII, for obj as given.
     """
-    obj, n, failure = _applies(row, obj)
+    obj, n, degrees, failure = _applies(row, obj)
     if failure is not None:
         return failure
     threshold = row.threshold(n)
     if row.quantity == "m":
-        m = obj.edge_count()
+        m = sum(degrees) // 2
         holds = m > threshold if row.strict else m >= threshold
         relation = Relation.ABOVE if holds else Relation.BELOW
         cert = (("m", m), ("bound", threshold), ("margin", m - threshold))
@@ -471,11 +476,12 @@ def decide(
     boundary = relation is Relation.BOUNDARY
     if boundary and row.strict:  # a strict threshold cannot be certified at the line
         return Verdict(Status.BOUNDARY, row.prop, cert)
-    fid = _first_match(obj, row.exceptions(n))
+    targets = _exception_targets(row.exceptions, n)
+    fid = _match(obj, tuple(sorted(degrees)), targets) if targets else None
     if fid is not None:
         return Verdict(Status.EXCEPTION, row.prop, cert, family=fid)
     if row.join_class:
-        witness = ec_ep_membership(obj, row.join_class)
+        witness = _ec_ep(obj, row.join_class, degrees)
         if witness is not None:
             return Verdict(
                 Status.EXCEPTION,
@@ -587,14 +593,25 @@ def _is_complete_mask(g: Graph, mask: int) -> bool:
     return True
 
 
-def _regular_join_witness(g: Graph, target_deg: int, r_max: int, kind: str):
+def _two_cliques(degrees: list[int]) -> bool:
+    """Whether degrees can be those of two disjoint complete graphs K_a and
+    K_b, a <= b: a vertices of degree a - 1 and b of degree b - 1."""
+    n = len(degrees)
+    a = min(degrees, default=0) + 1
+    b = n - a
+    if b < a:
+        return False
+    low = degrees.count(a - 1)
+    return low == n if a == b else low == a and degrees.count(b - 1) == b
+
+
+def _regular_join_witness(g: Graph, degrees: list[int], target_deg: int, r_max: int, kind: str):
     """g = H v F with H regular of degree target_deg - r on n - r vertices.
 
     Every H-vertex then has full degree target_deg in g, so candidate B
     sides are exactly unions of complement components covering all
     vertices of other degrees. So at least n - r_max vertices have it.
     """
-    degrees = g.degrees()
     if degrees.count(target_deg) < g.n - r_max:
         return None
     odd_mask = 0
@@ -621,36 +638,40 @@ def _regular_join_witness(g: Graph, target_deg: int, r_max: int, kind: str):
 
 def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
     """Structured membership in the EC (Hamiltonian) / EP (traceable) classes."""
+    return _ec_ep(g, family, g.degrees())
+
+
+def _ec_ep(g: Graph, family: str, degrees: list[int]) -> Optional[JoinWitness]:
+    """``ec_ep_membership`` of g, whose degrees are given. Each clause first
+    tests what the degrees alone rule out, and only then searches g."""
     n = g.n
-    degrees = g.degrees()
     if family == "EC":
         # (a) trivial graph joined with two complete components: the one
         # vertex of degree n - 1 (a second one would join the two)
         if n >= 3 and degrees.count(n - 1) == 1:
             u = degrees.index(n - 1)
             rest = [v for v in range(n) if v != u]
-            sub = induced_subgraph(g, rest)
-            comps = connected_components(sub)
-            if len(comps) == 2 and all(_is_complete_mask(sub, c) for c in comps):
-                sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
-                return JoinWitness("trivial-join-two-cliques", (u,), sides[0] + sides[1])
+            if _two_cliques([degrees[v] - 1 for v in rest]):
+                sub = induced_subgraph(g, rest)
+                comps = connected_components(sub)
+                if len(comps) == 2 and all(_is_complete_mask(sub, c) for c in comps):
+                    sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
+                    return JoinWitness("trivial-join-two-cliques", (u,), sides[0] + sides[1])
         # (b) regular of degree (n-1)/2 - r joined with r vertices
         if n >= 3 and (n - 1) % 2 == 0:
-            return _regular_join_witness(g, (n - 1) // 2, (n - 1) // 2, "regular-join")
+            return _regular_join_witness(g, degrees, (n - 1) // 2, (n - 1) // 2, "regular-join")
         return None
     if family == "EP":
         if n % 2 == 0 and all(d == n // 2 - 1 for d in degrees):
             return JoinWitness("regular", tuple(range(n)), ())
-        # two complete components: the smaller has at most n // 2 vertices,
-        # each of degree below n // 2
-        if min(degrees, default=0) < n // 2:
+        if _two_cliques(degrees):
             comps = connected_components(g)
             if len(comps) == 2 and all(_is_complete_mask(g, c) for c in comps):
                 return JoinWitness(
                     "two-complete-components", tuple(bits(comps[0])), tuple(bits(comps[1]))
                 )
         if n % 2 == 0 and n >= 4:
-            return _regular_join_witness(g, n // 2 - 1, n // 2 - 1, "regular-join")
+            return _regular_join_witness(g, degrees, n // 2 - 1, n // 2 - 1, "regular-join")
         return None
     raise ValueError(f"unknown exception class {family!r}")
 
@@ -667,6 +688,11 @@ def recognize_family(g: Graph | BipartiteGraph, fid: FamilyId) -> bool:
     return _first_match(g, (fid,)) is not None
 
 
+# an exceptional graph as the matchers read it: its family id, its
+# canonical graph as a Graph, and that graph's degree sequence
+Target = tuple[FamilyId, Graph, tuple[int, ...]]
+
+
 @cache
 def _family_graph(fid: FamilyId) -> Optional[tuple[Graph, tuple[int, ...]]]:
     """fid's canonical graph as a Graph and its degree sequence, built once;
@@ -679,15 +705,38 @@ def _family_graph(fid: FamilyId) -> Optional[tuple[Graph, tuple[int, ...]]]:
     return target, target.degree_sequence()
 
 
-def _first_match(g: Graph | BipartiteGraph, fids: tuple[FamilyId, ...]) -> Optional[FamilyId]:
-    """The first of fids whose canonical graph is isomorphic to g as a graph,
-    if any; g's degree sequence is computed once, for all of them."""
-    families = [(fid, family) for fid in fids if (family := _family_graph(fid)) is not None]
-    if not families:
-        return None
-    g = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    seq = g.degree_sequence()
-    for fid, (target, target_seq) in families:
-        if g.n == target.n and seq == target_seq and is_isomorphic(g, target):
+def _with_graphs(fids: tuple[FamilyId, ...]) -> tuple[Target, ...]:
+    """The fids that have a canonical graph, in order, as targets."""
+    return tuple((fid, *family) for fid in fids if (family := _family_graph(fid)) is not None)
+
+
+@cache
+def _exception_targets(
+    exceptions: Callable[[int], tuple[FamilyId, ...]], n: int
+) -> tuple[Target, ...]:
+    """A row's listed exceptions at size n as targets, keyed by the row's
+    ``exceptions`` and n, so each row and size looks them up once."""
+    return _with_graphs(exceptions(n))
+
+
+def _match(
+    obj: Graph | BipartiteGraph, seq: tuple[int, ...], targets: tuple[Target, ...]
+) -> Optional[FamilyId]:
+    """The first target whose degree sequence is seq, obj's own, and whose
+    graph is isomorphic to obj as a graph, if any. Only a target whose
+    sequence matches makes obj a Graph and runs the isomorphism test."""
+    g = None
+    for fid, target, target_seq in targets:
+        if seq != target_seq:
+            continue
+        if g is None:
+            g = obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
+        if is_isomorphic(g, target):
             return fid
     return None
+
+
+def _first_match(g: Graph | BipartiteGraph, fids: tuple[FamilyId, ...]) -> Optional[FamilyId]:
+    """The first of fids whose canonical graph is isomorphic to g as a graph,
+    if any."""
+    return _match(g, g.degree_sequence(), _with_graphs(fids))

@@ -134,6 +134,8 @@ def path(n: int) -> Graph:
 
 def star(n: int) -> Graph:
     """K_{1,n-1} with the hub at the highest index."""
+    if n < 1:
+        raise ValueError("star needs n >= 1")
     _check_n(n)
     return from_edges(n, [(v, n - 1) for v in range(n - 1)])
 

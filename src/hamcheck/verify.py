@@ -24,7 +24,9 @@ first for a bipartite graph, as ``to_graph``; only its degree table rides
 along. The pipeline: the m/delta filter, which yields the kept masks'
 adjacency rows and degree tables; for the degree theorems (Chvatal,
 bipartite degree, Moon-Moser) a degree screen that evaluates the
-checker's own inequality on the whole slice in exact integer arithmetic;
+checker's own inequality in exact integer arithmetic, once per distinct
+sorted degree row of the slice (Moon-Moser, which reads adjacency too, on
+the whole slice with numpy);
 for the spectral ones the eigvalsh screen on the hypothesis matrices,
 which ``spectral.matrix_stack`` builds from the rows (or from
 ``_Layout.complement`` of them, for the radius of a complement), then
@@ -257,6 +259,19 @@ def _m_min(row: cond.Condition, n: int) -> int:
     return _NEEDED_EDGES[row.quantity](n, row.threshold(n), row.strict)
 
 
+def _degree_screen(blocking: Callable[[list[int]], int], degrees: np.ndarray) -> np.ndarray:
+    """Whether no k blocks each row of a slice's degree table: ``blocking``
+    runs once per distinct sorted degree row, found by packing each sorted
+    row into one int64 key. A scanned graph has at most 10 vertices, so a
+    key takes at most 10 degrees of 4 bits."""
+    d = np.sort(degrees, axis=1)
+    width = max(d.shape[1] - 1, 1).bit_length()
+    keys = (d.astype(np.int64) << (width * np.arange(d.shape[1]))).sum(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    blocked = np.array([blocking(row) for row in d[first].tolist()], dtype=np.int64)
+    return blocked[inverse] == 0
+
+
 def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     side = degrees.shape[1] // 2
     # side X's rows hold side Y's vertices at bits side .. 2 side - 1
@@ -264,13 +279,15 @@ def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray
     return cond.moon_moser_blocking(degrees, adjacent)[1] < 0
 
 
-# the theorems without a numeric hypothesis: their own checker, and their
-# inequality evaluated on a whole scan slice as its screen
+# the theorems without a numeric hypothesis: their own checker, and as its
+# screen their inequality evaluated over a scan slice, once per distinct
+# sorted degree row (Moon-Moser, which reads adjacency too: on every row)
 _DEGREE_THEOREMS = {
     "chvatal": (cond.chvatal_hamiltonian,
-                lambda degrees, adjacency: cond.chvatal_blocking(degrees) == 0),
+                lambda degrees, adjacency: _degree_screen(cond.chvatal_blocking, degrees)),
     "bipartite-degree": (cond.bipartite_degree_hamiltonian,
-                         lambda degrees, adjacency: cond.bipartite_degree_blocking(degrees) == 0),
+                         lambda degrees, adjacency: _degree_screen(
+                             cond.bipartite_degree_blocking, degrees)),
     "moon-moser": (cond.moon_moser_hamiltonian, _moon_moser_screen),
 }
 

@@ -404,6 +404,15 @@ def test_kn1_plus_edge_checks_the_vertex_cap(capsys):
     assert g.n == 512 and g.edge_count() == 511 * 510 // 2 + 1
 
 
+def test_star_needs_a_hub(capsys):
+    # K_{1,n-1} has n >= 1 vertices; n = 0 is a usage error like cycle --n 2
+    code, out, err = run(capsys, ["family", "star", "--n", "0"])
+    assert code == 64 and out == ""
+    assert "star needs n >= 1" in err and "Traceback" not in err
+    code, out, _ = run(capsys, ["family", "star", "--n", "1"])
+    assert code == 0 and out == "@\n"
+
+
 @pytest.mark.parametrize("argv, stdin, keep", [
     # far more output than a pipe holds: the reader closes it after 200 bytes
     (["analyze", "--format", "json"], b"D^o\n" * 500, 200),

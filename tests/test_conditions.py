@@ -1,15 +1,19 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from hamcheck.conditions import (
+    CONDITIONS,
+    GENERAL,
     HAMILTONIAN,
     TRACEABLE,
     JoinWitness,
     Status,
     bipartite_degree_hamiltonian,
     chvatal_hamiltonian,
+    decide,
     ec_ep_membership,
     edge_bound_bipartite,
     edge_bound_general,
@@ -302,7 +306,9 @@ def test_exceptional_graphs_are_built_once(monkeypatch):
         return make_family(fid)
 
     monkeypatch.setattr(conditions, "make_family", counting_make_family)
+    # both caches: the graphs per family id, and each row's targets per size
     conditions._family_graph.cache_clear()
+    conditions._exception_targets.cache_clear()
     row = conditions.CONDITIONS["lemma-3.6"]
     listed = row.exceptions(6)
     assert len(listed) == 4
@@ -427,3 +433,97 @@ def test_ec_ep_membership_matches_reference_on_every_small_graph(n):
             assert got == _reference_ec_ep_membership(g, family), (g, family)
             found += got is not None
     assert found or n < 2
+
+
+# ------------------------------------------------- exception guard checks
+
+def _relabel_sides(b, rng):
+    """b with the vertices of each side permuted, as a BipartiteGraph."""
+    xs, ys = list(range(b.p)), list(range(b.q))
+    rng.shuffle(xs)
+    rng.shuffle(ys)
+    rows = [0] * b.p
+    for x, row in enumerate(b.rows):
+        rows[xs[x]] = sum(1 << ys[y] for y in bits(row))
+    return type(b)(b.p, b.q, tuple(rows))
+
+
+# the spectral bipartite rows' listed exceptions lie below their thresholds,
+# so those rows never reach the exception test on them
+VACUOUS = {"spectral-bipartite-hamiltonian", "spectral-bipartite-traceable-unbalanced"}
+# knn1-plus-2e(3) is isomorphic to kpn2-plus-4e(3,4), which is listed first
+FIRST_LISTED = {("spectral-bipartite-traceable-unbalanced", 3, "knn1-plus-2e(3)"):
+                FamilyId(FamilyTag.KPN2_PLUS_4E, (3, 4))}
+
+
+@pytest.mark.parametrize("theorem_id", [
+    tid for tid, row in CONDITIONS.items()
+    if row.quantity is not None and any(row.exceptions(n) for n in range(row.min_n, 9))])
+def test_listed_exceptions_match_under_relabeling(theorem_id):
+    # the degree-sequence lookup before is_isomorphic must find every listed
+    # graph whatever its labels: through the row as it is, and through the
+    # row with a threshold every graph meets, so the exception test runs
+    row = CONDITIONS[theorem_id]
+    loose = dataclasses.replace(
+        row, threshold=lambda n: math.inf if row.direction == "le" else -math.inf)
+    rng = random.Random(theorem_id)
+    listed = 0
+    for n in range(row.min_n, 9):
+        for fid in row.exceptions(n):
+            listed += 1
+            family = FIRST_LISTED.get((theorem_id, n, str(fid)), fid)
+            base = make_family(fid)
+            for _ in range(3):
+                if row.kind == GENERAL:
+                    perm = list(range(base.n))
+                    rng.shuffle(perm)
+                    obj = relabel(base, perm)
+                else:
+                    obj = _relabel_sides(base, rng)
+                    perm = list(range(base.p + base.q))
+                    rng.shuffle(perm)
+                    assert recognize_family(relabel(base.to_graph(), perm), fid)
+                assert decide(loose, obj).family == family, (n, fid)
+                v = decide(row, obj)
+                if theorem_id in VACUOUS:
+                    assert v.status is Status.INCONCLUSIVE, (n, fid)
+                else:
+                    assert (v.status, v.family) == (Status.EXCEPTION, family), (n, fid)
+    assert listed
+
+
+def _near_clique_graph(n, rng):
+    """A graph on n vertices near the EC/EP clauses: two cliques, joined to
+    one more vertex or not, or a random graph; then a few pairs flipped."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        p = rng.random()
+        g = from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+    else:
+        hub = kind == 1
+        a = rng.randrange(1, n - hub)
+        g = disjoint_union(complete(a), complete(n - hub - a))
+        if hub:
+            g = join(complete(1), g)
+    adj = list(g.adj)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i, j = rng.sample(range(n), 2)
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(type(g)(n, tuple(adj)), perm)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_ec_ep_membership_matches_reference_on_sampled_graphs(n):
+    # the degree guards must not change an answer beyond the exhaustive sizes
+    rng = random.Random(n)
+    found = 0
+    for _ in range(20000):
+        g = _near_clique_graph(n, rng)
+        for family in ("EC", "EP"):
+            got = ec_ep_membership(g, family)
+            assert got == _reference_ec_ep_membership(g, family), (g, family)
+            found += got is not None
+    assert found > 1000

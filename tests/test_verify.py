@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
 
+from hamcheck import conditions as cond
 from hamcheck import verify
 from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.families import make_family
 from hamcheck.graph6 import write_graph6
+from hamcheck.graphs import bipartite_from_edges, from_edges
 from hamcheck.oracle import is_hamiltonian, is_traceable
 from hamcheck.spectral import ADJACENCY, q_radius, rho
 from hamcheck.verify import (
@@ -260,3 +264,77 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
     # whose layout has no mask bits and so no screen
     assert sorted(sizes) == [sum(verify._sides(spec.row.kind, n)) for n in sizes_for(spec, 5)]
     assert [estimate for _, estimate in seen] == [scalar(radius.operand(obj)) for obj, _ in seen]
+
+
+# the numpy form the degree screens had, over a stack of degree rows; the
+# Python functions the checkers and screens now share must agree with it
+def _first_k(blocked):
+    return np.where(blocked.any(axis=1), blocked.argmax(axis=1) + 1, 0)
+
+
+def _chvatal_blocking_stack(degrees):
+    d = np.sort(degrees, axis=1)
+    n = d.shape[1]
+    k = np.arange(1, (n + 1) // 2)
+    return _first_k((d[:, k - 1] <= k) & (d[:, n - k - 1] <= n - k - 1))
+
+
+def _bipartite_degree_blocking_stack(degrees):
+    d = np.sort(degrees, axis=1)
+    n = d.shape[1] // 2
+    k = np.arange(1, n // 2 + 1)
+    return _first_k((d[:, k - 1] <= k) & (d[:, [n - 1]] <= n - k))
+
+
+DEGREE_INEQUALITIES = {
+    "chvatal": (cond.chvatal_blocking, _chvatal_blocking_stack),
+    "bipartite-degree": (cond.bipartite_degree_blocking, _bipartite_degree_blocking_stack),
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(DEGREE_INEQUALITIES))
+def test_degree_blocking_matches_the_stacked_form(theorem_id):
+    blocking, stacked = DEGREE_INEQUALITIES[theorem_id]
+    spec = THEOREMS[theorem_id]
+    for n in sizes_for(spec, 6):
+        layout = verify._spec_layout(spec, n)
+        for _, _, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+            got = [blocking(row) for row in np.sort(degrees, axis=1).tolist()]
+            assert got == stacked(degrees).tolist()
+    rng = random.Random(theorem_id)
+    for _ in range(300):   # graphs of up to 64 vertices
+        p = rng.random()
+        if spec.row.kind == "general":
+            n = rng.randrange(3, 65)
+            degrees = from_edges(
+                n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]).degrees()
+        else:
+            n = rng.randrange(2, 33)
+            b = bipartite_from_edges(
+                n, n, [(x, y) for x in range(n) for y in range(n) if rng.random() < p])
+            degrees = b.degrees_x() + b.degrees_y()
+        assert blocking(sorted(degrees)) == stacked(np.array([degrees]))[0]
+
+
+@pytest.mark.parametrize("theorem_id", sorted(DEGREE_INEQUALITIES))
+def test_degree_screen_evaluates_each_sorted_row_once(theorem_id, monkeypatch):
+    # the screen looks its inequality up in conditions when it runs, so a
+    # counting wrapper there sees every evaluation
+    blocking = DEGREE_INEQUALITIES[theorem_id][0]
+    name = blocking.__name__
+    seen = []
+
+    def counting(row):
+        seen.append(tuple(row))
+        return blocking(row)
+
+    monkeypatch.setattr(cond, name, counting)
+    spec = THEOREMS[theorem_id]
+    for n in sizes_for(spec, 6):
+        layout = verify._spec_layout(spec, n)
+        for _, adjacency, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+            seen.clear()
+            kept = spec.screen(degrees, adjacency)
+            distinct = {tuple(row) for row in np.sort(degrees, axis=1).tolist()}
+            assert len(seen) == len(set(seen)) and set(seen) == distinct
+            assert kept.tolist() == [blocking(sorted(row)) == 0 for row in degrees.tolist()]
