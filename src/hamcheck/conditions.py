@@ -37,6 +37,7 @@ from .families import (
 from .graphs import (
     BipartiteGraph,
     Graph,
+    bit_matrix,
     bits,
     complement,
     connected_components,
@@ -428,8 +429,7 @@ def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
     _, n, degrees, failure = _applies(CONDITIONS["moon-moser"], b)
     if failure is not None:
         return failure
-    adjacent = np.array([[[row >> y & 1 for y in range(n)] for row in b.rows]])
-    worst, cell = moon_moser_blocking(np.array([degrees]), adjacent)
+    worst, cell = moon_moser_blocking(np.array([degrees]), bit_matrix(b.rows, n)[None])
     worst, cell = int(worst[0]), int(cell[0])
     if cell >= 0:
         return Verdict(

@@ -2,12 +2,19 @@
 
 Records follow the de facto standard: an N(n) size prefix, then the
 upper-triangle adjacency bits in column-major order, six bits per byte,
-each byte offset by 63.
+each byte offset by 63. Column-major order over the upper triangle is
+row-major order over the lower one, so both directions are numpy steps
+on the ``np.tri(n, k=-1)`` mask: a record's bits unpack onto it and are
+mirrored, then each row is packed into an int; a graph's rows, unpacked
+by ``graphs.bit_matrix``, are read off it. Padding bits after the last
+edge bit are ignored on read and written as 0.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, MAX_VERTICES
+import numpy as np
+
+from .graphs import Graph, MAX_VERTICES, bit_matrix
 
 HEADER = ">>graph6<<"
 
@@ -46,27 +53,28 @@ def parse_graph6(text: str | bytes) -> Graph:
     if data.startswith(HEADER.encode("ascii")):
         data = data[len(HEADER):]
     data = data.strip()
-    for byte in data:
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"non-printable byte {byte} in graph6 record")
+    codes = np.frombuffer(data, dtype=np.uint8)
+    bad = (codes < 63) | (codes > 126)
+    if bad.any():
+        raise Graph6Error(f"non-printable byte {data[bad.argmax()]} in graph6 record")
     n, offset = _parse_size(data)
     if not 0 <= n <= MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} outside [0, {MAX_VERTICES}]")
     nbits = n * (n - 1) // 2
-    body = data[offset:]
+    body = codes[offset:]
     if len(body) != (nbits + 5) // 6:
         raise Graph6Error(
             f"bit field holds {len(body) * 6} bits, expected {nbits} for n={n}"
         )
+    bits = np.unpackbits(body - 63).reshape(-1, 8)[:, 2:].ravel()   # six bits a byte
+    square = np.zeros((n, -(-n // 64) * 64), dtype=bool)   # rows padded to whole 64-bit words
+    lower = square[:, :n]
+    lower[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]   # lower[j, i] is the bit of edge ij, i < j
+    lower |= lower.T
+    words = np.packbits(square, axis=1, bitorder="little").view("<u8")
     adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    for k, column in enumerate(words.T.tolist()):
+        adj = [row | word << 64 * k for row, word in zip(adj, column)]
     return Graph(n, tuple(adj))
 
 
@@ -77,16 +85,8 @@ def write_graph6(g: Graph) -> str:
         prefix = [126, (g.n >> 12 & 63) + 63, (g.n >> 6 & 63) + 63, (g.n & 63) + 63]
     else:
         prefix = [126, 126] + [(g.n >> (6 * s) & 63) + 63 for s in range(5, -1, -1)]
-    out = bytearray(prefix)
-    acc = 0
-    nacc = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(acc + 63)
-                acc = nacc = 0
-    if nacc:
-        out.append((acc << (6 - nacc)) + 63)
-    return out.decode("ascii")
+    nbits = g.n * (g.n - 1) // 2
+    bits = np.zeros(-(-nbits // 6) * 6, dtype=np.uint8)
+    bits[:nbits] = bit_matrix(g.adj, g.n)[np.tri(g.n, k=-1, dtype=bool)]
+    body = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return (bytes(prefix) + body.tobytes()).decode("ascii")

@@ -7,7 +7,10 @@ and makes every value immutable and hashable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 MAX_VERTICES = 512
 
@@ -18,6 +21,15 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
+    """The low n bits of each row as a (len(rows), n) uint8 array of 0s and
+    1s, bit j of a row in column j."""
+    width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
+    raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 class Graph(NamedTuple):

@@ -1,10 +1,10 @@
 """Largest-eigenvalue computation for A(G) and Q(G) = D(G) + A(G).
 
-``matrix_stack`` is the one place that turns bitset rows into a matrix:
-every route, the verify scan's eigvalsh screen included, gets A or Q from
-it, whether its graphs are objects or, as in a scan slice, a (B, n)
-uint32 array of adjacency rows; both are unpacked by the same
-``np.unpackbits`` step. ``radius_stack`` is the one place that computes a
+``matrix_stack`` is the one place that builds A or Q: every route, the
+verify scan's eigvalsh screen included, gets its matrices from it. Graph
+objects' rows are unpacked by ``graphs.bit_matrix``, which ``write_graph6``
+shares; a scan slice's (B, n) uint32 array of adjacency rows goes straight
+to ``np.unpackbits``. ``radius_stack`` is the one place that computes a
 spectral radius: a dense symmetric eigendecomposition (``np.linalg.eigh``)
 of each matrix of a (B, n, n) stack, which returns the top eigenvalue with
 the residual of its eigenvector. ``rho`` and ``q_radius`` are a stack of
@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, bit_matrix
 
 DEFAULT_CMP_TOL = 1e-8
 DENSE_CAP = 64
@@ -62,14 +61,12 @@ def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: s
     if isinstance(graphs, np.ndarray):
         count, n = graphs.shape
         packed = np.ascontiguousarray(graphs, dtype="<u4").view(np.uint8).reshape(count, n, 4)
+        bits = np.unpackbits(packed, axis=2, count=n, bitorder="little")
     else:
         graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
         n = graphs[0].n if graphs else 0
-        width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
-        rows = chain.from_iterable(g.adj for g in graphs)
-        raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
-    matrices = np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(float)
+        bits = bit_matrix([row for g in graphs for row in g.adj], n).reshape(len(graphs), n, n)
+    matrices = bits.astype(float)
     if which == SIGNLESS_LAPLACIAN:
         # A has a zero diagonal, so writing the degrees there adds D
         matrices.reshape(len(matrices), n * n)[:, ::n + 1] = np.einsum("bij->bi", matrices)

@@ -136,8 +136,9 @@ def _moon_moser_loop(b):
 
 
 def test_degree_checkers_match_their_loop_form():
-    # the checkers evaluate their inequality on numpy stacks; the verdicts
-    # and certificates must equal these loops', with Python numbers only
+    # Chvatal and bipartite-degree are Python functions of the sorted degrees,
+    # and Moon-Moser evaluates its inequality on numpy arrays; each checker's
+    # verdicts and certificates must equal these loops', with Python numbers only
     from hamcheck.verify import enumerate_bipartite, enumerate_graphs
 
     rng = random.Random(4)
