@@ -7,16 +7,7 @@ known degree / edge-count / spectral sufficient conditions certify
 that it has a Hamiltonian cycle or path?
 """
 
-from hamcheck import (
-    chvatal_hamiltonian,
-    cycle,
-    edge_bound_general,
-    is_hamiltonian,
-    q_radius,
-    q_spectral_general,
-    rho,
-    zhou_complement,
-)
+from hamcheck import check_theorem, cycle, is_hamiltonian, q_radius, rho
 
 # The 5-cycle: connected, 2-regular, obviously Hamiltonian -- but which
 # of the sufficient conditions can *prove* that without searching?
@@ -27,14 +18,16 @@ print(f"adjacency spectral radius  rho = {rho(g).value:.6f}")
 print(f"signless Laplacian radius  q   = {q_radius(g).value:.6f}")
 print()
 
+# Each theorem is named by its id, as `hamcheck verify --theorem list`
+# prints them; check_theorem applies it to one graph.
 checks = [
-    ("chvatal", chvatal_hamiltonian(g)),
-    ("edge bound (cycle)", edge_bound_general(g, "hamiltonian")),
-    ("edge bound (path)", edge_bound_general(g, "traceable")),
-    ("q tight (cycle)", q_spectral_general(g, "hamiltonian_tight")),
-    ("q tight (path)", q_spectral_general(g, "traceable_tight")),
-    ("complement q (cycle)", zhou_complement(g, "hamiltonian")),
-    ("complement q (path)", zhou_complement(g, "traceable")),
+    ("chvatal", check_theorem("chvatal", g)),
+    ("edge bound (cycle)", check_theorem("lemma-3.4", g)),
+    ("edge bound (path)", check_theorem("lemma-3.6", g)),
+    ("q tight (cycle)", check_theorem("tight-q-hamiltonian", g)),
+    ("q tight (path)", check_theorem("tight-q-traceable", g)),
+    ("complement q (cycle)", check_theorem("zhou-complement-hamiltonian", g)),
+    ("complement q (path)", check_theorem("zhou-complement-traceable", g)),
 ]
 for name, v in checks:
     cert = dict(v.certificate)

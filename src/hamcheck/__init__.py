@@ -10,18 +10,10 @@ from .conditions import (
     TRACEABLE,
     Status,
     Verdict,
-    bipartite_degree_hamiltonian,
-    chvatal_hamiltonian,
+    check_theorem,
     ec_ep_membership,
-    edge_bound_bipartite,
-    edge_bound_general,
-    moon_moser_hamiltonian,
     nc_np_membership,
-    q_spectral_general,
-    quasi_complement_hamiltonian,
     recognize_family,
-    spectral_bipartite,
-    zhou_complement,
 )
 from .families import FamilyId, FamilyTag, NC_NAMES, NP_NAMES, make_family, nc_member, np_member
 from .graph6 import Graph6Error, parse_graph6, write_graph6
@@ -48,13 +40,10 @@ from .spectral import (
     compare_threshold,
     eigen_oracle,
     q_radius,
-    q_upper_bound,
     rho,
 )
 from .verify import (
     SoundnessReport,
-    enumerate_bipartite,
-    enumerate_graphs,
     soundness,
     table1_report,
     theorem_ids,
@@ -81,9 +70,8 @@ __all__ = [
     "ThresholdOutcome",
     "Verdict",
     "backtrack_oracle",
-    "bipartite_degree_hamiltonian",
     "bipartite_from_edges",
-    "chvatal_hamiltonian",
+    "check_theorem",
     "compare_threshold",
     "complement",
     "complete",
@@ -91,35 +79,25 @@ __all__ = [
     "cycle",
     "disjoint_union",
     "ec_ep_membership",
-    "edge_bound_bipartite",
-    "edge_bound_general",
     "eigen_oracle",
-    "enumerate_bipartite",
-    "enumerate_graphs",
     "from_edges",
     "is_hamiltonian",
     "is_traceable",
     "join",
     "make_family",
-    "moon_moser_hamiltonian",
     "nc_member",
     "nc_np_membership",
     "np_member",
     "parse_graph6",
     "path",
     "q_radius",
-    "q_spectral_general",
-    "q_upper_bound",
     "quasi_complement",
-    "quasi_complement_hamiltonian",
     "recognize_family",
     "rho",
     "soundness",
-    "spectral_bipartite",
     "star",
     "table1_report",
     "theorem_ids",
     "tightness_search",
     "write_graph6",
-    "zhou_complement",
 ]

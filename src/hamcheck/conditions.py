@@ -5,9 +5,10 @@ property, the graph kind, the preconditions (size, per-side minimum
 degree, connectivity, the (n+1, n) orientation), the hypothesis quantity
 with its threshold in n, direction and strictness, and the exceptional
 graphs at each n. The checkers read these rows and write nothing of them
-again: ``decide`` applies the one verdict ladder to any numeric row, the
-public checkers look up their target's row, and ``verify`` derives its
-scan filters and ``tightness_search`` from the same rows.
+again: ``decide`` applies the one verdict ladder to any numeric row,
+``check_theorem(theorem_id, obj)`` is the one public entry to every
+theorem, and ``verify`` derives its scan filters and ``tightness_search``
+from the same rows.
 
 A checker re-validates its own preconditions and answers NotApplicable
 rather than assuming callers filtered. Exceptional-family recognizers
@@ -162,7 +163,7 @@ class Condition:
     or, for Zhou's conditions, in the EC/EP class ``join_class``. The size
     n is the vertex count of a general graph and the (smaller) side of a
     bipartite one. A row without a quantity is a degree theorem, whose
-    checker is its own."""
+    checker is its own, in DEGREE_CHECKERS."""
     prop: str
     kind: str
     min_n: int
@@ -219,10 +220,9 @@ CONDITIONS: dict[str, Condition] = {
     "spectral-bipartite-traceable-unbalanced": Condition(
         TRACEABLE, BIP_UNBALANCED, 3, (1, 2), quantity="rho",
         threshold=lambda n: math.sqrt(n * n - n + 2),
-        exceptions=lambda n: (
-            FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n + 1)),
-            FamilyId(FamilyTag.KNN1_PLUS_2E, (n,)),
-        ),
+        # at n = 3, knn1-plus-2e(3) is kpn2-plus-4e(3,4) up to isomorphism
+        exceptions=lambda n: (FamilyId(FamilyTag.KPN2_PLUS_4E, (n, n + 1)),)
+        + ((FamilyId(FamilyTag.KNN1_PLUS_2E, (n,)),) if n != 3 else ()),
     ),
     "quasi-complement": Condition(
         HAMILTONIAN, BIP_BALANCED, 2, quantity="rho_star",
@@ -481,7 +481,7 @@ def decide(
     if fid is not None:
         return Verdict(Status.EXCEPTION, row.prop, cert, family=fid)
     if row.join_class:
-        witness = _ec_ep(obj, row.join_class, degrees)
+        witness = ec_ep_membership(obj, row.join_class)
         if witness is not None:
             return Verdict(
                 Status.EXCEPTION,
@@ -493,95 +493,31 @@ def decide(
     return Verdict(Status.BOUNDARY if boundary else Status.GUARANTEED, row.prop, cert)
 
 
-# ------------------------------------------------------ public checkers
+# ------------------------------------------------------ the public entry
 
-def _targets(**theorem_ids: str) -> dict[str, Condition]:
-    """A public checker's target strings and the rows they name."""
-    return {target: CONDITIONS[tid] for target, tid in theorem_ids.items()}
+# the theorems without a numeric hypothesis, by id: each is its own checker
+DEGREE_CHECKERS: dict[str, Callable[..., Verdict]] = {
+    "chvatal": chvatal_hamiltonian,
+    "bipartite-degree": bipartite_degree_hamiltonian,
+    "moon-moser": moon_moser_hamiltonian,
+}
 
 
-def _row(targets: dict[str, Condition], target: str) -> Condition:
-    row = targets.get(target)
+def check_theorem(
+    theorem_id: str,
+    obj: Graph | BipartiteGraph,
+    cmp_tol: float = DEFAULT_CMP_TOL,
+    estimate: EstimateArg = None,
+) -> Verdict:
+    """obj's verdict under the theorem with this id, a key of CONDITIONS: a
+    numeric row's verdict ladder (``decide``, which reads ``cmp_tol`` and
+    ``estimate``), or a degree theorem's own checker."""
+    row = CONDITIONS.get(theorem_id)
     if row is None:
-        raise ValueError(f"unknown target {target!r}")
-    return row
-
-
-_EDGE_BIPARTITE = _targets(
-    hamiltonian_min_deg1="lemma-2.5", hamiltonian_min_deg2="lemma-2.6", traceable="lemma-2.8"
-)
-_EDGE_GENERAL = _targets(hamiltonian="lemma-3.4", traceable="lemma-3.6")
-_SPECTRAL_BIPARTITE = _targets(
-    hamiltonian_balanced="spectral-bipartite-hamiltonian",
-    traceable_balanced="spectral-bipartite-traceable",
-    traceable_unbalanced="spectral-bipartite-traceable-unbalanced",
-)
-_Q_GENERAL = _targets(
-    hamiltonian_tight="tight-q-hamiltonian",
-    traceable_tight="tight-q-traceable",
-    yu_fan_hamiltonian="yu-fan-hamiltonian",
-    yu_fan_traceable="yu-fan-traceable",
-    yu_connected_traceable="yu-connected-traceable",
-)
-_ZHOU = _targets(hamiltonian="zhou-complement-hamiltonian", traceable="zhou-complement-traceable")
-
-
-def edge_bound_bipartite(b: BipartiteGraph, target: str) -> Verdict:
-    """Balanced bipartite edge bounds (Lemmas 2.5, 2.6 and 2.8)."""
-    return decide(_row(_EDGE_BIPARTITE, target), b)
-
-
-def edge_bound_general(g: Graph, target: str) -> Verdict:
-    """Strict edge bound with the NC (cycle) / NP (path) exception lists."""
-    return decide(_row(_EDGE_GENERAL, target), g)
-
-
-def spectral_bipartite(
-    b: BipartiteGraph,
-    target: str,
-    cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: EstimateArg = None,
-) -> Verdict:
-    """Adjacency spectral radius against the sqrt edge-bound thresholds.
-
-    ``estimate``, when given, is rho(b) or a function returning it; the
-    checkers below take theirs the same way, for the matrix they would
-    build.
-    """
-    return decide(_row(_SPECTRAL_BIPARTITE, target), b, cmp_tol, estimate)
-
-
-def quasi_complement_hamiltonian(
-    b: BipartiteGraph,
-    cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: EstimateArg = None,
-) -> Verdict:
-    """Small quasi-complement spectral radius forces a Hamiltonian cycle."""
-    return decide(CONDITIONS["quasi-complement"], b, cmp_tol, estimate)
-
-
-def q_spectral_general(
-    g: Graph,
-    target: str,
-    cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: EstimateArg = None,
-) -> Verdict:
-    """Signless Laplacian spectral radius against the 2n-ish thresholds.
-
-    Strict (>) thresholds cannot be certified at the line, so those report
-    Boundary there; non-strict (>=) ones still honor exception matches.
-    """
-    return decide(_row(_Q_GENERAL, target), g, cmp_tol, estimate)
-
-
-def zhou_complement(
-    g: Graph,
-    target: str,
-    cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: EstimateArg = None,
-) -> Verdict:
-    """Zhou's complement condition with the structured EC/EP exceptions."""
-    return decide(_row(_ZHOU, target), g, cmp_tol, estimate)
+        raise KeyError(f"unknown theorem id {theorem_id!r}")
+    if row.quantity is None:
+        return DEGREE_CHECKERS[theorem_id](obj)
+    return decide(row, obj, cmp_tol, estimate)
 
 
 # ------------------------------------------------------------ recognizers
@@ -637,14 +573,10 @@ def _regular_join_witness(g: Graph, degrees: list[int], target_deg: int, r_max: 
 
 
 def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
-    """Structured membership in the EC (Hamiltonian) / EP (traceable) classes."""
-    return _ec_ep(g, family, g.degrees())
-
-
-def _ec_ep(g: Graph, family: str, degrees: list[int]) -> Optional[JoinWitness]:
-    """``ec_ep_membership`` of g, whose degrees are given. Each clause first
-    tests what the degrees alone rule out, and only then searches g."""
-    n = g.n
+    """Structured membership in the EC (Hamiltonian) / EP (traceable) classes.
+    Each clause first tests what the degrees alone rule out, and only then
+    searches g."""
+    n, degrees = g.n, g.degrees()
     if family == "EC":
         # (a) trivial graph joined with two complete components: the one
         # vertex of degree n - 1 (a second one would join the two)

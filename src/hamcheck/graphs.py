@@ -24,8 +24,11 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
-    """The low n bits of each row as a (len(rows), n) uint8 array of 0s and
-    1s, bit j of a row in column j."""
+    """Each row's n bits as a (len(rows), n) uint8 array of 0s and 1s, bit j
+    of a row in column j. A row with a bit at or above n is a ValueError."""
+    for index, row in enumerate(rows):
+        if row >> n:
+            raise ValueError(f"row {index} ({row:#x}) has a bit at or above n = {n}")
     width = -(-n // 8)   # bytes per row, so no n overflows a fixed-width integer
     raw = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)

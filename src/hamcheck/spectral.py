@@ -116,9 +116,3 @@ def compare_threshold(
         return ThresholdOutcome(Relation.BOUNDARY, margin)
     return ThresholdOutcome(Relation.ABOVE if margin > 0 else Relation.BELOW, margin)
 
-
-def q_upper_bound(g: Graph) -> float:
-    """2m/(n-1) + n - 2, an upper bound for q(G) on any graph with n >= 2."""
-    if g.n < 2:
-        raise ValueError("q upper bound needs n >= 2")
-    return 2 * g.edge_count() / (g.n - 1) + g.n - 2

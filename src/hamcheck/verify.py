@@ -151,31 +151,6 @@ def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
         yield len(keep), adjacency, degrees[keep]
 
 
-def _visit_all(layout: _Layout, visit: Callable) -> int:
-    count = 0
-    for _, adjacency, _ in _slices(layout, 0, 1 << len(layout.slots)):
-        count += len(adjacency)
-        for obj in layout.build(adjacency):
-            visit(obj)
-    return count
-
-
-def enumerate_graphs(n: int, min_degree: int, visit: Callable[[Graph], None]) -> int:
-    """Visit every labeled simple graph on n vertices with min degree >= min_degree."""
-    if n > MAX_ENUM_N:
-        raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
-    return _visit_all(_general_layout(n, min_degree), visit)
-
-
-def enumerate_bipartite(
-    p: int, q: int, min_degree: int, visit: Callable[[BipartiteGraph], None]
-) -> int:
-    """Visit every labeled biadjacency matrix with all degrees >= min_degree."""
-    if p * q > MAX_BIP_CELLS:
-        raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
-    return _visit_all(_bipartite_layout(p, q, min_degree, min_degree), visit)
-
-
 # ------------------------------------------------------------- reports
 
 @dataclass
@@ -279,22 +254,20 @@ def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray
     return cond.moon_moser_blocking(degrees, adjacent)[1] < 0
 
 
-# the theorems without a numeric hypothesis: their own checker, and as its
-# screen their inequality evaluated over a scan slice, once per distinct
-# sorted degree row (Moon-Moser, which reads adjacency too: on every row)
-_DEGREE_THEOREMS = {
-    "chvatal": (cond.chvatal_hamiltonian,
-                lambda degrees, adjacency: _degree_screen(cond.chvatal_blocking, degrees)),
-    "bipartite-degree": (cond.bipartite_degree_hamiltonian,
-                         lambda degrees, adjacency: _degree_screen(
-                             cond.bipartite_degree_blocking, degrees)),
-    "moon-moser": (cond.moon_moser_hamiltonian, _moon_moser_screen),
+# the screens of the theorems without a numeric hypothesis: their
+# inequality evaluated over a scan slice, once per distinct sorted degree
+# row (Moon-Moser, which reads adjacency too: on every row)
+_DEGREE_SCREENS = {
+    "chvatal": lambda degrees, adjacency: _degree_screen(cond.chvatal_blocking, degrees),
+    "bipartite-degree": lambda degrees, adjacency: _degree_screen(
+        cond.bipartite_degree_blocking, degrees),
+    "moon-moser": _moon_moser_screen,
 }
 
 
 def _spec(theorem_id: str, row: cond.Condition) -> TheoremSpec:
     if row.quantity is None:
-        return TheoremSpec(row, *_DEGREE_THEOREMS[theorem_id])
+        return TheoremSpec(row, cond.DEGREE_CHECKERS[theorem_id], _DEGREE_SCREENS[theorem_id])
     return TheoremSpec(row, partial(cond.decide, row))
 
 

@@ -60,6 +60,21 @@ def test_large_n_size_prefix():
     assert back.n == 70 and back.has_edge(0, 69)
 
 
+@pytest.mark.parametrize("stray", [1 << 2, 1 << 5, 1 << 9, 1 << 70])
+def test_write_refuses_rows_with_bits_at_or_above_n(stray):
+    # a stray bit past the row's byte used to raise OverflowError
+    with pytest.raises(ValueError, match="row 0 .* at or above n = 2"):
+        write_graph6(Graph(2, (2 | stray, 1)))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_rows_up_to_bit_n_minus_one_round_trip(n):
+    # vertex 0's row of K_n sets bit n - 1, the last of a whole byte at n = 64
+    # and the first of a new one at n = 65
+    g = complete(n)
+    assert parse_graph6(write_graph6(g)) == g
+
+
 # ------------------------------------------- the per-bit loop codec as reference
 
 def _reference_parse_size(data):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamcheck.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -22,7 +23,6 @@ from hamcheck.spectral import (
     eigen_oracle,
     matrix_stack,
     q_radius,
-    q_upper_bound,
     radius_stack,
     rho,
 )
@@ -83,12 +83,24 @@ def test_rho_sqrt_m_equality_iff_complete_bipartite():
 
 
 def test_q_upper_bound_lemma():
-    # q <= 2m/(n-1) + n - 2, equality for stars and complete graphs
+    # q <= 2m/(n-1) + n - 2, equality for stars and complete graphs; the
+    # scan's m filter for the q rows, verify._NEEDED_EDGES["q"], rests on it
+    def bound(g):
+        return 2 * g.edge_count() / (g.n - 1) + g.n - 2
+
     for seed in range(20):
         g = random_graph(7, seed)
-        assert q_radius(g).value <= q_upper_bound(g) + 1e-8
-    assert abs(q_radius(star(6)).value - q_upper_bound(star(6))) < 1e-9
-    assert abs(q_radius(complete(6)).value - q_upper_bound(complete(6))) < 1e-9
+        assert q_radius(g).value <= bound(g) + 1e-8
+    assert abs(q_radius(star(6)).value - bound(star(6))) < 1e-9
+    assert abs(q_radius(complete(6)).value - bound(complete(6))) < 1e-9
+
+
+@pytest.mark.parametrize("radius", [rho, q_radius])
+@pytest.mark.parametrize("stray", [1 << 2, 1 << 5, 1 << 9, 1 << 70])
+def test_radii_refuse_rows_with_bits_at_or_above_n(radius, stray):
+    # a stray bit inside the row's byte was dropped, so rho returned K2's 1.0
+    with pytest.raises(ValueError, match="row 0 .* at or above n = 2"):
+        radius(Graph(2, (2 | stray, 1)))
 
 
 def test_monotone_under_edge_addition():

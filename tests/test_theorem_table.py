@@ -11,20 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hamcheck import (
-    bipartite_degree_hamiltonian,
-    chvatal_hamiltonian,
-    complete,
-    disjoint_union,
-    edge_bound_bipartite,
-    edge_bound_general,
-    moon_moser_hamiltonian,
-    parse_graph6,
-    q_spectral_general,
-    quasi_complement_hamiltonian,
-    spectral_bipartite,
-    zhou_complement,
-)
+from hamcheck import check_theorem, complete, disjoint_union, parse_graph6
 from hamcheck import verify
 from hamcheck.cli import main
 from hamcheck.graphs import bipartite_from_graph, is_connected, transpose, two_coloring
@@ -32,42 +19,45 @@ from hamcheck.verify import THEOREMS, soundness, theorem_ids, tightness_search
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
+# (label, target, theorem id): the label and target are the names of the
+# checker and target string that reached the theorem when the fixture was
+# generated, kept as its data
 GENERAL_CHECKS = [
-    ("chvatal_hamiltonian", chvatal_hamiltonian, None),
-    ("edge_bound_general", edge_bound_general, "hamiltonian"),
-    ("edge_bound_general", edge_bound_general, "traceable"),
-    ("q_spectral_general", q_spectral_general, "hamiltonian_tight"),
-    ("q_spectral_general", q_spectral_general, "traceable_tight"),
-    ("q_spectral_general", q_spectral_general, "yu_fan_hamiltonian"),
-    ("q_spectral_general", q_spectral_general, "yu_fan_traceable"),
-    ("q_spectral_general", q_spectral_general, "yu_connected_traceable"),
-    ("zhou_complement", zhou_complement, "hamiltonian"),
-    ("zhou_complement", zhou_complement, "traceable"),
+    ("chvatal_hamiltonian", None, "chvatal"),
+    ("edge_bound_general", "hamiltonian", "lemma-3.4"),
+    ("edge_bound_general", "traceable", "lemma-3.6"),
+    ("q_spectral_general", "hamiltonian_tight", "tight-q-hamiltonian"),
+    ("q_spectral_general", "traceable_tight", "tight-q-traceable"),
+    ("q_spectral_general", "yu_fan_hamiltonian", "yu-fan-hamiltonian"),
+    ("q_spectral_general", "yu_fan_traceable", "yu-fan-traceable"),
+    ("q_spectral_general", "yu_connected_traceable", "yu-connected-traceable"),
+    ("zhou_complement", "hamiltonian", "zhou-complement-hamiltonian"),
+    ("zhou_complement", "traceable", "zhou-complement-traceable"),
 ]
 BIPARTITE_CHECKS = [
-    ("bipartite_degree_hamiltonian", bipartite_degree_hamiltonian, None),
-    ("moon_moser_hamiltonian", moon_moser_hamiltonian, None),
-    ("edge_bound_bipartite", edge_bound_bipartite, "hamiltonian_min_deg1"),
-    ("edge_bound_bipartite", edge_bound_bipartite, "hamiltonian_min_deg2"),
-    ("edge_bound_bipartite", edge_bound_bipartite, "traceable"),
-    ("spectral_bipartite", spectral_bipartite, "hamiltonian_balanced"),
-    ("spectral_bipartite", spectral_bipartite, "traceable_balanced"),
-    ("spectral_bipartite", spectral_bipartite, "traceable_unbalanced"),
-    ("quasi_complement_hamiltonian", quasi_complement_hamiltonian, None),
+    ("bipartite_degree_hamiltonian", None, "bipartite-degree"),
+    ("moon_moser_hamiltonian", None, "moon-moser"),
+    ("edge_bound_bipartite", "hamiltonian_min_deg1", "lemma-2.5"),
+    ("edge_bound_bipartite", "hamiltonian_min_deg2", "lemma-2.6"),
+    ("edge_bound_bipartite", "traceable", "lemma-2.8"),
+    ("spectral_bipartite", "hamiltonian_balanced", "spectral-bipartite-hamiltonian"),
+    ("spectral_bipartite", "traceable_balanced", "spectral-bipartite-traceable"),
+    ("spectral_bipartite", "traceable_unbalanced", "spectral-bipartite-traceable-unbalanced"),
+    ("quasi_complement_hamiltonian", None, "quasi-complement"),
 ]
 
 
 def _verdict_lines(obj, checks) -> list:
     lines = []
-    for name, checker, target in checks:
-        v = checker(obj) if target is None else checker(obj, target)
-        lines.append([name, target, v.status.value, v.prop, [list(c) for c in v.certificate],
+    for label, target, theorem_id in checks:
+        v = check_theorem(theorem_id, obj)
+        lines.append([label, target, v.status.value, v.prop, [list(c) for c in v.certificate],
                       None if v.family is None else str(v.family), v.note])
     return lines
 
 
 def verdicts_mix() -> str:
-    """Every public checker and target on each analyze_mix.g6 record: as a
+    """Every theorem of the table on each analyze_mix.g6 record: as a
     general graph and, when connected and bipartite, as its bipartite graph
     in both orientations. One JSON line per (record, object)."""
     out = []
@@ -162,7 +152,7 @@ def test_derived_edge_counts_match_the_old_ones():
 
 def test_disconnected_graph_reports_its_component_count():
     three_k3 = disjoint_union(disjoint_union(complete(3), complete(3)), complete(3))
-    v = q_spectral_general(three_k3, "yu_connected_traceable")
+    v = check_theorem("yu-connected-traceable", three_k3)
     assert v.status.value == "not_applicable"
     assert dict(v.certificate) == {"components": 3}
 

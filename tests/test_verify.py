@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+from functools import partial
+from itertools import compress, product
 
 import numpy as np
 import pytest
@@ -16,8 +18,6 @@ from hamcheck.spectral import ADJACENCY, q_radius, rho
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
-    enumerate_bipartite,
-    enumerate_graphs,
     sizes_for,
     soundness,
     table1_report,
@@ -26,27 +26,34 @@ from hamcheck.verify import (
 )
 
 
+def _kept(layout) -> list:
+    """The graphs of every mask of the layout that pass its degree filter."""
+    kept = []
+    for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+        kept += layout.build(adjacency)
+    return kept
+
+
 def test_enumeration_counts():
-    seen = []
-    assert enumerate_graphs(3, 0, seen.append) == 8  # 2^3 labeled graphs
-    assert len(seen) == 8
+    seen = _kept(verify._general_layout(3, 0))
+    assert len(seen) == 8  # 2^3 labeled graphs
     assert len({g.adj for g in seen}) == 8
-    assert enumerate_graphs(4, 0, lambda g: None) == 64
-    assert enumerate_graphs(4, 1, lambda g: None) == 41  # no isolated vertices
-    assert enumerate_graphs(4, 3, lambda g: None) == 1  # K4 only
+    assert len(_kept(verify._general_layout(4, 0))) == 64
+    assert len(_kept(verify._general_layout(4, 1))) == 41  # no isolated vertices
+    assert len(_kept(verify._general_layout(4, 3))) == 1  # K4 only
 
 
 def test_enumeration_bipartite_counts():
-    assert enumerate_bipartite(2, 2, 0, lambda b: None) == 16
-    assert enumerate_bipartite(2, 2, 2, lambda b: None) == 1  # K_{2,2}
-    assert enumerate_bipartite(3, 2, 1, lambda b: None) == 25
+    assert len(_kept(verify._bipartite_layout(2, 2, 0, 0))) == 16
+    assert len(_kept(verify._bipartite_layout(2, 2, 2, 2))) == 1  # K_{2,2}
+    assert len(_kept(verify._bipartite_layout(3, 2, 1, 1))) == 25
 
 
 def test_enumeration_caps():
-    with pytest.raises(ValueError):
-        enumerate_graphs(9, 0, lambda g: None)
-    with pytest.raises(ValueError):
-        enumerate_bipartite(6, 5, 0, lambda b: None)
+    with pytest.raises(ValueError, match="n <= 8"):
+        soundness("chvatal", sizes=[9])
+    with pytest.raises(ValueError, match="p\\*q <= 25"):
+        soundness("lemma-2.5", sizes=[9])
 
 
 def test_soundness_refuses_sizes_above_the_caps(monkeypatch):
@@ -166,6 +173,23 @@ def test_tightness_requires_numeric_hypothesis():
         tightness_search("chvatal")
 
 
+def _all_objects(kind: str, n: int):
+    """(edge count, a function that builds it) of every labeled graph of a
+    kind at size n, in scan order: mask bit k is the k-th vertex pair, in
+    graph6 order for a general graph and x-major order for a bipartite one,
+    and the masks ascend."""
+    if kind == "general":
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        build = partial(from_edges, n)
+    else:
+        p = n if kind == "bip_balanced" else n + 1
+        pairs = [(x, y) for x in range(p) for y in range(n)]
+        build = partial(bipartite_from_edges, p, n)
+    # product varies its last place fastest, so it walks the highest pair slowest
+    for chosen in product((0, 1), repeat=len(pairs)):
+        yield sum(chosen), partial(build, compress(pairs[::-1], chosen))
+
+
 def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
     """soundness() the slow way: every labeled graph with enough edges, one
     at a time, through the scalar checker and the scalar oracle."""
@@ -173,18 +197,13 @@ def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
     oracle = is_hamiltonian if spec.row.prop == HAMILTONIAN else is_traceable
     report = SoundnessReport(theorem_id, [])
     for n in sizes_for(spec, max_n):
-        objs = []
-        if spec.row.kind == "general":
-            scanned = enumerate_graphs(n, 0, objs.append)
-        else:
-            p = n if spec.row.kind == "bip_balanced" else n + 1
-            scanned = enumerate_bipartite(p, n, 0, objs.append)
         report.sizes.append(n)
-        report.graphs_scanned += scanned
         m_min = verify._m_min(spec.row, n)
-        for obj in objs:
-            if obj.edge_count() < m_min:
+        for m, build in _all_objects(spec.row.kind, n):
+            report.graphs_scanned += 1
+            if m < m_min:
                 continue
+            obj = build()
             v = spec.checker(obj)
             if v.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
                 continue
