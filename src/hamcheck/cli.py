@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from functools import partial
-from typing import BinaryIO, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
 from . import verify as verify_mod
 from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, Status, Verdict, hypothesis_radius
@@ -239,52 +239,61 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], cmp_tol: float
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.row.kind != kind:
                 continue
-            if spec.row.spectral:
-                estimate = partial(_estimate_once, estimates, spec.row.quantity, obj)
-                verdict = spec.checker(obj, cmp_tol=cmp_tol, estimate=estimate)
-            else:
-                verdict = spec.checker(obj)
+            estimate = partial(_estimate_once, estimates, spec.row.quantity, obj)
+            verdict = spec.checker(obj, cmp_tol=cmp_tol, estimate=estimate)
             if verdict.status is not Status.NOT_APPLICABLE:
                 verdicts.append(_verdict_dict(tid, verdict))
     return verdicts
 
 
-def cmd_analyze(args) -> int:
+def _each_record(args, handle: Callable[..., Optional[str]]) -> int:
+    """Call handle(args, record id, graph) on each input record. A record
+    that does not parse, or for which handle returns an error message, is
+    reported as ``error: <id>: <message>`` and makes the exit 2; under
+    --strict it ends the run."""
     records = _open_input(args)
     if records is None:
         return EXIT_USAGE
     status = EXIT_OK
     for rec_id, g, err in records:
+        if err is None:
+            err = handle(args, rec_id, g)
         if err is not None:
             print(f"error: {rec_id}: {err}", file=sys.stderr)
             status = EXIT_PARSE
             if args.strict:
                 return status
-            continue
-        record = {
-            "id": rec_id,
-            "graph6": write_graph6(g),
-            "n": g.n,
-            "m": g.edge_count(),
-            "min_degree": g.min_degree(),
-            "rho": None,
-            "q": None,
-        }
-        q = None
-        if g.n > 0:
-            record["rho"] = rho(g).value
-            q = q_radius(g)
-            record["q"] = q.value
-        record["verdicts"] = _applicable_verdicts(g, q, args.cmp_tol)
-        if 0 < g.n <= MAX_DP_N:
-            # a Hamiltonian cycle less one edge is a Hamiltonian path
-            hamiltonian = is_hamiltonian(g) is not None
-            record["oracle"] = {
-                "hamiltonian": hamiltonian,
-                "traceable": hamiltonian or is_traceable(g) is not None,
-            }
-        _emit(record, args.format)
     return status
+
+
+def _analyze_record(args, rec_id: str, g: Graph) -> None:
+    record = {
+        "id": rec_id,
+        "graph6": write_graph6(g),
+        "n": g.n,
+        "m": g.edge_count(),
+        "min_degree": g.min_degree(),
+        "rho": None,
+        "q": None,
+    }
+    q = None
+    if g.n > 0:
+        record["rho"] = rho(g).value
+        q = q_radius(g)
+        record["q"] = q.value
+    record["verdicts"] = _applicable_verdicts(g, q, args.cmp_tol)
+    if 0 < g.n <= MAX_DP_N:
+        # a Hamiltonian cycle less one edge is a Hamiltonian path
+        hamiltonian = is_hamiltonian(g) is not None
+        record["oracle"] = {
+            "hamiltonian": hamiltonian,
+            "traceable": hamiltonian or is_traceable(g) is not None,
+        }
+    _emit(record, args.format)
+
+
+def cmd_analyze(args) -> int:
+    return _each_record(args, _analyze_record)
 
 
 # ----------------------------------------------------------------- table1
@@ -416,40 +425,29 @@ def cmd_family(args) -> int:
 
 # ----------------------------------------------------------------- oracle
 
+def _oracle_record(args, rec_id: str, g: Graph) -> Optional[str]:
+    if g.n > MAX_DP_N:
+        return f"oracle capped at n <= {MAX_DP_N}"
+    ham = is_hamiltonian(g)
+    tra = is_traceable(g)
+    record = {
+        "id": rec_id,
+        "n": g.n,
+        "hamiltonian": ham is not None,
+        "cycle": list(ham.order) if ham else None,
+        "traceable": tra is not None,
+        "path": list(tra.order) if tra else None,
+    }
+    if args.format == "json":
+        print(json.dumps(record))
+    else:
+        print(f"{rec_id}: hamiltonian={record['hamiltonian']} cycle={record['cycle']} "
+              f"traceable={record['traceable']} path={record['path']}")
+    return None
+
+
 def cmd_oracle(args) -> int:
-    records = _open_input(args)
-    if records is None:
-        return EXIT_USAGE
-    status = EXIT_OK
-    for rec_id, g, err in records:
-        if err is not None:
-            print(f"error: {rec_id}: {err}", file=sys.stderr)
-            status = EXIT_PARSE
-            if args.strict:
-                return status
-            continue
-        if g.n > MAX_DP_N:
-            print(f"error: {rec_id}: oracle capped at n <= {MAX_DP_N}", file=sys.stderr)
-            status = EXIT_PARSE
-            if args.strict:
-                return status
-            continue
-        ham = is_hamiltonian(g)
-        tra = is_traceable(g)
-        record = {
-            "id": rec_id,
-            "n": g.n,
-            "hamiltonian": ham is not None,
-            "cycle": list(ham.order) if ham else None,
-            "traceable": tra is not None,
-            "path": list(tra.order) if tra else None,
-        }
-        if args.format == "json":
-            print(json.dumps(record))
-        else:
-            print(f"{rec_id}: hamiltonian={record['hamiltonian']} cycle={record['cycle']} "
-                  f"traceable={record['traceable']} path={record['path']}")
-    return status
+    return _each_record(args, _oracle_record)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

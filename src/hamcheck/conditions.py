@@ -1,16 +1,17 @@
-"""The theorem table, and one checker per sufficient condition.
+"""The theorem table, and the one verdict ladder every theorem shares.
 
 Every condition has one row in CONDITIONS, keyed by theorem id: the
 property, the graph kind, the preconditions (size, per-side minimum
-degree, connectivity, the (n+1, n) orientation), the hypothesis quantity
-with its threshold in n, direction and strictness, and the exceptional
-graphs at each n. The checkers read these rows and write nothing of them
-again: ``decide`` applies the one verdict ladder to any numeric row,
-``check_theorem(theorem_id, obj)`` is the one public entry to every
-theorem, and ``verify`` derives its scan filters and ``tightness_search``
-from the same rows.
+degree, connectivity, the (n+1, n) orientation), the hypothesis, and the
+exceptional graphs at each n. The hypothesis is a quantity with its
+threshold in n, direction and strictness, or, for the three degree
+theorems, an exact inequality on the degrees, with its scan screen. Nothing
+reads the theorems from anywhere else: ``decide`` applies the one verdict
+ladder to any row, ``check_theorem(theorem_id, obj)`` is the one public
+entry to every theorem, and ``verify`` derives its checkers, scan filters,
+screens and ``tightness_search`` from the same rows.
 
-A checker re-validates its own preconditions and answers NotApplicable
+``decide`` re-validates the row's preconditions and answers NotApplicable
 rather than assuming callers filtered. Exceptional-family recognizers
 only run once the numeric hypothesis holds; below the threshold the
 verdict is Inconclusive even for exceptional inputs.
@@ -109,6 +110,89 @@ def _na(prop: str, reason: str, *cert: tuple[str, float]) -> Verdict:
     return Verdict(Status.NOT_APPLICABLE, prop, tuple(cert), note=reason)
 
 
+# ---------------------------------------------------------------- degree
+#
+# The hypotheses of the three degree theorems, which have no quantity and
+# no threshold. Chvatal's and the bipartite degree inequality are each
+# written once, as a Python function of a sorted degree sequence (for
+# bipartite graphs, both sides' degrees together) that returns the blocking
+# certificate, or () when nothing blocks. Moon-Moser reads adjacency too, so
+# it is written over a stack of graphs: row i of ``degrees`` is graph i's
+# degree table, side X first, and ``adjacent[i]`` its 0/1 biadjacency
+# matrix. A degree row applies its inequality to one graph,
+# ``inequality(obj, n, degrees)``, which returns the blocking certificate
+# (or ()) and the margin; and to a soundness scan's slice,
+# ``screen(degrees, adjacency)``, which says for each of its graphs whether
+# the hypothesis holds. The arithmetic is exact integer arithmetic.
+
+def chvatal_blocking(d: Sequence[int]) -> Certificate:
+    """The smallest k < n/2 with d_k <= k and d_{n-k} <= n-k-1, where
+    d_1 <= ... <= d_n is the sorted degree sequence d, with those two
+    degrees, or () if there is none (then the graph is Hamiltonian). Needs
+    n >= 3."""
+    n = len(d)
+    for k in range(1, (n + 1) // 2):
+        if d[k - 1] <= k and d[n - k - 1] <= n - k - 1:
+            return ("k", k), ("d_k", d[k - 1]), ("d_n_minus_k", d[n - k - 1])
+    return ()
+
+
+def bipartite_degree_blocking(d: Sequence[int]) -> Certificate:
+    """For balanced bipartite graphs with side n: the smallest k <= n/2 with
+    d_k <= k and d_n <= n-k, where d_1 <= ... <= d_2n is the sorted degree
+    sequence d, with those two degrees, or () if there is none. Needs n >= 2."""
+    n = len(d) // 2
+    for k in range(1, n // 2 + 1):
+        if d[k - 1] <= k and d[n - 1] <= n - k:
+            return ("k", k), ("d_k", d[k - 1]), ("d_n", d[n - 1])
+    return ()
+
+
+def moon_moser_blocking(
+    degrees: np.ndarray, adjacent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For balanced bipartite graphs with side n: per row, the smallest
+    degree sum d(x) + d(y) over the non-adjacent cross pairs (n + 1 if every
+    pair is adjacent), and, if it is below n + 1, the first pair reaching it
+    in x-major order as x*n + y, else -1. Needs n >= 1."""
+    count, n = adjacent.shape[:2]
+    above = 2 * n + 1  # more than any degree sum
+    sums = degrees[:, :n, None] + degrees[:, None, n:]
+    sums = np.where(adjacent > 0, above, sums).reshape(count, n * n)
+    cell = sums.argmin(axis=1)
+    worst = sums[np.arange(count), cell]
+    worst = np.where(worst == above, n + 1, worst)
+    return worst, np.where(worst < n + 1, cell, -1)
+
+
+def _moon_moser(b: BipartiteGraph, n: int, degrees: list[int]) -> tuple[Certificate, float]:
+    """Nonadjacent cross pairs with degree sum >= n+1 force a cycle."""
+    worst, cell = moon_moser_blocking(np.array([degrees]), bit_matrix(b.rows, n)[None])
+    worst, cell = int(worst[0]), int(cell[0])
+    blocking = ("x", cell // n), ("y", cell % n), ("degree_sum", worst), ("required", n + 1)
+    return blocking if cell >= 0 else (), float(worst - (n + 1))
+
+
+def _degree_screen(blocking: Callable[[list[int]], Certificate], degrees: np.ndarray) -> np.ndarray:
+    """Whether nothing blocks each row of a slice's degree table:
+    ``blocking`` runs once per distinct sorted degree row, found by packing
+    each sorted row into one int64 key. A scanned graph has at most 10
+    vertices, so a key takes at most 10 degrees of 4 bits."""
+    d = np.sort(degrees, axis=1)
+    width = max(d.shape[1] - 1, 1).bit_length()
+    keys = (d.astype(np.int64) << (width * np.arange(d.shape[1]))).sum(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    blocked = np.array([bool(blocking(row)) for row in d[first].tolist()])
+    return ~blocked[inverse]
+
+
+def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    side = degrees.shape[1] // 2
+    # side X's rows hold side Y's vertices at bits side .. 2 side - 1
+    adjacent = (adjacency[:, :side, None] >> np.arange(side, 2 * side)) & 1
+    return moon_moser_blocking(degrees, adjacent)[1] < 0
+
+
 # ------------------------------------------------------------ the table
 
 @dataclass(frozen=True)
@@ -162,8 +246,9 @@ class Condition:
     ``direction`` ``threshold(n)``, unless it is one of ``exceptions(n)``
     or, for Zhou's conditions, in the EC/EP class ``join_class``. The size
     n is the vertex count of a general graph and the (smaller) side of a
-    bipartite one. A row without a quantity is a degree theorem, whose
-    checker is its own, in DEGREE_CHECKERS."""
+    bipartite one. A row without a quantity is a degree theorem: its
+    hypothesis is ``inequality`` on one graph and ``screen`` on a scan
+    slice, both exact (see the degree section above)."""
     prop: str
     kind: str
     min_n: int
@@ -174,6 +259,8 @@ class Condition:
     direction: str = "ge"                   # ge | gt | le; gt is strict
     exceptions: Callable[[int], tuple[FamilyId, ...]] = lambda n: ()
     join_class: str = ""
+    inequality: Optional[Callable[[object, int, list[int]], tuple[Certificate, float]]] = None
+    screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @property
     def strict(self) -> bool:
@@ -191,9 +278,21 @@ class Condition:
 
 
 CONDITIONS: dict[str, Condition] = {
-    "chvatal": Condition(HAMILTONIAN, GENERAL, 3),
-    "bipartite-degree": Condition(HAMILTONIAN, BIP_BALANCED, 2),
-    "moon-moser": Condition(HAMILTONIAN, BIP_BALANCED, 2),
+    # the lambdas look their blocking function up when they run, so a
+    # wrapper patched over it sees every call
+    "chvatal": Condition(
+        HAMILTONIAN, GENERAL, 3,
+        inequality=lambda g, n, degrees: (chvatal_blocking(sorted(degrees)), 0.0),
+        screen=lambda degrees, adjacency: _degree_screen(chvatal_blocking, degrees),
+    ),
+    "bipartite-degree": Condition(
+        HAMILTONIAN, BIP_BALANCED, 2,
+        inequality=lambda b, n, degrees: (bipartite_degree_blocking(sorted(degrees)), 0.0),
+        screen=lambda degrees, adjacency: _degree_screen(bipartite_degree_blocking, degrees),
+    ),
+    "moon-moser": Condition(
+        HAMILTONIAN, BIP_BALANCED, 2, inequality=_moon_moser, screen=_moon_moser_screen,
+    ),
     "lemma-2.5": Condition(
         HAMILTONIAN, BIP_BALANCED, 2, (1, 1), quantity="m",
         threshold=lambda n: n * n - n + 1,
@@ -340,106 +439,6 @@ def _applies(row: Condition, obj) -> tuple[object, int, list[int], Optional[Verd
     return obj, n, degrees, None
 
 
-# ---------------------------------------------------------------- degree
-#
-# Chvatal's and the bipartite degree inequality are each written once, as a
-# Python function of a sorted degree sequence (for bipartite graphs, both
-# sides' degrees together) that returns the blocking k, or 0 when there is
-# none. The checkers call it on their graph's sequence; soundness scans call
-# it once per distinct sorted degree row of a slice, so that only the graphs
-# whose hypothesis holds are built and checked. Moon-Moser reads adjacency
-# too, so it is written over a stack of graphs: row i of ``degrees`` is graph
-# i's degree table, side X first, and ``adjacent[i]`` its 0/1 biadjacency
-# matrix; the checker runs it on a one-row stack, the scan on a whole slice.
-# The arithmetic is exact integer arithmetic.
-
-def chvatal_blocking(d: Sequence[int]) -> int:
-    """The smallest k < n/2 with d_k <= k and d_{n-k} <= n-k-1, where
-    d_1 <= ... <= d_n is the sorted degree sequence d, or 0 if there is none
-    (then the graph is Hamiltonian). Needs n >= 3."""
-    n = len(d)
-    for k in range(1, (n + 1) // 2):
-        if d[k - 1] <= k and d[n - k - 1] <= n - k - 1:
-            return k
-    return 0
-
-
-def bipartite_degree_blocking(d: Sequence[int]) -> int:
-    """For balanced bipartite graphs with side n: the smallest k <= n/2 with
-    d_k <= k and d_n <= n-k, where d_1 <= ... <= d_2n is the sorted degree
-    sequence d, or 0 if there is none. Needs n >= 2."""
-    n = len(d) // 2
-    for k in range(1, n // 2 + 1):
-        if d[k - 1] <= k and d[n - 1] <= n - k:
-            return k
-    return 0
-
-
-def moon_moser_blocking(
-    degrees: np.ndarray, adjacent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For balanced bipartite graphs with side n: per row, the smallest
-    degree sum d(x) + d(y) over the non-adjacent cross pairs (n + 1 if every
-    pair is adjacent), and, if it is below n + 1, the first pair reaching it
-    in x-major order as x*n + y, else -1. Needs n >= 1."""
-    count, n = adjacent.shape[:2]
-    above = 2 * n + 1  # more than any degree sum
-    sums = degrees[:, :n, None] + degrees[:, None, n:]
-    sums = np.where(adjacent > 0, above, sums).reshape(count, n * n)
-    cell = sums.argmin(axis=1)
-    worst = sums[np.arange(count), cell]
-    worst = np.where(worst == above, n + 1, worst)
-    return worst, np.where(worst < n + 1, cell, -1)
-
-
-def chvatal_hamiltonian(g: Graph) -> Verdict:
-    """d_k <= k and d_{n-k} <= n-k-1 for no integer k < n/2 forces a cycle."""
-    _, n, degrees, failure = _applies(CONDITIONS["chvatal"], g)
-    if failure is not None:
-        return failure
-    d = sorted(degrees)
-    k = chvatal_blocking(d)
-    if k:
-        return Verdict(
-            Status.INCONCLUSIVE,
-            HAMILTONIAN,
-            (("k", k), ("d_k", d[k - 1]), ("d_n_minus_k", d[n - k - 1])),
-        )
-    return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", 0.0),))
-
-
-def bipartite_degree_hamiltonian(b: BipartiteGraph) -> Verdict:
-    """Balanced bipartite version: no k <= n/2 with d_k <= k and d_n <= n-k."""
-    _, n, degrees, failure = _applies(CONDITIONS["bipartite-degree"], b)
-    if failure is not None:
-        return failure
-    d = sorted(degrees)
-    k = bipartite_degree_blocking(d)
-    if k:
-        return Verdict(
-            Status.INCONCLUSIVE,
-            HAMILTONIAN,
-            (("k", k), ("d_k", d[k - 1]), ("d_n", d[n - 1])),
-        )
-    return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", 0.0),))
-
-
-def moon_moser_hamiltonian(b: BipartiteGraph) -> Verdict:
-    """Nonadjacent cross pairs with degree sum >= n+1 force a cycle."""
-    _, n, degrees, failure = _applies(CONDITIONS["moon-moser"], b)
-    if failure is not None:
-        return failure
-    worst, cell = moon_moser_blocking(np.array([degrees]), bit_matrix(b.rows, n)[None])
-    worst, cell = int(worst[0]), int(cell[0])
-    if cell >= 0:
-        return Verdict(
-            Status.INCONCLUSIVE,
-            HAMILTONIAN,
-            (("x", cell // n), ("y", cell % n), ("degree_sum", worst), ("required", n + 1)),
-        )
-    return Verdict(Status.GUARANTEED, HAMILTONIAN, (("margin", float(worst - (n + 1))),))
-
-
 # ------------------------------------------------------- the verdict ladder
 
 def decide(
@@ -448,18 +447,25 @@ def decide(
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
-    """obj's verdict under a numeric row: NotApplicable if a precondition
-    fails, Inconclusive if the hypothesis fails, Boundary at the line of a
-    strict threshold, Exception for a listed graph, Boundary at the line of
-    a non-strict one, else Guaranteed.
+    """obj's verdict under a row: NotApplicable if a precondition fails,
+    Inconclusive if the hypothesis fails, Boundary at the line of a strict
+    threshold, Exception for a listed graph, Boundary at the line of a
+    non-strict one, else Guaranteed.
 
-    Edge counts are compared exactly. A spectral radius is compared within
-    ``cmp_tol``; ``estimate``, when given, is the radius (or a function
-    returning it) of the matrix the row names in RADII, for obj as given.
+    A degree row's inequality gives Inconclusive with its blocking
+    certificate, or Guaranteed with its margin. Edge counts are compared
+    exactly. A spectral radius is compared within ``cmp_tol``;
+    ``estimate``, when given, is the radius (or a function returning it)
+    of the matrix the row names in RADII, for obj as given.
     """
     obj, n, degrees, failure = _applies(row, obj)
     if failure is not None:
         return failure
+    if row.quantity is None:
+        blocking, margin = row.inequality(obj, n, degrees)
+        if blocking:
+            return Verdict(Status.INCONCLUSIVE, row.prop, blocking)
+        return Verdict(Status.GUARANTEED, row.prop, (("margin", margin),))
     threshold = row.threshold(n)
     if row.quantity == "m":
         m = sum(degrees) // 2
@@ -495,28 +501,17 @@ def decide(
 
 # ------------------------------------------------------ the public entry
 
-# the theorems without a numeric hypothesis, by id: each is its own checker
-DEGREE_CHECKERS: dict[str, Callable[..., Verdict]] = {
-    "chvatal": chvatal_hamiltonian,
-    "bipartite-degree": bipartite_degree_hamiltonian,
-    "moon-moser": moon_moser_hamiltonian,
-}
-
-
 def check_theorem(
     theorem_id: str,
     obj: Graph | BipartiteGraph,
     cmp_tol: float = DEFAULT_CMP_TOL,
     estimate: EstimateArg = None,
 ) -> Verdict:
-    """obj's verdict under the theorem with this id, a key of CONDITIONS: a
-    numeric row's verdict ladder (``decide``, which reads ``cmp_tol`` and
-    ``estimate``), or a degree theorem's own checker."""
+    """obj's verdict under the theorem with this id, a key of CONDITIONS:
+    its row's verdict ladder, ``decide``."""
     row = CONDITIONS.get(theorem_id)
     if row is None:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    if row.quantity is None:
-        return DEGREE_CHECKERS[theorem_id](obj)
     return decide(row, obj, cmp_tol, estimate)
 
 

@@ -7,15 +7,14 @@ the full checker and the Hamiltonicity oracle run. Labeled enumeration
 over-counts isomorphic copies, which is harmless for soundness claims.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
-``conditions.CONDITIONS``, its checker (the row's verdict ladder,
-``conditions.decide``, or a degree theorem's own checker) and, for a
-degree theorem, its screen. Everything else is read from the row: its
-hypothesis and strictness, its m/delta filter (the row's per-side minimum
-degrees, and ``_m_min``, a necessary edge count derived from its
-threshold by one rule per quantity), and the exceptions
-``tightness_search`` probes. ``_sides`` alone decides a kind's side sizes
-at n, for the scanned sizes, the size caps, the scan layout and
-``tightness_search``.
+``conditions.CONDITIONS`` and its checker, the row's verdict ladder
+``conditions.decide``. Everything else is read from the row: its
+hypothesis and strictness, a degree theorem's screen, its m/delta filter
+(the row's per-side minimum degrees, and ``_m_min``, a necessary edge
+count derived from its threshold by one rule per quantity), and the
+exceptions ``tightness_search`` probes. ``_sides`` alone decides a kind's
+side sizes at n, for the scanned sizes, the size caps, the scan layout
+and ``tightness_search``.
 
 The scan works on slices of at most SLICE masks, so its temporaries stay
 bounded, and each slice goes through one pipeline whatever the graph
@@ -23,12 +22,10 @@ kind. A graph is one uint32 adjacency row of the slice throughout, side X
 first for a bipartite graph, as ``to_graph``; only its degree table rides
 along. The pipeline: the m/delta filter, which yields the kept masks'
 adjacency rows and degree tables; for the degree theorems (Chvatal,
-bipartite degree, Moon-Moser) a degree screen that evaluates the
-checker's own inequality in exact integer arithmetic, once per distinct
-sorted degree row of the slice (Moon-Moser, which reads adjacency too, on
-the whole slice with numpy);
-for the spectral ones the eigvalsh screen on the hypothesis matrices,
-which ``spectral.matrix_stack`` builds from the rows (or from
+bipartite degree, Moon-Moser) the row's screen, its own inequality in
+exact integer arithmetic over the slice; for the spectral ones the
+eigvalsh screen on the hypothesis matrices, which
+``spectral.matrix_stack`` builds from the rows (or from
 ``_Layout.complement`` of them, for the radius of a complement), then
 ``spectral.radius_stack`` on the matrices of the graphs that pass it (the
 checker's own matrix, built once; the screen's eigenvalues are never
@@ -198,13 +195,10 @@ class SoundnessReport:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """A theorem as the scan reads it: its row in ``conditions.CONDITIONS``,
-    its checker, and for a degree theorem its screen, which maps a scan
-    slice's (degrees, adjacency) to whether the hypothesis holds for each of
-    its graphs, decided exactly by the checker's own inequality."""
+    """A theorem as the scan reads it: its row in ``conditions.CONDITIONS``
+    and its checker, the row's verdict ladder ``conditions.decide``."""
     row: cond.Condition
     checker: Callable
-    screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def _ceil_eps(x: float) -> int:
@@ -234,45 +228,8 @@ def _m_min(row: cond.Condition, n: int) -> int:
     return _NEEDED_EDGES[row.quantity](n, row.threshold(n), row.strict)
 
 
-def _degree_screen(blocking: Callable[[list[int]], int], degrees: np.ndarray) -> np.ndarray:
-    """Whether no k blocks each row of a slice's degree table: ``blocking``
-    runs once per distinct sorted degree row, found by packing each sorted
-    row into one int64 key. A scanned graph has at most 10 vertices, so a
-    key takes at most 10 degrees of 4 bits."""
-    d = np.sort(degrees, axis=1)
-    width = max(d.shape[1] - 1, 1).bit_length()
-    keys = (d.astype(np.int64) << (width * np.arange(d.shape[1]))).sum(axis=1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    blocked = np.array([blocking(row) for row in d[first].tolist()], dtype=np.int64)
-    return blocked[inverse] == 0
-
-
-def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
-    side = degrees.shape[1] // 2
-    # side X's rows hold side Y's vertices at bits side .. 2 side - 1
-    adjacent = (adjacency[:, :side, None] >> np.arange(side, 2 * side)) & 1
-    return cond.moon_moser_blocking(degrees, adjacent)[1] < 0
-
-
-# the screens of the theorems without a numeric hypothesis: their
-# inequality evaluated over a scan slice, once per distinct sorted degree
-# row (Moon-Moser, which reads adjacency too: on every row)
-_DEGREE_SCREENS = {
-    "chvatal": lambda degrees, adjacency: _degree_screen(cond.chvatal_blocking, degrees),
-    "bipartite-degree": lambda degrees, adjacency: _degree_screen(
-        cond.bipartite_degree_blocking, degrees),
-    "moon-moser": _moon_moser_screen,
-}
-
-
-def _spec(theorem_id: str, row: cond.Condition) -> TheoremSpec:
-    if row.quantity is None:
-        return TheoremSpec(row, cond.DEGREE_CHECKERS[theorem_id], _DEGREE_SCREENS[theorem_id])
-    return TheoremSpec(row, partial(cond.decide, row))
-
-
 THEOREMS: dict[str, TheoremSpec] = {
-    tid: _spec(tid, row) for tid, row in cond.CONDITIONS.items()
+    tid: TheoremSpec(row, partial(cond.decide, row)) for tid, row in cond.CONDITIONS.items()
 }
 
 
@@ -296,14 +253,24 @@ def sizes_for(spec: TheoremSpec, max_n: int, bip_cells: int = DEFAULT_BIP_CELLS)
             if kind == GENERAL or math.prod(_sides(kind, n)) <= cells]
 
 
-def _check_caps(spec: TheoremSpec, sizes: list[int]) -> None:
-    """A scan costs 2^(mask bits), so refuse sizes above the caps before any work."""
+def _scan_entry(
+    theorem_id: str, max_n: int, bip_cells: int, sizes: Optional[list[int]] = None
+) -> tuple[TheoremSpec, list[int]]:
+    """The theorem's spec and the sizes a scan of it covers (``sizes``, or
+    those of ``sizes_for``). A scan costs 2^(mask bits), so sizes above the
+    caps are refused here, before any work."""
+    if theorem_id not in THEOREMS:
+        raise KeyError(f"unknown theorem id {theorem_id!r}")
+    spec = THEOREMS[theorem_id]
+    if sizes is None:
+        sizes = sizes_for(spec, max_n, bip_cells)
     kind = spec.row.kind
     for n in sizes:
         if kind == GENERAL and n > MAX_ENUM_N:
             raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
         if kind != GENERAL and math.prod(_sides(kind, n)) > MAX_BIP_CELLS:
             raise ValueError(f"bipartite enumeration capped at p*q <= {MAX_BIP_CELLS}")
+    return spec, sizes
 
 
 # --------------------------------------------------------------- scanning
@@ -362,10 +329,8 @@ def _witness_kind(spec: TheoremSpec) -> str:
 def _verdicts(spec: TheoremSpec, objs: list, matrices: Optional[np.ndarray]) -> list[Verdict]:
     """The checker's verdict on each object; a spectral checker gets its
     estimate from one ``radius_stack`` call over ``matrices``, the objects'
-    hypothesis matrices."""
-    if not spec.row.spectral:
-        return [spec.checker(obj) for obj in objs]
-    estimates = radius_stack(matrices)
+    hypothesis matrices, and any other gets None."""
+    estimates = radius_stack(matrices) if spec.row.spectral else [None] * len(objs)
     return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
 
 
@@ -397,8 +362,8 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     hit_rows: list[np.ndarray] = []   # per slice, its hits' adjacency rows
     for scanned, adjacency, degrees in _slices(layout, lo, hi, _m_min(row, n)):
         report.graphs_scanned += scanned
-        if spec.screen is not None:
-            adjacency = adjacency[spec.screen(degrees, adjacency)]
+        if row.screen is not None:
+            adjacency = adjacency[row.screen(degrees, adjacency)]
         matrices = None
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
@@ -430,12 +395,7 @@ def soundness(
     verdicts must be refuted by it. Any disagreement lands in
     ``violations`` as a graph6 string.
     """
-    if theorem_id not in THEOREMS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    spec = THEOREMS[theorem_id]
-    if sizes is None:
-        sizes = sizes_for(spec, max_n, bip_cells)
-    _check_caps(spec, sizes)
+    spec, sizes = _scan_entry(theorem_id, max_n, bip_cells, sizes)
     report = SoundnessReport(theorem_id, [])
     tasks = []
     for n in sizes:
@@ -513,14 +473,10 @@ def tightness_search(
     stated exceptional graph satisfies its theorem's hypothesis at all.
     The exceptional graphs' quantities come from the dense eigen oracle.
     """
-    if theorem_id not in THEOREMS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    spec = THEOREMS[theorem_id]
+    spec, sizes = _scan_entry(theorem_id, max_n, bip_cells)
     row = spec.row
     if row.quantity is None:
         raise ValueError(f"{theorem_id} has no numeric hypothesis to probe")
-    sizes = sizes_for(spec, max_n, bip_cells)
-    _check_caps(spec, sizes)
     radius = RADII.get(row.quantity)
     exceptions = []
     best: dict | None = None

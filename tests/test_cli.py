@@ -337,6 +337,38 @@ def test_oracle_matches_fixture(capsys, monkeypatch):
     assert out == (FIXTURES / "oracle_mix.json").read_text()
 
 
+# C5, a record whose bit field is too short, then K4
+BAD_BETWEEN_GOOD = "D^o\nD^\nC~\n"
+BAD_RECORD_ERROR = "error: <stdin>:2: bit field holds 6 bits, expected 10 for n=5\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_a_bad_record_is_skipped_without_strict(capsys, monkeypatch, command):
+    code, out, err = run(capsys, [command, "--format", "json"], stdin=BAD_BETWEEN_GOOD,
+                         monkeypatch=monkeypatch)
+    assert code == 2 and err == BAD_RECORD_ERROR
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [5, 4]
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_strict_stops_at_a_bad_record(capsys, monkeypatch, command):
+    code, out, err = run(capsys, [command, "--format", "json", "--strict"],
+                         stdin=BAD_BETWEEN_GOOD, monkeypatch=monkeypatch)
+    assert code == 2 and err == BAD_RECORD_ERROR
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [5]
+
+
+def test_oracle_strict_stops_at_the_cap(capsys, monkeypatch):
+    # the C26 on line 23 of analyze_mix.g6 is above the oracle's cap; the
+    # records of oracle_mix.g6 after it are not run
+    stdin = (FIXTURES / "analyze_mix.g6").read_text() + (FIXTURES / "oracle_mix.g6").read_text()
+    code, out, err = run(capsys, ["oracle", "--format", "json", "--strict"], stdin=stdin,
+                         monkeypatch=monkeypatch)
+    assert code == 2 and err == f"error: <stdin>:23: oracle capped at n <= {MAX_DP_N}\n"
+    expected = (FIXTURES / "oracle_mix.json").read_text().splitlines(keepends=True)[:22]
+    assert out == "".join(expected)
+
+
 @pytest.mark.parametrize("command", ["analyze", "oracle"])
 @pytest.mark.parametrize("content, message", [
     (b"3 1\n0 x\n", "invalid literal for int() with base 10: 'x'"),

@@ -10,12 +10,9 @@ from hamcheck.conditions import (
     GENERAL,
     JoinWitness,
     Status,
-    bipartite_degree_hamiltonian,
     check_theorem,
-    chvatal_hamiltonian,
     decide,
     ec_ep_membership,
-    moon_moser_hamiltonian,
     nc_np_membership,
     recognize_family,
 )
@@ -82,6 +79,27 @@ def test_check_theorem_answers_every_theorem_as_the_scan_checks_it():
         assert check_theorem(tid, obj) == THEOREMS[tid].checker(obj), tid
 
 
+def test_decide_answers_every_row_as_check_theorem_does():
+    # a degree row has no threshold, yet decide answers it as it answers
+    # every other row
+    c6 = bipartite_from_edges(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+    objects = {
+        GENERAL: [complete(2), complete(5), cycle(5), kn1_plus_edge(5), NC_GRAPHS[8], NP_GRAPHS[6]],
+        "bip_balanced": [complete_bipartite(4, 4), kpn2_plus_4e(4, 4), knn1_plus_edge(4), c6,
+                         complete_bipartite(3, 2)],
+        "bip_unbalanced": [complete_bipartite(4, 3), complete_bipartite(3, 4), knn1_plus_2e(4),
+                           complete_bipartite(2, 2)],
+    }
+    degree_statuses = set()
+    for tid, row in CONDITIONS.items():
+        for obj in objects[row.kind]:
+            v = decide(row, obj)
+            assert v == check_theorem(tid, obj), (tid, obj)
+            if row.quantity is None:
+                degree_statuses.add(v.status)
+    assert degree_statuses == {Status.GUARANTEED, Status.INCONCLUSIVE, Status.NOT_APPLICABLE}
+
+
 def test_check_theorem_refuses_an_unknown_id():
     with pytest.raises(KeyError, match="hamiltonian_tight"):
         check_theorem("hamiltonian_tight", complete(5))
@@ -100,44 +118,45 @@ def test_check_theorem_forwards_the_estimate_and_tolerance():
 # ---------------------------------------------------------------- chvatal
 
 def test_chvatal_examples():
-    assert chvatal_hamiltonian(complete(5)).status is Status.GUARANTEED
+    assert check_theorem("chvatal", complete(5)).status is Status.GUARANTEED
     k4e = kn1_plus_edge(5)  # degrees (1,3,3,3,4) up to order
-    v = chvatal_hamiltonian(k4e)
+    v = check_theorem("chvatal", k4e)
     assert v.status is Status.INCONCLUSIVE and cert(v)["k"] == 1
-    v = chvatal_hamiltonian(NC_GRAPHS[8])  # K2 v 3K1, degrees (2,2,2,4,4)
+    v = check_theorem("chvatal", NC_GRAPHS[8])  # K2 v 3K1, degrees (2,2,2,4,4)
     assert v.status is Status.INCONCLUSIVE and cert(v)["k"] == 2
-    v = chvatal_hamiltonian(cycle(5))
+    v = check_theorem("chvatal", cycle(5))
     assert v.status is Status.INCONCLUSIVE and cert(v)["k"] == 2
-    assert chvatal_hamiltonian(complete(2)).status is Status.NOT_APPLICABLE
+    assert check_theorem("chvatal", complete(2)).status is Status.NOT_APPLICABLE
 
 
 # ------------------------------------------------------- bipartite degree
 
 def test_bipartite_degree_examples():
-    assert bipartite_degree_hamiltonian(complete_bipartite(4, 4)).status is Status.GUARANTEED
-    v = bipartite_degree_hamiltonian(kpn2_plus_4e(4, 4))
+    assert check_theorem("bipartite-degree", complete_bipartite(4, 4)).status is Status.GUARANTEED
+    v = check_theorem("bipartite-degree", kpn2_plus_4e(4, 4))
     assert v.status is Status.INCONCLUSIVE and cert(v)["k"] == 2
     c8 = bipartite_from_edges(4, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 0)])
-    v = bipartite_degree_hamiltonian(c8)
+    v = check_theorem("bipartite-degree", c8)
     assert v.status is Status.INCONCLUSIVE and cert(v)["k"] == 2
-    assert bipartite_degree_hamiltonian(complete_bipartite(3, 2)).status is Status.NOT_APPLICABLE
+    v = check_theorem("bipartite-degree", complete_bipartite(3, 2))
+    assert v.status is Status.NOT_APPLICABLE
 
 
 # ------------------------------------------------------------- moon-moser
 
 def test_moon_moser_examples():
-    assert moon_moser_hamiltonian(complete_bipartite(3, 3)).status is Status.GUARANTEED
+    assert check_theorem("moon-moser", complete_bipartite(3, 3)).status is Status.GUARANTEED
     # C6 as (3,3): degree sums of nonadjacent pairs are 4 = n+1, so the
     # condition holds (and C6 is indeed Hamiltonian)
     c6 = bipartite_from_edges(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
-    assert moon_moser_hamiltonian(c6).status is Status.GUARANTEED
+    assert check_theorem("moon-moser", c6).status is Status.GUARANTEED
     p6 = bipartite_from_edges(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
-    v = moon_moser_hamiltonian(p6)
+    v = check_theorem("moon-moser", p6)
     assert v.status is Status.INCONCLUSIVE and cert(v)["degree_sum"] < 4
     minus_one = bipartite_from_edges(
         3, 3, [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
     )
-    assert moon_moser_hamiltonian(minus_one).status is Status.GUARANTEED
+    assert check_theorem("moon-moser", minus_one).status is Status.GUARANTEED
 
 
 # -------------------------------------------- degree conditions as loops
@@ -173,7 +192,7 @@ def _moon_moser_loop(b):
 
 def test_degree_checkers_match_their_loop_form():
     # Chvatal and bipartite-degree are Python functions of the sorted degrees,
-    # and Moon-Moser evaluates its inequality on numpy arrays; each checker's
+    # and Moon-Moser evaluates its inequality on numpy arrays; each theorem's
     # verdicts and certificates must equal these loops', with Python numbers only
     rng = random.Random(4)
     graphs = [g for n in range(3, 6) for g in _all_graphs(n)]
@@ -184,13 +203,13 @@ def test_degree_checkers_match_their_loop_form():
         n, p = rng.randrange(2, 35), rng.random()
         sides.append(bipartite_from_edges(
             n, n, [(x, y) for x in range(n) for y in range(n) if rng.random() < p]))
-    for checker, loop, objs in (
-        (chvatal_hamiltonian, _chvatal_loop, graphs),
-        (bipartite_degree_hamiltonian, _bipartite_degree_loop, sides),
-        (moon_moser_hamiltonian, _moon_moser_loop, sides),
+    for theorem_id, loop, objs in (
+        ("chvatal", _chvatal_loop, graphs),
+        ("bipartite-degree", _bipartite_degree_loop, sides),
+        ("moon-moser", _moon_moser_loop, sides),
     ):
         for obj in objs:
-            v = checker(obj)
+            v = check_theorem(theorem_id, obj)
             assert (v.status, v.certificate) == loop(obj)
             assert all(type(value) in (int, float) for _, value in v.certificate)
 

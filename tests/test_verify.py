@@ -54,6 +54,8 @@ def test_enumeration_caps():
         soundness("chvatal", sizes=[9])
     with pytest.raises(ValueError, match="p\\*q <= 25"):
         soundness("lemma-2.5", sizes=[9])
+    with pytest.raises(ValueError, match="n <= 8"):
+        tightness_search("lemma-3.4", max_n=9)
 
 
 def test_soundness_refuses_sizes_above_the_caps(monkeypatch):
@@ -77,8 +79,12 @@ def test_registry_complete():
     ids = theorem_ids()
     assert len(ids) == 19
     assert "lemma-3.4" in ids and "zhou-complement-traceable" in ids
-    for spec in THEOREMS.values():
+    for tid, spec in THEOREMS.items():
         assert spec.row.kind in ("general", "bip_balanced", "bip_unbalanced")
+        # every checker is the one verdict ladder, bound to the theorem's row
+        assert spec.row is cond.CONDITIONS[tid]
+        assert spec.checker.func is cond.decide and spec.checker.args == (spec.row,)
+        assert not spec.checker.keywords
 
 
 def test_sizes_respect_caps():
@@ -88,9 +94,9 @@ def test_sizes_respect_caps():
 
 
 def test_unknown_theorem():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="bogus"):
         soundness("bogus")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="bogus"):
         tightness_search("bogus")
 
 
@@ -169,7 +175,7 @@ def test_tightness_exception_at_the_threshold(monkeypatch, direction, satisfied)
 
 
 def test_tightness_requires_numeric_hypothesis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chvatal has no numeric hypothesis"):
         tightness_search("chvatal")
 
 
@@ -245,7 +251,7 @@ def test_degree_screen_keeps_exactly_the_hits(theorem_id):
     for n in sizes:
         layout = verify._spec_layout(spec, n)
         for _, adjacency, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
-            kept = spec.screen(degrees, adjacency).tolist()
+            kept = spec.row.screen(degrees, adjacency).tolist()
             hits = [spec.checker(obj).status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
                     for obj in layout.build(adjacency)]
             assert kept == hits
@@ -286,7 +292,8 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
 
 
 # the numpy form the degree screens had, over a stack of degree rows; the
-# Python functions the checkers and screens now share must agree with it
+# blocking k of the Python functions the rows' inequalities and screens
+# share must agree with it
 def _first_k(blocked):
     return np.where(blocked.any(axis=1), blocked.argmax(axis=1) + 1, 0)
 
@@ -305,6 +312,11 @@ def _bipartite_degree_blocking_stack(degrees):
     return _first_k((d[:, k - 1] <= k) & (d[:, [n - 1]] <= n - k))
 
 
+def _k(blocking):
+    """The k of a blocking certificate, or 0 for ()."""
+    return dict(blocking).get("k", 0)
+
+
 DEGREE_INEQUALITIES = {
     "chvatal": (cond.chvatal_blocking, _chvatal_blocking_stack),
     "bipartite-degree": (cond.bipartite_degree_blocking, _bipartite_degree_blocking_stack),
@@ -318,7 +330,7 @@ def test_degree_blocking_matches_the_stacked_form(theorem_id):
     for n in sizes_for(spec, 6):
         layout = verify._spec_layout(spec, n)
         for _, _, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
-            got = [blocking(row) for row in np.sort(degrees, axis=1).tolist()]
+            got = [_k(blocking(row)) for row in np.sort(degrees, axis=1).tolist()]
             assert got == stacked(degrees).tolist()
     rng = random.Random(theorem_id)
     for _ in range(300):   # graphs of up to 64 vertices
@@ -332,7 +344,7 @@ def test_degree_blocking_matches_the_stacked_form(theorem_id):
             b = bipartite_from_edges(
                 n, n, [(x, y) for x in range(n) for y in range(n) if rng.random() < p])
             degrees = b.degrees_x() + b.degrees_y()
-        assert blocking(sorted(degrees)) == stacked(np.array([degrees]))[0]
+        assert _k(blocking(sorted(degrees))) == stacked(np.array([degrees]))[0]
 
 
 @pytest.mark.parametrize("theorem_id", sorted(DEGREE_INEQUALITIES))
@@ -353,7 +365,7 @@ def test_degree_screen_evaluates_each_sorted_row_once(theorem_id, monkeypatch):
         layout = verify._spec_layout(spec, n)
         for _, adjacency, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
             seen.clear()
-            kept = spec.screen(degrees, adjacency)
+            kept = spec.row.screen(degrees, adjacency)
             distinct = {tuple(row) for row in np.sort(degrees, axis=1).tolist()}
             assert len(seen) == len(set(seen)) and set(seen) == distinct
-            assert kept.tolist() == [blocking(sorted(row)) == 0 for row in degrees.tolist()]
+            assert kept.tolist() == [not blocking(sorted(row)) for row in degrees.tolist()]
