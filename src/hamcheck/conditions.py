@@ -80,8 +80,7 @@ class Status(str, Enum):
 Certificate = tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: Status
     prop: str
     certificate: Certificate = ()

@@ -14,14 +14,21 @@ a stack on its own, so every matrix gets the same estimate, bit for bit,
 whatever else is in the stack, and the scan checks exactly the numbers
 ``analyze`` prints.
 ``eigen_oracle`` gives all eigenvalues of one graph's matrix.
+
+``cw_bounds`` is a filter, not a route to a radius: it encloses the
+spectral radius of each matrix of a stack between rigorous lower and upper
+bounds (Collatz-Wielandt and Rayleigh, Horn & Johnson section 8.1) from a
+few batched matrix-vector products, with no LAPACK call. The verify scan
+drops the graphs whose bounds already miss the hypothesis, so the eigvalsh
+screen and ``radius_stack`` see fewer matrices; no verdict and no printed
+number ever comes from the bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,13 +36,14 @@ from .graphs import BipartiteGraph, Graph, bit_matrix
 
 DEFAULT_CMP_TOL = 1e-8
 DENSE_CAP = 64
+CW_STEPS = 2        # power steps before cw_bounds reads its ratios
+CW_SLACK = 1e-9     # cw_bounds widens each bound by this times 1 + the bound
 
 ADJACENCY = "adjacency"
 SIGNLESS_LAPLACIAN = "signless_laplacian"
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
+class SpectralEstimate(NamedTuple):
     value: float
     residual: float
     iterations: int   # always 0 since no route iterates; perfbench's tracing reads it
@@ -47,8 +55,7 @@ class Relation(str, Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class ThresholdOutcome:
+class ThresholdOutcome(NamedTuple):
     relation: Relation
     margin: float
 
@@ -85,6 +92,31 @@ def radius_stack(matrices: np.ndarray) -> list[SpectralEstimate]:
     residual = np.abs(np.einsum("bij,bj->bi", matrices, x) - top[:, None] * x).max(axis=1)
     return [SpectralEstimate(value, res, 0)
             for value, res in zip(top.tolist(), residual.tolist())]
+
+
+def cw_bounds(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds on the spectral radius of each matrix M of a
+    (B, n, n) stack of nonnegative symmetric matrices, as ``matrix_stack``
+    builds them. CW_STEPS power steps on M + I from x = 1 keep x > 0, also
+    when M has a zero row or is bipartite. For B = M + I and y = Bx,
+    rho(B) = rho(M) + 1 lies between max(min_i y_i / x_i, x.y / x.x) and
+    max_i y_i / x_i: the Collatz-Wielandt bounds, which hold for any
+    nonnegative matrix and positive x, and the Rayleigh quotient, which is
+    the tighter lower bound when M is reducible. Both are widened outward
+    by CW_SLACK, which covers the rounding of the products and of eigvalsh."""
+    count, n = matrices.shape[:2]
+    if n == 0:
+        return np.zeros(count), np.zeros(count)
+    x = np.ones((count, n))
+    for _ in range(CW_STEPS):
+        x = np.einsum("bij,bj->bi", matrices, x) + x
+    y = np.einsum("bij,bj->bi", matrices, x) + x
+    # as B >= I, every entry of x is at least 1 and every ratio too, so both bounds are >= 0
+    ratio = y / x
+    upper = ratio.max(axis=1) - 1
+    rayleigh = np.einsum("bi,bi->b", x, y) / np.einsum("bi,bi->b", x, x)
+    lower = np.maximum(ratio.min(axis=1), rayleigh) - 1
+    return lower - CW_SLACK * (1 + lower), upper + CW_SLACK * (1 + upper)
 
 
 def rho(g: Graph | BipartiteGraph) -> SpectralEstimate:

@@ -1,10 +1,11 @@
 """Exhaustive labeled enumeration and machine-checked soundness reports.
 
 Every labeled graph in range is scanned; cheap necessary conditions
-(edge count, degrees, a batched dense-eigenvalue screen with a safety
-guard well above the comparison tolerance) cut the candidate set before
-the full checker and the Hamiltonicity oracle run. Labeled enumeration
-over-counts isomorphic copies, which is harmless for soundness claims.
+(edge count, degrees, rigorous bounds on the spectral radius, a batched
+dense-eigenvalue screen, the last two with a safety guard well above the
+comparison tolerance) cut the candidate set before the full checker and
+the Hamiltonicity oracle run. Labeled enumeration over-counts isomorphic
+copies, which is harmless for soundness claims.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
@@ -23,19 +24,22 @@ first for a bipartite graph, as ``to_graph``; only its degree table rides
 along. The pipeline: the m/delta filter, which yields the kept masks'
 adjacency rows and degree tables; for the degree theorems (Chvatal,
 bipartite degree, Moon-Moser) the row's screen, its own inequality in
-exact integer arithmetic over the slice; for the spectral ones the
-eigvalsh screen on the hypothesis matrices, which
-``spectral.matrix_stack`` builds from the rows (or from
-``_Layout.complement`` of them, for the radius of a complement), then
-``spectral.radius_stack`` on the matrices of the graphs that pass it (the
-checker's own matrix, built once; the screen's eigenvalues are never
-reused as the checker's number, which is the estimate ``rho`` or
-``q_radius`` gives the same matrix, bit for bit); the checker itself,
-called once per graph that reaches it, on the graph object
-``_Layout.build`` makes of its row, which still decides every verdict;
-and a buffer of the hits' verdicts and rows. Every ORACLE_BATCH hits, and
-at the end of the part, the buffered rows are decided by one call of the
-oracle's array entry, ``oracle.witness_rows``, and tallied in scan order.
+exact integer arithmetic over the slice; for the spectral ones, on the
+hypothesis matrices, which ``spectral.matrix_stack`` builds from the rows
+(or from ``_Layout.complement`` of them, for the radius of a complement),
+first ``spectral.cw_bounds``, whose matrix-vector products enclose each
+radius with no LAPACK call and drop the graphs whose bounds miss the
+hypothesis by more than SCREEN_GUARD, then the eigvalsh screen on the
+matrices the bounds keep, then ``spectral.radius_stack`` on the matrices
+of the graphs that pass it (the checker's own matrix, built once; neither
+the bounds nor the screen's eigenvalues are ever reused as the checker's
+number, which is the estimate ``rho`` or ``q_radius`` gives the same
+matrix, bit for bit); the checker itself, called once per graph that
+reaches it, on the graph object ``_Layout.build`` makes of its row, which
+still decides every verdict; and a buffer of the hits' verdicts and rows.
+Every ORACLE_BATCH hits, and at the end of the part, the buffered rows are
+decided by one call of the oracle's array entry, ``oracle.witness_rows``,
+and tallied in scan order.
 ``tightness_search`` hands each slice's rows to the same entry and builds
 no graph object at all. A Graph is built from a row only for the graph6
 of a violation or a near miss.
@@ -75,7 +79,7 @@ from .graph6 import write_graph6
 from .graphs import BipartiteGraph, Graph
 # the scalar is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
 from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
-from .spectral import eigen_oracle, matrix_stack, q_radius, radius_stack
+from .spectral import cw_bounds, eigen_oracle, matrix_stack, q_radius, radius_stack
 
 SCREEN_GUARD = 1e-6
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
@@ -291,6 +295,15 @@ def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.nda
     return matrix_stack(operand, radius.matrix)
 
 
+def _bounds_keep(row: cond.Condition, threshold: float, matrices: np.ndarray) -> np.ndarray:
+    """Per hypothesis matrix, whether ``cw_bounds`` leaves the row's
+    hypothesis within SCREEN_GUARD of holding: an "le" row needs the lower
+    bound, any other the upper one. Every matrix it drops fails the eigvalsh
+    screen too."""
+    lower, upper = cw_bounds(matrices)
+    return row.shortfall(lower if row.direction == "le" else upper, threshold) <= SCREEN_GUARD
+
+
 def _tally(report: SoundnessReport, spec: TheoremSpec, verdict: Verdict, holds: bool) -> bool:
     """Count one hypothesis hit against the oracle's answer; True if the
     hit is a violation, whose graph6 the caller adds to the report."""
@@ -350,9 +363,9 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, verdicts: list[Verdict],
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    """Masks [lo, hi) of one size, slice by slice: m/delta filter, degree or
-    eigvalsh screen, checker, then the buffered hits through the batched
-    oracle."""
+    """Masks [lo, hi) of one size, slice by slice: m/delta filter, degree
+    screen or spectral screen (bounds, then eigvalsh), checker, then the
+    buffered hits through the batched oracle."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
@@ -368,8 +381,10 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
             if layout.slots and len(adjacency):
-                top = np.linalg.eigvalsh(matrices)[:, -1]
-                keep = row.shortfall(top, threshold) <= SCREEN_GUARD
+                keep = _bounds_keep(row, threshold, matrices)
+                if keep.any():
+                    top = np.linalg.eigvalsh(matrices[keep])[:, -1]
+                    keep[keep] = row.shortfall(top, threshold) <= SCREEN_GUARD
                 adjacency, matrices = adjacency[keep], matrices[keep]
         checked = _verdicts(spec, layout.build(adjacency), matrices)
         hit = [verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)

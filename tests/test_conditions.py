@@ -5,11 +5,14 @@ from itertools import combinations, compress, product
 
 import pytest
 
+import hamcheck
 from hamcheck.conditions import (
     CONDITIONS,
     GENERAL,
+    HAMILTONIAN,
     JoinWitness,
     Status,
+    Verdict,
     check_theorem,
     decide,
     ec_ep_membership,
@@ -46,7 +49,7 @@ from hamcheck.graphs import (
     star,
 )
 from hamcheck.iso import is_isomorphic
-from hamcheck.spectral import SpectralEstimate
+from hamcheck.spectral import Relation, SpectralEstimate, ThresholdOutcome
 
 
 def cert(v):
@@ -113,6 +116,27 @@ def test_check_theorem_forwards_the_estimate_and_tolerance():
     assert v.status is Status.GUARANTEED and cert(v)["q"] == above.value
     v = check_theorem("yu-fan-hamiltonian", cycle(4), cmp_tol=1e-3, estimate=lambda: above)
     assert v.status is Status.BOUNDARY
+
+
+def test_verdict_and_spectral_records_keep_their_api():
+    v = Verdict(Status.GUARANTEED, HAMILTONIAN)
+    assert (v.certificate, v.family, v.note) == ((), None, "")
+    full = Verdict(Status.EXCEPTION, HAMILTONIAN, (("q", 1.0),), nc_member(8), "x")
+    assert (full.status, full.prop, full.certificate, full.family, full.note) == (
+        Status.EXCEPTION, HAMILTONIAN, (("q", 1.0),), nc_member(8), "x")
+    est = SpectralEstimate(4.0, 0.0, 0)
+    assert (est.value, est.residual, est.iterations) == (4.0, 0.0, 0)
+    outcome = ThresholdOutcome(Relation.ABOVE, 0.5)
+    assert (outcome.relation, outcome.margin) == (Relation.ABOVE, 0.5)
+    for record, field in ((v, "status"), (est, "value"), (outcome, "margin")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert hash(v) == hash(Verdict(Status.GUARANTEED, HAMILTONIAN))
+    assert hash(est) == hash(SpectralEstimate(4.0, 0.0, 0))
+    assert hash(outcome) == hash(ThresholdOutcome(Relation.ABOVE, 0.5))
+    for record in (Verdict, SpectralEstimate, ThresholdOutcome):
+        assert record.__name__ in hamcheck.__all__
+        assert getattr(hamcheck, record.__name__) is record
 
 
 # ---------------------------------------------------------------- chvatal

@@ -20,6 +20,7 @@ from hamcheck.spectral import (
     SIGNLESS_LAPLACIAN,
     Relation,
     compare_threshold,
+    cw_bounds,
     eigen_oracle,
     matrix_stack,
     q_radius,
@@ -125,6 +126,7 @@ def test_empty_and_tiny_graphs():
 def test_zero_vertex_graph():
     for estimate in (rho(from_edges(0, [])), q_radius(from_edges(0, []))):
         assert (estimate.value, estimate.iterations) == (0.0, 0)
+    assert [bound.tolist() for bound in cw_bounds(np.zeros((2, 0, 0)))] == [[0.0] * 2] * 2
 
 
 def test_stacked_radius_matches_scalar():
@@ -240,3 +242,50 @@ def test_radius_stack_estimates_do_not_depend_on_the_rest_of_the_stack():
             assert together == alone
             assert radius_stack(matrices[::-1].copy()) == together[::-1]
     assert radius_stack(np.zeros((0, 3, 3))) == []
+
+
+def _assert_enclosed(graphs):
+    """cw_bounds of the graphs' A and Q stacks enclose each matrix's top
+    eigenvalue, as eigvalsh computes it."""
+    for which in (ADJACENCY, SIGNLESS_LAPLACIAN):
+        matrices = matrix_stack(graphs, which)
+        lower, upper = cw_bounds(matrices)
+        top = np.linalg.eigvalsh(matrices)[:, -1]
+        assert (lower <= top).all() and (top <= upper).all(), (which, lower, top, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10 ** 6), st.floats(0.05, 0.95))
+def test_cw_bounds_enclose_the_radius_of_random_graphs(n, seed, p):
+    _assert_enclosed([random_graph(n, seed + k, p) for k in range(8)])
+
+
+def _extreme_graphs(n):
+    """The empty graph (K1 at n = 1), Kn, the star, the even cycle, every
+    K_{p,q} and every pair of disjoint unequal cliques on n vertices: graphs
+    with zero rows, regular ones whose x = 1 is an eigenvector, bipartite
+    (periodic) ones and reducible ones."""
+    graphs = [from_edges(n, []), complete(n), star(n)]
+    if n >= 4 and n % 2 == 0:
+        graphs.append(cycle(n))
+    graphs += [complete_bipartite(p, n - p) for p in range(1, n // 2 + 1)]
+    graphs += [disjoint_union(complete(a), complete(n - a)) for a in range(1, (n + 1) // 2)]
+    return graphs
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cw_bounds_enclose_the_radius_of_extreme_graphs(n):
+    _assert_enclosed(_extreme_graphs(n))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cw_lower_bound_sees_the_larger_of_two_cliques(n):
+    # K_a + K_b with a < b is reducible, and x stays constant on each clique,
+    # so the smallest ratio is exactly K_a's radius; the lower bound must
+    # rise above it to drop the sparse complements the zhou and
+    # quasi-complement scans test against an upper threshold
+    for a in range(1, (n + 1) // 2):
+        g = disjoint_union(complete(a), complete(n - a))
+        for which, smaller in ((ADJACENCY, a - 1), (SIGNLESS_LAPLACIAN, 2 * a - 2)):
+            lower, _ = cw_bounds(matrix_stack([g], which))
+            assert lower[0] > smaller

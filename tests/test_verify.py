@@ -291,6 +291,27 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
     assert [estimate for _, estimate in seen] == [scalar(radius.operand(obj)) for obj, _ in seen]
 
 
+@pytest.mark.parametrize("theorem_id", SPECTRAL)
+def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
+    # exhaustive over the m/delta survivors at every size verify --max-n 6
+    # scans: a graph whose cw_bounds miss the hypothesis fails the eigvalsh
+    # screen too, and the bounds drop some graphs of every theorem
+    spec = THEOREMS[theorem_id]
+    row = spec.row
+    dropped = 0
+    for n in sizes_for(spec, 6):
+        layout = verify._spec_layout(spec, n)
+        threshold = row.threshold(n)
+        for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots),
+                                              verify._m_min(row, n)):
+            matrices = verify._hypothesis_matrices(row, layout, adjacency)
+            kept = verify._bounds_keep(row, threshold, matrices)
+            top = np.linalg.eigvalsh(matrices)[:, -1]
+            assert not (row.shortfall(top, threshold) <= verify.SCREEN_GUARD)[~kept].any()
+            dropped += int((~kept).sum())
+    assert dropped > 0
+
+
 # the numpy form the degree screens had, over a stack of degree rows; the
 # blocking k of the Python functions the rows' inequalities and screens
 # share must agree with it
