@@ -33,15 +33,7 @@ from .graphs import (
     star,
 )
 from .oracle import HamWitness, backtrack_oracle, is_hamiltonian, is_traceable
-from .spectral import (
-    Relation,
-    SpectralEstimate,
-    ThresholdOutcome,
-    compare_threshold,
-    eigen_oracle,
-    q_radius,
-    rho,
-)
+from .spectral import SpectralEstimate, eigen_oracle, q_radius, rho
 from .verify import (
     SoundnessReport,
     soundness,
@@ -62,17 +54,14 @@ __all__ = [
     "HamWitness",
     "NC_NAMES",
     "NP_NAMES",
-    "Relation",
     "SoundnessReport",
     "SpectralEstimate",
     "Status",
     "TRACEABLE",
-    "ThresholdOutcome",
     "Verdict",
     "backtrack_oracle",
     "bipartite_from_edges",
     "check_theorem",
-    "compare_threshold",
     "complement",
     "complete",
     "complete_bipartite",

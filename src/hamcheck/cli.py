@@ -32,12 +32,7 @@ from .graphs import (
     two_coloring,
 )
 from .oracle import MAX_DP_N, is_hamiltonian, is_traceable
-from .spectral import (
-    DEFAULT_CMP_TOL,
-    SpectralEstimate,
-    q_radius,
-    rho,
-)
+from .spectral import SpectralEstimate, q_radius, rho
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -83,8 +78,6 @@ def _build_parser() -> _Parser:
     p_analyze = sub.add_parser("analyze", help="run every applicable checker on input graphs")
     common_io(p_analyze)
     common_flags(p_analyze)
-    p_analyze.add_argument("--cmp-tol", type=_tolerance, default=DEFAULT_CMP_TOL,
-                           help="a spectral radius this close to its threshold is Boundary")
 
     p_table1 = sub.add_parser("table1", help="recompute the 18 published q values")
     common_flags(p_table1)
@@ -219,7 +212,7 @@ def _estimate_once(estimates: dict, quantity: str, obj) -> SpectralEstimate:
     return estimates[quantity]
 
 
-def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], cmp_tol: float) -> list[dict]:
+def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate]) -> list[dict]:
     """Every applicable checker's verdict on g, as a general graph and, when
     it is connected and bipartite, as a bipartite graph. Each object's
     spectral estimates are shared by its checkers, and computed only when a
@@ -240,7 +233,7 @@ def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate], cmp_tol: float
             if spec.row.kind != kind:
                 continue
             estimate = partial(_estimate_once, estimates, spec.row.quantity, obj)
-            verdict = spec.checker(obj, cmp_tol=cmp_tol, estimate=estimate)
+            verdict = spec.checker(obj, estimate=estimate)
             if verdict.status is not Status.NOT_APPLICABLE:
                 verdicts.append(_verdict_dict(tid, verdict))
     return verdicts
@@ -281,7 +274,7 @@ def _analyze_record(args, rec_id: str, g: Graph) -> None:
         record["rho"] = rho(g).value
         q = q_radius(g)
         record["q"] = q.value
-    record["verdicts"] = _applicable_verdicts(g, q, args.cmp_tol)
+    record["verdicts"] = _applicable_verdicts(g, q)
     if 0 < g.n <= MAX_DP_N:
         # a Hamiltonian cycle less one edge is a Hamiltonian path
         hamiltonian = is_hamiltonian(g) is not None

@@ -11,6 +11,10 @@ ladder to any row, ``check_theorem(theorem_id, obj)`` is the one public
 entry to every theorem, and ``verify`` derives its checkers, scan filters,
 screens and ``tightness_search`` from the same rows.
 
+``Condition.judge`` is the one threshold rule: whether a value meets a
+row's bound, exactly for an edge count and within CMP_TOL for a spectral
+radius. ``decide`` and ``tightness_search`` both read it.
+
 ``decide`` re-validates the row's preconditions and answers NotApplicable
 rather than assuming callers filtered. Exceptional-family recognizers
 only run once the numeric hypothesis holds; below the threshold the
@@ -48,16 +52,9 @@ from .graphs import (
     transpose,
 )
 from .iso import is_isomorphic
-from .spectral import (
-    ADJACENCY,
-    DEFAULT_CMP_TOL,
-    SIGNLESS_LAPLACIAN,
-    Relation,
-    SpectralEstimate,
-    compare_threshold,
-    q_radius,
-    rho,
-)
+from .spectral import ADJACENCY, SIGNLESS_LAPLACIAN, SpectralEstimate, q_radius, rho
+
+CMP_TOL = 1e-8   # a spectral radius this close to its threshold is on the line
 
 HAMILTONIAN = "hamiltonian"
 TRACEABLE = "traceable"
@@ -275,6 +272,18 @@ class Condition:
         the hypothesis bound ``threshold``; negative once past it."""
         return value - threshold if self.direction == "le" else threshold - value
 
+    def judge(self, value, threshold):
+        """(fails, on_line): whether ``value`` (a number or an array) fails
+        the hypothesis bound ``threshold``, and whether it lies on its line.
+        An edge count is exact: a strict row fails at equality, and nothing
+        is on the line. A spectral radius fails once its shortfall exceeds
+        CMP_TOL, and is on the line within CMP_TOL of the threshold."""
+        short = self.shortfall(value, threshold)
+        if self.spectral:
+            return short > CMP_TOL, abs(short) <= CMP_TOL
+        fails = short >= 0 if self.strict else short > 0
+        return fails, fails & False   # never on the line, as a bool or a bool array
+
 
 CONDITIONS: dict[str, Condition] = {
     # the lambdas look their blocking function up when they run, so a
@@ -440,22 +449,17 @@ def _applies(row: Condition, obj) -> tuple[object, int, list[int], Optional[Verd
 
 # ------------------------------------------------------- the verdict ladder
 
-def decide(
-    row: Condition,
-    obj: Graph | BipartiteGraph,
-    cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: EstimateArg = None,
-) -> Verdict:
+def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = None) -> Verdict:
     """obj's verdict under a row: NotApplicable if a precondition fails,
     Inconclusive if the hypothesis fails, Boundary at the line of a strict
     threshold, Exception for a listed graph, Boundary at the line of a
     non-strict one, else Guaranteed.
 
     A degree row's inequality gives Inconclusive with its blocking
-    certificate, or Guaranteed with its margin. Edge counts are compared
-    exactly. A spectral radius is compared within ``cmp_tol``;
-    ``estimate``, when given, is the radius (or a function returning it)
-    of the matrix the row names in RADII, for obj as given.
+    certificate, or Guaranteed with its margin. A numeric row's value is
+    judged by ``row.judge``: an edge count exactly, a spectral radius
+    within CMP_TOL. ``estimate``, when given, is the radius (or a function
+    returning it) of the matrix the row names in RADII, for obj as given.
     """
     obj, n, degrees, failure = _applies(row, obj)
     if failure is not None:
@@ -467,18 +471,15 @@ def decide(
         return Verdict(Status.GUARANTEED, row.prop, (("margin", margin),))
     threshold = row.threshold(n)
     if row.quantity == "m":
-        m = sum(degrees) // 2
-        holds = m > threshold if row.strict else m >= threshold
-        relation = Relation.ABOVE if holds else Relation.BELOW
-        cert = (("m", m), ("bound", threshold), ("margin", m - threshold))
+        value = sum(degrees) // 2
+        cert = (("m", value), ("bound", threshold))
     else:
-        est = _estimate(estimate, lambda: hypothesis_radius(row.quantity, obj))
-        outcome = compare_threshold(est, threshold, cmp_tol)
-        relation = outcome.relation
-        cert = ((row.quantity, est.value), ("threshold", threshold), ("margin", outcome.margin))
-    if relation is (Relation.ABOVE if row.direction == "le" else Relation.BELOW):
+        value = _estimate(estimate, lambda: hypothesis_radius(row.quantity, obj)).value
+        cert = ((row.quantity, value), ("threshold", threshold))
+    cert += (("margin", value - threshold),)
+    fails, boundary = row.judge(value, threshold)
+    if fails:
         return Verdict(Status.INCONCLUSIVE, row.prop, cert)
-    boundary = relation is Relation.BOUNDARY
     if boundary and row.strict:  # a strict threshold cannot be certified at the line
         return Verdict(Status.BOUNDARY, row.prop, cert)
     targets = _exception_targets(row.exceptions, n)
@@ -500,18 +501,14 @@ def decide(
 
 # ------------------------------------------------------ the public entry
 
-def check_theorem(
-    theorem_id: str,
-    obj: Graph | BipartiteGraph,
-    cmp_tol: float = DEFAULT_CMP_TOL,
-    estimate: EstimateArg = None,
-) -> Verdict:
+def check_theorem(theorem_id: str, obj: Graph | BipartiteGraph,
+                  estimate: EstimateArg = None) -> Verdict:
     """obj's verdict under the theorem with this id, a key of CONDITIONS:
     its row's verdict ladder, ``decide``."""
     row = CONDITIONS.get(theorem_id)
     if row is None:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    return decide(row, obj, cmp_tol, estimate)
+    return decide(row, obj, estimate)
 
 
 # ------------------------------------------------------------ recognizers

@@ -1,5 +1,8 @@
 """Largest-eigenvalue computation for A(G) and Q(G) = D(G) + A(G).
 
+This module computes radii and nothing else: whether a radius meets a
+theorem's threshold is ``conditions.Condition.judge``'s rule.
+
 ``matrix_stack`` is the one place that builds A or Q: every route, the
 verify scan's eigvalsh screen included, gets its matrices from it. Graph
 objects' rows are unpacked by ``graphs.bit_matrix``, which ``write_graph6``
@@ -26,15 +29,12 @@ number ever comes from the bounds.
 
 from __future__ import annotations
 
-import math
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import BipartiteGraph, Graph, bit_matrix
 
-DEFAULT_CMP_TOL = 1e-8
 DENSE_CAP = 64
 CW_STEPS = 2        # power steps before cw_bounds reads its ratios
 CW_SLACK = 1e-9     # cw_bounds widens each bound by this times 1 + the bound
@@ -47,17 +47,6 @@ class SpectralEstimate(NamedTuple):
     value: float
     residual: float
     iterations: int   # always 0 since no route iterates; perfbench's tracing reads it
-
-
-class Relation(str, Enum):
-    ABOVE = "above"
-    BELOW = "below"
-    BOUNDARY = "boundary"
-
-
-class ThresholdOutcome(NamedTuple):
-    relation: Relation
-    margin: float
 
 
 def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: str) -> np.ndarray:
@@ -135,16 +124,3 @@ def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[floa
     if len(matrix) > DENSE_CAP:
         raise ValueError(f"dense oracle capped at n <= {DENSE_CAP}")
     return [float(v) for v in np.linalg.eigvalsh(matrix)]
-
-
-def compare_threshold(
-    est: SpectralEstimate | float, threshold: float, cmp_tol: float = DEFAULT_CMP_TOL
-) -> ThresholdOutcome:
-    if not (math.isfinite(cmp_tol) and cmp_tol > 0):
-        raise ValueError("cmp_tol must be a finite number > 0")
-    value = est.value if isinstance(est, SpectralEstimate) else float(est)
-    margin = value - threshold
-    if abs(margin) <= cmp_tol:
-        return ThresholdOutcome(Relation.BOUNDARY, margin)
-    return ThresholdOutcome(Relation.ABOVE if margin > 0 else Relation.BELOW, margin)
-

@@ -2,8 +2,8 @@
 
 Every labeled graph in range is scanned; cheap necessary conditions
 (edge count, degrees, rigorous bounds on the spectral radius, a batched
-dense-eigenvalue screen, the last two with a safety guard well above the
-comparison tolerance) cut the candidate set before the full checker and
+dense-eigenvalue screen, the last two with a safety guard well above
+``conditions.CMP_TOL``) cut the candidate set before the full checker and
 the Hamiltonicity oracle run. Labeled enumeration over-counts isomorphic
 copies, which is harmless for soundness claims.
 
@@ -476,6 +476,13 @@ def table1_report() -> list[tuple[str, float, float, float]]:
 
 # --------------------------------------------------------------- tightness
 
+def _unmet(row: cond.Condition, value, threshold: float):
+    """Whether ``value`` (a number or an array) leaves row's hypothesis
+    unmet: it fails, or it lies on a strict row's line."""
+    fails, on_line = row.judge(value, threshold)
+    return fails | (on_line & row.strict)
+
+
 def tightness_search(
     theorem_id: str,
     max_n: int = DEFAULT_MAX_N,
@@ -483,9 +490,10 @@ def tightness_search(
 ) -> dict:
     """Sharpness evidence: near-miss witnesses and exception-vacuity checks.
 
-    Near misses are graphs without the property whose hypothesis quantity
-    fails by the smallest margin; the exception report states whether each
-    stated exceptional graph satisfies its theorem's hypothesis at all.
+    Near misses are graphs without the property whose hypothesis is unmet
+    by the smallest margin, a graph on a strict row's line first, at
+    deficit 0; the exception report states whether each stated
+    exceptional graph satisfies its theorem's hypothesis at all.
     The exceptional graphs' quantities come from the dense eigen oracle.
     """
     spec, sizes = _scan_entry(theorem_id, max_n, bip_cells)
@@ -501,14 +509,12 @@ def tightness_search(
             obj = make_family(fid)
             got = (float(obj.edge_count()) if radius is None
                    else eigen_oracle(radius.operand(obj), radius.matrix)[-1])
-            shortfall = row.shortfall(got, threshold)
-            satisfied = shortfall < -1e-8 if row.strict else shortfall <= 1e-8
             exceptions.append({
                 "family": str(fid),
                 "n": n,
                 "value": got,
                 "threshold": threshold,
-                "hypothesis_satisfied": satisfied,
+                "hypothesis_satisfied": not _unmet(row, got, threshold),
             })
         layout = _spec_layout(spec, n)
         for _, adjacency, _ in _slices(layout, 0, 1 << len(layout.slots)):
@@ -522,9 +528,10 @@ def tightness_search(
                 got = np.bitwise_count(rows).sum(axis=1) / 2
             else:
                 got = np.linalg.eigvalsh(_hypothesis_matrices(row, layout, rows))[:, -1]
-            deficits = row.shortfall(got, threshold)
-            # a satisfied hypothesis is the exception report's job
-            deficits[deficits <= 1e-8] = np.inf
+            # a satisfied hypothesis is the exception report's job; a graph
+            # on a strict row's line is a near miss at deficit 0
+            deficits = np.where(_unmet(row, got, threshold),
+                                np.maximum(row.shortfall(got, threshold), 0.0), np.inf)
             # argmin takes the first of equal deficits, so scan order breaks ties
             i = int(np.argmin(deficits))
             if deficits[i] < (np.inf if best is None else best["deficit"]):

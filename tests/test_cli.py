@@ -71,17 +71,13 @@ def test_analyze_empty_graph(capsys, monkeypatch):
     assert rec["verdicts"] == []
 
 
-def test_analyze_honours_tolerances(capsys, monkeypatch):
+def test_analyze_guarantees_a_radius_beyond_the_boundary_width(capsys, monkeypatch):
     # q(D^o) = 5.7785 lies 0.028 above tight-q-hamiltonian's 2n-5+3/(n-1) = 5.75
-    def tight_q(*flags):
-        code, out, _ = run(capsys, ["analyze", "--format", "json", *flags], stdin="D^o\n",
-                           monkeypatch=monkeypatch)
-        assert code == 0
-        by = {v["checker"]: v for v in json.loads(out)["verdicts"]}
-        return by["tight-q-hamiltonian"]
-
-    assert tight_q()["status"] == "guaranteed"
-    assert tight_q("--cmp-tol", "0.05")["status"] == "boundary"
+    code, out, _ = run(capsys, ["analyze", "--format", "json"], stdin="D^o\n",
+                       monkeypatch=monkeypatch)
+    assert code == 0
+    by = {v["checker"]: v for v in json.loads(out)["verdicts"]}
+    assert by["tight-q-hamiltonian"]["status"] == "guaranteed"
 
 
 def test_analyze_matches_fixture(capsys, monkeypatch):
@@ -149,12 +145,6 @@ def test_analyze_skips_the_oracle_above_its_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--cmp-tol", "-1"],
-    ["analyze", "--cmp-tol", "nan"],
-    ["analyze", "--cmp-tol", "inf"],
-    ["analyze", "--cmp-tol", "tiny"],
-    ["analyze", "--cmp-tol", "0"],
-    ["analyze", "--cmp-tol=-inf"],
     ["table1", "--tolerance", "-1"],
     ["table1", "--tolerance", "inf"],
     ["table1", "--tolerance", "0"],
@@ -171,7 +161,13 @@ def test_bad_tolerance_is_a_usage_error(capsys, monkeypatch, argv):
     ["analyze", "--tol", "1e-3"],   # no route iterates, so there is no --tol
     ["analyze", "--tol", "0"],
     ["oracle", "--tol", "0"],
-    ["oracle", "--cmp-tol", "nan"],   # only analyze compares with a threshold
+    ["analyze", "--cmp-tol", "-1"],   # the Boundary width is a constant, not a flag
+    ["analyze", "--cmp-tol", "nan"],
+    ["analyze", "--cmp-tol", "inf"],
+    ["analyze", "--cmp-tol", "tiny"],
+    ["analyze", "--cmp-tol", "0"],
+    ["analyze", "--cmp-tol=-inf"],
+    ["oracle", "--cmp-tol", "nan"],
     ["verify", "--theorem", "lemma-3.4", "--cmp-tol", "0.5"],
     ["table1", "--cmp-tol", "0.5"],
     ["table1", "--tol", "1e-3"],   # not read as --tolerance

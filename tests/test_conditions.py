@@ -3,10 +3,12 @@ import math
 import random
 from itertools import combinations, compress, product
 
+import numpy as np
 import pytest
 
 import hamcheck
 from hamcheck.conditions import (
+    CMP_TOL,
     CONDITIONS,
     GENERAL,
     HAMILTONIAN,
@@ -49,7 +51,7 @@ from hamcheck.graphs import (
     star,
 )
 from hamcheck.iso import is_isomorphic
-from hamcheck.spectral import Relation, SpectralEstimate, ThresholdOutcome
+from hamcheck.spectral import SpectralEstimate
 
 
 def cert(v):
@@ -108,14 +110,39 @@ def test_check_theorem_refuses_an_unknown_id():
         check_theorem("hamiltonian_tight", complete(5))
 
 
-def test_check_theorem_forwards_the_estimate_and_tolerance():
+def test_check_theorem_forwards_the_estimate():
     # q(C4) = 4 = 2n-4 exactly, on Yu-Fan's strict Hamiltonian bound
     assert check_theorem("yu-fan-hamiltonian", cycle(4)).status is Status.BOUNDARY
     above = SpectralEstimate(4.0 + 1e-6, 0.0, 0)
-    v = check_theorem("yu-fan-hamiltonian", cycle(4), estimate=above)
-    assert v.status is Status.GUARANTEED and cert(v)["q"] == above.value
-    v = check_theorem("yu-fan-hamiltonian", cycle(4), cmp_tol=1e-3, estimate=lambda: above)
-    assert v.status is Status.BOUNDARY
+    for estimate in (above, lambda: above):
+        v = check_theorem("yu-fan-hamiltonian", cycle(4), estimate=estimate)
+        assert v.status is Status.GUARANTEED and cert(v)["q"] == above.value
+
+
+def _across(t):
+    """Spectral values 2 CMP_TOL below, CMP_TOL/2 below, CMP_TOL/2 above and
+    2 CMP_TOL above the threshold t: off and on the line on either side."""
+    return [t - 2 * CMP_TOL, t - CMP_TOL / 2, t + CMP_TOL / 2, t + 2 * CMP_TOL]
+
+
+@pytest.mark.parametrize("theorem_id, threshold, values, fails, on_line", [
+    # an edge count is exact: at equality a strict row ("gt") fails and a
+    # non-strict one ("ge") holds, and neither is on the line
+    ("lemma-3.4", 9.0, [8, 9, 10], [True, True, False], [False] * 3),
+    ("lemma-2.5", 7, [6, 7, 8], [True, False, False], [False] * 3),
+    # a spectral radius ("ge", "gt", "le") fails only beyond CMP_TOL, and is
+    # on the line within it
+    ("tight-q-traceable", 5.0, _across(5.0), [True, False, False, False], [False, True, True, False]),
+    ("yu-fan-hamiltonian", 4.0, _across(4.0), [True, False, False, False], [False, True, True, False]),
+    ("zhou-complement-hamiltonian", 4.0, _across(4.0), [False, False, False, True],
+     [False, True, True, False]),
+])
+def test_judge_is_the_one_threshold_rule(theorem_id, threshold, values, fails, on_line):
+    row = CONDITIONS[theorem_id]
+    assert [tuple(map(bool, row.judge(v, threshold))) for v in values] == list(zip(fails, on_line))
+    # an array is judged elementwise, as the scan and tightness_search pass it
+    got_fails, got_on_line = row.judge(np.array(values, dtype=float), threshold)
+    assert (got_fails.tolist(), got_on_line.tolist()) == (fails, on_line)
 
 
 def test_verdict_and_spectral_records_keep_their_api():
@@ -126,15 +153,12 @@ def test_verdict_and_spectral_records_keep_their_api():
         Status.EXCEPTION, HAMILTONIAN, (("q", 1.0),), nc_member(8), "x")
     est = SpectralEstimate(4.0, 0.0, 0)
     assert (est.value, est.residual, est.iterations) == (4.0, 0.0, 0)
-    outcome = ThresholdOutcome(Relation.ABOVE, 0.5)
-    assert (outcome.relation, outcome.margin) == (Relation.ABOVE, 0.5)
-    for record, field in ((v, "status"), (est, "value"), (outcome, "margin")):
+    for record, field in ((v, "status"), (est, "value")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert hash(v) == hash(Verdict(Status.GUARANTEED, HAMILTONIAN))
     assert hash(est) == hash(SpectralEstimate(4.0, 0.0, 0))
-    assert hash(outcome) == hash(ThresholdOutcome(Relation.ABOVE, 0.5))
-    for record in (Verdict, SpectralEstimate, ThresholdOutcome):
+    for record in (Verdict, SpectralEstimate):
         assert record.__name__ in hamcheck.__all__
         assert getattr(hamcheck, record.__name__) is record
 

@@ -18,8 +18,6 @@ from hamcheck.graphs import (
 from hamcheck.spectral import (
     ADJACENCY,
     SIGNLESS_LAPLACIAN,
-    Relation,
-    compare_threshold,
     cw_bounds,
     eigen_oracle,
     matrix_stack,
@@ -200,21 +198,6 @@ def test_table1_spot_values():
 
     assert q_radius(make_family(nc_member(0))).value == pytest.approx(13.1789, abs=5e-5)
     assert q_radius(make_family(np_member(2))).value == pytest.approx(7.4641, abs=5e-5)
-
-
-def test_compare_threshold():
-    assert compare_threshold(5.0, 5.0).relation is Relation.BOUNDARY
-    assert compare_threshold(5.0 + 1e-9, 5.0).relation is Relation.BOUNDARY
-    assert compare_threshold(5.1, 5.0).relation is Relation.ABOVE
-    assert compare_threshold(4.9, 5.0).relation is Relation.BELOW
-    assert compare_threshold(4.9, 5.0).margin == pytest.approx(-0.1)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
-def test_tolerance_must_be_finite_and_positive(tol):
-    # a nan cmp tol made a tie BELOW
-    with pytest.raises(ValueError, match="finite"):
-        compare_threshold(3.0, 3.0, tol)
 
 
 @settings(max_examples=40, deadline=None)

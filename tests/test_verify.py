@@ -11,7 +11,7 @@ from hamcheck import conditions as cond
 from hamcheck import verify
 from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.families import make_family
-from hamcheck.graph6 import write_graph6
+from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import bipartite_from_edges, from_edges
 from hamcheck.oracle import is_hamiltonian, is_traceable
 from hamcheck.spectral import ADJACENCY, q_radius, rho
@@ -172,6 +172,26 @@ def test_tightness_exception_at_the_threshold(monkeypatch, direction, satisfied)
     excs = {e["family"]: e for e in tightness_search("lemma-3.4", max_n=5)["exceptions"]}
     assert excs[str(fid)]["value"] == excs[str(fid)]["threshold"] == edges
     assert excs[str(fid)]["hypothesis_satisfied"] is satisfied
+
+
+@pytest.mark.parametrize("theorem_id, max_n, value", [
+    ("lemma-3.4", 6, 9.0),            # E}r?: m = 9 = (n^2-4n+6)/2 at n = 6
+    ("lemma-3.6", 5, 4.0),            # Ds_: m = 4 = (n^2-4n+3)/2 at n = 5
+    ("yu-fan-hamiltonian", 4, 2.0),   # B_, K2 + K1: q = 2 = 2n-4 at n = 3
+])
+def test_tightness_keeps_a_near_miss_on_a_strict_line(theorem_id, max_n, value):
+    # a graph without the property whose quantity sits exactly on a strict
+    # row's line is the sharpest evidence that the inequality must be strict
+    miss = tightness_search(theorem_id, max_n=max_n)["best_near_miss"]
+    assert (miss["value"], miss["threshold"], miss["deficit"]) == (value, value, 0.0)
+    assert is_hamiltonian(parse_graph6(miss["graph6"])) is None
+
+
+def test_screens_drop_nothing_the_ladder_puts_on_the_line():
+    # the bounds and eigvalsh screens drop a graph only when its shortfall
+    # exceeds SCREEN_GUARD; were CMP_TOL as wide, the scan would silently
+    # drop graphs that decide calls Boundary
+    assert verify.SCREEN_GUARD > cond.CMP_TOL
 
 
 def test_tightness_requires_numeric_hypothesis():
