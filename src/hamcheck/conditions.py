@@ -11,6 +11,12 @@ ladder to any row, ``check_theorem(theorem_id, obj)`` is the one public
 entry to every theorem, and ``verify`` derives its checkers, scan filters,
 screens and ``tightness_search`` from the same rows.
 
+``slice_ladder`` is the same ladder over a soundness scan's slice of
+graphs, in arrays: it gives every graph ``decide``'s status but for the
+graphs that may be exceptions, whose degrees match a listed exception's
+or pass the EC/EP degree test ``join_clauses``; the scan hands only those
+to ``decide``.
+
 ``Condition.judge`` is the one threshold rule: whether a value meets a
 row's bound, exactly for an edge count and within CMP_TOL for a spectral
 radius. ``decide`` and ``tightness_search`` both read it.
@@ -27,6 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +54,7 @@ from .graphs import (
     bits,
     complement,
     connected_components,
+    connected_rows,
     induced_subgraph,
     quasi_complement,
     transpose,
@@ -72,6 +80,13 @@ class Status(str, Enum):
     BOUNDARY = "boundary"
     INCONCLUSIVE = "inconclusive"
     NOT_APPLICABLE = "not_applicable"
+
+
+# the slice ladder's status codes: a status's index in STATUSES; and per
+# code, whether that status is a hypothesis hit
+STATUSES = tuple(Status)
+GUARANTEED, EXCEPTION, BOUNDARY, INCONCLUSIVE, NOT_APPLICABLE = range(len(STATUSES))
+HIT = np.isin(np.arange(len(STATUSES)), (GUARANTEED, EXCEPTION, BOUNDARY))
 
 
 Certificate = tuple[tuple[str, float], ...]
@@ -169,17 +184,16 @@ def _moon_moser(b: BipartiteGraph, n: int, degrees: list[int]) -> tuple[Certific
     return blocking if cell >= 0 else (), float(worst - (n + 1))
 
 
-def _degree_screen(blocking: Callable[[list[int]], Certificate], degrees: np.ndarray) -> np.ndarray:
-    """Whether nothing blocks each row of a slice's degree table:
-    ``blocking`` runs once per distinct sorted degree row, found by packing
-    each sorted row into one int64 key. A scanned graph has at most 10
-    vertices, so a key takes at most 10 degrees of 4 bits."""
+def _per_sorted_row(test: Callable[[list[int]], object], degrees: np.ndarray) -> np.ndarray:
+    """Whether ``test`` holds (is truthy) for each row of a slice's degree
+    table, sorted: it runs once per distinct sorted degree row, found by
+    packing each sorted row into one int64 key. A scanned graph has at most
+    10 vertices, so a key takes at most 10 degrees of 4 bits."""
     d = np.sort(degrees, axis=1)
     width = max(d.shape[1] - 1, 1).bit_length()
     keys = (d.astype(np.int64) << (width * np.arange(d.shape[1]))).sum(axis=1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    blocked = np.array([bool(blocking(row)) for row in d[first].tolist()])
-    return ~blocked[inverse]
+    return np.array([bool(test(row)) for row in d[first].tolist()], dtype=bool)[inverse]
 
 
 def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
@@ -291,12 +305,12 @@ CONDITIONS: dict[str, Condition] = {
     "chvatal": Condition(
         HAMILTONIAN, GENERAL, 3,
         inequality=lambda g, n, degrees: (chvatal_blocking(sorted(degrees)), 0.0),
-        screen=lambda degrees, adjacency: _degree_screen(chvatal_blocking, degrees),
+        screen=lambda degrees, adjacency: ~_per_sorted_row(chvatal_blocking, degrees),
     ),
     "bipartite-degree": Condition(
         HAMILTONIAN, BIP_BALANCED, 2,
         inequality=lambda b, n, degrees: (bipartite_degree_blocking(sorted(degrees)), 0.0),
-        screen=lambda degrees, adjacency: _degree_screen(bipartite_degree_blocking, degrees),
+        screen=lambda degrees, adjacency: ~_per_sorted_row(bipartite_degree_blocking, degrees),
     ),
     "moon-moser": Condition(
         HAMILTONIAN, BIP_BALANCED, 2, inequality=_moon_moser, screen=_moon_moser_screen,
@@ -499,6 +513,42 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
     return Verdict(Status.BOUNDARY if boundary else Status.GUARANTEED, row.prop, cert)
 
 
+def slice_ladder(row: Condition, n: int, degrees: np.ndarray, adjacency: np.ndarray,
+                 values: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """``decide``'s ladder over a soundness scan's slice of graphs of size
+    n >= row.min_n, oriented as the row reads them: ``degrees`` is their
+    degree table and ``adjacency`` their adjacency rows, side X first, and
+    ``values`` their hypothesis radii, for a spectral row. Every graph must
+    meet the row's per-side minimum degrees, as the scan's layout and m/delta
+    filter keep them; the one precondition tested here is a ``connected``
+    row's. Returns (codes, candidate): per graph, its status as an index
+    into STATUSES, and whether it may be an exception, which only ``decide``
+    can tell; a candidate's code is the one it gets if it is not.
+
+    A candidate passes the hypothesis, off a strict row's line, and either
+    its sorted degrees are a listed exception's, the prefilter ``_match``
+    applies, or, for a join-class row, they pass ``join_clauses``. Every
+    other graph's code is its status under ``decide``."""
+    applicable = connected_rows(adjacency) if row.connected else np.ones(len(degrees), dtype=bool)
+    codes = np.full(len(degrees), GUARANTEED, dtype=np.int8)
+    candidate = np.zeros(len(degrees), dtype=bool)
+    if row.quantity is None:
+        codes[~row.screen(degrees, adjacency)] = INCONCLUSIVE
+    else:
+        value = degrees.sum(axis=1) // 2 if row.quantity == "m" else values
+        fails, on_line = row.judge(value, row.threshold(n))
+        codes[on_line] = BOUNDARY
+        codes[fails] = INCONCLUSIVE
+        seqs = {seq for _, _, seq in _exception_targets(row.exceptions, n)}
+        if seqs or row.join_class:
+            open_ = np.flatnonzero(applicable & ~fails & ~(on_line & row.strict))
+            candidate[open_] = _per_sorted_row(
+                lambda d: tuple(d) in seqs or row.join_class and join_clauses(row.join_class, d),
+                degrees[open_])
+    codes[~applicable] = NOT_APPLICABLE
+    return codes, candidate
+
+
 # ------------------------------------------------------ the public entry
 
 def check_theorem(theorem_id: str, obj: Graph | BipartiteGraph,
@@ -537,10 +587,9 @@ def _regular_join_witness(g: Graph, degrees: list[int], target_deg: int, r_max: 
 
     Every H-vertex then has full degree target_deg in g, so candidate B
     sides are exactly unions of complement components covering all
-    vertices of other degrees. So at least n - r_max vertices have it.
+    vertices of other degrees. (So at least n - r_max vertices have it,
+    which ``join_clauses`` tests before this search runs.)
     """
-    if degrees.count(target_deg) < g.n - r_max:
-        return None
     odd_mask = 0
     for v in range(g.n):
         if degrees[v] != target_deg:
@@ -563,40 +612,55 @@ def _regular_join_witness(g: Graph, degrees: list[int], target_deg: int, r_max: 
     return JoinWitness(kind, tuple(bits(a_mask)), tuple(bits(b_mask)))
 
 
-def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
-    """Structured membership in the EC (Hamiltonian) / EP (traceable) classes.
-    Each clause first tests what the degrees alone rule out, and only then
-    searches g."""
-    n, degrees = g.n, g.degrees()
+def join_clauses(family: str, degrees: Sequence[int]) -> tuple[str, ...]:
+    """The clauses of the EC (Hamiltonian) / EP (traceable) class whose
+    degree test ``degrees`` pass, in the order ``ec_ep_membership`` searches
+    them: what the degrees alone rule out, before any search of the graph.
+    Only the multiset of degrees matters, so the soundness scan runs it once
+    per sorted degree row of a slice."""
+    n = len(degrees)
     if family == "EC":
         # (a) trivial graph joined with two complete components: the one
         # vertex of degree n - 1 (a second one would join the two)
-        if n >= 3 and degrees.count(n - 1) == 1:
+        hub = n >= 3 and degrees.count(n - 1) == 1 and _two_cliques(
+            [d - 1 for d in degrees if d != n - 1])
+        # (b) regular of degree (n-1)/2 - r joined with r vertices
+        r = (n - 1) // 2
+        regular = n >= 3 and (n - 1) % 2 == 0 and degrees.count(r) >= n - r
+        return tuple(compress(("trivial-join-two-cliques", "regular-join"), (hub, regular)))
+    if family == "EP":
+        r = n // 2 - 1
+        tests = (n % 2 == 0 and all(d == r for d in degrees),
+                 _two_cliques(degrees),
+                 n % 2 == 0 and n >= 4 and degrees.count(r) >= n - r)
+        return tuple(compress(("regular", "two-complete-components", "regular-join"), tests))
+    raise ValueError(f"unknown exception class {family!r}")
+
+
+def ec_ep_membership(g: Graph, family: str) -> Optional[JoinWitness]:
+    """Structured membership in the EC (Hamiltonian) / EP (traceable) classes.
+    Only the clauses whose degree test g's degrees pass, ``join_clauses``,
+    search g."""
+    n, degrees = g.n, g.degrees()
+    for clause in join_clauses(family, degrees):
+        if clause == "trivial-join-two-cliques":
             u = degrees.index(n - 1)
             rest = [v for v in range(n) if v != u]
-            if _two_cliques([degrees[v] - 1 for v in rest]):
-                sub = induced_subgraph(g, rest)
-                comps = connected_components(sub)
-                if len(comps) == 2 and all(_is_complete_mask(sub, c) for c in comps):
-                    sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
-                    return JoinWitness("trivial-join-two-cliques", (u,), sides[0] + sides[1])
-        # (b) regular of degree (n-1)/2 - r joined with r vertices
-        if n >= 3 and (n - 1) % 2 == 0:
-            return _regular_join_witness(g, degrees, (n - 1) // 2, (n - 1) // 2, "regular-join")
-        return None
-    if family == "EP":
-        if n % 2 == 0 and all(d == n // 2 - 1 for d in degrees):
-            return JoinWitness("regular", tuple(range(n)), ())
-        if _two_cliques(degrees):
+            sub = induced_subgraph(g, rest)
+            comps = connected_components(sub)
+            if len(comps) == 2 and all(_is_complete_mask(sub, c) for c in comps):
+                sides = tuple(tuple(rest[i] for i in bits(c)) for c in comps)
+                return JoinWitness(clause, (u,), sides[0] + sides[1])
+        elif clause == "regular":
+            return JoinWitness(clause, tuple(range(n)), ())
+        elif clause == "two-complete-components":
             comps = connected_components(g)
             if len(comps) == 2 and all(_is_complete_mask(g, c) for c in comps):
-                return JoinWitness(
-                    "two-complete-components", tuple(bits(comps[0])), tuple(bits(comps[1]))
-                )
-        if n % 2 == 0 and n >= 4:
-            return _regular_join_witness(g, degrees, n // 2 - 1, n // 2 - 1, "regular-join")
-        return None
-    raise ValueError(f"unknown exception class {family!r}")
+                return JoinWitness(clause, tuple(bits(comps[0])), tuple(bits(comps[1])))
+        else:   # regular-join, the last clause of either class
+            r = (n - 1) // 2 if family == "EC" else n // 2 - 1
+            return _regular_join_witness(g, degrees, r, r, clause)
+    return None
 
 
 def nc_np_membership(g: Graph) -> Optional[FamilyId]:

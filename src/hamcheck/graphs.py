@@ -264,6 +264,19 @@ def is_connected(g: Graph) -> bool:
     return component_mask(g, 0) == (1 << g.n) - 1
 
 
+def connected_rows(adj: np.ndarray) -> np.ndarray:
+    """Per row of an (rows, n) uint32 array of adjacency bitsets, one graph
+    per row: is the graph connected? Grows each row's component of vertex 0
+    one neighbourhood at a time."""
+    n = adj.shape[1]
+    shifts = np.arange(n, dtype=np.uint32)
+    seen = np.ones(len(adj), dtype=np.uint32)
+    for _ in range(n - 1):
+        inside = ((seen[:, None] >> shifts) & 1) == 1
+        seen = seen | np.bitwise_or.reduce(np.where(inside, adj, 0), axis=1)
+    return seen == (1 << n) - 1
+
+
 def two_coloring(g: Graph) -> int | None:
     """A proper 2-coloring as a mask of one color class, or None.
 

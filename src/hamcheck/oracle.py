@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, bits, connected_components
+from .graphs import Graph, bits, connected_components, connected_rows
 
 MAX_DP_N = 18
 MAX_BACKTRACK_N = 12
@@ -159,7 +159,7 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     if n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     # the scalar preconditions: connected, and for cycles min degree 2
-    eligible = _connected(adj)
+    eligible = connected_rows(adj)
     if kind == CYCLE:
         eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
         cycle_adj = adj
@@ -205,17 +205,6 @@ def _walk_back(dp: np.ndarray, adj: np.ndarray, rows: np.ndarray,
         v = _lowest_bit(dp[rows, mask] & adj[rows, v])
         order[:, pos] = v
     return order
-
-
-def _connected(adj: np.ndarray) -> np.ndarray:
-    """Per row of an (rows, n) adjacency bitset array: is the graph connected?"""
-    n = adj.shape[1]
-    shifts = np.arange(n, dtype=np.uint32)
-    seen = np.ones(len(adj), dtype=np.uint32)
-    for _ in range(n - 1):
-        inside = ((seen[:, None] >> shifts) & 1) == 1
-        seen = seen | np.bitwise_or.reduce(np.where(inside, adj, 0), axis=1)
-    return seen == (1 << n) - 1
 
 
 def _endpoint_tables(adj: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ copies, which is harmless for soundness claims.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
-``conditions.decide``. Everything else is read from the row: its
+``conditions.decide``; the scan reads the row through the slice ladder
+and calls the checker on exception candidates only. Everything else is read from the row: its
 hypothesis and strictness, a degree theorem's screen, its m/delta filter
 (the row's per-side minimum degrees, and ``_m_min``, a necessary edge
 count derived from its threshold by one rule per quantity), and the
@@ -32,14 +33,17 @@ radius with no LAPACK call and drop the graphs whose bounds miss the
 hypothesis by more than SCREEN_GUARD, then the eigvalsh screen on the
 matrices the bounds keep, then ``spectral.radius_stack`` on the matrices
 of the graphs that pass it (the checker's own matrix, built once; neither
-the bounds nor the screen's eigenvalues are ever reused as the checker's
+the bounds nor the screen's eigenvalues are ever reused as the judged
 number, which is the estimate ``rho`` or ``q_radius`` gives the same
-matrix, bit for bit); the checker itself, called once per graph that
-reaches it, on the graph object ``_Layout.build`` makes of its row, which
-still decides every verdict; and a buffer of the hits' verdicts and rows.
-Every ORACLE_BATCH hits, and at the end of the part, the buffered rows are
-decided by one call of the oracle's array entry, ``oracle.witness_rows``,
-and tallied in scan order.
+matrix, bit for bit); the slice ladder ``conditions.slice_ladder``, which
+decides the slice's verdicts over arrays and names the graphs that may
+be exceptions; the checker, called only on those candidates, on the graph
+object ``_Layout.build`` makes of its row, whose verdict replaces the
+ladder's; and a buffer of the hits' rows, status codes and Exception
+families. Every ORACLE_BATCH hits, and at the end of the part, the
+buffered rows are decided by one call of the oracle's array entry,
+``oracle.witness_rows``, and tallied in scan order over arrays, with
+per-hit Python only for the Exception hits.
 ``tightness_search`` hands each slice's rows to the same entry and builds
 no graph object at all. A Graph is built from a row only for the graph6
 of a violation or a near miss.
@@ -60,7 +64,6 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,8 +74,8 @@ from .conditions import (
     GENERAL,
     HAMILTONIAN,
     RADII,
+    STATUSES,
     Status,
-    Verdict,
 )
 from .families import FamilyId, FamilyTag, make_family, nc_member, np_member
 from .graph6 import write_graph6
@@ -199,8 +202,10 @@ class SoundnessReport:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """A theorem as the scan reads it: its row in ``conditions.CONDITIONS``
-    and its checker, the row's verdict ladder ``conditions.decide``."""
+    """A theorem as the scan reads it: its row in ``conditions.CONDITIONS``,
+    which ``conditions.slice_ladder`` applies to every slice, and its
+    checker, the row's verdict ladder ``conditions.decide``, which decides
+    the slice ladder's exception candidates."""
     row: cond.Condition
     checker: Callable
 
@@ -304,32 +309,6 @@ def _bounds_keep(row: cond.Condition, threshold: float, matrices: np.ndarray) ->
     return row.shortfall(lower if row.direction == "le" else upper, threshold) <= SCREEN_GUARD
 
 
-def _tally(report: SoundnessReport, spec: TheoremSpec, verdict: Verdict, holds: bool) -> bool:
-    """Count one hypothesis hit against the oracle's answer; True if the
-    hit is a violation, whose graph6 the caller adds to the report."""
-    report.hypothesis_hits += 1
-    if verdict.status is Status.GUARANTEED:
-        if not holds:
-            return True
-        report.guaranteed_confirmed += 1
-    elif verdict.status is Status.EXCEPTION:
-        # named exceptional graphs must lack the property; the structural
-        # EC/EP classes merely fall outside the theorem and may have it
-        structural = verdict.family is not None and verdict.family.tag is FamilyTag.JOIN_EXPR
-        if holds and not structural:
-            return True
-        report.exceptions_matched += 1
-        key = str(verdict.family)
-        report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
-    elif verdict.status is Status.BOUNDARY:
-        # a strict hypothesis is simply unresolved at the line; a non-strict
-        # one holds there, so a missing property would be a real violation
-        if not (spec.row.strict or holds):
-            return True
-        report.boundary_cases += 1
-    return False
-
-
 def _graph6(adjacency: np.ndarray) -> str:
     """The graph6 of the graph with one adjacency row of a scan slice."""
     return write_graph6(Graph(len(adjacency), tuple(adjacency.tolist())))
@@ -339,45 +318,74 @@ def _witness_kind(spec: TheoremSpec) -> str:
     return CYCLE if spec.row.prop == HAMILTONIAN else PATH
 
 
-def _verdicts(spec: TheoremSpec, objs: list, matrices: Optional[np.ndarray]) -> list[Verdict]:
-    """The checker's verdict on each object; a spectral checker gets its
-    estimate from one ``radius_stack`` call over ``matrices``, the objects'
-    hypothesis matrices, and any other gets None."""
-    estimates = radius_stack(matrices) if spec.row.spectral else [None] * len(objs)
-    return [spec.checker(obj, estimate=est) for obj, est in zip(objs, estimates)]
+def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimates: list,
+              codes: np.ndarray, candidate: np.ndarray) -> list:
+    """The checker's verdict on each exception candidate of a slice, whose
+    rows are ``adjacency`` and whose hypothesis radii, for a spectral
+    checker, are ``estimates``: its status code goes into ``codes``, and the
+    families of the Exception verdicts are returned, in row order."""
+    families = []
+    rows = np.flatnonzero(candidate).tolist()
+    for i, obj in zip(rows, layout.build(adjacency[rows])):
+        verdict = spec.checker(obj, estimate=estimates[i] if estimates else None)
+        codes[i] = STATUSES.index(verdict.status)
+        if verdict.status is Status.EXCEPTION:
+            families.append(verdict.family)
+    return families
 
 
-def _flush(report: SoundnessReport, spec: TheoremSpec, verdicts: list[Verdict],
-           rows: list[np.ndarray]) -> None:
-    """Decide the buffered hits, whose adjacency rows are ``rows`` stacked,
-    with one batched oracle call, and tally them in scan order."""
+def _flush(report: SoundnessReport, spec: TheoremSpec, rows: list[np.ndarray],
+           codes: list[np.ndarray], families: list) -> None:
+    """Decide the buffered hits, whose adjacency rows and status codes are
+    ``rows`` and ``codes`` stacked and the families of whose Exception hits
+    are ``families``, with one batched oracle call, and tally them in scan
+    order."""
     if not rows:
         return
-    adjacency = np.concatenate(rows)
-    found, _ = witness_rows(adjacency, _witness_kind(spec))
-    for i, (verdict, holds) in enumerate(zip(verdicts, found.tolist())):
-        if _tally(report, spec, verdict, holds):
-            report.violations.append(_graph6(adjacency[i]))
-    verdicts.clear()
-    rows.clear()
+    adjacency, status = np.concatenate(rows), np.concatenate(codes)
+    holds, _ = witness_rows(adjacency, _witness_kind(spec))
+    guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
+    exception = np.flatnonzero(status == cond.EXCEPTION)
+    violated = guaranteed & ~holds
+    if not spec.row.strict:
+        # a strict hypothesis is simply unresolved at the line; a non-strict
+        # one holds there, so a missing property would be a real violation
+        violated |= boundary & ~holds
+    # named exceptional graphs must lack the property; the structural EC/EP
+    # classes merely fall outside the theorem and may have it
+    structural = np.array([family is not None and family.tag is FamilyTag.JOIN_EXPR
+                           for family in families], dtype=bool)
+    violated[exception] = holds[exception] & ~structural
+    report.hypothesis_hits += len(status)
+    report.guaranteed_confirmed += int((guaranteed & holds).sum())
+    report.boundary_cases += int((boundary & ~violated).sum())
+    for family, bad in zip(families, violated[exception].tolist()):
+        if not bad:
+            report.exceptions_matched += 1
+            key = str(family)
+            report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
+    report.violations += [_graph6(adjacency[i]) for i in np.flatnonzero(violated)]
+    for buffer in (rows, codes, families):
+        buffer.clear()
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    """Masks [lo, hi) of one size, slice by slice: m/delta filter, degree
-    screen or spectral screen (bounds, then eigvalsh), checker, then the
-    buffered hits through the batched oracle."""
+    """Masks [lo, hi) of one size, slice by slice: m/delta filter, spectral
+    screen (bounds, then eigvalsh), the slice ladder, the checker on its
+    exception candidates, then the buffered hits through the batched
+    oracle."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
     layout = _spec_layout(spec, n)
     threshold = row.threshold(n) if row.spectral else None
-    verdicts: list[Verdict] = []      # the buffered hits' verdicts, in scan order
-    hit_rows: list[np.ndarray] = []   # per slice, its hits' adjacency rows
+    hit_rows: list[np.ndarray] = []    # per slice, its hits' adjacency rows
+    hit_codes: list[np.ndarray] = []   # and their status codes
+    families: list = []                # the buffered Exception hits' families
+    buffered = 0
     for scanned, adjacency, degrees in _slices(layout, lo, hi, _m_min(row, n)):
         report.graphs_scanned += scanned
-        if row.screen is not None:
-            adjacency = adjacency[row.screen(degrees, adjacency)]
-        matrices = None
+        estimates, values = [], None
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
             if layout.slots and len(adjacency):
@@ -385,15 +393,19 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
                 if keep.any():
                     top = np.linalg.eigvalsh(matrices[keep])[:, -1]
                     keep[keep] = row.shortfall(top, threshold) <= SCREEN_GUARD
-                adjacency, matrices = adjacency[keep], matrices[keep]
-        checked = _verdicts(spec, layout.build(adjacency), matrices)
-        hit = [verdict.status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
-               for verdict in checked]
-        verdicts += compress(checked, hit)
-        hit_rows.append(adjacency[np.array(hit, dtype=bool)])
-        if len(verdicts) >= ORACLE_BATCH:
-            _flush(report, spec, verdicts, hit_rows)
-    _flush(report, spec, verdicts, hit_rows)
+                adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
+            estimates = radius_stack(matrices)
+            values = np.array([estimate.value for estimate in estimates])
+        codes, candidate = cond.slice_ladder(row, n, degrees, adjacency, values)
+        families += _verdicts(spec, layout, adjacency, estimates, codes, candidate)
+        hit = cond.HIT[codes]
+        hit_rows.append(adjacency[hit])
+        hit_codes.append(codes[hit])
+        buffered += int(hit.sum())
+        if buffered >= ORACLE_BATCH:
+            _flush(report, spec, hit_rows, hit_codes, families)
+            buffered = 0
+    _flush(report, spec, hit_rows, hit_codes, families)
     return report
 
 

@@ -18,6 +18,7 @@ from hamcheck.conditions import (
     check_theorem,
     decide,
     ec_ep_membership,
+    join_clauses,
     nc_np_membership,
     recognize_family,
 )
@@ -535,6 +536,20 @@ def test_ec_ep_membership_matches_reference_on_every_small_graph(n):
             assert got == _reference_ec_ep_membership(g, family), (g, family)
             found += got is not None
     assert found or n < 2
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_every_ec_ep_member_passes_the_degree_test(n):
+    # the soundness scan hands the checker only the graphs whose degrees
+    # pass join_clauses, so each member must pass the clause that found it
+    members = 0
+    for g in _all_graphs(n):
+        for family in ("EC", "EP"):
+            witness = ec_ep_membership(g, family)
+            if witness is not None:
+                assert witness.kind in join_clauses(family, g.degrees()), (g, family)
+                members += 1
+    assert members or n < 2
 
 
 # ------------------------------------------------- exception guard checks

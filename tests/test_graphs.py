@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from hamcheck.graphs import (
     complete,
     complete_bipartite,
     connected_components,
+    connected_rows,
     cycle,
     disjoint_union,
     empty_graph,
@@ -97,6 +99,15 @@ def test_components_and_connectivity():
     assert is_connected(cycle(3))
     assert not is_connected(empty_graph(2))
     assert is_connected(empty_graph(1))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_connected_rows_matches_is_connected_on_every_small_graph(n):
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    graphs = [from_edges(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+              for mask in range(1 << len(pairs))]
+    rows = np.array([g.adj for g in graphs], dtype=np.uint32)
+    assert connected_rows(rows).tolist() == [is_connected(g) for g in graphs]
 
 
 def test_two_coloring():

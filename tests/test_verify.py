@@ -10,11 +10,11 @@ import pytest
 from hamcheck import conditions as cond
 from hamcheck import verify
 from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
-from hamcheck.families import make_family
+from hamcheck.families import FamilyTag, make_family
 from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import bipartite_from_edges, from_edges
 from hamcheck.oracle import is_hamiltonian, is_traceable
-from hamcheck.spectral import ADJACENCY, q_radius, rho
+from hamcheck.spectral import ADJACENCY, q_radius, radius_stack, rho
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
@@ -216,9 +216,35 @@ def _all_objects(kind: str, n: int):
         yield sum(chosen), partial(build, compress(pairs[::-1], chosen))
 
 
+def _reference_tally(report: SoundnessReport, strict: bool, verdict: Verdict, holds: bool) -> bool:
+    """Count one hypothesis hit against the oracle's answer, one verdict at
+    a time; True if the hit is a violation."""
+    report.hypothesis_hits += 1
+    if verdict.status is Status.GUARANTEED:
+        if not holds:
+            return True
+        report.guaranteed_confirmed += 1
+    elif verdict.status is Status.EXCEPTION:
+        # a named exceptional graph must lack the property; a structural
+        # EC/EP member may have it
+        structural = verdict.family is not None and verdict.family.tag is FamilyTag.JOIN_EXPR
+        if holds and not structural:
+            return True
+        report.exceptions_matched += 1
+        key = str(verdict.family)
+        report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
+    elif verdict.status is Status.BOUNDARY:
+        # a non-strict hypothesis holds on its line
+        if not (strict or holds):
+            return True
+        report.boundary_cases += 1
+    return False
+
+
 def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
     """soundness() the slow way: every labeled graph with enough edges, one
-    at a time, through the scalar checker and the scalar oracle."""
+    at a time, through the scalar checker, the scalar oracle and a
+    per-verdict tally."""
     spec = THEOREMS[theorem_id]
     oracle = is_hamiltonian if spec.row.prop == HAMILTONIAN else is_traceable
     report = SoundnessReport(theorem_id, [])
@@ -234,23 +260,22 @@ def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
             if v.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
                 continue
             g = obj.to_graph() if spec.row.kind != "general" else obj
-            if verify._tally(report, spec, v, oracle(g) is not None):
+            if _reference_tally(report, spec.row.strict, v, oracle(g) is not None):
                 report.violations.append(write_graph6(g))
     return report
 
 
-def _loose_q(g, estimate=None):
-    """An unsound checker: guaranteed as soon as q(G) >= 2n - 5.5."""
-    est = estimate if estimate is not None else q_radius(g)
-    status = Status.GUARANTEED if est.value >= 2 * g.n - 5.5 else Status.INCONCLUSIVE
-    return Verdict(status, HAMILTONIAN, (("q", est.value),))
+# an unsound theorem: tight-q-hamiltonian's row loosened to q(G) >= 2n - 5.5,
+# with no exceptions; the fault lives in the row, so the scan's slice ladder
+# and its checker, decide on that row, both apply it
+_UNSOUND_Q_ROW = dataclasses.replace(THEOREMS["tight-q-hamiltonian"].row, min_degree=(0, 0),
+                                     threshold=lambda n: 2 * n - 5.5, exceptions=lambda n: ())
+_UNSOUND_Q = verify.TheoremSpec(_UNSOUND_Q_ROW, partial(cond.decide, _UNSOUND_Q_ROW))
 
 
 @pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
 def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
-    row = dataclasses.replace(THEOREMS["tight-q-hamiltonian"].row, min_degree=(0, 0),
-                              threshold=lambda n: 2 * n - 5.5, exceptions=lambda n: ())
-    monkeypatch.setitem(THEOREMS, "unsound-q", verify.TheoremSpec(row, _loose_q))
+    monkeypatch.setitem(THEOREMS, "unsound-q", _UNSOUND_Q)
     fast = soundness(theorem_id, max_n=5).to_dict()
     assert fast == _reference_soundness(theorem_id, 5).to_dict()
     if theorem_id == "unsound-q":
@@ -291,24 +316,66 @@ SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].row.spectral]
 
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
 def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monkeypatch):
-    # the scan runs radius_stack on its screen's matrices; each estimate
-    # must be, bit for bit, what rho or q_radius gives the checker's own operand
+    # the slice ladder judges the radius_stack values of the screen's
+    # survivors; each must be, bit for bit, what rho or q_radius gives the
+    # checker's own operand
     spec = THEOREMS[theorem_id]
-    seen = []
+    judged = {}
+    ladder = cond.slice_ladder
 
-    def checker(obj, estimate):
-        seen.append((obj, estimate))
-        return spec.checker(obj, estimate=estimate)
+    def recording(row, n, degrees, adjacency, values=None):
+        judged.setdefault(n, []).append((adjacency, values))
+        return ladder(row, n, degrees, adjacency, values)
 
-    monkeypatch.setitem(THEOREMS, theorem_id, dataclasses.replace(spec, checker=checker))
+    monkeypatch.setattr(cond, "slice_ladder", recording)
     soundness(theorem_id, max_n=5)
     radius = RADII[spec.row.quantity]
     scalar = rho if radius.matrix == ADJACENCY else q_radius
-    sizes = {obj.n if spec.row.kind == "general" else obj.p + obj.q for obj, _ in seen}
-    # every scanned size reaches the checker: zhou-complement-traceable's n = 1 too,
-    # whose layout has no mask bits and so no screen
-    assert sorted(sizes) == [sum(verify._sides(spec.row.kind, n)) for n in sizes_for(spec, 5)]
-    assert [estimate for _, estimate in seen] == [scalar(radius.operand(obj)) for obj, _ in seen]
+    # every scanned size reaches the ladder with values: zhou-complement-traceable's
+    # n = 1 too, whose layout has no mask bits and so no screen
+    assert sorted(judged) == sizes_for(spec, 5)
+    for n, slices in judged.items():
+        layout = verify._spec_layout(spec, n)
+        objs = [obj for adjacency, _ in slices for obj in layout.build(adjacency)]
+        values = [value for _, v in slices for value in v.tolist()]
+        assert objs and values == [scalar(radius.operand(obj)).value for obj in objs]
+
+
+@pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
+def test_slice_ladder_matches_decide_on_every_small_graph(theorem_id):
+    # exhaustive at every size verify --max-n 6 scans: decide calls every
+    # graph below the row's minimum degrees, which the layout drops,
+    # NotApplicable; on the layout's slices, the status the scan gives each
+    # graph, the ladder's or, for an exception candidate, the checker's, is
+    # decide's, and so is each Exception's family; a candidate the checker
+    # does not call an Exception keeps the ladder's status
+    spec = THEOREMS.get(theorem_id, _UNSOUND_Q)
+    row = spec.row
+    for n in sizes_for(spec, 6):
+        layout = verify._spec_layout(spec, n)
+        every = dataclasses.replace(layout, min_degree=[0] * layout.nverts)
+        _, adjacency, degrees = zip(*verify._slices(every, 0, 1 << len(layout.slots)))
+        adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
+        dropped = ~(degrees >= layout.min_degree).all(axis=1)
+        assert all(cond.decide(row, obj).status is Status.NOT_APPLICABLE
+                   for obj in layout.build(adjacency[dropped]))
+        _, adjacency, degrees = zip(*verify._slices(layout, 0, 1 << len(layout.slots)))
+        adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
+        estimates, values = [], None
+        if row.spectral:
+            estimates = radius_stack(verify._hypothesis_matrices(row, layout, adjacency))
+            values = np.array([estimate.value for estimate in estimates])
+        codes, candidate = cond.slice_ladder(row, n, degrees, adjacency, values)
+        placeholder = codes.copy()
+        families = verify._verdicts(spec, layout, adjacency, estimates, codes, candidate)
+        objs = layout.build(adjacency)
+        expected = [cond.decide(row, obj, estimate=estimates[i] if estimates else None)
+                    for i, obj in enumerate(objs)]
+        assert [cond.STATUSES[code] for code in codes] == [v.status for v in expected]
+        assert families == [v.family for v in expected if v.status is Status.EXCEPTION]
+        exception = codes == cond.EXCEPTION
+        assert not (exception & ~candidate).any()
+        assert (placeholder == codes)[candidate & ~exception].all()
 
 
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
