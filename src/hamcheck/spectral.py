@@ -4,27 +4,27 @@ This module computes radii and nothing else: whether a radius meets a
 theorem's threshold is ``conditions.Condition.judge``'s rule.
 
 ``matrix_stack`` is the one place that builds A or Q: every route, the
-verify scan's eigvalsh screen included, gets its matrices from it. Graph
+verify scan's enclosures included, gets its matrices from it. Graph
 objects' rows are unpacked by ``graphs.bit_matrix``, which ``write_graph6``
 shares; a scan slice's (B, n) uint32 array of adjacency rows goes straight
 to ``np.unpackbits``. ``radius_stack`` is the one place that computes a
 spectral radius: a dense symmetric eigendecomposition (``np.linalg.eigh``)
 of each matrix of a (B, n, n) stack, which returns the top eigenvalue with
 the residual of its eigenvector. ``rho`` and ``q_radius`` are a stack of
-one; the verify scan hands ``radius_stack`` the matrices its screen
-built, kept for the graphs that pass it. LAPACK decomposes each matrix of
-a stack on its own, so every matrix gets the same estimate, bit for bit,
-whatever else is in the stack, and the scan checks exactly the numbers
-``analyze`` prints.
+one; the verify scan hands ``radius_stack`` the matrices of the graphs
+its enclosures leave open, and of its exception candidates. LAPACK
+decomposes each matrix of a stack on its own, so every matrix gets the
+same estimate, bit for bit, whatever else is in the stack, and every
+number the scan prints is the one ``analyze`` prints.
 ``eigen_oracle`` gives all eigenvalues of one graph's matrix.
 
-``cw_bounds`` is a filter, not a route to a radius: it encloses the
-spectral radius of each matrix of a stack between rigorous lower and upper
-bounds (Collatz-Wielandt and Rayleigh, Horn & Johnson section 8.1) from a
-few batched matrix-vector products, with no LAPACK call. The verify scan
-drops the graphs whose bounds already miss the hypothesis, so the eigvalsh
-screen and ``radius_stack`` see fewer matrices; no verdict and no printed
-number ever comes from the bounds.
+``cw_bounds`` encloses the spectral radius of each matrix of a stack
+between rigorous lower and upper bounds (Collatz-Wielandt and Rayleigh,
+Horn & Johnson section 8.1) from a few batched matrix-vector products,
+with no LAPACK call. The verify scan drops the graphs whose bounds already
+miss the hypothesis, and where both ends of an enclosure get the same
+status off the line, that status is the graph's; no printed number ever
+comes from the bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .graphs import BipartiteGraph, Graph, bit_matrix
 
 DENSE_CAP = 64
-CW_STEPS = 2        # power steps before cw_bounds reads its ratios
+CW_STEPS = 8        # power steps before cw_bounds reads its ratios
 CW_SLACK = 1e-9     # cw_bounds widens each bound by this times 1 + the bound
 
 ADJACENCY = "adjacency"
@@ -83,6 +83,15 @@ def radius_stack(matrices: np.ndarray) -> list[SpectralEstimate]:
             for value, res in zip(top.tolist(), residual.tolist())]
 
 
+def _cw_iterates(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = (M + I)^CW_STEPS 1 and y = (M + I) x for each matrix M of a
+    (B, n, n) stack, in float64."""
+    x = np.ones(matrices.shape[:2])
+    for _ in range(CW_STEPS):
+        x = np.einsum("bij,bj->bi", matrices, x) + x
+    return x, np.einsum("bij,bj->bi", matrices, x) + x
+
+
 def cw_bounds(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) bounds on the spectral radius of each matrix M of a
     (B, n, n) stack of nonnegative symmetric matrices, as ``matrix_stack``
@@ -91,15 +100,21 @@ def cw_bounds(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho(B) = rho(M) + 1 lies between max(min_i y_i / x_i, x.y / x.x) and
     max_i y_i / x_i: the Collatz-Wielandt bounds, which hold for any
     nonnegative matrix and positive x, and the Rayleigh quotient, which is
-    the tighter lower bound when M is reducible. Both are widened outward
-    by CW_SLACK, which covers the rounding of the products and of eigvalsh."""
+    the tighter lower bound when M is reducible.
+
+    The bounds are rigorous, not estimates. M + I has integer entries, so
+    x = (M + I)^k 1 and y are integer vectors, and every entry of them, and
+    every partial sum of a product, is at most r^(CW_STEPS + 1), r being
+    M + I's largest row sum. On the scan's matrices r <= 15 (Q + I of K_8;
+    of K_{5,5}, 11), and 15^9 < 2^53, so float64 holds x and y exactly.
+    Only the ratios y_i / x_i, the dot products x.y and x.x, and the
+    subtraction of 1 round, each by at most n units in the last place; both
+    bounds are widened outward by CW_SLACK times 1 + the bound, which
+    covers that many times over."""
     count, n = matrices.shape[:2]
     if n == 0:
         return np.zeros(count), np.zeros(count)
-    x = np.ones((count, n))
-    for _ in range(CW_STEPS):
-        x = np.einsum("bij,bj->bi", matrices, x) + x
-    y = np.einsum("bij,bj->bi", matrices, x) + x
+    x, y = _cw_iterates(matrices)
     # as B >= I, every entry of x is at least 1 and every ratio too, so both bounds are >= 0
     ratio = y / x
     upper = ratio.max(axis=1) - 1

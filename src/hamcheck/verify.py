@@ -1,11 +1,11 @@
 """Exhaustive labeled enumeration and machine-checked soundness reports.
 
 Every labeled graph in range is scanned; cheap necessary conditions
-(edge count, degrees, rigorous bounds on the spectral radius, a batched
-dense-eigenvalue screen, the last two with a safety guard well above
-``conditions.CMP_TOL``) cut the candidate set before the full checker and
-the Hamiltonicity oracle run. Labeled enumeration over-counts isomorphic
-copies, which is harmless for soundness claims.
+(edge count, degrees, rigorous bounds on the spectral radius, the last
+with a safety guard well above ``conditions.CMP_TOL``) cut the candidate
+set before the full checker and the Hamiltonicity oracle run. Labeled
+enumeration over-counts isomorphic copies, which is harmless for
+soundness claims.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
@@ -28,18 +28,20 @@ bipartite degree, Moon-Moser) the row's screen, its own inequality in
 exact integer arithmetic over the slice; for the spectral ones, on the
 hypothesis matrices, which ``spectral.matrix_stack`` builds from the rows
 (or from ``_Layout.complement`` of them, for the radius of a complement),
-first ``spectral.cw_bounds``, whose matrix-vector products enclose each
-radius with no LAPACK call and drop the graphs whose bounds miss the
-hypothesis by more than SCREEN_GUARD, then the eigvalsh screen on the
-matrices the bounds keep, then ``spectral.radius_stack`` on the matrices
-of the graphs that pass it (the checker's own matrix, built once; neither
-the bounds nor the screen's eigenvalues are ever reused as the judged
-number, which is the estimate ``rho`` or ``q_radius`` gives the same
-matrix, bit for bit); the slice ladder ``conditions.slice_ladder``, which
-decides the slice's verdicts over arrays and names the graphs that may
-be exceptions; the checker, called only on those candidates, on the graph
-object ``_Layout.build`` makes of its row, whose verdict replaces the
-ladder's; and a buffer of the hits' rows, status codes and Exception
+``spectral.cw_bounds``, whose matrix-vector products enclose each radius
+with no LAPACK call. It is both the screen and the judge: a graph whose
+bounds miss the hypothesis by more than SCREEN_GUARD is dropped, and a
+kept graph whose two ends ``row.judge`` gives the same status, neither on
+the line, is judged at its lower end. Only the graphs whose enclosure
+meets the line (the band) go to ``spectral.radius_stack`` before the
+ladder, which judges their estimates, the ones ``rho`` or ``q_radius``
+gives the same matrix, bit for bit. Then the slice ladder
+``conditions.slice_ladder`` decides the slice's verdicts over arrays and
+names the graphs that may be exceptions; ``radius_stack`` runs on the
+candidates it has not seen, as their certificates print the estimate;
+the checker, called only on those candidates, on the graph object
+``_Layout.build`` makes of its row, gives the verdict that replaces the
+ladder's; and a buffer keeps the hits' rows, status codes and Exception
 families. Every ORACLE_BATCH hits, and at the end of the part, the
 buffered rows are decided by one call of the oracle's array entry,
 ``oracle.witness_rows``, and tallied in scan order over arrays, with
@@ -86,7 +88,7 @@ from .spectral import cw_bounds, eigen_oracle, matrix_stack, q_radius, radius_st
 
 SCREEN_GUARD = 1e-6
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
-SLICE = 1 << 11          # masks per scan slice; bounds the screen's matrix stack
+SLICE = 1 << 11          # masks per scan slice; bounds the enclosures' matrix stack
 ORACLE_BATCH = 1 << 11   # buffered hypothesis hits per batched oracle call
 MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25
@@ -300,12 +302,12 @@ def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.nda
     return matrix_stack(operand, radius.matrix)
 
 
-def _bounds_keep(row: cond.Condition, threshold: float, matrices: np.ndarray) -> np.ndarray:
-    """Per hypothesis matrix, whether ``cw_bounds`` leaves the row's
-    hypothesis within SCREEN_GUARD of holding: an "le" row needs the lower
-    bound, any other the upper one. Every matrix it drops fails the eigvalsh
-    screen too."""
-    lower, upper = cw_bounds(matrices)
+def _bounds_keep(row: cond.Condition, threshold: float, lower: np.ndarray,
+                 upper: np.ndarray) -> np.ndarray:
+    """Per hypothesis matrix, whether its ``cw_bounds`` enclosure [lower,
+    upper] leaves the row's hypothesis within SCREEN_GUARD of holding: an
+    "le" row needs the lower bound, any other the upper one. A graph it
+    drops fails the hypothesis by more than CMP_TOL, so it is no hit."""
     return row.shortfall(lower if row.direction == "le" else upper, threshold) <= SCREEN_GUARD
 
 
@@ -318,12 +320,13 @@ def _witness_kind(spec: TheoremSpec) -> str:
     return CYCLE if spec.row.prop == HAMILTONIAN else PATH
 
 
-def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimates: list,
+def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimates,
               codes: np.ndarray, candidate: np.ndarray) -> list:
     """The checker's verdict on each exception candidate of a slice, whose
     rows are ``adjacency`` and whose hypothesis radii, for a spectral
-    checker, are ``estimates``: its status code goes into ``codes``, and the
-    families of the Exception verdicts are returned, in row order."""
+    checker, are ``estimates[row index]``: its status code goes into
+    ``codes``, and the families of the Exception verdicts are returned, in
+    row order."""
     families = []
     rows = np.flatnonzero(candidate).tolist()
     for i, obj in zip(rows, layout.build(adjacency[rows])):
@@ -370,10 +373,10 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, rows: list[np.ndarray],
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    """Masks [lo, hi) of one size, slice by slice: m/delta filter, spectral
-    screen (bounds, then eigvalsh), the slice ladder, the checker on its
-    exception candidates, then the buffered hits through the batched
-    oracle."""
+    """Masks [lo, hi) of one size, slice by slice: m/delta filter, the
+    enclosures (drop, then judge off the band), radius_stack on the band,
+    the slice ladder, radius_stack and the checker on its exception
+    candidates, then the buffered hits through the batched oracle."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
@@ -385,18 +388,24 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     buffered = 0
     for scanned, adjacency, degrees in _slices(layout, lo, hi, _m_min(row, n)):
         report.graphs_scanned += scanned
-        estimates, values = [], None
+        estimates, values = {}, None   # per kept row index, its radius_stack estimate
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
-            if layout.slots and len(adjacency):
-                keep = _bounds_keep(row, threshold, matrices)
-                if keep.any():
-                    top = np.linalg.eigvalsh(matrices[keep])[:, -1]
-                    keep[keep] = row.shortfall(top, threshold) <= SCREEN_GUARD
-                adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
-            estimates = radius_stack(matrices)
-            values = np.array([estimate.value for estimate in estimates])
+            lower, upper = cw_bounds(matrices)
+            keep = _bounds_keep(row, threshold, lower, upper)
+            adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
+            values, upper = lower[keep], upper[keep]
+            (fails, on_line), (fails_up, on_line_up) = (
+                row.judge(values, threshold), row.judge(upper, threshold))
+            # the band: the enclosures whose ends differ or meet the line;
+            # every other graph is judged at its lower end
+            band = np.flatnonzero((fails != fails_up) | on_line | on_line_up)
+            estimates = dict(zip(band.tolist(), radius_stack(matrices[band])))
+            values[band] = [estimate.value for estimate in estimates.values()]
         codes, candidate = cond.slice_ladder(row, n, degrees, adjacency, values)
+        if row.spectral:
+            late = [i for i in np.flatnonzero(candidate).tolist() if i not in estimates]
+            estimates.update(zip(late, radius_stack(matrices[late])))
         families += _verdicts(spec, layout, adjacency, estimates, codes, candidate)
         hit = cond.HIT[codes]
         hit_rows.append(adjacency[hit])

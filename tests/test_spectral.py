@@ -15,9 +15,12 @@ from hamcheck.graphs import (
     path,
     star,
 )
+from hamcheck.verify import MAX_BIP_CELLS, MAX_ENUM_N
 from hamcheck.spectral import (
     ADJACENCY,
+    CW_STEPS,
     SIGNLESS_LAPLACIAN,
+    _cw_iterates,
     cw_bounds,
     eigen_oracle,
     matrix_stack,
@@ -272,3 +275,21 @@ def test_cw_lower_bound_sees_the_larger_of_two_cliques(n):
         for which, smaller in ((ADJACENCY, a - 1), (SIGNLESS_LAPLACIAN, 2 * a - 2)):
             lower, _ = cw_bounds(matrix_stack([g], which))
             assert lower[0] > smaller
+
+
+def test_cw_iterates_are_exact_at_the_largest_scanned_matrices():
+    # the rigour of cw_bounds rests on (M + I)^k 1 being computed exactly:
+    # at the densest matrix either scan cap allows, Q of K_MAX_ENUM_N and of
+    # the complete bipartite graph with the most cells, the float iterates
+    # equal the same products in Python ints, all below 2^53
+    p = max(p for p in range(1, MAX_BIP_CELLS + 1) if p * p <= MAX_BIP_CELLS)
+    for g in (complete(MAX_ENUM_N), complete_bipartite(p, p)):
+        matrix = matrix_stack([g], SIGNLESS_LAPLACIAN)[0]
+        b = [[int(v) + (i == j) for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+        x = [1] * len(b)
+        for _ in range(CW_STEPS):
+            x = [sum(bij * xj for bij, xj in zip(row, x)) for row in b]
+        y = [sum(bij * xj for bij, xj in zip(row, x)) for row in b]
+        assert max(y) < 2 ** 53
+        fx, fy = _cw_iterates(matrix[None])
+        assert fx[0].tolist() == x and fy[0].tolist() == y

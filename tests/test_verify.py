@@ -14,7 +14,7 @@ from hamcheck.families import FamilyTag, make_family
 from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import bipartite_from_edges, from_edges
 from hamcheck.oracle import is_hamiltonian, is_traceable
-from hamcheck.spectral import ADJACENCY, q_radius, radius_stack, rho
+from hamcheck.spectral import ADJACENCY, cw_bounds, q_radius, radius_stack, rho
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
@@ -188,9 +188,9 @@ def test_tightness_keeps_a_near_miss_on_a_strict_line(theorem_id, max_n, value):
 
 
 def test_screens_drop_nothing_the_ladder_puts_on_the_line():
-    # the bounds and eigvalsh screens drop a graph only when its shortfall
-    # exceeds SCREEN_GUARD; were CMP_TOL as wide, the scan would silently
-    # drop graphs that decide calls Boundary
+    # the enclosure drops a graph only when its bound's shortfall exceeds
+    # SCREEN_GUARD; were CMP_TOL as wide, the scan would silently drop
+    # graphs that decide calls Boundary
     assert verify.SCREEN_GUARD > cond.CMP_TOL
 
 
@@ -314,31 +314,97 @@ def test_degree_screened_scan_parallel_matches_serial(theorem_id):
 SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].row.spectral]
 
 
-@pytest.mark.parametrize("theorem_id", SPECTRAL)
-def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monkeypatch):
-    # the slice ladder judges the radius_stack values of the screen's
-    # survivors; each must be, bit for bit, what rho or q_radius gives the
-    # checker's own operand
+def _enclosure_band(row, threshold, matrices):
+    """(lower, band) of each hypothesis matrix: its cw_bounds lower end, and
+    whether its enclosure meets the line, its two ends judged apart or
+    either one on the line."""
+    lower, upper = cw_bounds(matrices)
+    (fails, on_line), (fails_up, on_line_up) = row.judge(lower, threshold), row.judge(upper, threshold)
+    return lower, (fails != fails_up) | on_line | on_line_up
+
+
+def _record_scan(monkeypatch, theorem_id):
+    """Patch the slice ladder and the checker of a theorem to record, per
+    size, each slice's (adjacency, values, candidate), and each checker
+    call's (object, estimate)."""
     spec = THEOREMS[theorem_id]
-    judged = {}
+    judged, checked = {}, []
     ladder = cond.slice_ladder
 
     def recording(row, n, degrees, adjacency, values=None):
-        judged.setdefault(n, []).append((adjacency, values))
-        return ladder(row, n, degrees, adjacency, values)
+        codes, candidate = ladder(row, n, degrees, adjacency, values)
+        judged.setdefault(n, []).append((adjacency, values, candidate))
+        return codes, candidate
+
+    def checker(obj, estimate=None):
+        checked.append((obj, estimate))
+        return spec.checker(obj, estimate=estimate)
 
     monkeypatch.setattr(cond, "slice_ladder", recording)
+    monkeypatch.setitem(THEOREMS, theorem_id, verify.TheoremSpec(spec.row, checker))
+    return judged, checked
+
+
+@pytest.mark.parametrize("theorem_id", SPECTRAL)
+def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monkeypatch):
+    # the slice ladder judges each graph at an end of its cw_bounds
+    # enclosure, or, in the band, at its radius_stack estimate; off the
+    # band the enclosure's status is judge's on what rho or q_radius gives
+    # the checker's own operand, in the band the judged value is that
+    # estimate bit for bit, and so is every exception candidate's estimate
+    spec = THEOREMS[theorem_id]
+    row = spec.row
+    judged, checked = _record_scan(monkeypatch, theorem_id)
     soundness(theorem_id, max_n=5)
-    radius = RADII[spec.row.quantity]
+    radius = RADII[row.quantity]
     scalar = rho if radius.matrix == ADJACENCY else q_radius
     # every scanned size reaches the ladder with values: zhou-complement-traceable's
-    # n = 1 too, whose layout has no mask bits and so no screen
+    # n = 1 too, whose layout has no mask bits
     assert sorted(judged) == sizes_for(spec, 5)
+    off_band = 0
     for n, slices in judged.items():
         layout = verify._spec_layout(spec, n)
-        objs = [obj for adjacency, _ in slices for obj in layout.build(adjacency)]
-        values = [value for _, v in slices for value in v.tolist()]
-        assert objs and values == [scalar(radius.operand(obj)).value for obj in objs]
+        threshold = row.threshold(n)
+        adjacency = np.concatenate([adjacency for adjacency, _, _ in slices])
+        values = np.concatenate([values for _, values, _ in slices])
+        lower, band = _enclosure_band(row, threshold,
+                                      verify._hypothesis_matrices(row, layout, adjacency))
+        exact = np.array([scalar(radius.operand(obj)).value for obj in layout.build(adjacency)])
+        assert len(exact) and (values[~band] == lower[~band]).all()
+        assert (values[band] == exact[band]).all()
+        for got, want in zip(row.judge(values, threshold), row.judge(exact, threshold)):
+            assert (got == want).all()
+        off_band += int((~band).sum())
+    assert off_band
+    for obj, estimate in checked:
+        assert estimate == scalar(radius.operand(obj))
+
+
+@pytest.mark.parametrize("theorem_id", ["tight-q-hamiltonian", "zhou-complement-traceable"])
+def test_radius_stack_sees_only_the_band_and_the_candidates(theorem_id, monkeypatch):
+    # exhaustive at every size verify --max-n 6 scans: every matrix the
+    # scan hands radius_stack is a graph's whose enclosure meets the line,
+    # or an exception candidate's, and each such graph's is handed over
+    spec = THEOREMS[theorem_id]
+    row = spec.row
+    judged, _ = _record_scan(monkeypatch, theorem_id)
+    stacked = []
+
+    def recording(matrices):
+        stacked.extend(matrix.tobytes() for matrix in matrices)
+        return radius_stack(matrices)
+
+    monkeypatch.setattr(verify, "radius_stack", recording)
+    report = soundness(theorem_id, max_n=6)
+    wanted = []
+    for n, slices in judged.items():
+        layout = verify._spec_layout(spec, n)
+        for adjacency, _, candidate in slices:
+            matrices = verify._hypothesis_matrices(row, layout, adjacency)
+            _, band = _enclosure_band(row, row.threshold(n), matrices)
+            wanted += [matrix.tobytes() for matrix in matrices[band | candidate]]
+    assert sorted(stacked) == sorted(wanted)
+    assert 0 < len(stacked) < report.hypothesis_hits / 10
 
 
 @pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
@@ -381,8 +447,9 @@ def test_slice_ladder_matches_decide_on_every_small_graph(theorem_id):
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
 def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
     # exhaustive over the m/delta survivors at every size verify --max-n 6
-    # scans: a graph whose cw_bounds miss the hypothesis fails the eigvalsh
-    # screen too, and the bounds drop some graphs of every theorem
+    # scans: a graph whose cw_bounds miss the hypothesis by more than
+    # SCREEN_GUARD has an eigvalsh radius that misses it by as much, and the
+    # bounds drop some graphs of every theorem
     spec = THEOREMS[theorem_id]
     row = spec.row
     dropped = 0
@@ -392,7 +459,7 @@ def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
         for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots),
                                               verify._m_min(row, n)):
             matrices = verify._hypothesis_matrices(row, layout, adjacency)
-            kept = verify._bounds_keep(row, threshold, matrices)
+            kept = verify._bounds_keep(row, threshold, *cw_bounds(matrices))
             top = np.linalg.eigvalsh(matrices)[:, -1]
             assert not (row.shortfall(top, threshold) <= verify.SCREEN_GUARD)[~kept].any()
             dropped += int((~kept).sum())
