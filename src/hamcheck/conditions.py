@@ -17,9 +17,11 @@ graphs that may be exceptions, whose degrees match a listed exception's
 or pass the EC/EP degree test ``join_clauses``; the scan hands only those
 to ``decide``.
 
-``Condition.judge`` is the one threshold rule: whether a value meets a
-row's bound, exactly for an edge count and within CMP_TOL for a spectral
-radius. ``decide`` and ``tightness_search`` both read it.
+``Condition.ladder`` is the one threshold rule: by ``Condition.judge``,
+which compares a value with a row's bound exactly for an edge count and
+within CMP_TOL for a spectral radius, it gives a value's status code and
+whether the hypothesis is unmet, a strict row's line included. ``decide``,
+``slice_ladder``, the scan's enclosures and ``tightness_search`` all read it.
 
 ``decide`` re-validates the row's preconditions and answers NotApplicable
 rather than assuming callers filtered. Exceptional-family recognizers
@@ -298,6 +300,17 @@ class Condition:
         fails = short >= 0 if self.strict else short > 0
         return fails, fails & False   # never on the line, as a bool or a bool array
 
+    def ladder(self, value, threshold):
+        """(code, unmet) of ``value`` (a number or an array) under the
+        bound ``threshold``, by ``judge``: its status code, INCONCLUSIVE if
+        it fails, BOUNDARY on the line, else GUARANTEED, which only an
+        exception can override; and whether the hypothesis is unmet, as it
+        is where the value fails and on a strict row's line, so no exception
+        step runs. unmet takes | and &, never ~: ~True is -2, truthy."""
+        fails, on_line = self.judge(value, threshold)
+        code = np.where(fails, INCONCLUSIVE, np.where(on_line, BOUNDARY, GUARANTEED))
+        return code, fails | (on_line & self.strict)
+
 
 CONDITIONS: dict[str, Condition] = {
     # the lambdas look their blocking function up when they run, so a
@@ -471,9 +484,10 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
 
     A degree row's inequality gives Inconclusive with its blocking
     certificate, or Guaranteed with its margin. A numeric row's value is
-    judged by ``row.judge``: an edge count exactly, a spectral radius
-    within CMP_TOL. ``estimate``, when given, is the radius (or a function
-    returning it) of the matrix the row names in RADII, for obj as given.
+    judged by ``row.ladder``: an edge count exactly, a spectral radius
+    within CMP_TOL; only a met hypothesis runs the exception step.
+    ``estimate``, when given, is the radius (or a function returning it)
+    of the matrix the row names in RADII, for obj as given.
     """
     obj, n, degrees, failure = _applies(row, obj)
     if failure is not None:
@@ -491,11 +505,10 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
         value = _estimate(estimate, lambda: hypothesis_radius(row.quantity, obj)).value
         cert = ((row.quantity, value), ("threshold", threshold))
     cert += (("margin", value - threshold),)
-    fails, boundary = row.judge(value, threshold)
-    if fails:
-        return Verdict(Status.INCONCLUSIVE, row.prop, cert)
-    if boundary and row.strict:  # a strict threshold cannot be certified at the line
-        return Verdict(Status.BOUNDARY, row.prop, cert)
+    code, unmet = row.ladder(value, threshold)
+    verdict = Verdict(STATUSES[code], row.prop, cert)
+    if unmet:
+        return verdict
     targets = _exception_targets(row.exceptions, n)
     fid = _match(obj, tuple(sorted(degrees)), targets) if targets else None
     if fid is not None:
@@ -510,7 +523,7 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
                 family=FamilyId(FamilyTag.JOIN_EXPR),
                 note=f"{witness.kind}: sides {witness.side_a} | {witness.side_b}",
             )
-    return Verdict(Status.BOUNDARY if boundary else Status.GUARANTEED, row.prop, cert)
+    return verdict
 
 
 def slice_ladder(row: Condition, n: int, degrees: np.ndarray, adjacency: np.ndarray,
@@ -530,18 +543,15 @@ def slice_ladder(row: Condition, n: int, degrees: np.ndarray, adjacency: np.ndar
     applies, or, for a join-class row, they pass ``join_clauses``. Every
     other graph's code is its status under ``decide``."""
     applicable = connected_rows(adjacency) if row.connected else np.ones(len(degrees), dtype=bool)
-    codes = np.full(len(degrees), GUARANTEED, dtype=np.int8)
     candidate = np.zeros(len(degrees), dtype=bool)
     if row.quantity is None:
-        codes[~row.screen(degrees, adjacency)] = INCONCLUSIVE
+        codes = np.where(row.screen(degrees, adjacency), GUARANTEED, INCONCLUSIVE)
     else:
         value = degrees.sum(axis=1) // 2 if row.quantity == "m" else values
-        fails, on_line = row.judge(value, row.threshold(n))
-        codes[on_line] = BOUNDARY
-        codes[fails] = INCONCLUSIVE
+        codes, unmet = row.ladder(value, row.threshold(n))
         seqs = {seq for _, _, seq in _exception_targets(row.exceptions, n)}
         if seqs or row.join_class:
-            open_ = np.flatnonzero(applicable & ~fails & ~(on_line & row.strict))
+            open_ = np.flatnonzero(applicable & ~unmet)
             candidate[open_] = _per_sorted_row(
                 lambda d: tuple(d) in seqs or row.join_class and join_clauses(row.join_class, d),
                 degrees[open_])

@@ -1,10 +1,9 @@
 """Exhaustive labeled enumeration and machine-checked soundness reports.
 
 Every labeled graph in range is scanned; cheap necessary conditions
-(edge count, degrees, rigorous bounds on the spectral radius, the last
-with a safety guard well above ``conditions.CMP_TOL``) cut the candidate
-set before the full checker and the Hamiltonicity oracle run. Labeled
-enumeration over-counts isomorphic copies, which is harmless for
+(edge count, degrees, rigorous bounds on the spectral radius) cut the
+candidate set before the full checker and the Hamiltonicity oracle run.
+Labeled enumeration over-counts isomorphic copies, which is harmless for
 soundness claims.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
@@ -29,13 +28,13 @@ exact integer arithmetic over the slice; for the spectral ones, on the
 hypothesis matrices, which ``spectral.matrix_stack`` builds from the rows
 (or from ``_Layout.complement`` of them, for the radius of a complement),
 ``spectral.cw_bounds``, whose matrix-vector products enclose each radius
-with no LAPACK call. It is both the screen and the judge: a graph whose
-bounds miss the hypothesis by more than SCREEN_GUARD is dropped, and a
-kept graph whose two ends ``row.judge`` gives the same status, neither on
-the line, is judged at its lower end. Only the graphs whose enclosure
-meets the line (the band) go to ``spectral.radius_stack`` before the
-ladder, which judges their estimates, the ones ``rho`` or ``q_radius``
-gives the same matrix, bit for bit. Then the slice ladder
+with no LAPACK call. It is both the screen and the judge, by the row's
+one threshold rule ``row.ladder`` at both ends: a graph Inconclusive at
+both is dropped, and a kept graph whose two ends get the same status,
+neither on the line, is judged at its lower end. Only the graphs whose
+enclosure meets the line (the band) go to ``spectral.radius_stack``
+before the ladder, which judges their estimates, the ones ``rho`` or
+``q_radius`` gives the same matrix, bit for bit. Then the slice ladder
 ``conditions.slice_ladder`` decides the slice's verdicts over arrays and
 names the graphs that may be exceptions; ``radius_stack`` runs on the
 candidates it has not seen, as their certificates print the estimate;
@@ -86,14 +85,13 @@ from .graphs import BipartiteGraph, Graph
 from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
 from .spectral import cw_bounds, eigen_oracle, matrix_stack, q_radius, radius_stack
 
-SCREEN_GUARD = 1e-6
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
 SLICE = 1 << 11          # masks per scan slice; bounds the enclosures' matrix stack
 ORACLE_BATCH = 1 << 11   # buffered hypothesis hits per batched oracle call
 MAX_ENUM_N = 8
-MAX_BIP_CELLS = 25
+MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
 DEFAULT_MAX_N = 6
-DEFAULT_BIP_CELLS = 16
+BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
 
 
 # ------------------------------------------------------------ enumeration
@@ -256,16 +254,16 @@ def _sides(kind: str, n: int) -> tuple[int, int]:
     return n + (kind == BIP_UNBALANCED), n
 
 
-def sizes_for(spec: TheoremSpec, max_n: int, bip_cells: int = DEFAULT_BIP_CELLS) -> list[int]:
-    """Side sizes (general n, or bipartite n) scanned for a theorem."""
-    cells = min(bip_cells, MAX_BIP_CELLS)
+def sizes_for(spec: TheoremSpec, max_n: int) -> list[int]:
+    """Side sizes (general n, or bipartite n with at most BIP_CELLS mask
+    bits) scanned for a theorem."""
     kind = spec.row.kind
     return [n for n in range(spec.row.min_n, max_n + 1)
-            if kind == GENERAL or math.prod(_sides(kind, n)) <= cells]
+            if kind == GENERAL or math.prod(_sides(kind, n)) <= BIP_CELLS]
 
 
 def _scan_entry(
-    theorem_id: str, max_n: int, bip_cells: int, sizes: Optional[list[int]] = None
+    theorem_id: str, max_n: int, sizes: Optional[list[int]] = None
 ) -> tuple[TheoremSpec, list[int]]:
     """The theorem's spec and the sizes a scan of it covers (``sizes``, or
     those of ``sizes_for``). A scan costs 2^(mask bits), so sizes above the
@@ -274,7 +272,7 @@ def _scan_entry(
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     spec = THEOREMS[theorem_id]
     if sizes is None:
-        sizes = sizes_for(spec, max_n, bip_cells)
+        sizes = sizes_for(spec, max_n)
     kind = spec.row.kind
     for n in sizes:
         if kind == GENERAL and n > MAX_ENUM_N:
@@ -300,15 +298,6 @@ def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.nda
     radius = RADII[row.quantity]
     operand = layout.complement(adjacency) if radius.complemented else adjacency
     return matrix_stack(operand, radius.matrix)
-
-
-def _bounds_keep(row: cond.Condition, threshold: float, lower: np.ndarray,
-                 upper: np.ndarray) -> np.ndarray:
-    """Per hypothesis matrix, whether its ``cw_bounds`` enclosure [lower,
-    upper] leaves the row's hypothesis within SCREEN_GUARD of holding: an
-    "le" row needs the lower bound, any other the upper one. A graph it
-    drops fails the hypothesis by more than CMP_TOL, so it is no hit."""
-    return row.shortfall(lower if row.direction == "le" else upper, threshold) <= SCREEN_GUARD
 
 
 def _graph6(adjacency: np.ndarray) -> str:
@@ -392,14 +381,14 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
             lower, upper = cw_bounds(matrices)
-            keep = _bounds_keep(row, threshold, lower, upper)
-            adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
-            values, upper = lower[keep], upper[keep]
-            (fails, on_line), (fails_up, on_line_up) = (
-                row.judge(values, threshold), row.judge(upper, threshold))
-            # the band: the enclosures whose ends differ or meet the line;
+            (low, _), (high, _) = row.ladder(lower, threshold), row.ladder(upper, threshold)
+            # a graph Inconclusive at both ends is no hit; the band: the
+            # enclosures whose ends differ or whose lower end is on the line;
             # every other graph is judged at its lower end
-            band = np.flatnonzero((fails != fails_up) | on_line | on_line_up)
+            keep = (low != cond.INCONCLUSIVE) | (high != cond.INCONCLUSIVE)
+            band = np.flatnonzero(((low != high) | (low == cond.BOUNDARY))[keep])
+            adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
+            values = lower[keep]
             estimates = dict(zip(band.tolist(), radius_stack(matrices[band])))
             values[band] = [estimate.value for estimate in estimates.values()]
         codes, candidate = cond.slice_ladder(row, n, degrees, adjacency, values)
@@ -422,7 +411,6 @@ def soundness(
     theorem_id: str,
     max_n: int = DEFAULT_MAX_N,
     sizes: Optional[list[int]] = None,
-    bip_cells: int = DEFAULT_BIP_CELLS,
     jobs: int = 1,
 ) -> SoundnessReport:
     """Scan every labeled graph in range and verify the checker's verdicts.
@@ -431,7 +419,7 @@ def soundness(
     verdicts must be refuted by it. Any disagreement lands in
     ``violations`` as a graph6 string.
     """
-    spec, sizes = _scan_entry(theorem_id, max_n, bip_cells, sizes)
+    spec, sizes = _scan_entry(theorem_id, max_n, sizes)
     report = SoundnessReport(theorem_id, [])
     tasks = []
     for n in sizes:
@@ -497,18 +485,7 @@ def table1_report() -> list[tuple[str, float, float, float]]:
 
 # --------------------------------------------------------------- tightness
 
-def _unmet(row: cond.Condition, value, threshold: float):
-    """Whether ``value`` (a number or an array) leaves row's hypothesis
-    unmet: it fails, or it lies on a strict row's line."""
-    fails, on_line = row.judge(value, threshold)
-    return fails | (on_line & row.strict)
-
-
-def tightness_search(
-    theorem_id: str,
-    max_n: int = DEFAULT_MAX_N,
-    bip_cells: int = DEFAULT_BIP_CELLS,
-) -> dict:
+def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
     """Sharpness evidence: near-miss witnesses and exception-vacuity checks.
 
     Near misses are graphs without the property whose hypothesis is unmet
@@ -517,7 +494,7 @@ def tightness_search(
     exceptional graph satisfies its theorem's hypothesis at all.
     The exceptional graphs' quantities come from the dense eigen oracle.
     """
-    spec, sizes = _scan_entry(theorem_id, max_n, bip_cells)
+    spec, sizes = _scan_entry(theorem_id, max_n)
     row = spec.row
     if row.quantity is None:
         raise ValueError(f"{theorem_id} has no numeric hypothesis to probe")
@@ -535,7 +512,7 @@ def tightness_search(
                 "n": n,
                 "value": got,
                 "threshold": threshold,
-                "hypothesis_satisfied": not _unmet(row, got, threshold),
+                "hypothesis_satisfied": not row.ladder(got, threshold)[1],
             })
         layout = _spec_layout(spec, n)
         for _, adjacency, _ in _slices(layout, 0, 1 << len(layout.slots)):
@@ -551,7 +528,7 @@ def tightness_search(
                 got = np.linalg.eigvalsh(_hypothesis_matrices(row, layout, rows))[:, -1]
             # a satisfied hypothesis is the exception report's job; a graph
             # on a strict row's line is a near miss at deficit 0
-            deficits = np.where(_unmet(row, got, threshold),
+            deficits = np.where(row.ladder(got, threshold)[1],
                                 np.maximum(row.shortfall(got, threshold), 0.0), np.inf)
             # argmin takes the first of equal deficits, so scan order breaks ties
             i = int(np.argmin(deficits))

@@ -8,10 +8,13 @@ import pytest
 
 import hamcheck
 from hamcheck.conditions import (
+    BOUNDARY,
     CMP_TOL,
     CONDITIONS,
     GENERAL,
+    GUARANTEED,
     HAMILTONIAN,
+    INCONCLUSIVE,
     JoinWitness,
     Status,
     Verdict,
@@ -137,13 +140,28 @@ def _across(t):
     ("yu-fan-hamiltonian", 4.0, _across(4.0), [True, False, False, False], [False, True, True, False]),
     ("zhou-complement-hamiltonian", 4.0, _across(4.0), [False, False, False, True],
      [False, True, True, False]),
+    # a strict edge count at lemma-3.4's bound at n = 5, (n^2 - 4n + 6)/2 =
+    # 5.5: the scalar form judges Python ints into Python bools
+    ("lemma-3.4", 5.5, [5, 6, 7], [True, False, False], [False] * 3),
 ])
 def test_judge_is_the_one_threshold_rule(theorem_id, threshold, values, fails, on_line):
     row = CONDITIONS[theorem_id]
     assert [tuple(map(bool, row.judge(v, threshold))) for v in values] == list(zip(fails, on_line))
     # an array is judged elementwise, as the scan and tightness_search pass it
-    got_fails, got_on_line = row.judge(np.array(values, dtype=float), threshold)
+    array = np.array(values, dtype=float)
+    got_fails, got_on_line = row.judge(array, threshold)
     assert (got_fails.tolist(), got_on_line.tolist()) == (fails, on_line)
+    # ladder reads judge: Inconclusive if it fails, Boundary on the line,
+    # else Guaranteed; unmet if it fails or is on a strict row's line
+    codes = [INCONCLUSIVE if f else BOUNDARY if o else GUARANTEED for f, o in zip(fails, on_line)]
+    unmet = [f or (o and row.strict) for f, o in zip(fails, on_line)]
+    # the scalar form, on the values as given: on lemma-3.4's Python ints,
+    # judge returns Python bools, and ~True == -2 is truthy, so an unmet
+    # built with ~ would come out true where the value meets the bound
+    scalar = [row.ladder(v, threshold) for v in values]
+    assert [(int(code), bool(u)) for code, u in scalar] == list(zip(codes, unmet))
+    got_codes, got_unmet = row.ladder(array, threshold)
+    assert (got_codes.tolist(), got_unmet.tolist()) == (codes, unmet)
 
 
 def test_verdict_and_spectral_records_keep_their_api():

@@ -90,8 +90,10 @@ def test_verdicts_match_fixture():
     assert verdicts_mix() == (FIXTURES / "verdicts_mix.json").read_text()
 
 
-def test_tightness_matches_fixture():
-    text = tightness_lines(max_n=5, bip_cells=9)
+def test_tightness_matches_fixture(monkeypatch):
+    # at most 9 bipartite cells: side-3 balanced and (4, 3) unbalanced graphs
+    monkeypatch.setattr(verify, "BIP_CELLS", 9)
+    text = tightness_lines(max_n=5)
     assert text == (FIXTURES / "tightness_n5.json").read_text()
     rows = [json.loads(line) for line in text.splitlines()]
     assert len(rows) == 16

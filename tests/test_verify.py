@@ -187,13 +187,6 @@ def test_tightness_keeps_a_near_miss_on_a_strict_line(theorem_id, max_n, value):
     assert is_hamiltonian(parse_graph6(miss["graph6"])) is None
 
 
-def test_screens_drop_nothing_the_ladder_puts_on_the_line():
-    # the enclosure drops a graph only when its bound's shortfall exceeds
-    # SCREEN_GUARD; were CMP_TOL as wide, the scan would silently drop
-    # graphs that decide calls Boundary
-    assert verify.SCREEN_GUARD > cond.CMP_TOL
-
-
 def test_tightness_requires_numeric_hypothesis():
     with pytest.raises(ValueError, match="chvatal has no numeric hypothesis"):
         tightness_search("chvatal")
@@ -447,9 +440,11 @@ def test_slice_ladder_matches_decide_on_every_small_graph(theorem_id):
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
 def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
     # exhaustive over the m/delta survivors at every size verify --max-n 6
-    # scans: a graph whose cw_bounds miss the hypothesis by more than
-    # SCREEN_GUARD has an eigvalsh radius that misses it by as much, and the
-    # bounds drop some graphs of every theorem
+    # scans: a graph the ladder calls Inconclusive at both ends of its
+    # cw_bounds enclosure, which the scan drops, is Inconclusive under the
+    # ladder on its eigvalsh radius too, as a screen on that radius would
+    # drop it, so it is never on the line nor a hit; and the bounds drop
+    # some graphs of every theorem
     spec = THEOREMS[theorem_id]
     row = spec.row
     dropped = 0
@@ -459,10 +454,11 @@ def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
         for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots),
                                               verify._m_min(row, n)):
             matrices = verify._hypothesis_matrices(row, layout, adjacency)
-            kept = verify._bounds_keep(row, threshold, *cw_bounds(matrices))
-            top = np.linalg.eigvalsh(matrices)[:, -1]
-            assert not (row.shortfall(top, threshold) <= verify.SCREEN_GUARD)[~kept].any()
-            dropped += int((~kept).sum())
+            (low, _), (high, _) = (row.ladder(end, threshold) for end in cw_bounds(matrices))
+            drop = (low == cond.INCONCLUSIVE) & (high == cond.INCONCLUSIVE)
+            code, _ = row.ladder(np.linalg.eigvalsh(matrices)[:, -1], threshold)
+            assert (code[drop] == cond.INCONCLUSIVE).all()
+            dropped += int(drop.sum())
     assert dropped > 0
 
 
