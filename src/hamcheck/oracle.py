@@ -12,13 +12,14 @@ used: 2^(n-1) per graph for a cycle and 2^n for a path.
 
 Two forms of the DP decide the same question. ``is_hamiltonian`` and
 ``is_traceable`` take one graph and push endpoints forward in Python
-ints, in a list indexed by S itself (its even entries unused);
+ints, in a list indexed by S itself (its even entries unused), once per
+new endpoint u of S + u from the union of the rows of S's endpoints;
 ``analyze`` and ``oracle`` use them, since they see one graph at a time.
-On a batch of one they are the faster form at n = 8 and, for a cycle,
-n = 10 (mean ms per call on G(n, 1/2), scalar vs the batched DP on a
-batch of one, cycle / path, best of 20 passes on one core: n=8 0.09 vs
-0.55 / 0.39 vs 0.95, n=10 0.58 vs 1.3 / 2.7 vs 1.9, n=14 43 vs 4.1 / 135
-vs 5.6).
+On a batch of one they are the faster form at n = 8 and n = 10 (mean ms
+per call on 20 G(n, 1/2), scalar vs the batched DP on a batch of one,
+cycle / path, best of 20 passes on one core, 5 at n=14: n=8 0.07 vs
+0.80 / 0.20 vs 1.3, n=10 0.30 vs 1.4 / 1.0 vs 2.0, n=14 10 vs 3.2 / 25
+vs 4.8).
 ``analyze`` runs the path DP only on graphs the cycle DP
 found non-Hamiltonian, since a Hamiltonian cycle less one edge is a
 Hamiltonian path; ``oracle`` prints a path witness, so it runs both.
@@ -36,12 +37,14 @@ endpoint, and check every witness: ``check_witnesses`` tests a batch at
 once, and ``_check_witness`` is its one-row case.
 
 MAX_DP_N keeps one scalar call within a budget of about 10 s on one core;
-the cost grows about 2.2x per vertex. Measured on one core of a 2-vCPU
-Xeon VM with Python 3.11, in seconds for ``is_hamiltonian`` /
-``is_traceable``: G(n, 1/2) at n=16 0.3-0.4 / 0.3-0.9, n=18 2.0 /
-2.7-4.6, n=19 5.2 / 9.4, n=20 13.3 / 30.9; the complete graph, the
-costliest table, at n=18 4.2 / 6.6-8.8. So n=18 is the cap: the path DP
-alone nears the budget on a random graph at n=19 and passes it at n=20.
+the cost grows about 2.1x per vertex. Measured on one core of a 2-vCPU
+Xeon VM with Python 3.11, in seconds for the cycle / path DP of
+``is_hamiltonian`` / ``is_traceable`` (run past the cap at n=19 and 20):
+three G(n, 1/2) at n=16 0.1 / 0.2, n=18 0.4-0.5 / 1.0-1.2, n=19 0.7-0.8
+/ 2.0-2.2, n=20 2.0-2.1 / 4.9-5.3; the complete graph, the costliest
+table, at n=18 0.5 / 1.2 and n=20 2.3 / 5.4. So n=19 and n=20 would fit
+the budget too, but the cap stays at 18: raising it changes what
+``analyze`` and ``oracle`` print at those sizes.
 """
 
 from __future__ import annotations
@@ -131,9 +134,18 @@ def _cycle_order(adj: Sequence[int]) -> Optional[tuple[int, ...]]:
         ends = dp[mask]
         if not ends:
             continue
-        for v in bits(ends):
-            for u in bits(adj[v] & ~mask):
-                dp[mask | (1 << u)] |= 1 << u
+        # bit u of dp[mask | u] needs only *some* endpoint adjacent to u,
+        # so push once per new endpoint, from the union of their rows
+        reach = 0
+        while ends:
+            low = ends & -ends
+            reach |= adj[low.bit_length() - 1]
+            ends ^= low
+        reach &= ~mask
+        while reach:
+            low = reach & -reach
+            dp[mask | low] |= low
+            reach ^= low
     closers = dp[full] & adj[0]
     if not closers:
         return None

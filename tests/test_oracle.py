@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hamcheck import oracle
-from hamcheck.families import NC_GRAPHS, NP_GRAPHS, kn1_plus_vertex
+from hamcheck.families import NC_GRAPHS, NP_GRAPHS, kn1_plus_edge, kn1_plus_vertex
 from hamcheck.graphs import (
     complete,
     complete_bipartite,
@@ -201,6 +201,23 @@ def test_witness_rows_match_the_scalar_oracle():
             want = [scalar(g) for g in graphs]
             assert found.tolist() == [w is not None for w in want]
             assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
+
+
+def test_witness_rows_match_the_scalar_oracle_on_dense_graphs():
+    # the scalar DP pushes from the union of each subset's endpoint rows,
+    # which saves the most on dense tables: compare it with the pull form
+    rng = random.Random(17)
+    for n in range(10, 15):
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=p) for p in (0.7, 0.9)]
+        graphs += [complete(n), kn1_plus_edge(n)]
+        adj = np.array([g.adj for g in graphs], dtype=np.uint32)
+        for kind, scalar in (("cycle", is_hamiltonian), ("path", is_traceable)):
+            found, orders = witness_rows(adj, kind)
+            want = [scalar(g) for g in graphs]
+            assert found.tolist() == [w is not None for w in want]
+            assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
+        # K_{n-1}+e has a cut vertex: traceable, not Hamiltonian
+        assert is_hamiltonian(graphs[-1]) is None and is_traceable(graphs[-1])
 
 
 def _path_dp_order(g):
