@@ -1,7 +1,9 @@
 """Exact Hamiltonian cycle/path decision with witness extraction.
 
-Held-Karp subset DP over endpoint bitmasks, plus a plain backtracking
-solver that shares no logic with the DP and serves as a cross-check.
+Held-Karp subset DP over endpoint bitmasks, a search-first decision
+``certify`` that asks the DP only what a checked search and two counted
+obstructions leave open, and a plain backtracking solver that shares no
+logic with either and serves as a cross-check.
 
 One recurrence decides both questions: per subset S holding vertex 0,
 the endpoints of the paths from 0 spanning S. G has a Hamiltonian path
@@ -14,15 +16,13 @@ Two forms of the DP decide the same question. ``is_hamiltonian`` and
 ``is_traceable`` take one graph and push endpoints forward in Python
 ints, in a list indexed by S itself (its even entries unused), once per
 new endpoint u of S + u from the union of the rows of S's endpoints;
-``analyze`` and ``oracle`` use them, since they see one graph at a time.
-On a batch of one they are the faster form at n = 8 and n = 10 (mean ms
+``oracle`` prints their witnesses, and ``certify`` falls back on them,
+since both see one graph at a time. On a batch of one they are the
+faster form at n = 8 and n = 10 (mean ms
 per call on 20 G(n, 1/2), scalar vs the batched DP on a batch of one,
 cycle / path, best of 20 passes on one core, 5 at n=14: n=8 0.07 vs
 0.80 / 0.20 vs 1.3, n=10 0.30 vs 1.4 / 1.0 vs 2.0, n=14 10 vs 3.2 / 25
 vs 4.8).
-``analyze`` runs the path DP only on graphs the cycle DP
-found non-Hamiltonian, since a Hamiltonian cycle less one edge is a
-Hamiltonian path; ``oracle`` prints a path witness, so it runs both.
 ``witness_rows`` is the other form and the oracle's one array entry: it
 takes a (B, n) uint32 array of adjacency bitsets, the form a soundness
 scan keeps each graph in, and pulls endpoints from each subset's
@@ -35,6 +35,28 @@ calls this takes are what a batch of one pays for. Soundness scans and
 walk back from the lowest closing vertex through the lowest adjacent
 endpoint, and check every witness: ``check_witnesses`` tests a batch at
 once, and ``_check_witness`` is its one-row case.
+
+``certify`` answers ``analyze``'s yes/no questions; it asks about a path
+only on graphs it found non-Hamiltonian, since a Hamiltonian cycle less
+one edge is a Hamiltonian path. Proving a graph Hamiltonian takes the DP
+its whole table, while a witness is quick to find, so on graphs that
+meet the DP's preconditions (connected, and for a cycle n >= 3 and
+minimum degree 2) three cheaper deciders go first:
+  * a bipartite side count: a cycle alternates sides, so they must be
+    equal, and a path's sides differ by at most one;
+  * a rotation-extension search (Posa), seeded from the adjacency, from
+    the SEARCH_STARTS lowest-degree vertices (of the larger side, for a
+    path when the sides differ), SEARCH_STEPS * n steps each; its order
+    counts only once ``_check_witness`` passes it;
+  * Chvatal's toughness bound: G - S has at most |S| components if G has
+    a Hamiltonian cycle, |S| + 1 if a path, tried on S = {v} and N(v).
+The DP answers the rest and refuses the graphs its preconditions
+exclude. On the benchmark's seed-1 analyze corpus (210 graphs at n =
+8-14) the 210 cycle questions went 129 to the search, 29 to the
+obstructions (19 sides, 10 toughness), 51 to the preconditions and 1 to
+the DP; the 81 path questions 48, 12, 20 and 1. Answering them all
+took the DP 0.51 s, 0.31 s of it on the 102 Hamiltonian G(n, p) graphs
+at p = 0.5-0.9, and ``certify`` 0.033 s (best of 3 on one core).
 
 MAX_DP_N keeps one scalar call within a budget of about 10 s on one core;
 the cost grows about 2.1x per vertex. Measured on one core of a 2-vCPU
@@ -49,14 +71,19 @@ the budget too, but the cap stays at 18: raising it changes what
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+import random
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, bits, connected_components, connected_rows
+from .graphs import Graph, bits, component_mask, connected_components, connected_rows, two_coloring
 
 MAX_DP_N = 18
 MAX_BACKTRACK_N = 12
+# certify's rotation-extension search: start vertices tried, and steps
+# (extensions and rotations) per start and per vertex
+SEARCH_STARTS = 3
+SEARCH_STEPS = 10
 # bounds on the batched DP's temporaries, in table entries: rows per
 # endpoint table, and the gather of one layer piece across those rows
 BATCH_TABLE_CELLS = 1 << 20
@@ -97,7 +124,7 @@ def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
     """A Hamiltonian cycle if one exists, else None (n <= MAX_DP_N)."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    if g.n < 3 or g.min_degree() < 2 or len(connected_components(g)) > 1:
+    if _refused(g, CYCLE):
         return None
     return _checked(g, CYCLE, _cycle_order(g.adj))
 
@@ -106,12 +133,114 @@ def is_traceable(g: Graph) -> Optional[HamWitness]:
     """A Hamiltonian path if one exists, else None (n <= MAX_DP_N)."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    if len(connected_components(g)) > 1:
+    if _refused(g, PATH):
         return None
     # a Hamiltonian path of g is a Hamiltonian cycle, less its apex, of g
     # joined to an apex vertex 0, with g's vertices shifted up by one
     order = _cycle_order(((1 << (g.n + 1)) - 2,) + tuple(row << 1 | 1 for row in g.adj))
     return _checked(g, PATH, order and tuple(v - 1 for v in order[1:]))
+
+
+def _refused(g: Graph, kind: str) -> bool:
+    """The DP's preconditions fail: g is disconnected, or for a cycle has
+    fewer than 3 vertices or a vertex of degree below 2."""
+    return (kind == CYCLE and (g.n < 3 or g.min_degree() < 2)
+            or len(connected_components(g)) > 1)
+
+
+def certify(g: Graph, kind: str,
+            exact: Optional[Callable[[Graph], Optional[HamWitness]]] = None) -> bool:
+    """Whether g (n <= MAX_DP_N) has a Hamiltonian cycle (kind CYCLE) or
+    path (PATH). Where the DP's preconditions hold, a bipartite side count,
+    then a rotation-extension search whose order must pass the witness
+    check, then a toughness count answer if they can; ``exact``, the scalar
+    DP entry of the kind unless given, answers the rest, refusing at once
+    the graphs its preconditions exclude."""
+    if g.n > MAX_DP_N:
+        raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
+    if exact is None:
+        exact = is_hamiltonian if kind == CYCLE else is_traceable
+    if not _refused(g, kind):
+        # a Hamiltonian cycle alternates sides, and a path has its ends on
+        # the larger side when the sides differ
+        slack = 0 if kind == CYCLE else 1
+        left = two_coloring(g)
+        starts = range(g.n)
+        if left is not None:
+            larger = left if 2 * left.bit_count() > g.n else ~left & ((1 << g.n) - 1)
+            surplus = 2 * larger.bit_count() - g.n
+            if surplus > slack:
+                return False
+            if surplus:
+                starts = bits(larger)
+        starts = sorted(starts, key=lambda v: (g.adj[v].bit_count(), v))[:SEARCH_STARTS]
+        if _checked(g, kind, _search(g, kind, starts)) is not None:
+            return True
+        if _tough_obstruction(g, slack):
+            return False
+    return exact(g) is not None
+
+
+def _search(g: Graph, kind: str, starts: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """A Hamiltonian cycle or path of g found by rotation-extension (Posa,
+    Discrete Math. 14, 1976) from one of ``starts``, or None.
+
+    The path grows from its start while its end has a neighbour off it;
+    then it rotates: for a neighbour p of the end on the path, the part
+    after p is reversed, so p's successor becomes the end. Rotations whose
+    new end can grow the path, or close a spanning one, are preferred.
+    Choices are random, from an RNG seeded with g's adjacency, so the
+    answer depends on g alone."""
+    n, adj = g.n, g.adj
+    seed = 0
+    for row in adj:
+        seed = seed << n | row
+    rng = random.Random(seed)
+    for start in starts:
+        path, on = [start], 1 << start
+        for _ in range(SEARCH_STEPS * n):
+            end = path[-1]
+            free = adj[end] & ~on
+            if free:
+                # Warnsdorff's rule: the neighbour with the fewest ways on,
+                # but not a dead end while other vertices are off the path
+                onward = {u: (adj[u] & ~on).bit_count() for u in bits(free)}
+                least = min(onward.values(), key=lambda count: (count == 0, count))
+                u = rng.choice([u for u, count in onward.items() if count == least])
+                path.append(u)
+                on |= 1 << u
+                continue
+            spans = len(path) == n
+            if spans and (kind == PATH or adj[end] >> path[0] & 1):
+                return tuple(path)
+            pivots = [path.index(p) for p in bits(adj[end] & on & ~(1 << path[-2]))]
+            if not pivots:
+                break
+            good = [i for i in pivots if (adj[path[i + 1]] >> path[0] & 1 if spans
+                                          else adj[path[i + 1]] & ~on)]
+            i = rng.choice(good or pivots)
+            path[i + 1:] = path[:i:-1]
+    return None
+
+
+def _tough_obstruction(g: Graph, slack: int) -> bool:
+    """Some S = {v} or S = N(v) leaves more than |S| + slack components in
+    G - S: no Hamiltonian cycle (slack 0) or path (slack 1), by Chvatal's
+    toughness bound (Discrete Math. 5, 1973)."""
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        for removed in (1 << v, g.adj[v]):
+            bound = removed.bit_count() + slack
+            alive = full & ~removed
+            if alive.bit_count() <= bound:
+                continue
+            pieces = 0
+            while alive and pieces <= bound:
+                alive &= ~component_mask(g, (alive & -alive).bit_length() - 1, alive)
+                pieces += 1
+            if pieces > bound:
+                return True
+    return False
 
 
 def _checked(g: Graph, kind: str, order: Optional[tuple[int, ...]]) -> Optional[HamWitness]:

@@ -50,8 +50,11 @@ no graph object at all. A Graph is built from a row only for the graph6
 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
 spectral radii are a stack of one, and both keep the scalar oracle,
-though it is faster than a batch of one only up to n = 8 (see
-``oracle.py``).
+which is faster than a batch of one at n = 8 and n = 10 and slower at
+n = 14 (see ``oracle.py``). ``oracle`` prints the DP's witnesses;
+``analyze`` asks ``oracle.certify``, which tries a bipartite side count,
+a checked rotation-extension search and a toughness count before the
+DP, and so needs the DP for few graphs.
 ``analyze`` computes each spectral radius at most once per graph:
 ``conditions.RADII`` maps each hypothesis quantity to the graph and
 matrix it bounds, for the checkers, the scan, ``analyze`` and

@@ -11,7 +11,7 @@ from hamcheck.cli import main
 from hamcheck.families import knn1_plus_2e, knn1_plus_edge, kpn2_plus_4e
 from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import BipartiteGraph, complete_bipartite, cycle, from_edges
-from hamcheck.oracle import MAX_DP_N, is_hamiltonian, is_traceable
+from hamcheck.oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -105,7 +105,8 @@ def test_analyze_matches_fixture(capsys, monkeypatch):
 ])
 def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii):
     """One spectral radius per distinct matrix of a record, none inside the
-    checkers, and the path DP only for a graph with no Hamiltonian cycle."""
+    checkers, one cycle question, and a path question only for a graph
+    with no Hamiltonian cycle."""
     iterated = []
 
     def counting(matrix, radius_of):
@@ -118,19 +119,20 @@ def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii
         assert given is not None, "a checker computed its own estimate"
         return estimate(given, compute)
 
-    traced = []
+    asked = []
     # the record's rho(g) and q(g) come from cli, the checkers' estimates
     # from conditions.hypothesis_radius
     for owner in (cli, conditions):
         monkeypatch.setattr(owner, "rho", counting("A", owner.rho))
         monkeypatch.setattr(owner, "q_radius", counting("Q", owner.q_radius))
     monkeypatch.setattr(conditions, "_estimate", given_only)
-    monkeypatch.setattr(cli, "is_traceable", lambda g: traced.append(g) or is_traceable(g))
+    monkeypatch.setattr(cli, "certify",
+                        lambda g, kind, exact: asked.append((g, kind)) or certify(g, kind, exact))
     code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=write_graph6(graph) + "\n",
                        monkeypatch=monkeypatch)
     assert code == 0, err
     assert len(iterated) == len(set(iterated)) == radii
-    assert traced == ([] if is_hamiltonian(graph) else [graph])
+    assert asked == [(graph, CYCLE)] + ([] if is_hamiltonian(graph) else [(graph, PATH)])
 
 
 def test_analyze_skips_the_oracle_above_its_cap(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,17 +11,22 @@ from hamcheck.graphs import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    empty_graph,
     from_edges,
+    is_connected,
     join,
     path,
     relabel,
     star,
 )
 from hamcheck.oracle import (
+    CYCLE,
+    PATH,
     HamWitness,
     _check_witness,
     _endpoint_tables,
     backtrack_oracle,
+    certify,
     check_witnesses,
     is_hamiltonian,
     is_traceable,
@@ -297,3 +303,93 @@ def test_witness_rows_match_the_scalar_oracle_on_every_labeled_graph(n):
         want = [scalar(g) for g in graphs]
         assert found.tolist() == [w is not None for w in want]
         assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
+
+
+
+def random_bipartite(a, b, seed, p):
+    """A connected bipartite graph with sides of a and b vertices, placed at
+    random among the labels: each cross edge with probability p, drawn
+    again until the graph is connected."""
+    rng = random.Random(seed)
+    while True:
+        labels = rng.sample(range(a + b), a + b)
+        xs, ys = labels[:a], labels[a:]
+        g = from_edges(a + b, [(x, y) for x in xs for y in ys if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
+@pytest.mark.parametrize("search", [True, False])
+def test_certify_agrees_with_backtracking_on_every_atlas_graph(monkeypatch, search):
+    # the 1,252 non-empty graphs on at most 7 vertices; with the search off,
+    # the obstructions and the DP answer every question on their own
+    if not search:
+        monkeypatch.setattr(oracle, "_search", lambda g, kind, starts: None)
+    graphs = [from_edges(h.number_of_nodes(), h.edges())
+              for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    assert len(graphs) == 1252
+    for kind in (CYCLE, PATH):
+        assert [certify(g, kind) for g in graphs] == [backtrack_oracle(g, kind) for g in graphs]
+
+
+def test_certify_agrees_with_the_dp_on_seeded_graphs():
+    rng = random.Random(29)
+    graphs = []
+    for n in range(8, 15):
+        graphs += [random_graph(n, rng.randrange(10 ** 6), p=p)
+                   for p in (0.15, 0.3, 0.5, 0.7, 0.9) for _ in range(3)]
+        graphs += [random_bipartite(n // 2, n - n // 2, rng.randrange(10 ** 6), 0.5),
+                   random_bipartite(n // 2 - 1, n - n // 2 + 1, rng.randrange(10 ** 6), 0.5)]
+        # K_a v bK1: Hamiltonian iff b <= a, traceable iff b <= a + 1
+        graphs += [join(complete(a), empty_graph(n - a)) for a in ((n - 1) // 2, n // 2)]
+    asked = []
+    for kind, dp in ((CYCLE, is_hamiltonian), (PATH, is_traceable)):
+        want = [dp(g) is not None for g in graphs]
+        assert [certify(g, kind, lambda h: asked.append(h) or dp(h)) for g in graphs] == want
+        assert any(want) and not all(want)
+    # the search or an obstruction answers most of them
+    assert len(asked) < len(graphs)
+
+
+@pytest.mark.parametrize("g, kind, want", [
+    (complete(18), CYCLE, True),                                    # search
+    (complete(18), PATH, True),
+    (complete_bipartite(9, 9).to_graph(), CYCLE, True),
+    (complete_bipartite(9, 8).to_graph(), PATH, True),              # ends on the larger side
+    (complete_bipartite(9, 8).to_graph(), CYCLE, False),            # sides differ
+    (complete_bipartite(10, 8).to_graph(), PATH, False),
+    (join(complete(6), empty_graph(7)), CYCLE, False),              # S = N(v): 7 > 6 parts
+    (join(complete(6), empty_graph(8)), PATH, False),               # 8 > 6 + 1
+    (join(complete(1), disjoint_union(complete(8), complete(9))), CYCLE, False),  # cut vertex
+])
+def test_certify_answers_without_the_dp(g, kind, want):
+    def refuse(h):
+        raise AssertionError("the DP was asked")
+    assert certify(g, kind, refuse) is want
+
+
+@pytest.mark.parametrize("g, kind, order, message", [
+    (complete(5), CYCLE, (0, 1, 1, 3, 4), "not a permutation"),
+    (path(5), PATH, (0, 2, 1, 3, 4), r"edge \(0,2\) missing"),
+    # K4 less the edge 01: a Hamiltonian path 0-2-3-1 that does not close
+    (from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), CYCLE, (0, 2, 3, 1),
+     "does not close"),
+])
+def test_certify_checks_every_order_the_search_returns(monkeypatch, g, kind, order, message):
+    monkeypatch.setattr(oracle, "_search", lambda g, kind, starts: order)
+    with pytest.raises(AssertionError, match=message):
+        certify(g, kind)
+
+
+def test_search_depends_on_the_graph_alone():
+    # the RNG is seeded from the adjacency, not from the global state
+    g = random_graph(14, 3, p=0.6)
+    found = set()
+    state = random.getstate()
+    try:
+        for seed in range(3):
+            random.seed(seed)
+            found.add(oracle._search(g, CYCLE, [0]))
+    finally:
+        random.setstate(state)
+    assert len(found) == 1 and None not in found
