@@ -12,29 +12,20 @@ decided as a cycle with the apex at 0 and G's vertices shifted up by
 one, and the apex dropped from the witness. Only subsets holding 0 are
 used: 2^(n-1) per graph for a cycle and 2^n for a path.
 
-Two forms of the DP decide the same question. ``is_hamiltonian`` and
-``is_traceable`` take one graph and push endpoints forward in Python
-ints, in a list indexed by S itself (its even entries unused), once per
-new endpoint u of S + u from the union of the rows of S's endpoints;
-``oracle`` prints their witnesses, and ``certify`` falls back on them,
-since both see one graph at a time. On a batch of one they are the
-faster form at n = 8 and n = 10 (mean ms
-per call on 20 G(n, 1/2), scalar vs the batched DP on a batch of one,
-cycle / path, best of 20 passes on one core, 5 at n=14: n=8 0.07 vs
-0.80 / 0.20 vs 1.3, n=10 0.30 vs 1.4 / 1.0 vs 2.0, n=14 10 vs 3.2 / 25
-vs 4.8).
-``witness_rows`` is the other form and the oracle's one array entry: it
-takes a (B, n) uint32 array of adjacency bitsets, the form a soundness
+One implementation runs it: ``witness_rows``, the oracle's array entry.
+It takes a (B, n) uint32 array of adjacency bitsets, the form a soundness
 scan keeps each graph in, and pulls endpoints from each subset's
 predecessors with numpy, one popcount layer at a time, for every row at
 once. Its tables are keyed by S >> 1 and stored subset-major,
 (2^(n-1), B) for a cycle and (2^n, B) for a path, so each predecessor
-lookup copies one contiguous row of B entries; the per-vertex numpy
-calls this takes are what a batch of one pays for. Soundness scans and
-``tightness_search`` hand it the rows of their scan slices. Both forms
-walk back from the lowest closing vertex through the lowest adjacent
-endpoint, and check every witness: ``check_witnesses`` tests a batch at
-once, and ``_check_witness`` is its one-row case.
+lookup copies one contiguous row of B entries. Soundness scans and
+``tightness_search`` hand it the rows of their scan slices;
+``is_hamiltonian`` and ``is_traceable``, which ``oracle`` prints and
+``certify`` falls back on, hand it a batch of one, after the
+preconditions have refused what they exclude. Its walk back goes from
+the lowest closing vertex through the lowest adjacent endpoint, and
+every witness is checked: ``check_witnesses`` tests a batch at once, and
+``_check_witness`` is its one-row case, for ``certify``'s search orders.
 
 ``certify`` answers ``analyze``'s yes/no questions; it asks about a path
 only on graphs it found non-Hamiltonian, since a Hamiltonian cycle less
@@ -55,17 +46,17 @@ exclude. On the benchmark's seed-1 analyze corpus (210 graphs at n =
 8-14) the 210 cycle questions went 129 to the search, 29 to the
 obstructions (19 sides, 10 toughness), 51 to the preconditions and 1 to
 the DP; the 81 path questions 48, 12, 20 and 1. Answering them all
-took the DP 0.51 s, 0.31 s of it on the 102 Hamiltonian G(n, p) graphs
-at p = 0.5-0.9, and ``certify`` 0.033 s (best of 3 on one core).
+took the DP 0.35 s, and ``certify`` 0.035 s (best of 3 on one core).
 
-MAX_DP_N keeps one scalar call within a budget of about 10 s on one core;
-the cost grows about 2.1x per vertex. Measured on one core of a 2-vCPU
-Xeon VM with Python 3.11, in seconds for the cycle / path DP of
-``is_hamiltonian`` / ``is_traceable`` (run past the cap at n=19 and 20):
-three G(n, 1/2) at n=16 0.1 / 0.2, n=18 0.4-0.5 / 1.0-1.2, n=19 0.7-0.8
-/ 2.0-2.2, n=20 2.0-2.1 / 4.9-5.3; the complete graph, the costliest
-table, at n=18 0.5 / 1.2 and n=20 2.3 / 5.4. So n=19 and n=20 would fit
-the budget too, but the cap stays at 18: raising it changes what
+MAX_DP_N keeps one call on a batch of one far within a budget of about
+10 s on one core; the cost grows about 2x per vertex from n = 18.
+Measured on one core of a 2-vCPU Xeon VM with Python 3.11, for the cycle
+/ path DP of ``is_hamiltonian`` / ``is_traceable``: mean ms per call on
+20 G(n, 1/2), best of 20 passes (5 at n=14), n=8 0.33 / 0.71, n=10 0.94
+/ 1.2, n=12 1.5 / 2.0, n=14 3.0 / 4.0; in seconds, on three G(n, 1/2)
+and on the complete graph, the costliest table, n=16 0.007 / 0.012,
+n=18 0.022 / 0.046, and past the cap n=19 0.046 / 0.096, n=20 0.11 /
+0.23. The cap stays at 18 all the same: raising it changes what
 ``analyze`` and ``oracle`` print at those sizes.
 """
 
@@ -122,23 +113,23 @@ def _check_witness(g: Graph, witness: HamWitness) -> None:
 
 def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
     """A Hamiltonian cycle if one exists, else None (n <= MAX_DP_N)."""
-    if g.n > MAX_DP_N:
-        raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    if _refused(g, CYCLE):
-        return None
-    return _checked(g, CYCLE, _cycle_order(g.adj))
+    return _dp_witness(g, CYCLE)
 
 
 def is_traceable(g: Graph) -> Optional[HamWitness]:
     """A Hamiltonian path if one exists, else None (n <= MAX_DP_N)."""
+    return _dp_witness(g, PATH)
+
+
+def _dp_witness(g: Graph, kind: str) -> Optional[HamWitness]:
+    """``witness_rows`` on a batch of one: g's checked witness of the kind,
+    or None. Graphs the DP's preconditions exclude never reach numpy."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    if _refused(g, PATH):
+    if _refused(g, kind):
         return None
-    # a Hamiltonian path of g is a Hamiltonian cycle, less its apex, of g
-    # joined to an apex vertex 0, with g's vertices shifted up by one
-    order = _cycle_order(((1 << (g.n + 1)) - 2,) + tuple(row << 1 | 1 for row in g.adj))
-    return _checked(g, PATH, order and tuple(v - 1 for v in order[1:]))
+    found, orders = witness_rows(np.array(g.adj, dtype=np.uint32).reshape(1, g.n), kind)
+    return HamWitness(kind, tuple(orders[0].tolist())) if found[0] else None
 
 
 def _refused(g: Graph, kind: str) -> bool:
@@ -153,9 +144,10 @@ def certify(g: Graph, kind: str,
     """Whether g (n <= MAX_DP_N) has a Hamiltonian cycle (kind CYCLE) or
     path (PATH). Where the DP's preconditions hold, a bipartite side count,
     then a rotation-extension search whose order must pass the witness
-    check, then a toughness count answer if they can; ``exact``, the scalar
-    DP entry of the kind unless given, answers the rest, refusing at once
-    the graphs its preconditions exclude."""
+    check, then a toughness count answer if they can; ``exact``, the DP's
+    ``is_hamiltonian`` or ``is_traceable`` by the kind unless given,
+    answers the rest, refusing at once the graphs its preconditions
+    exclude."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     if exact is None:
@@ -251,45 +243,6 @@ def _checked(g: Graph, kind: str, order: Optional[tuple[int, ...]]) -> Optional[
     return witness
 
 
-def _cycle_order(adj: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """The vertex order of a Hamiltonian cycle from vertex 0 of the graph
-    with adjacency bitsets ``adj``, or None; the walk back from the lowest
-    closing vertex takes the lowest adjacent endpoint at each step."""
-    full = (1 << len(adj)) - 1
-    # dp[mask] = endpoints v of paths 0..v spanning mask (0 in mask)
-    dp = [0] * (full + 1)
-    dp[1] = 1
-    for mask in range(1, full + 1, 2):
-        ends = dp[mask]
-        if not ends:
-            continue
-        # bit u of dp[mask | u] needs only *some* endpoint adjacent to u,
-        # so push once per new endpoint, from the union of their rows
-        reach = 0
-        while ends:
-            low = ends & -ends
-            reach |= adj[low.bit_length() - 1]
-            ends ^= low
-        reach &= ~mask
-        while reach:
-            low = reach & -reach
-            dp[mask | low] |= low
-            reach ^= low
-    closers = dp[full] & adj[0]
-    if not closers:
-        return None
-    v = (closers & -closers).bit_length() - 1
-    order = [v]
-    mask = full
-    while mask != 1:
-        mask ^= 1 << v
-        prevs = dp[mask] & adj[v]
-        v = (prevs & -prevs).bit_length() - 1
-        order.append(v)
-    order.reverse()
-    return tuple(order)
-
-
 def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The batched DP on a (B, n) uint32 array of adjacency bitsets, one
     graph of size n <= MAX_DP_N per row: per row, whether the graph has a
@@ -299,13 +252,13 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     count, n = adj.shape
     if n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    # the scalar preconditions: connected, and for cycles min degree 2
+    # the DP's preconditions, as _refused: connected, and for cycles min degree 2
     eligible = connected_rows(adj)
     if kind == CYCLE:
         eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
         cycle_adj = adj
     else:
-        # paths as cycles through an apex vertex 0, as in is_traceable
+        # paths as cycles through an apex vertex 0, g's vertices shifted up by one
         apex = np.full((count, 1), (1 << (n + 1)) - 2, dtype=np.uint32)
         cycle_adj = np.concatenate([apex, adj << 1 | 1], axis=1)
     found = np.zeros(count, dtype=bool)
@@ -333,8 +286,8 @@ def _lowest_bit(x: np.ndarray) -> np.ndarray:
 
 def _walk_back(dp: np.ndarray, adj: np.ndarray, rows: np.ndarray,
                last: np.ndarray) -> np.ndarray:
-    """Per table row in ``rows``, the order ``_cycle_order`` gives for a
-    cycle closing at ``last``: each step back takes the lowest endpoint
+    """Per table row in ``rows``, the order of a Hamiltonian cycle from
+    vertex 0 closing at ``last``: each step back takes the lowest endpoint
     adjacent to v."""
     n = adj.shape[1]
     order = np.empty((len(rows), n), dtype=np.int64)

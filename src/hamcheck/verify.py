@@ -49,9 +49,9 @@ per-hit Python only for the Exception hits.
 no graph object at all. A Graph is built from a row only for the graph6
 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
-spectral radii are a stack of one, and both keep the scalar oracle,
-which is faster than a batch of one at n = 8 and n = 10 and slower at
-n = 14 (see ``oracle.py``). ``oracle`` prints the DP's witnesses;
+spectral radii are a stack of one, and both reach the same entry on a
+batch of one, through ``oracle.is_hamiltonian`` and ``is_traceable``.
+``oracle`` prints the DP's witnesses;
 ``analyze`` asks ``oracle.certify``, which tries a bipartite side count,
 a checked rotation-extension search and a toughness count before the
 DP, and so needs the DP for few graphs.
@@ -84,7 +84,7 @@ from .conditions import (
 from .families import FamilyId, FamilyTag, make_family, nc_member, np_member
 from .graph6 import write_graph6
 from .graphs import BipartiteGraph, Graph
-# the scalar is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
+# is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
 from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
 from .spectral import cw_bounds, eigen_oracle, matrix_stack, q_radius, radius_stack
 

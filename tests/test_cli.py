@@ -335,6 +335,17 @@ def test_oracle_matches_fixture(capsys, monkeypatch):
     assert out == (FIXTURES / "oracle_mix.json").read_text()
 
 
+def test_oracle_matches_fixture_up_to_the_cap(capsys, monkeypatch):
+    # oracle_large.g6, above oracle_mix's n <= 14: K_18 (the costliest
+    # table), K_17+e, K_{9,9} and seeded G(16, 1/2) and G(18, 1/2); the
+    # json is oracle's output from before the scalar DP was deleted
+    stdin = (FIXTURES / "oracle_large.g6").read_text()
+    code, out, err = run(capsys, ["oracle", "--format", "json"], stdin=stdin,
+                         monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert out == (FIXTURES / "oracle_large.json").read_text()
+
+
 # C5, a record whose bit field is too short, then K4
 BAD_BETWEEN_GOOD = "D^o\nD^\nC~\n"
 BAD_RECORD_ERROR = "error: <stdin>:2: bit field holds 6 bits, expected 10 for n=5\n"

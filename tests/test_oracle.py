@@ -7,6 +7,7 @@ import pytest
 from hamcheck import oracle
 from hamcheck.families import NC_GRAPHS, NP_GRAPHS, kn1_plus_edge, kn1_plus_vertex
 from hamcheck.graphs import (
+    bits,
     complete,
     complete_bipartite,
     cycle,
@@ -144,7 +145,7 @@ def test_size_cap():
         is_hamiltonian(from_edges(25, []))
 
 
-def test_batched_oracle_matches_scalar_and_backtracking():
+def test_batched_oracle_matches_the_reference_dp_and_backtracking():
     rng = random.Random(2024)
     graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.choice((0.2, 0.4, 0.6, 0.8)))
               for n in range(1, 11) for _ in range(25)]
@@ -155,9 +156,11 @@ def test_batched_oracle_matches_scalar_and_backtracking():
         complete_bipartite(2, 3).to_graph(), from_edges(0, []),
     ]
     rng.shuffle(graphs)  # mixed sizes in one call
-    for scalar, kind in ((is_hamiltonian, "cycle"), (is_traceable, "path")):
+    for entry, kind in ((is_hamiltonian, "cycle"), (is_traceable, "path")):
         got = batched(graphs, kind)
-        assert got == [scalar(g) for g in graphs]  # same witnesses, not just answers
+        # same witnesses, not just answers, as the reference and as a batch of one
+        assert [w and w.order for w in got] == [REFERENCE[kind](g) for g in graphs]
+        assert got == [entry(g) for g in graphs]
         for g, witness in zip(graphs, got):
             if g.n:
                 assert (witness is not None) == backtrack_oracle(g, kind)
@@ -197,33 +200,59 @@ def test_witness_check_accepts_every_oracle_witness():
     _check_witness(complete(1), HamWitness("path", (0,)))
 
 
-def test_witness_rows_match_the_scalar_oracle():
+def test_witness_rows_match_the_reference_dp():
     rng = random.Random(7)
     for n in range(0, 9):
         graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(30)]
         adj = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
-        for kind, scalar in (("cycle", is_hamiltonian), ("path", is_traceable)):
+        for kind in ("cycle", "path"):
             found, orders = witness_rows(adj, kind)
-            want = [scalar(g) for g in graphs]
+            want = [REFERENCE[kind](g) for g in graphs]
             assert found.tolist() == [w is not None for w in want]
-            assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
+            assert [tuple(o) for o in orders.tolist()] == [w for w in want if w]
 
 
-def test_witness_rows_match_the_scalar_oracle_on_dense_graphs():
-    # the scalar DP pushes from the union of each subset's endpoint rows,
-    # which saves the most on dense tables: compare it with the pull form
+def test_witness_rows_match_the_reference_dp_on_dense_graphs():
+    # dense tables hold the most endpoints per subset, so the most choices
+    # for each step of the walk back
     rng = random.Random(17)
     for n in range(10, 15):
         graphs = [random_graph(n, rng.randrange(10 ** 6), p=p) for p in (0.7, 0.9)]
         graphs += [complete(n), kn1_plus_edge(n)]
         adj = np.array([g.adj for g in graphs], dtype=np.uint32)
-        for kind, scalar in (("cycle", is_hamiltonian), ("path", is_traceable)):
+        for kind in ("cycle", "path"):
             found, orders = witness_rows(adj, kind)
-            want = [scalar(g) for g in graphs]
+            want = [REFERENCE[kind](g) for g in graphs]
             assert found.tolist() == [w is not None for w in want]
-            assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
+            assert [tuple(o) for o in orders.tolist()] == [w for w in want if w]
         # K_{n-1}+e has a cut vertex: traceable, not Hamiltonian
         assert is_hamiltonian(graphs[-1]) is None and is_traceable(graphs[-1])
+
+
+def _cycle_dp_order(g):
+    """A direct cycle DP over g from vertex 0, walked back from the lowest
+    vertex that closes the cycle to 0 through the lowest adjacent endpoint:
+    the witness is_hamiltonian must give."""
+    if g.n < 3:
+        return None
+    full = (1 << g.n) - 1
+    dp = [0] * (full + 1)
+    dp[1] = 1
+    for mask in range(1, full + 1, 2):
+        for v in bits(dp[mask]):
+            for u in bits(g.adj[v] & ~mask):
+                dp[mask | 1 << u] |= 1 << u
+    closers = dp[full] & g.adj[0]
+    if not closers:
+        return None
+    v = (closers & -closers).bit_length() - 1
+    order, mask = [v], full
+    while mask != 1:
+        mask ^= 1 << v
+        prevs = dp[mask] & g.adj[v]
+        v = (prevs & -prevs).bit_length() - 1
+        order.append(v)
+    return tuple(reversed(order))
 
 
 def _path_dp_order(g):
@@ -235,11 +264,9 @@ def _path_dp_order(g):
     for v in range(g.n):
         dp[1 << v] = 1 << v
     for mask in range(1, full + 1):
-        for v in range(g.n):
-            if dp[mask] >> v & 1:
-                for u in range(g.n):
-                    if g.adj[v] >> u & 1 and not mask >> u & 1:
-                        dp[mask | 1 << u] |= 1 << u
+        for v in bits(dp[mask]):
+            for u in bits(g.adj[v] & ~mask):
+                dp[mask | 1 << u] |= 1 << u
     if g.n == 0 or not dp[full]:
         return None
     v = (dp[full] & -dp[full]).bit_length() - 1
@@ -250,6 +277,9 @@ def _path_dp_order(g):
         v = (prevs & -prevs).bit_length() - 1
         order.append(v)
     return tuple(reversed(order))
+
+
+REFERENCE = {"cycle": _cycle_dp_order, "path": _path_dp_order}
 
 
 def test_paths_through_the_apex_are_the_direct_path_dp_witnesses():
@@ -293,17 +323,16 @@ def test_chunking_does_not_change_the_answer(monkeypatch, cells):
 
 
 @pytest.mark.parametrize("n", range(0, 6))
-def test_witness_rows_match_the_scalar_oracle_on_every_labeled_graph(n):
+def test_witness_rows_match_the_reference_dp_on_every_labeled_graph(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     graphs = [from_edges(n, [e for k, e in enumerate(pairs) if code >> k & 1])
               for code in range(1 << len(pairs))]
     adj = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
-    for kind, scalar in (("cycle", is_hamiltonian), ("path", is_traceable)):
+    for kind in ("cycle", "path"):
         found, orders = witness_rows(adj, kind)
-        want = [scalar(g) for g in graphs]
+        want = [REFERENCE[kind](g) for g in graphs]
         assert found.tolist() == [w is not None for w in want]
-        assert [tuple(o) for o in orders.tolist()] == [w.order for w in want if w]
-
+        assert [tuple(o) for o in orders.tolist()] == [w for w in want if w]
 
 
 def random_bipartite(a, b, seed, p):

@@ -13,7 +13,7 @@ from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.families import FamilyTag, make_family
 from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import bipartite_from_edges, from_edges
-from hamcheck.oracle import is_hamiltonian, is_traceable
+from hamcheck.oracle import CYCLE, PATH, backtrack_oracle, is_hamiltonian
 from hamcheck.spectral import ADJACENCY, cw_bounds, q_radius, radius_stack, rho
 from hamcheck.verify import (
     THEOREMS,
@@ -236,10 +236,10 @@ def _reference_tally(report: SoundnessReport, strict: bool, verdict: Verdict, ho
 
 def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
     """soundness() the slow way: every labeled graph with enough edges, one
-    at a time, through the scalar checker, the scalar oracle and a
-    per-verdict tally."""
+    at a time, through the scalar checker, the backtracking oracle (the
+    scan's own is the DP) and a per-verdict tally."""
     spec = THEOREMS[theorem_id]
-    oracle = is_hamiltonian if spec.row.prop == HAMILTONIAN else is_traceable
+    kind = CYCLE if spec.row.prop == HAMILTONIAN else PATH
     report = SoundnessReport(theorem_id, [])
     for n in sizes_for(spec, max_n):
         report.sizes.append(n)
@@ -253,7 +253,7 @@ def _reference_soundness(theorem_id: str, max_n: int) -> SoundnessReport:
             if v.status in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE):
                 continue
             g = obj.to_graph() if spec.row.kind != "general" else obj
-            if _reference_tally(report, spec.row.strict, v, oracle(g) is not None):
+            if _reference_tally(report, spec.row.strict, v, backtrack_oracle(g, kind)):
                 report.violations.append(write_graph6(g))
     return report
 
