@@ -25,28 +25,41 @@ lookup copies one contiguous row of B entries. Soundness scans and
 preconditions have refused what they exclude. Its walk back goes from
 the lowest closing vertex through the lowest adjacent endpoint, and
 every witness is checked: ``check_witnesses`` tests a batch at once, and
-``_check_witness`` is its one-row case, for ``certify``'s search orders.
+``_check_witness`` tests one order over a graph's Python-int rows, at
+any n, for ``certify``'s search orders.
 
 ``certify`` answers ``analyze``'s yes/no questions; it asks about a path
 only on graphs it found non-Hamiltonian, since a Hamiltonian cycle less
 one edge is a Hamiltonian path. Proving a graph Hamiltonian takes the DP
 its whole table, while a witness is quick to find, so on graphs that
 meet the DP's preconditions (connected, and for a cycle n >= 3 and
-minimum degree 2) three cheaper deciders go first:
+minimum degree 2) cheaper deciders go first, in this order:
   * a bipartite side count: a cycle alternates sides, so they must be
     equal, and a path's sides differ by at most one;
-  * a rotation-extension search (Posa), seeded from the adjacency, from
-    the SEARCH_STARTS lowest-degree vertices (of the larger side, for a
-    path when the sides differ), SEARCH_STEPS * n steps each; its order
-    counts only once ``_check_witness`` passes it;
+  * a short rotation-extension search (Posa), SHORT_STEPS * n steps from
+    the first start only;
   * Chvatal's toughness bound: G - S has at most |S| components if G has
-    a Hamiltonian cycle, |S| + 1 if a path, tried on S = {v} and N(v).
-The DP answers the rest and refuses the graphs its preconditions
-exclude. On the benchmark's seed-1 analyze corpus (210 graphs at n =
-8-14) the 210 cycle questions went 129 to the search, 29 to the
-obstructions (19 sides, 10 toughness), 51 to the preconditions and 1 to
-the DP; the 81 path questions 48, 12, 20 and 1. Answering them all
-took the DP 0.35 s, and ``certify`` 0.035 s (best of 3 on one core).
+    a Hamiltonian cycle, |S| + 1 if a path, tried on S = {v} and N(v);
+  * the full search, from the SEARCH_STARTS lowest-degree vertices (of
+    the larger side, for a path when the sides differ), SEARCH_STEPS * n
+    steps each.
+Both searches seed their RNG from the adjacency, so the short one is the
+first steps of the full one and finds nothing the full one would not;
+an order counts only once ``_check_witness`` passes it. The DP answers
+the rest and refuses the graphs its preconditions exclude. On the
+benchmark's seed-1 analyze corpus (210 graphs at n = 8-14) the 210 cycle
+questions went 128 to the short search, 29 to the obstructions (19
+sides, 10 toughness), 1 to the full search, 51 to the preconditions and
+1 to the DP; the 81 path questions 47, 12, 1, 20 and 1. In the old
+order, the full search before the toughness count, the 24 failed
+searches (22 before a toughness refutation, 2 before the DP) took 34 of
+``certify``'s 73 ms; now ``certify`` takes 0.026-0.038 s on that
+corpus, against 0.065-0.078 s, and the DP 0.35 s to answer every
+question alone (CPU seconds, best of 5, one core; the VM's speed drifts
+by up to 2x). SHORT_STEPS = 2 was set on the seed-1 to 4 corpora: with
+1 step per vertex the full search still answers 62-81 cycle questions
+per corpus, with 2 it answers 1-3 and with 3 0-2, and more steps only
+lengthen the short searches that fail.
 
 MAX_DP_N keeps one call on a batch of one far within a budget of about
 10 s on one core; the cost grows about 2x per vertex from n = 18.
@@ -75,6 +88,9 @@ MAX_BACKTRACK_N = 12
 # (extensions and rotations) per start and per vertex
 SEARCH_STARTS = 3
 SEARCH_STEPS = 10
+# steps per vertex of the short search, from the first start only, that
+# certify runs before the obstructions
+SHORT_STEPS = 2
 # bounds on the batched DP's temporaries, in table entries: rows per
 # endpoint table, and the gather of one layer piece across those rows
 BATCH_TABLE_CELLS = 1 << 20
@@ -108,7 +124,16 @@ def check_witnesses(adj: np.ndarray, orders: np.ndarray, kind: str) -> None:
 
 
 def _check_witness(g: Graph, witness: HamWitness) -> None:
-    check_witnesses(np.array([g.adj], dtype=np.uint32), np.array([witness.order]), witness.kind)
+    """``check_witnesses`` for one order, over g's Python-int rows, so at
+    any n."""
+    order, adj = witness.order, g.adj
+    if sorted(order) != list(range(g.n)):
+        raise AssertionError("witness is not a permutation")
+    for u, v in zip(order, order[1:]):
+        if not adj[u] >> v & 1:
+            raise AssertionError(f"witness edge ({u},{v}) missing")
+    if witness.kind == CYCLE and not adj[order[-1]] >> order[0] & 1:
+        raise AssertionError("witness cycle does not close")
 
 
 def is_hamiltonian(g: Graph) -> Optional[HamWitness]:
@@ -143,8 +168,9 @@ def certify(g: Graph, kind: str,
             exact: Optional[Callable[[Graph], Optional[HamWitness]]] = None) -> bool:
     """Whether g (n <= MAX_DP_N) has a Hamiltonian cycle (kind CYCLE) or
     path (PATH). Where the DP's preconditions hold, a bipartite side count,
-    then a rotation-extension search whose order must pass the witness
-    check, then a toughness count answer if they can; ``exact``, the DP's
+    a short rotation-extension search, a toughness count and the full
+    search answer in that order if they can, and a search's order counts
+    only once it passes the witness check; ``exact``, the DP's
     ``is_hamiltonian`` or ``is_traceable`` by the kind unless given,
     answers the rest, refusing at once the graphs its preconditions
     exclude."""
@@ -166,16 +192,23 @@ def certify(g: Graph, kind: str,
             if surplus:
                 starts = bits(larger)
         starts = sorted(starts, key=lambda v: (g.adj[v].bit_count(), v))[:SEARCH_STARTS]
-        if _checked(g, kind, _search(g, kind, starts)) is not None:
+        # the short search is the full search's first steps, so it finds
+        # only what the full search would, and a graph toughness refutes
+        # no longer waits for the full search's budget to run out
+        if _checked(g, kind, _search(g, kind, starts[:1], SHORT_STEPS)) is not None:
             return True
         if _tough_obstruction(g, slack):
             return False
+        if _checked(g, kind, _search(g, kind, starts, SEARCH_STEPS)) is not None:
+            return True
     return exact(g) is not None
 
 
-def _search(g: Graph, kind: str, starts: Sequence[int]) -> Optional[tuple[int, ...]]:
+def _search(g: Graph, kind: str, starts: Sequence[int],
+            steps: int) -> Optional[tuple[int, ...]]:
     """A Hamiltonian cycle or path of g found by rotation-extension (Posa,
-    Discrete Math. 14, 1976) from one of ``starts``, or None.
+    Discrete Math. 14, 1976) from one of ``starts``, in ``steps`` * n steps
+    from each, or None.
 
     The path grows from its start while its end has a neighbour off it;
     then it rotates: for a neighbour p of the end on the path, the part
@@ -190,7 +223,7 @@ def _search(g: Graph, kind: str, starts: Sequence[int]) -> Optional[tuple[int, .
     rng = random.Random(seed)
     for start in starts:
         path, on = [start], 1 << start
-        for _ in range(SEARCH_STEPS * n):
+        for _ in range(steps * n):
             end = path[-1]
             free = adj[end] & ~on
             if free:

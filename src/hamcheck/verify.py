@@ -53,8 +53,8 @@ spectral radii are a stack of one, and both reach the same entry on a
 batch of one, through ``oracle.is_hamiltonian`` and ``is_traceable``.
 ``oracle`` prints the DP's witnesses;
 ``analyze`` asks ``oracle.certify``, which tries a bipartite side count,
-a checked rotation-extension search and a toughness count before the
-DP, and so needs the DP for few graphs.
+a short checked rotation-extension search, a toughness count and the
+full search before the DP, and so needs the DP for few graphs.
 ``analyze`` computes each spectral radius at most once per graph:
 ``conditions.RADII`` maps each hypothesis quantity to the graph and
 matrix it bounds, for the checkers, the scan, ``analyze`` and
