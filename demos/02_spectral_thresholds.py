@@ -5,9 +5,9 @@ How close to the threshold do the exceptional graphs sit?
 Each eigenvalue condition needs its exception list: there are
 non-Hamiltonian (or nontraceable) graphs whose spectral radius clears
 the bound, some of them exactly on it.  This script recomputes those
-values two ways -- ``rho`` (a dense eigendecomposition that also gives
-the residual of its eigenvector) and the full spectrum from
-``eigen_oracle`` -- and shows the margins.
+values two ways -- ``rho`` (the top eigenvalue by ``eigvalsh``, same
+bits in any stack) and the full spectrum from ``eigen_oracle``, whose
+last value is the same bits -- and shows the margins.
 """
 
 import math
@@ -24,7 +24,7 @@ for n in range(4, 9):
     threshold = math.sqrt(n * n - 2 * n + 4)
     radius = rho(b).value
     dense = eigen_oracle(b)[-1]
-    assert abs(radius - dense) <= 1e-8  # the two routes must agree
+    assert radius == dense  # one LAPACK driver, so the two routes agree exactly
     print(f"K_{{{n},{n - 1}}}+e : rho = {radius:.10f}  threshold = {threshold:.10f}"
           f"  gap = {radius - threshold:+.2e}")
     assert is_hamiltonian(b.to_graph()) is None

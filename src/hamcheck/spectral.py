@@ -8,15 +8,15 @@ verify scan's enclosures included, gets its matrices from it. Graph
 objects' rows are unpacked by ``graphs.bit_matrix``, which ``write_graph6``
 shares; a scan slice's (B, n) uint32 array of adjacency rows goes straight
 to ``np.unpackbits``. ``radius_stack`` is the one place that computes a
-spectral radius: a dense symmetric eigendecomposition (``np.linalg.eigh``)
-of each matrix of a (B, n, n) stack, which returns the top eigenvalue with
-the residual of its eigenvector. ``rho`` and ``q_radius`` are a stack of
-one; the verify scan hands ``radius_stack`` the matrices of the graphs
-its enclosures leave open, and of its exception candidates. LAPACK
-decomposes each matrix of a stack on its own, so every matrix gets the
-same estimate, bit for bit, whatever else is in the stack, and every
-number the scan prints is the one ``analyze`` prints.
-``eigen_oracle`` gives all eigenvalues of one graph's matrix.
+spectral radius: the top eigenvalue by ``np.linalg.eigvalsh``, values
+only, of each matrix of a (B, n, n) stack. ``rho`` and ``q_radius`` are a
+stack of one; the verify scan hands ``radius_stack`` the matrices of the
+graphs its enclosures leave open, of its exception candidates, and of its
+tightness search's near misses. LAPACK takes each matrix of a stack on its
+own, so a radius has the same bits in any stack, and every number the scan
+prints is the one ``analyze`` prints. ``eigen_oracle`` gives all
+eigenvalues of one graph's matrix from the same driver, so its last one is
+that radius too.
 
 ``cw_bounds`` encloses the spectral radius of each matrix of a stack
 between rigorous lower and upper bounds (Collatz-Wielandt and Rayleigh,
@@ -44,8 +44,7 @@ SIGNLESS_LAPLACIAN = "signless_laplacian"
 
 
 class SpectralEstimate(NamedTuple):
-    value: float
-    residual: float
+    value: float      # the top eigenvalue by eigvalsh, same bits in any stack
     iterations: int   # always 0 since no route iterates; perfbench's tracing reads it
 
 
@@ -71,16 +70,12 @@ def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: s
 
 def radius_stack(matrices: np.ndarray) -> list[SpectralEstimate]:
     """The spectral radius of each matrix of a (B, n, n) stack of A or Q
-    matrices, as ``matrix_stack`` builds them: its top eigenvalue, with the
-    residual max|Mx - lambda x| of its unit eigenvector x."""
+    matrices, as ``matrix_stack`` builds them: its top eigenvalue by
+    ``eigvalsh``, same bits in any stack."""
     count, n = matrices.shape[:2]
     if n == 0:
-        return [SpectralEstimate(0.0, 0.0, 0)] * count
-    values, vectors = np.linalg.eigh(matrices)
-    top, x = values[:, -1], vectors[:, :, -1]
-    residual = np.abs(np.einsum("bij,bj->bi", matrices, x) - top[:, None] * x).max(axis=1)
-    return [SpectralEstimate(value, res, 0)
-            for value, res in zip(top.tolist(), residual.tolist())]
+        return [SpectralEstimate(0.0, 0)] * count
+    return [SpectralEstimate(value, 0) for value in np.linalg.eigvalsh(matrices)[:, -1].tolist()]
 
 
 def _cw_iterates(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +130,6 @@ def q_radius(g: Graph | BipartiteGraph) -> SpectralEstimate:
 
 def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[float]:
     """All eigenvalues of the chosen matrix, ascending (dense route, n <= 64)."""
-    matrix = matrix_stack([g], which)[0]
-    if len(matrix) > DENSE_CAP:
+    if (g.p + g.q if isinstance(g, BipartiteGraph) else g.n) > DENSE_CAP:
         raise ValueError(f"dense oracle capped at n <= {DENSE_CAP}")
-    return [float(v) for v in np.linalg.eigvalsh(matrix)]
+    return np.linalg.eigvalsh(matrix_stack([g], which)[0]).tolist()

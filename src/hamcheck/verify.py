@@ -45,8 +45,9 @@ families. Every ORACLE_BATCH hits, and at the end of the part, the
 buffered rows are decided by one call of the oracle's array entry,
 ``oracle.witness_rows``, and tallied in scan order over arrays, with
 per-hit Python only for the Exception hits.
-``tightness_search`` hands each slice's rows to the same entry and builds
-no graph object at all. A Graph is built from a row only for the graph6
+``tightness_search`` hands each slice's rows to the same entry, and their
+hypothesis matrices to ``radius_stack``, and builds no graph object at all.
+A Graph is built from a row only for the graph6
 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
 spectral radii are a stack of one, and both reach the same entry on a
@@ -86,7 +87,7 @@ from .graph6 import write_graph6
 from .graphs import BipartiteGraph, Graph
 # is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
 from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
-from .spectral import cw_bounds, eigen_oracle, matrix_stack, q_radius, radius_stack
+from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
 
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
 SLICE = 1 << 11          # masks per scan slice; bounds the enclosures' matrix stack
@@ -501,15 +502,14 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
     row = spec.row
     if row.quantity is None:
         raise ValueError(f"{theorem_id} has no numeric hypothesis to probe")
-    radius = RADII.get(row.quantity)
     exceptions = []
     best: dict | None = None
     for n in sizes:
         threshold = row.threshold(n)
         for fid in row.exceptions(n):
             obj = make_family(fid)
-            got = (float(obj.edge_count()) if radius is None
-                   else eigen_oracle(radius.operand(obj), radius.matrix)[-1])
+            got = (float(obj.edge_count()) if row.quantity == "m"
+                   else cond.hypothesis_radius(row.quantity, obj).value)
             exceptions.append({
                 "family": str(fid),
                 "n": n,
@@ -528,7 +528,8 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
             if row.quantity == "m":
                 got = np.bitwise_count(rows).sum(axis=1) / 2
             else:
-                got = np.linalg.eigvalsh(_hypothesis_matrices(row, layout, rows))[:, -1]
+                estimates = radius_stack(_hypothesis_matrices(row, layout, rows))
+                got = np.array([estimate.value for estimate in estimates])
             # a satisfied hypothesis is the exception report's job; a graph
             # on a strict row's line is a near miss at deficit 0
             deficits = np.where(row.ladder(got, threshold)[1],

@@ -87,8 +87,9 @@ def test_analyze_matches_fixture(capsys, monkeypatch):
     # Kpn2Plus4e(4, 4) and Knn1Plus2e(3), K5, and C26 (above the oracle
     # cap); the json is analyze's output from before it shared spectral
     # estimates between checkers, regenerated only through fixture_diff.py
-    # when the radii moved to eigh (numbers within 1e-14 relative, nothing
-    # else), and must stay byte-identical
+    # when the radii moved to eigh and again when they moved to eigvalsh
+    # (numbers within 1e-14 relative, nothing else), and must stay
+    # byte-identical
     code, out, _ = run(capsys, ["analyze", "--format", "json"],
                        stdin=(FIXTURES / "analyze_mix.g6").read_text(), monkeypatch=monkeypatch)
     assert code == 0

@@ -117,7 +117,7 @@ def test_check_theorem_refuses_an_unknown_id():
 def test_check_theorem_forwards_the_estimate():
     # q(C4) = 4 = 2n-4 exactly, on Yu-Fan's strict Hamiltonian bound
     assert check_theorem("yu-fan-hamiltonian", cycle(4)).status is Status.BOUNDARY
-    above = SpectralEstimate(4.0 + 1e-6, 0.0, 0)
+    above = SpectralEstimate(4.0 + 1e-6, 0)
     for estimate in (above, lambda: above):
         v = check_theorem("yu-fan-hamiltonian", cycle(4), estimate=estimate)
         assert v.status is Status.GUARANTEED and cert(v)["q"] == above.value
@@ -170,13 +170,14 @@ def test_verdict_and_spectral_records_keep_their_api():
     full = Verdict(Status.EXCEPTION, HAMILTONIAN, (("q", 1.0),), nc_member(8), "x")
     assert (full.status, full.prop, full.certificate, full.family, full.note) == (
         Status.EXCEPTION, HAMILTONIAN, (("q", 1.0),), nc_member(8), "x")
-    est = SpectralEstimate(4.0, 0.0, 0)
-    assert (est.value, est.residual, est.iterations) == (4.0, 0.0, 0)
+    est = SpectralEstimate(4.0, 0)
+    assert (est.value, est.iterations) == (4.0, 0)
+    assert SpectralEstimate._fields == ("value", "iterations")
     for record, field in ((v, "status"), (est, "value")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert hash(v) == hash(Verdict(Status.GUARANTEED, HAMILTONIAN))
-    assert hash(est) == hash(SpectralEstimate(4.0, 0.0, 0))
+    assert hash(est) == hash(SpectralEstimate(4.0, 0))
     for record in (Verdict, SpectralEstimate):
         assert record.__name__ in hamcheck.__all__
         assert getattr(hamcheck, record.__name__) is record

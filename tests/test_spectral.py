@@ -1,24 +1,38 @@
+import io
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamcheck import spectral
+from hamcheck.cli import main
+from hamcheck.conditions import GENERAL, RADII
+from hamcheck.families import kn1_plus_edge
+from hamcheck.graph6 import parse_graph6
 from hamcheck.graphs import (
     Graph,
+    bipartite_from_graph,
     complete,
     complete_bipartite,
     cycle,
     disjoint_union,
     from_edges,
+    is_connected,
     path,
     star,
+    transpose,
+    two_coloring,
 )
-from hamcheck.verify import MAX_BIP_CELLS, MAX_ENUM_N
+from hamcheck.verify import MAX_BIP_CELLS, MAX_ENUM_N, THEOREMS
 from hamcheck.spectral import (
     ADJACENCY,
     CW_STEPS,
+    DENSE_CAP,
     SIGNLESS_LAPLACIAN,
     _cw_iterates,
     cw_bounds,
@@ -28,6 +42,9 @@ from hamcheck.spectral import (
     radius_stack,
     rho,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def random_graph(n, seed, p=0.5):
@@ -56,10 +73,48 @@ def test_power_iteration_matches_dense_oracle():
         assert abs(q_radius(g).value - eigen_oracle(g, "signless_laplacian")[-1]) < 1e-8
 
 
-def test_residual_certificate():
-    est = rho(random_graph(8, 7))
-    assert est.residual <= 1e-10 * max(1.0, est.value)
-    assert est.iterations == 0
+def test_printed_radii_are_the_dense_oracle_top_eigenvalue(capsys, monkeypatch):
+    # every spectral number analyze prints for analyze_mix.g6, the record's
+    # rho and q and each certificate's radius, is the last eigenvalue
+    # eigen_oracle gives that quantity's operand and matrix, bit for bit:
+    # both come from eigvalsh, which takes each matrix on its own
+    monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "analyze_mix.g6").read_text()))
+    assert main(["analyze", "--format", "json"]) == 0
+    seen = set()
+    for line in capsys.readouterr().out.splitlines():
+        record = json.loads(line)
+        g = parse_graph6(record["graph6"])
+        if g.n == 0:
+            assert (record["rho"], record["q"]) == (None, None)
+            continue
+        assert record["rho"] == eigen_oracle(g, ADJACENCY)[-1]
+        assert record["q"] == eigen_oracle(g, SIGNLESS_LAPLACIAN)[-1]
+        b = None
+        if g.n >= 2 and is_connected(g) and two_coloring(g) is not None:
+            b = bipartite_from_graph(g, two_coloring(g))
+            b = transpose(b) if b.p < b.q else b   # the larger side first, as analyze has it
+        for verdict in record["verdicts"]:
+            obj = g if THEOREMS[verdict["checker"]].row.kind == GENERAL else b
+            for name, value in verdict["certificate"]:
+                if name in RADII:
+                    radius = RADII[name]
+                    assert value == eigen_oracle(radius.operand(obj), radius.matrix)[-1]
+                    seen.add(name)
+    assert seen == set(RADII)
+
+
+def test_eigen_oracle_tests_the_vertex_cap_before_building_a_matrix(monkeypatch):
+    at_cap = kn1_plus_edge(DENSE_CAP)
+    assert eigen_oracle(at_cap)[-1] == rho(at_cap).value
+    assert eigen_oracle(at_cap, SIGNLESS_LAPLACIAN)[-1] == q_radius(at_cap).value
+
+    def unbuilt(*args):
+        raise AssertionError("matrix_stack called above the cap")
+
+    monkeypatch.setattr(spectral, "matrix_stack", unbuilt)
+    for above in (kn1_plus_edge(DENSE_CAP + 1), complete_bipartite(33, 32)):
+        with pytest.raises(ValueError, match="capped"):
+            eigen_oracle(above)
 
 
 def test_rho_at_most_sqrt_m_bipartite():
@@ -131,8 +186,8 @@ def test_zero_vertex_graph():
 
 
 def test_stacked_radius_matches_scalar():
-    # rho and q_radius are a stack of one, and each matrix of a stack is
-    # decomposed on its own, so a stack gives the scalar estimates bit for bit
+    # rho and q_radius are a stack of one, and eigvalsh takes each matrix of
+    # a stack on its own, so a stack gives the scalar estimates bit for bit
     from hamcheck.graphs import bipartite_from_edges
 
     rng = random.Random(99)

@@ -85,8 +85,9 @@ def tightness_lines(**kwargs) -> str:
 def test_verdicts_match_fixture():
     # generated before the checkers were rerouted through the theorem table,
     # and regenerated only through fixture_diff.py when the radii moved to
-    # eigh (numbers within 1e-14 relative, nothing else); analyze drops
-    # NotApplicable verdicts, so this pins their notes too
+    # eigh and again when they moved to eigvalsh (numbers within 1e-14
+    # relative, nothing else); analyze drops NotApplicable verdicts, so this
+    # pins their notes too
     assert verdicts_mix() == (FIXTURES / "verdicts_mix.json").read_text()
 
 
