@@ -1,5 +1,12 @@
 """Command-line surface: analyze graphs, reproduce Table 1, run soundness scans.
 
+analyze reads each record in one pass: one 0/1 adjacency matrix and one
+degree list give the printed rho and q and every checker's radii and
+degrees. A connected bipartite record's view, side X the larger, takes
+its rows, degrees and radii from the same matrix in side order, so the
+certificate rho of a bipartite checker may differ from the record's rho
+in the last bits.
+
 Exit codes: 0 clean, 1 a finding (a soundness scan with a violation, or
 a ``table1`` value off its published one by more than ``--tolerance``),
 2 parse/processing errors (a record that is not ASCII among them, or an
@@ -19,18 +26,13 @@ import time
 from functools import partial
 from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
+import numpy as np
+
 from . import verify as verify_mod
 from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, Status, Verdict, hypothesis_radius
 from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import (
-    Graph,
-    bipartite_from_graph,
-    from_edges,
-    is_connected,
-    transpose,
-    two_coloring,
-)
+from .graphs import Graph, bipartite_view, bit_matrix, from_edges
 from .oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian, is_traceable
 from .spectral import SpectralEstimate, q_radius, rho
 
@@ -205,35 +207,37 @@ def _emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- analyze
 
-def _estimate_once(estimates: dict, quantity: str, obj) -> SpectralEstimate:
-    """obj's spectral estimate for a hypothesis quantity, computed on first use."""
+def _estimate_once(estimates: dict, quantity: str, obj, bits: np.ndarray) -> SpectralEstimate:
+    """obj's spectral estimate for a hypothesis quantity, from its 0/1
+    adjacency matrix ``bits``, computed on first use."""
     if quantity not in estimates:
-        estimates[quantity] = hypothesis_radius(quantity, obj)
+        estimates[quantity] = hypothesis_radius(quantity, obj, bits)
     return estimates[quantity]
 
 
-def _applicable_verdicts(g: Graph, q: Optional[SpectralEstimate]) -> list[dict]:
+def _applicable_verdicts(g: Graph, bits: np.ndarray, degrees: list[int],
+                         estimates: dict) -> list[dict]:
     """Every applicable checker's verdict on g, as a general graph and, when
-    it is connected and bipartite, as a bipartite graph. Each object's
-    spectral estimates are shared by its checkers, and computed only when a
-    checker's preconditions hold; q, the record's own q(g), seeds g's."""
+    it is connected and bipartite, as a bipartite graph. Both views come
+    from g's 0/1 adjacency matrix ``bits`` and its ``degrees``: the
+    bipartite one's matrix and degrees are g's in its side order. Each
+    view's spectral estimates are shared by its checkers, and computed only
+    when a checker's preconditions hold; ``estimates`` seeds g's."""
     verdicts = []
-    objects: list[tuple[object, str, dict]] = [(g, GENERAL, {} if q is None else {"q": q})]
-    if g.n >= 2 and is_connected(g):
-        left = two_coloring(g)
-        if left is not None:
-            b = bipartite_from_graph(g, left)
-            if b.p < b.q:  # checkers expect the larger side first
-                b = transpose(b)
-            # rho(b) stays apart from the record's rho(g): b orders the
-            # vertices by side, so its float bits may differ
-            objects.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED, {}))
-    for obj, kind, estimates in objects:
+    views = [(g, GENERAL, bits, degrees, estimates)]
+    bipartite = bipartite_view(g, bits)
+    if bipartite is not None:
+        order, b = bipartite
+        # b's radii come from its own side order, so their float bits may
+        # differ from the record's rho(g)
+        views.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED,
+                      bits[np.ix_(order, order)], [degrees[v] for v in order.tolist()], {}))
+    for obj, kind, matrix, obj_degrees, obj_estimates in views:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.row.kind != kind:
                 continue
-            estimate = partial(_estimate_once, estimates, spec.row.quantity, obj)
-            verdict = spec.checker(obj, estimate=estimate)
+            estimate = partial(_estimate_once, obj_estimates, spec.row.quantity, obj, matrix)
+            verdict = spec.checker(obj, estimate=estimate, degrees=obj_degrees)
             if verdict.status is not Status.NOT_APPLICABLE:
                 verdicts.append(_verdict_dict(tid, verdict))
     return verdicts
@@ -260,21 +264,23 @@ def _each_record(args, handle: Callable[..., Optional[str]]) -> int:
 
 
 def _analyze_record(args, rec_id: str, g: Graph) -> None:
+    degrees = g.degrees()
     record = {
         "id": rec_id,
         "graph6": write_graph6(g),
         "n": g.n,
-        "m": g.edge_count(),
-        "min_degree": g.min_degree(),
+        "m": sum(degrees) // 2,
+        "min_degree": min(degrees, default=0),
         "rho": None,
         "q": None,
     }
-    q = None
+    bits = bit_matrix(g.adj, g.n)
+    estimates = {}
     if g.n > 0:
-        record["rho"] = rho(g).value
-        q = q_radius(g)
-        record["q"] = q.value
-    record["verdicts"] = _applicable_verdicts(g, q)
+        record["rho"] = rho(bits).value
+        estimates["q"] = q_radius(bits)
+        record["q"] = estimates["q"].value
+    record["verdicts"] = _applicable_verdicts(g, bits, degrees, estimates)
     if 0 < g.n <= MAX_DP_N:
         # a Hamiltonian cycle less one edge is a Hamiltonian path; the DP
         # entries are passed by this module's names, so a wrapper around

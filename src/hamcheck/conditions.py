@@ -230,12 +230,25 @@ RADII: dict[str, HypothesisRadius] = {
 }
 
 
-def hypothesis_radius(quantity: str, obj) -> SpectralEstimate:
+def hypothesis_radius(quantity: str, obj, bits: Optional[np.ndarray] = None) -> SpectralEstimate:
     """The spectral radius RADII[quantity] names for obj: of its operand's
-    adjacency matrix by ``rho``, or signless Laplacian by ``q_radius``."""
+    adjacency matrix by ``rho``, or signless Laplacian by ``q_radius``.
+    ``bits``, when given, is obj's (n, n) 0/1 adjacency matrix, a bipartite
+    graph's side X first, and the operand's matrix is taken from it: when
+    ``complemented``, with every pair flipped that obj's kind allows as an
+    edge (each pair of distinct vertices of a Graph, each cross pair of a
+    BipartiteGraph)."""
     radius = RADII[quantity]
     radius_of = rho if radius.matrix == ADJACENCY else q_radius
-    return radius_of(radius.operand(obj))
+    if bits is None:
+        return radius_of(radius.operand(obj))
+    if radius.complemented:
+        if isinstance(obj, BipartiteGraph):
+            in_x = np.arange(len(bits)) < obj.p
+            bits = bits ^ (in_x[:, None] != in_x)
+        else:
+            bits = bits ^ ~np.eye(len(bits), dtype=bool)
+    return radius_of(bits)
 
 
 def _at(table: dict[int, tuple[FamilyId, ...]]) -> Callable[[int], tuple[FamilyId, ...]]:
@@ -431,12 +444,14 @@ CONDITIONS: dict[str, Condition] = {
 }
 
 
-def _applies(row: Condition, obj) -> tuple[object, int, list[int], Optional[Verdict]]:
+def _applies(row: Condition, obj, degrees: Optional[list[int]] = None
+             ) -> tuple[object, int, list[int], Optional[Verdict]]:
     """obj oriented as the row reads it, its size n, its degrees (a bipartite
     graph's side X first, then side Y; empty if the size does not fit the
     row), and the NotApplicable verdict of the first precondition that fails
-    (None if all hold). The degrees are computed once here, for the
-    preconditions and everything the checker reads of them after."""
+    (None if all hold). The degrees are ``degrees``, obj's in that order,
+    when given, and are otherwise computed once here, for the preconditions
+    and everything the checker reads of them after."""
     prop, need = row.prop, row.min_n
     if row.kind == GENERAL:
         n = obj.n
@@ -450,13 +465,16 @@ def _applies(row: Condition, obj) -> tuple[object, int, list[int], Optional[Verd
             return obj, n, [], _na(prop, f"needs side size n >= {need}", ("n", n))
     else:
         if obj.q == obj.p + 1:
+            if degrees is not None:
+                degrees = degrees[obj.p:] + degrees[:obj.p]
             obj = transpose(obj)
         if obj.p != obj.q + 1:
             return obj, 0, [], _na(prop, "needs sides (n+1, n)", ("p", obj.p), ("q", obj.q))
         n = obj.q
         if n < need:
             return obj, n, [], _na(prop, f"needs smaller side n >= {need}", ("n", n))
-    degrees = obj.degrees() if row.kind == GENERAL else obj.degrees_x() + obj.degrees_y()
+    if degrees is None:
+        degrees = obj.degrees() if row.kind == GENERAL else obj.degrees_x() + obj.degrees_y()
     dx, dy = row.min_degree
     if row.kind == BIP_UNBALANCED:
         has_x, has_y = min(degrees[:obj.p]), min(degrees[obj.p:])
@@ -476,7 +494,8 @@ def _applies(row: Condition, obj) -> tuple[object, int, list[int], Optional[Verd
 
 # ------------------------------------------------------- the verdict ladder
 
-def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = None) -> Verdict:
+def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = None,
+           degrees: Optional[list[int]] = None) -> Verdict:
     """obj's verdict under a row: NotApplicable if a precondition fails,
     Inconclusive if the hypothesis fails, Boundary at the line of a strict
     threshold, Exception for a listed graph, Boundary at the line of a
@@ -487,9 +506,10 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
     judged by ``row.ladder``: an edge count exactly, a spectral radius
     within CMP_TOL; only a met hypothesis runs the exception step.
     ``estimate``, when given, is the radius (or a function returning it)
-    of the matrix the row names in RADII, for obj as given.
+    of the matrix the row names in RADII, for obj as given; ``degrees``,
+    when given, obj's degrees (a bipartite graph's side X first).
     """
-    obj, n, degrees, failure = _applies(row, obj)
+    obj, n, degrees, failure = _applies(row, obj, degrees)
     if failure is not None:
         return failure
     if row.quantity is None:

@@ -281,25 +281,27 @@ def two_coloring(g: Graph) -> int | None:
     """A proper 2-coloring as a mask of one color class, or None.
 
     Per component, the vertex of lowest index goes into the returned side.
+    A breadth-first search from it over the rows colours each level by its
+    parity: every edge joins two vertices of one level or of adjacent
+    levels, and one inside a level closes an odd cycle.
     """
-    color = [-1] * g.n
     left = 0
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    for v in range(g.n):
-        if color[v] == 0:
-            left |= 1 << v
+    remaining = (1 << g.n) - 1
+    while remaining:
+        seen = frontier = remaining & -remaining
+        even = True
+        while frontier:
+            if even:
+                left |= frontier
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.adj[v]
+            if reach & frontier:
+                return None
+            frontier = reach & ~seen
+            seen |= frontier
+            even = not even
+        remaining &= ~seen
     return left
 
 
@@ -315,6 +317,30 @@ def bipartite_from_graph(g: Graph, left_mask: int) -> BipartiteGraph:
                 raise ValueError(f"edge ({v},{w}) lies inside side X")
             rows[i] |= 1 << right_index[w]
     return BipartiteGraph(len(left), len(right), tuple(rows))
+
+
+def bipartite_view(g: Graph, a: np.ndarray) -> tuple[np.ndarray, BipartiteGraph] | None:
+    """(order, b) for a connected bipartite g on n >= 2 vertices: b is the
+    BipartiteGraph ``bipartite_from_graph`` makes of g and its
+    ``two_coloring``, transposed when side X is the smaller, so side X is
+    the larger side, vertex 0's when the sides are equal, each side in
+    vertex order; ``order`` is the vertex order that puts side X first.
+    None when g has fewer than 2 vertices, is disconnected or has an odd
+    cycle. ``a`` is g's 0/1 adjacency matrix, ``bit_matrix`` of its rows,
+    from which b's rows are taken."""
+    if g.n < 2 or not is_connected(g):
+        return None
+    left = two_coloring(g)
+    if left is None:
+        return None
+    in_left = bit_matrix([left], g.n)[0].astype(bool)
+    x, y = np.flatnonzero(in_left), np.flatnonzero(~in_left)
+    if len(x) < len(y):
+        x, y = y, x
+    packed = np.packbits(a[np.ix_(x, y)], axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    rows = tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
+    return np.concatenate([x, y]), BipartiteGraph(len(x), len(y), rows)
 
 
 def is_complete_bipartite_plus_isolated(g: Graph) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import Graph, bits
 
 
@@ -10,13 +12,21 @@ def _signatures(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     return [(deg[v], tuple(sorted(deg[w] for w in bits(g.adj[v])))) for v in range(g.n)]
 
 
+@lru_cache(maxsize=256)
+def _target_signatures(h: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``_signatures`` of the graph tested against. Callers test many graphs
+    against the same few targets (the exception graphs of the theorem
+    table), so each target's are taken once."""
+    return tuple(_signatures(h))
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     sig_g = _signatures(g)
-    sig_h = _signatures(h)
+    sig_h = _target_signatures(h)
     if sorted(sig_g) != sorted(sig_h):
         return False
     candidates = [

@@ -21,8 +21,9 @@ once. Its tables are keyed by S >> 1 and stored subset-major,
 lookup copies one contiguous row of B entries. Soundness scans and
 ``tightness_search`` hand it the rows of their scan slices;
 ``is_hamiltonian`` and ``is_traceable``, which ``oracle`` prints and
-``certify`` falls back on, hand it a batch of one, after the
-preconditions have refused what they exclude. Its walk back goes from
+``certify`` falls back on, hand its DP a batch of one, after the
+preconditions have refused what they exclude, so the batch's precondition
+tests do not run again. Its walk back goes from
 the lowest closing vertex through the lowest adjacent endpoint, and
 every witness is checked: ``check_witnesses`` tests a batch at once, and
 ``_check_witness`` tests one order over a graph's Python-int rows, at
@@ -153,7 +154,7 @@ def _dp_witness(g: Graph, kind: str) -> Optional[HamWitness]:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     if _refused(g, kind):
         return None
-    found, orders = witness_rows(np.array(g.adj, dtype=np.uint32).reshape(1, g.n), kind)
+    found, orders = _eligible_rows(np.array(g.adj, dtype=np.uint32).reshape(1, g.n), kind)
     return HamWitness(kind, tuple(orders[0].tolist())) if found[0] else None
 
 
@@ -282,13 +283,22 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     Hamiltonian cycle (kind CYCLE) or path (PATH), and the witness orders
     of the rows that do, in row order, as one checked (found rows, n) array.
     """
-    count, n = adj.shape
-    if n > MAX_DP_N:
+    if adj.shape[1] > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     # the DP's preconditions, as _refused: connected, and for cycles min degree 2
     eligible = connected_rows(adj)
     if kind == CYCLE:
         eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
+    found = np.zeros(len(adj), dtype=bool)
+    found[eligible], orders = _eligible_rows(adj[eligible], kind)
+    return found, orders
+
+
+def _eligible_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``witness_rows`` on rows that all meet the DP's preconditions, which
+    it does not test again."""
+    count, n = adj.shape
+    if kind == CYCLE:
         cycle_adj = adj
     else:
         # paths as cycles through an apex vertex 0, g's vertices shifted up by one
@@ -296,17 +306,15 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
         cycle_adj = np.concatenate([apex, adj << 1 | 1], axis=1)
     found = np.zeros(count, dtype=bool)
     orders = np.zeros(cycle_adj.shape, dtype=np.int64)
-    members = np.flatnonzero(eligible)
     # rows per chunk: each row's table has 2^(columns - 1) entries
     step = max(1, (2 * BATCH_TABLE_CELLS) >> cycle_adj.shape[1])
-    for lo in range(0, len(members), step):
-        rows = members[lo:lo + step]
-        chunk = cycle_adj[rows]
+    for lo in range(0, count, step):
+        chunk = cycle_adj[lo:lo + step]
         dp = _endpoint_tables(chunk)
         ends = dp[:, -1] & chunk[:, 0]
         hit = np.flatnonzero(ends)
-        orders[rows[hit]] = _walk_back(dp, chunk, hit, _lowest_bit(ends[hit]))
-        found[rows[hit]] = True
+        orders[lo + hit] = _walk_back(dp, chunk, hit, _lowest_bit(ends[hit]))
+        found[lo + hit] = True
     orders = orders[found] if kind == CYCLE else orders[found, 1:] - 1
     check_witnesses(adj[found], orders, kind)
     return found, orders

@@ -7,16 +7,19 @@ theorem's threshold is ``conditions.Condition.judge``'s rule.
 verify scan's enclosures included, gets its matrices from it. Graph
 objects' rows are unpacked by ``graphs.bit_matrix``, which ``write_graph6``
 shares; a scan slice's (B, n) uint32 array of adjacency rows goes straight
-to ``np.unpackbits``. ``radius_stack`` is the one place that computes a
-spectral radius: the top eigenvalue by ``np.linalg.eigvalsh``, values
-only, of each matrix of a (B, n, n) stack. ``rho`` and ``q_radius`` are a
-stack of one; the verify scan hands ``radius_stack`` the matrices of the
-graphs its enclosures leave open, of its exception candidates, and of its
-tightness search's near misses. LAPACK takes each matrix of a stack on its
-own, so a radius has the same bits in any stack, and every number the scan
-prints is the one ``analyze`` prints. ``eigen_oracle`` gives all
-eigenvalues of one graph's matrix from the same driver, so its last one is
-that radius too.
+to ``np.unpackbits``; ``analyze`` hands over the 0/1 adjacency matrix it
+unpacks once per record, that matrix with its non-edges flipped, or a
+bipartite view's copy of it in side order. ``radius_stack`` is the one
+place that computes a spectral radius: the top eigenvalue by
+``np.linalg.eigvalsh``, values only, of each matrix of a (B, n, n) stack.
+``rho`` and ``q_radius`` are a stack of one, of a graph object or of a 0/1
+matrix, which give the same matrix for the same graph; the verify scan
+hands ``radius_stack`` the matrices of the graphs its enclosures leave
+open, of its exception candidates, and of its tightness search's near
+misses. LAPACK takes each matrix of a stack on its own, so a radius has
+the same bits in any stack, and every number the scan prints is the one
+``analyze`` prints. ``eigen_oracle`` gives all eigenvalues of one graph's
+matrix from the same driver, so its last one is that radius too.
 
 ``cw_bounds`` encloses the spectral radius of each matrix of a stack
 between rigorous lower and upper bounds (Collatz-Wielandt and Rayleigh,
@@ -50,10 +53,13 @@ class SpectralEstimate(NamedTuple):
 
 def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: str) -> np.ndarray:
     """A, or Q = A + D, of each same-size graph as a (B, n, n) float stack.
-    The graphs are objects, or a (B, n) uint32 array of adjacency rows."""
+    The graphs are objects, a (B, n) uint32 array of adjacency rows, or a
+    (B, n, n) array of 0/1 adjacency matrices."""
     if which not in (ADJACENCY, SIGNLESS_LAPLACIAN):
         raise ValueError(f"unknown matrix kind {which!r}")
-    if isinstance(graphs, np.ndarray):
+    if isinstance(graphs, np.ndarray) and graphs.ndim == 3:
+        bits = graphs
+    elif isinstance(graphs, np.ndarray):
         count, n = graphs.shape
         packed = np.ascontiguousarray(graphs, dtype="<u4").view(np.uint8).reshape(count, n, 4)
         bits = np.unpackbits(packed, axis=2, count=n, bitorder="little")
@@ -61,10 +67,11 @@ def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: s
         graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
         n = graphs[0].n if graphs else 0
         bits = bit_matrix([row for g in graphs for row in g.adj], n).reshape(len(graphs), n, n)
-    matrices = bits.astype(float)
+    matrices = bits.astype(float, order="C")
     if which == SIGNLESS_LAPLACIAN:
         # A has a zero diagonal, so writing the degrees there adds D
-        matrices.reshape(len(matrices), n * n)[:, ::n + 1] = np.einsum("bij->bi", matrices)
+        count, n = matrices.shape[:2]
+        matrices.reshape(count, n * n)[:, ::n + 1] = np.einsum("bij->bi", matrices)
     return matrices
 
 
@@ -118,14 +125,21 @@ def cw_bounds(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower - CW_SLACK * (1 + lower), upper + CW_SLACK * (1 + upper)
 
 
-def rho(g: Graph | BipartiteGraph) -> SpectralEstimate:
-    """Spectral radius of the adjacency matrix."""
-    return radius_stack(matrix_stack([g], ADJACENCY))[0]
+def _one(g: Graph | BipartiteGraph | np.ndarray) -> Sequence[Graph | BipartiteGraph] | np.ndarray:
+    """g as a stack of one for ``matrix_stack``."""
+    return g[None] if isinstance(g, np.ndarray) else [g]
 
 
-def q_radius(g: Graph | BipartiteGraph) -> SpectralEstimate:
-    """Signless Laplacian spectral radius."""
-    return radius_stack(matrix_stack([g], SIGNLESS_LAPLACIAN))[0]
+def rho(g: Graph | BipartiteGraph | np.ndarray) -> SpectralEstimate:
+    """Spectral radius of the adjacency matrix of a graph object or of a
+    graph's (n, n) 0/1 adjacency matrix."""
+    return radius_stack(matrix_stack(_one(g), ADJACENCY))[0]
+
+
+def q_radius(g: Graph | BipartiteGraph | np.ndarray) -> SpectralEstimate:
+    """Signless Laplacian spectral radius of a graph object or of a graph's
+    (n, n) 0/1 adjacency matrix."""
+    return radius_stack(matrix_stack(_one(g), SIGNLESS_LAPLACIAN))[0]
 
 
 def eigen_oracle(g: Graph | BipartiteGraph, which: str = ADJACENCY) -> list[float]:

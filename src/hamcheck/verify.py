@@ -50,8 +50,11 @@ hypothesis matrices to ``radius_stack``, and builds no graph object at all.
 A Graph is built from a row only for the graph6
 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
-spectral radii are a stack of one, and both reach the same entry on a
-batch of one, through ``oracle.is_hamiltonian`` and ``is_traceable``.
+spectral radii are a stack of one, each of a matrix taken from the
+record's one 0/1 adjacency matrix (a bipartite record's own radii from it
+in side order), and both reach the same DP on a batch of one, through
+``oracle.is_hamiltonian`` and ``is_traceable``, which skip the
+precondition tests their own have made.
 ``oracle`` prints the DP's witnesses;
 ``analyze`` asks ``oracle.certify``, which tries a bipartite side count,
 a short checked rotation-extension search, a toughness count and the
@@ -60,7 +63,7 @@ full search before the DP, and so needs the DP for few graphs.
 ``conditions.RADII`` maps each hypothesis quantity to the graph and
 matrix it bounds, for the checkers, the scan, ``analyze`` and
 ``tightness_search`` alike, and the checkers that share a quantity share
-the estimate.
+the estimate, as the checkers of one record share its degrees.
 """
 
 from __future__ import annotations

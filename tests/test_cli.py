@@ -4,13 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hamcheck import cli, conditions
 from hamcheck.cli import main
 from hamcheck.families import knn1_plus_2e, knn1_plus_edge, kpn2_plus_4e
 from hamcheck.graph6 import parse_graph6, write_graph6
-from hamcheck.graphs import BipartiteGraph, complete_bipartite, cycle, from_edges
+from hamcheck.conditions import GENERAL, check_theorem
+from hamcheck.graphs import (
+    bipartite_from_graph,
+    complete_bipartite,
+    cycle,
+    from_edges,
+    is_connected,
+    transpose,
+    two_coloring,
+)
 from hamcheck.oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -96,6 +106,36 @@ def test_analyze_matches_fixture(capsys, monkeypatch):
     assert out == (FIXTURES / "analyze_mix.json").read_text()
 
 
+def test_analyze_bipartite_certificates_are_check_theorems(capsys, monkeypatch):
+    # analyze takes a bipartite record's view and radii from the record's
+    # own matrix; each bipartite verdict must be check_theorem's on the
+    # BipartiteGraph the Python-int path builds, certificate bits included
+    code, out, _ = run(capsys, ["analyze", "--format", "json"],
+                       stdin=(FIXTURES / "analyze_mix.g6").read_text(), monkeypatch=monkeypatch)
+    assert code == 0
+    bipartite_records = 0
+    for line in out.splitlines():
+        rec = json.loads(line)
+        g = parse_graph6(rec["graph6"])
+        left = two_coloring(g) if g.n >= 2 and is_connected(g) else None
+        got = [v for v in rec["verdicts"] if conditions.CONDITIONS[v["checker"]].kind != GENERAL]
+        if left is None:
+            assert got == []
+            continue
+        bipartite_records += 1
+        b = bipartite_from_graph(g, left)
+        b = transpose(b) if b.p < b.q else b
+        expected = []
+        for tid, row in conditions.CONDITIONS.items():
+            if row.kind == GENERAL:
+                continue
+            verdict = check_theorem(tid, b)
+            if verdict.status is not conditions.Status.NOT_APPLICABLE:
+                expected.append(json.loads(json.dumps(cli._verdict_dict(tid, verdict))))
+        assert got == expected, rec["graph6"]
+    assert bipartite_records == 12
+
+
 @pytest.mark.parametrize("name, graph, radii", [
     ("C5", cycle(5), 3),                    # rho(G), q(G), q of the complement
     ("C6", cycle(6), 5),                    # ... and rho(B), rho of B's quasi-complement
@@ -105,34 +145,29 @@ def test_analyze_matches_fixture(capsys, monkeypatch):
                             + [(i, i + 5) for i in range(5)]), 3),
 ])
 def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii):
-    """One spectral radius per distinct matrix of a record, none inside the
+    """One eigvalsh call per distinct matrix of a record, none inside the
     checkers, one cycle question, and a path question only for a graph
     with no Hamiltonian cycle."""
-    iterated = []
+    calls = []
 
-    def counting(matrix, radius_of):
-        def counted(g):
-            iterated.append((matrix, (g.to_graph() if isinstance(g, BipartiteGraph) else g).adj))
-            return radius_of(g)
-        return counted
+    def counting(matrices, eigvalsh=np.linalg.eigvalsh):
+        calls.append([matrix.tobytes() for matrix in matrices])
+        return eigvalsh(matrices)
 
     def given_only(given, compute, estimate=conditions._estimate):
         assert given is not None, "a checker computed its own estimate"
         return estimate(given, compute)
 
     asked = []
-    # the record's rho(g) and q(g) come from cli, the checkers' estimates
-    # from conditions.hypothesis_radius
-    for owner in (cli, conditions):
-        monkeypatch.setattr(owner, "rho", counting("A", owner.rho))
-        monkeypatch.setattr(owner, "q_radius", counting("Q", owner.q_radius))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(conditions, "_estimate", given_only)
     monkeypatch.setattr(cli, "certify",
                         lambda g, kind, exact: asked.append((g, kind)) or certify(g, kind, exact))
     code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=write_graph6(graph) + "\n",
                        monkeypatch=monkeypatch)
     assert code == 0, err
-    assert len(iterated) == len(set(iterated)) == radii
+    matrices = [matrix for call in calls for matrix in call]
+    assert len(matrices) == len(set(matrices)) == len(calls) == radii
     assert asked == [(graph, CYCLE)] + ([] if is_hamiltonian(graph) else [(graph, PATH)])
 
 

@@ -104,6 +104,9 @@ def test_decide_answers_every_row_as_check_theorem_does():
         for obj in objects[row.kind]:
             v = decide(row, obj)
             assert v == check_theorem(tid, obj), (tid, obj)
+            # degrees handed in, as analyze hands them, side X first
+            degrees = obj.degrees() if row.kind == GENERAL else obj.degrees_x() + obj.degrees_y()
+            assert decide(row, obj, degrees=degrees) == v, (tid, obj)
             if row.quantity is None:
                 degree_statuses.add(v.status)
     assert degree_statuses == {Status.GUARANTEED, Status.INCONCLUSIVE, Status.NOT_APPLICABLE}
@@ -423,6 +426,8 @@ def test_nc_np_membership():
 def test_exceptional_graphs_are_built_once(monkeypatch):
     from hamcheck import conditions
 
+    from hamcheck import iso
+
     built = []
 
     def counting_make_family(fid):
@@ -430,9 +435,11 @@ def test_exceptional_graphs_are_built_once(monkeypatch):
         return make_family(fid)
 
     monkeypatch.setattr(conditions, "make_family", counting_make_family)
-    # both caches: the graphs per family id, and each row's targets per size
+    # the caches: the graphs per family id, each row's targets per size,
+    # and the signatures of each graph tested against
     conditions._family_graph.cache_clear()
     conditions._exception_targets.cache_clear()
+    iso._target_signatures.cache_clear()
     row = conditions.CONDITIONS["lemma-3.6"]
     listed = row.exceptions(6)
     assert len(listed) == 4
@@ -440,6 +447,9 @@ def test_exceptional_graphs_are_built_once(monkeypatch):
         assert conditions.decide(row, complete(6)).status is Status.GUARANTEED
         assert conditions.decide(row, make_family(listed[-1])).family == listed[-1]
     assert sorted(built, key=str) == sorted(listed, key=str)
+    # and the signatures of each target tested for isomorphism are taken once
+    tested = iso._target_signatures.cache_info()
+    assert tested.misses and tested.hits and tested.currsize == tested.misses
     # a family without a canonical graph is remembered as such
     no_graph = FamilyId(FamilyTag.JOIN_EXPR)
     for _ in range(3):

@@ -7,6 +7,9 @@ from hamcheck.graphs import (
     Graph,
     bipartite_from_edges,
     bipartite_from_graph,
+    bipartite_view,
+    bit_matrix,
+    bits,
     complement,
     complete,
     complete_bipartite,
@@ -24,6 +27,7 @@ from hamcheck.graphs import (
     quasi_complement,
     relabel,
     star,
+    transpose,
     two_coloring,
 )
 
@@ -118,6 +122,41 @@ def test_two_coloring():
     assert bin(left).count("1") in (3, 4)
 
 
+def _stack_coloring(g):
+    """two_coloring by a per-vertex stack search, each component's lowest
+    vertex on the returned side: the reference for the level search."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in bits(g.adj[v]):
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return sum(1 << v for v in range(g.n) if color[v] == 0)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_two_coloring_matches_a_stack_search_on_every_small_graph(n):
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        g = from_edges(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+        assert two_coloring(g) == _stack_coloring(g)
+
+
+def test_two_coloring_of_disconnected_and_wide_graphs():
+    for g in (disjoint_union(cycle(4), disjoint_union(empty_graph(2), path(5))),
+              disjoint_union(path(3), cycle(5)),
+              relabel(complete_bipartite(70, 60).to_graph(), [(7 * v) % 130 for v in range(130)])):
+        assert two_coloring(g) == _stack_coloring(g)
+
+
 def test_bipartite_round_trip():
     b = complete_bipartite(3, 2)
     g = b.to_graph()
@@ -125,6 +164,66 @@ def test_bipartite_round_trip():
     b2 = bipartite_from_graph(g, left)
     assert (b2.p, b2.q) == (3, 2)
     assert b2.rows == b.rows
+
+
+def _reference_view(g):
+    """The bipartite view by the Python-int path analyze took before the
+    view: is_connected, two_coloring, bipartite_from_graph, transpose."""
+    left = two_coloring(g) if g.n >= 2 and is_connected(g) else None
+    if left is None:
+        return None
+    b = bipartite_from_graph(g, left)
+    return transpose(b) if b.p < b.q else b
+
+
+def _assert_view_matches(g):
+    a = bit_matrix(g.adj, g.n)
+    view, expected = bipartite_view(g, a), _reference_view(g)
+    if expected is None:
+        assert view is None
+        return
+    order, b = view
+    assert b == expected
+    # the side order is the vertex order of b's own matrix, which its radii read
+    assert np.array_equal(a[np.ix_(order, order)], bit_matrix(b.to_graph().adj, g.n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_bipartite_view_matches_the_reference_on_every_small_graph(n):
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        _assert_view_matches(from_edges(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1]))
+
+
+@pytest.mark.parametrize("n", [25, 64, 80, 130])
+@pytest.mark.parametrize("seed", range(3))
+def test_bipartite_view_of_wide_connected_bipartite_graphs(n, seed):
+    # above 64 vertices a side's row no longer fits one 64-bit word
+    import random
+
+    rng = random.Random(n * 10 + seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    side = rng.randrange(1, n)
+    edges = [(x, side + rng.randrange(n - side)) for x in range(side)]
+    edges += [(rng.randrange(side), y) for y in range(side, n)]
+    edges += [(x, y) for x in range(side) for y in range(side, n) if rng.random() < 0.3]
+    g = relabel(from_edges(n, edges), perm)
+    assert is_connected(g)
+    _assert_view_matches(g)
+    assert bipartite_view(g, bit_matrix(g.adj, n))[1].edge_count() == g.edge_count()
+
+
+@pytest.mark.parametrize("g", [
+    disjoint_union(cycle(4), path(2)),                 # bipartite, disconnected
+    disjoint_union(empty_graph(1), complete_bipartite(40, 40).to_graph()),
+    cycle(7),                                          # connected, an odd cycle
+    join(complete_bipartite(33, 33).to_graph(), empty_graph(1)),
+    empty_graph(2),
+])
+def test_bipartite_view_refuses_disconnected_and_odd_cycle_graphs(g):
+    assert _reference_view(g) is None
+    assert bipartite_view(g, bit_matrix(g.adj, g.n)) is None
 
 
 def test_quasi_complement():

@@ -10,6 +10,7 @@ from hamcheck.graphs import (
     bits,
     complete,
     complete_bipartite,
+    connected_rows,
     cycle,
     disjoint_union,
     empty_graph,
@@ -167,6 +168,24 @@ def test_batched_oracle_matches_the_reference_dp_and_backtracking():
         found, orders = witness_rows(np.zeros((0, 5), dtype=np.uint32), kind)
         assert found.shape == (0,) and orders.shape == (0, 5)
     assert any(batched(graphs, "cycle")) and not all(batched(graphs, "path"))
+
+
+def test_a_batch_of_one_skips_the_tests_refused_already_passed(monkeypatch):
+    # is_hamiltonian and is_traceable hand the DP only graphs _refused has
+    # passed, so its precondition tests run on scan batches alone
+    tested = []
+
+    def counting(adj):
+        tested.append(len(adj))
+        return connected_rows(adj)
+
+    monkeypatch.setattr(oracle, "connected_rows", counting)
+    for g in (cycle(8), complete(7), path(6), disjoint_union(cycle(3), cycle(4)), star(5)):
+        assert (is_hamiltonian(g) is not None) == backtrack_oracle(g, CYCLE)
+        assert (is_traceable(g) is not None) == backtrack_oracle(g, PATH)
+    assert tested == []
+    found, _ = witness_rows(np.array([cycle(5).adj, path(5).adj], dtype=np.uint32), CYCLE)
+    assert found.tolist() == [True, False] and tested == [2]
 
 
 def test_batched_oracle_size_cap():

@@ -204,6 +204,27 @@ def test_stacked_radius_matches_scalar():
     assert compared == 15 * 41 * 2
 
 
+def test_radii_from_a_bit_matrix_are_the_radii_of_the_graph_object():
+    # analyze takes a record's radii from its 0/1 adjacency matrix: each
+    # must be the radius of the graph object the hypothesis names, bit for bit
+    from hamcheck.conditions import hypothesis_radius
+    from hamcheck.graphs import bipartite_from_edges, bit_matrix
+
+    rng = random.Random(7)
+    for n in (1, 2, 5, 13, 25, 64, 65):
+        for g in (random_graph(n, rng.randrange(10 ** 6), p=rng.random()), complete(n)):
+            bits = bit_matrix(g.adj, n)
+            assert (rho(bits), q_radius(bits)) == (rho(g), q_radius(g))
+            for quantity in ("rho", "q", "q_complement"):
+                assert hypothesis_radius(quantity, g, bits) == hypothesis_radius(quantity, g)
+    for p, q in ((1, 1), (3, 3), (4, 3), (33, 32), (40, 40)):
+        b = bipartite_from_edges(p, q, [(x, y) for x in range(p) for y in range(q)
+                                        if rng.random() < 0.6])
+        bits = bit_matrix(b.to_graph().adj, p + q)
+        for quantity in ("rho", "rho_star"):
+            assert hypothesis_radius(quantity, b, bits) == hypothesis_radius(quantity, b)
+
+
 def _matrices_from_edges(n, edges):
     """A and A + diag(degrees), written entry by entry from an edge list."""
     a = np.zeros((n, n))
@@ -242,6 +263,11 @@ def test_matrix_stack_of_adjacency_rows_matches_the_graphs():
         rows = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
         for which in (ADJACENCY, SIGNLESS_LAPLACIAN):
             assert np.array_equal(matrix_stack(rows, which), matrix_stack(graphs, which))
+            # and analyze hands it 0/1 matrices, here a non-contiguous stack
+            bits = np.unpackbits(rows.astype("<u4").view(np.uint8).reshape(len(graphs), n, 4),
+                                 axis=2, count=n, bitorder="little")
+            assert np.array_equal(matrix_stack(bits.transpose(0, 2, 1), which),
+                                  matrix_stack(graphs, which))
 
 
 def test_matrix_stack_rejects_unknown_kind():
