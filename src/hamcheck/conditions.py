@@ -58,7 +58,6 @@ from .graphs import (
     connected_components,
     connected_rows,
     induced_subgraph,
-    quasi_complement,
     transpose,
 )
 from .iso import is_isomorphic
@@ -210,45 +209,47 @@ def _moon_moser_screen(degrees: np.ndarray, adjacency: np.ndarray) -> np.ndarray
 @dataclass(frozen=True)
 class HypothesisRadius:
     """What a spectral hypothesis quantity bounds: the spectral radius of
-    ``operand(obj)`` for the checked object, of its ``matrix`` (ADJACENCY,
-    computed by ``rho``, or SIGNLESS_LAPLACIAN, by ``q_radius``). When
-    ``complemented``, the operand's edges are the object's non-edges."""
-    operand: Callable
+    the operand's ``matrix`` (ADJACENCY, computed by ``rho``, or
+    SIGNLESS_LAPLACIAN, by ``q_radius``). The operand is the checked graph,
+    or, when ``complemented``, its complement (a general graph) or
+    quasi-complement (a bipartite one), built only by ``bits_of``."""
     matrix: str
     complemented: bool = False
 
-
-def _itself(obj):
-    return obj
+    def bits_of(self, bits: np.ndarray, p: Optional[int] = None) -> np.ndarray:
+        """The operands' 0/1 adjacency matrices from ``bits``, the checked
+        graphs' (one (n, n) matrix or a stack): ``bits`` itself or, when
+        ``complemented``, with every pair flipped that the kind allows as an
+        edge: each pair of distinct vertices of a general graph (p None),
+        each cross pair of a bipartite one whose first p vertices are side X."""
+        if not self.complemented:
+            return bits
+        n = bits.shape[-1]
+        side = np.arange(n) if p is None else np.arange(n) >= p   # each vertex its own side
+        return bits ^ (side[:, None] != side)
 
 
 RADII: dict[str, HypothesisRadius] = {
-    "q": HypothesisRadius(_itself, SIGNLESS_LAPLACIAN),
-    "q_complement": HypothesisRadius(complement, SIGNLESS_LAPLACIAN, complemented=True),
-    "rho": HypothesisRadius(_itself, ADJACENCY),
-    "rho_star": HypothesisRadius(quasi_complement, ADJACENCY, complemented=True),
+    "q": HypothesisRadius(SIGNLESS_LAPLACIAN),
+    "q_complement": HypothesisRadius(SIGNLESS_LAPLACIAN, complemented=True),
+    "rho": HypothesisRadius(ADJACENCY),
+    "rho_star": HypothesisRadius(ADJACENCY, complemented=True),
 }
 
 
 def hypothesis_radius(quantity: str, obj, bits: Optional[np.ndarray] = None) -> SpectralEstimate:
     """The spectral radius RADII[quantity] names for obj: of its operand's
     adjacency matrix by ``rho``, or signless Laplacian by ``q_radius``.
-    ``bits``, when given, is obj's (n, n) 0/1 adjacency matrix, a bipartite
-    graph's side X first, and the operand's matrix is taken from it: when
-    ``complemented``, with every pair flipped that obj's kind allows as an
-    edge (each pair of distinct vertices of a Graph, each cross pair of a
-    BipartiteGraph)."""
+    ``bits`` is obj's (n, n) 0/1 adjacency matrix, a bipartite graph's side
+    X first; when it is not given, ``bit_matrix`` unpacks it from obj's
+    rows."""
     radius = RADII[quantity]
     radius_of = rho if radius.matrix == ADJACENCY else q_radius
+    bipartite = isinstance(obj, BipartiteGraph)
     if bits is None:
-        return radius_of(radius.operand(obj))
-    if radius.complemented:
-        if isinstance(obj, BipartiteGraph):
-            in_x = np.arange(len(bits)) < obj.p
-            bits = bits ^ (in_x[:, None] != in_x)
-        else:
-            bits = bits ^ ~np.eye(len(bits), dtype=bool)
-    return radius_of(bits)
+        g = obj.to_graph() if bipartite else obj
+        bits = bit_matrix(g.adj, g.n)
+    return radius_of(radius.bits_of(bits, obj.p if bipartite else None))
 
 
 def _at(table: dict[int, tuple[FamilyId, ...]]) -> Callable[[int], tuple[FamilyId, ...]]:
@@ -321,7 +322,8 @@ class Condition:
         is where the value fails and on a strict row's line, so no exception
         step runs. unmet takes | and &, never ~: ~True is -2, truthy."""
         fails, on_line = self.judge(value, threshold)
-        code = np.where(fails, INCONCLUSIVE, np.where(on_line, BOUNDARY, GUARANTEED))
+        # fails and on_line never both hold: one form for numbers and arrays
+        code = GUARANTEED + (INCONCLUSIVE - GUARANTEED) * fails + (BOUNDARY - GUARANTEED) * on_line
         return code, fails | (on_line & self.strict)
 
 

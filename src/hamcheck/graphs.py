@@ -277,6 +277,15 @@ def connected_rows(adj: np.ndarray) -> np.ndarray:
     return seen == (1 << n) - 1
 
 
+def unpack_rows(adj: np.ndarray) -> np.ndarray:
+    """Each graph of an (rows, n) uint32 array of adjacency bitsets, one
+    graph per row, as its (n, n) 0/1 adjacency matrix, bit j of vertex i's
+    bitset at [i, j]: a (rows, n, n) uint8 array."""
+    count, n = adj.shape
+    packed = np.ascontiguousarray(adj, dtype="<u4").view(np.uint8).reshape(count, n, 4)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
+
+
 def two_coloring(g: Graph) -> int | None:
     """A proper 2-coloring as a mask of one color class, or None.
 

@@ -6,10 +6,10 @@ theorem's threshold is ``conditions.Condition.judge``'s rule.
 ``matrix_stack`` is the one place that builds A or Q: every route, the
 verify scan's enclosures included, gets its matrices from it. Graph
 objects' rows are unpacked by ``graphs.bit_matrix``, which ``write_graph6``
-shares; a scan slice's (B, n) uint32 array of adjacency rows goes straight
-to ``np.unpackbits``; ``analyze`` hands over the 0/1 adjacency matrix it
-unpacks once per record, that matrix with its non-edges flipped, or a
-bipartite view's copy of it in side order. ``radius_stack`` is the one
+and ``analyze`` share; a scan slice's uint32 rows by ``graphs.unpack_rows``.
+0/1 matrices pass as they are: a record's, a bipartite view's in side
+order, or either flipped by ``conditions.RADII``'s ``bits_of`` for the
+radius of a complement or a quasi-complement. ``radius_stack`` is the one
 place that computes a spectral radius: the top eigenvalue by
 ``np.linalg.eigvalsh``, values only, of each matrix of a (B, n, n) stack.
 ``rho`` and ``q_radius`` are a stack of one, of a graph object or of a 0/1
@@ -53,16 +53,11 @@ class SpectralEstimate(NamedTuple):
 
 def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: str) -> np.ndarray:
     """A, or Q = A + D, of each same-size graph as a (B, n, n) float stack.
-    The graphs are objects, a (B, n) uint32 array of adjacency rows, or a
-    (B, n, n) array of 0/1 adjacency matrices."""
+    The graphs are objects or a (B, n, n) array of 0/1 adjacency matrices."""
     if which not in (ADJACENCY, SIGNLESS_LAPLACIAN):
         raise ValueError(f"unknown matrix kind {which!r}")
-    if isinstance(graphs, np.ndarray) and graphs.ndim == 3:
+    if isinstance(graphs, np.ndarray):
         bits = graphs
-    elif isinstance(graphs, np.ndarray):
-        count, n = graphs.shape
-        packed = np.ascontiguousarray(graphs, dtype="<u4").view(np.uint8).reshape(count, n, 4)
-        bits = np.unpackbits(packed, axis=2, count=n, bitorder="little")
     else:
         graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
         n = graphs[0].n if graphs else 0

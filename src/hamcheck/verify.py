@@ -26,7 +26,7 @@ adjacency rows and degree tables; for the degree theorems (Chvatal,
 bipartite degree, Moon-Moser) the row's screen, its own inequality in
 exact integer arithmetic over the slice; for the spectral ones, on the
 hypothesis matrices, which ``spectral.matrix_stack`` builds from the rows
-(or from ``_Layout.complement`` of them, for the radius of a complement),
+unpacked by ``graphs.unpack_rows`` (and flipped by ``RADII``'s ``bits_of``),
 ``spectral.cw_bounds``, whose matrix-vector products enclose each radius
 with no LAPACK call. It is both the screen and the judge, by the row's
 one threshold rule ``row.ladder`` at both ends: a graph Inconclusive at
@@ -60,9 +60,10 @@ precondition tests their own have made.
 a short checked rotation-extension search, a toughness count and the
 full search before the DP, and so needs the DP for few graphs.
 ``analyze`` computes each spectral radius at most once per graph:
-``conditions.RADII`` maps each hypothesis quantity to the graph and
-matrix it bounds, for the checkers, the scan, ``analyze`` and
-``tightness_search`` alike, and the checkers that share a quantity share
+``conditions.RADII`` maps each hypothesis quantity to the matrix it
+bounds and whether its operand is complemented, and builds that operand
+from a 0/1 matrix in one place for the checkers, the scan, ``analyze``
+and ``tightness_search`` alike; the checkers that share a quantity share
 the estimate, as the checkers of one record share its degrees.
 """
 
@@ -87,7 +88,7 @@ from .conditions import (
 )
 from .families import FamilyId, FamilyTag, make_family, nc_member, np_member
 from .graph6 import write_graph6
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, unpack_rows
 # is_hamiltonian/is_traceable stay attributes here for perfbench/tracing.py
 from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
 from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
@@ -121,11 +122,6 @@ class _Layout:
         for k, (i, j) in enumerate(self.slots):
             out[k, i], out[k, j] = 1 << j, 1 << i
         return out
-
-    def complement(self, adjacency: np.ndarray) -> np.ndarray:
-        """The rows with every slot flipped: the complement of a general
-        graph, the quasi-complement of a bipartite one."""
-        return adjacency ^ self.slot_rows().sum(axis=0).astype(np.uint32)
 
     def build(self, adjacency: np.ndarray) -> list:
         """The graph objects of the adjacency rows."""
@@ -303,8 +299,8 @@ def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.nda
     """Per adjacency row, the matrix of its graph's hypothesis radius, as a
     (rows, n, n) stack."""
     radius = RADII[row.quantity]
-    operand = layout.complement(adjacency) if radius.complemented else adjacency
-    return matrix_stack(operand, radius.matrix)
+    p = None if layout.sides is None else layout.sides[0]
+    return matrix_stack(radius.bits_of(unpack_rows(adjacency), p), radius.matrix)
 
 
 def _graph6(adjacency: np.ndarray) -> str:
@@ -444,17 +440,13 @@ def soundness(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_part_star, tasks):
+            for part in pool.map(_scan_part, *zip(*tasks)):
                 report.merge(part)
     else:
         for task in tasks:
             report.merge(_scan_part(*task))
     report.sizes = sorted(report.sizes)
     return report
-
-
-def _scan_part_star(task: tuple) -> SoundnessReport:
-    return _scan_part(*task)
 
 
 # ---------------------------------------------------------------- table 1

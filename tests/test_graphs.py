@@ -29,6 +29,7 @@ from hamcheck.graphs import (
     star,
     transpose,
     two_coloring,
+    unpack_rows,
 )
 
 
@@ -112,6 +113,17 @@ def test_connected_rows_matches_is_connected_on_every_small_graph(n):
               for mask in range(1 << len(pairs))]
     rows = np.array([g.adj for g in graphs], dtype=np.uint32)
     assert connected_rows(rows).tolist() == [is_connected(g) for g in graphs]
+
+
+def test_unpack_rows_is_the_bit_matrix_of_each_row():
+    # a scan slice's (B, n) uint32 adjacency rows, unpacked once; n = 32
+    # uses every bit of a row
+    for n in [*range(0, 11), 31, 32]:
+        graphs = [random_graph(n, seed) for seed in range(5)]
+        rows = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+        got = unpack_rows(rows)
+        assert got.shape == (len(graphs), n, n)
+        assert all(np.array_equal(bits, bit_matrix(g.adj, n)) for bits, g in zip(got, graphs))
 
 
 def test_two_coloring():

@@ -17,6 +17,7 @@ from hamcheck.graph6 import parse_graph6
 from hamcheck.graphs import (
     Graph,
     bipartite_from_graph,
+    complement,
     complete,
     complete_bipartite,
     cycle,
@@ -24,9 +25,11 @@ from hamcheck.graphs import (
     from_edges,
     is_connected,
     path,
+    quasi_complement,
     star,
     transpose,
     two_coloring,
+    unpack_rows,
 )
 from hamcheck.verify import MAX_BIP_CELLS, MAX_ENUM_N, THEOREMS
 from hamcheck.spectral import (
@@ -45,6 +48,11 @@ from hamcheck.spectral import (
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# each hypothesis quantity's operand, made of the graph object by graphs'
+# own complement and quasi_complement, the reference for conditions' flip
+OPERAND = {"q": lambda g: g, "rho": lambda g: g,
+           "q_complement": complement, "rho_star": quasi_complement}
 
 
 def random_graph(n, seed, p=0.5):
@@ -97,8 +105,7 @@ def test_printed_radii_are_the_dense_oracle_top_eigenvalue(capsys, monkeypatch):
             obj = g if THEOREMS[verdict["checker"]].row.kind == GENERAL else b
             for name, value in verdict["certificate"]:
                 if name in RADII:
-                    radius = RADII[name]
-                    assert value == eigen_oracle(radius.operand(obj), radius.matrix)[-1]
+                    assert value == eigen_oracle(OPERAND[name](obj), RADII[name].matrix)[-1]
                     seen.add(name)
     assert seen == set(RADII)
 
@@ -205,10 +212,14 @@ def test_stacked_radius_matches_scalar():
 
 
 def test_radii_from_a_bit_matrix_are_the_radii_of_the_graph_object():
-    # analyze takes a record's radii from its 0/1 adjacency matrix: each
+    # analyze takes a record's radii from its 0/1 adjacency matrix, and a
+    # checker without one has it unpacked from the object: either way each
     # must be the radius of the graph object the hypothesis names, bit for bit
     from hamcheck.conditions import hypothesis_radius
     from hamcheck.graphs import bipartite_from_edges, bit_matrix
+
+    def of_object(quantity, obj):
+        return (rho if RADII[quantity].matrix == ADJACENCY else q_radius)(OPERAND[quantity](obj))
 
     rng = random.Random(7)
     for n in (1, 2, 5, 13, 25, 64, 65):
@@ -216,13 +227,15 @@ def test_radii_from_a_bit_matrix_are_the_radii_of_the_graph_object():
             bits = bit_matrix(g.adj, n)
             assert (rho(bits), q_radius(bits)) == (rho(g), q_radius(g))
             for quantity in ("rho", "q", "q_complement"):
-                assert hypothesis_radius(quantity, g, bits) == hypothesis_radius(quantity, g)
+                want = of_object(quantity, g)
+                assert hypothesis_radius(quantity, g, bits) == hypothesis_radius(quantity, g) == want
     for p, q in ((1, 1), (3, 3), (4, 3), (33, 32), (40, 40)):
         b = bipartite_from_edges(p, q, [(x, y) for x in range(p) for y in range(q)
                                         if rng.random() < 0.6])
         bits = bit_matrix(b.to_graph().adj, p + q)
         for quantity in ("rho", "rho_star"):
-            assert hypothesis_radius(quantity, b, bits) == hypothesis_radius(quantity, b)
+            want = of_object(quantity, b)
+            assert hypothesis_radius(quantity, b, bits) == hypothesis_radius(quantity, b) == want
 
 
 def _matrices_from_edges(n, edges):
@@ -254,20 +267,16 @@ def test_matrix_stack_matches_edge_list_construction():
         assert np.array_equal(matrix_stack([b], SIGNLESS_LAPLACIAN)[0], signless)
 
 
-def test_matrix_stack_of_adjacency_rows_matches_the_graphs():
-    # a scan slice hands matrix_stack a (B, n) uint32 array; n = 32 uses
-    # every bit of a row
+def test_matrix_stack_of_a_bit_stack_matches_the_graphs():
+    # the scan and analyze hand matrix_stack 0/1 matrices, here a
+    # non-contiguous stack of a slice's unpacked rows
     rng = random.Random(6)
     for n in [*range(0, 11), 31, 32]:
         graphs = [random_graph(n, rng.randrange(10 ** 6), p=rng.random()) for _ in range(5)]
         rows = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+        bits = unpack_rows(rows).transpose(0, 2, 1)
         for which in (ADJACENCY, SIGNLESS_LAPLACIAN):
-            assert np.array_equal(matrix_stack(rows, which), matrix_stack(graphs, which))
-            # and analyze hands it 0/1 matrices, here a non-contiguous stack
-            bits = np.unpackbits(rows.astype("<u4").view(np.uint8).reshape(len(graphs), n, 4),
-                                 axis=2, count=n, bitorder="little")
-            assert np.array_equal(matrix_stack(bits.transpose(0, 2, 1), which),
-                                  matrix_stack(graphs, which))
+            assert np.array_equal(matrix_stack(bits, which), matrix_stack(graphs, which))
 
 
 def test_matrix_stack_rejects_unknown_kind():

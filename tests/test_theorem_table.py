@@ -187,8 +187,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [fn(task) for task in tasks]
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
 
 
 @pytest.mark.parametrize("jobs, cpus, pool", [

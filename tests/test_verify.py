@@ -12,9 +12,9 @@ from hamcheck import verify
 from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.families import FamilyTag, make_family
 from hamcheck.graph6 import parse_graph6, write_graph6
-from hamcheck.graphs import bipartite_from_edges, from_edges
+from hamcheck.graphs import bipartite_from_edges, complement, from_edges, quasi_complement
 from hamcheck.oracle import CYCLE, PATH, backtrack_oracle, is_hamiltonian
-from hamcheck.spectral import ADJACENCY, cw_bounds, q_radius, radius_stack, rho
+from hamcheck.spectral import ADJACENCY, cw_bounds, matrix_stack, q_radius, radius_stack, rho
 from hamcheck.verify import (
     THEOREMS,
     SoundnessReport,
@@ -306,6 +306,11 @@ def test_degree_screened_scan_parallel_matches_serial(theorem_id):
 
 SPECTRAL = [tid for tid in theorem_ids() if THEOREMS[tid].row.spectral]
 
+# each hypothesis quantity's operand, made of the graph object by graphs'
+# own complement and quasi_complement, the reference for conditions' flip
+OPERAND = {"q": lambda g: g, "rho": lambda g: g,
+           "q_complement": complement, "rho_star": quasi_complement}
+
 
 def _enclosure_band(row, threshold, matrices):
     """(lower, band) of each hypothesis matrix: its cw_bounds lower end, and
@@ -362,7 +367,8 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
         values = np.concatenate([values for _, values, _ in slices])
         lower, band = _enclosure_band(row, threshold,
                                       verify._hypothesis_matrices(row, layout, adjacency))
-        exact = np.array([scalar(radius.operand(obj)).value for obj in layout.build(adjacency)])
+        exact = np.array([scalar(OPERAND[row.quantity](obj)).value
+                          for obj in layout.build(adjacency)])
         assert len(exact) and (values[~band] == lower[~band]).all()
         assert (values[band] == exact[band]).all()
         for got, want in zip(row.judge(values, threshold), row.judge(exact, threshold)):
@@ -370,7 +376,45 @@ def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monk
         off_band += int((~band).sum())
     assert off_band
     for obj, estimate in checked:
-        assert estimate == scalar(radius.operand(obj))
+        assert estimate == scalar(OPERAND[row.quantity](obj))
+
+
+def _every_layout():
+    """(complemented row, layout) for every scan layout at n <= 6 and side
+    <= 4, both bipartite kinds, with no degree filter; a bipartite layout
+    takes the quasi-complement row, whose flip is the one every bipartite
+    kind would get."""
+    for n in range(1, 7):
+        yield THEOREMS["zhou-complement-traceable"].row, verify._general_layout(n, 0)
+    for p, q in [(n, n) for n in range(1, 5)] + [(n + 1, n) for n in range(1, 4)]:
+        yield THEOREMS["quasi-complement"].row, verify._bipartite_layout(p, q, 0, 0)
+
+
+def test_hypothesis_matrices_flip_exactly_the_pairs_a_kind_allows(monkeypatch):
+    # exhaustive over every scan layout at n <= 6 and side <= 4: each
+    # complemented row's hypothesis matrices are matrix_stack of complement /
+    # quasi_complement of the graph objects; and a flip that also takes the
+    # diagonal, or a pair inside one side, gives every graph another matrix
+    flip, checked = cond.HypothesisRadius.bits_of, 0
+    for row, layout in _every_layout():
+        radius = RADII[row.quantity]
+        n = layout.nverts
+        wrong = [np.eye(n, dtype=bool)]
+        if layout.sides is not None and max(layout.sides) > 1:
+            in_x = np.arange(n) < layout.sides[0]
+            wrong.append((in_x[:, None] == in_x) & ~np.eye(n, dtype=bool))
+        for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+            want = matrix_stack([OPERAND[row.quantity](obj) for obj in layout.build(adjacency)],
+                                radius.matrix)
+            assert np.array_equal(verify._hypothesis_matrices(row, layout, adjacency), want)
+            for extra in wrong:
+                with monkeypatch.context() as patch:
+                    patch.setattr(cond.HypothesisRadius, "bits_of",
+                                  lambda self, bits, p=None: flip(self, bits, p) ^ extra)
+                    got = verify._hypothesis_matrices(row, layout, adjacency)
+                assert (got != want).any(axis=(1, 2)).all()
+            checked += len(adjacency)
+    assert checked == sum(1 << len(layout.slots) for _, layout in _every_layout())
 
 
 @pytest.mark.parametrize("theorem_id", ["tight-q-hamiltonian", "zhou-complement-traceable"])
