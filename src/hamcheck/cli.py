@@ -414,7 +414,7 @@ def cmd_family(args) -> int:
     except ValueError as exc:
         print(f"hamcheck family: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    g = built.to_graph() if hasattr(built, "to_graph") else built
+    g = built.to_graph()
     if args.format == "graph6":
         print(write_graph6(g))
     else:

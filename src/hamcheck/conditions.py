@@ -245,11 +245,10 @@ def hypothesis_radius(quantity: str, obj, bits: Optional[np.ndarray] = None) -> 
     rows."""
     radius = RADII[quantity]
     radius_of = rho if radius.matrix == ADJACENCY else q_radius
-    bipartite = isinstance(obj, BipartiteGraph)
     if bits is None:
-        g = obj.to_graph() if bipartite else obj
+        g = obj.to_graph()
         bits = bit_matrix(g.adj, g.n)
-    return radius_of(radius.bits_of(bits, obj.p if bipartite else None))
+    return radius_of(radius.bits_of(bits, obj.p if isinstance(obj, BipartiteGraph) else None))
 
 
 def _at(table: dict[int, tuple[FamilyId, ...]]) -> Callable[[int], tuple[FamilyId, ...]]:
@@ -328,8 +327,6 @@ class Condition:
 
 
 CONDITIONS: dict[str, Condition] = {
-    # the lambdas look their blocking function up when they run, so a
-    # wrapper patched over it sees every call
     "chvatal": Condition(
         HAMILTONIAN, GENERAL, 3,
         inequality=lambda g, n, degrees: (chvatal_blocking(sorted(degrees)), 0.0),
@@ -720,7 +717,7 @@ def _family_graph(fid: FamilyId) -> Optional[tuple[Graph, tuple[int, ...]]]:
         target = make_family(fid)
     except ValueError:
         return None
-    target = target.to_graph() if isinstance(target, BipartiteGraph) else target
+    target = target.to_graph()
     return target, target.degree_sequence()
 
 
@@ -749,7 +746,7 @@ def _match(
         if seq != target_seq:
             continue
         if g is None:
-            g = obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
+            g = obj.to_graph()
         if is_isomorphic(g, target):
             return fid
     return None

@@ -4,17 +4,18 @@ Records follow the de facto standard: an N(n) size prefix, then the
 upper-triangle adjacency bits in column-major order, six bits per byte,
 each byte offset by 63. Column-major order over the upper triangle is
 row-major order over the lower one, so both directions are numpy steps
-on the ``np.tri(n, k=-1)`` mask: a record's bits unpack onto it and are
-mirrored, then each row is packed into an int; a graph's rows, unpacked
-by ``graphs.bit_matrix``, are read off it. Padding bits after the last
-edge bit are ignored on read and written as 0.
+on the ``np.tri(n, k=-1)`` mask, through the codec pair of ``graphs``: a
+record's bits unpack onto it and are mirrored, then ``graphs.pack_rows``
+packs each row into an int; a graph's rows, unpacked by
+``graphs.bit_matrix``, are read off it. Padding bits after the last edge
+bit are ignored on read and written as 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, MAX_VERTICES, bit_matrix
+from .graphs import Graph, MAX_VERTICES, bit_matrix, pack_rows
 
 HEADER = ">>graph6<<"
 
@@ -67,15 +68,9 @@ def parse_graph6(text: str | bytes) -> Graph:
             f"bit field holds {len(body) * 6} bits, expected {nbits} for n={n}"
         )
     bits = np.unpackbits(body - 63).reshape(-1, 8)[:, 2:].ravel()   # six bits a byte
-    square = np.zeros((n, -(-n // 64) * 64), dtype=bool)   # rows padded to whole 64-bit words
-    lower = square[:, :n]
+    lower = np.zeros((n, n), dtype=bool)
     lower[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]   # lower[j, i] is the bit of edge ij, i < j
-    lower |= lower.T
-    words = np.packbits(square, axis=1, bitorder="little").view("<u8")
-    adj = [0] * n
-    for k, column in enumerate(words.T.tolist()):
-        adj = [row | word << 64 * k for row, word in zip(adj, column)]
-    return Graph(n, tuple(adj))
+    return Graph(n, pack_rows(lower | lower.T))
 
 
 def write_graph6(g: Graph) -> str:

@@ -3,6 +3,12 @@
 Adjacency is stored as one Python int per vertex (bit j of ``adj[i]`` set
 iff ij is an edge), which keeps complement/join/enumeration loops cheap
 and makes every value immutable and hashable.
+
+Rows and 0/1 matrices convert through one codec pair: ``bit_matrix``
+unpacks rows into a matrix, column j for bit j, and ``pack_rows`` packs
+a matrix's rows back into ints. A step that moves vertices (transposing,
+relabelling, taking an induced subgraph) is one numpy indexing step
+between the two.
 """
 
 from __future__ import annotations
@@ -35,6 +41,19 @@ def bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
+def pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
+    """The inverse of ``bit_matrix``: each row of a 2-D 0/1 or bool matrix
+    as an int, column j at bit j, at any width. Rows are packed into 64-bit
+    words, joined one word column at a time."""
+    count, n = matrix.shape
+    words = np.zeros((count, -(-n // 64)), dtype="<u8")
+    words.view(np.uint8)[:, :-(-n // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+    rows = words[:, 0].tolist() if n else [0] * count
+    for k in range(1, words.shape[1]):
+        rows = [row | word << 64 * k for row, word in zip(rows, words[:, k].tolist())]
+    return tuple(rows)
+
+
 class Graph(NamedTuple):
     n: int
     adj: tuple[int, ...]
@@ -64,6 +83,10 @@ class Graph(NamedTuple):
             for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
+    def to_graph(self) -> "Graph":
+        """The graph itself, as ``BipartiteGraph.to_graph`` views one."""
+        return self
+
 
 class BipartiteGraph(NamedTuple):
     p: int
@@ -80,13 +103,7 @@ class BipartiteGraph(NamedTuple):
         return [row.bit_count() for row in self.rows]
 
     def degrees_y(self) -> list[int]:
-        cols = [0] * self.q
-        for row in self.rows:
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] += 1
-                row ^= low
-        return cols
+        return bit_matrix(self.rows, self.q).sum(axis=0).tolist()
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees_x() + self.degrees_y()))
@@ -97,13 +114,8 @@ class BipartiteGraph(NamedTuple):
 
     def to_graph(self) -> "Graph":
         """View as a Graph on p+q vertices, side X first."""
-        n = self.p + self.q
-        adj = [0] * n
-        for x, row in enumerate(self.rows):
-            adj[x] = row << self.p
-            for y in bits(row):
-                adj[self.p + y] |= 1 << x
-        return Graph(n, tuple(adj))
+        y_rows = pack_rows(bit_matrix(self.rows, self.q).T)
+        return Graph(self.p + self.q, tuple(row << self.p for row in self.rows) + y_rows)
 
 
 def _check_n(n: int) -> None:
@@ -191,11 +203,7 @@ def quasi_complement(b: BipartiteGraph) -> BipartiteGraph:
 
 def transpose(b: BipartiteGraph) -> BipartiteGraph:
     """The same bipartite graph with sides X and Y swapped."""
-    rows = [0] * b.q
-    for x, row in enumerate(b.rows):
-        for y in bits(row):
-            rows[y] |= 1 << x
-    return BipartiteGraph(b.q, b.p, tuple(rows))
+    return BipartiteGraph(b.q, b.p, pack_rows(bit_matrix(b.rows, b.q).T))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -215,23 +223,13 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Relabel vertices: old vertex v becomes perm[v]."""
-    adj = [0] * g.n
-    for u in range(g.n):
-        row = 0
-        for v in bits(g.adj[u]):
-            row |= 1 << perm[v]
-        adj[perm[u]] = row
-    return Graph(g.n, tuple(adj))
+    old = np.argsort(perm)   # new vertex i is old vertex old[i]
+    return Graph(g.n, pack_rows(bit_matrix(g.adj, g.n)[np.ix_(old, old)]))
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * len(vertices)
-    for v, i in index.items():
-        for w in bits(g.adj[v]):
-            if w in index:
-                adj[i] |= 1 << index[w]
-    return Graph(len(vertices), tuple(adj))
+    """The subgraph on ``vertices``, vertices[i] becoming vertex i."""
+    return Graph(len(vertices), pack_rows(bit_matrix(g.adj, g.n)[np.ix_(vertices, vertices)]))
 
 
 def component_mask(g: Graph, start: int, allowed: int | None = None) -> int:
@@ -346,10 +344,7 @@ def bipartite_view(g: Graph, a: np.ndarray) -> tuple[np.ndarray, BipartiteGraph]
     x, y = np.flatnonzero(in_left), np.flatnonzero(~in_left)
     if len(x) < len(y):
         x, y = y, x
-    packed = np.packbits(a[np.ix_(x, y)], axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
-    rows = tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
-    return np.concatenate([x, y]), BipartiteGraph(len(x), len(y), rows)
+    return np.concatenate([x, y]), BipartiteGraph(len(x), len(y), pack_rows(a[np.ix_(x, y)]))
 
 
 def is_complete_bipartite_plus_isolated(g: Graph) -> bool:

@@ -59,7 +59,7 @@ def matrix_stack(graphs: Sequence[Graph | BipartiteGraph] | np.ndarray, which: s
     if isinstance(graphs, np.ndarray):
         bits = graphs
     else:
-        graphs = [g.to_graph() if isinstance(g, BipartiteGraph) else g for g in graphs]
+        graphs = [g.to_graph() for g in graphs]
         n = graphs[0].n if graphs else 0
         bits = bit_matrix([row for g in graphs for row in g.adj], n).reshape(len(graphs), n, n)
     matrices = bits.astype(float, order="C")

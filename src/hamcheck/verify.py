@@ -270,7 +270,8 @@ def _scan_entry(
 ) -> tuple[TheoremSpec, list[int]]:
     """The theorem's spec and the sizes a scan of it covers (``sizes``, or
     those of ``sizes_for``). A scan costs 2^(mask bits), so sizes above the
-    caps are refused here, before any work."""
+    caps are refused here, before any work, as are sizes below the row's
+    ``min_n``, whose graphs ``decide`` calls NotApplicable."""
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     spec = THEOREMS[theorem_id]
@@ -278,6 +279,8 @@ def _scan_entry(
         sizes = sizes_for(spec, max_n)
     kind = spec.row.kind
     for n in sizes:
+        if n < spec.row.min_n:
+            raise ValueError(f"{theorem_id} applies from n = {spec.row.min_n}, not n = {n}")
         if kind == GENERAL and n > MAX_ENUM_N:
             raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}")
         if kind != GENERAL and math.prod(_sides(kind, n)) > MAX_BIP_CELLS:

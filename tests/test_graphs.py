@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +25,7 @@ from hamcheck.graphs import (
     is_complete_bipartite_plus_isolated,
     is_connected,
     join,
+    pack_rows,
     path,
     quasi_complement,
     relabel,
@@ -33,12 +36,35 @@ from hamcheck.graphs import (
 )
 
 
-def random_graph(n, seed):
-    import random
-
+def random_edges(n, seed):
     rng = random.Random(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-    return from_edges(n, edges)
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+
+
+def random_graph(n, seed):
+    return from_edges(n, random_edges(n, seed))
+
+
+def random_cross_edges(p, q, seed):
+    rng = random.Random(seed)
+    return [(x, y) for x in range(p) for y in range(q) if rng.random() < 0.5]
+
+
+# 65 and 130 vertices: rows wider than one and than two 64-bit words
+WIDE = [65, 130]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130, 512])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_pack_rows_inverts_bit_matrix(n, count):
+    rng = random.Random(n * 10 + count)
+    rows = tuple(rng.getrandbits(n) for _ in range(count))
+    if count:
+        rows = rows[:-1] + ((1 << n) - 1,)   # every column set in one row
+    matrix = bit_matrix(rows, n)
+    assert matrix.shape == (count, n)
+    assert pack_rows(matrix) == rows
+    assert pack_rows(matrix.astype(bool)) == rows
 
 
 def test_from_edges_basics():
@@ -63,6 +89,7 @@ def test_standard_constructions():
     b = complete_bipartite(3, 2)
     assert b.edge_count() == 6
     assert b.to_graph().degree_sequence() == (2, 2, 2, 3, 3)
+    assert s.to_graph() is s
 
 
 def test_complement_involution():
@@ -88,12 +115,24 @@ def test_relabel_preserves_structure():
         for v in range(6):
             if u != v:
                 assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
+    for n in (0, 1, 6, *WIDE):
+        edges = random_edges(n, n)
+        perm = random.Random(n).sample(range(n), n)
+        assert relabel(from_edges(n, edges), perm) == from_edges(n, [(perm[u], perm[v])
+                                                                     for u, v in edges])
 
 
 def test_induced_subgraph():
     g = cycle(5)
     h = induced_subgraph(g, [0, 1, 2])
     assert h.n == 3 and h.edge_count() == 2
+    assert induced_subgraph(g, []) == empty_graph(0)
+    for n in (6, *WIDE):
+        edges = random_edges(n, n + 1)
+        vertices = random.Random(n).sample(range(n), n // 2)   # unsorted: vertices[i] becomes i
+        new = {v: i for i, v in enumerate(vertices)}
+        assert induced_subgraph(from_edges(n, edges), vertices) == from_edges(
+            len(vertices), [(new[u], new[v]) for u, v in edges if u in new and v in new])
 
 
 def test_components_and_connectivity():
@@ -169,6 +208,16 @@ def test_two_coloring_of_disconnected_and_wide_graphs():
         assert two_coloring(g) == _stack_coloring(g)
 
 
+@pytest.mark.parametrize("p, q", [(0, 3), (3, 0), (3, 2), (2, 5), (WIDE[0], 3), (5, WIDE[1]),
+                                  (WIDE[0], WIDE[1])])
+def test_transpose_and_to_graph_are_the_graphs_of_the_swapped_edges(p, q):
+    edges = random_cross_edges(p, q, p * q)
+    b = bipartite_from_edges(p, q, edges)
+    assert transpose(b) == bipartite_from_edges(q, p, [(y, x) for x, y in edges])
+    assert transpose(transpose(b)) == b
+    assert b.to_graph() == from_edges(p + q, [(x, p + y) for x, y in edges])
+
+
 def test_bipartite_round_trip():
     b = complete_bipartite(3, 2)
     g = b.to_graph()
@@ -211,8 +260,6 @@ def test_bipartite_view_matches_the_reference_on_every_small_graph(n):
 @pytest.mark.parametrize("seed", range(3))
 def test_bipartite_view_of_wide_connected_bipartite_graphs(n, seed):
     # above 64 vertices a side's row no longer fits one 64-bit word
-    import random
-
     rng = random.Random(n * 10 + seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -271,8 +318,9 @@ def test_bipartite_min_degree_without_vertices():
     assert BipartiteGraph(0, 0, ()).min_degree() == 0
 
 
-@given(st.integers(0, 70), st.integers(0, 70), st.data())
+@given(st.integers(0, 70), st.integers(0, 130), st.data())
 def test_degrees_y_matches_full_graph(p, q, data):
     rows = data.draw(st.lists(st.integers(0, (1 << q) - 1), min_size=p, max_size=p))
     b = BipartiteGraph(p, q, tuple(rows))
     assert b.degrees_y() == b.to_graph().degrees()[p:]
+    assert b.degrees_y() == [sum(row >> y & 1 for row in rows) for y in range(q)]

@@ -58,6 +58,15 @@ def test_enumeration_caps():
         tightness_search("lemma-3.4", max_n=9)
 
 
+@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+def test_sizes_below_a_rows_min_n_are_refused(theorem_id):
+    # decide calls every graph below min_n NotApplicable, which the scan's
+    # slice ladder does not, so such a size is refused before any work
+    min_n = THEOREMS[theorem_id].row.min_n
+    with pytest.raises(ValueError, match=f"applies from n = {min_n}, not n = {min_n - 1}"):
+        soundness(theorem_id, sizes=[min_n - 1])
+
+
 def test_soundness_refuses_sizes_above_the_caps(monkeypatch):
     # the check must come before any work: each of these scans is 2^30 or
     # more masks, so a scan part that starts fails the test at once
