@@ -3,9 +3,8 @@
 analyze reads each record in one pass: one 0/1 adjacency matrix and one
 degree list give the printed rho and q and every checker's radii and
 degrees. A connected bipartite record's view, side X the larger, takes
-its rows, degrees and radii from the same matrix in side order, so the
-certificate rho of a bipartite checker may differ from the record's rho
-in the last bits.
+its rows and degrees from the same matrix in side order, and its rho is
+the record's, so a bipartite checker's certificate prints the same rho.
 
 Exit codes: 0 clean, 1 a finding (a soundness scan with a violation, or
 a ``table1`` value off its published one by more than ``--tolerance``),
@@ -222,16 +221,16 @@ def _applicable_verdicts(g: Graph, bits: np.ndarray, degrees: list[int],
     from g's 0/1 adjacency matrix ``bits`` and its ``degrees``: the
     bipartite one's matrix and degrees are g's in its side order. Each
     view's spectral estimates are shared by its checkers, and computed only
-    when a checker's preconditions hold; ``estimates`` seeds g's."""
+    when a checker's preconditions hold; ``estimates`` seeds g's, and its
+    "rho", g's own radius, seeds the bipartite view's."""
     verdicts = []
     views = [(g, GENERAL, bits, degrees, estimates)]
     bipartite = bipartite_view(g, bits)
     if bipartite is not None:
         order, b = bipartite
-        # b's radii come from its own side order, so their float bits may
-        # differ from the record's rho(g)
         views.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED,
-                      bits[np.ix_(order, order)], [degrees[v] for v in order.tolist()], {}))
+                      bits[np.ix_(order, order)], [degrees[v] for v in order.tolist()],
+                      {"rho": estimates["rho"]}))
     for obj, kind, matrix, obj_degrees, obj_estimates in views:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.row.kind != kind:
@@ -277,9 +276,8 @@ def _analyze_record(args, rec_id: str, g: Graph) -> None:
     bits = bit_matrix(g.adj, g.n)
     estimates = {}
     if g.n > 0:
-        record["rho"] = rho(bits).value
-        estimates["q"] = q_radius(bits)
-        record["q"] = estimates["q"].value
+        estimates = {"rho": rho(bits), "q": q_radius(bits)}
+        record["rho"], record["q"] = estimates["rho"].value, estimates["q"].value
     record["verdicts"] = _applicable_verdicts(g, bits, degrees, estimates)
     if 0 < g.n <= MAX_DP_N:
         # a Hamiltonian cycle less one edge is a Hamiltonian path; the DP

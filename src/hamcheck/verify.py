@@ -17,12 +17,17 @@ exceptions ``tightness_search`` probes. ``_sides`` alone decides a kind's
 side sizes at n, for the scanned sizes, the size caps, the scan layout
 and ``tightness_search``.
 
-The scan works on slices of at most SLICE masks, so its temporaries stay
-bounded, and each slice goes through one pipeline whatever the graph
-kind. A graph is one uint32 adjacency row of the slice throughout, side X
-first for a bipartite graph, as ``to_graph``; only its degree table rides
-along. The pipeline: the m/delta filter, which yields the kept masks'
-adjacency rows and degree tables; for the degree theorems (Chvatal,
+The scan never generates a mask with fewer than ``_m_min`` edges: a
+mask is a high part over its low LOW_BITS bits, whose values are tabled
+by how many bits they set, so a high part takes only the low values that
+bring it to m_min, and the masks come in ascending order, as a walk over
+every mask gives them. It works on slices of at most SLICE generated
+masks, so its temporaries stay bounded, and each slice goes through one
+pipeline whatever the graph kind. A graph is one uint32 adjacency row of
+the slice throughout, side X first for a bipartite graph, as
+``to_graph``; only its degree table rides along. The pipeline: the
+minimum-degree filter, which yields the kept masks' adjacency rows and
+degree tables; for the degree theorems (Chvatal,
 bipartite degree, Moon-Moser) the row's screen, its own inequality in
 exact integer arithmetic over the slice; for the spectral ones, on the
 hypothesis matrices, which ``spectral.matrix_stack`` builds from the rows
@@ -41,18 +46,20 @@ candidates it has not seen, as their certificates print the estimate;
 the checker, called only on those candidates, on the graph object
 ``_Layout.build`` makes of its row, gives the verdict that replaces the
 ladder's; and a buffer keeps the hits' rows, status codes and Exception
-families. Every ORACLE_BATCH hits, and at the end of the part, the
-buffered rows are decided by one call of the oracle's array entry,
-``oracle.witness_rows``, and tallied in scan order over arrays, with
-per-hit Python only for the Exception hits.
+families. Each batch of exactly ORACLE_BATCH hits, a slice's hits split
+at its end with their families and the rest carried over, and at the end
+of the part what is left, is decided by one call of the oracle's array
+entry, ``oracle.witness_rows``, and tallied in scan order over arrays,
+with per-hit Python only for the Exception hits.
 ``tightness_search`` hands each slice's rows to the same entry, and their
 hypothesis matrices to ``radius_stack``, and builds no graph object at all.
 A Graph is built from a row only for the graph6
 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
 spectral radii are a stack of one, each of a matrix taken from the
-record's one 0/1 adjacency matrix (a bipartite record's own radii from it
-in side order), and both reach the same DP on a batch of one, through
+record's one 0/1 adjacency matrix (a bipartite record's view takes the
+record's rho, and its other radius from that matrix in side order), and
+both reach the same DP on a batch of one, through
 ``oracle.is_hamiltonian`` and ``is_traceable``, which skip the
 precondition tests their own have made.
 ``oracle`` prints the DP's witnesses;
@@ -72,7 +79,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,8 +101,9 @@ from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # n
 from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
 
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
-SLICE = 1 << 11          # masks per scan slice; bounds the enclosures' matrix stack
-ORACLE_BATCH = 1 << 11   # buffered hypothesis hits per batched oracle call
+SLICE = 1 << 12          # generated masks (enough edges) per scan slice; bounds its temporaries
+ORACLE_BATCH = 1 << 11   # hits per batched oracle call, exactly, but for a part's last
+LOW_BITS = 11            # a mask's low bits, whose values are tabled by how many are set
 MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
 DEFAULT_MAX_N = 6
@@ -140,22 +148,63 @@ def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
     return _Layout(p + q, slots, [dx_min] * p + [dy_min] * q, (p, q))
 
 
+@cache
+def _low_table(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lows, offset): lows[offset[t]:offset[t + 1]] are the h-bit values
+    with at least t bits set, ascending, for t = 0..h + 1 (none at h + 1)."""
+    values = np.arange(1 << h, dtype=np.int64)
+    weight = np.bitwise_count(values)
+    tables = [values[weight >= t] for t in range(h + 2)]
+    return np.concatenate(tables), np.cumsum([0] + [len(t) for t in tables])
+
+
+def _edge_masks(slots: int, lo: int, hi: int, m_min: int):
+    """Yield (scanned, masks) per slice of the masks of [lo, hi) with at
+    least m_min bits set: at most SLICE of them, in ascending order, and the
+    width of the mask range the slice covers, so the widths sum to hi - lo.
+    A mask is a high part H over its low h bits, and H takes the tabled low
+    values with at least m_min - popcount(H) bits set, cut to [lo, hi) at
+    the first and last H."""
+    h = min(LOW_BITS, slots)
+    lows, offset = _low_table(h)
+    highs = np.arange(lo >> h, ((hi - 1) >> h) + 1, dtype=np.int64)
+    t = np.clip(m_min - np.bitwise_count(highs).astype(np.int64), 0, h + 1)
+    begin, end = offset[t], offset[t + 1]
+    begin[0] += np.searchsorted(lows[begin[0]:end[0]], lo - (highs[0] << h))
+    end[-1] = begin[-1] + np.searchsorted(lows[begin[-1]:end[-1]], hi - (highs[-1] << h))
+    count = end - begin
+    first = np.cumsum(count) - count   # each high's first position in the sequence
+    skip = begin - first               # a position's index into lows, less the position
+    total, done = int(count.sum()), lo
+    for start in range(0, max(total, 1), SLICE):
+        stop = min(start + SLICE, total)
+        # the whole runs of the highs that positions [start, stop) fall in,
+        # then cut to those positions
+        r0, r1 = np.searchsorted(first, start, side="right") - 1, np.searchsorted(first, stop)
+        runs, base = count[r0:r1], first[r0]
+        at = np.arange(base, base + runs.sum()) + np.repeat(skip[r0:r1], runs)
+        masks = (np.repeat(highs[r0:r1] << h, runs) | lows[at])[start - base:stop - base]
+        reach = hi if stop == total else int(masks[-1]) + 1
+        yield reach - done, masks
+        done = reach
+
+
 def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
     """Yield (scanned, adjacency, degrees) per slice of masks [lo, hi): for
     the masks with at least m_min edges and every vertex at its minimum
-    degree, their adjacency rows and their per-vertex degree tables."""
+    degree, their adjacency rows and their per-vertex degree tables. Only
+    the masks with m_min edges are generated, by ``_edge_masks``."""
     need = np.array(layout.min_degree)
     shifts = np.arange(len(layout.slots), dtype=np.int64)
     slot_rows = layout.slot_rows()
     # per vertex, the mask bits of its slots
     touches = (slot_rows > 0).T.astype(np.int64) @ (1 << shifts)
-    for start in range(lo, hi, SLICE):
-        masks = np.arange(start, min(start + SLICE, hi), dtype=np.int64)
+    for scanned, masks in _edge_masks(len(layout.slots), lo, hi, m_min):
         degrees = np.bitwise_count(masks[:, None] & touches).astype(np.int16)
-        keep = (np.bitwise_count(masks) >= m_min) & (degrees >= need).all(axis=1)
+        keep = (degrees >= need).all(axis=1)
         masks = masks[keep]
         adjacency = (((masks[:, None] >> shifts) & 1).astype(float) @ slot_rows).astype(np.uint32)
-        yield len(keep), adjacency, degrees[keep]
+        yield scanned, adjacency, degrees[keep]
 
 
 # ------------------------------------------------------------- reports
@@ -332,15 +381,12 @@ def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimat
     return families
 
 
-def _flush(report: SoundnessReport, spec: TheoremSpec, rows: list[np.ndarray],
-           codes: list[np.ndarray], families: list) -> None:
-    """Decide the buffered hits, whose adjacency rows and status codes are
-    ``rows`` and ``codes`` stacked and the families of whose Exception hits
+def _flush(report: SoundnessReport, spec: TheoremSpec, adjacency: np.ndarray,
+           status: np.ndarray, families: list) -> None:
+    """Decide a batch of hits, whose adjacency rows and status codes are
+    ``adjacency`` and ``status`` and the families of whose Exception hits
     are ``families``, with one batched oracle call, and tally them in scan
     order."""
-    if not rows:
-        return
-    adjacency, status = np.concatenate(rows), np.concatenate(codes)
     holds, _ = witness_rows(adjacency, _witness_kind(spec))
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
@@ -363,15 +409,14 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, rows: list[np.ndarray],
             key = str(family)
             report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
     report.violations += [_graph6(adjacency[i]) for i in np.flatnonzero(violated)]
-    for buffer in (rows, codes, families):
-        buffer.clear()
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    """Masks [lo, hi) of one size, slice by slice: m/delta filter, the
-    enclosures (drop, then judge off the band), radius_stack on the band,
-    the slice ladder, radius_stack and the checker on its exception
-    candidates, then the buffered hits through the batched oracle."""
+    """Masks [lo, hi) of one size with m_min edges, slice by slice: the
+    minimum-degree filter, the enclosures (drop, then judge off the band),
+    radius_stack on the band, the slice ladder, radius_stack and the
+    checker on its exception candidates, then the buffered hits through
+    the batched oracle."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
@@ -406,10 +451,17 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
         hit_rows.append(adjacency[hit])
         hit_codes.append(codes[hit])
         buffered += int(hit.sum())
-        if buffered >= ORACLE_BATCH:
-            _flush(report, spec, hit_rows, hit_codes, families)
-            buffered = 0
-    _flush(report, spec, hit_rows, hit_codes, families)
+        while buffered >= ORACLE_BATCH:
+            # exactly ORACLE_BATCH rows, and their Exception families, go to
+            # the oracle; the rest carry over
+            rows, status = np.concatenate(hit_rows), np.concatenate(hit_codes)
+            split = int((status[:ORACLE_BATCH] == cond.EXCEPTION).sum())
+            _flush(report, spec, rows[:ORACLE_BATCH], status[:ORACLE_BATCH], families[:split])
+            hit_rows, hit_codes = [rows[ORACLE_BATCH:]], [status[ORACLE_BATCH:]]
+            families = families[split:]
+            buffered -= ORACLE_BATCH
+    if buffered:
+        _flush(report, spec, np.concatenate(hit_rows), np.concatenate(hit_codes), families)
     return report
 
 

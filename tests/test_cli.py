@@ -22,6 +22,7 @@ from hamcheck.graphs import (
     two_coloring,
 )
 from hamcheck.oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian
+from hamcheck.spectral import rho
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -108,8 +109,9 @@ def test_analyze_matches_fixture(capsys, monkeypatch):
 
 def test_analyze_bipartite_certificates_are_check_theorems(capsys, monkeypatch):
     # analyze takes a bipartite record's view and radii from the record's
-    # own matrix; each bipartite verdict must be check_theorem's on the
-    # BipartiteGraph the Python-int path builds, certificate bits included
+    # own matrix, and the view's rho is the record's; each bipartite verdict
+    # must be check_theorem's on the BipartiteGraph the Python-int path
+    # builds, given the record's rho, certificate bits included
     code, out, _ = run(capsys, ["analyze", "--format", "json"],
                        stdin=(FIXTURES / "analyze_mix.g6").read_text(), monkeypatch=monkeypatch)
     assert code == 0
@@ -129,7 +131,7 @@ def test_analyze_bipartite_certificates_are_check_theorems(capsys, monkeypatch):
         for tid, row in conditions.CONDITIONS.items():
             if row.kind == GENERAL:
                 continue
-            verdict = check_theorem(tid, b)
+            verdict = check_theorem(tid, b, rho(g) if row.quantity == "rho" else None)
             if verdict.status is not conditions.Status.NOT_APPLICABLE:
                 expected.append(json.loads(json.dumps(cli._verdict_dict(tid, verdict))))
         assert got == expected, rec["graph6"]
@@ -138,8 +140,8 @@ def test_analyze_bipartite_certificates_are_check_theorems(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, graph, radii", [
     ("C5", cycle(5), 3),                    # rho(G), q(G), q of the complement
-    ("C6", cycle(6), 5),                    # ... and rho(B), rho of B's quasi-complement
-    ("K4,3 interleaved", from_edges(7, [(x, y) for x in (0, 2, 4, 6) for y in (1, 3, 5)]), 4),
+    ("C6", cycle(6), 4),                    # ... and rho of B's quasi-complement; rho(B) is rho(G)
+    ("K4,3 interleaved", from_edges(7, [(x, y) for x in (0, 2, 4, 6) for y in (1, 3, 5)]), 3),
     ("Petersen", from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                             + [(i, i + 5) for i in range(5)]), 3),

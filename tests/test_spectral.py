@@ -85,7 +85,8 @@ def test_printed_radii_are_the_dense_oracle_top_eigenvalue(capsys, monkeypatch):
     # every spectral number analyze prints for analyze_mix.g6, the record's
     # rho and q and each certificate's radius, is the last eigenvalue
     # eigen_oracle gives that quantity's operand and matrix, bit for bit:
-    # both come from eigvalsh, which takes each matrix on its own
+    # both come from eigvalsh, which takes each matrix on its own; a
+    # bipartite certificate's rho is the record's, of g's own matrix
     monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "analyze_mix.g6").read_text()))
     assert main(["analyze", "--format", "json"]) == 0
     seen = set()
@@ -105,7 +106,8 @@ def test_printed_radii_are_the_dense_oracle_top_eigenvalue(capsys, monkeypatch):
             obj = g if THEOREMS[verdict["checker"]].row.kind == GENERAL else b
             for name, value in verdict["certificate"]:
                 if name in RADII:
-                    assert value == eigen_oracle(OPERAND[name](obj), RADII[name].matrix)[-1]
+                    of = g if name == "rho" else obj
+                    assert value == eigen_oracle(OPERAND[name](of), RADII[name].matrix)[-1]
                     seen.add(name)
     assert seen == set(RADII)
 

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import random
 from functools import partial
 from itertools import compress, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hamcheck.conditions import HAMILTONIAN, RADII, Status, Verdict
 from hamcheck.families import FamilyTag, make_family
 from hamcheck.graph6 import parse_graph6, write_graph6
 from hamcheck.graphs import bipartite_from_edges, complement, from_edges, quasi_complement
-from hamcheck.oracle import CYCLE, PATH, backtrack_oracle, is_hamiltonian
+from hamcheck.oracle import CYCLE, PATH, backtrack_oracle, is_hamiltonian, witness_rows
 from hamcheck.spectral import ADJACENCY, cw_bounds, matrix_stack, q_radius, radius_stack, rho
 from hamcheck.verify import (
     THEOREMS,
@@ -24,6 +26,8 @@ from hamcheck.verify import (
     theorem_ids,
     tightness_search,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _kept(layout) -> list:
@@ -141,6 +145,83 @@ def test_parallel_matches_serial():
     serial = soundness("tight-q-traceable", sizes=[5])
     parallel = soundness("tight-q-traceable", sizes=[5], jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+@pytest.mark.parametrize("theorem_id", ["yu-fan-hamiltonian", "chvatal"])
+def test_ragged_parallel_parts_match_serial(theorem_id, monkeypatch):
+    # a small CHUNK splits each size into three parts at jobs=3, whose
+    # bounds are no multiple of a high part's 2^LOW_BITS masks: an edge
+    # count row (yu-fan-hamiltonian) and a degree row (m_min = 0)
+    serial = soundness(theorem_id, max_n=6)
+    monkeypatch.setattr(verify, "CHUNK", 1 << 8)
+    step = -(-(1 << 15) // 3)   # n = 6's 2^15 masks in three parts
+    assert step % (1 << verify.LOW_BITS)
+    assert soundness(theorem_id, max_n=6, jobs=3).to_dict() == serial.to_dict()
+
+
+def _filtered_walk(layout, lo: int, hi: int, m_min: int):
+    """The adjacency rows and degree tables of the masks [lo, hi) with at
+    least m_min bits set and every vertex at its minimum degree, every mask
+    generated and tested."""
+    masks = np.arange(lo, hi, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(len(layout.slots))) & 1
+    incident = np.array([[v in pair for v in range(layout.nverts)] for pair in layout.slots],
+                        dtype=np.int64).reshape(len(layout.slots), layout.nverts)
+    degrees = bits @ incident
+    keep = (bits.sum(axis=1) >= m_min) & (degrees >= layout.min_degree).all(axis=1)
+    adjacency = np.zeros((int(keep.sum()), layout.nverts), dtype=np.uint32)
+    for k, (i, j) in enumerate(layout.slots):
+        set_k = bits[keep, k].astype(bool)
+        adjacency[set_k, i] |= np.uint32(1 << j)
+        adjacency[set_k, j] |= np.uint32(1 << i)
+    return adjacency, degrees[keep]
+
+
+@pytest.mark.parametrize("theorem_id", theorem_ids())
+def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
+    # at every size verify --max-n 6 scans, over the whole range and over
+    # ragged ranges that start past 0, with slices that cut a high part's
+    # run too: the slices generate only the masks with m_min edges, yet
+    # give the rows and degrees of every mask tested by edge count and
+    # minimum degree, in the same order, and their scanned counts cover
+    # the range
+    spec = THEOREMS[theorem_id]
+    for n in sizes_for(spec, 6):
+        layout = verify._spec_layout(spec, n)
+        m_min = verify._m_min(spec.row, n)
+        total = 1 << len(layout.slots)
+        for slice_size in (verify.SLICE, 37):
+            monkeypatch.setattr(verify, "SLICE", slice_size)
+            ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total))
+            for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
+                scanned, adjacency, degrees = zip(*verify._slices(layout, lo, hi, m_min))
+                assert sum(scanned) == hi - lo
+                assert max(map(len, adjacency)) <= slice_size
+                want_adjacency, want_degrees = _filtered_walk(layout, lo, hi, m_min)
+                assert np.array_equal(np.concatenate(adjacency), want_adjacency)
+                assert np.array_equal(np.concatenate(degrees), want_degrees)
+
+
+@pytest.mark.parametrize("theorem_id", ["lemma-3.4", "zhou-complement-traceable"])
+def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
+    # with a batch of 7 hits, most slices' hits span several batches, named
+    # (lemma-3.4) and structural (zhou-complement-traceable) Exception hits
+    # among them: every batch but a part's last holds exactly 7 rows, and
+    # the report is the default one
+    batches = []
+
+    def recording(adjacency, kind):
+        batches.append(len(adjacency))
+        return witness_rows(adjacency, kind)
+
+    monkeypatch.setattr(verify, "ORACLE_BATCH", 7)
+    monkeypatch.setattr(verify, "witness_rows", recording)
+    report = soundness(theorem_id, max_n=6)
+    fixture = json.loads((FIXTURES / "verify_all_n6.json").read_text())
+    assert report.to_dict() == next(r for r in fixture if r["theorem_id"] == theorem_id)
+    short = [size for size in batches if size != 7]
+    assert len(short) <= len(report.sizes) and max(short, default=0) < 7
+    assert sum(batches) == report.hypothesis_hits
 
 
 def test_table1_rows():
