@@ -21,9 +21,11 @@ once. Its tables are keyed by S >> 1 and stored subset-major,
 lookup copies one contiguous row of B entries. Soundness scans and
 ``tightness_search`` hand it the rows of their scan slices;
 ``is_hamiltonian`` and ``is_traceable``, which ``oracle`` prints and
-``certify`` falls back on, hand its DP a batch of one, after the
-preconditions have refused what they exclude, so the batch's precondition
-tests do not run again. Its walk back goes from
+``certify`` falls back on, hand its DP a batch of one, after
+``_refused`` has turned away what the preconditions exclude, so the
+batch's one test, a cycle's minimum degree 2, does not run again. A
+batch needs no connectivity pass: the DP answers a disconnected row no
+by itself. Its walk back goes from
 the lowest closing vertex through the lowest adjacent endpoint, and
 every witness is checked: ``check_witnesses`` tests a batch at once, and
 ``_check_witness`` tests one order over a graph's Python-int rows, at
@@ -81,7 +83,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, bits, component_mask, connected_components, connected_rows, two_coloring
+from .graphs import Graph, bits, component_mask, connected_components, two_coloring
 
 MAX_DP_N = 18
 MAX_BACKTRACK_N = 12
@@ -285,18 +287,22 @@ def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """
     if adj.shape[1] > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
-    # the DP's preconditions, as _refused: connected, and for cycles min degree 2
-    eligible = connected_rows(adj)
-    if kind == CYCLE:
-        eligible &= (np.bitwise_count(adj) >= 2).all(axis=1)
     found = np.zeros(len(adj), dtype=bool)
+    if not adj.shape[1]:
+        # the empty graph has neither, and the DP needs a vertex 0
+        return found, np.zeros((0, 0), dtype=np.int64)
+    # the DP answers no on a disconnected row by itself; of _refused's
+    # tests only the cycle's minimum degree 2 stays, which rules out K2
+    eligible = np.ones(len(adj), dtype=bool)
+    if kind == CYCLE:
+        eligible = (np.bitwise_count(adj) >= 2).all(axis=1)
     found[eligible], orders = _eligible_rows(adj[eligible], kind)
     return found, orders
 
 
 def _eligible_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """``witness_rows`` on rows that all meet the DP's preconditions, which
-    it does not test again."""
+    """``witness_rows`` on rows the DP may take, which it does not test
+    again: n >= 1, and for a cycle minimum degree 2, so n >= 3."""
     count, n = adj.shape
     if kind == CYCLE:
         cycle_adj = adj

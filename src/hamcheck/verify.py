@@ -1,10 +1,29 @@
 """Exhaustive labeled enumeration and machine-checked soundness reports.
 
-Every labeled graph in range is scanned; cheap necessary conditions
+Every labeled graph in range is counted; cheap necessary conditions
 (edge count, degrees, rigorous bounds on the spectral radius) cut the
 candidate set before the full checker and the Hamiltonicity oracle run.
-Labeled enumeration over-counts isomorphic copies, which is harmless for
-soundness claims.
+Every count is of labeled graphs, which over-counts isomorphic copies;
+that is harmless for soundness claims.
+
+The scan decides one labeled graph per orbit of a small fixed group H of
+vertex relabelings and counts it once per member of its orbit: H is
+every permutation of a general graph's first RELABEL_GENERAL vertices,
+or of the first RELABEL_SIDE vertices of each bipartite side (never
+across sides, since the rows read each side's degrees apart). The edge
+count, the minimum degrees, every verdict and Hamiltonicity are
+invariant under H, so each tally is a sum of orbit sizes and equals the
+labeled scan's; RELABEL_GENERAL = RELABEL_SIDE = 1 make H trivial, the
+labeled scan itself. Each element of H is a permutation of the mask
+bits, tabled over LOW_BITS chunks (``_relabelings``, built on first use),
+and a mask is its orbit's representative iff it is the least of its
+images; the adjacent transpositions are tried first, as a mask above its
+image under one of them is none, and only the masks they leave are
+mapped through all of H. An orbit's least mask lies in exactly one
+``--jobs`` part, so the parts count each orbit once. A violating
+representative stands for its orbit: every distinct image is reported,
+and ``soundness`` sorts the violations of all parts into scan order,
+sizes ascending, then masks ascending.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
@@ -25,7 +44,8 @@ every mask gives them. It works on slices of at most SLICE generated
 masks, so its temporaries stay bounded, and each slice goes through one
 pipeline whatever the graph kind. A graph is one uint32 adjacency row of
 the slice throughout, side X first for a bipartite graph, as
-``to_graph``; only its degree table rides along. The pipeline: the
+``to_graph``; only its degree table and its [mask, orbit size] pair ride
+along. The pipeline: the representatives of H's orbits, then the
 minimum-degree filter, which yields the kept masks' adjacency rows and
 degree tables; for the degree theorems (Chvatal,
 bipartite degree, Moon-Moser) the row's screen, its own inequality in
@@ -45,14 +65,17 @@ names the graphs that may be exceptions; ``radius_stack`` runs on the
 candidates it has not seen, as their certificates print the estimate;
 the checker, called only on those candidates, on the graph object
 ``_Layout.build`` makes of its row, gives the verdict that replaces the
-ladder's; and a buffer keeps the hits' rows, status codes and Exception
-families. Each batch of exactly ORACLE_BATCH hits, a slice's hits split
-at its end with their families and the rest carried over, and at the end
-of the part what is left, is decided by one call of the oracle's array
-entry, ``oracle.witness_rows``, and tallied in scan order over arrays,
-with per-hit Python only for the Exception hits.
-``tightness_search`` hands each slice's rows to the same entry, and their
-hypothesis matrices to ``radius_stack``, and builds no graph object at all.
+ladder's; and a buffer keeps the hits' masks, orbit sizes, status codes
+and Exception families. Each batch of exactly ORACLE_BATCH hits, a
+slice's hits split at its end with their families and the rest carried
+over, and at the end of the part what is left, is decided by one call
+of the oracle's array entry, ``oracle.witness_rows``, on the rows of its
+masks, and tallied, each hit weighted by its orbit size, in scan order
+over arrays, with per-hit Python only for the Exception hits.
+``tightness_search`` keeps the labeled walk (its near miss is the first
+in labeled scan order): it hands each slice's rows to the same entry,
+and their hypothesis matrices to ``radius_stack``, and builds no graph
+object at all.
 A Graph is built from a row only for the graph6
 of a violation or a near miss.
 ``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
@@ -78,8 +101,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache, cached_property, partial
+from itertools import permutations, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,6 +132,11 @@ MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
 DEFAULT_MAX_N = 6
 BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
+# the soundness scan's relabelings H: every permutation of a general
+# graph's first RELABEL_GENERAL vertices, and of the first RELABEL_SIDE
+# vertices of each bipartite side; 1 and 1 make H trivial, the labeled scan
+RELABEL_GENERAL = 4
+RELABEL_SIDE = 3
 
 
 # ------------------------------------------------------------ enumeration
@@ -116,12 +145,16 @@ BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
 class _Layout:
     """How the bits of a mask encode one labeled graph of a kind and size.
     A graph is its adjacency row: per vertex, a uint32 bitset of its
-    neighbours, a bipartite graph's side X first, as ``to_graph``."""
+    neighbours, a bipartite graph's side X first, as ``to_graph``. The
+    group H of relabelings the layout folds permutes the first ``span``
+    vertices of each side (of the one side of a general graph)."""
     nverts: int
     slots: list[tuple[int, int]]   # the vertex pair of each mask bit
     min_degree: list[int]          # per vertex
     sides: Optional[tuple[int, int]] = None   # (p, q) of a bipartite graph
+    span: int = 1                  # 1: H is trivial, every labeled mask is scanned
 
+    @cached_property
     def slot_rows(self) -> np.ndarray:
         """[mask bit, vertex]: what the bit adds to that vertex's adjacency.
         Float, so a product with it runs in BLAS; its sums are integers
@@ -130,6 +163,41 @@ class _Layout:
         for k, (i, j) in enumerate(self.slots):
             out[k, i], out[k, j] = 1 << j, 1 << i
         return out
+
+    def rows(self, masks: np.ndarray) -> np.ndarray:
+        """The adjacency rows of the masks."""
+        bits = (masks[:, None] >> np.arange(len(self.slots))) & 1
+        return (bits.astype(float) @ self.slot_rows).astype(np.uint32)
+
+    def images(self, masks: np.ndarray, count: Optional[int] = None) -> np.ndarray:
+        """[element, mask]: the image of each mask under H's first
+        ``count`` elements (all of H by default), from ``_relabelings``'
+        tables."""
+        tables = _relabelings(self.nverts, self.sides, self.span)[0][:count]
+        h = tables.shape[2].bit_length() - 1
+        out = tables[:, 0, masks & ((1 << h) - 1)]
+        for c in range(1, tables.shape[1]):
+            out |= tables[:, c, (masks >> c * h) & ((1 << h) - 1)]
+        return out
+
+    def representatives(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, weights): the masks that are least among their images
+        under H, each its orbit's representative, and the orbit sizes. The
+        adjacent transpositions, H's first elements, go first: a mask above
+        its image under one of them is no representative, and only the
+        masks left are mapped through all of H."""
+        if self.span < 2:
+            return masks, np.ones(len(masks), dtype=np.int64)
+        swaps = _relabelings(self.nverts, self.sides, self.span)[1]
+        masks = masks[(masks <= self.images(masks, swaps)).all(axis=0)]
+        images = self.images(masks)
+        least = (masks <= images).all(axis=0)
+        masks, images = masks[least], images[:, least]
+        return masks, len(images) // (images == masks).sum(axis=0)
+
+    def orbit(self, mask: int) -> np.ndarray:
+        """The distinct images of a mask under H, ascending."""
+        return np.unique(self.images(np.array([mask], dtype=np.int64)))
 
     def build(self, adjacency: np.ndarray) -> list:
         """The graph objects of the adjacency rows."""
@@ -146,6 +214,48 @@ def _general_layout(n: int, min_degree: int) -> _Layout:
 def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
     slots = [(x, p + y) for x in range(p) for y in range(q)]
     return _Layout(p + q, slots, [dx_min] * p + [dy_min] * q, (p, q))
+
+
+@cache
+def _relabelings(nverts: int, sides: Optional[tuple[int, int]],
+                 span: int) -> tuple[np.ndarray, int]:
+    """(tables, swaps): H, every permutation of the first ``span``
+    vertices of each side of the layout with these vertices and sides (of
+    its one side if general), as slot permutations tabled over h =
+    min(LOW_BITS, mask bits) bit chunks: [element, chunk c, value v], the
+    image of mask v << c*h. Its first ``swaps`` elements are the adjacent
+    transpositions, then comes the rest of H."""
+    if sides is None:
+        layout, blocks = _general_layout(nverts, 0), [range(min(span, nverts))]
+    else:
+        p, q = sides
+        layout = _bipartite_layout(p, q, 0, 0)
+        blocks = [range(min(span, p)), range(p, p + min(span, q))]
+    elements = []
+    for images in product(*(permutations(block) for block in blocks)):
+        perm = list(range(layout.nverts))
+        for block, image in zip(blocks, images):
+            perm[block.start:block.stop] = image
+        elements.append(perm)
+
+    def adjacent_swap(perm: list[int]) -> bool:
+        moved = [v for v, w in enumerate(perm) if v != w]
+        return len(moved) == 2 and moved[1] == moved[0] + 1
+
+    elements.sort(key=lambda perm: not adjacent_swap(perm))
+    swaps = sum(map(adjacent_swap, elements))
+    index = {pair: k for k, pair in enumerate(layout.slots)}
+    slots = len(layout.slots)
+    h = min(LOW_BITS, slots)
+    chunks = -(-slots // h) if h else 1
+    values = (np.arange(1 << h)[:, None] >> np.arange(h)) & 1
+    tables = np.zeros((len(elements), chunks, 1 << h), dtype=np.int64)
+    for g, perm in enumerate(elements):
+        moved = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in layout.slots]
+        for c in range(chunks):
+            part = moved[c * h:(c + 1) * h]
+            tables[g, c] = values[:, :len(part)] @ np.array(part, dtype=np.int64)
+    return tables, swaps
 
 
 @cache
@@ -190,21 +300,23 @@ def _edge_masks(slots: int, lo: int, hi: int, m_min: int):
 
 
 def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
-    """Yield (scanned, adjacency, degrees) per slice of masks [lo, hi): for
-    the masks with at least m_min edges and every vertex at its minimum
-    degree, their adjacency rows and their per-vertex degree tables. Only
-    the masks with m_min edges are generated, by ``_edge_masks``."""
+    """Yield (scanned, adjacency, degrees, orbits) per slice of masks [lo,
+    hi): for the masks with at least m_min edges, each its orbit's
+    representative under the layout's relabelings H, and every vertex at
+    its minimum degree, their adjacency rows, their per-vertex degree
+    tables and their [mask, orbit size] pairs. Only the masks with m_min
+    edges are generated, by ``_edge_masks``; H keeps the edge count and
+    every vertex's minimum degree, so each orbit is kept whole or not at
+    all."""
     need = np.array(layout.min_degree)
-    shifts = np.arange(len(layout.slots), dtype=np.int64)
-    slot_rows = layout.slot_rows()
     # per vertex, the mask bits of its slots
-    touches = (slot_rows > 0).T.astype(np.int64) @ (1 << shifts)
+    touches = (layout.slot_rows > 0).T.astype(np.int64) @ (1 << np.arange(len(layout.slots)))
     for scanned, masks in _edge_masks(len(layout.slots), lo, hi, m_min):
+        masks, weights = layout.representatives(masks)
         degrees = np.bitwise_count(masks[:, None] & touches).astype(np.int16)
         keep = (degrees >= need).all(axis=1)
         masks = masks[keep]
-        adjacency = (((masks[:, None] >> shifts) & 1).astype(float) @ slot_rows).astype(np.uint32)
-        yield scanned, adjacency, degrees[keep]
+        yield scanned, layout.rows(masks), degrees[keep], np.stack([masks, weights[keep]], axis=1)
 
 
 # ------------------------------------------------------------- reports
@@ -339,12 +451,18 @@ def _scan_entry(
 
 # --------------------------------------------------------------- scanning
 
-def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
+def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False) -> _Layout:
+    """The layout of a theorem's graphs at size n: labeled, or with
+    relabel, folding the scan's relabelings (RELABEL_GENERAL and
+    RELABEL_SIDE)."""
     row = spec.row
     p, q = _sides(row.kind, n)
     if row.kind == GENERAL:
-        return _general_layout(p, row.min_degree[0])
-    return _bipartite_layout(p, q, *row.min_degree)
+        layout = _general_layout(p, row.min_degree[0])
+    else:
+        layout = _bipartite_layout(p, q, *row.min_degree)
+    span = (RELABEL_GENERAL if row.kind == GENERAL else RELABEL_SIDE) if relabel else 1
+    return replace(layout, span=span)
 
 
 def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.ndarray) -> np.ndarray:
@@ -381,13 +499,17 @@ def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimat
     return families
 
 
-def _flush(report: SoundnessReport, spec: TheoremSpec, adjacency: np.ndarray,
-           status: np.ndarray, families: list) -> None:
-    """Decide a batch of hits, whose adjacency rows and status codes are
-    ``adjacency`` and ``status`` and the families of whose Exception hits
-    are ``families``, with one batched oracle call, and tally them in scan
-    order."""
-    holds, _ = witness_rows(adjacency, _witness_kind(spec))
+def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np.ndarray,
+           families: list) -> None:
+    """Decide a batch of hits, whose [mask, orbit size, status code] rows
+    are ``hits`` and the families of whose Exception hits are
+    ``families``, with one batched oracle call on the representatives,
+    and tally every orbit whole: each count and family gains its orbit's
+    size, and a violating representative stands for every member of its
+    orbit. A violation goes into ``report.violations`` as (vertices,
+    mask, graph6), which ``soundness`` sorts into scan order."""
+    masks, weights, status = hits.T
+    holds, _ = witness_rows(layout.rows(masks), _witness_kind(spec))
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
     violated = guaranteed & ~holds
@@ -400,33 +522,38 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, adjacency: np.ndarray,
     structural = np.array([family is not None and family.tag is FamilyTag.JOIN_EXPR
                            for family in families], dtype=bool)
     violated[exception] = holds[exception] & ~structural
-    report.hypothesis_hits += len(status)
-    report.guaranteed_confirmed += int((guaranteed & holds).sum())
-    report.boundary_cases += int((boundary & ~violated).sum())
-    for family, bad in zip(families, violated[exception].tolist()):
+    report.hypothesis_hits += int(weights.sum())
+    report.guaranteed_confirmed += int(weights[guaranteed & holds].sum())
+    report.boundary_cases += int(weights[boundary & ~violated].sum())
+    for family, bad, weight in zip(families, violated[exception].tolist(),
+                                   weights[exception].tolist()):
         if not bad:
-            report.exceptions_matched += 1
+            report.exceptions_matched += weight
             key = str(family)
-            report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + 1
-    report.violations += [_graph6(adjacency[i]) for i in np.flatnonzero(violated)]
+            report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + weight
+    for mask in masks[violated].tolist():
+        images = layout.orbit(mask)
+        report.violations += [(layout.nverts, image, _graph6(adjacency))
+                              for image, adjacency in zip(images.tolist(), layout.rows(images))]
 
 
 def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
-    """Masks [lo, hi) of one size with m_min edges, slice by slice: the
-    minimum-degree filter, the enclosures (drop, then judge off the band),
-    radius_stack on the band, the slice ladder, radius_stack and the
-    checker on its exception candidates, then the buffered hits through
-    the batched oracle."""
+    """Masks [lo, hi) of one size with m_min edges, slice by slice, one
+    representative per orbit of the scan's relabelings: the minimum-degree
+    filter, the enclosures (drop, then judge off the band), radius_stack
+    on the band, the slice ladder, radius_stack and the checker on its
+    exception candidates, then the buffered hits through the batched
+    oracle, each counted once per member of its orbit. An orbit's least
+    mask lies in exactly one part, so the parts count each orbit once."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
-    layout = _spec_layout(spec, n)
+    layout = _spec_layout(spec, n, relabel=True)
     threshold = row.threshold(n) if row.spectral else None
-    hit_rows: list[np.ndarray] = []    # per slice, its hits' adjacency rows
-    hit_codes: list[np.ndarray] = []   # and their status codes
-    families: list = []                # the buffered Exception hits' families
+    hits: list[np.ndarray] = []   # per slice, its hits' [mask, orbit size, status code]
+    families: list = []           # the buffered Exception hits' families
     buffered = 0
-    for scanned, adjacency, degrees in _slices(layout, lo, hi, _m_min(row, n)):
+    for scanned, adjacency, degrees, orbits in _slices(layout, lo, hi, _m_min(row, n)):
         report.graphs_scanned += scanned
         estimates, values = {}, None   # per kept row index, its radius_stack estimate
         if row.spectral:
@@ -439,7 +566,7 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
             keep = (low != cond.INCONCLUSIVE) | (high != cond.INCONCLUSIVE)
             band = np.flatnonzero(((low != high) | (low == cond.BOUNDARY))[keep])
             adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
-            values = lower[keep]
+            orbits, values = orbits[keep], lower[keep]
             estimates = dict(zip(band.tolist(), radius_stack(matrices[band])))
             values[band] = [estimate.value for estimate in estimates.values()]
         codes, candidate = cond.slice_ladder(row, n, degrees, adjacency, values)
@@ -448,20 +575,18 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
             estimates.update(zip(late, radius_stack(matrices[late])))
         families += _verdicts(spec, layout, adjacency, estimates, codes, candidate)
         hit = cond.HIT[codes]
-        hit_rows.append(adjacency[hit])
-        hit_codes.append(codes[hit])
+        hits.append(np.column_stack([orbits[hit], codes[hit]]))
         buffered += int(hit.sum())
         while buffered >= ORACLE_BATCH:
             # exactly ORACLE_BATCH rows, and their Exception families, go to
             # the oracle; the rest carry over
-            rows, status = np.concatenate(hit_rows), np.concatenate(hit_codes)
-            split = int((status[:ORACLE_BATCH] == cond.EXCEPTION).sum())
-            _flush(report, spec, rows[:ORACLE_BATCH], status[:ORACLE_BATCH], families[:split])
-            hit_rows, hit_codes = [rows[ORACLE_BATCH:]], [status[ORACLE_BATCH:]]
-            families = families[split:]
+            batch = np.concatenate(hits)
+            split = int((batch[:ORACLE_BATCH, 2] == cond.EXCEPTION).sum())
+            _flush(report, spec, layout, batch[:ORACLE_BATCH], families[:split])
+            hits, families = [batch[ORACLE_BATCH:]], families[split:]
             buffered -= ORACLE_BATCH
     if buffered:
-        _flush(report, spec, np.concatenate(hit_rows), np.concatenate(hit_codes), families)
+        _flush(report, spec, layout, np.concatenate(hits), families)
     return report
 
 
@@ -475,7 +600,8 @@ def soundness(
 
     Guaranteed verdicts must be confirmed by the exact oracle; Exception
     verdicts must be refuted by it. Any disagreement lands in
-    ``violations`` as a graph6 string.
+    ``violations`` as a graph6 string, in scan order: sizes ascending,
+    then masks ascending.
     """
     spec, sizes = _scan_entry(theorem_id, max_n, sizes)
     report = SoundnessReport(theorem_id, [])
@@ -501,6 +627,8 @@ def soundness(
         for task in tasks:
             report.merge(_scan_part(*task))
     report.sizes = sorted(report.sizes)
+    # an orbit's members may lie in other parts than its representative
+    report.violations = [graph6 for *_, graph6 in sorted(report.violations)]
     return report
 
 
@@ -568,7 +696,7 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
                 "hypothesis_satisfied": not row.ladder(got, threshold)[1],
             })
         layout = _spec_layout(spec, n)
-        for _, adjacency, _ in _slices(layout, 0, 1 << len(layout.slots)):
+        for _, adjacency, _, _ in _slices(layout, 0, 1 << len(layout.slots)):
             found, _ = witness_rows(adjacency, _witness_kind(spec))
             lacking = np.flatnonzero(~found)
             if not len(lacking):

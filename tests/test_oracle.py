@@ -10,7 +10,6 @@ from hamcheck.graphs import (
     bits,
     complete,
     complete_bipartite,
-    connected_rows,
     cycle,
     disjoint_union,
     empty_graph,
@@ -172,20 +171,27 @@ def test_batched_oracle_matches_the_reference_dp_and_backtracking():
 
 def test_a_batch_of_one_skips_the_tests_refused_already_passed(monkeypatch):
     # is_hamiltonian and is_traceable hand the DP only graphs _refused has
-    # passed, so its precondition tests run on scan batches alone
-    tested = []
+    # passed; a batch's one precondition test is a cycle's minimum degree
+    # 2, and a disconnected row goes to the DP, which answers it no
+    handed = []
 
-    def counting(adj):
-        tested.append(len(adj))
-        return connected_rows(adj)
+    def recording(adj, kind):
+        handed.append(adj.tolist())
+        return eligible_rows(adj, kind)
 
-    monkeypatch.setattr(oracle, "connected_rows", counting)
-    for g in (cycle(8), complete(7), path(6), disjoint_union(cycle(3), cycle(4)), star(5)):
+    eligible_rows = oracle._eligible_rows
+    monkeypatch.setattr(oracle, "_eligible_rows", recording)
+    split = disjoint_union(cycle(3), cycle(4))
+    for g in (cycle(8), complete(7), path(6), split, star(5)):
         assert (is_hamiltonian(g) is not None) == backtrack_oracle(g, CYCLE)
         assert (is_traceable(g) is not None) == backtrack_oracle(g, PATH)
-    assert tested == []
+    assert [len(g) for g in handed] == [1] * 6 and split.adj not in [tuple(g[0]) for g in handed]
+    handed.clear()
     found, _ = witness_rows(np.array([cycle(5).adj, path(5).adj], dtype=np.uint32), CYCLE)
-    assert found.tolist() == [True, False] and tested == [2]
+    assert found.tolist() == [True, False] and handed == [[list(cycle(5).adj)]]
+    handed.clear()
+    found, _ = witness_rows(np.array([split.adj], dtype=np.uint32), PATH)
+    assert found.tolist() == [False] and handed == [[list(split.adj)]]
 
 
 def test_batched_oracle_size_cap():

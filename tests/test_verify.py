@@ -3,7 +3,7 @@ import json
 import math
 import random
 from functools import partial
-from itertools import compress, product
+from itertools import chain, compress, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 def _kept(layout) -> list:
     """The graphs of every mask of the layout that pass its degree filter."""
     kept = []
-    for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+    for _, adjacency, _, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
         kept += layout.build(adjacency)
     return kept
 
@@ -194,7 +194,7 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
             monkeypatch.setattr(verify, "SLICE", slice_size)
             ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total))
             for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
-                scanned, adjacency, degrees = zip(*verify._slices(layout, lo, hi, m_min))
+                scanned, adjacency, degrees, _ = zip(*verify._slices(layout, lo, hi, m_min))
                 assert sum(scanned) == hi - lo
                 assert max(map(len, adjacency)) <= slice_size
                 want_adjacency, want_degrees = _filtered_walk(layout, lo, hi, m_min)
@@ -206,8 +206,9 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
 def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
     # with a batch of 7 hits, most slices' hits span several batches, named
     # (lemma-3.4) and structural (zhou-complement-traceable) Exception hits
-    # among them: every batch but a part's last holds exactly 7 rows, and
-    # the report is the default one
+    # among them: every batch but a part's last holds exactly 7 rows, the
+    # report is the default one, and the batches hold one representative
+    # per orbit of the labeled hits
     batches = []
 
     def recording(adjacency, kind):
@@ -221,7 +222,105 @@ def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
     assert report.to_dict() == next(r for r in fixture if r["theorem_id"] == theorem_id)
     short = [size for size in batches if size != 7]
     assert len(short) <= len(report.sizes) and max(short, default=0) < 7
-    assert sum(batches) == report.hypothesis_hits
+    spec, represented = THEOREMS[theorem_id], sum(batches)
+    layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in report.sizes}
+    _labeled(monkeypatch)
+    _, labeled = _scan_hits(monkeypatch, theorem_id, 6)
+    assert sum(len(rows) for rows in labeled.values()) == report.hypothesis_hits
+    orbits = sum(len(np.unique(_orbit_minima(layouts[n], layouts[n].span, rows[:, 0])[0]))
+                 for n, rows in labeled.items())
+    assert represented == orbits < report.hypothesis_hits / 2
+
+
+def _orbit_minima(layout, span: int, masks: np.ndarray):
+    """Per mask, its least image and its number of distinct images under
+    every permutation of the first span vertices of each side (of the one
+    side of a general graph), each image made by moving every mask bit to
+    the slot of its relabeled pair."""
+    if layout.sides is None:
+        blocks = [range(min(span, layout.nverts))]
+    else:
+        p, q = layout.sides
+        blocks = [range(min(span, p)), range(p, p + min(span, q))]
+    slot = {pair: k for k, pair in enumerate(layout.slots)}
+    images = []
+    for moved in product(*(permutations(block) for block in blocks)):
+        rename = dict(zip(chain(*blocks), chain(*moved)))
+        image = np.zeros_like(masks)
+        for k, (i, j) in enumerate(layout.slots):
+            pair = tuple(sorted((rename.get(i, i), rename.get(j, j))))
+            image |= ((masks >> k) & 1) << slot[pair]
+        images.append(image)
+    ordered = np.sort(np.array(images), axis=0)
+    return ordered[0], 1 + (np.diff(ordered, axis=0) != 0).sum(axis=0)
+
+
+def _labeled(monkeypatch):
+    """Make the scan's relabelings trivial: the labeled scan."""
+    monkeypatch.setattr(verify, "RELABEL_GENERAL", 1)
+    monkeypatch.setattr(verify, "RELABEL_SIDE", 1)
+
+
+def _scan_hits(monkeypatch, theorem_id: str, max_n: int) -> tuple[SoundnessReport, dict]:
+    """soundness(theorem_id, max_n), recording per size the [mask, orbit
+    size, status code] rows of every oracle batch, in scan order."""
+    hits = {}
+    flush = verify._flush
+
+    def recording(report, spec, layout, batch, families):
+        hits.setdefault(report.sizes[0], []).append(batch.copy())
+        return flush(report, spec, layout, batch, families)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_flush", recording)
+        report = soundness(theorem_id, max_n=max_n)
+    return report, {n: np.concatenate(batches) for n, batches in hits.items()}
+
+
+@pytest.mark.parametrize("theorem_id", theorem_ids())
+def test_orbit_weights_partition_the_kept_masks(theorem_id):
+    # at every size verify --max-n 6 scans (general n <= 6, both bipartite
+    # kinds at side <= 4): the scan keeps exactly the least image of each
+    # orbit of the labeled masks m_min and the minimum degrees keep, and
+    # its weights are those orbits' sizes, so they sum to the kept masks
+    spec = THEOREMS[theorem_id]
+    for n in sizes_for(spec, 6):
+        labeled, layout = verify._spec_layout(spec, n), verify._spec_layout(spec, n, relabel=True)
+        assert layout.span == (verify.RELABEL_GENERAL if layout.sides is None
+                               else verify.RELABEL_SIDE)
+        m_min, total = verify._m_min(spec.row, n), 1 << len(layout.slots)
+        kept = np.concatenate([orbits[:, 0]
+                               for *_, orbits in verify._slices(labeled, 0, total, m_min)])
+        got = np.concatenate([orbits for *_, orbits in verify._slices(layout, 0, total, m_min)])
+        least, size = _orbit_minima(layout, layout.span, kept)
+        orbit_size = dict(zip(least.tolist(), size.tolist()))
+        assert got[:, 0].tolist() == sorted(orbit_size)
+        assert got[:, 1].tolist() == [orbit_size[rep] for rep in got[:, 0].tolist()]
+        assert got[:, 1].sum() == len(kept)
+
+
+@pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
+def test_orbit_scan_matches_the_labeled_scan(theorem_id, monkeypatch):
+    # at every size verify --max-n 6 scans, the orbit-weighted report is the
+    # labeled one, violations included; the representatives' hits are the
+    # least images of the labeled hits, and every labeled hit's status code
+    # is its representative's: the verdicts are invariant under H, at the
+    # CMP_TOL line too, where eigvalsh on a relabeled matrix may round
+    # otherwise
+    monkeypatch.setitem(THEOREMS, "unsound-q", _UNSOUND_Q)
+    spec = THEOREMS[theorem_id]
+    report, hits = _scan_hits(monkeypatch, theorem_id, 6)
+    layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in hits}
+    _labeled(monkeypatch)
+    want, labeled = _scan_hits(monkeypatch, theorem_id, 6)
+    assert report.to_dict() == want.to_dict()
+    assert sorted(hits) == sorted(labeled)
+    for n, rows in labeled.items():
+        assert (rows[:, 1] == 1).all()
+        least, _ = _orbit_minima(layouts[n], layouts[n].span, rows[:, 0])
+        assert hits[n][:, 0].tolist() == np.unique(least).tolist()
+        code = dict(zip(hits[n][:, 0].tolist(), hits[n][:, 2].tolist()))
+        assert [code[rep] for rep in least.tolist()] == rows[:, 2].tolist()
 
 
 def test_table1_rows():
@@ -362,7 +461,25 @@ def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
     fast = soundness(theorem_id, max_n=5).to_dict()
     assert fast == _reference_soundness(theorem_id, 5).to_dict()
     if theorem_id == "unsound-q":
-        assert len(fast["violations"]) > 10  # in scan order, compared above
+        assert len(fast["violations"]) == 469  # in scan order, compared above
+
+
+def test_violations_keep_scan_order_across_parts(monkeypatch):
+    # a small CHUNK splits n = 5's 2^10 masks into three parts at jobs=3,
+    # and some violating orbit has members in two parts: a representative's
+    # part reports every member, and the merged report still lists the
+    # violations in scan order, as one part does
+    monkeypatch.setitem(THEOREMS, "unsound-q", _UNSOUND_Q)
+    serial = soundness("unsound-q", max_n=5)
+    monkeypatch.setattr(verify, "CHUNK", 1 << 8)
+    assert soundness("unsound-q", max_n=5, jobs=3).to_dict() == serial.to_dict()
+    layout = verify._spec_layout(_UNSOUND_Q, 5, relabel=True)
+    slot = {pair: k for k, pair in enumerate(layout.slots)}
+    masks = np.array([sum(1 << slot[(i, j)] for i, j in parse_graph6(line).edges())
+                      for line in serial.violations if line[0] == "D"])   # n = 5
+    least, _ = _orbit_minima(layout, layout.span, masks)
+    part = masks // -(-(1 << 10) // 3)
+    assert any(len(set(part[least == rep])) > 1 for rep in np.unique(least))
 
 
 DEGREE_SCREENED = {"chvatal": 5945, "bipartite-degree": 3676, "moon-moser": 1228}
@@ -378,7 +495,7 @@ def test_degree_screen_keeps_exactly_the_hits(theorem_id):
     kept_total = 0
     for n in sizes:
         layout = verify._spec_layout(spec, n)
-        for _, adjacency, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for _, adjacency, degrees, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
             kept = spec.row.screen(degrees, adjacency).tolist()
             hits = [spec.checker(obj).status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
                     for obj in layout.build(adjacency)]
@@ -493,7 +610,7 @@ def test_hypothesis_matrices_flip_exactly_the_pairs_a_kind_allows(monkeypatch):
         if layout.sides is not None and max(layout.sides) > 1:
             in_x = np.arange(n) < layout.sides[0]
             wrong.append((in_x[:, None] == in_x) & ~np.eye(n, dtype=bool))
-        for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for _, adjacency, _, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
             want = matrix_stack([OPERAND[row.quantity](obj) for obj in layout.build(adjacency)],
                                 radius.matrix)
             assert np.array_equal(verify._hypothesis_matrices(row, layout, adjacency), want)
@@ -547,12 +664,12 @@ def test_slice_ladder_matches_decide_on_every_small_graph(theorem_id):
     for n in sizes_for(spec, 6):
         layout = verify._spec_layout(spec, n)
         every = dataclasses.replace(layout, min_degree=[0] * layout.nverts)
-        _, adjacency, degrees = zip(*verify._slices(every, 0, 1 << len(layout.slots)))
+        _, adjacency, degrees, _ = zip(*verify._slices(every, 0, 1 << len(layout.slots)))
         adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
         dropped = ~(degrees >= layout.min_degree).all(axis=1)
         assert all(cond.decide(row, obj).status is Status.NOT_APPLICABLE
                    for obj in layout.build(adjacency[dropped]))
-        _, adjacency, degrees = zip(*verify._slices(layout, 0, 1 << len(layout.slots)))
+        _, adjacency, degrees, _ = zip(*verify._slices(layout, 0, 1 << len(layout.slots)))
         adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
         estimates, values = [], None
         if row.spectral:
@@ -585,7 +702,7 @@ def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
     for n in sizes_for(spec, 6):
         layout = verify._spec_layout(spec, n)
         threshold = row.threshold(n)
-        for _, adjacency, _ in verify._slices(layout, 0, 1 << len(layout.slots),
+        for _, adjacency, _, _ in verify._slices(layout, 0, 1 << len(layout.slots),
                                               verify._m_min(row, n)):
             matrices = verify._hypothesis_matrices(row, layout, adjacency)
             (low, _), (high, _) = (row.ladder(end, threshold) for end in cw_bounds(matrices))
@@ -634,7 +751,7 @@ def test_degree_blocking_matches_the_stacked_form(theorem_id):
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
         layout = verify._spec_layout(spec, n)
-        for _, _, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for _, _, degrees, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
             got = [_k(blocking(row)) for row in np.sort(degrees, axis=1).tolist()]
             assert got == stacked(degrees).tolist()
     rng = random.Random(theorem_id)
@@ -668,7 +785,7 @@ def test_degree_screen_evaluates_each_sorted_row_once(theorem_id, monkeypatch):
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
         layout = verify._spec_layout(spec, n)
-        for _, adjacency, degrees in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for _, adjacency, degrees, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
             seen.clear()
             kept = spec.row.screen(degrees, adjacency)
             distinct = {tuple(row) for row in np.sort(degrees, axis=1).tolist()}
