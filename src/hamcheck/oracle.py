@@ -15,10 +15,11 @@ used: 2^(n-1) per graph for a cycle and 2^n for a path.
 One implementation runs it: ``witness_rows``, the oracle's array entry.
 It takes a (B, n) uint32 array of adjacency bitsets, the form a soundness
 scan keeps each graph in, and pulls endpoints from each subset's
-predecessors with numpy, one popcount layer at a time, for every row at
-once. Its tables are keyed by S >> 1 and stored subset-major,
-(2^(n-1), B) for a cycle and (2^n, B) for a path, so each predecessor
-lookup copies one contiguous row of B entries. Soundness scans and
+predecessors with numpy, one popcount layer at a time, in one gather per
+piece of a layer over every vertex and every row at once. Its tables are
+keyed by S >> 1 and stored subset-major, (2^(n-1), B) for a cycle and
+(2^n, B) for a path, so each predecessor lookup copies one contiguous row
+of B entries. Soundness scans and
 ``tightness_search`` hand it the rows of their scan slices;
 ``is_hamiltonian`` and ``is_traceable``, which ``oracle`` prints and
 ``certify`` falls back on, hand its DP a batch of one, after
@@ -66,19 +67,21 @@ lengthen the short searches that fail.
 
 MAX_DP_N keeps one call on a batch of one far within a budget of about
 10 s on one core; the cost grows about 2x per vertex from n = 18.
-Measured on one core of a 2-vCPU Xeon VM with Python 3.11, for the cycle
-/ path DP of ``is_hamiltonian`` / ``is_traceable``: mean ms per call on
-20 G(n, 1/2), best of 20 passes (5 at n=14), n=8 0.33 / 0.71, n=10 0.94
-/ 1.2, n=12 1.5 / 2.0, n=14 3.0 / 4.0; in seconds, on three G(n, 1/2)
-and on the complete graph, the costliest table, n=16 0.007 / 0.012,
-n=18 0.022 / 0.046, and past the cap n=19 0.046 / 0.096, n=20 0.11 /
-0.23. The cap stays at 18 all the same: raising it changes what
+Measured on one core of a 2-vCPU Xeon VM with Python 3.11 and numpy
+2.4, for the cycle / path DP that ``is_hamiltonian`` / ``is_traceable``
+run once ``_refused`` has passed a graph: mean ms per call on 20 G(n,
+1/2), best of 20 passes (5 at n=14), n=8 0.15 / 0.17, n=10 0.20 / 0.24,
+n=12 0.30 / 0.42, n=14 0.67 / 1.5; in seconds, the costliest of three
+G(n, 1/2) and the complete graph, best of 3, n=16 0.002 / 0.005, n=18
+0.012 / 0.023, and past the cap n=19 0.022 / 0.041, n=20 0.041 / 0.095.
+The cap stays at 18 all the same: raising it changes what
 ``analyze`` and ``oracle`` print at those sizes.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -356,27 +359,40 @@ def _endpoint_tables(adj: np.ndarray) -> np.ndarray:
     returned as its transposed view. Pull form: bit u of dp[S] is set iff
     dp[S - u] & adj[u] != 0, for each u in S other than 0. Subsets go by
     popcount, so every predecessor lies in the layer before, and each of
-    its lookups copies one contiguous row.
+    its lookups copies one contiguous row. A piece of a layer is one
+    gather over all n - 1 vertices at once, vertex-major, so the index
+    arithmetic and the OR over the vertices run along whole rows: for a u
+    outside S it reads the row of S + u, a subset of a later layer, still
+    zero. A piece holds as many subsets as keep its gather, (n - 1) *
+    piece * B entries, within BATCH_GATHER_CELLS, and at least one.
     """
     count, n = adj.shape
     dp = np.zeros((1 << (n - 1), count), dtype=np.uint32)
     dp[0] = 1
-    subsets = np.arange(1 << (n - 1))
-    popcount = np.bitwise_count(subsets)
-    columns = adj.T
+    layers, starts = _layers(n - 1)
+    flips = 1 << np.arange(n - 1)[:, None]   # vertex u = 1..n-1, as a bit of S >> 1
+    columns = adj.T[1:, None]
+    shifts = np.arange(1, n, dtype=np.uint32)[:, None, None]
     piece = max(1, BATCH_GATHER_CELLS // (count * n))
     for k in range(1, n):
-        layer = subsets[popcount == k]
-        for lo in range(0, len(layer), piece):
-            masks = layer[lo:lo + piece]
-            ends = np.zeros((len(masks), count), dtype=np.uint32)
-            for u in range(1, n):
-                bit = 1 << (u - 1)   # vertex u, as a bit of S >> 1
-                at = np.flatnonzero(masks & bit)
-                pulled = dp[masks[at] ^ bit] & columns[u]
-                ends[at] |= np.minimum(pulled, 1) << u
-            dp[masks] = ends
+        for lo in range(starts[k], starts[k + 1], piece):
+            masks = layers[lo:min(lo + piece, starts[k + 1])]
+            pulled = np.take(dp, flips ^ masks, axis=0)
+            pulled &= columns
+            np.minimum(pulled, 1, out=pulled)
+            pulled <<= shifts
+            dp[masks] = np.bitwise_or.reduce(pulled, axis=0)
     return dp.T
+
+
+@cache
+def _layers(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(subsets, starts): the values of ``width`` bits grouped by popcount,
+    each group ascending, popcount k at subsets[starts[k]:starts[k + 1]]."""
+    subsets = np.arange(1 << width)
+    popcount = np.bitwise_count(subsets)
+    order = np.argsort(popcount, kind="stable")
+    return subsets[order], np.searchsorted(popcount[order], np.arange(width + 2))
 
 
 def backtrack_oracle(g: Graph, kind: str) -> bool:

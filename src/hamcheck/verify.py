@@ -15,11 +15,12 @@ count, the minimum degrees, every verdict and Hamiltonicity are
 invariant under H, so each tally is a sum of orbit sizes and equals the
 labeled scan's; RELABEL_GENERAL = RELABEL_SIDE = 1 make H trivial, the
 labeled scan itself. Each element of H is a permutation of the mask
-bits, tabled over LOW_BITS chunks (``_relabelings``, built on first use),
-and a mask is its orbit's representative iff it is the least of its
-images; the adjacent transpositions are tried first, as a mask above its
-image under one of them is none, and only the masks they leave are
-mapped through all of H. An orbit's least mask lies in exactly one
+bits, tabled in int32 over the fewest chunks of at most LOW_BITS bits,
+of near-equal widths (``_relabelings``, built on first use), and a mask
+is its orbit's representative iff it is the least of its images; the
+adjacent transpositions are tried first, as a mask above its image
+under one of them is none, and only the masks they leave are mapped
+through all of H. An orbit's least mask lies in exactly one
 ``--jobs`` part, so the parts count each orbit once. A violating
 representative stands for its orbit: every distinct image is reported,
 and ``soundness`` sorts the violations of all parts into scan order,
@@ -134,8 +135,9 @@ DEFAULT_MAX_N = 6
 BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
 # the soundness scan's relabelings H: every permutation of a general
 # graph's first RELABEL_GENERAL vertices, and of the first RELABEL_SIDE
-# vertices of each bipartite side; 1 and 1 make H trivial, the labeled scan
-RELABEL_GENERAL = 4
+# vertices of each bipartite side; 1 and 1 make H trivial, the labeled
+# scan. S_4 x S_4 was no faster than S_3 x S_3 at side <= 4
+RELABEL_GENERAL = 5
 RELABEL_SIDE = 3
 
 
@@ -221,10 +223,14 @@ def _relabelings(nverts: int, sides: Optional[tuple[int, int]],
                  span: int) -> tuple[np.ndarray, int]:
     """(tables, swaps): H, every permutation of the first ``span``
     vertices of each side of the layout with these vertices and sides (of
-    its one side if general), as slot permutations tabled over h =
-    min(LOW_BITS, mask bits) bit chunks: [element, chunk c, value v], the
-    image of mask v << c*h. Its first ``swaps`` elements are the adjacent
-    transpositions, then comes the rest of H."""
+    its one side if general), as slot permutations tabled over chunks of h
+    mask bits: [element, chunk c, value v], the image of mask v << c*h.
+    The chunks are the fewest of at most LOW_BITS bits, and h =
+    ceil(bits / chunks), so a table is no wider than it must be: at 16
+    mask bits (side 4) two chunks of 8, 256 entries, not 11 and 5, 2048.
+    The entries are int32, which holds every mask the caps allow (below
+    2^28 at MAX_ENUM_N, 2^25 bipartite). Its first ``swaps`` elements are
+    the adjacent transpositions, then comes the rest of H."""
     if sides is None:
         layout, blocks = _general_layout(nverts, 0), [range(min(span, nverts))]
     else:
@@ -246,10 +252,10 @@ def _relabelings(nverts: int, sides: Optional[tuple[int, int]],
     swaps = sum(map(adjacent_swap, elements))
     index = {pair: k for k, pair in enumerate(layout.slots)}
     slots = len(layout.slots)
-    h = min(LOW_BITS, slots)
-    chunks = -(-slots // h) if h else 1
+    chunks = max(1, -(-slots // LOW_BITS))
+    h = -(-slots // chunks)
     values = (np.arange(1 << h)[:, None] >> np.arange(h)) & 1
-    tables = np.zeros((len(elements), chunks, 1 << h), dtype=np.int64)
+    tables = np.zeros((len(elements), chunks, 1 << h), dtype=np.int32)
     for g, perm in enumerate(elements):
         moved = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in layout.slots]
         for c in range(chunks):

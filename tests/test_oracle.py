@@ -337,6 +337,39 @@ def test_endpoint_tables_hold_the_subsets_with_vertex_0(n):
         assert dp[0, key] == (subset ^ 1 if subset != 1 else 1)
 
 
+@pytest.mark.parametrize("n", range(8, 15))
+def test_a_batch_of_one_gives_the_reference_dp_witness(n):
+    # the form is_hamiltonian, is_traceable and the oracle command hand the
+    # DP, where each layer piece's gather spans the vertices of one graph
+    rng = random.Random(100 + n)
+    graphs = [random_graph(n, rng.randrange(10 ** 6), p=p) for p in (0.3, 0.45, 0.6)]
+    graphs += [cycle(n), path(n)]
+    for kind in ("cycle", "path"):
+        for g in graphs:
+            found, orders = witness_rows(np.array([g.adj], dtype=np.uint32), kind)
+            want = REFERENCE[kind](g)
+            assert found.tolist() == [want is not None]
+            assert [tuple(o) for o in orders.tolist()] == ([want] if want else [])
+    assert witness_rows(np.array([path(n).adj], dtype=np.uint32), "cycle")[0].tolist() == [False]
+
+
+@pytest.mark.parametrize("cells", [1 << 20, 64])
+def test_a_batchs_tables_are_its_rows_own_tables(monkeypatch, cells):
+    # every row of a batch reads only its own column of each gather, at
+    # every n up to 12, in one piece per layer (the default bound) or in
+    # ragged pieces of a few subsets (64 cells)
+    monkeypatch.setattr(oracle, "BATCH_GATHER_CELLS", cells)
+    rng = random.Random(23)
+    for n in range(1, 13):
+        graphs = [random_graph(n, rng.randrange(10 ** 6), p=p) for p in (0.2, 0.5, 0.8)]
+        graphs += [complete(n), cycle(n) if n >= 3 else path(n)]
+        adj = np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+        dp = _endpoint_tables(adj)
+        alone = np.vstack([_endpoint_tables(adj[r:r + 1]) for r in range(len(adj))])
+        assert dp.shape == alone.shape == (len(adj), 1 << (n - 1))
+        assert np.array_equal(dp, alone)
+
+
 @pytest.mark.parametrize("cells", [1, 64])
 def test_chunking_does_not_change_the_answer(monkeypatch, cells):
     rng = random.Random(13)

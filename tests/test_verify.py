@@ -232,27 +232,77 @@ def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
     assert represented == orbits < report.hypothesis_hits / 2
 
 
-def _orbit_minima(layout, span: int, masks: np.ndarray):
-    """Per mask, its least image and its number of distinct images under
-    every permutation of the first span vertices of each side (of the one
-    side of a general graph), each image made by moving every mask bit to
-    the slot of its relabeled pair."""
+def _relabeled(layout, span: int, masks: np.ndarray) -> tuple[list, np.ndarray]:
+    """(perms, images): every permutation of the first span vertices of
+    each side (of the one side of a general graph), as a dict of the
+    vertices it moves, and [element, mask] the image of each mask under
+    it, made by moving every mask bit to the slot of its relabeled pair."""
     if layout.sides is None:
         blocks = [range(min(span, layout.nverts))]
     else:
         p, q = layout.sides
         blocks = [range(min(span, p)), range(p, p + min(span, q))]
     slot = {pair: k for k, pair in enumerate(layout.slots)}
-    images = []
+    perms, images = [], []
     for moved in product(*(permutations(block) for block in blocks)):
-        rename = dict(zip(chain(*blocks), chain(*moved)))
+        rename = {v: w for v, w in zip(chain(*blocks), chain(*moved)) if v != w}
         image = np.zeros_like(masks)
         for k, (i, j) in enumerate(layout.slots):
             pair = tuple(sorted((rename.get(i, i), rename.get(j, j))))
             image |= ((masks >> k) & 1) << slot[pair]
+        perms.append(rename)
         images.append(image)
-    ordered = np.sort(np.array(images), axis=0)
+    return perms, np.array(images)
+
+
+def _orbit_minima(layout, span: int, masks: np.ndarray):
+    """Per mask, its least image and its number of distinct images under
+    every permutation of the first span vertices of each side (of the one
+    side of a general graph)."""
+    ordered = np.sort(_relabeled(layout, span, masks)[1], axis=0)
     return ordered[0], 1 + (np.diff(ordered, axis=0) != 0).sum(axis=0)
+
+
+def _capped_layouts() -> list:
+    """(vertices, sides) of every layout the size caps allow: general n <=
+    MAX_ENUM_N, and each bipartite kind with p*q <= MAX_BIP_CELLS."""
+    layouts = [pytest.param(n, None, id=f"general-{n}") for n in range(1, verify.MAX_ENUM_N + 1)]
+    for kind in (cond.BIP_BALANCED, cond.BIP_UNBALANCED):
+        n = 1
+        while math.prod(verify._sides(kind, n)) <= verify.MAX_BIP_CELLS:
+            p, q = verify._sides(kind, n)
+            layouts.append(pytest.param(p + q, (p, q), id=f"bipartite-{p}x{q}"))
+            n += 1
+    return layouts
+
+
+@pytest.mark.parametrize("nverts, sides", _capped_layouts())
+def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
+    # the scan's tables of H, at every layout a scan may take: chunks at
+    # most LOW_BITS wide, a dtype that holds every mask, and per element
+    # the images of sampled masks (every single bit among them, so the
+    # images fix the permutation) that moving each edge bit by the vertex
+    # permutation gives; the adjacent transpositions come first
+    if sides is None:
+        layout = dataclasses.replace(verify._general_layout(nverts, 0), span=verify.RELABEL_GENERAL)
+    else:
+        layout = dataclasses.replace(verify._bipartite_layout(*sides, 0, 0),
+                                     span=verify.RELABEL_SIDE)
+    tables, swaps = verify._relabelings(layout.nverts, layout.sides, layout.span)
+    slots, (chunks, width) = len(layout.slots), tables.shape[1:]
+    h = width.bit_length() - 1
+    assert width == 1 << h and h <= verify.LOW_BITS
+    assert slots <= chunks * h
+    assert np.iinfo(tables.dtype).max >= (1 << slots) - 1
+    rng = np.random.default_rng(slots)
+    masks = np.concatenate([rng.integers(0, 1 << slots, 64), [0, (1 << slots) - 1],
+                            1 << np.arange(slots)])
+    got = layout.images(masks).tolist()
+    perms, want = _relabeled(layout, layout.span, masks)
+    assert sorted(got) == sorted(want.tolist())
+    adjacent = [image for perm, image in zip(perms, want.tolist())
+                if sorted(perm) in ([v, v + 1] for v in range(layout.nverts))]
+    assert sorted(got[:swaps]) == sorted(adjacent)
 
 
 def _labeled(monkeypatch):
@@ -299,9 +349,13 @@ def test_orbit_weights_partition_the_kept_masks(theorem_id):
         assert got[:, 1].sum() == len(kept)
 
 
-@pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
-def test_orbit_scan_matches_the_labeled_scan(theorem_id, monkeypatch):
-    # at every size verify --max-n 6 scans, the orbit-weighted report is the
+@pytest.mark.parametrize("theorem_id, max_n", [
+    *(pytest.param(theorem_id, 6, id=theorem_id) for theorem_id in theorem_ids() + ["unsound-q"]),
+    pytest.param("yu-fan-hamiltonian", 7, id="yu-fan-hamiltonian-n7"),
+])
+def test_orbit_scan_matches_the_labeled_scan(theorem_id, max_n, monkeypatch):
+    # at every size verify --max-n 6 scans, and yu-fan-hamiltonian's n = 7,
+    # where S_5 leaves two vertices fixed, the orbit-weighted report is the
     # labeled one, violations included; the representatives' hits are the
     # least images of the labeled hits, and every labeled hit's status code
     # is its representative's: the verdicts are invariant under H, at the
@@ -309,10 +363,10 @@ def test_orbit_scan_matches_the_labeled_scan(theorem_id, monkeypatch):
     # otherwise
     monkeypatch.setitem(THEOREMS, "unsound-q", _UNSOUND_Q)
     spec = THEOREMS[theorem_id]
-    report, hits = _scan_hits(monkeypatch, theorem_id, 6)
+    report, hits = _scan_hits(monkeypatch, theorem_id, max_n)
     layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in hits}
     _labeled(monkeypatch)
-    want, labeled = _scan_hits(monkeypatch, theorem_id, 6)
+    want, labeled = _scan_hits(monkeypatch, theorem_id, max_n)
     assert report.to_dict() == want.to_dict()
     assert sorted(hits) == sorted(labeled)
     for n, rows in labeled.items():
