@@ -14,17 +14,16 @@ across sides, since the rows read each side's degrees apart). The edge
 count, the minimum degrees, every verdict and Hamiltonicity are
 invariant under H, so each tally is a sum of orbit sizes and equals the
 labeled scan's; RELABEL_GENERAL = RELABEL_SIDE = 1 make H trivial, the
-labeled scan itself. Each element of H is a permutation of the mask
-bits, tabled in int32 over the fewest chunks of at most LOW_BITS bits,
-of near-equal widths (``_relabelings``, built on first use), and a mask
-is its orbit's representative iff it is the least of its images; the
-adjacent transpositions are tried first, as a mask above its image
-under one of them is none, and only the masks they leave are mapped
-through all of H. An orbit's least mask lies in exactly one
-``--jobs`` part, so the parts count each orbit once. A violating
-representative stands for its orbit: every distinct image is reported,
-and ``soundness`` sorts the violations of all parts into scan order,
-sizes ascending, then masks ascending.
+labeled scan itself. A mask is its orbit's representative iff it is the
+least of its images, each from the tables of ``_relabelings``. An
+adjacent transposition in H swaps slots a fixed distance apart, so a few
+ANDs and shifts tell whether it maps a mask below itself: ``_edge_masks``
+drops such masks, and never generates those of a high part it beats
+under every low part; only the masks left are mapped through all of H.
+An orbit's least mask lies in exactly one ``--jobs`` part, so the parts
+count each orbit once. A violating representative stands for its orbit:
+every distinct image is reported, and ``soundness`` sorts the violations
+of all parts into scan order, sizes ascending, then masks ascending.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
@@ -171,11 +170,10 @@ class _Layout:
         bits = (masks[:, None] >> np.arange(len(self.slots))) & 1
         return (bits.astype(float) @ self.slot_rows).astype(np.uint32)
 
-    def images(self, masks: np.ndarray, count: Optional[int] = None) -> np.ndarray:
-        """[element, mask]: the image of each mask under H's first
-        ``count`` elements (all of H by default), from ``_relabelings``'
-        tables."""
-        tables = _relabelings(self.nverts, self.sides, self.span)[0][:count]
+    def images(self, masks: np.ndarray) -> np.ndarray:
+        """[element, mask]: the image of each mask under every element of H,
+        from ``_relabelings``' tables."""
+        tables = _relabelings(self.nverts, self.sides, self.span)[0]
         h = tables.shape[2].bit_length() - 1
         out = tables[:, 0, masks & ((1 << h) - 1)]
         for c in range(1, tables.shape[1]):
@@ -184,22 +182,11 @@ class _Layout:
 
     def representatives(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(masks, weights): the masks that are least among their images
-        under H, each its orbit's representative, and the orbit sizes. The
-        adjacent transpositions, H's first elements, go first: a mask above
-        its image under one of them is no representative, and only the
-        masks left are mapped through all of H."""
-        if self.span < 2:
-            return masks, np.ones(len(masks), dtype=np.int64)
-        swaps = _relabelings(self.nverts, self.sides, self.span)[1]
-        masks = masks[(masks <= self.images(masks, swaps)).all(axis=0)]
+        under H, each its orbit's representative, and the orbit sizes."""
         images = self.images(masks)
         least = (masks <= images).all(axis=0)
         masks, images = masks[least], images[:, least]
         return masks, len(images) // (images == masks).sum(axis=0)
-
-    def orbit(self, mask: int) -> np.ndarray:
-        """The distinct images of a mask under H, ascending."""
-        return np.unique(self.images(np.array([mask], dtype=np.int64)))
 
     def build(self, adjacency: np.ndarray) -> list:
         """The graph objects of the adjacency rows."""
@@ -220,48 +207,56 @@ def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
 
 @cache
 def _relabelings(nverts: int, sides: Optional[tuple[int, int]],
-                 span: int) -> tuple[np.ndarray, int]:
-    """(tables, swaps): H, every permutation of the first ``span``
+                 span: int) -> tuple[np.ndarray, tuple]:
+    """(tables, shifts) of H, every permutation of the first ``span``
     vertices of each side of the layout with these vertices and sides (of
-    its one side if general), as slot permutations tabled over chunks of h
-    mask bits: [element, chunk c, value v], the image of mask v << c*h.
-    The chunks are the fewest of at most LOW_BITS bits, and h =
-    ceil(bits / chunks), so a table is no wider than it must be: at 16
+    its one side if general). ``tables`` holds them as slot permutations
+    over chunks of h mask bits: [element, chunk c, value v], the image of
+    mask v << c*h. The chunks are the fewest of at most LOW_BITS bits, and
+    h = ceil(bits / chunks), so a table is no wider than it must be: at 16
     mask bits (side 4) two chunks of 8, 256 entries, not 11 and 5, 2048.
     The entries are int32, which holds every mask the caps allow (below
-    2^28 at MAX_ENUM_N, 2^25 bipartite). Its first ``swaps`` elements are
-    the adjacent transpositions, then comes the rest of H."""
+    2^28 at MAX_ENUM_N, 2^25 bipartite). ``shifts`` has one (moved,
+    ((s, lower), ...)) per adjacent transposition: it swaps each bit a of
+    ``lower`` with slot a + s, and ``moved`` holds those upper slots."""
     if sides is None:
         layout, blocks = _general_layout(nverts, 0), [range(min(span, nverts))]
     else:
         p, q = sides
         layout = _bipartite_layout(p, q, 0, 0)
         blocks = [range(min(span, p)), range(p, p + min(span, q))]
-    elements = []
-    for images in product(*(permutations(block) for block in blocks)):
-        perm = list(range(layout.nverts))
-        for block, image in zip(blocks, images):
-            perm[block.start:block.stop] = image
-        elements.append(perm)
-
-    def adjacent_swap(perm: list[int]) -> bool:
-        moved = [v for v, w in enumerate(perm) if v != w]
-        return len(moved) == 2 and moved[1] == moved[0] + 1
-
-    elements.sort(key=lambda perm: not adjacent_swap(perm))
-    swaps = sum(map(adjacent_swap, elements))
     index = {pair: k for k, pair in enumerate(layout.slots)}
     slots = len(layout.slots)
     chunks = max(1, -(-slots // LOW_BITS))
     h = -(-slots // chunks)
-    values = (np.arange(1 << h)[:, None] >> np.arange(h)) & 1
-    tables = np.zeros((len(elements), chunks, 1 << h), dtype=np.int32)
-    for g, perm in enumerate(elements):
-        moved = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in layout.slots]
-        for c in range(chunks):
-            part = moved[c * h:(c + 1) * h]
-            tables[g, c] = values[:, :len(part)] @ np.array(part, dtype=np.int64)
-    return tables, swaps
+    values = (np.arange(1 << h) >> np.arange(h)[:, None]) & 1
+    tables, shifts = [], []
+    for images in product(*(permutations(block) for block in blocks)):
+        perm = list(range(layout.nverts))
+        for block, image in zip(blocks, images):
+            perm[block.start:block.stop] = image
+        target = [index[tuple(sorted((perm[i], perm[j])))] for i, j in layout.slots]
+        moved = np.array([1 << k for k in target] + [0] * (chunks * h - slots), dtype=np.int64)
+        tables.append(moved.reshape(chunks, h) @ values)
+        if [w - v for v, w in enumerate(perm) if v != w] == [1, -1]:   # swaps v and v + 1
+            lower = {}
+            for a, b in enumerate(target):
+                if a < b:
+                    lower[b - a] = lower.get(b - a, 0) | 1 << a
+            shifts.append((sum(bits << s for s, bits in lower.items()), tuple(lower.items())))
+    return np.array(tables, dtype=np.int32), tuple(shifts)
+
+
+def _swapped_below(shifts: tuple, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Per mask, whether an adjacent transposition of ``shifts`` maps it
+    below itself: whether ``upper``'s bits on its upper slots exceed
+    ``lower``'s on its lower slots, shifted onto them. True with upper a
+    subset of lower means true for every mask between the two."""
+    beaten = np.zeros(len(upper), dtype=bool)
+    for moved, pairs in shifts:
+        # the shifted lower slots are disjoint, so their sum is their union
+        beaten |= (upper & moved) > sum((lower & bits) << s for s, bits in pairs)
+    return beaten
 
 
 @cache
@@ -274,13 +269,15 @@ def _low_table(h: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(tables), np.cumsum([0] + [len(t) for t in tables])
 
 
-def _edge_masks(slots: int, lo: int, hi: int, m_min: int):
+def _edge_masks(slots: int, lo: int, hi: int, m_min: int, shifts: tuple):
     """Yield (scanned, masks) per slice of the masks of [lo, hi) with at
-    least m_min bits set: at most SLICE of them, in ascending order, and the
-    width of the mask range the slice covers, so the widths sum to hi - lo.
-    A mask is a high part H over its low h bits, and H takes the tabled low
+    least m_min bits set that no adjacent transposition of ``shifts`` maps
+    below itself: at most SLICE of them, in ascending order, and the width
+    of the mask range the slice covers, so the widths sum to hi - lo. A
+    mask is a high part H over its low h bits, and H takes the tabled low
     values with at least m_min - popcount(H) bits set, cut to [lo, hi) at
-    the first and last H."""
+    the first and last H, or none if a transposition beats H with every
+    low bit set, and so under every low part."""
     h = min(LOW_BITS, slots)
     lows, offset = _low_table(h)
     highs = np.arange(lo >> h, ((hi - 1) >> h) + 1, dtype=np.int64)
@@ -288,7 +285,8 @@ def _edge_masks(slots: int, lo: int, hi: int, m_min: int):
     begin, end = offset[t], offset[t + 1]
     begin[0] += np.searchsorted(lows[begin[0]:end[0]], lo - (highs[0] << h))
     end[-1] = begin[-1] + np.searchsorted(lows[begin[-1]:end[-1]], hi - (highs[-1] << h))
-    count = end - begin
+    beaten = _swapped_below(shifts, highs << h, highs << h | ((1 << h) - 1))
+    count = np.where(beaten, 0, end - begin)
     first = np.cumsum(count) - count   # each high's first position in the sequence
     skip = begin - first               # a position's index into lows, less the position
     total, done = int(count.sum()), lo
@@ -301,7 +299,7 @@ def _edge_masks(slots: int, lo: int, hi: int, m_min: int):
         at = np.arange(base, base + runs.sum()) + np.repeat(skip[r0:r1], runs)
         masks = (np.repeat(highs[r0:r1] << h, runs) | lows[at])[start - base:stop - base]
         reach = hi if stop == total else int(masks[-1]) + 1
-        yield reach - done, masks
+        yield reach - done, masks[~_swapped_below(shifts, masks, masks)]
         done = reach
 
 
@@ -310,14 +308,15 @@ def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
     hi): for the masks with at least m_min edges, each its orbit's
     representative under the layout's relabelings H, and every vertex at
     its minimum degree, their adjacency rows, their per-vertex degree
-    tables and their [mask, orbit size] pairs. Only the masks with m_min
-    edges are generated, by ``_edge_masks``; H keeps the edge count and
-    every vertex's minimum degree, so each orbit is kept whole or not at
-    all."""
+    tables and their [mask, orbit size] pairs. ``_edge_masks`` generates
+    only the masks with m_min edges that no adjacent transposition maps
+    below itself; H keeps the edge count and every vertex's minimum degree,
+    so each orbit is kept whole or not at all."""
     need = np.array(layout.min_degree)
     # per vertex, the mask bits of its slots
     touches = (layout.slot_rows > 0).T.astype(np.int64) @ (1 << np.arange(len(layout.slots)))
-    for scanned, masks in _edge_masks(len(layout.slots), lo, hi, m_min):
+    shifts = _relabelings(layout.nverts, layout.sides, layout.span)[1]
+    for scanned, masks in _edge_masks(len(layout.slots), lo, hi, m_min, shifts):
         masks, weights = layout.representatives(masks)
         degrees = np.bitwise_count(masks[:, None] & touches).astype(np.int16)
         keep = (degrees >= need).all(axis=1)
@@ -537,8 +536,8 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np
             report.exceptions_matched += weight
             key = str(family)
             report.exceptions_by_family[key] = report.exceptions_by_family.get(key, 0) + weight
-    for mask in masks[violated].tolist():
-        images = layout.orbit(mask)
+    for images in layout.images(masks[violated]).T:
+        images = np.unique(images)   # the orbit's members, ascending
         report.violations += [(layout.nverts, image, _graph6(adjacency))
                               for image, adjacency in zip(images.tolist(), layout.rows(images))]
 

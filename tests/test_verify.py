@@ -159,11 +159,10 @@ def test_ragged_parallel_parts_match_serial(theorem_id, monkeypatch):
     assert soundness(theorem_id, max_n=6, jobs=3).to_dict() == serial.to_dict()
 
 
-def _filtered_walk(layout, lo: int, hi: int, m_min: int):
-    """The adjacency rows and degree tables of the masks [lo, hi) with at
-    least m_min bits set and every vertex at its minimum degree, every mask
-    generated and tested."""
-    masks = np.arange(lo, hi, dtype=np.int64)
+def _filtered_walk(layout, masks: np.ndarray, m_min: int):
+    """(kept, adjacency, degrees): which masks have at least m_min bits set
+    and every vertex at its minimum degree, and the adjacency rows and
+    degree tables of those masks, every mask tested."""
     bits = (masks[:, None] >> np.arange(len(layout.slots))) & 1
     incident = np.array([[v in pair for v in range(layout.nverts)] for pair in layout.slots],
                         dtype=np.int64).reshape(len(layout.slots), layout.nverts)
@@ -174,7 +173,7 @@ def _filtered_walk(layout, lo: int, hi: int, m_min: int):
         set_k = bits[keep, k].astype(bool)
         adjacency[set_k, i] |= np.uint32(1 << j)
         adjacency[set_k, j] |= np.uint32(1 << i)
-    return adjacency, degrees[keep]
+    return keep, adjacency, degrees[keep]
 
 
 @pytest.mark.parametrize("theorem_id", theorem_ids())
@@ -197,7 +196,8 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
                 scanned, adjacency, degrees, _ = zip(*verify._slices(layout, lo, hi, m_min))
                 assert sum(scanned) == hi - lo
                 assert max(map(len, adjacency)) <= slice_size
-                want_adjacency, want_degrees = _filtered_walk(layout, lo, hi, m_min)
+                _, want_adjacency, want_degrees = _filtered_walk(
+                    layout, np.arange(lo, hi, dtype=np.int64), m_min)
                 assert np.array_equal(np.concatenate(adjacency), want_adjacency)
                 assert np.array_equal(np.concatenate(degrees), want_degrees)
 
@@ -263,17 +263,28 @@ def _orbit_minima(layout, span: int, masks: np.ndarray):
     return ordered[0], 1 + (np.diff(ordered, axis=0) != 0).sum(axis=0)
 
 
-def _capped_layouts() -> list:
-    """(vertices, sides) of every layout the size caps allow: general n <=
-    MAX_ENUM_N, and each bipartite kind with p*q <= MAX_BIP_CELLS."""
-    layouts = [pytest.param(n, None, id=f"general-{n}") for n in range(1, verify.MAX_ENUM_N + 1)]
+def _capped_layouts(max_n: int = verify.MAX_ENUM_N, max_cells: int = verify.MAX_BIP_CELLS) -> list:
+    """(vertices, sides) of every layout the size caps allow, or tighter
+    caps: general n <= max_n, and each bipartite kind with p*q <=
+    max_cells."""
+    layouts = [pytest.param(n, None, id=f"general-{n}") for n in range(1, max_n + 1)]
     for kind in (cond.BIP_BALANCED, cond.BIP_UNBALANCED):
         n = 1
-        while math.prod(verify._sides(kind, n)) <= verify.MAX_BIP_CELLS:
+        while math.prod(verify._sides(kind, n)) <= max_cells:
             p, q = verify._sides(kind, n)
             layouts.append(pytest.param(p + q, (p, q), id=f"bipartite-{p}x{q}"))
             n += 1
     return layouts
+
+
+def _folded_layout(nverts: int, sides, min_degree: int):
+    """The layout with these vertices and sides, every vertex at least at
+    min_degree, folding the scan's relabelings."""
+    if sides is None:
+        layout = verify._general_layout(nverts, min_degree)
+        return dataclasses.replace(layout, span=verify.RELABEL_GENERAL)
+    layout = verify._bipartite_layout(*sides, min_degree, min_degree)
+    return dataclasses.replace(layout, span=verify.RELABEL_SIDE)
 
 
 @pytest.mark.parametrize("nverts, sides", _capped_layouts())
@@ -282,13 +293,11 @@ def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
     # most LOW_BITS wide, a dtype that holds every mask, and per element
     # the images of sampled masks (every single bit among them, so the
     # images fix the permutation) that moving each edge bit by the vertex
-    # permutation gives; the adjacent transpositions come first
-    if sides is None:
-        layout = dataclasses.replace(verify._general_layout(nverts, 0), span=verify.RELABEL_GENERAL)
-    else:
-        layout = dataclasses.replace(verify._bipartite_layout(*sides, 0, 0),
-                                     span=verify.RELABEL_SIDE)
-    tables, swaps = verify._relabelings(layout.nverts, layout.sides, layout.span)
+    # permutation gives; the shift entries swap exactly what the adjacent
+    # transpositions move, so the shift test beats exactly the masks one of
+    # them maps below itself
+    layout = _folded_layout(nverts, sides, 0)
+    tables, shifts = verify._relabelings(layout.nverts, layout.sides, layout.span)
     slots, (chunks, width) = len(layout.slots), tables.shape[1:]
     h = width.bit_length() - 1
     assert width == 1 << h and h <= verify.LOW_BITS
@@ -300,9 +309,56 @@ def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
     got = layout.images(masks).tolist()
     perms, want = _relabeled(layout, layout.span, masks)
     assert sorted(got) == sorted(want.tolist())
-    adjacent = [image for perm, image in zip(perms, want.tolist())
-                if sorted(perm) in ([v, v + 1] for v in range(layout.nverts))]
-    assert sorted(got[:swaps]) == sorted(adjacent)
+    adjacent = sorted(image for perm, image in zip(perms, want.tolist())
+                      if sorted(perm) in ([v, v + 1] for v in range(layout.nverts)))
+    swapped = []
+    for moved, pairs in shifts:
+        image = masks & ~moved
+        for s, lower in pairs:
+            image = image & ~lower | (masks & lower) << s | (masks >> s) & lower
+        swapped.append(image.tolist())
+    assert sorted(swapped) == adjacent
+    below = (np.reshape(adjacent, (-1, len(masks))) < masks).any(axis=0)
+    assert verify._swapped_below(shifts, masks, masks).tolist() == below.tolist()
+
+
+@pytest.mark.parametrize("nverts, sides", _capped_layouts(7, verify.BIP_CELLS))
+def test_pruned_slices_are_the_unpruned_walk_of_representatives(nverts, sides, monkeypatch):
+    # up to general n = 7 and bipartite 4x4 / 4x3, over the whole range and
+    # ragged ranges, at two edge counts and two slice sizes: pruning the
+    # high parts an adjacent transposition beats for every low part, then
+    # testing each mask by the shifts, keeps exactly the representatives,
+    # orbit sizes and degrees that mapping every mask with m_min bits set
+    # through all of H gives, and the scanned widths still cover the range
+    layout = _folded_layout(nverts, sides, 1)
+    slots = len(layout.slots)
+    total = 1 << slots
+    ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total))
+    for m_min, slice_size in ((0, verify.SLICE), (slots // 2, 37 if slots <= 12 else 1000)):
+        monkeypatch.setattr(verify, "SLICE", slice_size)
+        for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
+            scanned, _, degrees, orbits = zip(*verify._slices(layout, lo, hi, m_min))
+            assert sum(scanned) == hi - lo
+            walk = np.arange(lo, hi, dtype=np.int64)
+            walk = walk[np.bitwise_count(walk) >= m_min]
+            pieces = np.array_split(walk, len(walk) // (1 << 14) + 1)
+            masks, weights = map(np.concatenate, zip(*map(layout.representatives, pieces)))
+            kept, _, want_degrees = _filtered_walk(layout, masks, 0)
+            got = np.concatenate(orbits)
+            assert got[:, 0].tolist() == masks[kept].tolist()
+            assert got[:, 1].tolist() == weights[kept].tolist()
+            assert np.array_equal(np.concatenate(degrees), want_degrees)
+
+
+def test_a_range_of_pruned_high_parts_is_one_empty_slice():
+    # at general n = 6 every mask of high part 2 (bit 12, the pair (2, 5))
+    # is beaten by the swap of vertices 1 and 2: its range yields one empty
+    # slice as wide as the range, so --jobs parts still cover every mask
+    layout = _folded_layout(6, None, 0)
+    lo, hi = 2 << verify.LOW_BITS, 3 << verify.LOW_BITS
+    (scanned, adjacency, degrees, orbits), = verify._slices(layout, lo, hi)
+    assert scanned == hi - lo
+    assert len(adjacency) == len(degrees) == len(orbits) == 0
 
 
 def _labeled(monkeypatch):
