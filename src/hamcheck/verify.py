@@ -25,6 +25,25 @@ count each orbit once. A violating representative stands for its orbit:
 every distinct image is reported, and ``soundness`` sorts the violations
 of all parts into scan order, sizes ascending, then masks ascending.
 
+The theorems of one kind and witness kind (cycle or path) share their
+representatives at each size: ``_shared`` holds one list per scan
+geometry (vertices, sides, span of H) and witness kind, at a floor, the
+least ``_m_min`` and per-side minimum degrees over the registered rows
+of that kind that scan the size. The floor is read from THEOREMS on every
+call, so a row registered later lowers it and gets a list of its own.
+The list holds the representatives at the floor, their adjacency rows,
+degree tables and [mask, orbit size] pairs, and the oracle's answer on
+each, from ``witness_rows`` in batches of at most ORACLE_BATCH. It is
+built once per process (a ``--jobs`` worker builds its own), and only
+if it holds at most SLICE representatives, as every size of ``--max-n
+6`` does; a size past that (``_orbit_floor`` tells most before any
+enumeration, general n >= 7 among them) streams its slices as below. A
+part of a shared size filters the list by its row's m_min, minimum
+degrees and [lo, hi) into its one slice, and its hits take their answers
+from the list. The screens, enclosures, ladder, checker, tallies and
+violations still run per theorem on every call: a list holds nothing
+that depends on a theorem.
+
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
 ``conditions.decide``; the scan reads the row through the slice ladder
@@ -70,8 +89,9 @@ and Exception families. Each batch of exactly ORACLE_BATCH hits, a
 slice's hits split at its end with their families and the rest carried
 over, and at the end of the part what is left, is decided by one call
 of the oracle's array entry, ``oracle.witness_rows``, on the rows of its
-masks, and tallied, each hit weighted by its orbit size, in scan order
-over arrays, with per-hit Python only for the Exception hits.
+masks (at a shared size, by the list's answers), and tallied, each hit
+weighted by its orbit size, in scan order over arrays, with per-hit
+Python only for the Exception hits.
 ``tightness_search`` keeps the labeled walk (its near miss is the first
 in labeled scan order): it hands each slice's rows to the same entry,
 and their hypothesis matrices to ``radius_stack``, and builds no graph
@@ -125,8 +145,10 @@ from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # n
 from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
 
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs
-SLICE = 1 << 12          # generated masks (enough edges) per scan slice; bounds its temporaries
-ORACLE_BATCH = 1 << 11   # hits per batched oracle call, exactly, but for a part's last
+SLICE = 1 << 12          # generated masks (enough edges) per scan slice, and representatives per
+                         # shared list; bounds their temporaries
+ORACLE_BATCH = 1 << 11   # hits per batched oracle call, exactly, but for a part's last; the most
+                         # rows per call on a shared list
 LOW_BITS = 11            # a mask's low bits, whose values are tabled by how many are set
 MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
@@ -135,7 +157,8 @@ BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
 # the soundness scan's relabelings H: every permutation of a general
 # graph's first RELABEL_GENERAL vertices, and of the first RELABEL_SIDE
 # vertices of each bipartite side; 1 and 1 make H trivial, the labeled
-# scan. S_4 x S_4 was no faster than S_3 x S_3 at side <= 4
+# scan. On the shared lists S_6 and S_4 x S_4 make repeated --max-n 6 scans
+# about a tenth faster but a one-shot verify run about a tenth slower
 RELABEL_GENERAL = 5
 RELABEL_SIDE = 3
 
@@ -456,18 +479,93 @@ def _scan_entry(
 
 # --------------------------------------------------------------- scanning
 
-def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False) -> _Layout:
+def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False,
+                 min_degree: Optional[tuple[int, int]] = None) -> _Layout:
     """The layout of a theorem's graphs at size n: labeled, or with
     relabel, folding the scan's relabelings (RELABEL_GENERAL and
-    RELABEL_SIDE)."""
+    RELABEL_SIDE); its minimum degrees are the row's, or ``min_degree``."""
     row = spec.row
     p, q = _sides(row.kind, n)
-    if row.kind == GENERAL:
-        layout = _general_layout(p, row.min_degree[0])
-    else:
-        layout = _bipartite_layout(p, q, *row.min_degree)
+    dx, dy = row.min_degree if min_degree is None else min_degree
+    layout = _general_layout(p, dx) if row.kind == GENERAL else _bipartite_layout(p, q, dx, dy)
     span = (RELABEL_GENERAL if row.kind == GENERAL else RELABEL_SIDE) if relabel else 1
     return replace(layout, span=span)
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """The orbit representatives of one scan geometry, for one witness
+    kind, at a floor (an edge count and per-side minimum degrees): their
+    adjacency rows, degree tables, [mask, orbit size] pairs, ascending,
+    and the oracle's answer on each."""
+    adjacency: np.ndarray
+    degrees: np.ndarray
+    orbits: np.ndarray
+    holds: np.ndarray
+
+    def part(self, layout: _Layout, lo: int, hi: int, m_min: int) -> tuple:
+        """(scanned, adjacency, degrees, orbits): the one slice of masks
+        [lo, hi) that ``_slices(layout, lo, hi, m_min)`` yields, filtered
+        from the list; the layout's floor is at or above the list's."""
+        masks = self.orbits[:, 0]
+        keep = ((masks >= lo) & (masks < hi) & (np.bitwise_count(masks) >= m_min)
+                & (self.degrees >= layout.min_degree).all(axis=1))
+        return hi - lo, self.adjacency[keep], self.degrees[keep], self.orbits[keep]
+
+
+# per (vertices, sides, span of H, floor degrees, floor m_min, witness kind),
+# its _Shared list, or None if it would hold more than SLICE representatives
+_SHARED: dict[tuple, Optional[_Shared]] = {}
+
+
+def _shared(spec: TheoremSpec, n: int) -> Optional[_Shared]:
+    """The list a theorem's scan at size n shares with every registered row
+    of its kind and witness kind that scans n: at their least ``_m_min``
+    and per-side minimum degrees, read from THEOREMS on each call, so a
+    row registered later lowers the floor and gets a new list. Built
+    once per process, its answers from ``witness_rows`` in batches of at
+    most ORACLE_BATCH; None past SLICE representatives, whose sizes
+    stream."""
+    kind = _witness_kind(spec)
+    peers = [other.row for other in THEOREMS.values() if other.row.kind == spec.row.kind
+             and other.row.min_n <= n and _witness_kind(other) == kind]
+    m_min = min(_m_min(row, n) for row in peers)
+    floor = tuple(map(min, zip(*(row.min_degree for row in peers))))
+    layout = _spec_layout(spec, n, relabel=True, min_degree=floor)
+    key = (layout.nverts, layout.sides, layout.span, floor, m_min, kind)
+    if key not in _SHARED:
+        _SHARED[key] = _shared_list(layout, m_min, kind)
+    return _SHARED[key]
+
+
+def _orbit_floor(layout: _Layout, m_min: int) -> float:
+    """A lower bound on the orbits of H among the masks with m_min edges
+    and every vertex at its minimum degree: the masks with m_min edges,
+    less, per vertex, every mask below its minimum degree, over |H|."""
+    slots = len(layout.slots)
+    count = sum(math.comb(slots, k) for k in range(m_min, slots + 1))
+    for v, need in enumerate(layout.min_degree):
+        own = sum(v in pair for pair in layout.slots)
+        count -= sum(math.comb(own, k) for k in range(need)) << (slots - own)
+    return count / len(_relabelings(layout.nverts, layout.sides, layout.span)[0])
+
+
+def _shared_list(layout: _Layout, m_min: int, kind: str) -> Optional[_Shared]:
+    """The layout's representatives with m_min edges and the oracle's
+    answers on them, or None past SLICE of them, which ``_orbit_floor``
+    tells before any enumeration, or else the enumeration as it passes."""
+    if _orbit_floor(layout, m_min) > SLICE:
+        return None
+    pieces, count = [], 0
+    for _, *piece in _slices(layout, 0, 1 << len(layout.slots), m_min):
+        count += len(piece[0])
+        if count > SLICE:
+            return None
+        pieces.append(piece)
+    adjacency, degrees, orbits = map(np.concatenate, zip(*pieces))
+    holds = [witness_rows(adjacency[i:i + ORACLE_BATCH], kind)[0]
+             for i in range(0, len(adjacency), ORACLE_BATCH)]
+    return _Shared(adjacency, degrees, orbits, np.concatenate([np.zeros(0, dtype=bool), *holds]))
 
 
 def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.ndarray) -> np.ndarray:
@@ -505,16 +603,20 @@ def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimat
 
 
 def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np.ndarray,
-           families: list) -> None:
+           families: list, shared: Optional[_Shared] = None) -> None:
     """Decide a batch of hits, whose [mask, orbit size, status code] rows
     are ``hits`` and the families of whose Exception hits are
-    ``families``, with one batched oracle call on the representatives,
-    and tally every orbit whole: each count and family gains its orbit's
-    size, and a violating representative stands for every member of its
-    orbit. A violation goes into ``report.violations`` as (vertices,
-    mask, graph6), which ``soundness`` sorts into scan order."""
+    ``families``, by the answers of the ``shared`` list that holds them,
+    or with one batched oracle call on the representatives, and tally
+    every orbit whole: each count and family gains its orbit's size, and
+    a violating representative stands for every member of its orbit. A
+    violation goes into ``report.violations`` as (vertices, mask,
+    graph6), which ``soundness`` sorts into scan order."""
     masks, weights, status = hits.T
-    holds, _ = witness_rows(layout.rows(masks), _witness_kind(spec))
+    if shared is None:
+        holds, _ = witness_rows(layout.rows(masks), _witness_kind(spec))
+    else:
+        holds = shared.holds[np.searchsorted(shared.orbits[:, 0], masks)]
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
     violated = guaranteed & ~holds
@@ -549,16 +651,21 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     on the band, the slice ladder, radius_stack and the checker on its
     exception candidates, then the buffered hits through the batched
     oracle, each counted once per member of its orbit. An orbit's least
-    mask lies in exactly one part, so the parts count each orbit once."""
+    mask lies in exactly one part, so the parts count each orbit once.
+    Where the size has a shared list, its filtered part is the one slice,
+    and the list's answers decide the hits."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
-    layout = _spec_layout(spec, n, relabel=True)
+    layout, m_min = _spec_layout(spec, n, relabel=True), _m_min(row, n)
+    shared = _shared(spec, n)
+    slices = (_slices(layout, lo, hi, m_min) if shared is None
+              else [shared.part(layout, lo, hi, m_min)])
     threshold = row.threshold(n) if row.spectral else None
     hits: list[np.ndarray] = []   # per slice, its hits' [mask, orbit size, status code]
     families: list = []           # the buffered Exception hits' families
     buffered = 0
-    for scanned, adjacency, degrees, orbits in _slices(layout, lo, hi, _m_min(row, n)):
+    for scanned, adjacency, degrees, orbits in slices:
         report.graphs_scanned += scanned
         estimates, values = {}, None   # per kept row index, its radius_stack estimate
         if row.spectral:
@@ -587,11 +694,11 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
             # the oracle; the rest carry over
             batch = np.concatenate(hits)
             split = int((batch[:ORACLE_BATCH, 2] == cond.EXCEPTION).sum())
-            _flush(report, spec, layout, batch[:ORACLE_BATCH], families[:split])
+            _flush(report, spec, layout, batch[:ORACLE_BATCH], families[:split], shared)
             hits, families = [batch[ORACLE_BATCH:]], families[split:]
             buffered -= ORACLE_BATCH
     if buffered:
-        _flush(report, spec, layout, np.concatenate(hits), families)
+        _flush(report, spec, layout, np.concatenate(hits), families, shared)
     return report
 
 

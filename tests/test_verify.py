@@ -30,6 +30,14 @@ from hamcheck.verify import (
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+@pytest.fixture
+def fresh_lists(monkeypatch):
+    """An empty cache of the scan's shared lists for the test, the old one
+    restored after it, so a list built under a patched SLICE, witness_rows,
+    relabeling or registry stays with the test that patched it."""
+    monkeypatch.setattr(verify, "_SHARED", {})
+
+
 def _kept(layout) -> list:
     """The graphs of every mask of the layout that pass its degree filter."""
     kept = []
@@ -176,6 +184,7 @@ def _filtered_walk(layout, masks: np.ndarray, m_min: int):
     return keep, adjacency, degrees[keep]
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", theorem_ids())
 def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
     # at every size verify --max-n 6 scans, over the whole range and over
@@ -202,34 +211,108 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
                 assert np.array_equal(np.concatenate(degrees), want_degrees)
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", ["lemma-3.4", "zhou-complement-traceable"])
 def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
-    # with a batch of 7 hits, most slices' hits span several batches, named
-    # (lemma-3.4) and structural (zhou-complement-traceable) Exception hits
-    # among them: every batch but a part's last holds exactly 7 rows, the
-    # report is the default one, and the batches hold one representative
-    # per orbit of the labeled hits
+    # on the streamed path: with SLICE at 256, below n = 6's shared lists
+    # (544 cycle and 442 path representatives), n = 6 streams and sends its
+    # hits to the oracle; with a batch of 7 hits, most slices' hits span
+    # several batches, named (lemma-3.4) and structural
+    # (zhou-complement-traceable) Exception hits among them: every n = 6
+    # batch but the last holds exactly 7 rows, the report is the default
+    # one, and the batches hold one representative per orbit of the
+    # labeled hits
     batches = []
 
     def recording(adjacency, kind):
-        batches.append(len(adjacency))
+        batches.append(adjacency.shape)
         return witness_rows(adjacency, kind)
 
+    monkeypatch.setattr(verify, "SLICE", 256)
     monkeypatch.setattr(verify, "ORACLE_BATCH", 7)
     monkeypatch.setattr(verify, "witness_rows", recording)
     report = soundness(theorem_id, max_n=6)
     fixture = json.loads((FIXTURES / "verify_all_n6.json").read_text())
     assert report.to_dict() == next(r for r in fixture if r["theorem_id"] == theorem_id)
-    short = [size for size in batches if size != 7]
-    assert len(short) <= len(report.sizes) and max(short, default=0) < 7
-    spec, represented = THEOREMS[theorem_id], sum(batches)
-    layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in report.sizes}
+    spec = THEOREMS[theorem_id]
+    assert verify._shared(spec, 6) is None and verify._shared(spec, 5) is not None
+    # n = 6's list is given up before any oracle call, so its calls are the hits'
+    sizes = [rows for rows, n in batches if n == 6]
+    assert len(sizes) > 1 and set(sizes[:-1]) == {7} and 0 < sizes[-1] <= 7
+    layout = verify._spec_layout(spec, 6, relabel=True)
     _labeled(monkeypatch)
     _, labeled = _scan_hits(monkeypatch, theorem_id, 6)
     assert sum(len(rows) for rows in labeled.values()) == report.hypothesis_hits
-    orbits = sum(len(np.unique(_orbit_minima(layouts[n], layouts[n].span, rows[:, 0])[0]))
-                 for n, rows in labeled.items())
-    assert represented == orbits < report.hypothesis_hits / 2
+    orbits = len(np.unique(_orbit_minima(layout, layout.span, labeled[6][:, 0])[0]))
+    assert sum(sizes) == orbits < len(labeled[6]) / 2
+
+
+@pytest.mark.usefixtures("fresh_lists")
+@pytest.mark.parametrize("theorem_id", theorem_ids())
+def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
+    # at every size verify --max-n 6 scans, over the whole range and ragged
+    # ranges, one of them from one representative to another: the size has
+    # a shared list of at most SLICE representatives, and its part for the
+    # row's m_min, minimum degrees and [lo, hi) is what _slices streams at
+    # the row's own floor: the same rows, degrees and [mask, orbit size]
+    # pairs, over the same width
+    spec = THEOREMS[theorem_id]
+    for n in sizes_for(spec, 6):
+        layout, m_min = verify._spec_layout(spec, n, relabel=True), verify._m_min(spec.row, n)
+        shared = verify._shared(spec, n)
+        assert shared is not None and len(shared.orbits) <= verify.SLICE
+        total, reps = 1 << len(layout.slots), shared.orbits[:, 0].tolist()
+        ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total),
+                  (reps[len(reps) // 3], reps[2 * len(reps) // 3]))
+        for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
+            scanned, *got = shared.part(layout, lo, hi, m_min)
+            want = list(zip(*verify._slices(layout, lo, hi, m_min)))
+            assert scanned == sum(want[0]) == hi - lo
+            for got_part, want_part in zip(got, want[1:]):
+                assert np.array_equal(got_part, np.concatenate(want_part))
+
+
+@pytest.mark.usefixtures("fresh_lists")
+def test_shared_answers_are_the_oracles(monkeypatch):
+    # every list of verify --max-n 6, one per (kind, size, witness kind):
+    # its answers come from witness_rows in batches of at most ORACLE_BATCH
+    # rows, and are what witness_rows gives on all its rows at once
+    calls = []
+
+    def recording(adjacency, kind):
+        calls.append(len(adjacency))
+        return witness_rows(adjacency, kind)
+
+    monkeypatch.setattr(verify, "ORACLE_BATCH", 100)
+    monkeypatch.setattr(verify, "witness_rows", recording)
+    for theorem_id in theorem_ids():
+        soundness(theorem_id, max_n=6)
+    geometries = {(spec.row.kind, n, verify._witness_kind(spec))
+                  for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
+    assert len(verify._SHARED) == len(geometries)
+    assert max(calls) == 100 and sum(calls) == sum(len(s.orbits) for s in verify._SHARED.values())
+    for (*_, kind), shared in verify._SHARED.items():
+        assert shared.holds.tolist() == witness_rows(shared.adjacency, kind)[0].tolist()
+
+
+@pytest.mark.usefixtures("fresh_lists")
+def test_a_row_registered_later_lowers_the_floor(monkeypatch):
+    # the unbalanced path list at n = 3 is built at its one row's floor
+    # (m_min 8, degrees (1, 2)); a row registered after it, with m_min 6
+    # and degrees (1, 1), gets a list of its own at that lower floor, its
+    # scan is the labeled per-graph reference's, and the first row's report
+    # is unchanged on the new list
+    first = "spectral-bipartite-traceable-unbalanced"
+    before = soundness(first, max_n=6).to_dict()
+    built = set(verify._SHARED)
+    row = THEOREMS[first].row
+    late = dataclasses.replace(row, min_degree=(1, 1), threshold=lambda n: row.threshold(n) - 0.5)
+    monkeypatch.setitem(THEOREMS, "late-row", verify.TheoremSpec(late, partial(cond.decide, late)))
+    assert soundness("late-row", max_n=6).to_dict() == _reference_soundness("late-row", 6).to_dict()
+    (key,) = set(verify._SHARED) - built
+    assert key[3:5] == ((1, 1), 6) < (row.min_degree, verify._m_min(row, 3))
+    assert soundness(first, max_n=6).to_dict() == before
+    assert len(verify._SHARED) == len(built) + 1
 
 
 def _relabeled(layout, span: int, masks: np.ndarray) -> tuple[list, np.ndarray]:
@@ -322,6 +405,7 @@ def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
     assert verify._swapped_below(shifts, masks, masks).tolist() == below.tolist()
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("nverts, sides", _capped_layouts(7, verify.BIP_CELLS))
 def test_pruned_slices_are_the_unpruned_walk_of_representatives(nverts, sides, monkeypatch):
     # up to general n = 7 and bipartite 4x4 / 4x3, over the whole range and
@@ -350,6 +434,19 @@ def test_pruned_slices_are_the_unpruned_walk_of_representatives(nverts, sides, m
             assert np.array_equal(np.concatenate(degrees), want_degrees)
 
 
+@pytest.mark.parametrize("nverts, sides", _capped_layouts(6, verify.BIP_CELLS))
+def test_orbit_floor_is_a_lower_bound_on_the_representatives(nverts, sides):
+    # the bound that spares a size past SLICE the enumeration never exceeds
+    # the representatives the enumeration keeps, at three degree floors and
+    # two edge counts
+    for min_degree in (0, 1, 2):
+        layout = _folded_layout(nverts, sides, min_degree)
+        for m_min in (0, len(layout.slots) // 2):
+            kept = sum(len(orbits) for *_, orbits in
+                       verify._slices(layout, 0, 1 << len(layout.slots), m_min))
+            assert verify._orbit_floor(layout, m_min) <= kept
+
+
 def test_a_range_of_pruned_high_parts_is_one_empty_slice():
     # at general n = 6 every mask of high part 2 (bit 12, the pair (2, 5))
     # is beaten by the swap of vertices 1 and 2: its range yields one empty
@@ -373,9 +470,9 @@ def _scan_hits(monkeypatch, theorem_id: str, max_n: int) -> tuple[SoundnessRepor
     hits = {}
     flush = verify._flush
 
-    def recording(report, spec, layout, batch, families):
+    def recording(report, spec, layout, batch, families, shared=None):
         hits.setdefault(report.sizes[0], []).append(batch.copy())
-        return flush(report, spec, layout, batch, families)
+        return flush(report, spec, layout, batch, families, shared)
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_flush", recording)
@@ -405,6 +502,7 @@ def test_orbit_weights_partition_the_kept_masks(theorem_id):
         assert got[:, 1].sum() == len(kept)
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id, max_n", [
     *(pytest.param(theorem_id, 6, id=theorem_id) for theorem_id in theorem_ids() + ["unsound-q"]),
     pytest.param("yu-fan-hamiltonian", 7, id="yu-fan-hamiltonian-n7"),
@@ -459,6 +557,7 @@ def test_tightness_real_exceptions_satisfy_bound():
     assert miss is None or miss["deficit"] > 0
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("direction, satisfied", [("ge", True), ("gt", False), ("le", True)])
 def test_tightness_exception_at_the_threshold(monkeypatch, direction, satisfied):
     # an exception whose quantity equals the threshold meets a hypothesis
@@ -565,6 +664,7 @@ _UNSOUND_Q_ROW = dataclasses.replace(THEOREMS["tight-q-hamiltonian"].row, min_de
 _UNSOUND_Q = verify.TheoremSpec(_UNSOUND_Q_ROW, partial(cond.decide, _UNSOUND_Q_ROW))
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", theorem_ids() + ["unsound-q"])
 def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
     monkeypatch.setitem(THEOREMS, "unsound-q", _UNSOUND_Q)
@@ -574,6 +674,7 @@ def test_batched_scan_matches_per_graph_reference(theorem_id, monkeypatch):
         assert len(fast["violations"]) == 469  # in scan order, compared above
 
 
+@pytest.mark.usefixtures("fresh_lists")
 def test_violations_keep_scan_order_across_parts(monkeypatch):
     # a small CHUNK splits n = 5's 2^10 masks into three parts at jobs=3,
     # and some violating orbit has members in two parts: a representative's
@@ -660,6 +761,7 @@ def _record_scan(monkeypatch, theorem_id):
     return judged, checked
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", SPECTRAL)
 def test_scan_estimates_equal_the_stacked_radius_of_the_operand(theorem_id, monkeypatch):
     # the slice ladder judges each graph at an end of its cw_bounds
@@ -734,6 +836,7 @@ def test_hypothesis_matrices_flip_exactly_the_pairs_a_kind_allows(monkeypatch):
     assert checked == sum(1 << len(layout.slots) for _, layout in _every_layout())
 
 
+@pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", ["tight-q-hamiltonian", "zhou-complement-traceable"])
 def test_radius_stack_sees_only_the_band_and_the_candidates(theorem_id, monkeypatch):
     # exhaustive at every size verify --max-n 6 scans: every matrix the
