@@ -33,16 +33,21 @@ of that kind that scan the size. The floor is read from THEOREMS on every
 call, so a row registered later lowers it and gets a list of its own.
 The list holds the representatives at the floor, their adjacency rows,
 degree tables and [mask, orbit size] pairs, and the oracle's answer on
-each, from ``witness_rows`` in batches of at most ORACLE_BATCH. It is
-built once per process (a ``--jobs`` worker builds its own), and only
-if it holds at most SLICE representatives, as every size of ``--max-n
-6`` does; a size past that (``_orbit_floor`` tells most before any
-enumeration, general n >= 7 among them) streams its slices as below. A
-part of a shared size filters the list by its row's m_min, minimum
-degrees and [lo, hi) into its one slice, and its hits take their answers
-from the list. The screens, enclosures, ladder, checker, tallies and
-violations still run per theorem on every call: a list holds nothing
-that depends on a theorem.
+each one a scan has hit, asked of ``witness_rows`` when first hit. The
+first scan of a row on the floor builds the list, as its own stream
+would enumerate the same masks; a row above the floor streams, as
+below, if no list is built yet, and the next scan of the key builds it.
+So a one-shot run of one theorem, and each ``--jobs`` worker, whose pool
+lives for one theorem, do the work of a streamed scan, and a list
+enumerated below a row's floor is built only when reused. A list is
+kept only if it holds at most SLICE representatives, as every size of
+``--max-n 6`` does; a size past that (``_orbit_floor`` tells most before
+any enumeration, general n >= 7 among them) always streams. A part of a
+shared size filters the list by its row's m_min, minimum degrees and
+[lo, hi) into its one slice, and its hits take their answers from the
+list. The screens, enclosures, ladder, checker, tallies and violations
+still run per theorem on every call: a list holds nothing that depends
+on a theorem.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
@@ -158,7 +163,7 @@ BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
 # graph's first RELABEL_GENERAL vertices, and of the first RELABEL_SIDE
 # vertices of each bipartite side; 1 and 1 make H trivial, the labeled
 # scan. On the shared lists S_6 and S_4 x S_4 make repeated --max-n 6 scans
-# about a tenth faster but a one-shot verify run about a tenth slower
+# about a tenth faster but a cold one (building their tables) 7-17% slower
 RELABEL_GENERAL = 5
 RELABEL_SIDE = 3
 
@@ -497,7 +502,9 @@ class _Shared:
     """The orbit representatives of one scan geometry, for one witness
     kind, at a floor (an edge count and per-side minimum degrees): their
     adjacency rows, degree tables, [mask, orbit size] pairs, ascending,
-    and the oracle's answer on each."""
+    and the oracle's answer on each a scan has hit so far (1 or 0; -1 for
+    one not yet asked)."""
+    kind: str
     adjacency: np.ndarray
     degrees: np.ndarray
     orbits: np.ndarray
@@ -512,20 +519,35 @@ class _Shared:
                 & (self.degrees >= layout.min_degree).all(axis=1))
         return hi - lo, self.adjacency[keep], self.degrees[keep], self.orbits[keep]
 
+    def answers(self, masks: np.ndarray) -> np.ndarray:
+        """The oracle's answers on the listed masks: those not yet asked
+        go to ``witness_rows`` in one call (a flush holds at most
+        ORACLE_BATCH hits) and are kept for every later scan."""
+        at = np.searchsorted(self.orbits[:, 0], masks)
+        ask = at[self.holds[at] < 0]
+        if len(ask):
+            self.holds[ask] = witness_rows(self.adjacency[ask], self.kind)[0]
+        return self.holds[at] == 1
+
 
 # per (vertices, sides, span of H, floor degrees, floor m_min, witness kind),
-# its _Shared list, or None if it would hold more than SLICE representatives
+# its _Shared list, or None if it would hold more than SLICE representatives;
+# _ASKED holds the keys whose first scan, above the floor, streamed
 _SHARED: dict[tuple, Optional[_Shared]] = {}
+_ASKED: set[tuple] = set()
 
 
 def _shared(spec: TheoremSpec, n: int) -> Optional[_Shared]:
     """The list a theorem's scan at size n shares with every registered row
     of its kind and witness kind that scans n: at their least ``_m_min``
     and per-side minimum degrees, read from THEOREMS on each call, so a
-    row registered later lowers the floor and gets a new list. Built
-    once per process, its answers from ``witness_rows`` in batches of at
-    most ORACLE_BATCH; None past SLICE representatives, whose sizes
-    stream."""
+    row registered later lowers the floor and gets a new list. Built once
+    per process: by the first scan of a row on the floor, whose own
+    stream would enumerate the same masks, or else by the second scan of
+    the key, since a list enumerated below a row's floor pays only when
+    reused (the first streams, None). Its answers are filled as scans hit
+    its representatives. None past SLICE representatives, whose sizes
+    always stream."""
     kind = _witness_kind(spec)
     peers = [other.row for other in THEOREMS.values() if other.row.kind == spec.row.kind
              and other.row.min_n <= n and _witness_kind(other) == kind]
@@ -534,6 +556,9 @@ def _shared(spec: TheoremSpec, n: int) -> Optional[_Shared]:
     layout = _spec_layout(spec, n, relabel=True, min_degree=floor)
     key = (layout.nverts, layout.sides, layout.span, floor, m_min, kind)
     if key not in _SHARED:
+        if key not in _ASKED and (_m_min(spec.row, n), spec.row.min_degree) != (m_min, floor):
+            _ASKED.add(key)
+            return None
         _SHARED[key] = _shared_list(layout, m_min, kind)
     return _SHARED[key]
 
@@ -551,9 +576,9 @@ def _orbit_floor(layout: _Layout, m_min: int) -> float:
 
 
 def _shared_list(layout: _Layout, m_min: int, kind: str) -> Optional[_Shared]:
-    """The layout's representatives with m_min edges and the oracle's
-    answers on them, or None past SLICE of them, which ``_orbit_floor``
-    tells before any enumeration, or else the enumeration as it passes."""
+    """The layout's representatives with m_min edges, none of them yet
+    answered, or None past SLICE of them, which ``_orbit_floor`` tells
+    before any enumeration, or else the enumeration as it passes."""
     if _orbit_floor(layout, m_min) > SLICE:
         return None
     pieces, count = [], 0
@@ -563,9 +588,7 @@ def _shared_list(layout: _Layout, m_min: int, kind: str) -> Optional[_Shared]:
             return None
         pieces.append(piece)
     adjacency, degrees, orbits = map(np.concatenate, zip(*pieces))
-    holds = [witness_rows(adjacency[i:i + ORACLE_BATCH], kind)[0]
-             for i in range(0, len(adjacency), ORACLE_BATCH)]
-    return _Shared(adjacency, degrees, orbits, np.concatenate([np.zeros(0, dtype=bool), *holds]))
+    return _Shared(kind, adjacency, degrees, orbits, np.full(len(orbits), -1, dtype=np.int8))
 
 
 def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.ndarray) -> np.ndarray:
@@ -616,7 +639,7 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np
     if shared is None:
         holds, _ = witness_rows(layout.rows(masks), _witness_kind(spec))
     else:
-        holds = shared.holds[np.searchsorted(shared.orbits[:, 0], masks)]
+        holds = shared.answers(masks)
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
     violated = guaranteed & ~holds

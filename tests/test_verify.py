@@ -32,10 +32,12 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 @pytest.fixture
 def fresh_lists(monkeypatch):
-    """An empty cache of the scan's shared lists for the test, the old one
-    restored after it, so a list built under a patched SLICE, witness_rows,
-    relabeling or registry stays with the test that patched it."""
+    """An empty cache of the scan's shared lists, and of the keys asked for
+    so far, for the test, the old ones restored after it, so a list built
+    under a patched SLICE, witness_rows, relabeling or registry stays with
+    the test that patched it, and each test starts as a fresh process."""
     monkeypatch.setattr(verify, "_SHARED", {})
+    monkeypatch.setattr(verify, "_ASKED", set())
 
 
 def _kept(layout) -> list:
@@ -214,51 +216,51 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", ["lemma-3.4", "zhou-complement-traceable"])
 def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
-    # on the streamed path: with SLICE at 256, below n = 6's shared lists
-    # (544 cycle and 442 path representatives), n = 6 streams and sends its
-    # hits to the oracle; with a batch of 7 hits, most slices' hits span
-    # several batches, named (lemma-3.4) and structural
-    # (zhou-complement-traceable) Exception hits among them: every n = 6
-    # batch but the last holds exactly 7 rows, the report is the default
-    # one, and the batches hold one representative per orbit of the
+    # a first scan sends its hits to the oracle, streamed where its row is
+    # above the size's floor (every size of lemma-3.4) and through a fresh
+    # list where it is on it (zhou-complement-traceable's); with a batch of
+    # 7 hits, most slices' hits span several batches, named (lemma-3.4) and
+    # structural (zhou-complement-traceable) Exception hits among them:
+    # every batch but a part's last holds exactly 7 rows, the report is the
+    # default one, and the batches hold one representative per orbit of the
     # labeled hits
     batches = []
 
     def recording(adjacency, kind):
-        batches.append(adjacency.shape)
+        batches.append(len(adjacency))
         return witness_rows(adjacency, kind)
 
-    monkeypatch.setattr(verify, "SLICE", 256)
     monkeypatch.setattr(verify, "ORACLE_BATCH", 7)
     monkeypatch.setattr(verify, "witness_rows", recording)
     report = soundness(theorem_id, max_n=6)
     fixture = json.loads((FIXTURES / "verify_all_n6.json").read_text())
     assert report.to_dict() == next(r for r in fixture if r["theorem_id"] == theorem_id)
-    spec = THEOREMS[theorem_id]
-    assert verify._shared(spec, 6) is None and verify._shared(spec, 5) is not None
-    # n = 6's list is given up before any oracle call, so its calls are the hits'
-    sizes = [rows for rows, n in batches if n == 6]
-    assert len(sizes) > 1 and set(sizes[:-1]) == {7} and 0 < sizes[-1] <= 7
-    layout = verify._spec_layout(spec, 6, relabel=True)
+    short = [size for size in batches if size != 7]
+    assert len(short) <= len(report.sizes) and max(short, default=0) < 7
+    spec, represented = THEOREMS[theorem_id], sum(batches)
+    layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in report.sizes}
     _labeled(monkeypatch)
     _, labeled = _scan_hits(monkeypatch, theorem_id, 6)
     assert sum(len(rows) for rows in labeled.values()) == report.hypothesis_hits
-    orbits = len(np.unique(_orbit_minima(layout, layout.span, labeled[6][:, 0])[0]))
-    assert sum(sizes) == orbits < len(labeled[6]) / 2
+    orbits = sum(len(np.unique(_orbit_minima(layouts[n], layouts[n].span, rows[:, 0])[0]))
+                 for n, rows in labeled.items())
+    assert represented == orbits < report.hypothesis_hits / 2
 
 
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", theorem_ids())
 def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
     # at every size verify --max-n 6 scans, over the whole range and ragged
-    # ranges, one of them from one representative to another: the size has
-    # a shared list of at most SLICE representatives, and its part for the
+    # ranges, one of them from one representative to another: by its
+    # second ask the size has a shared list of at most SLICE
+    # representatives, and its part for the
     # row's m_min, minimum degrees and [lo, hi) is what _slices streams at
     # the row's own floor: the same rows, degrees and [mask, orbit size]
     # pairs, over the same width
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
         layout, m_min = verify._spec_layout(spec, n, relabel=True), verify._m_min(spec.row, n)
+        verify._shared(spec, n)
         shared = verify._shared(spec, n)
         assert shared is not None and len(shared.orbits) <= verify.SLICE
         total, reps = 1 << len(layout.slots), shared.orbits[:, 0].tolist()
@@ -274,45 +276,109 @@ def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
 
 @pytest.mark.usefixtures("fresh_lists")
 def test_shared_answers_are_the_oracles(monkeypatch):
-    # every list of verify --max-n 6, one per (kind, size, witness kind):
-    # its answers come from witness_rows in batches of at most ORACLE_BATCH
-    # rows, and are what witness_rows gives on all its rows at once
-    calls = []
+    # every theorem's --max-n 6 scan, run twice: one list per (kind, size,
+    # witness kind), each report the fixture's both times, every oracle call
+    # of at most ORACLE_BATCH rows, and a list's answers are filled exactly
+    # on the representatives some scan on it hit, with what witness_rows
+    # gives on their rows; a third run asks the oracle nothing
+    calls, asked = [], {}
+    flush = verify._flush
 
     def recording(adjacency, kind):
         calls.append(len(adjacency))
         return witness_rows(adjacency, kind)
 
+    def hits(report, spec, layout, batch, families, shared=None):
+        if shared is not None:
+            asked.setdefault(id(shared), set()).update(batch[:, 0].tolist())
+        return flush(report, spec, layout, batch, families, shared)
+
     monkeypatch.setattr(verify, "ORACLE_BATCH", 100)
     monkeypatch.setattr(verify, "witness_rows", recording)
-    for theorem_id in theorem_ids():
-        soundness(theorem_id, max_n=6)
+    monkeypatch.setattr(verify, "_flush", hits)
+    fixture = {r["theorem_id"]: r for r in json.loads((FIXTURES / "verify_all_n6.json").read_text())}
+    for _ in range(2):
+        for theorem_id in theorem_ids():
+            assert soundness(theorem_id, max_n=6).to_dict() == fixture[theorem_id]
     geometries = {(spec.row.kind, n, verify._witness_kind(spec))
                   for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
-    assert len(verify._SHARED) == len(geometries)
-    assert max(calls) == 100 and sum(calls) == sum(len(s.orbits) for s in verify._SHARED.values())
+    assert len(verify._SHARED) == len(geometries) and max(calls) <= 100
     for (*_, kind), shared in verify._SHARED.items():
-        assert shared.holds.tolist() == witness_rows(shared.adjacency, kind)[0].tolist()
+        answered = np.flatnonzero(shared.holds >= 0)
+        assert set(shared.orbits[answered, 0].tolist()) == asked.get(id(shared), set())
+        assert shared.holds[answered].tolist() == witness_rows(shared.adjacency[answered], kind)[0].tolist()
+    asked_before = len(calls)
+    for theorem_id in theorem_ids():
+        assert soundness(theorem_id, max_n=6).to_dict() == fixture[theorem_id]
+    assert len(calls) == asked_before
 
 
 @pytest.mark.usefixtures("fresh_lists")
 def test_a_row_registered_later_lowers_the_floor(monkeypatch):
     # the unbalanced path list at n = 3 is built at its one row's floor
-    # (m_min 8, degrees (1, 2)); a row registered after it, with m_min 6
-    # and degrees (1, 1), gets a list of its own at that lower floor, its
-    # scan is the labeled per-graph reference's, and the first row's report
-    # is unchanged on the new list
+    # (m_min 8, degrees (1, 2)), on that floor, so by its first scan; a row
+    # registered after it, with m_min 6 and degrees (1, 1), gets a list of
+    # its own at that lower floor by its own first scan, its scans are the
+    # labeled per-graph reference's, and the first row's report is
+    # unchanged on the new list
     first = "spectral-bipartite-traceable-unbalanced"
     before = soundness(first, max_n=6).to_dict()
     built = set(verify._SHARED)
     row = THEOREMS[first].row
     late = dataclasses.replace(row, min_degree=(1, 1), threshold=lambda n: row.threshold(n) - 0.5)
     monkeypatch.setitem(THEOREMS, "late-row", verify.TheoremSpec(late, partial(cond.decide, late)))
-    assert soundness("late-row", max_n=6).to_dict() == _reference_soundness("late-row", 6).to_dict()
+    reference = _reference_soundness("late-row", 6).to_dict()
+    assert soundness("late-row", max_n=6).to_dict() == reference
     (key,) = set(verify._SHARED) - built
     assert key[3:5] == ((1, 1), 6) < (row.min_degree, verify._m_min(row, 3))
     assert soundness(first, max_n=6).to_dict() == before
+    assert soundness("late-row", max_n=6).to_dict() == reference
     assert len(verify._SHARED) == len(built) + 1
+
+
+@pytest.mark.parametrize("theorem_id", theorem_ids())
+def test_a_one_shot_scan_does_the_streamed_work(theorem_id, monkeypatch):
+    # a theorem's one scan in a fresh process generates the same masks and
+    # sends the same rows to the oracle, in the same calls, as a scan that
+    # streams every size; it builds lists only at the sizes where its
+    # row is on the floor, and a second scan builds the rest
+    def work(**patches):
+        calls, generated = [], []
+        swapped_below = verify._swapped_below
+
+        def counting(shifts, upper, lower):
+            if upper is lower:
+                generated.append(len(upper))
+            return swapped_below(shifts, upper, lower)
+
+        def recording(adjacency, kind):
+            calls.append(len(adjacency))
+            return witness_rows(adjacency, kind)
+
+        with monkeypatch.context() as patch:
+            for name, value in {"_SHARED": {}, "_ASKED": set(), "_swapped_below": counting,
+                                "witness_rows": recording, **patches}.items():
+                patch.setattr(verify, name, value)
+            report = soundness(theorem_id, max_n=6).to_dict()
+            once = report, calls, sum(generated)
+            lists = {key[:3] for key, shared in verify._SHARED.items() if shared is not None}
+            for n in sizes_for(spec, 6):
+                verify._shared(spec, n)
+            return *once, lists, len(verify._SHARED)
+
+    spec = THEOREMS[theorem_id]
+    report, calls, generated, lists, later = work()
+    assert (report, calls, generated) == work(_shared=lambda spec, n: None)[:3]
+    on_floor = set()
+    for n in sizes_for(spec, 6):
+        peers = [other.row for other in THEOREMS.values() if other.row.kind == spec.row.kind
+                 and other.row.min_n <= n and verify._witness_kind(other) == verify._witness_kind(spec)]
+        if (verify._m_min(spec.row, n), spec.row.min_degree) == (
+                min(verify._m_min(peer, n) for peer in peers),
+                tuple(map(min, zip(*(peer.min_degree for peer in peers))))):
+            layout = verify._spec_layout(spec, n, relabel=True)
+            on_floor.add((layout.nverts, layout.sides, layout.span))
+    assert lists == on_floor and later == len(sizes_for(spec, 6))
 
 
 def _relabeled(layout, span: int, masks: np.ndarray) -> tuple[list, np.ndarray]:
