@@ -57,7 +57,10 @@ def parse_graph6(text: str | bytes) -> Graph:
     codes = np.frombuffer(data, dtype=np.uint8)
     bad = (codes < 63) | (codes > 126)
     if bad.any():
-        raise Graph6Error(f"non-printable byte {data[bad.argmax()]} in graph6 record")
+        name = {b"&": "digraph6", b":": "sparse6"}.get(data[:1])   # by their leading byte
+        if name:
+            raise Graph6Error(f"{name} input is not supported, only graph6")
+        raise Graph6Error(f"byte {data[bad.argmax()]} outside graph6's range 63-126")
     n, offset = _parse_size(data)
     if not 0 <= n <= MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} outside [0, {MAX_VERTICES}]")

@@ -25,29 +25,19 @@ count each orbit once. A violating representative stands for its orbit:
 every distinct image is reported, and ``soundness`` sorts the violations
 of all parts into scan order, sizes ascending, then masks ascending.
 
-The theorems of one kind and witness kind (cycle or path) share their
-representatives at each size: ``_shared`` holds one list per scan
-geometry (vertices, sides, span of H) and witness kind, at a floor, the
-least ``_m_min`` and per-side minimum degrees over the registered rows
-of that kind that scan the size. The floor is read from THEOREMS on every
-call, so a row registered later lowers it and gets a list of its own.
-The list holds the representatives at the floor, their adjacency rows,
-degree tables and [mask, orbit size] pairs, and the oracle's answer on
-each one a scan has hit, asked of ``witness_rows`` when first hit. The
-first scan of a row on the floor builds the list, as its own stream
-would enumerate the same masks; a row above the floor streams, as
-below, if no list is built yet, and the next scan of the key builds it.
-So a one-shot run of one theorem, and each ``--jobs`` worker, whose pool
-lives for one theorem, do the work of a streamed scan, and a list
-enumerated below a row's floor is built only when reused. A list is
-kept only if it holds at most SLICE representatives, as every size of
-``--max-n 6`` does; a size past that (``_orbit_floor`` tells most before
-any enumeration, general n >= 7 among them) always streams. A part of a
-shared size filters the list by its row's m_min, minimum degrees and
-[lo, hi) into its one slice, and its hits take their answers from the
-list. The screens, enclosures, ladder, checker, tallies and violations
-still run per theorem on every call: a list holds nothing that depends
-on a theorem.
+The theorems share their representatives at each size whose masks fit
+in one ``--jobs`` part (at most CHUNK: general n <= 6, balanced side <=
+4 and 4x3): ``_shared`` builds, once per process, one list per scan
+geometry (vertices, sides, span of H) of every representative, with
+their adjacency rows, degree tables and [mask, orbit size] pairs, and
+per witness kind (cycle or path) the oracle's answer on each one a scan
+has hit, asked of ``witness_rows`` when first hit. A part of a listed
+size filters the list by its row's m_min, minimum degrees and [lo, hi)
+into its one slice, the masks ``_slices`` would stream, and its hits
+take their answers from the list. Every larger size streams. The
+screens, enclosures, ladder, checker, tallies and violations still run
+per theorem on every call: a list holds nothing that depends on a
+theorem.
 
 No theorem is written here. A TheoremSpec is the theorem's one row in
 ``conditions.CONDITIONS`` and its checker, the row's verdict ladder
@@ -149,9 +139,8 @@ from .graphs import BipartiteGraph, Graph, unpack_rows
 from .oracle import CYCLE, PATH, is_hamiltonian, is_traceable, witness_rows  # noqa: F401
 from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
 
-CHUNK = 1 << 16          # fewest masks per worker task under --jobs
-SLICE = 1 << 12          # generated masks (enough edges) per scan slice, and representatives per
-                         # shared list; bounds their temporaries
+CHUNK = 1 << 16          # fewest masks per worker task under --jobs, and most a shared list covers
+SLICE = 1 << 12          # generated masks (enough edges) per streamed slice; bounds its temporaries
 ORACLE_BATCH = 1 << 11   # hits per batched oracle call, exactly, but for a part's last; the most
                          # rows per call on a shared list
 LOW_BITS = 11            # a mask's low bits, whose values are tabled by how many are set
@@ -484,14 +473,13 @@ def _scan_entry(
 
 # --------------------------------------------------------------- scanning
 
-def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False,
-                 min_degree: Optional[tuple[int, int]] = None) -> _Layout:
-    """The layout of a theorem's graphs at size n: labeled, or with
-    relabel, folding the scan's relabelings (RELABEL_GENERAL and
-    RELABEL_SIDE); its minimum degrees are the row's, or ``min_degree``."""
+def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False) -> _Layout:
+    """The layout of a theorem's graphs at size n, at the row's minimum
+    degrees: labeled, or with relabel, folding the scan's relabelings
+    (RELABEL_GENERAL and RELABEL_SIDE)."""
     row = spec.row
     p, q = _sides(row.kind, n)
-    dx, dy = row.min_degree if min_degree is None else min_degree
+    dx, dy = row.min_degree
     layout = _general_layout(p, dx) if row.kind == GENERAL else _bipartite_layout(p, q, dx, dy)
     span = (RELABEL_GENERAL if row.kind == GENERAL else RELABEL_SIDE) if relabel else 1
     return replace(layout, span=span)
@@ -499,96 +487,44 @@ def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False,
 
 @dataclass(frozen=True)
 class _Shared:
-    """The orbit representatives of one scan geometry, for one witness
-    kind, at a floor (an edge count and per-side minimum degrees): their
-    adjacency rows, degree tables, [mask, orbit size] pairs, ascending,
-    and the oracle's answer on each a scan has hit so far (1 or 0; -1 for
-    one not yet asked)."""
-    kind: str
+    """Every orbit representative of one scan geometry: their adjacency
+    rows, degree tables, [mask, orbit size] pairs, ascending, and per
+    witness kind the oracle's answer on each a scan has hit so far (1 or
+    0; -1 for one not yet asked)."""
     adjacency: np.ndarray
     degrees: np.ndarray
     orbits: np.ndarray
-    holds: np.ndarray
+    holds: dict[str, np.ndarray]
 
     def part(self, layout: _Layout, lo: int, hi: int, m_min: int) -> tuple:
-        """(scanned, adjacency, degrees, orbits): the one slice of masks
-        [lo, hi) that ``_slices(layout, lo, hi, m_min)`` yields, filtered
-        from the list; the layout's floor is at or above the list's."""
+        """(scanned, adjacency, degrees, orbits): the masks of [lo, hi) that
+        ``_slices(layout, lo, hi, m_min)`` yields, as one slice."""
         masks = self.orbits[:, 0]
         keep = ((masks >= lo) & (masks < hi) & (np.bitwise_count(masks) >= m_min)
                 & (self.degrees >= layout.min_degree).all(axis=1))
         return hi - lo, self.adjacency[keep], self.degrees[keep], self.orbits[keep]
 
-    def answers(self, masks: np.ndarray) -> np.ndarray:
-        """The oracle's answers on the listed masks: those not yet asked
-        go to ``witness_rows`` in one call (a flush holds at most
-        ORACLE_BATCH hits) and are kept for every later scan."""
-        at = np.searchsorted(self.orbits[:, 0], masks)
-        ask = at[self.holds[at] < 0]
+    def answers(self, masks: np.ndarray, kind: str) -> np.ndarray:
+        """The oracle's answers of a witness kind on the listed masks: those
+        not yet asked go to ``witness_rows`` in one call (a flush holds at
+        most ORACLE_BATCH hits) and are kept for every later scan."""
+        holds, at = self.holds[kind], np.searchsorted(self.orbits[:, 0], masks)
+        ask = at[holds[at] < 0]
         if len(ask):
-            self.holds[ask] = witness_rows(self.adjacency[ask], self.kind)[0]
-        return self.holds[at] == 1
+            holds[ask] = witness_rows(self.adjacency[ask], kind)[0]
+        return holds[at] == 1
 
 
-# per (vertices, sides, span of H, floor degrees, floor m_min, witness kind),
-# its _Shared list, or None if it would hold more than SLICE representatives;
-# _ASKED holds the keys whose first scan, above the floor, streamed
-_SHARED: dict[tuple, Optional[_Shared]] = {}
-_ASKED: set[tuple] = set()
-
-
-def _shared(spec: TheoremSpec, n: int) -> Optional[_Shared]:
-    """The list a theorem's scan at size n shares with every registered row
-    of its kind and witness kind that scans n: at their least ``_m_min``
-    and per-side minimum degrees, read from THEOREMS on each call, so a
-    row registered later lowers the floor and gets a new list. Built once
-    per process: by the first scan of a row on the floor, whose own
-    stream would enumerate the same masks, or else by the second scan of
-    the key, since a list enumerated below a row's floor pays only when
-    reused (the first streams, None). Its answers are filled as scans hit
-    its representatives. None past SLICE representatives, whose sizes
-    always stream."""
-    kind = _witness_kind(spec)
-    peers = [other.row for other in THEOREMS.values() if other.row.kind == spec.row.kind
-             and other.row.min_n <= n and _witness_kind(other) == kind]
-    m_min = min(_m_min(row, n) for row in peers)
-    floor = tuple(map(min, zip(*(row.min_degree for row in peers))))
-    layout = _spec_layout(spec, n, relabel=True, min_degree=floor)
-    key = (layout.nverts, layout.sides, layout.span, floor, m_min, kind)
-    if key not in _SHARED:
-        if key not in _ASKED and (_m_min(spec.row, n), spec.row.min_degree) != (m_min, floor):
-            _ASKED.add(key)
-            return None
-        _SHARED[key] = _shared_list(layout, m_min, kind)
-    return _SHARED[key]
-
-
-def _orbit_floor(layout: _Layout, m_min: int) -> float:
-    """A lower bound on the orbits of H among the masks with m_min edges
-    and every vertex at its minimum degree: the masks with m_min edges,
-    less, per vertex, every mask below its minimum degree, over |H|."""
-    slots = len(layout.slots)
-    count = sum(math.comb(slots, k) for k in range(m_min, slots + 1))
-    for v, need in enumerate(layout.min_degree):
-        own = sum(v in pair for pair in layout.slots)
-        count -= sum(math.comb(own, k) for k in range(need)) << (slots - own)
-    return count / len(_relabelings(layout.nverts, layout.sides, layout.span)[0])
-
-
-def _shared_list(layout: _Layout, m_min: int, kind: str) -> Optional[_Shared]:
-    """The layout's representatives with m_min edges, none of them yet
-    answered, or None past SLICE of them, which ``_orbit_floor`` tells
-    before any enumeration, or else the enumeration as it passes."""
-    if _orbit_floor(layout, m_min) > SLICE:
-        return None
-    pieces, count = [], 0
-    for _, *piece in _slices(layout, 0, 1 << len(layout.slots), m_min):
-        count += len(piece[0])
-        if count > SLICE:
-            return None
-        pieces.append(piece)
-    adjacency, degrees, orbits = map(np.concatenate, zip(*pieces))
-    return _Shared(kind, adjacency, degrees, orbits, np.full(len(orbits), -1, dtype=np.int8))
+@cache
+def _shared(nverts: int, sides: Optional[tuple[int, int]], span: int) -> _Shared:
+    """The list of every representative of the geometry's masks under H,
+    none of them yet answered: built by the geometry's first scan, and
+    shared by every later one in the process."""
+    layout = _general_layout(nverts, 0) if sides is None else _bipartite_layout(*sides, 0, 0)
+    slices = _slices(replace(layout, span=span), 0, 1 << len(layout.slots))
+    adjacency, degrees, orbits = map(np.concatenate, zip(*(piece for _, *piece in slices)))
+    return _Shared(adjacency, degrees, orbits,
+                   {kind: np.full(len(orbits), -1, dtype=np.int8) for kind in (CYCLE, PATH)})
 
 
 def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.ndarray) -> np.ndarray:
@@ -639,7 +575,7 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np
     if shared is None:
         holds, _ = witness_rows(layout.rows(masks), _witness_kind(spec))
     else:
-        holds = shared.answers(masks)
+        holds = shared.answers(masks, _witness_kind(spec))
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
     violated = guaranteed & ~holds
@@ -675,13 +611,14 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     exception candidates, then the buffered hits through the batched
     oracle, each counted once per member of its orbit. An orbit's least
     mask lies in exactly one part, so the parts count each orbit once.
-    Where the size has a shared list, its filtered part is the one slice,
-    and the list's answers decide the hits."""
+    Where the size's masks fit in one part, the list of its geometry
+    gives the one slice, and the list's answers decide the hits."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
     layout, m_min = _spec_layout(spec, n, relabel=True), _m_min(row, n)
-    shared = _shared(spec, n)
+    shared = (_shared(layout.nverts, layout.sides, layout.span)
+              if 1 << len(layout.slots) <= CHUNK else None)
     slices = (_slices(layout, lo, hi, m_min) if shared is None
               else [shared.part(layout, lo, hi, m_min)])
     threshold = row.threshold(n) if row.spectral else None

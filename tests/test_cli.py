@@ -352,6 +352,18 @@ def test_non_ascii_stdin_is_a_parse_error(capsys, monkeypatch, command):
     assert code == 2 and out == "" and "error: <stdin>:1: non-ASCII" in err
 
 
+@pytest.mark.parametrize("record, message", [
+    ("&DI?AO?", "digraph6 input is not supported, only graph6"),
+    (":Fa@x^", "sparse6 input is not supported, only graph6"),
+    ("D^ o", "byte 32 outside graph6's range 63-126"),
+])
+def test_a_record_of_another_format_is_named(capsys, monkeypatch, record, message):
+    # a digraph6 or sparse6 record is named as such, not by a byte; any
+    # other byte outside 63-126, space among them, is named by its value
+    code, out, err = run(capsys, ["analyze"], stdin=record + "\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err == f"error: <stdin>:1: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "oracle"])
 @pytest.mark.parametrize("edgelist", [False, True])
 def test_missing_input_file_is_a_usage_error(capsys, tmp_path, command, edgelist):

@@ -108,7 +108,10 @@ def _reference_parse(text):
     data = data.strip()
     for byte in data:
         if not 63 <= byte <= 126:
-            raise Graph6Error(f"non-printable byte {byte} in graph6 record")
+            if data[0] in b"&:":
+                name = {38: "digraph6", 58: "sparse6"}[data[0]]
+                raise Graph6Error(f"{name} input is not supported, only graph6")
+            raise Graph6Error(f"byte {byte} outside graph6's range 63-126")
     n, offset = _reference_parse_size(data)
     if not 0 <= n <= MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} outside [0, {MAX_VERTICES}]")

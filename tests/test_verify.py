@@ -31,13 +31,14 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture
-def fresh_lists(monkeypatch):
-    """An empty cache of the scan's shared lists, and of the keys asked for
-    so far, for the test, the old ones restored after it, so a list built
-    under a patched SLICE, witness_rows, relabeling or registry stays with
-    the test that patched it, and each test starts as a fresh process."""
-    monkeypatch.setattr(verify, "_SHARED", {})
-    monkeypatch.setattr(verify, "_ASKED", set())
+def fresh_lists():
+    """An empty cache of the scan's shared lists for the test, emptied again
+    after it, so the lists and answers built under a patched witness_rows
+    or relabeling stay with the test that patched them, and each test
+    starts as a fresh process."""
+    verify._shared.cache_clear()
+    yield
+    verify._shared.cache_clear()
 
 
 def _kept(layout) -> list:
@@ -216,14 +217,12 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", ["lemma-3.4", "zhou-complement-traceable"])
 def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
-    # a first scan sends its hits to the oracle, streamed where its row is
-    # above the size's floor (every size of lemma-3.4) and through a fresh
-    # list where it is on it (zhou-complement-traceable's); with a batch of
-    # 7 hits, most slices' hits span several batches, named (lemma-3.4) and
-    # structural (zhou-complement-traceable) Exception hits among them:
-    # every batch but a part's last holds exactly 7 rows, the report is the
-    # default one, and the batches hold one representative per orbit of the
-    # labeled hits
+    # a first scan sends its hits to the oracle through fresh lists; with
+    # a batch of 7 hits, most slices' hits span several batches, named
+    # (lemma-3.4) and structural (zhou-complement-traceable) Exception
+    # hits among them: every batch but a part's last holds exactly 7 rows,
+    # the report is the default one, and the batches hold one
+    # representative per orbit of the labeled hits
     batches = []
 
     def recording(adjacency, kind):
@@ -250,20 +249,18 @@ def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", theorem_ids())
 def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
-    # at every size verify --max-n 6 scans, over the whole range and ragged
-    # ranges, one of them from one representative to another: by its
-    # second ask the size has a shared list of at most SLICE
-    # representatives, and its part for the
-    # row's m_min, minimum degrees and [lo, hi) is what _slices streams at
-    # the row's own floor: the same rows, degrees and [mask, orbit size]
-    # pairs, over the same width
+    # at every size verify --max-n 6 scans, whose masks all fit in one
+    # part, over the whole range and ragged ranges, one of them from one
+    # representative to another: the part of its geometry's list for the
+    # row's m_min, minimum degrees and [lo, hi) is what _slices streams for
+    # the row: the same rows, degrees and [mask, orbit size] pairs, over
+    # the same width
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
         layout, m_min = verify._spec_layout(spec, n, relabel=True), verify._m_min(spec.row, n)
-        verify._shared(spec, n)
-        shared = verify._shared(spec, n)
-        assert shared is not None and len(shared.orbits) <= verify.SLICE
+        shared = verify._shared(layout.nverts, layout.sides, layout.span)
         total, reps = 1 << len(layout.slots), shared.orbits[:, 0].tolist()
+        assert total <= verify.CHUNK
         ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total),
                   (reps[len(reps) // 3], reps[2 * len(reps) // 3]))
         for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
@@ -276,11 +273,12 @@ def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
 
 @pytest.mark.usefixtures("fresh_lists")
 def test_shared_answers_are_the_oracles(monkeypatch):
-    # every theorem's --max-n 6 scan, run twice: one list per (kind, size,
-    # witness kind), each report the fixture's both times, every oracle call
-    # of at most ORACLE_BATCH rows, and a list's answers are filled exactly
-    # on the representatives some scan on it hit, with what witness_rows
-    # gives on their rows; a third run asks the oracle nothing
+    # every theorem's --max-n 6 scan, run twice: one list per (kind, size),
+    # each report the fixture's both times, every oracle call of at most
+    # ORACLE_BATCH rows, and a list's answers of each witness kind are
+    # filled exactly on the representatives some scan of that kind hit,
+    # with what witness_rows gives on their rows; a third run asks the
+    # oracle nothing
     calls, asked = [], {}
     flush = verify._flush
 
@@ -289,8 +287,8 @@ def test_shared_answers_are_the_oracles(monkeypatch):
         return witness_rows(adjacency, kind)
 
     def hits(report, spec, layout, batch, families, shared=None):
-        if shared is not None:
-            asked.setdefault(id(shared), set()).update(batch[:, 0].tolist())
+        key = id(shared), verify._witness_kind(spec)
+        asked.setdefault(key, set()).update(batch[:, 0].tolist())
         return flush(report, spec, layout, batch, families, shared)
 
     monkeypatch.setattr(verify, "ORACLE_BATCH", 100)
@@ -300,13 +298,15 @@ def test_shared_answers_are_the_oracles(monkeypatch):
     for _ in range(2):
         for theorem_id in theorem_ids():
             assert soundness(theorem_id, max_n=6).to_dict() == fixture[theorem_id]
-    geometries = {(spec.row.kind, n, verify._witness_kind(spec))
-                  for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
-    assert len(verify._SHARED) == len(geometries) and max(calls) <= 100
-    for (*_, kind), shared in verify._SHARED.items():
-        answered = np.flatnonzero(shared.holds >= 0)
-        assert set(shared.orbits[answered, 0].tolist()) == asked.get(id(shared), set())
-        assert shared.holds[answered].tolist() == witness_rows(shared.adjacency[answered], kind)[0].tolist()
+    layouts = {(spec.row.kind, n): verify._spec_layout(spec, n, relabel=True)
+               for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
+    assert verify._shared.cache_info().currsize == len(layouts) and max(calls) <= 100
+    for layout in layouts.values():
+        shared = verify._shared(layout.nverts, layout.sides, layout.span)
+        for kind, holds in shared.holds.items():
+            answered = np.flatnonzero(holds >= 0)
+            assert set(shared.orbits[answered, 0].tolist()) == asked.get((id(shared), kind), set())
+            assert holds[answered].tolist() == witness_rows(shared.adjacency[answered], kind)[0].tolist()
     asked_before = len(calls)
     for theorem_id in theorem_ids():
         assert soundness(theorem_id, max_n=6).to_dict() == fixture[theorem_id]
@@ -314,71 +314,59 @@ def test_shared_answers_are_the_oracles(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_lists")
-def test_a_row_registered_later_lowers_the_floor(monkeypatch):
-    # the unbalanced path list at n = 3 is built at its one row's floor
-    # (m_min 8, degrees (1, 2)), on that floor, so by its first scan; a row
-    # registered after it, with m_min 6 and degrees (1, 1), gets a list of
-    # its own at that lower floor by its own first scan, its scans are the
-    # labeled per-graph reference's, and the first row's report is
-    # unchanged on the new list
+def test_a_row_registered_later_shares_the_lists(monkeypatch):
+    # a row registered after the unbalanced path row's scan, with a lower
+    # m_min and minimum degrees (1, 1), takes its parts from the lists
+    # that scan built, which hold every representative: no list is built
+    # for it, its scans are the labeled per-graph reference's, and the
+    # first row's report is unchanged
     first = "spectral-bipartite-traceable-unbalanced"
     before = soundness(first, max_n=6).to_dict()
-    built = set(verify._SHARED)
+    built = verify._shared.cache_info().misses
     row = THEOREMS[first].row
     late = dataclasses.replace(row, min_degree=(1, 1), threshold=lambda n: row.threshold(n) - 0.5)
+    assert verify._m_min(late, 3) < verify._m_min(row, 3)
     monkeypatch.setitem(THEOREMS, "late-row", verify.TheoremSpec(late, partial(cond.decide, late)))
     reference = _reference_soundness("late-row", 6).to_dict()
     assert soundness("late-row", max_n=6).to_dict() == reference
-    (key,) = set(verify._SHARED) - built
-    assert key[3:5] == ((1, 1), 6) < (row.min_degree, verify._m_min(row, 3))
     assert soundness(first, max_n=6).to_dict() == before
     assert soundness("late-row", max_n=6).to_dict() == reference
-    assert len(verify._SHARED) == len(built) + 1
+    assert verify._shared.cache_info().misses == built == len(sizes_for(THEOREMS[first], 6))
 
 
-@pytest.mark.parametrize("theorem_id", theorem_ids())
-def test_a_one_shot_scan_does_the_streamed_work(theorem_id, monkeypatch):
-    # a theorem's one scan in a fresh process generates the same masks and
-    # sends the same rows to the oracle, in the same calls, as a scan that
-    # streams every size; it builds lists only at the sizes where its
-    # row is on the floor, and a second scan builds the rest
-    def work(**patches):
-        calls, generated = [], []
-        swapped_below = verify._swapped_below
+@pytest.mark.usefixtures("fresh_lists")
+def test_a_cold_all_theorem_scan_asks_each_hit_once(monkeypatch):
+    # every theorem's --max-n 6 scan from a fresh process's empty cache
+    # builds one list per geometry, 10 of them, and generates 48,731
+    # masks in all; the oracle answers each distinct representative a
+    # witness kind hits exactly once, 1,043 rows in 36 calls; a size past
+    # CHUNK masks, n = 7, streams and builds no list
+    generated, calls, hit = [], [], {}
+    swapped_below, flush = verify._swapped_below, verify._flush
 
-        def counting(shifts, upper, lower):
-            if upper is lower:
-                generated.append(len(upper))
-            return swapped_below(shifts, upper, lower)
+    def counting(shifts, upper, lower):
+        if upper is lower:
+            generated.append(len(upper))
+        return swapped_below(shifts, upper, lower)
 
-        def recording(adjacency, kind):
-            calls.append(len(adjacency))
-            return witness_rows(adjacency, kind)
+    def recording(adjacency, kind):
+        calls.append(len(adjacency))
+        return witness_rows(adjacency, kind)
 
-        with monkeypatch.context() as patch:
-            for name, value in {"_SHARED": {}, "_ASKED": set(), "_swapped_below": counting,
-                                "witness_rows": recording, **patches}.items():
-                patch.setattr(verify, name, value)
-            report = soundness(theorem_id, max_n=6).to_dict()
-            once = report, calls, sum(generated)
-            lists = {key[:3] for key, shared in verify._SHARED.items() if shared is not None}
-            for n in sizes_for(spec, 6):
-                verify._shared(spec, n)
-            return *once, lists, len(verify._SHARED)
+    def hits(report, spec, layout, batch, families, shared=None):
+        key = id(shared), verify._witness_kind(spec)
+        hit.setdefault(key, set()).update(batch[:, 0].tolist())
+        return flush(report, spec, layout, batch, families, shared)
 
-    spec = THEOREMS[theorem_id]
-    report, calls, generated, lists, later = work()
-    assert (report, calls, generated) == work(_shared=lambda spec, n: None)[:3]
-    on_floor = set()
-    for n in sizes_for(spec, 6):
-        peers = [other.row for other in THEOREMS.values() if other.row.kind == spec.row.kind
-                 and other.row.min_n <= n and verify._witness_kind(other) == verify._witness_kind(spec)]
-        if (verify._m_min(spec.row, n), spec.row.min_degree) == (
-                min(verify._m_min(peer, n) for peer in peers),
-                tuple(map(min, zip(*(peer.min_degree for peer in peers))))):
-            layout = verify._spec_layout(spec, n, relabel=True)
-            on_floor.add((layout.nverts, layout.sides, layout.span))
-    assert lists == on_floor and later == len(sizes_for(spec, 6))
+    monkeypatch.setattr(verify, "_swapped_below", counting)
+    monkeypatch.setattr(verify, "witness_rows", recording)
+    monkeypatch.setattr(verify, "_flush", hits)
+    for theorem_id in theorem_ids():
+        soundness(theorem_id, max_n=6)
+    assert verify._shared.cache_info().currsize == 10 and sum(generated) == 48731
+    assert sum(calls) == sum(map(len, hit.values())) == 1043 and len(calls) == 36
+    soundness("yu-fan-hamiltonian", sizes=[7])
+    assert verify._shared.cache_info().currsize == 10
 
 
 def _relabeled(layout, span: int, masks: np.ndarray) -> tuple[list, np.ndarray]:
@@ -471,6 +459,15 @@ def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
     assert verify._swapped_below(shifts, masks, masks).tolist() == below.tolist()
 
 
+def test_the_size_caps_keep_every_mask_within_the_relabeling_tables():
+    # _relabelings tables mask images as signed ints, int32 today: the
+    # largest layouts the caps allow, general n = MAX_ENUM_N and bipartite
+    # p*q <= MAX_BIP_CELLS, have fewer mask bits than the dtype (at most
+    # 31), so a cap lifted past that without wider tables fails here
+    bits = max(len(_folded_layout(*param.values, 0).slots) for param in _capped_layouts())
+    assert bits < np.iinfo(verify._relabelings(3, None, verify.RELABEL_GENERAL)[0].dtype).bits
+
+
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("nverts, sides", _capped_layouts(7, verify.BIP_CELLS))
 def test_pruned_slices_are_the_unpruned_walk_of_representatives(nverts, sides, monkeypatch):
@@ -498,19 +495,6 @@ def test_pruned_slices_are_the_unpruned_walk_of_representatives(nverts, sides, m
             assert got[:, 0].tolist() == masks[kept].tolist()
             assert got[:, 1].tolist() == weights[kept].tolist()
             assert np.array_equal(np.concatenate(degrees), want_degrees)
-
-
-@pytest.mark.parametrize("nverts, sides", _capped_layouts(6, verify.BIP_CELLS))
-def test_orbit_floor_is_a_lower_bound_on_the_representatives(nverts, sides):
-    # the bound that spares a size past SLICE the enumeration never exceeds
-    # the representatives the enumeration keeps, at three degree floors and
-    # two edge counts
-    for min_degree in (0, 1, 2):
-        layout = _folded_layout(nverts, sides, min_degree)
-        for m_min in (0, len(layout.slots) // 2):
-            kept = sum(len(orbits) for *_, orbits in
-                       verify._slices(layout, 0, 1 << len(layout.slots), m_min))
-            assert verify._orbit_floor(layout, m_min) <= kept
 
 
 def test_a_range_of_pruned_high_parts_is_one_empty_slice():
