@@ -1,10 +1,12 @@
 """Command-line surface: analyze graphs, reproduce Table 1, run soundness scans.
 
 analyze reads each record in one pass: one 0/1 adjacency matrix and one
-degree list give the printed rho and q and every checker's radii and
-degrees. A connected bipartite record's view, side X the larger, takes
-its rows and degrees from the same matrix in side order, and its rho is
-the record's, so a bipartite checker's certificate prints the same rho.
+degree list give the printed rho and q, the graph6 and every checker's
+radii and degrees, and one walk of its components and one 2-colouring
+serve the bipartite view, the connectivity precondition and certify. A
+connected bipartite record's view, side X the larger, takes its rows and
+degrees from the same matrix in side order, and its rho is the
+record's, so a bipartite checker's certificate prints the same rho.
 
 Exit codes: 0 clean, 1 a finding (a soundness scan with a violation, or
 a ``table1`` value off its published one by more than ``--tolerance``),
@@ -31,7 +33,7 @@ from . import verify as verify_mod
 from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, Status, Verdict, hypothesis_radius
 from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import Graph, bipartite_view, bit_matrix, from_edges
+from .graphs import Graph, Shape, bipartite_view, bit_matrix, from_edges, shape_of
 from .oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian, is_traceable
 from .spectral import SpectralEstimate, q_radius, rho
 
@@ -215,28 +217,28 @@ def _estimate_once(estimates: dict, quantity: str, obj, bits: np.ndarray) -> Spe
 
 
 def _applicable_verdicts(g: Graph, bits: np.ndarray, degrees: list[int],
-                         estimates: dict) -> list[dict]:
+                         estimates: dict, shape: Shape) -> list[dict]:
     """Every applicable checker's verdict on g, as a general graph and, when
     it is connected and bipartite, as a bipartite graph. Both views come
-    from g's 0/1 adjacency matrix ``bits`` and its ``degrees``: the
+    from g's 0/1 adjacency matrix ``bits``, ``degrees`` and ``shape``: the
     bipartite one's matrix and degrees are g's in its side order. Each
     view's spectral estimates are shared by its checkers, and computed only
     when a checker's preconditions hold; ``estimates`` seeds g's, and its
     "rho", g's own radius, seeds the bipartite view's."""
     verdicts = []
-    views = [(g, GENERAL, bits, degrees, estimates)]
-    bipartite = bipartite_view(g, bits)
+    views = [(g, GENERAL, bits, degrees, estimates, shape.components)]
+    bipartite = bipartite_view(g, bits, shape)
     if bipartite is not None:
         order, b = bipartite
         views.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED,
                       bits[np.ix_(order, order)], [degrees[v] for v in order.tolist()],
-                      {"rho": estimates["rho"]}))
-    for obj, kind, matrix, obj_degrees, obj_estimates in views:
+                      {"rho": estimates["rho"]}, 1))
+    for obj, kind, matrix, obj_degrees, obj_estimates, count in views:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.row.kind != kind:
                 continue
             estimate = partial(_estimate_once, obj_estimates, spec.row.quantity, obj, matrix)
-            verdict = spec.checker(obj, estimate=estimate, degrees=obj_degrees)
+            verdict = spec.checker(obj, estimate=estimate, degrees=obj_degrees, components=count)
             if verdict.status is not Status.NOT_APPLICABLE:
                 verdicts.append(_verdict_dict(tid, verdict))
     return verdicts
@@ -263,30 +265,29 @@ def _each_record(args, handle: Callable[..., Optional[str]]) -> int:
 
 
 def _analyze_record(args, rec_id: str, g: Graph) -> None:
-    degrees = g.degrees()
+    degrees, bits, shape = g.degrees(), bit_matrix(g.adj, g.n), shape_of(g)
     record = {
         "id": rec_id,
-        "graph6": write_graph6(g),
+        "graph6": write_graph6(g, bits),
         "n": g.n,
         "m": sum(degrees) // 2,
         "min_degree": min(degrees, default=0),
         "rho": None,
         "q": None,
     }
-    bits = bit_matrix(g.adj, g.n)
     estimates = {}
     if g.n > 0:
         estimates = {"rho": rho(bits), "q": q_radius(bits)}
         record["rho"], record["q"] = estimates["rho"].value, estimates["q"].value
-    record["verdicts"] = _applicable_verdicts(g, bits, degrees, estimates)
+    record["verdicts"] = _applicable_verdicts(g, bits, degrees, estimates, shape)
     if 0 < g.n <= MAX_DP_N:
-        # a Hamiltonian cycle less one edge is a Hamiltonian path; the DP
-        # entries are passed by this module's names, so a wrapper around
-        # them (perfbench/tracing.py) sees each call certify makes
-        hamiltonian = certify(g, CYCLE, is_hamiltonian)
+        # a Hamiltonian cycle less one edge is a Hamiltonian path; certify
+        # asks the DP entries (by this module's names, which perfbench wraps)
+        # what its side count, short search and toughness count leave open
+        hamiltonian = certify(g, CYCLE, is_hamiltonian, shape)
         record["oracle"] = {
             "hamiltonian": hamiltonian,
-            "traceable": hamiltonian or certify(g, PATH, is_traceable),
+            "traceable": hamiltonian or certify(g, PATH, is_traceable, shape),
         }
     _emit(record, args.format)
 

@@ -443,14 +443,15 @@ CONDITIONS: dict[str, Condition] = {
 }
 
 
-def _applies(row: Condition, obj, degrees: Optional[list[int]] = None
-             ) -> tuple[object, int, list[int], Optional[Verdict]]:
+def _applies(row: Condition, obj, degrees: Optional[list[int]] = None,
+             components: Optional[int] = None) -> tuple[object, int, list[int], Optional[Verdict]]:
     """obj oriented as the row reads it, its size n, its degrees (a bipartite
     graph's side X first, then side Y; empty if the size does not fit the
     row), and the NotApplicable verdict of the first precondition that fails
     (None if all hold). The degrees are ``degrees``, obj's in that order,
     when given, and are otherwise computed once here, for the preconditions
-    and everything the checker reads of them after."""
+    and everything the checker reads of them after; a ``connected`` row
+    counts obj's components unless ``components`` gives their number."""
     prop, need = row.prop, row.min_n
     if row.kind == GENERAL:
         n = obj.n
@@ -485,7 +486,7 @@ def _applies(row: Condition, obj, degrees: Optional[list[int]] = None
         if delta < dx:
             return obj, n, degrees, _na(prop, f"needs min degree >= {dx}", ("min_degree", delta))
     if row.connected:
-        components = len(connected_components(obj))
+        components = len(connected_components(obj)) if components is None else components
         if components > 1:
             return obj, n, degrees, _na(prop, "needs a connected graph", ("components", components))
     return obj, n, degrees, None
@@ -494,7 +495,7 @@ def _applies(row: Condition, obj, degrees: Optional[list[int]] = None
 # ------------------------------------------------------- the verdict ladder
 
 def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = None,
-           degrees: Optional[list[int]] = None) -> Verdict:
+           degrees: Optional[list[int]] = None, components: Optional[int] = None) -> Verdict:
     """obj's verdict under a row: NotApplicable if a precondition fails,
     Inconclusive if the hypothesis fails, Boundary at the line of a strict
     threshold, Exception for a listed graph, Boundary at the line of a
@@ -506,9 +507,9 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
     within CMP_TOL; only a met hypothesis runs the exception step.
     ``estimate``, when given, is the radius (or a function returning it)
     of the matrix the row names in RADII, for obj as given; ``degrees``,
-    when given, obj's degrees (a bipartite graph's side X first).
-    """
-    obj, n, degrees, failure = _applies(row, obj, degrees)
+    when given, obj's degrees (a bipartite graph's side X first), and
+    ``components`` its number of components."""
+    obj, n, degrees, failure = _applies(row, obj, degrees, components)
     if failure is not None:
         return failure
     if row.quantity is None:

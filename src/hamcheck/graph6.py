@@ -13,11 +13,18 @@ bit are ignored on read and written as 0.
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 import numpy as np
 
 from .graphs import Graph, MAX_VERTICES, bit_matrix, pack_rows
 
 HEADER = ">>graph6<<"
+
+
+# the lower-triangle mask parse and write read bits along, kept per size
+# read: n^2 bytes each, 45 MB if every size up to MAX_VERTICES is read
+_lower = cache(partial(np.tri, k=-1, dtype=bool))
 
 
 class Graph6Error(ValueError):
@@ -72,11 +79,13 @@ def parse_graph6(text: str | bytes) -> Graph:
         )
     bits = np.unpackbits(body - 63).reshape(-1, 8)[:, 2:].ravel()   # six bits a byte
     lower = np.zeros((n, n), dtype=bool)
-    lower[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]   # lower[j, i] is the bit of edge ij, i < j
+    lower[_lower(n)] = bits[:nbits]   # lower[j, i] is the bit of edge ij, i < j
     return Graph(n, pack_rows(lower | lower.T))
 
 
-def write_graph6(g: Graph) -> str:
+def write_graph6(g: Graph, matrix: np.ndarray | None = None) -> str:
+    """g's graph6 record. ``matrix``, when given, is g's 0/1 adjacency
+    matrix, ``bit_matrix`` of its rows, which is otherwise unpacked here."""
     if g.n < 63:
         prefix = [g.n + 63]
     elif g.n <= 258047:
@@ -85,6 +94,7 @@ def write_graph6(g: Graph) -> str:
         prefix = [126, 126] + [(g.n >> (6 * s) & 63) + 63 for s in range(5, -1, -1)]
     nbits = g.n * (g.n - 1) // 2
     bits = np.zeros(-(-nbits // 6) * 6, dtype=np.uint8)
-    bits[:nbits] = bit_matrix(g.adj, g.n)[np.tri(g.n, k=-1, dtype=bool)]
+    matrix = bit_matrix(g.adj, g.n) if matrix is None else matrix
+    bits[:nbits] = matrix[_lower(g.n)]
     body = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
     return (bytes(prefix) + body.tobytes()).decode("ascii")

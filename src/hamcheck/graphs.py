@@ -312,6 +312,19 @@ def two_coloring(g: Graph) -> int | None:
     return left
 
 
+class Shape(NamedTuple):
+    """A graph's number of components, and its ``two_coloring`` if connected."""
+    components: int
+    left: int | None
+
+
+def shape_of(g: Graph) -> Shape:
+    """g's components, walked once, and its 2-colouring if it is connected,
+    for ``bipartite_view``, a connected row's checker and ``certify``."""
+    components = len(connected_components(g))
+    return Shape(components, two_coloring(g) if components == 1 else None)
+
+
 def bipartite_from_graph(g: Graph, left_mask: int) -> BipartiteGraph:
     """Split a graph along an explicit bipartition; intra-side edges are errors."""
     left = list(bits(left_mask))
@@ -326,7 +339,8 @@ def bipartite_from_graph(g: Graph, left_mask: int) -> BipartiteGraph:
     return BipartiteGraph(len(left), len(right), tuple(rows))
 
 
-def bipartite_view(g: Graph, a: np.ndarray) -> tuple[np.ndarray, BipartiteGraph] | None:
+def bipartite_view(g: Graph, a: np.ndarray, shape: Shape | None = None
+                   ) -> tuple[np.ndarray, BipartiteGraph] | None:
     """(order, b) for a connected bipartite g on n >= 2 vertices: b is the
     BipartiteGraph ``bipartite_from_graph`` makes of g and its
     ``two_coloring``, transposed when side X is the smaller, so side X is
@@ -334,30 +348,12 @@ def bipartite_view(g: Graph, a: np.ndarray) -> tuple[np.ndarray, BipartiteGraph]
     vertex order; ``order`` is the vertex order that puts side X first.
     None when g has fewer than 2 vertices, is disconnected or has an odd
     cycle. ``a`` is g's 0/1 adjacency matrix, ``bit_matrix`` of its rows,
-    from which b's rows are taken."""
-    if g.n < 2 or not is_connected(g):
-        return None
-    left = two_coloring(g)
-    if left is None:
+    from which b's rows are taken, and ``shape`` g's ``shape_of``, if known."""
+    left = (shape_of(g) if shape is None else shape).left
+    if g.n < 2 or left is None:
         return None
     in_left = bit_matrix([left], g.n)[0].astype(bool)
     x, y = np.flatnonzero(in_left), np.flatnonzero(~in_left)
     if len(x) < len(y):
         x, y = y, x
     return np.concatenate([x, y]), BipartiteGraph(len(x), len(y), pack_rows(a[np.ix_(x, y)]))
-
-
-def is_complete_bipartite_plus_isolated(g: Graph) -> bool:
-    """True iff g is K_{p,q} together with any number of isolated vertices."""
-    support = [v for v in range(g.n) if g.adj[v]]
-    if not support:
-        return False
-    core = induced_subgraph(g, support)
-    left_mask = two_coloring(core)
-    if left_mask is None:
-        return False
-    right_mask = ((1 << core.n) - 1) ^ left_mask
-    for v in bits(left_mask):
-        if core.adj[v] != right_mask:
-            return False
-    return True

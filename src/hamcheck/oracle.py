@@ -40,30 +40,24 @@ meet the DP's preconditions (connected, and for a cycle n >= 3 and
 minimum degree 2) cheaper deciders go first, in this order:
   * a bipartite side count: a cycle alternates sides, so they must be
     equal, and a path's sides differ by at most one;
-  * a short rotation-extension search (Posa), SHORT_STEPS * n steps from
-    the first start only;
+  * one short rotation-extension search (Posa), SHORT_STEPS * n steps
+    from the lowest-degree vertex (of the larger side, for a path when
+    the sides differ); an order counts once ``_check_witness`` passes it;
   * Chvatal's toughness bound: G - S has at most |S| components if G has
-    a Hamiltonian cycle, |S| + 1 if a path, tried on S = {v} and N(v);
-  * the full search, from the SEARCH_STARTS lowest-degree vertices (of
-    the larger side, for a path when the sides differ), SEARCH_STEPS * n
-    steps each.
-Both searches seed their RNG from the adjacency, so the short one is the
-first steps of the full one and finds nothing the full one would not;
-an order counts only once ``_check_witness`` passes it. The DP answers
-the rest and refuses the graphs its preconditions exclude. On the
-benchmark's seed-1 analyze corpus (210 graphs at n = 8-14) the 210 cycle
-questions went 128 to the short search, 29 to the obstructions (19
-sides, 10 toughness), 1 to the full search, 51 to the preconditions and
-1 to the DP; the 81 path questions 47, 12, 1, 20 and 1. In the old
-order, the full search before the toughness count, the 24 failed
-searches (22 before a toughness refutation, 2 before the DP) took 34 of
-``certify``'s 73 ms; now ``certify`` takes 0.026-0.038 s on that
-corpus, against 0.065-0.078 s, and the DP 0.35 s to answer every
-question alone (CPU seconds, best of 5, one core; the VM's speed drifts
-by up to 2x). SHORT_STEPS = 2 was set on the seed-1 to 4 corpora: with
-1 step per vertex the full search still answers 62-81 cycle questions
-per corpus, with 2 it answers 1-3 and with 3 0-2, and more steps only
-lengthen the short searches that fail.
+    a Hamiltonian cycle, |S| + 1 if a path, tried on S = {v} and N(v).
+The DP answers the rest and refuses the graphs its preconditions
+exclude; ``analyze`` hands ``certify`` each record's ``graphs.shape_of``.
+On the benchmark's seed-1 analyze corpus (210 graphs at n = 8-14) the
+210 cycle questions went 128 to the search, 29 to the obstructions (19
+sides, 10 toughness), 51 to the preconditions and 2 to the DP; the 81
+path questions 48, 12, 20 and 1. On the seed-1 to 6 corpora ``certify``
+takes 11-14 ms (14-19 ms with a colouring and walk per question and a
+second search, from three starts, 10n steps each, after the toughness
+count), and the DP alone 71 ms on every seed-1 question (CPU time, best
+of 7, one core of a Xeon VM, Python 3.11, numpy 2.4). With SHORT_STEPS
+= 1 the DP gets 142-152 questions on the seed-1 to 4 corpora (refusals
+included) and ``certify`` takes 31-37 ms; with 2, 68-84 and 10-12 ms;
+3 or 4 save at most 2 questions and no time.
 
 MAX_DP_N keeps one call on a batch of one far within a budget of about
 10 s on one core; the cost grows about 2x per vertex from n = 18.
@@ -82,20 +76,16 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .graphs import Graph, bits, component_mask, connected_components, two_coloring
+from .graphs import Graph, Shape, bits, component_mask, connected_components, shape_of
 
 MAX_DP_N = 18
 MAX_BACKTRACK_N = 12
-# certify's rotation-extension search: start vertices tried, and steps
-# (extensions and rotations) per start and per vertex
-SEARCH_STARTS = 3
-SEARCH_STEPS = 10
-# steps per vertex of the short search, from the first start only, that
-# certify runs before the obstructions
+# steps (extensions and rotations) per vertex of certify's short
+# rotation-extension search, which it runs before the obstructions
 SHORT_STEPS = 2
 # bounds on the batched DP's temporaries, in table entries: rows per
 # endpoint table, and the gather of one layer piece across those rows
@@ -163,33 +153,35 @@ def _dp_witness(g: Graph, kind: str) -> Optional[HamWitness]:
     return HamWitness(kind, tuple(orders[0].tolist())) if found[0] else None
 
 
-def _refused(g: Graph, kind: str) -> bool:
+def _refused(g: Graph, kind: str, components: Optional[int] = None) -> bool:
     """The DP's preconditions fail: g is disconnected, or for a cycle has
-    fewer than 3 vertices or a vertex of degree below 2."""
+    fewer than 3 vertices or a vertex of degree below 2. ``components``,
+    when given, is g's number of components, which is otherwise counted."""
     return (kind == CYCLE and (g.n < 3 or g.min_degree() < 2)
-            or len(connected_components(g)) > 1)
+            or (len(connected_components(g)) if components is None else components) > 1)
 
 
 def certify(g: Graph, kind: str,
-            exact: Optional[Callable[[Graph], Optional[HamWitness]]] = None) -> bool:
+            exact: Optional[Callable[[Graph], Optional[HamWitness]]] = None,
+            shape: Optional[Shape] = None) -> bool:
     """Whether g (n <= MAX_DP_N) has a Hamiltonian cycle (kind CYCLE) or
     path (PATH). Where the DP's preconditions hold, a bipartite side count,
-    a short rotation-extension search, a toughness count and the full
-    search answer in that order if they can, and a search's order counts
-    only once it passes the witness check; ``exact``, the DP's
-    ``is_hamiltonian`` or ``is_traceable`` by the kind unless given,
-    answers the rest, refusing at once the graphs its preconditions
-    exclude."""
+    a short rotation-extension search and a toughness count answer in that
+    order if they can, and the search's order counts only once it passes
+    the witness check; ``exact``, the DP's ``is_hamiltonian`` or
+    ``is_traceable`` by the kind unless given, answers the rest, refusing
+    at once the graphs its preconditions exclude. ``shape`` is g's
+    ``graphs.shape_of``, taken here unless given."""
     if g.n > MAX_DP_N:
         raise ValueError(f"oracle capped at n <= {MAX_DP_N}")
     if exact is None:
         exact = is_hamiltonian if kind == CYCLE else is_traceable
-    if not _refused(g, kind):
+    shape = shape_of(g) if shape is None else shape
+    if not _refused(g, kind, shape.components):
         # a Hamiltonian cycle alternates sides, and a path has its ends on
         # the larger side when the sides differ
         slack = 0 if kind == CYCLE else 1
-        left = two_coloring(g)
-        starts = range(g.n)
+        starts, left = range(g.n), shape.left
         if left is not None:
             larger = left if 2 * left.bit_count() > g.n else ~left & ((1 << g.n) - 1)
             surplus = 2 * larger.bit_count() - g.n
@@ -197,60 +189,65 @@ def certify(g: Graph, kind: str,
                 return False
             if surplus:
                 starts = bits(larger)
-        starts = sorted(starts, key=lambda v: (g.adj[v].bit_count(), v))[:SEARCH_STARTS]
-        # the short search is the full search's first steps, so it finds
-        # only what the full search would, and a graph toughness refutes
-        # no longer waits for the full search's budget to run out
-        if _checked(g, kind, _search(g, kind, starts[:1], SHORT_STEPS)) is not None:
+        start = min(starts, key=lambda v: (g.adj[v].bit_count(), v))
+        order = _search(g, kind, start, SHORT_STEPS)
+        if order is not None:
+            _check_witness(g, HamWitness(kind, order))
             return True
         if _tough_obstruction(g, slack):
             return False
-        if _checked(g, kind, _search(g, kind, starts, SEARCH_STEPS)) is not None:
-            return True
     return exact(g) is not None
 
 
-def _search(g: Graph, kind: str, starts: Sequence[int],
-            steps: int) -> Optional[tuple[int, ...]]:
+def _search(g: Graph, kind: str, start: int, steps: int) -> Optional[tuple[int, ...]]:
     """A Hamiltonian cycle or path of g found by rotation-extension (Posa,
-    Discrete Math. 14, 1976) from one of ``starts``, in ``steps`` * n steps
-    from each, or None.
+    Discrete Math. 14, 1976) from ``start`` in ``steps`` * n steps, or None.
 
     The path grows from its start while its end has a neighbour off it;
     then it rotates: for a neighbour p of the end on the path, the part
     after p is reversed, so p's successor becomes the end. Rotations whose
     new end can grow the path, or close a spanning one, are preferred.
-    Choices are random, from an RNG seeded with g's adjacency, so the
-    answer depends on g alone."""
+    Ties are broken at random, from an RNG seeded with g's adjacency, so
+    the answer depends on g alone."""
     n, adj = g.n, g.adj
     seed = 0
     for row in adj:
         seed = seed << n | row
     rng = random.Random(seed)
-    for start in starts:
-        path, on = [start], 1 << start
-        for _ in range(steps * n):
-            end = path[-1]
-            free = adj[end] & ~on
-            if free:
-                # Warnsdorff's rule: the neighbour with the fewest ways on,
-                # but not a dead end while other vertices are off the path
-                onward = {u: (adj[u] & ~on).bit_count() for u in bits(free)}
-                least = min(onward.values(), key=lambda count: (count == 0, count))
-                u = rng.choice([u for u, count in onward.items() if count == least])
-                path.append(u)
-                on |= 1 << u
-                continue
-            spans = len(path) == n
-            if spans and (kind == PATH or adj[end] >> path[0] & 1):
-                return tuple(path)
-            pivots = [path.index(p) for p in bits(adj[end] & on & ~(1 << path[-2]))]
-            if not pivots:
-                break
-            good = [i for i in pivots if (adj[path[i + 1]] >> path[0] & 1 if spans
-                                          else adj[path[i + 1]] & ~on)]
-            i = rng.choice(good or pivots)
-            path[i + 1:] = path[:i:-1]
+
+    def pick(options: list[int]) -> int:
+        return options[0] if len(options) == 1 else rng.choice(options)
+
+    path, on, at = [start], 1 << start, {start: 0}   # at: each path vertex's position
+    for _ in range(steps * n):
+        end = path[-1]
+        free = adj[end] & ~on
+        if free:
+            # Warnsdorff's rule: the neighbour with the fewest ways on,
+            # but not a dead end (counted as n) while others are off the path
+            least, ties = n + 1, []
+            for u in bits(free):
+                count = (adj[u] & ~on).bit_count() or n
+                if count < least:
+                    least, ties = count, [u]
+                elif count == least:
+                    ties.append(u)
+            u = pick(ties)
+            at[u], on = len(path), on | 1 << u
+            path.append(u)
+            continue
+        spans = len(path) == n
+        if spans and (kind == PATH or adj[end] >> path[0] & 1):
+            return tuple(path)
+        pivots = [at[p] for p in bits(adj[end] & on & ~(1 << path[-2]))]
+        if not pivots:
+            break
+        good = [i for i in pivots if (adj[path[i + 1]] >> path[0] & 1 if spans
+                                      else adj[path[i + 1]] & ~on)]
+        i = pick(good or pivots)
+        path[i + 1:] = path[:i:-1]
+        for j in range(i + 1, len(path)):
+            at[path[j]] = j
     return None
 
 
@@ -272,14 +269,6 @@ def _tough_obstruction(g: Graph, slack: int) -> bool:
             if pieces > bound:
                 return True
     return False
-
-
-def _checked(g: Graph, kind: str, order: Optional[tuple[int, ...]]) -> Optional[HamWitness]:
-    if order is None:
-        return None
-    witness = HamWitness(kind, order)
-    _check_witness(g, witness)
-    return witness
 
 
 def witness_rows(adj: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:

@@ -33,8 +33,8 @@ their adjacency rows, degree tables and [mask, orbit size] pairs, and
 per witness kind (cycle or path) the oracle's answer on each one a scan
 has hit, asked of ``witness_rows`` when first hit. A part of a listed
 size filters the list by its row's m_min, minimum degrees and [lo, hi)
-into its one slice, the masks ``_slices`` would stream, and its hits
-take their answers from the list. Every larger size streams. The
+into slices of at most SLICE rows, the masks ``_slices`` would stream,
+and its hits take their answers from the list. Every larger size streams. The
 screens, enclosures, ladder, checker, tallies and violations still run
 per theorem on every call: a list holds nothing that depends on a
 theorem.
@@ -99,11 +99,10 @@ record's one 0/1 adjacency matrix (a bipartite record's view takes the
 record's rho, and its other radius from that matrix in side order), and
 both reach the same DP on a batch of one, through
 ``oracle.is_hamiltonian`` and ``is_traceable``, which skip the
-precondition tests their own have made.
-``oracle`` prints the DP's witnesses;
-``analyze`` asks ``oracle.certify``, which tries a bipartite side count,
-a short checked rotation-extension search, a toughness count and the
-full search before the DP, and so needs the DP for few graphs.
+precondition tests their own have made. ``oracle`` prints the DP's
+witnesses; ``analyze`` asks ``oracle.certify``, which tries a bipartite
+side count, one short checked rotation-extension search and a toughness
+count before the DP, and so needs the DP for few graphs.
 ``analyze`` computes each spectral radius at most once per graph:
 ``conditions.RADII`` maps each hypothesis quantity to the matrix it
 bounds and whether its operand is complemented, and builds that operand
@@ -496,13 +495,17 @@ class _Shared:
     orbits: np.ndarray
     holds: dict[str, np.ndarray]
 
-    def part(self, layout: _Layout, lo: int, hi: int, m_min: int) -> tuple:
-        """(scanned, adjacency, degrees, orbits): the masks of [lo, hi) that
-        ``_slices(layout, lo, hi, m_min)`` yields, as one slice."""
+    def part(self, layout: _Layout, lo: int, hi: int, m_min: int):
+        """Yield (scanned, adjacency, degrees, orbits) per slice of the masks
+        of [lo, hi) that ``_slices(layout, lo, hi, m_min)`` yields, at most
+        SLICE of them per slice: the first slice carries the range's width,
+        hi - lo, and the others 0."""
         masks = self.orbits[:, 0]
-        keep = ((masks >= lo) & (masks < hi) & (np.bitwise_count(masks) >= m_min)
-                & (self.degrees >= layout.min_degree).all(axis=1))
-        return hi - lo, self.adjacency[keep], self.degrees[keep], self.orbits[keep]
+        keep = np.flatnonzero((masks >= lo) & (masks < hi) & (np.bitwise_count(masks) >= m_min)
+                              & (self.degrees >= layout.min_degree).all(axis=1))
+        for start in range(0, max(len(keep), 1), SLICE):
+            rows, scanned = keep[start:start + SLICE], hi - lo if start == 0 else 0
+            yield scanned, self.adjacency[rows], self.degrees[rows], self.orbits[rows]
 
     def answers(self, masks: np.ndarray, kind: str) -> np.ndarray:
         """The oracle's answers of a witness kind on the listed masks: those
@@ -612,7 +615,7 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     oracle, each counted once per member of its orbit. An orbit's least
     mask lies in exactly one part, so the parts count each orbit once.
     Where the size's masks fit in one part, the list of its geometry
-    gives the one slice, and the list's answers decide the hits."""
+    gives the slices, and the list's answers decide the hits."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n])
@@ -620,7 +623,7 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     shared = (_shared(layout.nverts, layout.sides, layout.span)
               if 1 << len(layout.slots) <= CHUNK else None)
     slices = (_slices(layout, lo, hi, m_min) if shared is None
-              else [shared.part(layout, lo, hi, m_min)])
+              else shared.part(layout, lo, hi, m_min))
     threshold = row.threshold(n) if row.spectral else None
     hits: list[np.ndarray] = []   # per slice, its hits' [mask, orbit size, status code]
     families: list = []           # the buffered Exception hits' families

@@ -15,9 +15,11 @@ from hamcheck.conditions import GENERAL, check_theorem
 from hamcheck.graphs import (
     bipartite_from_graph,
     complete_bipartite,
+    connected_components,
     cycle,
     from_edges,
     is_connected,
+    shape_of,
     transpose,
     two_coloring,
 )
@@ -163,14 +165,64 @@ def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii
     asked = []
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(conditions, "_estimate", given_only)
-    monkeypatch.setattr(cli, "certify",
-                        lambda g, kind, exact: asked.append((g, kind)) or certify(g, kind, exact))
+    monkeypatch.setattr(cli, "certify", lambda g, kind, exact, shape: asked.append(
+        (g, kind, shape)) or certify(g, kind, exact, shape))
     code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=write_graph6(graph) + "\n",
                        monkeypatch=monkeypatch)
     assert code == 0, err
     matrices = [matrix for call in calls for matrix in call]
     assert len(matrices) == len(set(matrices)) == len(calls) == radii
-    assert asked == [(graph, CYCLE)] + ([] if is_hamiltonian(graph) else [(graph, PATH)])
+    # each question is handed the record's one shape
+    shape = shape_of(graph)
+    assert asked == [(graph, CYCLE, shape)] + ([] if is_hamiltonian(graph)
+                                               else [(graph, PATH, shape)])
+
+
+def test_analyze_walks_and_colours_each_record_once(capsys, monkeypatch):
+    """Each record's components are walked once, and a connected record is
+    2-coloured once, for the bipartite view, the connected row's
+    precondition and both certify questions alike. The DP entries check
+    their own preconditions on the graphs certify hands them, and are not
+    counted."""
+    from hamcheck import graphs, oracle
+
+    text = (FIXTURES / "analyze_mix.g6").read_text()
+    want = [[1, int(len(connected_components(g)) == 1)]
+            for g in map(parse_graph6, text.split())]
+    counts, record, inside = [], [], []   # per record [walks, colourings]
+
+    def counted(index, function):
+        def wrapper(g, *args):
+            if g is record[0] and not inside:
+                counts[-1][index] += 1
+            return function(g, *args)
+        return wrapper
+
+    def entered(entry):
+        def wrapper(g):
+            inside.append(entry)
+            try:
+                return entry(g)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def analyze(args, rec_id, g, analyze=cli._analyze_record):
+        record[:], counts[len(counts):] = [g], [[0, 0]]
+        return analyze(args, rec_id, g)
+
+    for module in (graphs, oracle, conditions, cli):
+        for name, index in (("connected_components", 0), ("is_connected", 0),
+                            ("two_coloring", 1)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(index, getattr(module, name)))
+    for name in ("is_hamiltonian", "is_traceable"):
+        monkeypatch.setattr(cli, name, entered(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_analyze_record", analyze)
+    code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=text,
+                       monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert counts == want
 
 
 def test_analyze_skips_the_oracle_above_its_cap(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamcheck.graph6 import Graph6Error, parse_graph6, write_graph6
-from hamcheck.graphs import MAX_VERTICES, Graph, complete, cycle, from_edges, star
+from hamcheck.graphs import MAX_VERTICES, Graph, bit_matrix, complete, cycle, from_edges, star
 
 
 def test_known_strings():
@@ -176,6 +176,17 @@ def test_codec_matches_the_loop_codec(density):
         assert _reference_parse(line) == g
         for record in (line, line.encode("ascii"), f">>graph6<<{line}\n", b" " + line.encode()):
             assert parse_graph6(record) == g, (n, record[:12])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 130])
+@pytest.mark.parametrize("density", [0, 0.4, 1])
+def test_a_given_matrix_writes_what_the_rows_write(n, density):
+    # analyze hands write_graph6 the record's 0/1 matrix; across the size
+    # prefixes' edges (62 | 63) and multi-word rows (130) it must write
+    # what unpacking the rows writes
+    for seed in range(3):
+        g = _random_graph(n, density, seed)
+        assert write_graph6(g, bit_matrix(g.adj, n)) == write_graph6(g)
 
 
 def test_padding_bits_are_ignored_on_read():

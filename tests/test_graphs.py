@@ -22,7 +22,6 @@ from hamcheck.graphs import (
     empty_graph,
     from_edges,
     induced_subgraph,
-    is_complete_bipartite_plus_isolated,
     is_connected,
     join,
     pack_rows,
@@ -290,14 +289,6 @@ def test_quasi_complement():
     star_b = quasi_complement(b)
     assert star_b.edge_count() == 0
     assert quasi_complement(star_b).rows == b.rows
-
-
-def test_is_complete_bipartite_plus_isolated():
-    g = complete_bipartite(2, 3).to_graph()
-    assert is_complete_bipartite_plus_isolated(g)
-    assert is_complete_bipartite_plus_isolated(disjoint_union(g, empty_graph(2)))
-    assert not is_complete_bipartite_plus_isolated(cycle(5))
-    assert not is_complete_bipartite_plus_isolated(disjoint_union(g, path(2)))
 
 
 @given(st.integers(2, 8), st.integers(0, 10 ** 6))

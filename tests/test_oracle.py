@@ -420,7 +420,7 @@ def test_certify_agrees_with_backtracking_on_every_atlas_graph(monkeypatch, sear
     # the 1,252 non-empty graphs on at most 7 vertices; with the search off,
     # the obstructions and the DP answer every question on their own
     if not search:
-        monkeypatch.setattr(oracle, "_search", lambda g, kind, starts, steps: None)
+        monkeypatch.setattr(oracle, "_search", lambda g, kind, start, steps: None)
     graphs = [from_edges(h.number_of_nodes(), h.edges())
               for h in nx.graph_atlas_g() if h.number_of_nodes()]
     assert len(graphs) == 1252
@@ -472,42 +472,27 @@ def test_certify_answers_without_the_dp(g, kind, want):
      "does not close"),
 ])
 def test_certify_checks_every_order_the_search_returns(monkeypatch, g, kind, order, message):
-    monkeypatch.setattr(oracle, "_search", lambda g, kind, starts, steps: order)
+    monkeypatch.setattr(oracle, "_search", lambda g, kind, start, steps: order)
     with pytest.raises(AssertionError, match=message):
         certify(g, kind)
 
 
-def test_an_obstruction_answers_before_the_full_search(monkeypatch):
-    # K6 v 7K1: the short search from one start fails, and S = N(v) for a
-    # vertex v of the 7 leaves 7 > 6 parts, so the full search never runs
+def test_an_obstruction_answers_before_the_dp(monkeypatch):
+    # K6 v 7K1: the one short search fails, and S = N(v) for a vertex v of
+    # the 7 leaves 7 > 6 parts, so the DP is never asked
     budgets = []
     search = oracle._search
 
-    def logged(g, kind, starts, steps):
-        budgets.append((len(starts), steps))
-        return search(g, kind, starts, steps)
+    def logged(g, kind, start, steps):
+        budgets.append((start, steps))
+        return search(g, kind, start, steps)
+
+    def refuse(h):
+        raise AssertionError("the DP was asked")
     monkeypatch.setattr(oracle, "_search", logged)
-    assert certify(join(complete(6), empty_graph(7)), CYCLE) is False
-    assert budgets == [(1, oracle.SHORT_STEPS)]
-
-
-def test_the_short_search_finds_what_the_full_search_finds_first():
-    # both seed their RNG from the graph, so the short search is the first
-    # steps of the full search from the same start
-    rng = random.Random(5)
-    shown = 0
-    for n in range(8, 15):
-        for p in (0.3, 0.5, 0.7):
-            g = random_graph(n, rng.randrange(10 ** 6), p=p)
-            if not is_connected(g):     # certify searches connected graphs only
-                continue
-            starts = sorted(range(n), key=lambda v: (g.adj[v].bit_count(), v))
-            for kind in (CYCLE, PATH):
-                short = oracle._search(g, kind, starts[:1], oracle.SHORT_STEPS)
-                if short is not None:
-                    assert oracle._search(g, kind, starts, oracle.SEARCH_STEPS) == short
-                    shown += 1
-    assert shown > 10
+    assert certify(join(complete(6), empty_graph(7)), CYCLE, refuse) is False
+    # from the lowest-degree vertex, the first of the 7
+    assert budgets == [(6, oracle.SHORT_STEPS)]
 
 
 def test_search_depends_on_the_graph_alone():
@@ -518,7 +503,7 @@ def test_search_depends_on_the_graph_alone():
     try:
         for seed in range(3):
             random.seed(seed)
-            found.add(oracle._search(g, CYCLE, [0], oracle.SEARCH_STEPS))
+            found.add(oracle._search(g, CYCLE, 0, oracle.SHORT_STEPS))
     finally:
         random.setstate(state)
     assert len(found) == 1 and None not in found

@@ -264,11 +264,11 @@ def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
         ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total),
                   (reps[len(reps) // 3], reps[2 * len(reps) // 3]))
         for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
-            scanned, *got = shared.part(layout, lo, hi, m_min)
+            got = list(zip(*shared.part(layout, lo, hi, m_min)))
             want = list(zip(*verify._slices(layout, lo, hi, m_min)))
-            assert scanned == sum(want[0]) == hi - lo
-            for got_part, want_part in zip(got, want[1:]):
-                assert np.array_equal(got_part, np.concatenate(want_part))
+            assert got[0][0] == sum(got[0]) == sum(want[0]) == hi - lo
+            for got_part, want_part in zip(got[1:], want[1:]):
+                assert np.array_equal(np.concatenate(got_part), np.concatenate(want_part))
 
 
 @pytest.mark.usefixtures("fresh_lists")
@@ -528,6 +528,27 @@ def _scan_hits(monkeypatch, theorem_id: str, max_n: int) -> tuple[SoundnessRepor
         patch.setattr(verify, "_flush", recording)
         report = soundness(theorem_id, max_n=max_n)
     return report, {n: np.concatenate(batches) for n, batches in hits.items()}
+
+
+@pytest.mark.usefixtures("fresh_lists")
+@pytest.mark.parametrize("theorem_id", ["moon-moser", "chvatal"])
+def test_labeled_shared_parts_come_in_bounded_slices(theorem_id, monkeypatch):
+    # under the labeled reference the side-4 and n = 6 lists hold every
+    # labeled mask (65,536 and 32,768): a part hands its rows on in slices
+    # of at most SLICE, and the report is the one whole parts give
+    _labeled(monkeypatch)
+    rows, part = [], verify._Shared.part
+
+    def recording(self, *args):
+        for piece in part(self, *args):
+            rows.append(len(piece[1]))
+            yield piece
+    with monkeypatch.context() as patch:
+        patch.setattr(verify._Shared, "part", recording)
+        report = soundness(theorem_id, max_n=6)
+    assert max(rows) == verify.SLICE
+    monkeypatch.setattr(verify, "SLICE", verify.CHUNK)
+    assert soundness(theorem_id, max_n=6).to_dict() == report.to_dict()
 
 
 @pytest.mark.parametrize("theorem_id", theorem_ids())
