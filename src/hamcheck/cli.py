@@ -32,7 +32,8 @@ import numpy as np
 from . import verify as verify_mod
 from .conditions import BIP_BALANCED, BIP_UNBALANCED, GENERAL, Status, Verdict, hypothesis_radius
 from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
-from .graph6 import Graph6Error, parse_graph6, write_graph6
+# parse_graph6 by the name perfbench wraps as graph6's parse
+from .graph6 import Graph6Error, parse_graph6_with_matrix as parse_graph6, write_graph6
 from .graphs import Graph, Shape, bipartite_view, bit_matrix, from_edges, shape_of
 from .oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian, is_traceable
 from .spectral import SpectralEstimate, q_radius, rho
@@ -115,7 +116,7 @@ def _build_parser() -> _Parser:
 
 # ------------------------------------------------------------------ input
 
-Records = Iterator[tuple[str, Optional[Graph], Optional[str]]]
+Records = Iterator[tuple[str, Optional[Graph], Optional[np.ndarray], Optional[str]]]
 
 
 def _open_input(args) -> Optional[Records]:
@@ -135,11 +136,12 @@ def _open_input(args) -> Optional[Records]:
 
 
 def _read_graphs(args, stream: BinaryIO | TextIO) -> Records:
-    """Yield (record id, graph, error message); exactly one of graph/error set."""
+    """Yield (record id, graph, its 0/1 matrix, error); one of graph/error set."""
     name = args.file or "<stdin>"
     try:
         if args.edgelist:
-            yield (name, *_parse_edgelist(stream))
+            g, err = _parse_edgelist(stream)
+            yield name, g, None if g is None else bit_matrix(g.adj, g.n), err
             return
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
@@ -147,9 +149,9 @@ def _read_graphs(args, stream: BinaryIO | TextIO) -> Records:
                 continue
             rec_id = f"{name}:{lineno}"
             try:
-                yield rec_id, parse_graph6(line), None
+                yield rec_id, *parse_graph6(line), None
             except Graph6Error as exc:
-                yield rec_id, None, str(exc)
+                yield rec_id, None, None, str(exc)
     finally:
         if args.file:
             stream.close()
@@ -245,17 +247,17 @@ def _applicable_verdicts(g: Graph, bits: np.ndarray, degrees: list[int],
 
 
 def _each_record(args, handle: Callable[..., Optional[str]]) -> int:
-    """Call handle(args, record id, graph) on each input record. A record
-    that does not parse, or for which handle returns an error message, is
-    reported as ``error: <id>: <message>`` and makes the exit 2; under
-    --strict it ends the run."""
+    """Call handle(args, record id, graph, its 0/1 matrix) on each input
+    record. A record that does not parse, or for which handle returns
+    an error message, is reported as ``error: <id>: <message>`` and makes
+    the exit 2; under --strict it ends the run."""
     records = _open_input(args)
     if records is None:
         return EXIT_USAGE
     status = EXIT_OK
-    for rec_id, g, err in records:
+    for rec_id, g, matrix, err in records:
         if err is None:
-            err = handle(args, rec_id, g)
+            err = handle(args, rec_id, g, matrix)
         if err is not None:
             print(f"error: {rec_id}: {err}", file=sys.stderr)
             status = EXIT_PARSE
@@ -264,8 +266,8 @@ def _each_record(args, handle: Callable[..., Optional[str]]) -> int:
     return status
 
 
-def _analyze_record(args, rec_id: str, g: Graph) -> None:
-    degrees, bits, shape = g.degrees(), bit_matrix(g.adj, g.n), shape_of(g)
+def _analyze_record(args, rec_id: str, g: Graph, bits: np.ndarray) -> None:
+    degrees, shape = g.degrees(), shape_of(g)
     record = {
         "id": rec_id,
         "graph6": write_graph6(g, bits),
@@ -425,7 +427,7 @@ def cmd_family(args) -> int:
 
 # ----------------------------------------------------------------- oracle
 
-def _oracle_record(args, rec_id: str, g: Graph) -> Optional[str]:
+def _oracle_record(args, rec_id: str, g: Graph, _matrix) -> Optional[str]:
     if g.n > MAX_DP_N:
         return f"oracle capped at n <= {MAX_DP_N}"
     ham = is_hamiltonian(g)

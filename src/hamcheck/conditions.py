@@ -474,7 +474,7 @@ def _applies(row: Condition, obj, degrees: Optional[list[int]] = None,
         if n < need:
             return obj, n, [], _na(prop, f"needs smaller side n >= {need}", ("n", n))
     if degrees is None:
-        degrees = obj.degrees() if row.kind == GENERAL else obj.degrees_x() + obj.degrees_y()
+        degrees = obj.degrees()
     dx, dy = row.min_degree
     if row.kind == BIP_UNBALANCED:
         has_x, has_y = min(degrees[:obj.p]), min(degrees[obj.p:])
@@ -530,7 +530,7 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
     if unmet:
         return verdict
     targets = _exception_targets(row.exceptions, n)
-    fid = _match(obj, tuple(sorted(degrees)), targets) if targets else None
+    fid = _match(obj, degrees, targets) if targets else None
     if fid is not None:
         return Verdict(Status.EXCEPTION, row.prop, cert, family=fid)
     if row.join_class:
@@ -569,7 +569,7 @@ def slice_ladder(row: Condition, n: int, degrees: np.ndarray, adjacency: np.ndar
     else:
         value = degrees.sum(axis=1) // 2 if row.quantity == "m" else values
         codes, unmet = row.ladder(value, row.threshold(n))
-        seqs = {seq for _, _, seq in _exception_targets(row.exceptions, n)}
+        seqs = {seq for _, _, seq, _, _ in _exception_targets(row.exceptions, n)}
         if seqs or row.join_class:
             open_ = np.flatnonzero(applicable & ~unmet)
             candidate[open_] = _per_sorted_row(
@@ -705,26 +705,46 @@ def recognize_family(g: Graph | BipartiteGraph, fid: FamilyId) -> bool:
     return _first_match(g, (fid,)) is not None
 
 
-# an exceptional graph as the matchers read it: its family id, its
-# canonical graph as a Graph, and that graph's degree sequence
-Target = tuple[FamilyId, Graph, tuple[int, ...]]
+# an exceptional graph as the matchers read it: its family id, its canonical
+# graph as a Graph, its degree sequence, whether it is a threshold graph, the one
+# graph with that sequence (Chvatal & Hammer, Ann. Discrete Math. 1, 1977), and,
+# for a chain graph, the one bipartite graph with its sorted side sequences, side
+# X first, those (Mahadev & Peled, Threshold Graphs and Related Topics, 1995)
+Target = tuple[FamilyId, Graph, tuple[int, ...], bool, Optional[tuple[tuple[int, ...], ...]]]
+
+
+def _peels(*sides: Sequence[int]) -> bool:
+    """Whether peeling a vertex of degree 0 or adjacent to all it may be, one at a
+    time, empties a threshold graph's sorted degree list or a chain graph's two."""
+    sides = [list(side) for side in sides]
+    while any(sides):
+        for side, other in zip(sides, sides[::-1]):
+            if side and (side[0] == 0 or side[-1] == len(other) - (side is other)):
+                if side.pop(0 if side[0] == 0 else -1):   # adjacent to all of other
+                    other[:] = [d - 1 for d in other]
+                break
+        else:
+            return False
+    return True
 
 
 @cache
-def _family_graph(fid: FamilyId) -> Optional[tuple[Graph, tuple[int, ...]]]:
-    """fid's canonical graph as a Graph and its degree sequence, built once;
-    None when fid has no canonical graph."""
+def _family_graph(fid: FamilyId) -> Optional[Target]:
+    """fid's target, built once, its flags by ``_peels``; None when fid has
+    no canonical graph."""
     try:
-        target = make_family(fid)
+        built = make_family(fid)
     except ValueError:
         return None
-    target = target.to_graph()
-    return target, target.degree_sequence()
+    target, seq = built.to_graph(), built.degree_sequence()
+    sides = isinstance(built, BipartiteGraph) and (
+        tuple(sorted(built.degrees_x())), tuple(sorted(built.degrees_y())))
+    return fid, target, seq, _peels(seq), sides if sides and _peels(*sides) else None
 
 
 def _with_graphs(fids: tuple[FamilyId, ...]) -> tuple[Target, ...]:
     """The fids that have a canonical graph, in order, as targets."""
-    return tuple((fid, *family) for fid in fids if (family := _family_graph(fid)) is not None)
+    return tuple(target for fid in fids if (target := _family_graph(fid)) is not None)
 
 
 @cache
@@ -737,15 +757,22 @@ def _exception_targets(
 
 
 def _match(
-    obj: Graph | BipartiteGraph, seq: tuple[int, ...], targets: tuple[Target, ...]
+    obj: Graph | BipartiteGraph, degrees: Sequence[int], targets: tuple[Target, ...]
 ) -> Optional[FamilyId]:
-    """The first target whose degree sequence is seq, obj's own, and whose
-    graph is isomorphic to obj as a graph, if any. Only a target whose
-    sequence matches makes obj a Graph and runs the isomorphism test."""
+    """The first target isomorphic to obj as a graph, if any; ``degrees`` are obj's,
+    side X first. Its degree sequence alone matches a threshold target, and its side
+    sequences, in either order, a chain one if obj is bipartite; others are searched."""
+    seq = tuple(sorted(degrees))
     g = None
-    for fid, target, target_seq in targets:
+    for fid, target, target_seq, threshold, sides in targets:
         if seq != target_seq:
             continue
+        if threshold:
+            return fid
+        if sides and isinstance(obj, BipartiteGraph):
+            x, y = tuple(sorted(degrees[:obj.p])), tuple(sorted(degrees[obj.p:]))
+            if sides in ((x, y), (y, x)):
+                return fid
         if g is None:
             g = obj.to_graph()
         if is_isomorphic(g, target):
@@ -756,4 +783,4 @@ def _match(
 def _first_match(g: Graph | BipartiteGraph, fids: tuple[FamilyId, ...]) -> Optional[FamilyId]:
     """The first of fids whose canonical graph is isomorphic to g as a graph,
     if any."""
-    return _match(g, g.degree_sequence(), _with_graphs(fids))
+    return _match(g, g.degrees(), _with_graphs(fids))

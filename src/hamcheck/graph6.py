@@ -5,7 +5,8 @@ upper-triangle adjacency bits in column-major order, six bits per byte,
 each byte offset by 63. Column-major order over the upper triangle is
 row-major order over the lower one, so both directions are numpy steps
 on the ``np.tri(n, k=-1)`` mask, through the codec pair of ``graphs``: a
-record's bits unpack onto it and are mirrored, then ``graphs.pack_rows``
+record's bits unpack onto it and are mirrored into the 0/1 matrix that
+``parse_graph6_with_matrix`` also returns, then ``graphs.pack_rows``
 packs each row into an int; a graph's rows, unpacked by
 ``graphs.bit_matrix``, are read off it. Padding bits after the last edge
 bit are ignored on read and written as 0.
@@ -53,6 +54,11 @@ def _parse_size(data: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(text: str | bytes) -> Graph:
+    return parse_graph6_with_matrix(text)[0]
+
+
+def parse_graph6_with_matrix(text: str | bytes) -> tuple[Graph, np.ndarray]:
+    """The record's graph and its 0/1 matrix, as ``bit_matrix`` unpacks it."""
     try:
         data = text.encode("ascii") if isinstance(text, str) else bytes(text)
     except UnicodeEncodeError as exc:
@@ -80,7 +86,8 @@ def parse_graph6(text: str | bytes) -> Graph:
     bits = np.unpackbits(body - 63).reshape(-1, 8)[:, 2:].ravel()   # six bits a byte
     lower = np.zeros((n, n), dtype=bool)
     lower[_lower(n)] = bits[:nbits]   # lower[j, i] is the bit of edge ij, i < j
-    return Graph(n, pack_rows(lower | lower.T))
+    matrix = (lower | lower.T).view(np.uint8)
+    return Graph(n, pack_rows(matrix)), matrix
 
 
 def write_graph6(g: Graph, matrix: np.ndarray | None = None) -> str:

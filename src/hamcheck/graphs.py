@@ -105,12 +105,15 @@ class BipartiteGraph(NamedTuple):
     def degrees_y(self) -> list[int]:
         return bit_matrix(self.rows, self.q).sum(axis=0).tolist()
 
+    def degrees(self) -> list[int]:
+        return self.degrees_x() + self.degrees_y()
+
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees_x() + self.degrees_y()))
+        return tuple(sorted(self.degrees()))
 
     def min_degree(self) -> int:
         """Smallest vertex degree; 0 for the graph on no vertices."""
-        return min(self.degrees_x() + self.degrees_y(), default=0)
+        return min(self.degrees(), default=0)
 
     def to_graph(self) -> "Graph":
         """View as a Graph on p+q vertices, side X first."""

@@ -1,4 +1,5 @@
-"""Isomorphism testing for small graphs: degree refinement + backtracking."""
+"""Isomorphism testing for small graphs: degree refinement + backtracking,
+for the listed exceptions their degrees do not determine, such as K2,4."""
 
 from __future__ import annotations
 

@@ -207,9 +207,9 @@ def test_analyze_walks_and_colours_each_record_once(capsys, monkeypatch):
                 inside.pop()
         return wrapper
 
-    def analyze(args, rec_id, g, analyze=cli._analyze_record):
+    def analyze(args, rec_id, g, matrix, analyze=cli._analyze_record):
         record[:], counts[len(counts):] = [g], [[0, 0]]
-        return analyze(args, rec_id, g)
+        return analyze(args, rec_id, g, matrix)
 
     for module in (graphs, oracle, conditions, cli):
         for name, index in (("connected_components", 0), ("is_connected", 0),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hamcheck
+from hamcheck import conditions
 from hamcheck.conditions import (
     BOUNDARY,
     CMP_TOL,
@@ -39,6 +40,7 @@ from hamcheck.families import (
     np_member,
 )
 from hamcheck.graphs import (
+    BipartiteGraph,
     bipartite_from_edges,
     bits,
     complement,
@@ -53,6 +55,7 @@ from hamcheck.graphs import (
     join,
     relabel,
     star,
+    transpose,
 )
 from hamcheck.iso import is_isomorphic
 from hamcheck.spectral import SpectralEstimate
@@ -442,10 +445,11 @@ def test_exceptional_graphs_are_built_once(monkeypatch):
     iso._target_signatures.cache_clear()
     row = conditions.CONDITIONS["lemma-3.6"]
     listed = row.exceptions(6)
-    assert len(listed) == 4
+    assert len(listed) == 4 and np_member(3) in listed
     for _ in range(3):
         assert conditions.decide(row, complete(6)).status is Status.GUARANTEED
-        assert conditions.decide(row, make_family(listed[-1])).family == listed[-1]
+        # K2,4, which its degrees do not determine, so it is searched for
+        assert conditions.decide(row, make_family(np_member(3))).family == np_member(3)
     assert sorted(built, key=str) == sorted(listed, key=str)
     # and the signatures of each target tested for isomorphism are taken once
     tested = iso._target_signatures.cache_info()
@@ -632,6 +636,145 @@ def test_listed_exceptions_match_under_relabeling(theorem_id):
                 else:
                     assert (v.status, v.family) == (Status.EXCEPTION, fid), (n, fid)
     assert listed
+
+
+# ------------------------------------ exceptions their degrees determine
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_threshold_sequence_has_one_graph(n):
+    # the sequences _peels empties are the 2^(n-1) threshold ones, and all
+    # the graphs with one of them are isomorphic
+    graphs = {}
+    for g in _all_graphs(n):
+        graphs.setdefault(g.degree_sequence(), []).append(g)
+    peeled = [seq for seq in graphs if conditions._peels(seq)]
+    assert len(peeled) == 2 ** (n - 1)
+    for seq in peeled:
+        first, *rest = graphs[seq]
+        assert all(is_isomorphic(g, first) for g in rest), seq
+
+
+@pytest.mark.parametrize("p, q", list(product(range(1, 5), repeat=2)))
+def test_every_chain_side_pair_has_one_bipartite_graph(p, q):
+    # the side pairs _peels empties are the C(p+q, p) chain graphs' ones, and
+    # all the bipartite graphs with one of them are isomorphic
+    cells = list(product(range(p), range(q)))
+    graphs = {}
+    for chosen in product((0, 1), repeat=p * q):
+        b = bipartite_from_edges(p, q, compress(cells, chosen))
+        graphs.setdefault((tuple(sorted(b.degrees_x())), tuple(sorted(b.degrees_y()))),
+                          []).append(b)
+    peeled = [sides for sides in graphs if conditions._peels(*sides)]
+    assert len(peeled) == math.comb(p + q, p)
+    for sides in peeled:
+        first, *rest = (b.to_graph() for b in graphs[sides])
+        assert all(is_isomorphic(g, first) for g in rest), sides
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 3), (3, 4)])
+def test_a_chain_target_matches_what_the_search_matches(p, q):
+    # a bipartite graph with a chain target's degree sequence but not its side
+    # sequences, in either order, is left to the search: at 3 x 4, sides
+    # (0, 3, 3 | 1, 1, 2, 2) share the sequence of the chain (1, 2, 3 | 0, 1, 2, 3)
+    cells = list(product(range(p), range(q)))
+    graphs = [bipartite_from_edges(p, q, compress(cells, chosen))
+              for chosen in product((0, 1), repeat=p * q)]
+    targets = {}
+    for b in graphs:
+        sides = (tuple(sorted(b.degrees_x())), tuple(sorted(b.degrees_y())))
+        if conditions._peels(*sides):
+            seq = b.degree_sequence()
+            targets.setdefault(seq, {})[sides] = (sides, b.to_graph(), seq, False, sides)
+    for b in graphs:
+        for target in targets.get(b.degree_sequence(), {}).values():
+            matched = conditions._match(b, b.degrees(), (target,)) is not None
+            assert matched == is_isomorphic(b.to_graph(), target[1]), (b, target[0])
+
+
+def _determined_by(fid):
+    """What of its degrees determines fid's graph, as its target records."""
+    _, _, _, threshold, sides = conditions._family_graph(fid)
+    return "threshold" if threshold else "chain" if sides else None
+
+
+def test_listed_families_record_what_their_degrees_determine():
+    for n in (3, 5, 17, 64):
+        assert _determined_by(FamilyId(FamilyTag.KN1_PLUS_EDGE, (n,))) == "threshold"
+        assert _determined_by(FamilyId(FamilyTag.KN1_PLUS_VERTEX, (n,))) == "threshold"
+        assert _determined_by(FamilyId(FamilyTag.KNN1_PLUS_EDGE, (n,))) == "chain"
+        assert _determined_by(FamilyId(FamilyTag.KNN1_PLUS_2E, (n,))) == "chain"
+        for p in (n, n + 1):
+            assert _determined_by(FamilyId(FamilyTag.KPN2_PLUS_4E, (n, p))) == "chain"
+    # a chain target keeps its sorted side sequences, side X first
+    sides = conditions._family_graph(FamilyId(FamilyTag.KNN1_PLUS_EDGE, (3,)))[4]
+    assert sides == ((2, 2, 3), (1, 3, 3))
+    for index in (0, 1, 2, 4):
+        assert _determined_by(np_member(index)) == "threshold"
+    # K2,4 is a Graph target, and 2K2 shares its sequence with no other
+    # graph but does not peel: both are searched for
+    assert _determined_by(np_member(3)) is None
+    assert _determined_by(np_member(6)) is None
+
+
+def _copies(fid, rng):
+    """Relabelled copies of fid's graph: a bipartite one with its sides
+    permuted, in either orientation."""
+    base = make_family(fid)
+    if isinstance(base, BipartiteGraph):
+        obj = _relabel_sides(base, rng)
+        return [obj, transpose(obj)]
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    return [relabel(base, perm)]
+
+
+def _loose(row):
+    """row with a threshold every graph meets, so the exception test runs."""
+    return dataclasses.replace(
+        row, threshold=lambda n: math.inf if row.direction == "le" else -math.inf)
+
+
+@pytest.mark.parametrize("theorem_id", [
+    tid for tid, row in CONDITIONS.items()
+    if row.quantity is not None and any(row.exceptions(n) for n in range(row.min_n, 9))])
+def test_the_degrees_match_what_the_search_matches(theorem_id, monkeypatch):
+    row = _loose(CONDITIONS[theorem_id])
+    rng = random.Random(theorem_id)
+    objs = [(fid, obj) for n in range(row.min_n, 9) for fid in row.exceptions(n)
+            for _ in range(3) for obj in _copies(fid, rng)]
+    assert [decide(row, obj).family for _, obj in objs] == [fid for fid, _ in objs]
+    # again with every target searched for
+    targets, searched = conditions._exception_targets, []
+    monkeypatch.setattr(conditions, "_exception_targets", lambda exceptions, n: tuple(
+        (*target[:3], False, None) for target in targets(exceptions, n)))
+    monkeypatch.setattr(conditions, "is_isomorphic",
+                        lambda g, h: searched.append(g) or is_isomorphic(g, h))
+    assert [decide(row, obj).family for _, obj in objs] == [fid for fid, _ in objs]
+    assert len(searched) >= len(objs)
+
+
+def test_a_determined_target_is_never_searched_for(monkeypatch):
+    def search(g, h):
+        raise AssertionError("searched for a target its degrees determine")
+
+    monkeypatch.setattr(conditions, "is_isomorphic", search)
+    rng = random.Random(38)
+    matched = 0
+    for row in CONDITIONS.values():
+        if row.quantity is None:
+            continue
+        for n in range(row.min_n, 9):
+            for fid in row.exceptions(n):
+                if _determined_by(fid) is not None:
+                    for obj in _copies(fid, rng):
+                        assert decide(_loose(row), obj).family == fid, fid
+                        matched += 1
+    assert matched
+    for fid in (FamilyId(FamilyTag.KN1_PLUS_EDGE, (64,)), FamilyId(FamilyTag.KN1_PLUS_VERTEX, (64,)),
+                FamilyId(FamilyTag.KNN1_PLUS_EDGE, (64,)), FamilyId(FamilyTag.KNN1_PLUS_2E, (64,)),
+                FamilyId(FamilyTag.KPN2_PLUS_4E, (64, 65))):
+        for obj in _copies(fid, rng):
+            assert recognize_family(obj, fid)
 
 
 @pytest.mark.parametrize("theorem_id", [

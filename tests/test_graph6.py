@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from hamcheck.graph6 import Graph6Error, parse_graph6, write_graph6
+from hamcheck.graph6 import Graph6Error, parse_graph6, parse_graph6_with_matrix, write_graph6
 from hamcheck.graphs import MAX_VERTICES, Graph, bit_matrix, complete, cycle, from_edges, star
 
 
@@ -187,6 +187,20 @@ def test_a_given_matrix_writes_what_the_rows_write(n, density):
     for seed in range(3):
         g = _random_graph(n, density, seed)
         assert write_graph6(g, bit_matrix(g.adj, n)) == write_graph6(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 130])
+@pytest.mark.parametrize("density", [0, 0.4, 1])
+def test_the_parsed_matrix_is_what_the_rows_unpack_to(n, density):
+    # analyze takes each record's 0/1 matrix from its parse: it must be
+    # bit_matrix of the parsed rows, in dtype as well as in value
+    for seed in range(3):
+        g = _random_graph(n, density, seed)
+        parsed, matrix = parse_graph6_with_matrix(write_graph6(g))
+        want = bit_matrix(g.adj, n)
+        assert parsed == g == parse_graph6(write_graph6(g))
+        assert matrix.dtype == want.dtype and matrix.shape == want.shape
+        assert (matrix == want).all()
 
 
 def test_padding_bits_are_ignored_on_read():
