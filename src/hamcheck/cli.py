@@ -171,8 +171,10 @@ def _parse_edgelist(stream: BinaryIO | TextIO) -> tuple[Optional[Graph], Optiona
         n, m, *numbers = map(int, tokens)
         if n < 0 or m < 0:
             raise ValueError(f"edge list header 'n m' must not be negative, got {n} {m}")
-        if len(numbers) != 2 * m:
-            raise ValueError(f"expected {m} edges, found {len(numbers) // 2}")
+        found = len(numbers)
+        if found != 2 * m:   # counted in numbers, as an odd count is no count of edges
+            raise ValueError(f"expected {m} edge{'s' * (m != 1)} ({2 * m} numbers) after the"
+                             f" header, found {found} number{'s' * (found != 1)}")
         return from_edges(n, zip(numbers[::2], numbers[1::2])), None
     except ValueError as exc:
         return None, str(exc)

@@ -1,121 +1,60 @@
-"""Exhaustive labeled enumeration and machine-checked soundness reports.
+"""Exhaustive soundness scans of the theorem rows, and the tightness search.
 
-Every labeled graph in range is counted; cheap necessary conditions
-(edge count, degrees, rigorous bounds on the spectral radius) cut the
-candidate set before the full checker and the Hamiltonicity oracle run.
-Every count is of labeled graphs, which over-counts isomorphic copies;
-that is harmless for soundness claims.
+``soundness`` checks every labeled graph of each scanned size against the
+exact oracle: a Guaranteed verdict must be confirmed, a named Exception
+refuted, and a Boundary verdict of a non-strict row confirmed. Counts are
+of labeled graphs, which over-counts isomorphic copies; that is harmless
+for soundness claims.
 
-The scan decides one labeled graph per orbit of a small fixed group H of
-vertex relabelings and counts it once per member of its orbit: H is
-every permutation of a general graph's first RELABEL_GENERAL vertices,
-or of the first RELABEL_SIDE vertices of each bipartite side (never
-across sides, since the rows read each side's degrees apart). The edge
-count, the minimum degrees, every verdict and Hamiltonicity are
-invariant under H, so each tally is a sum of orbit sizes and equals the
-labeled scan's; RELABEL_GENERAL = RELABEL_SIDE = 1 make H trivial, the
-labeled scan itself. A mask is its orbit's representative iff it is the
-least of its images, each from the tables of ``_relabelings``. An
-adjacent transposition in H swaps slots a fixed distance apart, so a few
-ANDs and shifts tell whether it maps a mask below itself: ``_edge_masks``
-drops such masks, and never generates those of a high part it beats
-under every low part; only the masks left are mapped through all of H.
-An orbit's least mask lies in exactly one ``--jobs`` part, so the parts
-count each orbit once. A violating representative stands for its orbit:
-every distinct image is reported, and ``soundness`` sorts the violations
-of all parts into scan order, sizes ascending, then masks ascending.
+A scan geometry, ``_Layout``, is (vertices, sides, span). Mask bit k is
+one vertex pair, and a graph is its adjacency row, one uint32 bitset per
+vertex, side X first. The scan decides one mask per orbit of the group H
+of every permutation of the first ``span`` vertices of each side (never
+across sides, since the rows read each side's degrees apart) and counts
+it once per member of its orbit. The edge count, the minimum degrees,
+every verdict and Hamiltonicity are invariant under H, so every tally is
+the labeled scan's; a span of 1 is the labeled scan itself. A mask is its
+orbit's representative iff it is the least of its images. An adjacent
+transposition swaps slots a fixed distance apart, so a few ANDs and
+shifts tell whether it maps a mask below itself: ``_edge_masks`` drops
+such masks, and skips a high part it beats under every low part.
 
-The theorems share their representatives at each size whose masks fit
-in one ``--jobs`` part (at most CHUNK: general n <= 6, balanced side <=
-4 and 4x3): ``_shared`` builds, once per process, one list per scan
-geometry (vertices, sides, span of H) of every representative, with
-their adjacency rows, degree tables and [mask, orbit size] pairs, and
-per witness kind (cycle or path) the oracle's answer on each one a scan
-has hit, asked of ``witness_rows`` when first hit. A part of a listed
-size filters the list by its row's m_min, minimum degrees and [lo, hi)
-into slices of at most SLICE rows, the masks ``_slices`` would stream,
-and its hits take their answers from the list. Every larger size streams. The
-screens, enclosures, ladder, checker, tallies and violations still run
-per theorem on every call: a list holds nothing that depends on a
-theorem.
+No mask with fewer than ``_m_min`` edges is generated, a necessary count
+derived from the row's threshold: a mask is a high part over LOW_BITS
+low bits, whose values are tabled by how many bits they set, so a high
+part takes only the low values that bring it to m_min, and the masks
+come in ascending order, as a walk over every mask gives them.
 
-No theorem is written here. A TheoremSpec is the theorem's one row in
-``conditions.CONDITIONS`` and its checker, the row's verdict ladder
-``conditions.decide``; the scan reads the row through the slice ladder
-and calls the checker on exception candidates only. Everything else is read from the row: its
-hypothesis and strictness, a degree theorem's screen, its m/delta filter
-(the row's per-side minimum degrees, and ``_m_min``, a necessary edge
-count derived from its threshold by one rule per quantity), and the
-exceptions ``tightness_search`` probes. ``_sides`` alone decides a kind's
-side sizes at n, for the scanned sizes, the size caps, the scan layout
-and ``tightness_search``.
+A geometry of at most CHUNK masks is listed: ``_shared`` builds, once
+per process, every representative's row, degree table and [mask, orbit
+size] pair, and per witness kind keeps the oracle's answer on each one a
+scan has hit. Such a size is one ``--jobs`` part, the list filtered by
+the row's m_min and minimum degrees, and its hits take their answers
+from the list. A larger size streams in mask ranges; an orbit's least
+mask lies in exactly one range, so the parts count each orbit once.
 
-The scan never generates a mask with fewer than ``_m_min`` edges: a
-mask is a high part over its low LOW_BITS bits, whose values are tabled
-by how many bits they set, so a high part takes only the low values that
-bring it to m_min, and the masks come in ascending order, as a walk over
-every mask gives them. It works on slices of at most SLICE generated
-masks, so its temporaries stay bounded, and each slice goes through one
-pipeline whatever the graph kind. A graph is one uint32 adjacency row of
-the slice throughout, side X first for a bipartite graph, as
-``to_graph``; only its degree table and its [mask, orbit size] pair ride
-along. The pipeline: the representatives of H's orbits, then the
-minimum-degree filter, which yields the kept masks' adjacency rows and
-degree tables; for the degree theorems (Chvatal,
-bipartite degree, Moon-Moser) the row's screen, its own inequality in
-exact integer arithmetic over the slice; for the spectral ones, on the
-hypothesis matrices, which ``spectral.matrix_stack`` builds from the rows
-unpacked by ``graphs.unpack_rows`` (and flipped by ``RADII``'s ``bits_of``),
-``spectral.cw_bounds``, whose matrix-vector products enclose each radius
-with no LAPACK call. It is both the screen and the judge, by the row's
-one threshold rule ``row.ladder`` at both ends: a graph Inconclusive at
-both is dropped, and a kept graph whose two ends get the same status,
-neither on the line, is judged at its lower end. Only the graphs whose
-enclosure meets the line (the band) go to ``spectral.radius_stack``
-before the ladder, which judges their estimates, the ones ``rho`` or
-``q_radius`` gives the same matrix, bit for bit. Then the slice ladder
-``conditions.slice_ladder`` decides the slice's verdicts over arrays and
-names the graphs that may be exceptions; ``radius_stack`` runs on the
-candidates it has not seen, as their certificates print the estimate;
-the checker, called only on those candidates, on the graph object
-``_Layout.build`` makes of its row, gives the verdict that replaces the
-ladder's; and a buffer keeps the hits' masks, orbit sizes, status codes
-and Exception families. Each batch of exactly ORACLE_BATCH hits, a
-slice's hits split at its end with their families and the rest carried
-over, and at the end of the part what is left, is decided by one call
-of the oracle's array entry, ``oracle.witness_rows``, on the rows of its
-masks (at a shared size, by the list's answers), and tallied, each hit
-weighted by its orbit size, in scan order over arrays, with per-hit
-Python only for the Exception hits.
-``tightness_search`` keeps the labeled walk (its near miss is the first
-in labeled scan order): it hands each slice's rows to the same entry,
-and their hypothesis matrices to ``radius_stack``, and builds no graph
-object at all.
-A Graph is built from a row only for the graph6
-of a violation or a near miss.
-``analyze`` and ``oracle`` look at one graph at a time: ``analyze``'s
-spectral radii are a stack of one, each of a matrix taken from the
-record's one 0/1 adjacency matrix (a bipartite record's view takes the
-record's rho, and its other radius from that matrix in side order), and
-both reach the same DP on a batch of one, through
-``oracle.is_hamiltonian`` and ``is_traceable``, which skip the
-precondition tests their own have made. ``oracle`` prints the DP's
-witnesses; ``analyze`` asks ``oracle.certify``, which tries a bipartite
-side count, one short checked rotation-extension search and a toughness
-count before the DP, and so needs the DP for few graphs.
-``analyze`` computes each spectral radius at most once per graph:
-``conditions.RADII`` maps each hypothesis quantity to the matrix it
-bounds and whether its operand is complemented, and builds that operand
-from a 0/1 matrix in one place for the checkers, the scan, ``analyze``
-and ``tightness_search`` alike; the checkers that share a quantity share
-the estimate, as the checkers of one record share its degrees.
+Every slice, at most SLICE rows, goes through one pipeline whatever the
+graph kind: a degree row's screen, in exact integer arithmetic, or a
+spectral row's ``cw_bounds`` enclosures, judged by ``row.ladder`` at both
+ends, with ``radius_stack`` only on the graphs whose enclosure meets the
+line; then ``conditions.slice_ladder`` over arrays, and the checker, the
+row's ``conditions.decide``, only on the ladder's exception candidates.
+Hits are buffered until ORACLE_BATCH, decided by one call of
+``oracle.witness_rows`` (or the list's answers), and tallied weighted by
+orbit size. A violating representative stands for its orbit: every
+distinct image is reported, and ``soundness`` sorts the violations of all
+parts into scan order, sizes ascending, then masks ascending.
+
+``tightness_search`` keeps the labeled walk, as its near miss is the
+first in labeled scan order. A Graph is built from a row only for the
+checker's candidates and the graph6 of a violation or a near miss.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
 from itertools import permutations, product
 from typing import Callable, Optional
@@ -140,8 +79,7 @@ from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
 
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs, and most a shared list covers
 SLICE = 1 << 12          # generated masks (enough edges) per streamed slice; bounds its temporaries
-ORACLE_BATCH = 1 << 11   # hits per batched oracle call, exactly, but for a part's last; the most
-                         # rows per call on a shared list
+ORACLE_BATCH = 1 << 11   # hits a part buffers before one batched oracle call
 LOW_BITS = 11            # a mask's low bits, whose values are tabled by how many are set
 MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
@@ -160,16 +98,29 @@ RELABEL_SIDE = 3
 
 @dataclass(frozen=True)
 class _Layout:
-    """How the bits of a mask encode one labeled graph of a kind and size.
-    A graph is its adjacency row: per vertex, a uint32 bitset of its
+    """A scan geometry: how the bits of a mask encode one labeled graph. A
+    graph is its adjacency row: per vertex, a uint32 bitset of its
     neighbours, a bipartite graph's side X first, as ``to_graph``. The
     group H of relabelings the layout folds permutes the first ``span``
     vertices of each side (of the one side of a general graph)."""
     nverts: int
-    slots: list[tuple[int, int]]   # the vertex pair of each mask bit
-    min_degree: list[int]          # per vertex
-    sides: Optional[tuple[int, int]] = None   # (p, q) of a bipartite graph
-    span: int = 1                  # 1: H is trivial, every labeled mask is scanned
+    sides: Optional[tuple[int, int]]   # (p, q) of a bipartite graph
+    span: int                          # 1: H is trivial, every labeled mask is scanned
+
+    @cached_property
+    def slots(self) -> list[tuple[int, int]]:
+        """The vertex pair of each mask bit: graph6 order for a general
+        graph, side X major for a bipartite one."""
+        if self.sides is None:
+            return [(i, j) for j in range(1, self.nverts) for i in range(j)]
+        p, q = self.sides
+        return [(x, p + y) for x in range(p) for y in range(q)]
+
+    @property
+    def listed(self) -> bool:
+        """Whether the scan takes this geometry's graphs from its ``_shared``
+        list, as one part, rather than streaming them."""
+        return 1 << len(self.slots) <= CHUNK
 
     @cached_property
     def slot_rows(self) -> np.ndarray:
@@ -189,7 +140,7 @@ class _Layout:
     def images(self, masks: np.ndarray) -> np.ndarray:
         """[element, mask]: the image of each mask under every element of H,
         from ``_relabelings``' tables."""
-        tables = _relabelings(self.nverts, self.sides, self.span)[0]
+        tables = _relabelings(self)[0]
         h = tables.shape[2].bit_length() - 1
         out = tables[:, 0, masks & ((1 << h) - 1)]
         for c in range(1, tables.shape[1]):
@@ -212,35 +163,25 @@ class _Layout:
         return [BipartiteGraph(p, q, tuple(row)) for row in (adjacency[:, :p] >> p).tolist()]
 
 
-def _general_layout(n: int, min_degree: int) -> _Layout:
-    return _Layout(n, [(i, j) for j in range(1, n) for i in range(j)], [min_degree] * n)
-
-
-def _bipartite_layout(p: int, q: int, dx_min: int, dy_min: int) -> _Layout:
-    slots = [(x, p + y) for x in range(p) for y in range(q)]
-    return _Layout(p + q, slots, [dx_min] * p + [dy_min] * q, (p, q))
+# one layout per geometry in a process, so its cached slots are made once
+_layout = cache(_Layout)
 
 
 @cache
-def _relabelings(nverts: int, sides: Optional[tuple[int, int]],
-                 span: int) -> tuple[np.ndarray, tuple]:
-    """(tables, shifts) of H, every permutation of the first ``span``
-    vertices of each side of the layout with these vertices and sides (of
-    its one side if general). ``tables`` holds them as slot permutations
-    over chunks of h mask bits: [element, chunk c, value v], the image of
-    mask v << c*h. The chunks are the fewest of at most LOW_BITS bits, and
-    h = ceil(bits / chunks), so a table is no wider than it must be: at 16
-    mask bits (side 4) two chunks of 8, 256 entries, not 11 and 5, 2048.
-    The entries are int32, which holds every mask the caps allow (below
-    2^28 at MAX_ENUM_N, 2^25 bipartite). ``shifts`` has one (moved,
-    ((s, lower), ...)) per adjacent transposition: it swaps each bit a of
-    ``lower`` with slot a + s, and ``moved`` holds those upper slots."""
-    if sides is None:
-        layout, blocks = _general_layout(nverts, 0), [range(min(span, nverts))]
-    else:
-        p, q = sides
-        layout = _bipartite_layout(p, q, 0, 0)
-        blocks = [range(min(span, p)), range(p, p + min(span, q))]
+def _relabelings(layout: _Layout) -> tuple[np.ndarray, tuple]:
+    """(tables, shifts) of the layout's H, every permutation of the first
+    ``span`` vertices of each side (of the one side if general). ``tables``
+    holds them as slot permutations over chunks of h mask bits: [element,
+    chunk c, value v], the image of mask v << c*h. The chunks are the
+    fewest of at most LOW_BITS bits, and h = ceil(bits / chunks), so a
+    table is no wider than it must be: at 16 mask bits (side 4) two chunks
+    of 8, 256 entries, not 11 and 5, 2048. The entries are int32 up to 31
+    mask bits, which covers every mask the caps allow, and int64 above.
+    ``shifts`` has one (moved, ((s, lower), ...)) per adjacent
+    transposition: it swaps each bit a of ``lower`` with slot a + s, and
+    ``moved`` holds those upper slots."""
+    p, q = layout.sides or (layout.nverts, 0)
+    blocks = [range(min(layout.span, p)), range(p, p + min(layout.span, q))]
     index = {pair: k for k, pair in enumerate(layout.slots)}
     slots = len(layout.slots)
     chunks = max(1, -(-slots // LOW_BITS))
@@ -260,7 +201,7 @@ def _relabelings(nverts: int, sides: Optional[tuple[int, int]],
                 if a < b:
                     lower[b - a] = lower.get(b - a, 0) | 1 << a
             shifts.append((sum(bits << s for s, bits in lower.items()), tuple(lower.items())))
-    return np.array(tables, dtype=np.int32), tuple(shifts)
+    return np.array(tables, dtype=np.int32 if slots < 32 else np.int64), tuple(shifts)
 
 
 def _swapped_below(shifts: tuple, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -286,14 +227,13 @@ def _low_table(h: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edge_masks(slots: int, lo: int, hi: int, m_min: int, shifts: tuple):
-    """Yield (scanned, masks) per slice of the masks of [lo, hi) with at
-    least m_min bits set that no adjacent transposition of ``shifts`` maps
-    below itself: at most SLICE of them, in ascending order, and the width
-    of the mask range the slice covers, so the widths sum to hi - lo. A
-    mask is a high part H over its low h bits, and H takes the tabled low
-    values with at least m_min - popcount(H) bits set, cut to [lo, hi) at
-    the first and last H, or none if a transposition beats H with every
-    low bit set, and so under every low part."""
+    """Yield the masks of [lo, hi) with at least m_min bits set that no
+    adjacent transposition of ``shifts`` maps below itself, at most SLICE
+    generated masks per slice, in ascending order. A mask is a high part H
+    over its low h bits, and H takes the tabled low values with at least
+    m_min - popcount(H) bits set, cut to [lo, hi) at the first and last H,
+    or none if a transposition beats H with every low bit set, and so
+    under every low part."""
     h = min(LOW_BITS, slots)
     lows, offset = _low_table(h)
     highs = np.arange(lo >> h, ((hi - 1) >> h) + 1, dtype=np.int64)
@@ -305,8 +245,8 @@ def _edge_masks(slots: int, lo: int, hi: int, m_min: int, shifts: tuple):
     count = np.where(beaten, 0, end - begin)
     first = np.cumsum(count) - count   # each high's first position in the sequence
     skip = begin - first               # a position's index into lows, less the position
-    total, done = int(count.sum()), lo
-    for start in range(0, max(total, 1), SLICE):
+    total = int(count.sum())
+    for start in range(0, total, SLICE):
         stop = min(start + SLICE, total)
         # the whole runs of the highs that positions [start, stop) fall in,
         # then cut to those positions
@@ -314,30 +254,28 @@ def _edge_masks(slots: int, lo: int, hi: int, m_min: int, shifts: tuple):
         runs, base = count[r0:r1], first[r0]
         at = np.arange(base, base + runs.sum()) + np.repeat(skip[r0:r1], runs)
         masks = (np.repeat(highs[r0:r1] << h, runs) | lows[at])[start - base:stop - base]
-        reach = hi if stop == total else int(masks[-1]) + 1
-        yield reach - done, masks[~_swapped_below(shifts, masks, masks)]
-        done = reach
+        yield masks[~_swapped_below(shifts, masks, masks)]
 
 
-def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0):
-    """Yield (scanned, adjacency, degrees, orbits) per slice of masks [lo,
-    hi): for the masks with at least m_min edges, each its orbit's
-    representative under the layout's relabelings H, and every vertex at
-    its minimum degree, their adjacency rows, their per-vertex degree
-    tables and their [mask, orbit size] pairs. ``_edge_masks`` generates
-    only the masks with m_min edges that no adjacent transposition maps
-    below itself; H keeps the edge count and every vertex's minimum degree,
-    so each orbit is kept whole or not at all."""
-    need = np.array(layout.min_degree)
+def _slices(layout: _Layout, lo: int, hi: int, m_min: int = 0, need=0):
+    """Yield (adjacency, degrees, orbits) per slice of masks [lo, hi): for
+    the masks with at least m_min edges, each its orbit's representative
+    under the layout's relabelings H, and every vertex at least at its
+    degree in ``need`` (per vertex, or one for all), their adjacency rows,
+    their per-vertex degree tables and their [mask, orbit size] pairs.
+    ``_edge_masks`` generates only the masks with m_min edges that no
+    adjacent transposition maps below itself; H keeps the edge count, and
+    the minimum degrees are equal across the vertices it moves, so each
+    orbit is kept whole or not at all."""
     # per vertex, the mask bits of its slots
     touches = (layout.slot_rows > 0).T.astype(np.int64) @ (1 << np.arange(len(layout.slots)))
-    shifts = _relabelings(layout.nverts, layout.sides, layout.span)[1]
-    for scanned, masks in _edge_masks(len(layout.slots), lo, hi, m_min, shifts):
+    shifts = _relabelings(layout)[1]
+    for masks in _edge_masks(len(layout.slots), lo, hi, m_min, shifts):
         masks, weights = layout.representatives(masks)
         degrees = np.bitwise_count(masks[:, None] & touches).astype(np.int16)
         keep = (degrees >= need).all(axis=1)
         masks = masks[keep]
-        yield scanned, layout.rows(masks), degrees[keep], np.stack([masks, weights[keep]], axis=1)
+        yield layout.rows(masks), degrees[keep], np.stack([masks, weights[keep]], axis=1)
 
 
 # ------------------------------------------------------------- reports
@@ -473,15 +411,13 @@ def _scan_entry(
 # --------------------------------------------------------------- scanning
 
 def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False) -> _Layout:
-    """The layout of a theorem's graphs at size n, at the row's minimum
-    degrees: labeled, or with relabel, folding the scan's relabelings
-    (RELABEL_GENERAL and RELABEL_SIDE)."""
-    row = spec.row
-    p, q = _sides(row.kind, n)
-    dx, dy = row.min_degree
-    layout = _general_layout(p, dx) if row.kind == GENERAL else _bipartite_layout(p, q, dx, dy)
-    span = (RELABEL_GENERAL if row.kind == GENERAL else RELABEL_SIDE) if relabel else 1
-    return replace(layout, span=span)
+    """The layout of a theorem's graphs at size n: labeled, or with
+    relabel, folding the scan's relabelings (RELABEL_GENERAL and
+    RELABEL_SIDE)."""
+    kind = spec.row.kind
+    p, q = _sides(kind, n)
+    span = (RELABEL_GENERAL if kind == GENERAL else RELABEL_SIDE) if relabel else 1
+    return _layout(p + q, None if kind == GENERAL else (p, q), span)
 
 
 @dataclass(frozen=True)
@@ -495,22 +431,20 @@ class _Shared:
     orbits: np.ndarray
     holds: dict[str, np.ndarray]
 
-    def part(self, layout: _Layout, lo: int, hi: int, m_min: int):
-        """Yield (scanned, adjacency, degrees, orbits) per slice of the masks
-        of [lo, hi) that ``_slices(layout, lo, hi, m_min)`` yields, at most
-        SLICE of them per slice: the first slice carries the range's width,
-        hi - lo, and the others 0."""
-        masks = self.orbits[:, 0]
-        keep = np.flatnonzero((masks >= lo) & (masks < hi) & (np.bitwise_count(masks) >= m_min)
-                              & (self.degrees >= layout.min_degree).all(axis=1))
-        for start in range(0, max(len(keep), 1), SLICE):
-            rows, scanned = keep[start:start + SLICE], hi - lo if start == 0 else 0
-            yield scanned, self.adjacency[rows], self.degrees[rows], self.orbits[rows]
+    def part(self, m_min: int, need: np.ndarray):
+        """Yield (adjacency, degrees, orbits) per slice of at most SLICE
+        rows: the masks ``_slices`` yields over every mask of the geometry
+        for this m_min and these minimum degrees."""
+        keep = np.flatnonzero((np.bitwise_count(self.orbits[:, 0]) >= m_min)
+                              & (self.degrees >= need).all(axis=1))
+        for start in range(0, len(keep), SLICE):
+            rows = keep[start:start + SLICE]
+            yield self.adjacency[rows], self.degrees[rows], self.orbits[rows]
 
     def answers(self, masks: np.ndarray, kind: str) -> np.ndarray:
         """The oracle's answers of a witness kind on the listed masks: those
-        not yet asked go to ``witness_rows`` in one call (a flush holds at
-        most ORACLE_BATCH hits) and are kept for every later scan."""
+        not yet asked go to ``witness_rows`` in one call and are kept for
+        every later scan."""
         holds, at = self.holds[kind], np.searchsorted(self.orbits[:, 0], masks)
         ask = at[holds[at] < 0]
         if len(ask):
@@ -519,13 +453,12 @@ class _Shared:
 
 
 @cache
-def _shared(nverts: int, sides: Optional[tuple[int, int]], span: int) -> _Shared:
-    """The list of every representative of the geometry's masks under H,
-    none of them yet answered: built by the geometry's first scan, and
+def _shared(layout: _Layout) -> _Shared:
+    """The list of every representative of a listed geometry's masks under
+    H, none of them yet answered: built by the geometry's first scan, and
     shared by every later one in the process."""
-    layout = _general_layout(nverts, 0) if sides is None else _bipartite_layout(*sides, 0, 0)
-    slices = _slices(replace(layout, span=span), 0, 1 << len(layout.slots))
-    adjacency, degrees, orbits = map(np.concatenate, zip(*(piece for _, *piece in slices)))
+    adjacency, degrees, orbits = map(np.concatenate,
+                                     zip(*_slices(layout, 0, 1 << len(layout.slots))))
     return _Shared(adjacency, degrees, orbits,
                    {kind: np.full(len(orbits), -1, dtype=np.int8) for kind in (CYCLE, PATH)})
 
@@ -565,20 +498,19 @@ def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimat
 
 
 def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np.ndarray,
-           families: list, shared: Optional[_Shared] = None) -> None:
+           families: list) -> None:
     """Decide a batch of hits, whose [mask, orbit size, status code] rows
     are ``hits`` and the families of whose Exception hits are
-    ``families``, by the answers of the ``shared`` list that holds them,
-    or with one batched oracle call on the representatives, and tally
+    ``families``, by the answers of the layout's list if it is listed, or
+    with one batched oracle call on the representatives, and tally
     every orbit whole: each count and family gains its orbit's size, and
     a violating representative stands for every member of its orbit. A
     violation goes into ``report.violations`` as (vertices, mask,
     graph6), which ``soundness`` sorts into scan order."""
     masks, weights, status = hits.T
-    if shared is None:
-        holds, _ = witness_rows(layout.rows(masks), _witness_kind(spec))
-    else:
-        holds = shared.answers(masks, _witness_kind(spec))
+    kind = _witness_kind(spec)
+    holds = (_shared(layout).answers(masks, kind) if layout.listed
+             else witness_rows(layout.rows(masks), kind)[0])
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
     violated = guaranteed & ~holds
@@ -614,22 +546,20 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     exception candidates, then the buffered hits through the batched
     oracle, each counted once per member of its orbit. An orbit's least
     mask lies in exactly one part, so the parts count each orbit once.
-    Where the size's masks fit in one part, the list of its geometry
-    gives the slices, and the list's answers decide the hits."""
+    A listed geometry is one part, [0, 2^slots): its list gives the
+    slices, and the list's answers decide the hits."""
     spec = THEOREMS[theorem_id]
     row = spec.row
-    report = SoundnessReport(theorem_id, [n])
+    report = SoundnessReport(theorem_id, [n], graphs_scanned=hi - lo)
     layout, m_min = _spec_layout(spec, n, relabel=True), _m_min(row, n)
-    shared = (_shared(layout.nverts, layout.sides, layout.span)
-              if 1 << len(layout.slots) <= CHUNK else None)
-    slices = (_slices(layout, lo, hi, m_min) if shared is None
-              else shared.part(layout, lo, hi, m_min))
+    need = np.repeat(row.min_degree, _sides(row.kind, n))   # per vertex
+    slices = (_shared(layout).part(m_min, need) if layout.listed
+              else _slices(layout, lo, hi, m_min, need))
     threshold = row.threshold(n) if row.spectral else None
     hits: list[np.ndarray] = []   # per slice, its hits' [mask, orbit size, status code]
     families: list = []           # the buffered Exception hits' families
     buffered = 0
-    for scanned, adjacency, degrees, orbits in slices:
-        report.graphs_scanned += scanned
+    for adjacency, degrees, orbits in slices:
         estimates, values = {}, None   # per kept row index, its radius_stack estimate
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
@@ -652,16 +582,11 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
         hit = cond.HIT[codes]
         hits.append(np.column_stack([orbits[hit], codes[hit]]))
         buffered += int(hit.sum())
-        while buffered >= ORACLE_BATCH:
-            # exactly ORACLE_BATCH rows, and their Exception families, go to
-            # the oracle; the rest carry over
-            batch = np.concatenate(hits)
-            split = int((batch[:ORACLE_BATCH, 2] == cond.EXCEPTION).sum())
-            _flush(report, spec, layout, batch[:ORACLE_BATCH], families[:split], shared)
-            hits, families = [batch[ORACLE_BATCH:]], families[split:]
-            buffered -= ORACLE_BATCH
+        if buffered >= ORACLE_BATCH:
+            _flush(report, spec, layout, np.concatenate(hits), families)
+            hits, families, buffered = [], [], 0
     if buffered:
-        _flush(report, spec, layout, np.concatenate(hits), families, shared)
+        _flush(report, spec, layout, np.concatenate(hits), families)
     return report
 
 
@@ -771,7 +696,8 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
                 "hypothesis_satisfied": not row.ladder(got, threshold)[1],
             })
         layout = _spec_layout(spec, n)
-        for _, adjacency, _, _ in _slices(layout, 0, 1 << len(layout.slots)):
+        for adjacency, _, _ in _slices(layout, 0, 1 << len(layout.slots),
+                                       need=np.repeat(row.min_degree, _sides(row.kind, n))):
             found, _ = witness_rows(adjacency, _witness_kind(spec))
             lacking = np.flatnonzero(~found)
             if not len(lacking):

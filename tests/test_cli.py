@@ -317,6 +317,17 @@ def test_verify_all_n6_matches_fixture(capsys):
     assert out == (FIXTURES / "verify_all_n6.json").read_text()
 
 
+def test_verify_all_n7_matches_fixture(capsys):
+    # the fixture is this command's output before a listed size became one
+    # scan part; n = 7 streams in ragged parts at --jobs 3, and each run
+    # must print it byte for byte
+    for jobs in ("1", "3"):
+        code, out, _ = run(capsys, ["verify", "--theorem", "all", "--max-n", "7",
+                                    "--deterministic", "--format", "json", "--jobs", jobs])
+        assert code == 0
+        assert out == (FIXTURES / "verify_all_n7.json").read_text()
+
+
 def test_verify_max_n_above_cap_is_a_usage_error(capsys, monkeypatch):
     def scan(*args, **kwargs):
         raise AssertionError("the scan started")
@@ -486,6 +497,10 @@ def test_oracle_strict_stops_at_the_cap(capsys, monkeypatch):
     (b"x 0\n", "invalid literal for int() with base 10: 'x'"),
     (b"3 -1\n", "edge list header 'n m' must not be negative, got 3 -1"),
     (b"-2 0\n", "edge list header 'n m' must not be negative, got -2 0"),
+    # an odd count of numbers, and a short one, named in numbers
+    (b"2 1\n0 1 7\n", "expected 1 edge (2 numbers) after the header, found 3 numbers"),
+    (b"4 3\n0 1\n1 2\n", "expected 3 edges (6 numbers) after the header, found 4 numbers"),
+    (b"3 0\n2\n", "expected 0 edges (0 numbers) after the header, found 1 number"),
 ])
 def test_bad_edgelist_names_the_fault_as_text(capsys, tmp_path, command, content, message):
     source = tmp_path / "input.txt"

@@ -30,38 +30,65 @@ from hamcheck.verify import (
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+_CACHES = (verify._layout, verify._relabelings, verify._shared)
+
+
 @pytest.fixture
 def fresh_lists():
-    """An empty cache of the scan's shared lists for the test, emptied again
-    after it, so the lists and answers built under a patched witness_rows
-    or relabeling stay with the test that patched them, and each test
-    starts as a fresh process."""
-    verify._shared.cache_clear()
+    """Empty caches of the scan's layouts, relabeling tables and shared
+    lists for the test, emptied again after it, so the lists and answers
+    built under a patched witness_rows or relabeling stay with the test
+    that patched them, and each test starts as a fresh process."""
+    for cached in _CACHES:
+        cached.cache_clear()
     yield
-    verify._shared.cache_clear()
+    for cached in _CACHES:
+        cached.cache_clear()
 
 
-def _kept(layout) -> list:
-    """The graphs of every mask of the layout that pass its degree filter."""
+def _every_slice(layout, need=0, m_min: int = 0):
+    """(adjacency, degrees, orbits) per slice of every mask of the layout
+    with at least m_min edges whose vertices reach their minimum degrees
+    ``need``."""
+    return verify._slices(layout, 0, 1 << len(layout.slots), m_min, need)
+
+
+def _row_slices(spec, n: int, m_min: int = 0):
+    """_every_slice of a theorem's labeled layout at size n, at its row's
+    minimum degrees."""
+    return _every_slice(verify._spec_layout(spec, n), _need(spec.row, n), m_min)
+
+
+def _need(row, n: int) -> np.ndarray:
+    """The row's minimum degree of each vertex of its graphs at size n."""
+    return np.repeat(row.min_degree, verify._sides(row.kind, n))
+
+
+def _kept(layout, need=0) -> list:
+    """The graphs of every mask of the layout whose vertices reach their
+    minimum degrees."""
     kept = []
-    for _, adjacency, _, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+    for adjacency, _, _ in _every_slice(layout, need):
         kept += layout.build(adjacency)
     return kept
 
 
 def test_enumeration_counts():
-    seen = _kept(verify._general_layout(3, 0))
+    seen = _kept(verify._layout(3, None, 1))
     assert len(seen) == 8  # 2^3 labeled graphs
     assert len({g.adj for g in seen}) == 8
-    assert len(_kept(verify._general_layout(4, 0))) == 64
-    assert len(_kept(verify._general_layout(4, 1))) == 41  # no isolated vertices
-    assert len(_kept(verify._general_layout(4, 3))) == 1  # K4 only
+    assert len(_kept(verify._layout(4, None, 1))) == 64
+    assert len(_kept(verify._layout(4, None, 1), 1)) == 41  # no isolated vertices
+    assert len(_kept(verify._layout(4, None, 1), 3)) == 1  # K4 only
 
 
 def test_enumeration_bipartite_counts():
-    assert len(_kept(verify._bipartite_layout(2, 2, 0, 0))) == 16
-    assert len(_kept(verify._bipartite_layout(2, 2, 2, 2))) == 1  # K_{2,2}
-    assert len(_kept(verify._bipartite_layout(3, 2, 1, 1))) == 25
+    assert len(_kept(verify._layout(4, (2, 2), 1))) == 16
+    assert len(_kept(verify._layout(4, (2, 2), 1), 2)) == 1  # K_{2,2}
+    assert len(_kept(verify._layout(5, (3, 2), 1), 1)) == 25
+    # per-vertex minimum degrees: both vertices of side Y adjacent to all
+    # of side X is K_{3,2} only
+    assert len(_kept(verify._layout(5, (3, 2), 1), [1, 1, 1, 3, 3])) == 1
 
 
 def test_enumeration_caps():
@@ -170,15 +197,15 @@ def test_ragged_parallel_parts_match_serial(theorem_id, monkeypatch):
     assert soundness(theorem_id, max_n=6, jobs=3).to_dict() == serial.to_dict()
 
 
-def _filtered_walk(layout, masks: np.ndarray, m_min: int):
+def _filtered_walk(layout, masks: np.ndarray, m_min: int, need=0):
     """(kept, adjacency, degrees): which masks have at least m_min bits set
-    and every vertex at its minimum degree, and the adjacency rows and
-    degree tables of those masks, every mask tested."""
+    and every vertex at its minimum degree in ``need``, and the adjacency
+    rows and degree tables of those masks, every mask tested."""
     bits = (masks[:, None] >> np.arange(len(layout.slots))) & 1
     incident = np.array([[v in pair for v in range(layout.nverts)] for pair in layout.slots],
                         dtype=np.int64).reshape(len(layout.slots), layout.nverts)
     degrees = bits @ incident
-    keep = (bits.sum(axis=1) >= m_min) & (degrees >= layout.min_degree).all(axis=1)
+    keep = (bits.sum(axis=1) >= m_min) & (degrees >= need).all(axis=1)
     adjacency = np.zeros((int(keep.sum()), layout.nverts), dtype=np.uint32)
     for k, (i, j) in enumerate(layout.slots):
         set_k = bits[keep, k].astype(bool)
@@ -187,46 +214,52 @@ def _filtered_walk(layout, masks: np.ndarray, m_min: int):
     return keep, adjacency, degrees[keep]
 
 
+def _rows(pieces, k: int) -> list:
+    """Item k of every slice of ``pieces``, joined, as lists."""
+    return [row for piece in pieces for row in piece[k].tolist()]
+
+
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", theorem_ids())
 def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
     # at every size verify --max-n 6 scans, over the whole range and over
     # ragged ranges that start past 0, with slices that cut a high part's
     # run too: the slices generate only the masks with m_min edges, yet
-    # give the rows and degrees of every mask tested by edge count and
-    # minimum degree, in the same order, and their scanned counts cover
-    # the range
+    # give the rows and degrees of every mask tested by edge count and the
+    # row's per-vertex minimum degrees, in the same order
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
-        layout = verify._spec_layout(spec, n)
+        layout, need = verify._spec_layout(spec, n), _need(spec.row, n)
         m_min = verify._m_min(spec.row, n)
         total = 1 << len(layout.slots)
         for slice_size in (verify.SLICE, 37):
             monkeypatch.setattr(verify, "SLICE", slice_size)
             ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total))
             for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
-                scanned, adjacency, degrees, _ = zip(*verify._slices(layout, lo, hi, m_min))
-                assert sum(scanned) == hi - lo
-                assert max(map(len, adjacency)) <= slice_size
                 _, want_adjacency, want_degrees = _filtered_walk(
-                    layout, np.arange(lo, hi, dtype=np.int64), m_min)
-                assert np.array_equal(np.concatenate(adjacency), want_adjacency)
-                assert np.array_equal(np.concatenate(degrees), want_degrees)
+                    layout, np.arange(lo, hi, dtype=np.int64), m_min, need)
+                pieces = list(verify._slices(layout, lo, hi, m_min, need))
+                assert all(len(adjacency) <= slice_size for adjacency, _, _ in pieces)
+                # a range with no such mask yields no slice
+                assert _rows(pieces, 0) == want_adjacency.tolist()
+                assert _rows(pieces, 1) == want_degrees.tolist()
 
 
 @pytest.mark.usefixtures("fresh_lists")
 @pytest.mark.parametrize("theorem_id", ["lemma-3.4", "zhou-complement-traceable"])
 def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
     # a first scan sends its hits to the oracle through fresh lists; with
-    # a batch of 7 hits, most slices' hits span several batches, named
+    # a batch of 7 hits, most slices' hits overfill a batch, named
     # (lemma-3.4) and structural (zhou-complement-traceable) Exception
-    # hits among them: every batch but a part's last holds exactly 7 rows,
+    # hits among them: the buffer goes to the oracle whole, so no slice
+    # and none of its families is split, every batch but a part's last
+    # (one part per size) holds at least 7 rows and fewer than 7 + SLICE,
     # the report is the default one, and the batches hold one
     # representative per orbit of the labeled hits
-    batches = []
+    batches = {}
 
     def recording(adjacency, kind):
-        batches.append(len(adjacency))
+        batches.setdefault(adjacency.shape[1], []).append(len(adjacency))
         return witness_rows(adjacency, kind)
 
     monkeypatch.setattr(verify, "ORACLE_BATCH", 7)
@@ -234,9 +267,11 @@ def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
     report = soundness(theorem_id, max_n=6)
     fixture = json.loads((FIXTURES / "verify_all_n6.json").read_text())
     assert report.to_dict() == next(r for r in fixture if r["theorem_id"] == theorem_id)
-    short = [size for size in batches if size != 7]
-    assert len(short) <= len(report.sizes) and max(short, default=0) < 7
-    spec, represented = THEOREMS[theorem_id], sum(batches)
+    assert sorted(batches) == report.sizes
+    assert all(7 <= size for sizes in batches.values() for size in sizes[:-1])
+    assert max(max(sizes) for sizes in batches.values()) < 7 + verify.SLICE
+    assert any(size > 7 for sizes in batches.values() for size in sizes)
+    spec, represented = THEOREMS[theorem_id], sum(map(sum, batches.values()))
     layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in report.sizes}
     _labeled(monkeypatch)
     _, labeled = _scan_hits(monkeypatch, theorem_id, 6)
@@ -250,32 +285,25 @@ def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
 @pytest.mark.parametrize("theorem_id", theorem_ids())
 def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
     # at every size verify --max-n 6 scans, whose masks all fit in one
-    # part, over the whole range and ragged ranges, one of them from one
-    # representative to another: the part of its geometry's list for the
-    # row's m_min, minimum degrees and [lo, hi) is what _slices streams for
-    # the row: the same rows, degrees and [mask, orbit size] pairs, over
-    # the same width
+    # part: the part of its geometry's list for the row's m_min and
+    # per-vertex minimum degrees is what _slices streams for the row over
+    # every mask: the same rows, degrees and [mask, orbit size] pairs
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
         layout, m_min = verify._spec_layout(spec, n, relabel=True), verify._m_min(spec.row, n)
-        shared = verify._shared(layout.nverts, layout.sides, layout.span)
-        total, reps = 1 << len(layout.slots), shared.orbits[:, 0].tolist()
-        assert total <= verify.CHUNK
-        ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total),
-                  (reps[len(reps) // 3], reps[2 * len(reps) // 3]))
-        for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
-            got = list(zip(*shared.part(layout, lo, hi, m_min)))
-            want = list(zip(*verify._slices(layout, lo, hi, m_min)))
-            assert got[0][0] == sum(got[0]) == sum(want[0]) == hi - lo
-            for got_part, want_part in zip(got[1:], want[1:]):
-                assert np.array_equal(np.concatenate(got_part), np.concatenate(want_part))
+        assert layout.listed and 1 << len(layout.slots) <= verify.CHUNK
+        got = list(verify._shared(layout).part(m_min, _need(spec.row, n)))
+        want = list(_every_slice(layout, _need(spec.row, n), m_min))
+        assert _rows(want, 2)
+        for k in range(3):
+            assert _rows(got, k) == _rows(want, k)
 
 
 @pytest.mark.usefixtures("fresh_lists")
 def test_shared_answers_are_the_oracles(monkeypatch):
     # every theorem's --max-n 6 scan, run twice: one list per (kind, size),
-    # each report the fixture's both times, every oracle call of at most
-    # ORACLE_BATCH rows, and a list's answers of each witness kind are
+    # each report the fixture's both times, every oracle call of fewer than
+    # ORACLE_BATCH + SLICE rows, and a list's answers of each witness kind are
     # filled exactly on the representatives some scan of that kind hit,
     # with what witness_rows gives on their rows; a third run asks the
     # oracle nothing
@@ -286,10 +314,10 @@ def test_shared_answers_are_the_oracles(monkeypatch):
         calls.append(len(adjacency))
         return witness_rows(adjacency, kind)
 
-    def hits(report, spec, layout, batch, families, shared=None):
-        key = id(shared), verify._witness_kind(spec)
+    def hits(report, spec, layout, batch, families):
+        key = layout, verify._witness_kind(spec)
         asked.setdefault(key, set()).update(batch[:, 0].tolist())
-        return flush(report, spec, layout, batch, families, shared)
+        return flush(report, spec, layout, batch, families)
 
     monkeypatch.setattr(verify, "ORACLE_BATCH", 100)
     monkeypatch.setattr(verify, "witness_rows", recording)
@@ -300,12 +328,13 @@ def test_shared_answers_are_the_oracles(monkeypatch):
             assert soundness(theorem_id, max_n=6).to_dict() == fixture[theorem_id]
     layouts = {(spec.row.kind, n): verify._spec_layout(spec, n, relabel=True)
                for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
-    assert verify._shared.cache_info().currsize == len(layouts) and max(calls) <= 100
+    assert verify._shared.cache_info().currsize == len(layouts)
+    assert max(calls) < 100 + verify.SLICE
     for layout in layouts.values():
-        shared = verify._shared(layout.nverts, layout.sides, layout.span)
+        shared = verify._shared(layout)
         for kind, holds in shared.holds.items():
             answered = np.flatnonzero(holds >= 0)
-            assert set(shared.orbits[answered, 0].tolist()) == asked.get((id(shared), kind), set())
+            assert set(shared.orbits[answered, 0].tolist()) == asked.get((layout, kind), set())
             assert holds[answered].tolist() == witness_rows(shared.adjacency[answered], kind)[0].tolist()
     asked_before = len(calls)
     for theorem_id in theorem_ids():
@@ -353,10 +382,10 @@ def test_a_cold_all_theorem_scan_asks_each_hit_once(monkeypatch):
         calls.append(len(adjacency))
         return witness_rows(adjacency, kind)
 
-    def hits(report, spec, layout, batch, families, shared=None):
-        key = id(shared), verify._witness_kind(spec)
+    def hits(report, spec, layout, batch, families):
+        key = layout, verify._witness_kind(spec)
         hit.setdefault(key, set()).update(batch[:, 0].tolist())
-        return flush(report, spec, layout, batch, families, shared)
+        return flush(report, spec, layout, batch, families)
 
     monkeypatch.setattr(verify, "_swapped_below", counting)
     monkeypatch.setattr(verify, "witness_rows", recording)
@@ -367,6 +396,74 @@ def test_a_cold_all_theorem_scan_asks_each_hit_once(monkeypatch):
     assert sum(calls) == sum(map(len, hit.values())) == 1043 and len(calls) == 36
     soundness("yu-fan-hamiltonian", sizes=[7])
     assert verify._shared.cache_info().currsize == 10
+
+
+@pytest.mark.usefixtures("fresh_lists")
+def test_each_geometry_builds_its_tables_and_list_once():
+    # every theorem's --max-n 6 scan, twice, from empty caches: one layout
+    # object per geometry, and each of the 10 folded geometries builds its
+    # relabeling tables and its list once
+    for _ in range(2):
+        for theorem_id in theorem_ids():
+            soundness(theorem_id, max_n=6)
+    folded = {verify._spec_layout(spec, n, relabel=True)
+              for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
+    assert len(folded) == 10
+    for cached in (verify._relabelings, verify._shared):
+        assert cached.cache_info().misses == cached.cache_info().currsize == 10
+    # soundness reads the labeled layout of each size for its mask count
+    assert verify._layout.cache_info().misses == verify._layout.cache_info().currsize == 20
+
+
+def _scan_parts(monkeypatch, *args, **kwargs) -> tuple[SoundnessReport, list]:
+    """soundness(*args, **kwargs) in this process, whatever its jobs,
+    recording each _scan_part task and the graphs_scanned of its report."""
+    tasks, scan_part = [], verify._scan_part
+
+    def recording(*task):
+        part = scan_part(*task)
+        tasks.append((*task, part.graphs_scanned))
+        return part
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.os, "cpu_count", lambda: 1)   # no pool: parts run here
+        patch.setattr(verify, "_scan_part", recording)
+        report = soundness(*args, **kwargs)
+    return report, tasks
+
+
+@pytest.mark.usefixtures("fresh_lists")
+def test_a_listed_size_is_one_part_at_any_jobs(monkeypatch):
+    # at --jobs 8 every size verify --max-n 6 scans, of every theorem, is
+    # one _scan_part task over all of its masks, and each report is the
+    # fixture's
+    fixture = {r["theorem_id"]: r for r in json.loads((FIXTURES / "verify_all_n6.json").read_text())}
+    for theorem_id in theorem_ids():
+        report, tasks = _scan_parts(monkeypatch, theorem_id, max_n=6, jobs=8)
+        assert report.to_dict() == fixture[theorem_id]
+        spec = THEOREMS[theorem_id]
+        want = []
+        for n in sizes_for(spec, 6):
+            total = 1 << len(verify._spec_layout(spec, n).slots)
+            assert verify._spec_layout(spec, n, relabel=True).listed
+            want.append((theorem_id, n, 0, total, total))
+        assert tasks == want
+
+
+@pytest.mark.usefixtures("fresh_lists")
+def test_a_streamed_size_in_ragged_parts_counts_every_mask(monkeypatch):
+    # n = 7 streams: at --jobs 3 its 2^21 masks split into three parts
+    # whose bounds are no multiple of a high part's 2^LOW_BITS masks, and
+    # which count exactly their own masks, 2^21 in all; a pool of three
+    # workers prints what one process prints
+    layout = verify._spec_layout(THEOREMS["yu-fan-hamiltonian"], 7, relabel=True)
+    assert not layout.listed
+    serial, tasks = _scan_parts(monkeypatch, "yu-fan-hamiltonian", sizes=[7], jobs=3)
+    assert serial.graphs_scanned == 1 << 21 and serial.passed
+    assert len(tasks) == 3 and all(lo % (1 << verify.LOW_BITS) for _, _, lo, _, _ in tasks[1:])
+    assert [scanned for *_, lo, hi, scanned in tasks] == [hi - lo for *_, lo, hi, _ in tasks]
+    assert soundness("yu-fan-hamiltonian", sizes=[7]).to_dict() == serial.to_dict()
+    assert soundness("yu-fan-hamiltonian", sizes=[7], jobs=3).to_dict() == serial.to_dict()
 
 
 def _relabeled(layout, span: int, masks: np.ndarray) -> tuple[list, np.ndarray]:
@@ -414,14 +511,11 @@ def _capped_layouts(max_n: int = verify.MAX_ENUM_N, max_cells: int = verify.MAX_
     return layouts
 
 
-def _folded_layout(nverts: int, sides, min_degree: int):
-    """The layout with these vertices and sides, every vertex at least at
-    min_degree, folding the scan's relabelings."""
-    if sides is None:
-        layout = verify._general_layout(nverts, min_degree)
-        return dataclasses.replace(layout, span=verify.RELABEL_GENERAL)
-    layout = verify._bipartite_layout(*sides, min_degree, min_degree)
-    return dataclasses.replace(layout, span=verify.RELABEL_SIDE)
+def _folded_layout(nverts: int, sides):
+    """The layout with these vertices and sides, folding the scan's
+    relabelings."""
+    return verify._layout(nverts, sides,
+                          verify.RELABEL_GENERAL if sides is None else verify.RELABEL_SIDE)
 
 
 @pytest.mark.parametrize("nverts, sides", _capped_layouts())
@@ -433,8 +527,8 @@ def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
     # permutation gives; the shift entries swap exactly what the adjacent
     # transpositions move, so the shift test beats exactly the masks one of
     # them maps below itself
-    layout = _folded_layout(nverts, sides, 0)
-    tables, shifts = verify._relabelings(layout.nverts, layout.sides, layout.span)
+    layout = _folded_layout(nverts, sides)
+    tables, shifts = verify._relabelings(layout)
     slots, (chunks, width) = len(layout.slots), tables.shape[1:]
     h = width.bit_length() - 1
     assert width == 1 << h and h <= verify.LOW_BITS
@@ -459,13 +553,21 @@ def test_relabeling_tables_move_each_edge_with_its_vertices(nverts, sides):
     assert verify._swapped_below(shifts, masks, masks).tolist() == below.tolist()
 
 
-def test_the_size_caps_keep_every_mask_within_the_relabeling_tables():
-    # _relabelings tables mask images as signed ints, int32 today: the
-    # largest layouts the caps allow, general n = MAX_ENUM_N and bipartite
-    # p*q <= MAX_BIP_CELLS, have fewer mask bits than the dtype (at most
-    # 31), so a cap lifted past that without wider tables fails here
-    bits = max(len(_folded_layout(*param.values, 0).slots) for param in _capped_layouts())
-    assert bits < np.iinfo(verify._relabelings(3, None, verify.RELABEL_GENERAL)[0].dtype).bits
+@pytest.mark.usefixtures("fresh_lists")
+def test_a_36_bit_geometry_tables_its_relabelings_in_int64():
+    # general n = 9 under the scan's relabelings has 36 mask bits, past the
+    # caps and past int32: its tables, built without a scan, are int64, and
+    # map random masks, all ones and bit 35 alone among them, to what
+    # moving each edge bit by the vertex permutation gives
+    layout = _folded_layout(9, None)
+    assert len(layout.slots) == 36
+    tables, _ = verify._relabelings(layout)
+    assert tables.dtype == np.int64
+    rng = np.random.default_rng(36)
+    masks = np.concatenate([rng.integers(0, 1 << 36, 64), [(1 << 36) - 1, 1 << 35]])
+    perms, want = _relabeled(layout, layout.span, masks)
+    assert len(perms) == math.factorial(verify.RELABEL_GENERAL)
+    assert sorted(layout.images(masks).tolist()) == sorted(want.tolist())
 
 
 @pytest.mark.usefixtures("fresh_lists")
@@ -476,36 +578,32 @@ def test_pruned_slices_are_the_unpruned_walk_of_representatives(nverts, sides, m
     # high parts an adjacent transposition beats for every low part, then
     # testing each mask by the shifts, keeps exactly the representatives,
     # orbit sizes and degrees that mapping every mask with m_min bits set
-    # through all of H gives, and the scanned widths still cover the range
-    layout = _folded_layout(nverts, sides, 1)
+    # through all of H, then the minimum degree 1, gives
+    layout = _folded_layout(nverts, sides)
     slots = len(layout.slots)
     total = 1 << slots
     ranges = ((0, total), (total // 3 + 1, 2 * total // 3 + 1), (total - 3, total))
     for m_min, slice_size in ((0, verify.SLICE), (slots // 2, 37 if slots <= 12 else 1000)):
         monkeypatch.setattr(verify, "SLICE", slice_size)
         for lo, hi in [(lo, hi) for lo, hi in ranges if 0 <= lo < hi]:
-            scanned, _, degrees, orbits = zip(*verify._slices(layout, lo, hi, m_min))
-            assert sum(scanned) == hi - lo
+            pieces = list(verify._slices(layout, lo, hi, m_min, 1))
             walk = np.arange(lo, hi, dtype=np.int64)
             walk = walk[np.bitwise_count(walk) >= m_min]
-            pieces = np.array_split(walk, len(walk) // (1 << 14) + 1)
-            masks, weights = map(np.concatenate, zip(*map(layout.representatives, pieces)))
-            kept, _, want_degrees = _filtered_walk(layout, masks, 0)
-            got = np.concatenate(orbits)
-            assert got[:, 0].tolist() == masks[kept].tolist()
-            assert got[:, 1].tolist() == weights[kept].tolist()
-            assert np.array_equal(np.concatenate(degrees), want_degrees)
+            chunks = np.array_split(walk, len(walk) // (1 << 14) + 1)
+            masks, weights = map(np.concatenate, zip(*map(layout.representatives, chunks)))
+            kept, _, want_degrees = _filtered_walk(layout, masks, 0, 1)
+            assert _rows(pieces, 2) == np.column_stack([masks, weights])[kept].tolist()
+            assert _rows(pieces, 1) == want_degrees.tolist()
 
 
-def test_a_range_of_pruned_high_parts_is_one_empty_slice():
+def test_a_range_of_pruned_high_parts_yields_no_slice():
     # at general n = 6 every mask of high part 2 (bit 12, the pair (2, 5))
-    # is beaten by the swap of vertices 1 and 2: its range yields one empty
-    # slice as wide as the range, so --jobs parts still cover every mask
-    layout = _folded_layout(6, None, 0)
+    # is beaten by the swap of vertices 1 and 2: its range yields no slice
+    # at all, and the high parts around it do
+    layout = _folded_layout(6, None)
     lo, hi = 2 << verify.LOW_BITS, 3 << verify.LOW_BITS
-    (scanned, adjacency, degrees, orbits), = verify._slices(layout, lo, hi)
-    assert scanned == hi - lo
-    assert len(adjacency) == len(degrees) == len(orbits) == 0
+    assert list(verify._slices(layout, lo, hi)) == []
+    assert list(verify._slices(layout, lo - 1, hi + 1))
 
 
 def _labeled(monkeypatch):
@@ -520,9 +618,9 @@ def _scan_hits(monkeypatch, theorem_id: str, max_n: int) -> tuple[SoundnessRepor
     hits = {}
     flush = verify._flush
 
-    def recording(report, spec, layout, batch, families, shared=None):
+    def recording(report, spec, layout, batch, families):
         hits.setdefault(report.sizes[0], []).append(batch.copy())
-        return flush(report, spec, layout, batch, families, shared)
+        return flush(report, spec, layout, batch, families)
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_flush", recording)
@@ -541,7 +639,7 @@ def test_labeled_shared_parts_come_in_bounded_slices(theorem_id, monkeypatch):
 
     def recording(self, *args):
         for piece in part(self, *args):
-            rows.append(len(piece[1]))
+            rows.append(len(piece[0]))
             yield piece
     with monkeypatch.context() as patch:
         patch.setattr(verify._Shared, "part", recording)
@@ -562,10 +660,10 @@ def test_orbit_weights_partition_the_kept_masks(theorem_id):
         labeled, layout = verify._spec_layout(spec, n), verify._spec_layout(spec, n, relabel=True)
         assert layout.span == (verify.RELABEL_GENERAL if layout.sides is None
                                else verify.RELABEL_SIDE)
-        m_min, total = verify._m_min(spec.row, n), 1 << len(layout.slots)
+        m_min, need = verify._m_min(spec.row, n), _need(spec.row, n)
         kept = np.concatenate([orbits[:, 0]
-                               for *_, orbits in verify._slices(labeled, 0, total, m_min)])
-        got = np.concatenate([orbits for *_, orbits in verify._slices(layout, 0, total, m_min)])
+                               for *_, orbits in _every_slice(labeled, need, m_min)])
+        got = np.concatenate([orbits for *_, orbits in _every_slice(layout, need, m_min)])
         least, size = _orbit_minima(layout, layout.span, kept)
         orbit_size = dict(zip(least.tolist(), size.tolist()))
         assert got[:, 0].tolist() == sorted(orbit_size)
@@ -777,7 +875,7 @@ def test_degree_screen_keeps_exactly_the_hits(theorem_id):
     kept_total = 0
     for n in sizes:
         layout = verify._spec_layout(spec, n)
-        for _, adjacency, degrees, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for adjacency, degrees, _ in _row_slices(spec, n):
             kept = spec.row.screen(degrees, adjacency).tolist()
             hits = [spec.checker(obj).status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
                     for obj in layout.build(adjacency)]
@@ -875,9 +973,9 @@ def _every_layout():
     takes the quasi-complement row, whose flip is the one every bipartite
     kind would get."""
     for n in range(1, 7):
-        yield THEOREMS["zhou-complement-traceable"].row, verify._general_layout(n, 0)
+        yield THEOREMS["zhou-complement-traceable"].row, verify._layout(n, None, 1)
     for p, q in [(n, n) for n in range(1, 5)] + [(n + 1, n) for n in range(1, 4)]:
-        yield THEOREMS["quasi-complement"].row, verify._bipartite_layout(p, q, 0, 0)
+        yield THEOREMS["quasi-complement"].row, verify._layout(p + q, (p, q), 1)
 
 
 def test_hypothesis_matrices_flip_exactly_the_pairs_a_kind_allows(monkeypatch):
@@ -893,7 +991,7 @@ def test_hypothesis_matrices_flip_exactly_the_pairs_a_kind_allows(monkeypatch):
         if layout.sides is not None and max(layout.sides) > 1:
             in_x = np.arange(n) < layout.sides[0]
             wrong.append((in_x[:, None] == in_x) & ~np.eye(n, dtype=bool))
-        for _, adjacency, _, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for adjacency, _, _ in _every_slice(layout):
             want = matrix_stack([OPERAND[row.quantity](obj) for obj in layout.build(adjacency)],
                                 radius.matrix)
             assert np.array_equal(verify._hypothesis_matrices(row, layout, adjacency), want)
@@ -946,14 +1044,13 @@ def test_slice_ladder_matches_decide_on_every_small_graph(theorem_id):
     spec = THEOREMS.get(theorem_id, _UNSOUND_Q)
     row = spec.row
     for n in sizes_for(spec, 6):
-        layout = verify._spec_layout(spec, n)
-        every = dataclasses.replace(layout, min_degree=[0] * layout.nverts)
-        _, adjacency, degrees, _ = zip(*verify._slices(every, 0, 1 << len(layout.slots)))
+        layout, need = verify._spec_layout(spec, n), _need(row, n)
+        adjacency, degrees, _ = zip(*_every_slice(layout))
         adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
-        dropped = ~(degrees >= layout.min_degree).all(axis=1)
+        dropped = ~(degrees >= need).all(axis=1)
         assert all(cond.decide(row, obj).status is Status.NOT_APPLICABLE
                    for obj in layout.build(adjacency[dropped]))
-        _, adjacency, degrees, _ = zip(*verify._slices(layout, 0, 1 << len(layout.slots)))
+        adjacency, degrees, _ = zip(*_every_slice(layout, need))
         adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
         estimates, values = [], None
         if row.spectral:
@@ -986,8 +1083,7 @@ def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
     for n in sizes_for(spec, 6):
         layout = verify._spec_layout(spec, n)
         threshold = row.threshold(n)
-        for _, adjacency, _, _ in verify._slices(layout, 0, 1 << len(layout.slots),
-                                              verify._m_min(row, n)):
+        for adjacency, _, _ in _row_slices(spec, n, verify._m_min(row, n)):
             matrices = verify._hypothesis_matrices(row, layout, adjacency)
             (low, _), (high, _) = (row.ladder(end, threshold) for end in cw_bounds(matrices))
             drop = (low == cond.INCONCLUSIVE) & (high == cond.INCONCLUSIVE)
@@ -1034,8 +1130,7 @@ def test_degree_blocking_matches_the_stacked_form(theorem_id):
     blocking, stacked = DEGREE_INEQUALITIES[theorem_id]
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
-        layout = verify._spec_layout(spec, n)
-        for _, _, degrees, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for _, degrees, _ in _row_slices(spec, n):
             got = [_k(blocking(row)) for row in np.sort(degrees, axis=1).tolist()]
             assert got == stacked(degrees).tolist()
     rng = random.Random(theorem_id)
@@ -1068,8 +1163,7 @@ def test_degree_screen_evaluates_each_sorted_row_once(theorem_id, monkeypatch):
     monkeypatch.setattr(cond, name, counting)
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
-        layout = verify._spec_layout(spec, n)
-        for _, adjacency, degrees, _ in verify._slices(layout, 0, 1 << len(layout.slots)):
+        for adjacency, degrees, _ in _row_slices(spec, n):
             seen.clear()
             kept = spec.row.screen(degrees, adjacency)
             distinct = {tuple(row) for row in np.sort(degrees, axis=1).tolist()}
