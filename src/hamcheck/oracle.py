@@ -20,7 +20,7 @@ piece of a layer over every vertex and every row at once. Its tables are
 keyed by S >> 1 and stored subset-major, (2^(n-1), B) for a cycle and
 (2^n, B) for a path, so each predecessor lookup copies one contiguous row
 of B entries. Soundness scans and
-``tightness_search`` hand it the rows of their scan slices;
+``tightness_search`` hand it rows of their scan slices;
 ``is_hamiltonian`` and ``is_traceable``, which ``oracle`` prints and
 ``certify`` falls back on, hand its DP a batch of one, after
 ``_refused`` has turned away what the preconditions exclude, so the

@@ -15,8 +15,8 @@ place that computes a spectral radius: the top eigenvalue by
 ``rho`` and ``q_radius`` are a stack of one, of a graph object or of a 0/1
 matrix, which give the same matrix for the same graph; the verify scan
 hands ``radius_stack`` the matrices of the graphs its enclosures leave
-open, of its exception candidates, and of its tightness search's near
-misses. LAPACK takes each matrix of a stack on its own, so a radius has
+open, of its exception candidates, and of every representative its
+tightness search walks. LAPACK takes each matrix of a stack on its own, so a radius has
 the same bits in any stack, and every number the scan prints is the one
 ``analyze`` prints. ``eigen_oracle`` gives all eigenvalues of one graph's
 matrix from the same driver, so its last one is that radius too.

@@ -32,6 +32,8 @@ scan has hit. Such a size is one ``--jobs`` part, the list filtered by
 the row's m_min and minimum degrees, and its hits take their answers
 from the list. A larger size streams in mask ranges; an orbit's least
 mask lies in exactly one range, so the parts count each orbit once.
+``_scan_slices`` and ``_answers`` make that choice, for the slices and for
+the oracle's answers, for the scan and the tightness search alike.
 
 Every slice, at most SLICE rows, goes through one pipeline whatever the
 graph kind: a degree row's screen, in exact integer arithmetic, or a
@@ -45,9 +47,12 @@ orbit size. A violating representative stands for its orbit: every
 distinct image is reported, and ``soundness`` sorts the violations of all
 parts into scan order, sizes ascending, then masks ascending.
 
-``tightness_search`` keeps the labeled walk, as its near miss is the
-first in labeled scan order. A Graph is built from a row only for the
-checker's candidates and the graph6 of a violation or a near miss.
+``tightness_search`` walks the same slices at m_min 0, and asks the
+oracle only about representatives whose deficit beats the best so far.
+Its near miss, the first representative at the least deficit, is the
+labeled walk's up to isomorphism, not always the same copy: eigvalsh may
+round a spectral row's copies, or an exact tie of two sizes, apart. A
+Graph is built from a row only for a checker's candidates and a graph6.
 """
 
 from __future__ import annotations
@@ -410,14 +415,13 @@ def _scan_entry(
 
 # --------------------------------------------------------------- scanning
 
-def _spec_layout(spec: TheoremSpec, n: int, relabel: bool = False) -> _Layout:
-    """The layout of a theorem's graphs at size n: labeled, or with
-    relabel, folding the scan's relabelings (RELABEL_GENERAL and
-    RELABEL_SIDE)."""
+def _spec_layout(spec: TheoremSpec, n: int) -> _Layout:
+    """The layout of a theorem's graphs at size n, folding the scan's
+    relabelings (RELABEL_GENERAL and RELABEL_SIDE)."""
     kind = spec.row.kind
     p, q = _sides(kind, n)
-    span = (RELABEL_GENERAL if kind == GENERAL else RELABEL_SIDE) if relabel else 1
-    return _layout(p + q, None if kind == GENERAL else (p, q), span)
+    return _layout(p + q, None if kind == GENERAL else (p, q),
+                   RELABEL_GENERAL if kind == GENERAL else RELABEL_SIDE)
 
 
 @dataclass(frozen=True)
@@ -463,6 +467,20 @@ def _shared(layout: _Layout) -> _Shared:
                    {kind: np.full(len(orbits), -1, dtype=np.int8) for kind in (CYCLE, PATH)})
 
 
+def _scan_slices(layout: _Layout, lo: int, hi: int, m_min: int, need: np.ndarray):
+    """The slices of masks [lo, hi) with m_min edges and degrees ``need``:
+    from a listed geometry's list (one part), or streamed by ``_slices``."""
+    return (_shared(layout).part(m_min, need) if layout.listed
+            else _slices(layout, lo, hi, m_min, need))
+
+
+def _answers(layout: _Layout, masks: np.ndarray, kind: str) -> np.ndarray:
+    """Whether each representative of the masks has the witness kind's
+    property: by a listed geometry's list, or one batched oracle call."""
+    return (_shared(layout).answers(masks, kind) if layout.listed
+            else witness_rows(layout.rows(masks), kind)[0])
+
+
 def _hypothesis_matrices(row: cond.Condition, layout: _Layout, adjacency: np.ndarray) -> np.ndarray:
     """Per adjacency row, the matrix of its graph's hypothesis radius, as a
     (rows, n, n) stack."""
@@ -501,16 +519,13 @@ def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np
            families: list) -> None:
     """Decide a batch of hits, whose [mask, orbit size, status code] rows
     are ``hits`` and the families of whose Exception hits are
-    ``families``, by the answers of the layout's list if it is listed, or
-    with one batched oracle call on the representatives, and tally
+    ``families``, by ``_answers`` on the representatives, and tally
     every orbit whole: each count and family gains its orbit's size, and
     a violating representative stands for every member of its orbit. A
     violation goes into ``report.violations`` as (vertices, mask,
     graph6), which ``soundness`` sorts into scan order."""
     masks, weights, status = hits.T
-    kind = _witness_kind(spec)
-    holds = (_shared(layout).answers(masks, kind) if layout.listed
-             else witness_rows(layout.rows(masks), kind)[0])
+    holds = _answers(layout, masks, _witness_kind(spec))
     guaranteed, boundary = status == cond.GUARANTEED, status == cond.BOUNDARY
     exception = np.flatnonzero(status == cond.EXCEPTION)
     violated = guaranteed & ~holds
@@ -551,15 +566,13 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n], graphs_scanned=hi - lo)
-    layout, m_min = _spec_layout(spec, n, relabel=True), _m_min(row, n)
+    layout, m_min = _spec_layout(spec, n), _m_min(row, n)
     need = np.repeat(row.min_degree, _sides(row.kind, n))   # per vertex
-    slices = (_shared(layout).part(m_min, need) if layout.listed
-              else _slices(layout, lo, hi, m_min, need))
     threshold = row.threshold(n) if row.spectral else None
     hits: list[np.ndarray] = []   # per slice, its hits' [mask, orbit size, status code]
     families: list = []           # the buffered Exception hits' families
     buffered = 0
-    for adjacency, degrees, orbits in slices:
+    for adjacency, degrees, orbits in _scan_slices(layout, lo, hi, m_min, need):
         estimates, values = {}, None   # per kept row index, its radius_stack estimate
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
@@ -672,58 +685,44 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
 
     Near misses are graphs without the property whose hypothesis is unmet
     by the smallest margin, a graph on a strict row's line first, at
-    deficit 0; the exception report states whether each stated
-    exceptional graph satisfies its theorem's hypothesis at all.
-    The exceptional graphs' quantities come from the dense eigen oracle.
+    deficit 0; the near miss is the first orbit representative in scan
+    order at the least deficit. The exception report states whether each
+    stated exceptional graph satisfies its theorem's hypothesis at all,
+    by its ``hypothesis_radius`` (its edge count on an m row).
     """
     spec, sizes = _scan_entry(theorem_id, max_n)
-    row = spec.row
+    row, kind = spec.row, _witness_kind(spec)
     if row.quantity is None:
         raise ValueError(f"{theorem_id} has no numeric hypothesis to probe")
-    exceptions = []
-    best: dict | None = None
+    exceptions, best = [], None
     for n in sizes:
         threshold = row.threshold(n)
         for fid in row.exceptions(n):
             obj = make_family(fid)
             got = (float(obj.edge_count()) if row.quantity == "m"
                    else cond.hypothesis_radius(row.quantity, obj).value)
-            exceptions.append({
-                "family": str(fid),
-                "n": n,
-                "value": got,
-                "threshold": threshold,
-                "hypothesis_satisfied": not row.ladder(got, threshold)[1],
-            })
+            exceptions.append({"family": str(fid), "n": n, "value": got, "threshold": threshold,
+                               "hypothesis_satisfied": not row.ladder(got, threshold)[1]})
         layout = _spec_layout(spec, n)
-        for adjacency, _, _ in _slices(layout, 0, 1 << len(layout.slots),
-                                       need=np.repeat(row.min_degree, _sides(row.kind, n))):
-            found, _ = witness_rows(adjacency, _witness_kind(spec))
-            lacking = np.flatnonzero(~found)
-            if not len(lacking):
-                continue
+        need = np.repeat(row.min_degree, _sides(row.kind, n))
+        for adjacency, degrees, orbits in _scan_slices(layout, 0, 1 << len(layout.slots), 0, need):
             # the hypothesis quantity: the edge count, or the top eigenvalue
-            rows = adjacency[lacking]
             if row.quantity == "m":
-                got = np.bitwise_count(rows).sum(axis=1) / 2
+                got = degrees.sum(axis=1) / 2
             else:
-                estimates = radius_stack(_hypothesis_matrices(row, layout, rows))
+                estimates = radius_stack(_hypothesis_matrices(row, layout, adjacency))
                 got = np.array([estimate.value for estimate in estimates])
             # a satisfied hypothesis is the exception report's job; a graph
             # on a strict row's line is a near miss at deficit 0
             deficits = np.where(row.ladder(got, threshold)[1],
                                 np.maximum(row.shortfall(got, threshold), 0.0), np.inf)
-            # argmin takes the first of equal deficits, so scan order breaks ties
-            i = int(np.argmin(deficits))
-            if deficits[i] < (np.inf if best is None else best["deficit"]):
-                best = {
-                    "graph6": _graph6(adjacency[lacking[i]]),
-                    "value": float(got[i]),
-                    "threshold": threshold,
-                    "deficit": float(deficits[i]),
-                }
-    return {
-        "theorem_id": theorem_id,
-        "exceptions": exceptions,
-        "best_near_miss": best,
-    }
+            # only a deficit below the best so far can replace it, so only
+            # those representatives go to the oracle
+            ask = np.flatnonzero(deficits < (np.inf if best is None else best["deficit"]))
+            lacking = ask[~_answers(layout, orbits[ask, 0], kind)]
+            if len(lacking):
+                # argmin takes the first of equal deficits, so scan order breaks ties
+                i = lacking[np.argmin(deficits[lacking])]
+                best = {"graph6": _graph6(adjacency[i]), "value": float(got[i]),
+                        "threshold": threshold, "deficit": float(deficits[i])}
+    return {"theorem_id": theorem_id, "exceptions": exceptions, "best_near_miss": best}

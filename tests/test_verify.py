@@ -6,6 +6,7 @@ from functools import partial
 from itertools import chain, compress, permutations, product
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -53,10 +54,17 @@ def _every_slice(layout, need=0, m_min: int = 0):
     return verify._slices(layout, 0, 1 << len(layout.slots), m_min, need)
 
 
+def _labeled_layout(spec, n: int):
+    """The layout of a theorem's graphs at size n with H trivial: the
+    labeled walk the scan's orbits are checked against."""
+    layout = verify._spec_layout(spec, n)
+    return verify._layout(layout.nverts, layout.sides, 1)
+
+
 def _row_slices(spec, n: int, m_min: int = 0):
     """_every_slice of a theorem's labeled layout at size n, at its row's
     minimum degrees."""
-    return _every_slice(verify._spec_layout(spec, n), _need(spec.row, n), m_min)
+    return _every_slice(_labeled_layout(spec, n), _need(spec.row, n), m_min)
 
 
 def _need(row, n: int) -> np.ndarray:
@@ -229,7 +237,7 @@ def test_slices_are_the_filtered_walk(theorem_id, monkeypatch):
     # row's per-vertex minimum degrees, in the same order
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
-        layout, need = verify._spec_layout(spec, n), _need(spec.row, n)
+        layout, need = _labeled_layout(spec, n), _need(spec.row, n)
         m_min = verify._m_min(spec.row, n)
         total = 1 << len(layout.slots)
         for slice_size in (verify.SLICE, 37):
@@ -272,7 +280,7 @@ def test_oracle_batches_split_a_slice_and_its_families(theorem_id, monkeypatch):
     assert max(max(sizes) for sizes in batches.values()) < 7 + verify.SLICE
     assert any(size > 7 for sizes in batches.values() for size in sizes)
     spec, represented = THEOREMS[theorem_id], sum(map(sum, batches.values()))
-    layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in report.sizes}
+    layouts = {n: verify._spec_layout(spec, n) for n in report.sizes}
     _labeled(monkeypatch)
     _, labeled = _scan_hits(monkeypatch, theorem_id, 6)
     assert sum(len(rows) for rows in labeled.values()) == report.hypothesis_hits
@@ -290,7 +298,7 @@ def test_shared_lists_filter_to_the_streamed_slices(theorem_id):
     # every mask: the same rows, degrees and [mask, orbit size] pairs
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
-        layout, m_min = verify._spec_layout(spec, n, relabel=True), verify._m_min(spec.row, n)
+        layout, m_min = verify._spec_layout(spec, n), verify._m_min(spec.row, n)
         assert layout.listed and 1 << len(layout.slots) <= verify.CHUNK
         got = list(verify._shared(layout).part(m_min, _need(spec.row, n)))
         want = list(_every_slice(layout, _need(spec.row, n), m_min))
@@ -326,7 +334,7 @@ def test_shared_answers_are_the_oracles(monkeypatch):
     for _ in range(2):
         for theorem_id in theorem_ids():
             assert soundness(theorem_id, max_n=6).to_dict() == fixture[theorem_id]
-    layouts = {(spec.row.kind, n): verify._spec_layout(spec, n, relabel=True)
+    layouts = {(spec.row.kind, n): verify._spec_layout(spec, n)
                for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
     assert verify._shared.cache_info().currsize == len(layouts)
     assert max(calls) < 100 + verify.SLICE
@@ -406,13 +414,14 @@ def test_each_geometry_builds_its_tables_and_list_once():
     for _ in range(2):
         for theorem_id in theorem_ids():
             soundness(theorem_id, max_n=6)
-    folded = {verify._spec_layout(spec, n, relabel=True)
+    folded = {verify._spec_layout(spec, n)
               for spec in THEOREMS.values() for n in sizes_for(spec, 6)}
     assert len(folded) == 10
     for cached in (verify._relabelings, verify._shared):
         assert cached.cache_info().misses == cached.cache_info().currsize == 10
-    # soundness reads the labeled layout of each size for its mask count
-    assert verify._layout.cache_info().misses == verify._layout.cache_info().currsize == 20
+    # soundness counts a size's masks on the folded layout, so no labeled
+    # layout is built
+    assert verify._layout.cache_info().misses == verify._layout.cache_info().currsize == 10
 
 
 def _scan_parts(monkeypatch, *args, **kwargs) -> tuple[SoundnessReport, list]:
@@ -445,7 +454,7 @@ def test_a_listed_size_is_one_part_at_any_jobs(monkeypatch):
         want = []
         for n in sizes_for(spec, 6):
             total = 1 << len(verify._spec_layout(spec, n).slots)
-            assert verify._spec_layout(spec, n, relabel=True).listed
+            assert verify._spec_layout(spec, n).listed
             want.append((theorem_id, n, 0, total, total))
         assert tasks == want
 
@@ -456,7 +465,7 @@ def test_a_streamed_size_in_ragged_parts_counts_every_mask(monkeypatch):
     # whose bounds are no multiple of a high part's 2^LOW_BITS masks, and
     # which count exactly their own masks, 2^21 in all; a pool of three
     # workers prints what one process prints
-    layout = verify._spec_layout(THEOREMS["yu-fan-hamiltonian"], 7, relabel=True)
+    layout = verify._spec_layout(THEOREMS["yu-fan-hamiltonian"], 7)
     assert not layout.listed
     serial, tasks = _scan_parts(monkeypatch, "yu-fan-hamiltonian", sizes=[7], jobs=3)
     assert serial.graphs_scanned == 1 << 21 and serial.passed
@@ -657,7 +666,7 @@ def test_orbit_weights_partition_the_kept_masks(theorem_id):
     # its weights are those orbits' sizes, so they sum to the kept masks
     spec = THEOREMS[theorem_id]
     for n in sizes_for(spec, 6):
-        labeled, layout = verify._spec_layout(spec, n), verify._spec_layout(spec, n, relabel=True)
+        labeled, layout = _labeled_layout(spec, n), verify._spec_layout(spec, n)
         assert layout.span == (verify.RELABEL_GENERAL if layout.sides is None
                                else verify.RELABEL_SIDE)
         m_min, need = verify._m_min(spec.row, n), _need(spec.row, n)
@@ -687,7 +696,7 @@ def test_orbit_scan_matches_the_labeled_scan(theorem_id, max_n, monkeypatch):
     monkeypatch.setitem(THEOREMS, "unsound-q", _UNSOUND_Q)
     spec = THEOREMS[theorem_id]
     report, hits = _scan_hits(monkeypatch, theorem_id, max_n)
-    layouts = {n: verify._spec_layout(spec, n, relabel=True) for n in hits}
+    layouts = {n: verify._spec_layout(spec, n) for n in hits}
     _labeled(monkeypatch)
     want, labeled = _scan_hits(monkeypatch, theorem_id, max_n)
     assert report.to_dict() == want.to_dict()
@@ -757,6 +766,122 @@ def test_tightness_keeps_a_near_miss_on_a_strict_line(theorem_id, max_n, value):
 def test_tightness_requires_numeric_hypothesis():
     with pytest.raises(ValueError, match="chvatal has no numeric hypothesis"):
         tightness_search("chvatal")
+
+
+def _labeled_tightness(theorem_id: str, max_n: int) -> dict:
+    """tightness_search the labeled way: at each size, every labeled graph
+    the row's minimum degrees keep, in scan order, slice by slice through
+    the oracle, then the hypothesis quantities of those lacking the
+    property; the near miss is the first at the least deficit."""
+    spec, sizes = verify._scan_entry(theorem_id, max_n)
+    row = spec.row
+    exceptions, best = [], None
+    for n in sizes:
+        threshold = row.threshold(n)
+        for fid in row.exceptions(n):
+            obj = make_family(fid)
+            got = (float(obj.edge_count()) if row.quantity == "m"
+                   else cond.hypothesis_radius(row.quantity, obj).value)
+            exceptions.append({"family": str(fid), "n": n, "value": got, "threshold": threshold,
+                               "hypothesis_satisfied": not row.ladder(got, threshold)[1]})
+        layout = _labeled_layout(spec, n)
+        for adjacency, _, _ in _every_slice(layout, _need(row, n)):
+            found, _ = witness_rows(adjacency, verify._witness_kind(spec))
+            rows = adjacency[~found]
+            if not len(rows):
+                continue
+            if row.quantity == "m":
+                got = np.bitwise_count(rows).sum(axis=1) / 2
+            else:
+                got = np.array([estimate.value for estimate in
+                                radius_stack(verify._hypothesis_matrices(row, layout, rows))])
+            deficits = np.where(row.ladder(got, threshold)[1],
+                                np.maximum(row.shortfall(got, threshold), 0.0), np.inf)
+            i = int(np.argmin(deficits))
+            if deficits[i] < (np.inf if best is None else best["deficit"]):
+                best = {"graph6": verify._graph6(rows[i]), "value": float(got[i]),
+                        "threshold": threshold, "deficit": float(deficits[i])}
+    return {"theorem_id": theorem_id, "exceptions": exceptions, "best_near_miss": best}
+
+
+NUMERIC = [tid for tid in theorem_ids() if THEOREMS[tid].row.quantity is not None]
+
+
+@pytest.mark.usefixtures("fresh_lists")
+@pytest.mark.parametrize("theorem_id, max_n", [
+    *(pytest.param(theorem_id, 5, id=f"{theorem_id}-5") for theorem_id in NUMERIC),
+    *(pytest.param(theorem_id, verify.DEFAULT_MAX_N, id=theorem_id)
+      for theorem_id in ("yu-fan-traceable", "zhou-complement-hamiltonian")),
+])
+def test_tightness_matches_the_labeled_walk(theorem_id, max_n, monkeypatch):
+    # the orbit route gives the labeled walk's exceptions, and its near
+    # miss up to isomorphism: the deficit and the property are invariant
+    # under the relabelings, and a spectral row's labeled copies of one
+    # graph may differ in the last bits of their eigvalsh radii
+    if max_n == 5:
+        monkeypatch.setattr(verify, "BIP_CELLS", 9)
+    got, want = tightness_search(theorem_id, max_n=max_n), _labeled_tightness(theorem_id, max_n)
+    assert got["exceptions"] == want["exceptions"]
+    miss, labeled = got["best_near_miss"], want["best_near_miss"]
+    assert (miss is None) == (labeled is None)
+    if miss is None:
+        return
+    a, b = (nx.from_graph6_bytes(m["graph6"].encode()) for m in (miss, labeled))
+    assert len(a) == len(b) and nx.is_isomorphic(a, b)
+    assert miss["threshold"] == labeled["threshold"]
+    for key in ("value", "deficit"):
+        assert abs(miss[key] - labeled[key]) <= 1e-12
+
+
+@pytest.mark.usefixtures("fresh_lists")
+@pytest.mark.parametrize("theorem_id", ["lemma-3.4", "spectral-bipartite-traceable"])
+def test_tightness_reads_the_shared_answers(theorem_id, monkeypatch):
+    # at the default sizes every geometry is listed: a search asks the
+    # oracle through the lists' answers, so once a scan and a first search
+    # have asked, a second search asks the oracle nothing
+    soundness(theorem_id, max_n=6)
+    first = tightness_search(theorem_id)
+    calls = []
+
+    def recording(adjacency, kind):
+        calls.append(len(adjacency))
+        return witness_rows(adjacency, kind)
+
+    monkeypatch.setattr(verify, "witness_rows", recording)
+    assert tightness_search(theorem_id) == first
+    assert calls == []
+
+
+# (theorem id, family tag) of the listed exceptions that never meet their
+# own row's hypothesis, and of those that do, an edge count's
+VACUOUS = [("spectral-bipartite-hamiltonian", FamilyTag.KPN2_PLUS_4E),
+           ("spectral-bipartite-traceable-unbalanced", FamilyTag.KPN2_PLUS_4E),
+           ("spectral-bipartite-traceable-unbalanced", FamilyTag.KNN1_PLUS_2E)]
+MET = [("lemma-2.5", FamilyTag.KNN1_PLUS_EDGE), ("lemma-2.6", FamilyTag.KPN2_PLUS_4E)]
+
+
+@pytest.mark.parametrize("theorem_id, tag, vacuous", [
+    *((theorem_id, tag, True) for theorem_id, tag in VACUOUS),
+    *((theorem_id, tag, False) for theorem_id, tag in MET),
+])
+def test_listed_exceptions_against_their_own_hypothesis(theorem_id, tag, vacuous):
+    # at every n from the row's min_n to 40: the two spectral bipartite
+    # rows' exceptions fall short of their radius bound, by at least 0.024,
+    # so as listed they never meet the hypothesis, while the edge-count
+    # rows' exceptions meet theirs
+    row = THEOREMS[theorem_id].row
+    listed = [(n, fid) for n in range(row.min_n, 41) for fid in row.exceptions(n)
+              if fid.tag is tag]
+    assert len(listed) >= 37   # knn1-plus-2e is not listed at n = 3
+    for n, fid in listed:
+        obj = make_family(fid)
+        got = (obj.edge_count() if row.quantity == "m"
+               else cond.hypothesis_radius(row.quantity, obj).value)
+        code, unmet = row.ladder(got, row.threshold(n))
+        assert unmet == vacuous, (n, got)
+        assert (code == cond.INCONCLUSIVE) == vacuous
+        if vacuous:
+            assert row.shortfall(got, row.threshold(n)) > 0.024, n
 
 
 def _all_objects(kind: str, n: int):
@@ -853,7 +978,7 @@ def test_violations_keep_scan_order_across_parts(monkeypatch):
     serial = soundness("unsound-q", max_n=5)
     monkeypatch.setattr(verify, "CHUNK", 1 << 8)
     assert soundness("unsound-q", max_n=5, jobs=3).to_dict() == serial.to_dict()
-    layout = verify._spec_layout(_UNSOUND_Q, 5, relabel=True)
+    layout = verify._spec_layout(_UNSOUND_Q, 5)
     slot = {pair: k for k, pair in enumerate(layout.slots)}
     masks = np.array([sum(1 << slot[(i, j)] for i, j in parse_graph6(line).edges())
                       for line in serial.violations if line[0] == "D"])   # n = 5
@@ -874,7 +999,7 @@ def test_degree_screen_keeps_exactly_the_hits(theorem_id):
     assert sizes == ([3, 4, 5, 6] if spec.row.kind == "general" else [2, 3, 4])
     kept_total = 0
     for n in sizes:
-        layout = verify._spec_layout(spec, n)
+        layout = _labeled_layout(spec, n)
         for adjacency, degrees, _ in _row_slices(spec, n):
             kept = spec.row.screen(degrees, adjacency).tolist()
             hits = [spec.checker(obj).status not in (Status.INCONCLUSIVE, Status.NOT_APPLICABLE)
@@ -1044,7 +1169,7 @@ def test_slice_ladder_matches_decide_on_every_small_graph(theorem_id):
     spec = THEOREMS.get(theorem_id, _UNSOUND_Q)
     row = spec.row
     for n in sizes_for(spec, 6):
-        layout, need = verify._spec_layout(spec, n), _need(row, n)
+        layout, need = _labeled_layout(spec, n), _need(row, n)
         adjacency, degrees, _ = zip(*_every_slice(layout))
         adjacency, degrees = np.concatenate(adjacency), np.concatenate(degrees)
         dropped = ~(degrees >= need).all(axis=1)
@@ -1081,7 +1206,7 @@ def test_bounds_drop_only_graphs_the_eigvalsh_screen_drops(theorem_id):
     row = spec.row
     dropped = 0
     for n in sizes_for(spec, 6):
-        layout = verify._spec_layout(spec, n)
+        layout = _labeled_layout(spec, n)
         threshold = row.threshold(n)
         for adjacency, _, _ in _row_slices(spec, n, verify._m_min(row, n)):
             matrices = verify._hypothesis_matrices(row, layout, adjacency)
