@@ -425,7 +425,8 @@ CONDITIONS: dict[str, Condition] = {
         # connected nontraceable graphs meet the bound: K_{1,3} at n=4
         # (q = 4 = threshold), K2 v 4K1 at n=6 (q = 7.4641 >= 7.2) and
         # K3 v 5K1 at n=8 (q = 10.8990 >= 76/7); verified exhaustively
-        # for n <= 7 and by edge-count analysis at n = 8
+        # for n <= 8: the n = 8 scan passes, and its 56 exception hits are
+        # all labeled copies of K3 v 5K1
         exceptions=_at({
             4: (FamilyId(FamilyTag.STAR, (4,)),),
             6: (np_member(2),),

@@ -1,5 +1,7 @@
 """Isomorphism testing for small graphs: degree refinement + backtracking,
-for the listed exceptions their degrees do not determine, such as K2,4."""
+for the listed exceptions that are neither threshold nor bipartite chain
+graphs, whose degrees the match cannot go by: K2,4, which shares them,
+and K1 v 2K2, which they determine, though it does not peel."""
 
 from __future__ import annotations
 

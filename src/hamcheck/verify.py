@@ -40,19 +40,19 @@ graph kind: a degree row's screen, in exact integer arithmetic, or a
 spectral row's ``cw_bounds`` enclosures, judged by ``row.ladder`` at both
 ends, with ``radius_stack`` only on the graphs whose enclosure meets the
 line; then ``conditions.slice_ladder`` over arrays, and the checker, the
-row's ``conditions.decide``, only on the ladder's exception candidates.
-Hits are buffered until ORACLE_BATCH, decided by one call of
-``oracle.witness_rows`` (or the list's answers), and tallied weighted by
-orbit size. A violating representative stands for its orbit: every
+row's ``conditions.decide``, only on the ladder's exception candidates,
+handed their radii by one more ``radius_stack`` call. A slice is decided
+whole before the next is read: its hits, at most SLICE, go to one call of
+``oracle.witness_rows`` (or the list's answers) and are tallied weighted
+by orbit size. A violating representative stands for its orbit: every
 distinct image is reported, and ``soundness`` sorts the violations of all
 parts into scan order, sizes ascending, then masks ascending.
 
 ``tightness_search`` walks the same slices at m_min 0, and asks the
-oracle only about representatives whose deficit beats the best so far.
-Its near miss, the first representative at the least deficit, is the
-labeled walk's up to isomorphism, not always the same copy: eigvalsh may
-round a spectral row's copies, or an exact tie of two sizes, apart. A
-Graph is built from a row only for a checker's candidates and a graph6.
+oracle only about representatives whose deficit beats the best so far by
+more than CMP_TOL: deficits that close tie, and its near miss, the first
+representative in scan order at the least deficit, is the labeled walk's.
+A Graph is built from a row only for a checker's candidates and a graph6.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .spectral import cw_bounds, matrix_stack, q_radius, radius_stack
 
 CHUNK = 1 << 16          # fewest masks per worker task under --jobs, and most a shared list covers
 SLICE = 1 << 12          # generated masks (enough edges) per streamed slice; bounds its temporaries
-ORACLE_BATCH = 1 << 11   # hits a part buffers before one batched oracle call
 LOW_BITS = 11            # a mask's low bits, whose values are tabled by how many are set
 MAX_ENUM_N = 8
 MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
@@ -498,17 +497,20 @@ def _witness_kind(spec: TheoremSpec) -> str:
     return CYCLE if spec.row.prop == HAMILTONIAN else PATH
 
 
-def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimates,
+def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, matrices,
               codes: np.ndarray, candidate: np.ndarray) -> list:
     """The checker's verdict on each exception candidate of a slice, whose
-    rows are ``adjacency`` and whose hypothesis radii, for a spectral
-    checker, are ``estimates[row index]``: its status code goes into
-    ``codes``, and the families of the Exception verdicts are returned, in
-    row order."""
-    families = []
+    rows are ``adjacency`` and, for a spectral checker, whose hypothesis
+    matrices are ``matrices``, which give every candidate its radius in one
+    ``radius_stack`` call: its status code goes into ``codes``, and the
+    families of the Exception verdicts are returned, in row order."""
     rows = np.flatnonzero(candidate).tolist()
-    for i, obj in zip(rows, layout.build(adjacency[rows])):
-        verdict = spec.checker(obj, estimate=estimates[i] if estimates else None)
+    estimates = [None] * len(rows)
+    if rows and matrices is not None:
+        estimates = radius_stack(matrices[rows])
+    families = []
+    for i, obj, estimate in zip(rows, layout.build(adjacency[rows]), estimates):
+        verdict = spec.checker(obj, estimate=estimate)
         codes[i] = STATUSES.index(verdict.status)
         if verdict.status is Status.EXCEPTION:
             families.append(verdict.family)
@@ -517,7 +519,7 @@ def _verdicts(spec: TheoremSpec, layout: _Layout, adjacency: np.ndarray, estimat
 
 def _flush(report: SoundnessReport, spec: TheoremSpec, layout: _Layout, hits: np.ndarray,
            families: list) -> None:
-    """Decide a batch of hits, whose [mask, orbit size, status code] rows
+    """Decide a slice's hits, whose [mask, orbit size, status code] rows
     are ``hits`` and the families of whose Exception hits are
     ``families``, by ``_answers`` on the representatives, and tally
     every orbit whole: each count and family gains its orbit's size, and
@@ -557,23 +559,20 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
     """Masks [lo, hi) of one size with m_min edges, slice by slice, one
     representative per orbit of the scan's relabelings: the minimum-degree
     filter, the enclosures (drop, then judge off the band), radius_stack
-    on the band, the slice ladder, radius_stack and the checker on its
-    exception candidates, then the buffered hits through the batched
-    oracle, each counted once per member of its orbit. An orbit's least
-    mask lies in exactly one part, so the parts count each orbit once.
-    A listed geometry is one part, [0, 2^slots): its list gives the
-    slices, and the list's answers decide the hits."""
+    on the band, the slice ladder, the checker on its exception
+    candidates, then the slice's hits through one batched oracle call,
+    each counted once per member of its orbit, before the next slice. An
+    orbit's least mask lies in exactly one part, so the parts count each
+    orbit once. A listed geometry is one part, [0, 2^slots): its list
+    gives the slices, and the list's answers decide the hits."""
     spec = THEOREMS[theorem_id]
     row = spec.row
     report = SoundnessReport(theorem_id, [n], graphs_scanned=hi - lo)
     layout, m_min = _spec_layout(spec, n), _m_min(row, n)
     need = np.repeat(row.min_degree, _sides(row.kind, n))   # per vertex
     threshold = row.threshold(n) if row.spectral else None
-    hits: list[np.ndarray] = []   # per slice, its hits' [mask, orbit size, status code]
-    families: list = []           # the buffered Exception hits' families
-    buffered = 0
     for adjacency, degrees, orbits in _scan_slices(layout, lo, hi, m_min, need):
-        estimates, values = {}, None   # per kept row index, its radius_stack estimate
+        matrices = values = None
         if row.spectral:
             matrices = _hypothesis_matrices(row, layout, adjacency)
             lower, upper = cw_bounds(matrices)
@@ -585,21 +584,12 @@ def _scan_part(theorem_id: str, n: int, lo: int, hi: int) -> SoundnessReport:
             band = np.flatnonzero(((low != high) | (low == cond.BOUNDARY))[keep])
             adjacency, degrees, matrices = adjacency[keep], degrees[keep], matrices[keep]
             orbits, values = orbits[keep], lower[keep]
-            estimates = dict(zip(band.tolist(), radius_stack(matrices[band])))
-            values[band] = [estimate.value for estimate in estimates.values()]
+            values[band] = [estimate.value for estimate in radius_stack(matrices[band])]
         codes, candidate = cond.slice_ladder(row, n, degrees, adjacency, values)
-        if row.spectral:
-            late = [i for i in np.flatnonzero(candidate).tolist() if i not in estimates]
-            estimates.update(zip(late, radius_stack(matrices[late])))
-        families += _verdicts(spec, layout, adjacency, estimates, codes, candidate)
+        families = _verdicts(spec, layout, adjacency, matrices, codes, candidate)
         hit = cond.HIT[codes]
-        hits.append(np.column_stack([orbits[hit], codes[hit]]))
-        buffered += int(hit.sum())
-        if buffered >= ORACLE_BATCH:
-            _flush(report, spec, layout, np.concatenate(hits), families)
-            hits, families, buffered = [], [], 0
-    if buffered:
-        _flush(report, spec, layout, np.concatenate(hits), families)
+        if hit.any():
+            _flush(report, spec, layout, np.column_stack([orbits[hit], codes[hit]]), families)
     return report
 
 
@@ -686,9 +676,10 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
     Near misses are graphs without the property whose hypothesis is unmet
     by the smallest margin, a graph on a strict row's line first, at
     deficit 0; the near miss is the first orbit representative in scan
-    order at the least deficit. The exception report states whether each
-    stated exceptional graph satisfies its theorem's hypothesis at all,
-    by its ``hypothesis_radius`` (its edge count on an m row).
+    order at the least deficit, where deficits within CMP_TOL tie. The
+    exception report states whether each stated exceptional graph
+    satisfies its theorem's hypothesis at all, by its
+    ``hypothesis_radius`` (its edge count on an m row).
     """
     spec, sizes = _scan_entry(theorem_id, max_n)
     row, kind = spec.row, _witness_kind(spec)
@@ -716,13 +707,16 @@ def tightness_search(theorem_id: str, max_n: int = DEFAULT_MAX_N) -> dict:
             # on a strict row's line is a near miss at deficit 0
             deficits = np.where(row.ladder(got, threshold)[1],
                                 np.maximum(row.shortfall(got, threshold), 0.0), np.inf)
-            # only a deficit below the best so far can replace it, so only
-            # those representatives go to the oracle
-            ask = np.flatnonzero(deficits < (np.inf if best is None else best["deficit"]))
+            # deficits within CMP_TOL tie, and the earlier graph in scan order
+            # keeps the tie: only a deficit below the best so far by more
+            # than that can replace it, so only those go to the oracle
+            bar = np.inf if best is None else best["deficit"] - cond.CMP_TOL
+            ask = np.flatnonzero(deficits < bar)
             lacking = ask[~_answers(layout, orbits[ask, 0], kind)]
             if len(lacking):
-                # argmin takes the first of equal deficits, so scan order breaks ties
-                i = lacking[np.argmin(deficits[lacking])]
+                # the first lacking representative that ties the least
+                tied = deficits[lacking] <= deficits[lacking].min() + cond.CMP_TOL
+                i = lacking[np.argmax(tied)]
                 best = {"graph6": _graph6(adjacency[i]), "value": float(got[i]),
                         "threshold": threshold, "deficit": float(deficits[i])}
     return {"theorem_id": theorem_id, "exceptions": exceptions, "best_near_miss": best}

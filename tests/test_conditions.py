@@ -710,10 +710,14 @@ def test_listed_families_record_what_their_degrees_determine():
     assert sides == ((2, 2, 3), (1, 3, 3))
     for index in (0, 1, 2, 4):
         assert _determined_by(np_member(index)) == "threshold"
-    # K2,4 is a Graph target, and 2K2 shares its sequence with no other
-    # graph but does not peel: both are searched for
-    assert _determined_by(np_member(3)) is None
-    assert _determined_by(np_member(6)) is None
+    for index in (0, 1, 2, 4, 5, 8):
+        assert _determined_by(nc_member(index)) == "threshold"
+    # K2,4 and K2,3 are Graph targets, and K1,2 v 4K1 shares its sequence
+    # with other graphs; 2K2 and K1 v 2K2 (a hub and a perfect matching)
+    # share theirs with no other graph but do not peel: all five are
+    # searched for
+    for fid in (np_member(3), np_member(6), nc_member(3), nc_member(6), nc_member(7)):
+        assert _determined_by(fid) is None
 
 
 def _copies(fid, rng):

@@ -96,7 +96,11 @@ def test_tightness_matches_fixture(monkeypatch):
     # both tightness fixtures were regenerated when the search moved onto
     # the scan's orbit representatives: 6 spectral near misses here and 8
     # at the defaults became another labeled copy of the same graph, each
-    # deficit within 4e-15 of the old, and nothing else changed
+    # deficit within 4e-15 of the old, and nothing else changed; and again
+    # when deficits within CMP_TOL became ties that the earlier graph in
+    # scan order keeps: 1 near miss here and 7 at the defaults became the
+    # first graph of their tie, 5 another copy of the same graph and 3
+    # another graph at the same exact deficit, each within 4e-15 of the old
     monkeypatch.setattr(verify, "BIP_CELLS", 9)
     text = tightness_lines(max_n=5)
     assert text == (FIXTURES / "tightness_n5.json").read_text()
