@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from functools import partial
 from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -36,7 +35,7 @@ from .families import FamilyId, FamilyTag, NC_GRAPHS, NP_GRAPHS, make_family
 from .graph6 import Graph6Error, parse_graph6_with_matrix as parse_graph6, write_graph6
 from .graphs import Graph, Shape, bipartite_view, bit_matrix, from_edges, shape_of
 from .oracle import CYCLE, MAX_DP_N, PATH, certify, is_hamiltonian, is_traceable
-from .spectral import SpectralEstimate, q_radius, rho
+from .spectral import q_radius, rho
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -212,37 +211,32 @@ def _emit(record: dict, fmt: str) -> None:
 
 # ---------------------------------------------------------------- analyze
 
-def _estimate_once(estimates: dict, quantity: str, obj, bits: np.ndarray) -> SpectralEstimate:
-    """obj's spectral estimate for a hypothesis quantity, from its 0/1
-    adjacency matrix ``bits``, computed on first use."""
-    if quantity not in estimates:
-        estimates[quantity] = hypothesis_radius(quantity, obj, bits)
-    return estimates[quantity]
-
-
 def _applicable_verdicts(g: Graph, bits: np.ndarray, degrees: list[int],
-                         estimates: dict, shape: Shape) -> list[dict]:
+                         radii: dict, shape: Shape) -> list[dict]:
     """Every applicable checker's verdict on g, as a general graph and, when
     it is connected and bipartite, as a bipartite graph. Both views come
     from g's 0/1 adjacency matrix ``bits``, ``degrees`` and ``shape``: the
-    bipartite one's matrix and degrees are g's in its side order. Each
-    view's spectral estimates are shared by its checkers, and computed only
-    when a checker's preconditions hold; ``estimates`` seeds g's, and its
-    "rho", g's own radius, seeds the bipartite view's."""
+    bipartite one's matrix and degrees are g's in its side order. The views
+    share ``radii``, g's spectral radii by hypothesis quantity, seeded with
+    its "rho" and "q": the bipartite view's rho is g's, and each other key
+    is read by one view only. A quantity is computed the first time a
+    checker of the view reads it, and every checker gets it computed."""
     verdicts = []
-    views = [(g, GENERAL, bits, degrees, estimates, shape.components)]
+    views = [(g, GENERAL, bits, degrees, shape.components)]
     bipartite = bipartite_view(g, bits, shape)
     if bipartite is not None:
         order, b = bipartite
         views.append((b, BIP_BALANCED if b.p == b.q else BIP_UNBALANCED,
-                      bits[np.ix_(order, order)], [degrees[v] for v in order.tolist()],
-                      {"rho": estimates["rho"]}, 1))
-    for obj, kind, matrix, obj_degrees, obj_estimates, count in views:
+                      bits[np.ix_(order, order)], [degrees[v] for v in order.tolist()], 1))
+    for obj, kind, matrix, obj_degrees, count in views:
         for tid, spec in verify_mod.THEOREMS.items():
             if spec.row.kind != kind:
                 continue
-            estimate = partial(_estimate_once, obj_estimates, spec.row.quantity, obj, matrix)
-            verdict = spec.checker(obj, estimate=estimate, degrees=obj_degrees, components=count)
+            quantity = spec.row.quantity
+            if spec.row.spectral and quantity not in radii:
+                radii[quantity] = hypothesis_radius(quantity, obj, matrix)
+            verdict = spec.checker(obj, estimate=radii.get(quantity), degrees=obj_degrees,
+                                   components=count)
             if verdict.status is not Status.NOT_APPLICABLE:
                 verdicts.append(_verdict_dict(tid, verdict))
     return verdicts
@@ -279,11 +273,11 @@ def _analyze_record(args, rec_id: str, g: Graph, bits: np.ndarray) -> None:
         "rho": None,
         "q": None,
     }
-    estimates = {}
+    radii = {}
     if g.n > 0:
-        estimates = {"rho": rho(bits), "q": q_radius(bits)}
-        record["rho"], record["q"] = estimates["rho"].value, estimates["q"].value
-    record["verdicts"] = _applicable_verdicts(g, bits, degrees, estimates, shape)
+        radii = {"rho": rho(bits), "q": q_radius(bits)}
+        record["rho"], record["q"] = radii["rho"].value, radii["q"].value
+    record["verdicts"] = _applicable_verdicts(g, bits, degrees, radii, shape)
     if 0 < g.n <= MAX_DP_N:
         # a Hamiltonian cycle less one edge is a Hamiltonian path; certify
         # asks the DP entries (by this module's names, which perfbench wraps)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import compress
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -99,17 +99,6 @@ class Verdict(NamedTuple):
     certificate: Certificate = ()
     family: Optional[FamilyId] = None
     note: str = ""
-
-
-# a spectral checker's ``estimate``: the radius already computed, or a
-# function that computes it, called only once the preconditions hold
-EstimateArg = Optional[Union[SpectralEstimate, Callable[[], SpectralEstimate]]]
-
-
-def _estimate(given: EstimateArg, compute: Callable[[], SpectralEstimate]) -> SpectralEstimate:
-    if given is None:
-        return compute()
-    return given() if callable(given) else given
 
 
 class JoinWitness(NamedTuple):
@@ -449,15 +438,20 @@ def _applies(row: Condition, obj, degrees: Optional[list[int]] = None,
     """obj oriented as the row reads it, its size n, its degrees (a bipartite
     graph's side X first, then side Y; empty if the size does not fit the
     row), and the NotApplicable verdict of the first precondition that fails
-    (None if all hold). The degrees are ``degrees``, obj's in that order,
-    when given, and are otherwise computed once here, for the preconditions
-    and everything the checker reads of them after; a ``connected`` row
-    counts obj's components unless ``components`` gives their number."""
+    (None if all hold). A general row reads a bipartite graph as the graph
+    ``to_graph`` makes of it, side X first; a bipartite row does not apply
+    to a Graph. The degrees are ``degrees``, obj's in that order, when
+    given, and are otherwise computed once here, for the preconditions and
+    everything the checker reads of them after; a ``connected`` row counts
+    obj's components unless ``components`` gives their number."""
     prop, need = row.prop, row.min_n
     if row.kind == GENERAL:
+        obj = obj.to_graph()
         n = obj.n
         if n < need:
             return obj, n, [], _na(prop, f"needs n >= {need}", ("n", n))
+    elif isinstance(obj, Graph):
+        return obj, 0, [], _na(prop, "needs a bipartite graph")
     elif row.kind == BIP_BALANCED:
         if obj.p != obj.q:
             return obj, 0, [], _na(prop, "needs a balanced bipartition", ("p", obj.p), ("q", obj.q))
@@ -495,8 +489,9 @@ def _applies(row: Condition, obj, degrees: Optional[list[int]] = None,
 
 # ------------------------------------------------------- the verdict ladder
 
-def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = None,
-           degrees: Optional[list[int]] = None, components: Optional[int] = None) -> Verdict:
+def decide(row: Condition, obj: Graph | BipartiteGraph,
+           estimate: Optional[SpectralEstimate] = None, degrees: Optional[list[int]] = None,
+           components: Optional[int] = None) -> Verdict:
     """obj's verdict under a row: NotApplicable if a precondition fails,
     Inconclusive if the hypothesis fails, Boundary at the line of a strict
     threshold, Exception for a listed graph, Boundary at the line of a
@@ -506,10 +501,11 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
     certificate, or Guaranteed with its margin. A numeric row's value is
     judged by ``row.ladder``: an edge count exactly, a spectral radius
     within CMP_TOL; only a met hypothesis runs the exception step.
-    ``estimate``, when given, is the radius (or a function returning it)
-    of the matrix the row names in RADII, for obj as given; ``degrees``,
-    when given, obj's degrees (a bipartite graph's side X first), and
-    ``components`` its number of components."""
+    ``estimate``, when given, is the radius of the matrix the row names in
+    RADII, for obj as the row reads it (a bipartite graph as a graph under
+    a general row), and ``hypothesis_radius`` computes it when not;
+    ``degrees``, when given, obj's degrees (a bipartite graph's side X
+    first), and ``components`` its number of components."""
     obj, n, degrees, failure = _applies(row, obj, degrees, components)
     if failure is not None:
         return failure
@@ -523,7 +519,7 @@ def decide(row: Condition, obj: Graph | BipartiteGraph, estimate: EstimateArg = 
         value = sum(degrees) // 2
         cert = (("m", value), ("bound", threshold))
     else:
-        value = _estimate(estimate, lambda: hypothesis_radius(row.quantity, obj)).value
+        value = (estimate or hypothesis_radius(row.quantity, obj)).value
         cert = ((row.quantity, value), ("threshold", threshold))
     cert += (("margin", value - threshold),)
     code, unmet = row.ladder(value, threshold)
@@ -583,9 +579,10 @@ def slice_ladder(row: Condition, n: int, degrees: np.ndarray, adjacency: np.ndar
 # ------------------------------------------------------ the public entry
 
 def check_theorem(theorem_id: str, obj: Graph | BipartiteGraph,
-                  estimate: EstimateArg = None) -> Verdict:
+                  estimate: Optional[SpectralEstimate] = None) -> Verdict:
     """obj's verdict under the theorem with this id, a key of CONDITIONS:
-    its row's verdict ladder, ``decide``."""
+    its row's verdict ladder, ``decide``, handed ``estimate``, the row's
+    radius for obj if already computed, else None."""
     row = CONDITIONS.get(theorem_id)
     if row is None:
         raise KeyError(f"unknown theorem id {theorem_id!r}")

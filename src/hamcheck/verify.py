@@ -86,7 +86,10 @@ CHUNK = 1 << 16          # fewest masks per worker task under --jobs, and most a
 SLICE = 1 << 12          # generated masks (enough edges) per streamed slice; bounds its temporaries
 LOW_BITS = 11            # a mask's low bits, whose values are tabled by how many are set
 MAX_ENUM_N = 8
-MAX_BIP_CELLS = 25       # cap on a bipartite scan's mask bits p*q
+# cap on a bipartite scan's mask bits p*q: at the cap (side 5, or sides
+# (5, 4)) the nine bipartite rows' scans take 5.8 s in one process, none
+# more than 2.7 s, with a 46 MB peak (2-vCPU VM)
+MAX_BIP_CELLS = 25
 DEFAULT_MAX_N = 6
 BIP_CELLS = 16           # largest p*q a scan covers unless sizes are given
 # the soundness scan's relabelings H: every permutation of a general

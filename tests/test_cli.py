@@ -158,13 +158,12 @@ def test_analyze_asks_each_question_once(capsys, monkeypatch, name, graph, radii
         calls.append([matrix.tobytes() for matrix in matrices])
         return eigvalsh(matrices)
 
-    def given_only(given, compute, estimate=conditions._estimate):
-        assert given is not None, "a checker computed its own estimate"
-        return estimate(given, compute)
+    def refused(*args):
+        raise AssertionError("a checker computed its own estimate")
 
     asked = []
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    monkeypatch.setattr(conditions, "_estimate", given_only)
+    monkeypatch.setattr(conditions, "hypothesis_radius", refused)
     monkeypatch.setattr(cli, "certify", lambda g, kind, exact, shape: asked.append(
         (g, kind, shape)) or certify(g, kind, exact, shape))
     code, _, err = run(capsys, ["analyze", "--format", "json"], stdin=write_graph6(graph) + "\n",

@@ -124,9 +124,29 @@ def test_check_theorem_forwards_the_estimate():
     # q(C4) = 4 = 2n-4 exactly, on Yu-Fan's strict Hamiltonian bound
     assert check_theorem("yu-fan-hamiltonian", cycle(4)).status is Status.BOUNDARY
     above = SpectralEstimate(4.0 + 1e-6, 0)
-    for estimate in (above, lambda: above):
-        v = check_theorem("yu-fan-hamiltonian", cycle(4), estimate=estimate)
-        assert v.status is Status.GUARANTEED and cert(v)["q"] == above.value
+    v = check_theorem("yu-fan-hamiltonian", cycle(4), estimate=above)
+    assert v.status is Status.GUARANTEED and cert(v)["q"] == above.value
+
+
+def test_every_row_takes_either_graph_kind():
+    """A general row judges a bipartite graph as the graph it is, side X
+    first, so the Zhou rows read its complement, not its quasi-complement;
+    a bipartite row does not apply to a Graph."""
+    graphs = [complete(5), cycle(6), star(4), complete(1)]
+    bipartite = [complete_bipartite(4, 4), kpn2_plus_4e(4, 4), knn1_plus_edge(4),
+                 complete_bipartite(4, 3), knn1_plus_2e(4), complete_bipartite(1, 1),
+                 bipartite_from_edges(3, 3, [(0, 0), (1, 1)])]
+    for tid, row in CONDITIONS.items():
+        for g in graphs:
+            v = check_theorem(tid, g)
+            assert isinstance(v, Verdict), (tid, g)
+            if row.kind != GENERAL:
+                assert v == Verdict(Status.NOT_APPLICABLE, row.prop, note="needs a bipartite graph")
+        for b in bipartite:
+            v = check_theorem(tid, b)
+            assert isinstance(v, Verdict), (tid, b)
+            if row.kind == GENERAL:
+                assert v == check_theorem(tid, b.to_graph()), (tid, b)
 
 
 def _across(t):

@@ -870,6 +870,31 @@ def test_tightness_reads_the_shared_answers(theorem_id, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("theorem_id", NUMERIC)
+def test_adding_an_edge_keeps_a_met_hypothesis(theorem_id):
+    """Monotonicity: every labeled graph of the row's sizes at max_n 6 (at
+    most BIP_CELLS cells for a bipartite row) that meets the hypothesis
+    under row.ladder still meets it with any absent edge added. The
+    tolerance is row.ladder's CMP_TOL: an added edge that leaves a spectral
+    radius unchanged, in a component that does not carry it, may move the
+    float by a rounding error, which CMP_TOL covers."""
+    spec = THEOREMS[theorem_id]
+    row = spec.row
+    for n in sizes_for(spec, 6):
+        layout = _labeled_layout(spec, n)
+        masks = np.arange(1 << len(layout.slots))
+        if row.quantity == "m":
+            values = np.bitwise_count(masks).astype(int)   # uint8 would wrap below 0
+        else:
+            matrices = verify._hypothesis_matrices(row, layout, layout.rows(masks))
+            values = np.array([estimate.value for estimate in radius_stack(matrices)])
+        unmet = row.ladder(values, row.threshold(n))[1]
+        for k in range(len(layout.slots)):
+            absent = masks[(masks >> k & 1) == 0]
+            lost = absent[~unmet[absent] & unmet[absent | 1 << k]]
+            assert not len(lost), (n, k, verify._graph6(layout.rows(lost[:1])[0]))
+
+
 # (theorem id, family tag) of the listed exceptions that never meet their
 # own row's hypothesis, and of those that do, an edge count's
 VACUOUS = [("spectral-bipartite-hamiltonian", FamilyTag.KPN2_PLUS_4E),
